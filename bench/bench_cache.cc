@@ -34,9 +34,9 @@ double RunPlan(Database* db, const RetrievalSpec& spec,
   StaticRetrieval exec(db, spec, choice);
   CostMeter before = db->meter();
   exec.Open(params).ok();
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = exec.Next(&row);
+    auto more = exec.NextBatch(&batch);
     if (!more.ok() || !*more) break;
   }
   return (db->meter() - before).Cost(db->cost_weights());

@@ -44,16 +44,16 @@ RunCost RunDynamic(Database* db, DynamicRetrieval* engine, int64_t a1) {
   CostMeter before = db->meter();
   Status st = engine->Open(params);
   if (!st.ok()) std::printf("open failed: %s\n", st.ToString().c_str());
-  OutputRow row;
+  RowBatch batch;
   RunCost rc;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     if (!more.ok()) {
       std::printf("next failed: %s\n", more.status().ToString().c_str());
       break;
     }
     if (!*more) break;
-    rc.rows++;
+    rc.rows += batch.num_rows();
   }
   rc.cost = (db->meter() - before).Cost(db->cost_weights());
   return rc;
@@ -67,13 +67,13 @@ RunCost RunStatic(Database* db, const RetrievalSpec& spec,
   CostMeter before = db->meter();
   Status st = exec.Open(params);
   if (!st.ok()) std::printf("open failed: %s\n", st.ToString().c_str());
-  OutputRow row;
+  RowBatch batch;
   RunCost rc;
   for (;;) {
-    auto more = exec.Next(&row);
+    auto more = exec.NextBatch(&batch);
     if (!more.ok()) break;
     if (!*more) break;
-    rc.rows++;
+    rc.rows += batch.num_rows();
   }
   rc.cost = (db->meter() - before).Cost(db->cost_weights());
   return rc;

@@ -57,15 +57,17 @@ double Median(std::vector<double> v) {
 
 std::multiset<uint64_t> Drain(DynamicRetrieval* engine, bool* ok) {
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     if (!more.ok()) {
       *ok = false;
       return rids;
     }
     if (!*more) break;
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   return rids;
 }

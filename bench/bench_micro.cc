@@ -213,7 +213,13 @@ size_t TscanRowReference(TscanEnv* env) {
   Rid rid;
   Record record;
   CostMeter accrued;
-  std::deque<OutputRow> queue;
+  // The row-at-a-time engine's delivery unit: projected values plus RID,
+  // each in its own allocation, queued and popped one by one.
+  struct QueuedRow {
+    std::vector<Value> values;
+    Rid rid;
+  };
+  std::deque<QueuedRow> queue;
   size_t delivered = 0;
   for (;;) {
     // One seed-stepper step per row: meter snapshot/diff around the work,
@@ -230,8 +236,8 @@ size_t TscanRowReference(TscanEnv* env) {
     std::vector<Value> out;
     out.reserve(env->spec.projection.size());
     for (uint32_t c : env->spec.projection) out.push_back(record[c]);
-    queue.push_back(OutputRow{std::move(out), rid});
-    OutputRow row = std::move(queue.front());
+    queue.push_back(QueuedRow{std::move(out), rid});
+    QueuedRow row = std::move(queue.front());
     queue.pop_front();
     benchmark::DoNotOptimize(row);
     delivered++;
@@ -245,12 +251,13 @@ size_t TscanBatched(TscanEnv* env, size_t batch_size) {
   opt.batch_size = batch_size;
   DynamicRetrieval engine(&env->db, env->spec, opt);
   if (!engine.Open(env->params).ok()) return 0;
-  OutputRow row;
+  RowBatch batch;
   size_t delivered = 0;
   for (;;) {
-    auto more = engine.Next(&row);
+    auto more = engine.NextBatch(&batch);
     if (!more.ok() || !*more) break;
-    delivered++;
+    benchmark::DoNotOptimize(batch);
+    delivered += batch.num_rows();
   }
   return delivered;
 }

@@ -65,12 +65,12 @@ void Run() {
     ParamMap params;
     CostMeter before = db.meter();
     engine.Open(params).ok();
-    OutputRow row;
+    RowBatch batch;
     uint64_t rows = 0;
     for (;;) {
-      auto more = engine.Next(&row);
+      auto more = engine.NextBatch(&batch);
       if (!more.ok() || !*more) break;
-      rows++;
+      rows += batch.num_rows();
     }
     double cost = (db.meter() - before).Cost(db.cost_weights());
     std::printf("%6d %8llu | %12.0f %12.0f | %9.2fx | %s\n", k,

@@ -149,9 +149,9 @@ bool Run(int* exit_code) {
     std::printf("competition query failed to open\n");
     return false;
   }
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine.Next(&row);
+    auto more = engine.NextBatch(&batch);
     if (!more.ok() || !*more) break;
   }
   std::printf("%s\n", ExplainAnalyze(engine, db.cost_weights()).c_str());

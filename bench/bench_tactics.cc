@@ -33,12 +33,12 @@ double RunEngine(Database* db, DynamicRetrieval* engine, const ParamMap& p,
   db->pool()->EvictAll().ok();
   CostMeter before = db->meter();
   engine->Open(p).ok();
-  OutputRow row;
+  RowBatch batch;
   uint64_t n = 0;
-  for (;;) {
-    auto more = engine->Next(&row);
+  while (n < k) {
+    auto more = engine->NextBatch(&batch, k - n);
     if (!more.ok() || !*more) break;
-    if (++n == k) break;
+    n += batch.num_rows();
   }
   if (rows_out != nullptr) *rows_out = n;
   return (db->meter() - before).Cost(db->cost_weights());
@@ -50,12 +50,12 @@ double RunFrozen(Database* db, const RetrievalSpec& spec,
   CostMeter before = db->meter();
   StaticRetrieval exec(db, spec, std::move(choice));
   exec.Open(p).ok();
-  OutputRow row;
+  RowBatch batch;
   uint64_t n = 0;
-  for (;;) {
-    auto more = exec.Next(&row);
+  while (n < k) {
+    auto more = exec.NextBatch(&batch);
     if (!more.ok() || !*more) break;
-    if (++n == k) break;
+    n += batch.num_rows();
   }
   return (db->meter() - before).Cost(db->cost_weights());
 }

@@ -57,12 +57,17 @@ int main() {
     std::printf("open failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::vector<Value> row;
+  // The row adapter, one row per pull: LIMIT stops the retrieval as soon
+  // as the page is full.
+  std::vector<std::vector<Value>> rows;
   int shown = 0;
   int64_t last_day = -1;
   for (;;) {
-    auto more = op->Next(&row);
+    rows.clear();
+    auto more = op->NextBatch(&rows, 1);
     if (!more.ok() || !*more) break;
+    if (rows.empty()) continue;
+    const std::vector<Value>& row = rows[0];
     shown++;
     int64_t day = row[1].AsInt64();
     if (day < last_day) std::printf("ORDER VIOLATION\n");

@@ -34,6 +34,7 @@ int main() {
       Predicate::Compare(0, CompareOp::kEq, Operand::HostVar("id"));
   point.projection = {0, 1, 2, 3, 4};
   DynamicRetrieval point_engine(&db, point);
+  RowBatch batch;  // each pull's rows, column j = projection column j
 
   Rng rng(1);
   CostMeter before = db.meter();
@@ -42,11 +43,10 @@ int main() {
   for (int t = 0; t < kTxns; ++t) {
     ParamMap params{{"id", Value(rng.NextInt(0, 99999))}};
     point_engine.Open(params).ok();
-    OutputRow row;
     for (;;) {
-      auto more = point_engine.Next(&row);
+      auto more = point_engine.NextBatch(&batch);
       if (!more.ok() || !*more) break;
-      found++;
+      found += batch.num_rows();
     }
   }
   CostMeter delta = db.meter() - before;
@@ -62,8 +62,7 @@ int main() {
   for (int t = 0; t < kTxns; ++t) {
     ParamMap params{{"id", Value(int64_t{1000000 + t})}};
     point_engine.Open(params).ok();
-    OutputRow row;
-    auto more = point_engine.Next(&row);
+    auto more = point_engine.NextBatch(&batch);
     if (more.ok() && *more) std::printf("unexpected row!\n");
   }
   delta = db.meter() - before;
@@ -83,12 +82,11 @@ int main() {
     before = db.meter();
     ParamMap params{{"c", Value(customer)}};
     cust_engine.Open(params).ok();
-    OutputRow row;
     uint64_t rows = 0;
     for (;;) {
-      auto more = cust_engine.Next(&row);
+      auto more = cust_engine.NextBatch(&batch);
       if (!more.ok() || !*more) break;
-      rows++;
+      rows += batch.num_rows();
     }
     delta = db.meter() - before;
     std::printf("customer %lld: %llu orders, cost %.0f (tactic: %s)\n",

@@ -49,11 +49,11 @@ QueryResult RunQuery(Database* db, DynamicRetrieval* engine,
   db->pool()->EvictAll().ok();
   ParamMap params{{"customer", Value(customer)}, {"floor", Value(int64_t{1})}};
   if (!engine->Open(params).ok()) return out;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     if (!more.ok() || !*more) break;
-    out.rows++;
+    out.rows += batch.num_rows();
   }
   out.tactic = std::string(TacticName(engine->tactic()));
   return out;

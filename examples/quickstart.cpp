@@ -42,20 +42,23 @@ int main() {
       std::printf("open failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    OutputRow row;
+    // Rows arrive as column batches: column j is projection column j.
+    RowBatch batch;
     uint64_t rows = 0;
     for (;;) {
-      auto more = engine.Next(&row);
+      auto more = engine.NextBatch(&batch);
       if (!more.ok()) {
         std::printf("error: %s\n", more.status().ToString().c_str());
         return 1;
       }
       if (!*more) break;
-      if (++rows <= 3) {
-        std::printf("    id=%lld age=%lld income=%lld\n",
-                    static_cast<long long>(row.values[0].AsInt64()),
-                    static_cast<long long>(row.values[1].AsInt64()),
-                    static_cast<long long>(row.values[2].AsInt64()));
+      for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+        if (++rows <= 3) {
+          std::printf("    id=%lld age=%lld income=%lld\n",
+                      static_cast<long long>(batch.col(0).ValueAt(r).AsInt64()),
+                      static_cast<long long>(batch.col(1).ValueAt(r).AsInt64()),
+                      static_cast<long long>(batch.col(2).ValueAt(r).AsInt64()));
+        }
       }
     }
     double cost = (db.meter() - before).Cost(db.cost_weights());
@@ -72,9 +75,9 @@ int main() {
   {
     ParamMap params{{"A1", Value(int64_t{42})}};
     engine.Open(params).ok();
-    OutputRow row;
+    RowBatch batch;
     for (;;) {
-      auto more = engine.Next(&row);
+      auto more = engine.NextBatch(&batch);
       if (!more.ok() || !*more) break;
     }
     std::printf("%s\n", ExplainExecution(engine).c_str());

@@ -26,14 +26,17 @@ double RunOnce(Database* db, DynamicRetrieval* engine, const ParamMap& p,
   db->pool()->EvictAll().ok();
   CostMeter before = db->meter();
   engine->Open(p).ok();
-  OutputRow row;
+  RowBatch batch;
   *rows = 0;
   *total_amount = 0;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     if (!more.ok() || !*more) break;
-    (*rows)++;
-    *total_amount += static_cast<double>(row.values[1].AsInt64());
+    *rows += batch.num_rows();
+    const int64_t* amounts = batch.col(1).i64_data();
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      *total_amount += static_cast<double>(amounts[r]);
+    }
   }
   return (db->meter() - before).Cost(db->cost_weights());
 }

@@ -39,6 +39,12 @@ double EstimateIndexScanCost(double entries, double fanout,
          entries * (w.key_compare + w.rid_op);
 }
 
+double EstimateIndexScanCost(const IndexClassification& c,
+                             const CostWeights& w) {
+  return EstimateIndexScanCost(c.ScanEntries(), c.index->tree()->AvgFanout(),
+                               w);
+}
+
 std::string AccessPathAnalysis::ToString() const {
   std::ostringstream os;
   os << "AccessPaths{";
@@ -150,33 +156,24 @@ Result<AccessPathAnalysis> AnalyzeAccessPaths(
                             out.indexes[b].estimate.estimated_rids;
                    });
 
-  // Best self-sufficient index: fewest entries to scan.
-  double best_ss_cost = 0;
-  for (size_t i = 0; i < out.indexes.size(); ++i) {
-    const IndexClassification& c = out.indexes[i];
-    if (!c.self_sufficient) continue;
-    double entries =
-        c.estimated ? c.estimate.estimated_rids
-                    : static_cast<double>(c.index->tree()->entry_count());
-    if (out.best_self_sufficient < 0 || entries < best_ss_cost) {
-      out.best_self_sufficient = static_cast<int>(i);
-      best_ss_cost = entries;
+  // The index with the fewest entries to scan among those `pick` accepts
+  // (the first of equals), or -1.
+  auto fewest_entries = [&](auto pick) {
+    int best = -1;
+    for (size_t i = 0; i < out.indexes.size(); ++i) {
+      const IndexClassification& c = out.indexes[i];
+      if (pick(c) && (best < 0 || c.ScanEntries() <
+                                      out.indexes[best].ScanEntries())) {
+        best = static_cast<int>(i);
+      }
     }
-  }
-
+    return best;
+  };
+  out.best_self_sufficient = fewest_entries(
+      [](const IndexClassification& c) { return c.self_sufficient; });
   // Order-needed pick: restricted and cheap wins.
-  double best_ord_cost = 0;
-  for (size_t i = 0; i < out.indexes.size(); ++i) {
-    const IndexClassification& c = out.indexes[i];
-    if (!c.order_needed) continue;
-    double entries =
-        c.estimated ? c.estimate.estimated_rids
-                    : static_cast<double>(c.index->tree()->entry_count());
-    if (out.order_needed < 0 || entries < best_ord_cost) {
-      out.order_needed = static_cast<int>(i);
-      best_ord_cost = entries;
-    }
-  }
+  out.order_needed = fewest_entries(
+      [](const IndexClassification& c) { return c.order_needed; });
   return out;
 }
 

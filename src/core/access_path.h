@@ -43,6 +43,13 @@ struct IndexClassification {
   bool estimated = false;
   bool refined_by_sampling = false;
   RangeEstimate estimate;        // valid iff `estimated`
+
+  /// Entries a scan of the ranges visits: the estimate, or the whole index
+  /// when the ranges were not estimated.
+  double ScanEntries() const {
+    return estimated ? estimate.estimated_rids
+                     : static_cast<double>(index->tree()->entry_count());
+  }
 };
 
 struct InitialStageOptions {
@@ -110,6 +117,9 @@ double FetchCostFromPages(double pages, double rids, const CostWeights& w);
 /// Rough cost of scanning `entries` index entries in a tree of average
 /// fanout `fanout`.
 double EstimateIndexScanCost(double entries, double fanout,
+                             const CostWeights& w);
+/// The same for scanning `c`'s ranges (ScanEntries() in its tree).
+double EstimateIndexScanCost(const IndexClassification& c,
                              const CostWeights& w);
 
 }  // namespace dynopt

@@ -106,8 +106,7 @@ DynamicRetrievalOperator::DynamicRetrievalOperator(Database* db,
       engine_(db, std::move(spec), std::move(options)) {}
 
 Status DynamicRetrievalOperator::Open() {
-  sorted_rows_.clear();
-  sorted_pos_ = 0;
+  sorted_.Clear();
   sort_fallback_ = false;
   order_pos_.reset();
   DYNOPT_RETURN_IF_ERROR(engine_.Open(*params_, ctx_));
@@ -125,14 +124,12 @@ Status DynamicRetrievalOperator::Open() {
       return Status::InvalidArgument(
           "ORDER BY column must be projected for sort fallback");
     }
-    DYNOPT_ASSIGN_OR_RETURN(bool more, ResortRemainder(nullptr, nullptr));
-    (void)more;
+    return ResortRemainder(nullptr);
   }
   return Status::OK();
 }
 
-Result<bool> DynamicRetrievalOperator::ResortRemainder(OutputRow* first,
-                                                       std::vector<Value>* row) {
+Status DynamicRetrievalOperator::ResortRemainder(const RowBatch* first) {
   if (!order_pos_.has_value()) {
     // The engine degraded mid-flight and the order column is not
     // projected: there is nothing to sort on, and streaming misordered
@@ -141,61 +138,33 @@ Result<bool> DynamicRetrievalOperator::ResortRemainder(OutputRow* first,
         "ordered retrieval degraded mid-flight but the ORDER BY column is "
         "not projected: cannot restore order");
   }
-  size_t pos = *order_pos_;
-  sorted_rows_.clear();
-  sorted_pos_ = 0;
-  if (first != nullptr) sorted_rows_.push_back(std::move(first->values));
-  OutputRow out;
+  sorted_.Clear();
+  if (first != nullptr) sorted_.Append(*first);
   for (;;) {
-    DYNOPT_ASSIGN_OR_RETURN(bool more, engine_.Next(&out));
+    DYNOPT_ASSIGN_OR_RETURN(bool more, engine_.NextBatch(&drain_));
     if (!more) break;
-    sorted_rows_.push_back(std::move(out.values));
+    sorted_.Append(drain_);
   }
-  std::stable_sort(sorted_rows_.begin(), sorted_rows_.end(),
-                   [pos](const auto& a, const auto& b) {
-                     return TotalValueLess(a[pos], b[pos]);
-                   });
+  sorted_.SortBy(*order_pos_);
   sort_fallback_ = true;
-  if (row == nullptr) return true;  // Open-time call: rows served later
-  if (sorted_pos_ >= sorted_rows_.size()) return false;
-  *row = sorted_rows_[sorted_pos_++];
-  return true;
+  return Status::OK();
 }
 
-Result<bool> DynamicRetrievalOperator::NextRow(std::vector<Value>* row) {
-  if (sort_fallback_) {
-    if (sorted_pos_ >= sorted_rows_.size()) return false;
-    *row = sorted_rows_[sorted_pos_++];
-    return true;
-  }
-  OutputRow out;
-  DYNOPT_ASSIGN_OR_RETURN(bool more, engine_.Next(&out));
+Result<bool> DynamicRetrievalOperator::NextBatch(RowBatch* out,
+                                                 size_t max_rows) {
+  if (sort_fallback_) return sorted_.Serve(out, max_rows);
+  DYNOPT_ASSIGN_OR_RETURN(bool more, engine_.NextBatch(out, max_rows));
   if (spec_.order_by_column.has_value() && !engine_.delivers_order()) {
     // The engine lost its ordered strategy to an I/O fault during this
     // pull (degraded fallback flips delivers_order). Rows already emitted
     // form a sorted prefix — the ordered scan delivered them in key order
     // and the fallback deduplicates them — so sorting the remainder (this
-    // row plus everything still in the engine) continues the sequence.
-    return ResortRemainder(more ? &out : nullptr, row);
+    // pull's rows, all produced after the flip, plus everything still in
+    // the engine) continues the sequence.
+    DYNOPT_RETURN_IF_ERROR(ResortRemainder(out));
+    return sorted_.Serve(out, max_rows);
   }
-  if (!more) return false;
-  *row = std::move(out.values);
-  return true;
-}
-
-Result<bool> DynamicRetrievalOperator::NextBatch(
-    std::vector<std::vector<Value>>* batch, size_t max_rows) {
-  // The engine's queue already fills one engine-batch per pump; this loop
-  // just drains it row-wise, re-checking the degrade flag on every pull.
-  size_t n = 0;
-  std::vector<Value> row;
-  while (n < max_rows) {
-    DYNOPT_ASSIGN_OR_RETURN(bool more, NextRow(&row));
-    if (!more) break;
-    batch->push_back(std::move(row));
-    n++;
-  }
-  return n > 0;
+  return more;
 }
 
 namespace {
@@ -206,62 +175,46 @@ namespace {
 Result<RowOperatorPtr> CompileNode(Database* db, const PlanNode& plan,
                                    const ParamMap* params, QueryContext* ctx,
                                    QueryProfile** profile) {
+  if (plan.kind == PlanNode::Kind::kRetrieve) {
+    auto leaf = std::make_unique<DynamicRetrievalOperator>(
+        db, plan.spec, plan.retrieval_options, params);
+    if (plan.retrieval_options.profile) {
+      *profile = leaf->engine()->profile_handle();
+    }
+    // The leaf itself is never wrapped: its engine owns the profile root
+    // and times itself, and callers downcast the plan root when the plan
+    // is a bare retrieval.
+    leaf->set_context(ctx);
+    return RowOperatorPtr(std::move(leaf));
+  }
+  DYNOPT_ASSIGN_OR_RETURN(RowOperatorPtr child,
+                          CompileNode(db, *plan.child, params, ctx, profile));
   RowOperatorPtr op;
   std::string_view name;
   switch (plan.kind) {
-    case PlanNode::Kind::kRetrieve: {
-      auto leaf = std::make_unique<DynamicRetrievalOperator>(
-          db, plan.spec, plan.retrieval_options, params);
-      if (plan.retrieval_options.profile) {
-        *profile = leaf->engine()->profile_handle();
-      }
-      // The leaf itself is never wrapped: its engine owns the profile root
-      // and times itself, and callers downcast the plan root when the plan
-      // is a bare retrieval.
-      leaf->set_context(ctx);
-      return RowOperatorPtr(std::move(leaf));
-    }
-    case PlanNode::Kind::kSort: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          RowOperatorPtr child,
-          CompileNode(db, *plan.child, params, ctx, profile));
+    case PlanNode::Kind::kSort:
       op = std::make_unique<SortOperator>(std::move(child), plan.column);
       name = "sort";
       break;
-    }
-    case PlanNode::Kind::kDistinct: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          RowOperatorPtr child,
-          CompileNode(db, *plan.child, params, ctx, profile));
+    case PlanNode::Kind::kDistinct:
       op = std::make_unique<DistinctOperator>(std::move(child));
       name = "distinct";
       break;
-    }
-    case PlanNode::Kind::kLimit: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          RowOperatorPtr child,
-          CompileNode(db, *plan.child, params, ctx, profile));
+    case PlanNode::Kind::kLimit:
       op = std::make_unique<LimitOperator>(std::move(child), plan.limit);
       name = "limit";
       break;
-    }
-    case PlanNode::Kind::kExists: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          RowOperatorPtr child,
-          CompileNode(db, *plan.child, params, ctx, profile));
+    case PlanNode::Kind::kExists:
       op = std::make_unique<ExistsOperator>(std::move(child));
       name = "exists";
       break;
-    }
-    case PlanNode::Kind::kAggregate: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          RowOperatorPtr child,
-          CompileNode(db, *plan.child, params, ctx, profile));
+    case PlanNode::Kind::kAggregate:
       op = std::make_unique<AggregateOperator>(std::move(child), plan.agg,
                                                plan.column);
       name = "aggregate";
       break;
-    }
+    case PlanNode::Kind::kRetrieve:
+      break;
   }
   if (op == nullptr) return Status::Internal("unknown plan node kind");
   op->set_context(ctx);

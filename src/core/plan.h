@@ -66,41 +66,41 @@ struct PlanNode {
 /// §4 goal inference over the whole plan.
 void InferGoals(PlanNode* root, OptimizationGoal default_goal);
 
-/// Volcano leaf wrapping a DynamicRetrieval engine. Re-optimizes on every
-/// Open() with the current contents of `*params`. If the spec requests an
-/// order the engine cannot deliver, the operator sorts transparently.
-/// The attached governance context (set_context) is handed to the engine
-/// at each Open, so cancellation/deadline/budget and degraded fallback
-/// apply to the whole execution. When a degraded fallback disqualifies the
-/// ordered strategy mid-flight, the operator notices delivers_order()
-/// flipping and sorts the remaining rows before handing them out (rows
-/// already emitted are a sorted prefix: the ordered scan delivered them in
-/// key order and the fallback deduplicates them).
+/// Volcano leaf wrapping a DynamicRetrieval engine: its batches are the
+/// engine's own. Re-optimizes on every Open() with the current contents of
+/// `*params`. If the spec requests an order the engine cannot deliver, the
+/// operator sorts transparently. The attached governance context
+/// (set_context) is handed to the engine at each Open, so cancellation/
+/// deadline/budget and degraded fallback apply to the whole execution.
+/// When a degraded fallback disqualifies the ordered strategy mid-flight,
+/// the operator notices delivers_order() flipping and sorts the remaining
+/// rows before handing them out (rows already emitted are a sorted prefix:
+/// the ordered scan delivered them in key order and the fallback
+/// deduplicates them). Both sorts are SORT's own (RowBuffer).
 class DynamicRetrievalOperator final : public RowOperator {
  public:
   DynamicRetrievalOperator(Database* db, RetrievalSpec spec,
                            RetrievalOptions options, const ParamMap* params);
 
   Status Open() override;
-  Result<bool> NextBatch(std::vector<std::vector<Value>>* batch,
+  using RowOperator::NextBatch;
+  Result<bool> NextBatch(RowBatch* out,
                          size_t max_rows = kDefaultBatchRows) override;
 
   DynamicRetrieval* engine() { return &engine_; }
 
  private:
-  /// Produces the next engine row, handling mid-flight order degradation.
-  Result<bool> NextRow(std::vector<Value>* row);
-  /// Drains the engine into sorted_rows_ (prepending `first` if non-null),
-  /// sorts on the order column, and serves the first remaining row.
-  Result<bool> ResortRemainder(OutputRow* first, std::vector<Value>* row);
+  /// Drains the engine into sorted_ after `first` (rows already pulled;
+  /// null at Open) and sorts it on the order column; later pulls serve it.
+  Status ResortRemainder(const RowBatch* first);
 
   RetrievalSpec spec_;
   const ParamMap* params_;
   DynamicRetrieval engine_;
   bool sort_fallback_ = false;
   std::optional<size_t> order_pos_;  // order column's projected position
-  std::vector<std::vector<Value>> sorted_rows_;
-  size_t sorted_pos_ = 0;
+  RowBuffer sorted_;
+  RowBatch drain_;  // ResortRemainder's pull
 };
 
 /// Lowers the plan to an operator tree. `params` must outlive the

@@ -64,8 +64,10 @@ std::string WinnerForVerdict(std::string_view subject,
 
 DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
                                    RetrievalOptions options)
-    : db_(db), spec_(std::move(spec)), options_(options) {
+    : db_(db), spec_(std::move(spec)), options_(options), exec_(db->pool()) {
   if (spec_.restriction == nullptr) spec_.restriction = Predicate::True();
+  fetch_batch_.Configure(spec_.table->schema().num_columns(),
+                         spec_.NeededColumns(), options_.batch_size);
   // One batch quantum governs the whole engine: steppers, Jscan harvests,
   // and the final fetch stage all sample competition state at this grain.
   options_.jscan.batch_entries = options_.batch_size;
@@ -132,7 +134,8 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   // CurrentQueryContext() so a Cancel() or deadline can wake the wait.
   ScopedQueryContext current(ctx);
   params_ = params;
-  queue_.clear();
+  pending_.Reset(spec_.projection.size());
+  pending_pos_ = 0;
   delivered_.clear();
   trace_.clear();
   events_.Clear();
@@ -208,11 +211,9 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   events_.Emit(TraceEventKind::kTacticChosen, std::string(TacticName(tactic_)),
                "", predicted_rows_, predicted_cost_);
   Status set_up = SetUpTactic();
-  if (!set_up.ok() && CanDegrade(set_up)) {
-    // E.g. the tiny-range shortcut's index probe hit the fault.
-    return FallBackToTscan(TacticName(tactic_), set_up);
-  }
-  return set_up;
+  if (set_up.ok()) return set_up;
+  // E.g. the tiny-range shortcut's index probe hit the fault.
+  return FallBackToTscan(std::string(TacticName(tactic_)), set_up);
 }
 
 void DynamicRetrieval::ComputePredictions() {
@@ -230,14 +231,6 @@ void DynamicRetrieval::ComputePredictions() {
   if (tactic_ == Tactic::kShortcutEmpty) rows = 0;
   predicted_rows_ = rows;
 
-  auto index_scan_cost = [&](const IndexClassification& c) {
-    double entries = c.estimated
-                         ? c.estimate.estimated_rids
-                         : static_cast<double>(c.index->tree()->entry_count());
-    return EstimateIndexScanCost(
-        entries, std::max(c.index->tree()->AvgFanout(), 1.0), w);
-  };
-
   // Cost as a function of the cardinality estimate, so a learned rows
   // correction flows into the fetch-dependent terms.
   auto cost_for = [&](double nrows) -> double {
@@ -250,18 +243,20 @@ void DynamicRetrieval::ComputePredictions() {
         return EstimateTscanCost(spec_, w);
       case Tactic::kStaticSscan:
       case Tactic::kIndexOnly:
-        return index_scan_cost(
-            analysis_.indexes[analysis_.best_self_sufficient]);
+        return EstimateIndexScanCost(
+            analysis_.indexes[analysis_.best_self_sufficient], w);
       case Tactic::kSorted:
-        return index_scan_cost(analysis_.indexes[analysis_.order_needed]) +
+        return EstimateIndexScanCost(
+                   analysis_.indexes[analysis_.order_needed], w) +
                EstimateFetchCost(nrows, spec_, w);
       case Tactic::kBackgroundOnly:
       case Tactic::kFastFirst: {
         // First Jscan candidate's scan plus fetching the predicted list.
         double scan = analysis_.jscan_order.empty()
                           ? 0.0
-                          : index_scan_cost(
-                                analysis_.indexes[analysis_.jscan_order[0]]);
+                          : EstimateIndexScanCost(
+                                analysis_.indexes[analysis_.jscan_order[0]],
+                                w);
         return scan + EstimateFetchCost(nrows, spec_, w);
       }
       case Tactic::kUndecided:
@@ -445,10 +440,10 @@ Status DynamicRetrieval::SetUpTactic() {
   // Strategy-span factory: null-safe (inactive profile → null parent →
   // AddSpan returns null, and every attribution site tolerates null).
   auto strategy_span = [&](ProfileSpan* parent, std::string_view name,
-                           double est_rows, double est_cost) {
+                           double est_cost) {
     ProfileSpan* s = profile_.AddSpan(parent, SpanKind::kStrategy, name);
     if (s != nullptr) {
-      s->estimated_rows = est_rows;
+      s->estimated_rows = predicted_rows_;
       s->estimated_cost = est_cost;
     }
     return s;
@@ -462,6 +457,25 @@ Status DynamicRetrieval::SetUpTactic() {
       cands.push_back(&analysis_.indexes[pos]);
     }
     return cands;
+  };
+
+  auto start_jscan = [&](std::vector<const IndexClassification*> cands) {
+    jscan_ = std::make_unique<Jscan>(db_, spec_, params_, std::move(cands),
+                                     options_.jscan);
+    jscan_->set_trace(&events_);
+    jscan_->set_context(ctx_);
+    jscan_->set_tolerate_io_faults(fallback_armed_);
+  };
+
+  // The competition span with the foreground `fg` and the Jscan under it;
+  // the foreground gets credit for delivered rows.
+  auto start_race = [&](std::string_view fg, double fg_cost, double bg_cost) {
+    span_competition_ =
+        profile_.AddSpan(profile_.root(), SpanKind::kCompetition, "race");
+    span_fg_ = strategy_span(span_competition_, fg, fg_cost);
+    span_bg_ = strategy_span(span_competition_, "jscan", bg_cost);
+    span_rows_ = span_fg_;
+    EnterMode(Mode::kRace);
   };
 
   switch (tactic_) {
@@ -488,55 +502,32 @@ Status DynamicRetrieval::SetUpTactic() {
     }
 
     case Tactic::kStaticTscan:
-      single_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
-      single_->set_context(ctx_);
       single_is_tscan_ = true;
-      span_single_ = strategy_span(profile_.root(), "tscan", predicted_rows_,
-                                   predicted_cost_);
-      span_rows_ = span_single_;
-      EnterMode(Mode::kSingle);
+      StartSingle(std::make_unique<TscanStepper>(db_->pool(), spec_, params_),
+                  strategy_span(profile_.root(), "tscan", predicted_cost_));
       return Status::OK();
 
     case Tactic::kStaticSscan: {
       const IndexClassification& c =
           analysis_.indexes[analysis_.best_self_sufficient];
-      single_ = std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
-                                               c.index, c.ranges);
-      single_->set_context(ctx_);
       delivers_order_ = spec_.order_by_column.has_value() && c.order_needed;
-      span_single_ = strategy_span(profile_.root(), "sscan", predicted_rows_,
-                                   predicted_cost_);
-      span_rows_ = span_single_;
-      EnterMode(Mode::kSingle);
+      StartSingle(std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
+                                                 c.index, c.ranges),
+                  strategy_span(profile_.root(), "sscan", predicted_cost_));
       return Status::OK();
     }
 
     case Tactic::kBackgroundOnly:
-      jscan_ = std::make_unique<Jscan>(db_, spec_, params_,
-                                       jscan_candidates(-1), options_.jscan);
-      jscan_->set_trace(&events_);
-      jscan_->set_context(ctx_);
-      jscan_->set_tolerate_io_faults(fallback_armed_);
-      span_bg_ = strategy_span(profile_.root(), "jscan", predicted_rows_, -1);
+      start_jscan(jscan_candidates(-1));
+      span_bg_ = strategy_span(profile_.root(), "jscan", -1);
       EnterMode(Mode::kBackground);
       return Status::OK();
 
     case Tactic::kFastFirst:
-      jscan_ = std::make_unique<Jscan>(db_, spec_, params_,
-                                       jscan_candidates(-1), options_.jscan);
-      jscan_->set_trace(&events_);
-      jscan_->set_context(ctx_);
-      jscan_->set_tolerate_io_faults(fallback_armed_);
+      start_jscan(jscan_candidates(-1));
       fgr_active_ = true;
       track_delivered_ = true;
-      span_competition_ =
-          profile_.AddSpan(profile_.root(), SpanKind::kCompetition, "race");
-      span_fg_ = strategy_span(span_competition_, "fast-first-fetch",
-                               predicted_rows_, -1);
-      span_bg_ = strategy_span(span_competition_, "jscan", predicted_rows_,
-                               predicted_cost_);
-      span_rows_ = span_fg_;
-      EnterMode(Mode::kRace);
+      start_race("fast-first-fetch", -1, predicted_cost_);
       return Status::OK();
 
     case Tactic::kSorted: {
@@ -553,26 +544,12 @@ Status DynamicRetrieval::SetUpTactic() {
       if (rest.empty()) {
         TraceEvent("sorted: no background candidates, plain Fscan");
         Verdict("no-background", "plain fscan");
-        single_ = std::move(fscan_fgr_);
-        span_single_ = strategy_span(profile_.root(), "fscan",
-                                     predicted_rows_, predicted_cost_);
-        span_rows_ = span_single_;
-        EnterMode(Mode::kSingle);
+        StartSingle(std::move(fscan_fgr_),
+                    strategy_span(profile_.root(), "fscan", predicted_cost_));
         return Status::OK();
       }
-      jscan_ = std::make_unique<Jscan>(db_, spec_, params_, std::move(rest),
-                                       options_.jscan);
-      jscan_->set_trace(&events_);
-      jscan_->set_context(ctx_);
-      jscan_->set_tolerate_io_faults(fallback_armed_);
-      span_competition_ =
-          profile_.AddSpan(profile_.root(), SpanKind::kCompetition, "race");
-      span_fg_ = strategy_span(span_competition_, "fscan", predicted_rows_,
-                               predicted_cost_);
-      span_bg_ = strategy_span(span_competition_, "jscan", predicted_rows_,
-                               -1);
-      span_rows_ = span_fg_;
-      EnterMode(Mode::kRace);
+      start_jscan(std::move(rest));
+      start_race("fscan", predicted_cost_, -1);
       return Status::OK();
     }
 
@@ -583,21 +560,9 @@ Status DynamicRetrieval::SetUpTactic() {
                                                   c.index, c.ranges);
       sscan_fgr_->set_context(ctx_);
       delivers_order_ = spec_.order_by_column.has_value() && c.order_needed;
-      jscan_ = std::make_unique<Jscan>(
-          db_, spec_, params_,
-          jscan_candidates(analysis_.best_self_sufficient), options_.jscan);
-      jscan_->set_trace(&events_);
-      jscan_->set_context(ctx_);
-      jscan_->set_tolerate_io_faults(fallback_armed_);
+      start_jscan(jscan_candidates(analysis_.best_self_sufficient));
       track_delivered_ = true;
-      span_competition_ =
-          profile_.AddSpan(profile_.root(), SpanKind::kCompetition, "race");
-      span_fg_ = strategy_span(span_competition_, "sscan", predicted_rows_,
-                               predicted_cost_);
-      span_bg_ = strategy_span(span_competition_, "jscan", predicted_rows_,
-                               -1);
-      span_rows_ = span_fg_;
-      EnterMode(Mode::kRace);
+      start_race("sscan", predicted_cost_, -1);
       return Status::OK();
     }
 
@@ -607,22 +572,35 @@ Status DynamicRetrieval::SetUpTactic() {
   return Status::Internal("tactic decision failed");
 }
 
-Result<bool> DynamicRetrieval::Next(OutputRow* row) {
+Result<bool> DynamicRetrieval::NextBatch(RowBatch* out, size_t max_rows) {
   ScopedQueryContext current(ctx_);  // see Open(): wakes retry backoff
-  for (;;) {
-    if (!queue_.empty()) {
-      *row = std::move(queue_.front());
-      queue_.pop_front();
-      rows_delivered_++;
-      return true;
+  out->Reset(spec_.projection.size());
+  max_rows = std::max<size_t>(max_rows, 1);
+  size_t waiting = pending_.num_rows() - pending_pos_;
+  if (waiting > 0) {
+    size_t n = std::min(waiting, max_rows);
+    out->Append(pending_, pending_.sel().data() + pending_pos_, n);
+    pending_pos_ += n;
+    if (pending_pos_ == pending_.num_rows()) {
+      pending_.Clear();
+      pending_pos_ = 0;
     }
-    if (mode_ == Mode::kDone) {
-      RecordFeedback();
-      return false;
-    }
-    Status st = Pump();
-    if (!st.ok()) return Fail(std::move(st));
   }
+  out_ = out;
+  out_room_ = max_rows;
+  Status st = Status::OK();
+  while (st.ok() && out->num_rows() == 0 && mode_ != Mode::kDone) {
+    st = Pump();
+  }
+  out_ = nullptr;
+  if (!st.ok()) return Fail(std::move(st));
+  if (out->num_rows() == 0) {
+    RecordFeedback();
+    return false;
+  }
+  rows_delivered_ += out->num_rows();
+  Bump(exec_.rows_delivered, out->num_rows());
+  return true;
 }
 
 Status DynamicRetrieval::Fail(Status st) {
@@ -631,7 +609,8 @@ Status DynamicRetrieval::Fail(Status st) {
   single_.reset();
   fscan_fgr_.reset();
   sscan_fgr_.reset();
-  queue_.clear();
+  pending_.Clear();
+  pending_pos_ = 0;
   final_rids_.clear();
   fgr_active_ = false;
   mode_ = Mode::kDone;
@@ -650,14 +629,14 @@ Status DynamicRetrieval::PollGovernance() {
   return ctx_->Check();
 }
 
-Status DynamicRetrieval::FallBackToTscan(std::string_view subject,
+Status DynamicRetrieval::FallBackToTscan(std::string subject,
                                          const Status& cause) {
-  events_.Emit(TraceEventKind::kStrategyDisqualified, std::string(subject),
+  if (!CanDegrade(cause)) return cause;
+  events_.Emit(TraceEventKind::kStrategyDisqualified, subject,
                "io_fault: " + std::string(cause.message()));
   Verdict("io-fault-fallback", subject);
   Bump(m_fallbacks_);
-  TraceEvent(std::string(subject) +
-             " hit an I/O fault: degrading to tscan");
+  TraceEvent(subject + " hit an I/O fault: degrading to tscan");
   jscan_.reset();
   fscan_fgr_.reset();
   sscan_fgr_.reset();
@@ -666,15 +645,26 @@ Status DynamicRetrieval::FallBackToTscan(std::string_view subject,
   fgr_active_ = false;
   delivers_order_ = false;
   degraded_ = true;
-  single_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
-  single_->set_context(ctx_);
-  single_is_tscan_ = true;
-  span_single_ =
-      profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
-  if (span_single_ != nullptr) span_single_->detail = "io-fault-fallback";
-  span_rows_ = span_single_;
-  EnterMode(Mode::kSingle);
+  StartTscan("io-fault-fallback");
   return Status::OK();
+}
+
+void DynamicRetrieval::StartSingle(std::unique_ptr<ScanStepper> stepper,
+                                   ProfileSpan* span) {
+  single_ = std::move(stepper);
+  single_->set_context(ctx_);
+  span_single_ = span;
+  span_rows_ = span;
+  EnterMode(Mode::kSingle);
+}
+
+void DynamicRetrieval::StartTscan(std::string_view detail) {
+  single_is_tscan_ = true;
+  ProfileSpan* span =
+      profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
+  if (span != nullptr) span->detail = std::string(detail);
+  StartSingle(std::make_unique<TscanStepper>(db_->pool(), spec_, params_),
+              span);
 }
 
 void DynamicRetrieval::RememberDelivered(Rid rid) {
@@ -683,15 +673,22 @@ void DynamicRetrieval::RememberDelivered(Rid rid) {
   }
 }
 
-void DynamicRetrieval::Enqueue(OutputRow row) {
+void DynamicRetrieval::Deliver(const RowBatch& src,
+                               const std::vector<uint32_t>& rows) {
   // While the fallback net is armed and a fallback can still occur,
   // remember every RID handed out: a mid-flight degradation to Tscan must
   // not re-deliver them. The set is charged against the context's RID-list
   // budget; recording stops once the last-resort Tscan or the final stage
   // is running, from which no further fallback happens.
-  if (FallbackStillPossible()) RememberDelivered(row.rid);
-  if (span_rows_ != nullptr) span_rows_->actual_rows++;
-  queue_.push_back(std::move(row));
+  if (FallbackStillPossible()) {
+    for (uint32_t r : rows) RememberDelivered(src.rid(r));
+  }
+  if (span_rows_ != nullptr) span_rows_->actual_rows += rows.size();
+  size_t room = out_ != nullptr ? out_room_ - out_->num_rows() : 0;
+  size_t n = std::min(rows.size(), room);
+  const uint32_t* proj = spec_.projection.data();
+  if (n > 0) out_->Append(src, rows.data(), n, proj);
+  pending_.Append(src, rows.data() + n, rows.size() - n, proj);
 }
 
 Status DynamicRetrieval::Pump() {
@@ -720,39 +717,35 @@ Status DynamicRetrieval::Pump() {
 }
 
 Status DynamicRetrieval::StepSingle() {
-  std::vector<OutputRow> rows;
-  auto stepped = single_->Step(&rows, options_.batch_size);
-  if (!stepped.ok()) {
-    if (!CanDegrade(stepped.status())) return stepped.status();
-    std::string subject = single_->label();
-    return FallBackToTscan(subject, stepped.status());
-  }
-  for (auto& r : rows) {
-    if (AlreadyDelivered(r.rid)) continue;
-    Enqueue(std::move(r));
-  }
+  auto stepped = single_->Step(options_.batch_size);
+  if (!stepped.ok()) return FallBackToTscan(single_->label(), stepped.status());
   if (!*stepped) {
     EnterMode(Mode::kDone);
     TraceEvent(single_->label() + " completed retrieval");
+    return Status::OK();
   }
+  const RowBatch& batch = single_->output();
+  if (delivered_.empty()) {
+    Deliver(batch, batch.sel());
+    return Status::OK();
+  }
+  fresh_.clear();
+  for (uint32_t r : batch.sel()) {
+    if (!AlreadyDelivered(batch.rid(r))) fresh_.push_back(r);
+  }
+  Deliver(batch, fresh_);
   return Status::OK();
 }
 
 Status DynamicRetrieval::StepBackground() {
   Status ran = jscan_->RunToCompletion();
-  if (!ran.ok()) {
-    if (!CanDegrade(ran)) return ran;
-    return FallBackToTscan("Jscan", ran);
-  }
+  if (!ran.ok()) return FallBackToTscan("Jscan", ran);
   if (options_.remember_order && !jscan_->completed_order().empty()) {
     previous_order_ = jscan_->completed_order();
   }
   if (jscan_->phase() == Jscan::Phase::kComplete) {
     auto rids = jscan_->final_list()->ToSortedVector();
-    if (!rids.ok()) {
-      if (!CanDegrade(rids.status())) return rids.status();
-      return FallBackToTscan("Jscan", rids.status());
-    }
+    if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
     TraceEvent("jscan complete: " + std::to_string(rids->size()) +
                " rids to final stage");
     Verdict("jscan-complete", "", static_cast<double>(rids->size()));
@@ -760,14 +753,7 @@ Status DynamicRetrieval::StepBackground() {
   }
   TraceEvent("jscan recommended tscan");
   Verdict("jscan-recommends-tscan");
-  single_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
-  single_->set_context(ctx_);
-  single_is_tscan_ = true;
-  span_single_ =
-      profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
-  if (span_single_ != nullptr) span_single_->detail = "jscan-recommends-tscan";
-  span_rows_ = span_single_;
-  EnterMode(Mode::kSingle);
+  StartTscan("jscan-recommends-tscan");
   return Status::OK();
 }
 
@@ -795,8 +781,7 @@ Status DynamicRetrieval::StepRace() {
   if (bgr_cost <= options_.fgr_bgr_cost_ratio * fgr_cost) {
     ChargeSpan(span_bg_);
     Status st = jscan_->Step().status();
-    if (!st.ok() && CanDegrade(st)) return FallBackToTscan("Jscan", st);
-    return st;
+    return st.ok() ? st : FallBackToTscan("Jscan", st);
   }
   ChargeSpan(span_fg_);
   return StepForeground();
@@ -810,15 +795,13 @@ Status DynamicRetrieval::StepForeground() {
         MeterScope scope(db_->pool(), &fgr_accrued_);
         rid = jscan_->BorrowNextRid();
         if (rid.has_value() && delivered_.count(*rid) == 0) {
-          DYNOPT_RETURN_IF_ERROR(DeliverByRid(*rid, /*record=*/true));
+          DYNOPT_RETURN_IF_ERROR(DeliverByRid(*rid));
         }
       }
       if (!rid.has_value()) {
         // Starved: nothing new to borrow, give the quantum to the Jscan.
         Status st = jscan_->Step().status();
-        if (!st.ok() && CanDegrade(st)) return FallBackToTscan("Jscan", st);
-        DYNOPT_RETURN_IF_ERROR(st);
-        return Status::OK();
+        return st.ok() ? st : FallBackToTscan("Jscan", st);
       }
       // Competition criteria for terminating the foreground (§7).
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
@@ -842,42 +825,36 @@ Status DynamicRetrieval::StepForeground() {
     }
 
     case Tactic::kSorted: {
-      std::vector<OutputRow> rows;
-      auto stepped = fscan_fgr_->Step(&rows, options_.batch_size);
+      auto stepped = fscan_fgr_->Step(options_.batch_size);
       if (!stepped.ok()) {
-        if (!CanDegrade(stepped.status())) return stepped.status();
-        std::string subject = fscan_fgr_->label();
-        return FallBackToTscan(subject, stepped.status());
+        return FallBackToTscan(fscan_fgr_->label(), stepped.status());
       }
-      bool more = *stepped;
-      for (auto& r : rows) Enqueue(std::move(r));
-      if (!more) {
+      if (!*stepped) {
         TraceEvent("fscan completed first: jscan abandoned");
         Verdict("foreground-finished", "fscan");
         EnterMode(Mode::kDone);
+        return Status::OK();
       }
+      Deliver(fscan_fgr_->output(), fscan_fgr_->output().sel());
       return Status::OK();
     }
 
     case Tactic::kIndexOnly: {
-      std::vector<OutputRow> rows;
-      auto stepped = sscan_fgr_->Step(&rows, options_.batch_size);
+      auto stepped = sscan_fgr_->Step(options_.batch_size);
       if (!stepped.ok()) {
-        if (!CanDegrade(stepped.status())) return stepped.status();
-        std::string subject = sscan_fgr_->label();
-        return FallBackToTscan(subject, stepped.status());
+        return FallBackToTscan(sscan_fgr_->label(), stepped.status());
       }
-      bool more = *stepped;
-      for (auto& r : rows) {
-        if (track_delivered_) RememberDelivered(r.rid);
-        Enqueue(std::move(r));
-      }
-      if (!more) {
+      if (!*stepped) {
         TraceEvent("sscan completed first: jscan abandoned");
         Verdict("foreground-finished", "sscan");
         EnterMode(Mode::kDone);
         return Status::OK();
       }
+      const RowBatch& batch = sscan_fgr_->output();
+      if (track_delivered_) {
+        for (uint32_t r : batch.sel()) RememberDelivered(batch.rid(r));
+      }
+      Deliver(batch, batch.sel());
       if (track_delivered_ &&
           delivered_.size() >= options_.fgr_buffer_capacity) {
         // The safer strategy survives the buffer overflow (§7).
@@ -886,10 +863,7 @@ Status DynamicRetrieval::StepForeground() {
                 static_cast<double>(delivered_.size()));
         track_delivered_ = false;
         if (!fallback_armed_) delivered_.clear();
-        single_ = std::move(sscan_fgr_);
-        span_single_ = span_fg_;
-        span_rows_ = span_fg_;
-        EnterMode(Mode::kSingle);
+        StartSingle(std::move(sscan_fgr_), span_fg_);
       }
       return Status::OK();
     }
@@ -908,10 +882,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
     case Tactic::kFastFirst:
       if (complete) {
         auto rids = jscan_->final_list()->ToSortedVector();
-        if (!rids.ok()) {
-          if (!CanDegrade(rids.status())) return rids.status();
-          return FallBackToTscan("Jscan", rids.status());
-        }
+        if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
         TraceEvent("jscan complete during race: final stage (" +
                    std::to_string(rids->size()) + " rids, " +
                    std::to_string(delivered_.size()) + " already delivered)");
@@ -922,16 +893,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       }
       TraceEvent("jscan recommended tscan: foreground switches to tscan");
       Verdict("jscan-recommends-tscan", "foreground switches");
-      single_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
-      single_->set_context(ctx_);
-      single_is_tscan_ = true;
-      span_single_ =
-          profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
-      if (span_single_ != nullptr) {
-        span_single_->detail = "jscan-recommends-tscan";
-      }
-      span_rows_ = span_single_;
-      EnterMode(Mode::kSingle);  // delivered_ still filters duplicates
+      StartTscan("jscan-recommends-tscan");  // delivered_ filters duplicates
       return Status::OK();
 
     case Tactic::kSorted:
@@ -945,12 +907,9 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         TraceEvent("jscan found no useful filter: fscan continues plain");
         Verdict("no-filter");
       }
-      single_ = std::move(fscan_fgr_);
       // The winning foreground stepper carries on as the lone strategy;
       // its span keeps accruing under the kSingle quantum timer.
-      span_single_ = span_fg_;
-      span_rows_ = span_fg_;
-      EnterMode(Mode::kSingle);
+      StartSingle(std::move(fscan_fgr_), span_fg_);
       return Status::OK();
 
     case Tactic::kIndexOnly:
@@ -959,14 +918,8 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         // when the sure final-stage fetch undercuts what finishing the
         // (safer) Sscan is still expected to cost.
         const CostWeights& w = db_->cost_weights();
-        const IndexClassification& ss =
-            analysis_.indexes[analysis_.best_self_sufficient];
-        double ss_entries =
-            ss.estimated
-                ? ss.estimate.estimated_rids
-                : static_cast<double>(ss.index->tree()->entry_count());
         double ss_total = EstimateIndexScanCost(
-            ss_entries, std::max(ss.index->tree()->AvgFanout(), 1.0), w);
+            analysis_.indexes[analysis_.best_self_sufficient], w);
         double ss_remaining =
             std::max(0.0, ss_total - sscan_fgr_->AccruedCost(w));
         double fin_cost = EstimateFetchCost(
@@ -1006,10 +959,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         }
         if (fin_cost < ss_used) {
           auto rids = jscan_->final_list()->ToSortedVector();
-          if (!rids.ok()) {
-            if (!CanDegrade(rids.status())) return rids.status();
-            return FallBackToTscan("Jscan", rids.status());
-          }
+          if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
           TraceEvent("jscan won the race: sscan abandoned, final stage (" +
                      std::to_string(rids->size()) + " rids)");
           Verdict("jscan-won", "sscan abandoned", fin_cost, ss_used);
@@ -1024,10 +974,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       }
       track_delivered_ = false;
       if (!fallback_armed_) delivered_.clear();
-      single_ = std::move(sscan_fgr_);
-      span_single_ = span_fg_;
-      span_rows_ = span_fg_;
-      EnterMode(Mode::kSingle);
+      StartSingle(std::move(sscan_fgr_), span_fg_);
       return Status::OK();
 
     default:
@@ -1039,8 +986,6 @@ Status DynamicRetrieval::BeginFinalStage(std::vector<Rid> rids) {
   std::sort(rids.begin(), rids.end());
   final_rids_ = std::move(rids);
   final_pos_ = 0;
-  final_batch_.Configure(spec_.table->schema().num_columns(),
-                         spec_.NeededColumns(), options_.batch_size);
   span_final_ =
       profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "final-fetch");
   if (span_final_ != nullptr) {
@@ -1062,57 +1007,53 @@ Status DynamicRetrieval::StepFinal() {
   // degradable (a fallback Tscan reads the same pages) — typed errors
   // propagate to the caller.
   MeterScope scope(db_->pool(), &engine_accrued_);
-  final_batch_.Clear();
-  const Schema& schema = spec_.table->schema();
+  fetch_batch_.Clear();
   HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
   while (final_pos_ < final_rids_.size() &&
-         final_batch_.num_rows() < options_.batch_size) {
+         fetch_batch_.num_rows() < options_.batch_size) {
     Rid rid = final_rids_[final_pos_++];
     if (AlreadyDelivered(rid)) continue;
-    auto bytes = reader.Read(rid);
-    if (!bytes.ok()) {
-      if (bytes.status().IsNotFound()) continue;  // deleted row
-      return bytes.status();
-    }
-    DYNOPT_RETURN_IF_ERROR(
-        DeserializeRecordColumns(schema, *bytes, final_batch_.dests()));
-    final_batch_.AddRow(rid);
+    DYNOPT_RETURN_IF_ERROR(FetchRecord(&reader, rid));
   }
-  size_t n = final_batch_.num_rows();
-  if (n == 0) return Status::OK();  // next pump notices completion
-  db_->pool()->meter_ptr()->record_evals += n;
-  BatchView view(final_batch_.cols(), final_batch_.num_columns());
-  DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
-                                         &final_scratch_, &final_batch_.sel()));
-  for (uint32_t r : final_batch_.sel()) {
-    OutputRow row;
-    row.values.reserve(spec_.projection.size());
-    for (uint32_t c : spec_.projection) {
-      row.values.push_back(final_batch_.col(c).ValueAt(r));
-    }
-    row.rid = final_batch_.rid(r);
-    Enqueue(std::move(row));
-  }
-  return Status::OK();
+  return ScreenFetched();  // an empty batch: the next pump notices the end
 }
 
-Status DynamicRetrieval::DeliverByRid(Rid rid, bool record) {
+Status DynamicRetrieval::DeliverByRid(Rid rid) {
   // Heap-page faults are not degradable: a fallback Tscan reads the same
   // heap pages, so the typed error propagates to the caller instead.
   MeterScope scope(db_->pool(), &engine_accrued_);
-  auto fetched = spec_.table->Fetch(rid);
-  if (!fetched.ok()) {
-    if (fetched.status().IsNotFound()) return Status::OK();  // deleted row
-    return fetched.status();
+  fetch_batch_.Clear();
+  HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
+  DYNOPT_RETURN_IF_ERROR(FetchRecord(&reader, rid));
+  if (fetch_batch_.num_rows() == 0) return Status::OK();  // deleted row
+  RememberDelivered(rid);
+  return ScreenFetched();
+}
+
+Status DynamicRetrieval::FetchRecord(HeapFile::BatchReader* reader, Rid rid) {
+  auto bytes = reader->Read(rid);
+  if (!bytes.ok()) {
+    if (bytes.status().IsNotFound()) return Status::OK();  // deleted row
+    return bytes.status();
   }
-  const Record& rec = *fetched;
-  RowView view(&rec);
-  db_->pool()->meter_ptr()->record_evals++;
-  DYNOPT_ASSIGN_OR_RETURN(bool keep, spec_.restriction->Eval(view, params_));
-  if (record) RememberDelivered(rid);
-  if (keep) {
-    Enqueue(OutputRow{ProjectRecord(spec_, rec), rid});
-  }
+  DYNOPT_RETURN_IF_ERROR(DeserializeRecordColumns(
+      spec_.table->schema(), *bytes, fetch_batch_.dests()));
+  fetch_batch_.AddRow(rid);
+  return Status::OK();
+}
+
+Status DynamicRetrieval::ScreenFetched() {
+  size_t n = fetch_batch_.num_rows();
+  if (n == 0) return Status::OK();
+  db_->pool()->meter_ptr()->record_evals += n;
+  Bump(exec_.records_fetched, n);
+  Bump(exec_.rows_screened, n);
+  BatchView view(fetch_batch_.cols(), fetch_batch_.num_columns());
+  DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
+                                         &fetch_scratch_,
+                                         &fetch_batch_.sel()));
+  exec_.NoteBatch(n, fetch_batch_.sel().size());
+  Deliver(fetch_batch_, fetch_batch_.sel());
   return Status::OK();
 }
 
@@ -1135,23 +1076,7 @@ void DynamicRetrieval::FinalizeProfile() {
   if (span_fg_ != nullptr && span_fg_ != span_single_) {
     // The foreground lost (or the race is still running): its cost comes
     // from its own meter; a settle move to single_ was handled above.
-    switch (tactic_) {
-      case Tactic::kFastFirst:
-        span_fg_->actual_cost = fgr_accrued_.Cost(w);
-        break;
-      case Tactic::kSorted:
-        if (fscan_fgr_ != nullptr) {
-          span_fg_->actual_cost = fscan_fgr_->AccruedCost(w);
-        }
-        break;
-      case Tactic::kIndexOnly:
-        if (sscan_fgr_ != nullptr) {
-          span_fg_->actual_cost = sscan_fgr_->AccruedCost(w);
-        }
-        break;
-      default:
-        break;
-    }
+    span_fg_->actual_cost = ForegroundCost();
   }
   if (span_bg_ != nullptr) {
     if (jscan_ != nullptr) {

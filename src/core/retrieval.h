@@ -1,8 +1,8 @@
 // DynamicRetrieval — the paper's single-table retrieval subsystem (Fig 4).
 //
 // One object per retrieval node; Open(params) re-optimizes per execution
-// (the cure for host-variable sensitivity), then Next() pulls rows while
-// the engine runs its tactic underneath:
+// (the cure for host-variable sensitivity), then NextBatch() pulls column
+// batches of projected rows while the engine runs its tactic underneath:
 //
 //   Shortcuts (§5)     empty range → no rows at once; tiny exact range →
 //                      straight to the final fetch stage.
@@ -26,12 +26,16 @@
 // interleaving paced by accrued cost at a configurable ratio. Every
 // decision the engine takes is appended to a human-readable trace that
 // tests assert against (the Fig 4/Fig 6 state transitions).
+//
+// Rows leave the way the steppers produce them: each quantum's survivors
+// are gathered column by column from the stepper's batch and selection
+// vector into the caller's batch, and rows past the caller's max_rows
+// wait in one engine-owned batch for the next pull.
 
 #ifndef DYNOPT_CORE_RETRIEVAL_H_
 #define DYNOPT_CORE_RETRIEVAL_H_
 
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -108,8 +112,13 @@ class DynamicRetrieval {
   /// (already-delivered RIDs are deduplicated, so rows are exact).
   Status Open(const ParamMap& params, QueryContext* ctx = nullptr);
 
-  /// Delivers the next row; false at end of retrieval.
-  Result<bool> Next(OutputRow* row);
+  /// Replaces `*out` with the next rows, at most `max_rows` (at least
+  /// one is delivered), as a dense batch: column j holds projection column
+  /// j and each row keeps its source RID. Returns false at end of
+  /// retrieval, with `*out` empty. One call pumps the tactic only until a
+  /// quantum yields rows, so `max_rows` = 1 is a one-row cursor that never
+  /// scans ahead of the first row.
+  Result<bool> NextBatch(RowBatch* out, size_t max_rows = kDefaultBatchRows);
 
   Tactic tactic() const { return tactic_; }
   /// True when rows come out in the requested order (the plan layer adds
@@ -137,7 +146,7 @@ class DynamicRetrieval {
   const AccessPathAnalysis& analysis() const { return analysis_; }
   const Jscan* jscan() const { return jscan_.get(); }
 
-  /// Rows handed out by Next() this execution.
+  /// Rows handed out by NextBatch() this execution.
   uint64_t rows_delivered() const { return rows_delivered_; }
   /// Pre-execution predictions behind the kTacticChosen event; compared
   /// against actuals in the database's FeedbackStore at end of retrieval.
@@ -200,7 +209,7 @@ class DynamicRetrieval {
   /// cost account. With no learned account the race runs as usual.
   void MaybePinBrownoutStrategy();
   Status SetUpTactic();
-  /// One scheduling quantum; may enqueue rows.
+  /// One scheduling quantum; may deliver rows.
   Status Pump();
   Status StepSingle();
   Status StepBackground();
@@ -211,8 +220,14 @@ class DynamicRetrieval {
   /// One foreground quantum inside the race.
   Status StepForeground();
   Status BeginFinalStage(std::vector<Rid> rids);
-  /// Fetch+evaluate+deliver one RID (final stage / fast-first borrow).
-  Status DeliverByRid(Rid rid, bool record_delivered);
+  /// Fetch+evaluate+deliver one RID a fast-first foreground borrowed, and
+  /// remember it as delivered whether or not it qualifies.
+  Status DeliverByRid(Rid rid);
+  /// Appends `rid`'s record to fetch_batch_ (a deleted row is skipped).
+  Status FetchRecord(HeapFile::BatchReader* reader, Rid rid);
+  /// Screens fetch_batch_ with the restriction in one pass, charges the
+  /// fetches to the exec.* ledger, and delivers the survivors.
+  Status ScreenFetched();
   double ForegroundCost() const;
   /// Current db-wide repaired-page tally (read-path + pin-path); deltas
   /// over an execution land in the profile's consumption block.
@@ -231,9 +246,16 @@ class DynamicRetrieval {
   bool CanDegrade(const Status& st) const {
     return fallback_armed_ && !single_is_tscan_ && IsIoFault(st);
   }
-  /// The degraded path: records the disqualification (trace + metrics) and
-  /// restarts delivery on a fresh Tscan; delivered_ filters duplicates.
-  Status FallBackToTscan(std::string_view subject, const Status& cause);
+  /// The degraded path: when CanDegrade(cause), records the
+  /// disqualification of `subject` (trace + metrics) and restarts delivery
+  /// on a fresh Tscan (delivered_ filters duplicates); otherwise returns
+  /// `cause` unchanged.
+  Status FallBackToTscan(std::string subject, const Status& cause);
+  /// Makes `stepper` the lone strategy (Mode::kSingle); `span` gets its
+  /// wall time and row credit.
+  void StartSingle(std::unique_ptr<ScanStepper> stepper, ProfileSpan* span);
+  /// Starts the last-resort Tscan as the lone strategy; `detail` says why.
+  void StartTscan(std::string_view detail);
   /// True while a degraded fallback can still happen — once the last-resort
   /// Tscan is running, or the final stage (which never falls back) has
   /// begun, recording delivered RIDs for fallback dedup is pointless.
@@ -248,7 +270,10 @@ class DynamicRetrieval {
   /// pages, and budget accounting release now — not when the engine object
   /// eventually dies. Returns `st` for the caller to propagate.
   Status Fail(Status st);
-  void Enqueue(OutputRow row);
+  /// Hands rows `rows` of a stepper batch to the caller: the first ones
+  /// into out_ up to its room, the rest into pending_. Remembers their
+  /// RIDs for fallback dedup and credits span_rows_, once per batch.
+  void Deliver(const RowBatch& src, const std::vector<uint32_t>& rows);
   bool AlreadyDelivered(Rid rid) const {
     return (track_delivered_ || fallback_armed_) && delivered_.count(rid) > 0;
   }
@@ -322,10 +347,17 @@ class DynamicRetrieval {
 
   std::vector<Rid> final_rids_;
   size_t final_pos_ = 0;
-  RowBatch final_batch_;  // page-clustered final-stage fetch batch
-  BatchEvalScratch final_scratch_;
+  // Records the engine fetches by RID (final stage, fast-first borrows),
+  // page-clustered in the final stage.
+  RowBatch fetch_batch_;
+  BatchEvalScratch fetch_scratch_;
+  ExecCounters exec_;
 
-  std::deque<OutputRow> queue_;
+  RowBatch* out_ = nullptr;  // the caller's batch during NextBatch
+  size_t out_room_ = 0;      // its max_rows
+  RowBatch pending_;         // delivered rows past out_room_, dense
+  size_t pending_pos_ = 0;   // next pending_ row to hand out
+  std::vector<uint32_t> fresh_;  // StepSingle's rows minus already delivered
 };
 
 }  // namespace dynopt

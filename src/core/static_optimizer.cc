@@ -116,50 +116,37 @@ StaticRetrieval::StaticRetrieval(Database* db, const RetrievalSpec& spec,
 
 Status StaticRetrieval::Open(const ParamMap& params) {
   params_ = params;
-  pending_.clear();
-  pending_pos_ = 0;
-  switch (choice_.kind) {
-    case StaticPlanChoice::Kind::kTscan:
-      stepper_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
-      return Status::OK();
-    case StaticPlanChoice::Kind::kFscan: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          choice_.range,
-          ExtractRange(spec_.restriction, choice_.index->leading_column(),
-                       params_));
-      stepper_ = std::make_unique<FscanStepper>(db_->pool(), spec_, params_,
-                                                choice_.index,
-                                                RangeSet::Of(choice_.range));
-      return Status::OK();
-    }
-    case StaticPlanChoice::Kind::kSscan: {
-      DYNOPT_ASSIGN_OR_RETURN(
-          choice_.range,
-          ExtractRange(spec_.restriction, choice_.index->leading_column(),
-                       params_));
-      stepper_ = std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
-                                                choice_.index,
-                                                RangeSet::Of(choice_.range));
-      return Status::OK();
-    }
+  if (choice_.kind == StaticPlanChoice::Kind::kTscan) {
+    stepper_ = std::make_unique<TscanStepper>(db_->pool(), spec_, params_);
+    return Status::OK();
   }
-  return Status::Internal("unknown static plan kind");
+  DYNOPT_ASSIGN_OR_RETURN(
+      choice_.range,
+      ExtractRange(spec_.restriction, choice_.index->leading_column(),
+                   params_));
+  if (choice_.kind == StaticPlanChoice::Kind::kFscan) {
+    stepper_ = std::make_unique<FscanStepper>(db_->pool(), spec_, params_,
+                                              choice_.index,
+                                              RangeSet::Of(choice_.range));
+  } else {
+    stepper_ = std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
+                                              choice_.index,
+                                              RangeSet::Of(choice_.range));
+  }
+  return Status::OK();
 }
 
-Result<bool> StaticRetrieval::Next(OutputRow* row) {
+Result<bool> StaticRetrieval::NextBatch(RowBatch* out) {
   if (stepper_ == nullptr) {
-    return Status::Internal("StaticRetrieval::Next before Open");
+    return Status::Internal("StaticRetrieval::NextBatch before Open");
   }
-  for (;;) {
-    if (pending_pos_ < pending_.size()) {
-      *row = std::move(pending_[pending_pos_++]);
-      return true;
-    }
-    pending_.clear();
-    pending_pos_ = 0;
-    DYNOPT_ASSIGN_OR_RETURN(bool more, stepper_->Step(&pending_));
-    if (!more && pending_.empty()) return false;
-  }
+  out->Reset(spec_.projection.size());
+  DYNOPT_ASSIGN_OR_RETURN(bool more, stepper_->Step());
+  if (!more) return false;
+  const RowBatch& step = stepper_->output();
+  out->Append(step, step.sel().data(), step.sel().size(),
+              spec_.projection.data());
+  return true;
 }
 
 const CostMeter& StaticRetrieval::accrued() const {

@@ -58,7 +58,10 @@ class StaticRetrieval {
   /// the plan *shape* stays frozen, only bounds rebind).
   Status Open(const ParamMap& params);
 
-  Result<bool> Next(OutputRow* row);
+  /// Replaces `*out` with the rows of the chosen scan's next step (column j
+  /// holds projection column j; a step may yield none). Returns false once
+  /// the scan is exhausted, with `*out` empty.
+  Result<bool> NextBatch(RowBatch* out);
 
   const StaticPlanChoice& choice() const { return choice_; }
   const CostMeter& accrued() const;
@@ -69,8 +72,6 @@ class StaticRetrieval {
   StaticPlanChoice choice_;
   ParamMap params_;
   std::unique_ptr<ScanStepper> stepper_;
-  std::vector<OutputRow> pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace dynopt

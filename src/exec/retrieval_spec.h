@@ -48,12 +48,6 @@ struct RetrievalSpec {
   }
 };
 
-/// A delivered row: the projected values plus the source RID.
-struct OutputRow {
-  std::vector<Value> values;  // one per spec.projection entry
-  Rid rid;
-};
-
 }  // namespace dynopt
 
 #endif  // DYNOPT_EXEC_RETRIEVAL_SPEC_H_

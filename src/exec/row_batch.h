@@ -6,7 +6,9 @@
 // a batch per Step() quantum — one governance poll, one meter scope, one
 // profiling charge per batch instead of per row — and predicates filter
 // the selection with branch-free typed loops (expr/predicate.h's
-// FilterSelection).
+// FilterSelection). The same type carries rows out of the retrieval
+// engine and between plan operators, in the dense layout (Reset): every
+// column materialized and every row selected.
 //
 // A RidBatch is the index-side sibling: a leaf-copy of qualifying
 // (key, rid) entries harvested under a single B+-tree page pin, so the
@@ -47,7 +49,6 @@ class RowBatch {
   /// `active` are materialized. Idempotent; keeps allocations.
   void Configure(size_t num_columns, const std::set<uint32_t>& active,
                  size_t capacity = kDefaultBatchRows) {
-    capacity_ = capacity;
     cols_.resize(num_columns);
     dests_.assign(num_columns, nullptr);
     for (uint32_t c : active) {
@@ -60,6 +61,15 @@ class RowBatch {
     sel_.reserve(capacity);
   }
 
+  /// Drops all rows and shapes the batch dense: `num_columns` columns, all
+  /// materialized. Keeps allocations.
+  void Reset(size_t num_columns) {
+    cols_.resize(num_columns);
+    dests_.resize(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) dests_[c] = &cols_[c];
+    Clear();
+  }
+
   /// Drops all rows; keeps column/string allocations and configuration.
   void Clear() {
     for (auto& c : cols_) c.Clear();
@@ -68,9 +78,9 @@ class RowBatch {
     num_rows_ = 0;
   }
 
-  size_t capacity() const { return capacity_; }
   size_t num_rows() const { return num_rows_; }
-  bool full() const { return num_rows_ >= capacity_; }
+  /// Rows the per-row arrays hold without growing (the realloc audit).
+  size_t allocated_rows() const { return rids_.capacity(); }
 
   /// Destination array for DeserializeRecordColumns (null = skip column).
   ColumnVector* const* dests() const { return dests_.data(); }
@@ -86,12 +96,33 @@ class RowBatch {
     num_rows_++;
   }
 
+  /// Appends rows `rows[0..n)` of `src`, rids included, as selected rows.
+  /// Column j is gathered from `src` column `src_cols[j]`, or from column
+  /// j when `src_cols` is null; every column of this batch is filled.
+  void Append(const RowBatch& src, const uint32_t* rows, size_t n,
+              const uint32_t* src_cols = nullptr) {
+    for (size_t j = 0; j < cols_.size(); ++j) {
+      cols_[j].AppendFrom(src.cols_[src_cols != nullptr ? src_cols[j] : j],
+                          rows, n);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      rids_.push_back(src.rids_[rows[i]]);
+      sel_.push_back(static_cast<uint32_t>(num_rows_ + i));
+    }
+    num_rows_ += n;
+  }
+
+  /// Appends one row, one value per column, as a selected row with no RID.
+  void AppendRow(const std::vector<Value>& values) {
+    for (size_t c = 0; c < cols_.size(); ++c) cols_[c].Append(values[c]);
+    AddRow(Rid());
+  }
+
   const Rid& rid(size_t row) const { return rids_[row]; }
   std::vector<uint32_t>& sel() { return sel_; }
   const std::vector<uint32_t>& sel() const { return sel_; }
 
  private:
-  size_t capacity_ = kDefaultBatchRows;
   size_t num_rows_ = 0;
   std::vector<ColumnVector> cols_;
   std::vector<ColumnVector*> dests_;

@@ -4,71 +4,42 @@
 
 namespace dynopt {
 
-std::vector<Value> ProjectRecord(const RetrievalSpec& spec,
-                                 const Record& record) {
-  std::vector<Value> out;
-  out.reserve(spec.projection.size());
-  for (uint32_t c : spec.projection) out.push_back(record[c]);
-  return out;
+ExecCounters::ExecCounters(BufferPool* pool) {
+  if (pool == nullptr || pool->metrics() == nullptr) return;
+  MetricsRegistry* m = pool->metrics();
+  rows_screened = m->counter("exec.rows_screened");
+  records_fetched = m->counter("exec.records_fetched");
+  rows_delivered = m->counter("exec.rows_delivered");
+  batches = m->counter("exec.batches");
+  reallocs = m->counter("exec.realloc_count");
+  rows_per_batch =
+      m->histogram("exec.rows_per_batch", {1, 4, 16, 64, 256, 1024, 4096});
+  selection_density =
+      m->histogram("exec.selection_density", {1, 5, 10, 25, 50, 75, 90, 99});
 }
 
-Result<std::vector<Value>> ProjectSparse(
-    const RetrievalSpec& spec, const std::vector<std::optional<Value>>& row) {
-  std::vector<Value> out;
-  out.reserve(spec.projection.size());
-  for (uint32_t c : spec.projection) {
-    if (c >= row.size() || !row[c].has_value()) {
-      return Status::Internal("projection column missing from sparse row");
-    }
-    out.push_back(*row[c]);
-  }
-  return out;
-}
-
-void EmitRow(const RetrievalSpec& spec, const RowBatch& batch, uint32_t r,
-             std::vector<OutputRow>* out) {
-  OutputRow row;
-  row.values.reserve(spec.projection.size());
-  for (uint32_t c : spec.projection) {
-    row.values.push_back(batch.col(c).ValueAt(r));
-  }
-  row.rid = batch.rid(r);
-  out->push_back(std::move(row));
-}
-
-ScanStepper::ScanStepper(std::string label, BufferPool* pool)
-    : label_(std::move(label)) {
-  if (pool != nullptr && pool->metrics() != nullptr) {
-    MetricsRegistry* m = pool->metrics();
-    m_rows_screened_ = m->counter("exec.rows_screened");
-    m_rows_delivered_ = m->counter("exec.rows_delivered");
-    m_batches_ = m->counter("exec.batches");
-    m_reallocs_ = m->counter("exec.realloc_count");
-    m_rows_per_batch_ = m->histogram(
-        "exec.rows_per_batch", {1, 4, 16, 64, 256, 1024, 4096});
-    m_selection_density_ = m->histogram(
-        "exec.selection_density", {1, 5, 10, 25, 50, 75, 90, 99});
-  }
+Status ScanStepper::Screen(const Predicate& pred, RowBatch* batch) {
+  pool_->meter_ptr()->record_evals += batch->num_rows();
+  Bump(exec_.rows_screened, batch->num_rows());
+  BatchView view(batch->cols(), batch->num_columns());
+  return FilterSelection(pred, view, params_, &scratch_, &batch->sel());
 }
 
 // ------------------------------------------------------------------ Tscan
 
 TscanStepper::TscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                            const ParamMap& params)
-    : ScanStepper("Tscan", pool),
-      pool_(pool),
-      spec_(spec),
-      params_(params),
+    : ScanStepper("Tscan", pool, spec, params),
       cursor_(spec.table->heap()->NewCursor()) {
   batch_.Configure(spec.table->schema().num_columns(), spec.NeededColumns());
 }
 
-Result<bool> TscanStepper::Step(std::vector<OutputRow>* out,
-                                size_t max_units) {
+Result<bool> TscanStepper::Step(size_t max_units) {
   if (exhausted_) return false;
   DYNOPT_RETURN_IF_ERROR(PollGovernance());
   MeterScope scope(pool_, &accrued_);
   batch_.Clear();
+  size_t cap_reserved = batch_.allocated_rows();
   const Schema& schema = spec_.table->schema();
   // Harvest: deserialize needed columns straight off the pinned pages.
   while (batch_.num_rows() < max_units) {
@@ -81,23 +52,15 @@ Result<bool> TscanStepper::Step(std::vector<OutputRow>* out,
         DeserializeRecordColumns(schema, bytes, batch_.dests()));
     batch_.AddRow(rid);
   }
+  if (batch_.allocated_rows() != cap_reserved) Bump(exec_.reallocs);
   size_t n = batch_.num_rows();
   if (n == 0) {
     exhausted_ = true;
     return false;
   }
   // Filter: one vectorized restriction pass over the whole batch.
-  pool_->meter_ptr()->record_evals += n;
-  Bump(m_rows_screened_, n);
-  BatchView view(batch_.cols(), batch_.num_columns());
-  DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
-                                         &scratch_, &batch_.sel()));
-  out->reserve(out->size() + batch_.sel().size());
-  size_t cap_reserved = out->capacity();
-  for (uint32_t r : batch_.sel()) EmitRow(spec_, batch_, r, out);
-  AuditRealloc(cap_reserved, out->capacity());
-  Bump(m_rows_delivered_, batch_.sel().size());
-  NoteBatch(n, batch_.sel().size());
+  DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
+  exec_.NoteBatch(n, batch_.sel().size());
   return true;
 }
 
@@ -106,17 +69,11 @@ Result<bool> TscanStepper::Step(std::vector<OutputRow>* out,
 FscanStepper::FscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                            const ParamMap& params, SecondaryIndex* index,
                            RangeSet ranges)
-    : ScanStepper("Fscan(" + index->name() + ")", pool),
-      pool_(pool),
-      spec_(spec),
-      params_(params),
+    : ScanStepper("Fscan(" + index->name() + ")", pool, spec, params),
       index_(index),
       ranges_(std::move(ranges)),
       cursor_(index->tree(), &ranges_) {
-  if (pool->metrics() != nullptr) {
-    m_records_fetched_ = pool->metrics()->counter("exec.records_fetched");
-  }
-  rows_.Configure(spec.table->schema().num_columns(), spec.NeededColumns());
+  batch_.Configure(spec.table->schema().num_columns(), spec.NeededColumns());
 }
 
 void FscanStepper::SetScreen(PredicateRef screen) {
@@ -130,8 +87,7 @@ void FscanStepper::SetScreen(PredicateRef screen) {
   }
 }
 
-Result<bool> FscanStepper::Step(std::vector<OutputRow>* out,
-                                size_t max_units) {
+Result<bool> FscanStepper::Step(size_t max_units) {
   if (exhausted_) return false;
   DYNOPT_RETURN_IF_ERROR(PollGovernance());
   MeterScope scope(pool_, &accrued_);
@@ -164,11 +120,7 @@ Result<bool> FscanStepper::Step(std::vector<OutputRow>* out,
           entries_.key(i), keys_.dests(), &decode_scratch_));
       keys_.AddRow(entries_.rid(i));
     }
-    pool_->meter_ptr()->record_evals += survivors_.size();
-    Bump(m_rows_screened_, survivors_.size());
-    BatchView kview(keys_.cols(), keys_.num_columns());
-    DYNOPT_RETURN_IF_ERROR(FilterSelection(*screen_, kview, params_,
-                                           &scratch_, &keys_.sel()));
+    DYNOPT_RETURN_IF_ERROR(Screen(*screen_, &keys_));
     // keys_ row r corresponds to survivors_[r]; compact in place.
     size_t kept = 0;
     for (uint32_t r : keys_.sel()) survivors_[kept++] = survivors_[r];
@@ -182,8 +134,7 @@ Result<bool> FscanStepper::Step(std::vector<OutputRow>* out,
             [&](uint32_t a, uint32_t b) {
               return entries_.rid(a) < entries_.rid(b);
             });
-  rows_.Clear();
-  row_of_.assign(n, UINT32_MAX);
+  batch_.Clear();
   const Schema& schema = spec_.table->schema();
   {
     HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
@@ -191,34 +142,24 @@ Result<bool> FscanStepper::Step(std::vector<OutputRow>* out,
       DYNOPT_ASSIGN_OR_RETURN(std::string_view bytes,
                               reader.Read(entries_.rid(i)));
       DYNOPT_RETURN_IF_ERROR(
-          DeserializeRecordColumns(schema, bytes, rows_.dests()));
-      row_of_[i] = static_cast<uint32_t>(rows_.num_rows());
-      rows_.AddRow(entries_.rid(i));
+          DeserializeRecordColumns(schema, bytes, batch_.dests()));
+      batch_.AddRow(entries_.rid(i));
     }
   }
-  records_fetched_ += rows_.num_rows();
-  Bump(m_records_fetched_, rows_.num_rows());
+  records_fetched_ += batch_.num_rows();
+  Bump(exec_.records_fetched, batch_.num_rows());
 
-  // Stage 4: vectorized restriction over the fetched records, then emit
-  // in the original key order (index order is part of Fscan's contract).
-  if (rows_.num_rows() > 0) {
-    pool_->meter_ptr()->record_evals += rows_.num_rows();
-    Bump(m_rows_screened_, rows_.num_rows());
-    BatchView view(rows_.cols(), rows_.num_columns());
-    DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
-                                           &scratch_, &rows_.sel()));
-    selected_.assign(rows_.num_rows(), 0);
-    for (uint32_t r : rows_.sel()) selected_[r] = 1;
-    out->reserve(out->size() + rows_.sel().size());
-    for (uint32_t i : survivors_) {
-      uint32_t r = row_of_[i];
-      if (r == UINT32_MAX || !selected_[r]) continue;
-      EmitRow(spec_, rows_, r, out);
-      rows_delivered_++;
-      Bump(m_rows_delivered_);
-    }
+  // Stage 4: vectorized restriction over the fetched records, then put
+  // the selection back in the original key order (index order is part of
+  // Fscan's contract): batch_ row r holds entry fetch_order_[r].
+  if (batch_.num_rows() > 0) {
+    DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
+    std::sort(batch_.sel().begin(), batch_.sel().end(),
+              [&](uint32_t a, uint32_t b) {
+                return fetch_order_[a] < fetch_order_[b];
+              });
   }
-  NoteBatch(n, rows_.sel().size());
+  exec_.NoteBatch(n, batch_.sel().size());
   return true;
 }
 
@@ -227,10 +168,7 @@ Result<bool> FscanStepper::Step(std::vector<OutputRow>* out,
 SscanStepper::SscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                            const ParamMap& params, SecondaryIndex* index,
                            RangeSet ranges)
-    : ScanStepper("Sscan(" + index->name() + ")", pool),
-      pool_(pool),
-      spec_(spec),
-      params_(params),
+    : ScanStepper("Sscan(" + index->name() + ")", pool, spec, params),
       index_(index),
       ranges_(std::move(ranges)),
       cursor_(index->tree(), &ranges_) {
@@ -241,11 +179,10 @@ SscanStepper::SscanStepper(BufferPool* pool, const RetrievalSpec& spec,
   for (uint32_t c : spec.NeededColumns()) {
     if (index->covered_columns().count(c) != 0) active.insert(c);
   }
-  keys_.Configure(spec.table->schema().num_columns(), active);
+  batch_.Configure(spec.table->schema().num_columns(), active);
 }
 
-Result<bool> SscanStepper::Step(std::vector<OutputRow>* out,
-                                size_t max_units) {
+Result<bool> SscanStepper::Step(size_t max_units) {
   if (exhausted_) return false;
   DYNOPT_RETURN_IF_ERROR(PollGovernance());
   MeterScope scope(pool_, &accrued_);
@@ -258,29 +195,22 @@ Result<bool> SscanStepper::Step(std::vector<OutputRow>* out,
     return false;
   }
   entries_scanned_ += n;
-  keys_.Clear();
+  batch_.Clear();
   for (uint32_t i = 0; i < n; ++i) {
     DYNOPT_RETURN_IF_ERROR(index_->DecodeKeyColumnsInto(
-        entries_.key(i), keys_.dests(), &decode_scratch_));
-    keys_.AddRow(entries_.rid(i));
+        entries_.key(i), batch_.dests(), &decode_scratch_));
+    batch_.AddRow(entries_.rid(i));
   }
-  pool_->meter_ptr()->record_evals += n;
-  Bump(m_rows_screened_, n);
-  BatchView view(keys_.cols(), keys_.num_columns());
-  DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
-                                         &scratch_, &keys_.sel()));
-  if (!keys_.sel().empty()) {
-    // ProjectSparse's contract: every projection column must be covered.
+  DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
+  if (!batch_.sel().empty()) {
+    // Rows leave with every projection column, so each must be covered.
     for (uint32_t c : spec_.projection) {
-      if (keys_.cols()[c] == nullptr) {
+      if (batch_.cols()[c] == nullptr) {
         return Status::Internal("projection column missing from sparse row");
       }
     }
-    out->reserve(out->size() + keys_.sel().size());
-    for (uint32_t r : keys_.sel()) EmitRow(spec_, keys_, r, out);
-    Bump(m_rows_delivered_, keys_.sel().size());
   }
-  NoteBatch(n, keys_.sel().size());
+  exec_.NoteBatch(n, batch_.sel().size());
   return true;
 }
 

@@ -2,7 +2,7 @@
 //
 // The paper's foreground/background "simultaneous" runs (§4, §7) are
 // realized as deterministic interleavings of resumable scans: each stepper
-// advances one unit of work per Step() call (one record / one index entry)
+// advances one batch of work per Step() call (records / index entries)
 // and meters its own cost, so the retrieval engine can race strategies at
 // proportional speeds and compare their accrued/projected costs exactly.
 //
@@ -13,7 +13,6 @@
 #define DYNOPT_EXEC_STEPPERS_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,22 +44,47 @@ class MeterScope {
   CostMeter snapshot_;
 };
 
+/// The executor's exec.* counters, bound from a pool's attached registry
+/// (all null when the pool has none). The steppers and the retrieval
+/// engine's own record fetches charge the same counters.
+struct ExecCounters {
+  explicit ExecCounters(BufferPool* pool);
+
+  /// Records one completed batch: `rows` input units processed, of which
+  /// `selected` survived the restriction.
+  void NoteBatch(size_t rows, size_t selected) const {
+    if (rows == 0) return;
+    Bump(batches);
+    Observe(rows_per_batch, static_cast<double>(rows));
+    Observe(selection_density,
+            100.0 * static_cast<double>(selected) / static_cast<double>(rows));
+  }
+
+  Counter* rows_screened = nullptr;    // restriction/screen evaluations
+  Counter* records_fetched = nullptr;  // heap records fetched by RID
+  Counter* rows_delivered = nullptr;   // rows handed to the engine's caller
+  Counter* batches = nullptr;          // batches processed
+  Counter* reallocs = nullptr;         // audited hot-loop reallocations
+  Histogram* rows_per_batch = nullptr;
+  Histogram* selection_density = nullptr;  // % of batch rows surviving
+};
+
 class ScanStepper {
  public:
   virtual ~ScanStepper() = default;
 
   /// Performs one *batch* of work — up to `max_units` input units (records
-  /// scanned / index entries read, NOT output rows) — appending every
-  /// produced row to `*out`. One governance poll, one meter scope, and one
-  /// metrics charge cover the whole batch; `max_units` is the competition
-  /// sampling quantum. Returns false once the scan is exhausted
-  /// (idempotent afterwards).
-  virtual Result<bool> Step(std::vector<OutputRow>* out,
-                            size_t max_units = kDefaultBatchRows) = 0;
+  /// scanned / index entries read, NOT output rows). One governance poll,
+  /// one meter scope, and one metrics charge cover the whole batch;
+  /// `max_units` is the competition sampling quantum. Returns false once
+  /// the scan is exhausted (idempotent afterwards); after a true return,
+  /// output() holds the step's rows.
+  virtual Result<bool> Step(size_t max_units = kDefaultBatchRows) = 0;
 
-  /// Row-compat shim: exactly one unit of work per call (at most one
-  /// row out), for callers that want row-at-a-time pacing.
-  Result<bool> StepOne(std::vector<OutputRow>* out) { return Step(out, 1); }
+  /// The last step's rows: columns in schema order (the spec's needed
+  /// columns materialized), sel() listing the delivered rows in delivery
+  /// order. Valid until the next Step().
+  const RowBatch& output() const { return batch_; }
 
   bool exhausted() const { return exhausted_; }
   /// Cost this scan has accrued so far (its private meter).
@@ -72,7 +96,6 @@ class ScanStepper {
   /// since the last poll and checking the context — the "batch boundary"
   /// where cancellation, deadlines, and budgets surface.
   void set_context(QueryContext* ctx) { ctx_ = ctx; }
-  QueryContext* context() const { return ctx_; }
 
  protected:
   /// Called at the top of every Step() override. Charges the accrued
@@ -90,48 +113,31 @@ class ScanStepper {
   }
   /// Binds the shared executor counters from `pool`'s attached registry
   /// (null pool or detached registry leaves them disabled).
-  ScanStepper(std::string label, BufferPool* pool);
+  ScanStepper(std::string label, BufferPool* pool, const RetrievalSpec& spec,
+              const ParamMap& params)
+      : label_(std::move(label)),
+        pool_(pool),
+        spec_(spec),
+        params_(params),
+        exec_(pool) {}
 
-  /// Records one completed batch: `rows` input units processed, of which
-  /// `selected` survived the restriction.
-  void NoteBatch(size_t rows, size_t selected) {
-    if (rows == 0) return;
-    Bump(m_batches_);
-    Observe(m_rows_per_batch_, static_cast<double>(rows));
-    Observe(m_selection_density_,
-            100.0 * static_cast<double>(selected) / static_cast<double>(rows));
-  }
-
-  /// Realloc audit (exec.realloc_count): bumps when an audited container
-  /// grew despite its pre-reserve — should stay 0 in steady state.
-  void AuditRealloc(size_t cap_before, size_t cap_after) {
-    if (cap_after != cap_before) Bump(m_reallocs_);
-  }
+  /// Evaluates `pred` over every row of `batch` in one vectorized pass,
+  /// narrowing its selection, and charges the evaluations to the meter and
+  /// to exec.rows_screened.
+  Status Screen(const Predicate& pred, RowBatch* batch);
 
   std::string label_;
+  BufferPool* pool_;
+  const RetrievalSpec& spec_;
+  const ParamMap& params_;
+  BatchEvalScratch scratch_;
   CostMeter accrued_;
   bool exhausted_ = false;
   QueryContext* ctx_ = nullptr;
   uint64_t charged_reads_ = 0;  // logical reads already charged to ctx_
-  Counter* m_rows_screened_ = nullptr;   // restriction/screen evaluations
-  Counter* m_rows_delivered_ = nullptr;  // rows pushed to the output queue
-  Counter* m_batches_ = nullptr;         // batches processed
-  Counter* m_reallocs_ = nullptr;        // audited hot-loop reallocations
-  Histogram* m_rows_per_batch_ = nullptr;
-  Histogram* m_selection_density_ = nullptr;  // % of batch rows surviving
+  ExecCounters exec_;
+  RowBatch batch_;  // the step's rows (output())
 };
-
-/// Projects `record` (full, schema order) onto the spec's projection.
-std::vector<Value> ProjectRecord(const RetrievalSpec& spec,
-                                 const Record& record);
-/// Projects a sparse (index-only) row; all projection columns must be set.
-Result<std::vector<Value>> ProjectSparse(
-    const RetrievalSpec& spec, const std::vector<std::optional<Value>>& row);
-
-/// Appends the projected OutputRow for row `r` of a column-major batch.
-/// Every projection column must be materialized in the batch.
-void EmitRow(const RetrievalSpec& spec, const RowBatch& batch, uint32_t r,
-             std::vector<OutputRow>* out);
 
 /// Full table scan: the classical sequential retrieval, batched: each
 /// Step deserializes up to `max_units` records column-wise straight off
@@ -142,18 +148,12 @@ class TscanStepper final : public ScanStepper {
   TscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                const ParamMap& params);
 
-  Result<bool> Step(std::vector<OutputRow>* out,
-                    size_t max_units = kDefaultBatchRows) override;
+  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
 
   uint64_t records_scanned() const { return records_scanned_; }
 
  private:
-  BufferPool* pool_;
-  const RetrievalSpec& spec_;
-  const ParamMap& params_;
   HeapFile::Cursor cursor_;
-  RowBatch batch_;
-  BatchEvalScratch scratch_;
   uint64_t records_scanned_ = 0;
 };
 
@@ -166,8 +166,7 @@ class FscanStepper final : public ScanStepper {
                const ParamMap& params, SecondaryIndex* index,
                RangeSet ranges);
 
-  Result<bool> Step(std::vector<OutputRow>* out,
-                    size_t max_units = kDefaultBatchRows) override;
+  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
 
   /// Installs a pre-fetch RID filter (must outlive the stepper; must be
   /// sealed). RIDs rejected by it skip the (expensive) record fetch.
@@ -180,31 +179,22 @@ class FscanStepper final : public ScanStepper {
 
   uint64_t entries_scanned() const { return entries_scanned_; }
   uint64_t records_fetched() const { return records_fetched_; }
-  uint64_t rows_delivered() const { return rows_delivered_; }
 
  private:
-  BufferPool* pool_;
-  const RetrievalSpec& spec_;
-  const ParamMap& params_;
   SecondaryIndex* index_;
   RangeSet ranges_;
   MultiRangeCursor cursor_;
   const HybridRidList* filter_ = nullptr;
   PredicateRef screen_;
-  Counter* m_records_fetched_ = nullptr;
   uint64_t entries_scanned_ = 0;
   uint64_t records_fetched_ = 0;
-  uint64_t rows_delivered_ = 0;
-  // Batch state, reused across Steps (allocations recycled).
+  // Batch state, reused across Steps (allocations recycled). batch_ holds
+  // the fetched records in page-clustered order.
   RidBatch entries_;
   RowBatch keys_;  // decoded key columns of screen survivors
-  RowBatch rows_;  // fetched records, in page-clustered order
-  BatchEvalScratch scratch_;
   std::string decode_scratch_;
   std::vector<uint32_t> survivors_;    // entry indexes surviving filter+screen
   std::vector<uint32_t> fetch_order_;  // survivors sorted by (page, slot)
-  std::vector<uint32_t> row_of_;       // entry index -> rows_ row
-  std::vector<uint8_t> selected_;      // rows_ row -> restriction verdict
 };
 
 /// Self-sufficient index scan: delivers results from index keys alone.
@@ -215,25 +205,19 @@ class SscanStepper final : public ScanStepper {
                const ParamMap& params, SecondaryIndex* index,
                RangeSet ranges);
 
-  Result<bool> Step(std::vector<OutputRow>* out,
-                    size_t max_units = kDefaultBatchRows) override;
+  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
 
   uint64_t entries_scanned() const { return entries_scanned_; }
 
  private:
-  BufferPool* pool_;
-  const RetrievalSpec& spec_;
-  const ParamMap& params_;
   SecondaryIndex* index_;
   RangeSet ranges_;
   MultiRangeCursor cursor_;
   uint64_t entries_scanned_ = 0;
-  // Batch state, reused across Steps. keys_ materializes the needed
-  // columns the index covers; an uncovered needed column surfaces as the
-  // same Internal error the sparse row path produced.
+  // Batch state, reused across Steps. batch_ materializes the needed
+  // columns the index covers; an uncovered projection column is an
+  // Internal error.
   RidBatch entries_;
-  RowBatch keys_;
-  BatchEvalScratch scratch_;
   std::string decode_scratch_;
 };
 

@@ -160,6 +160,41 @@ void ColumnVector::Append(const Value& v) {
   size_++;
 }
 
+void ColumnVector::AppendFrom(const ColumnVector& src, const uint32_t* rows,
+                              size_t n) {
+  if (n == 0) return;
+  if (mode_ == Mode::kEmpty) mode_ = src.mode_;
+  if (mode_ != src.mode_) {
+    for (size_t i = 0; i < n; ++i) Append(src.ValueAt(rows[i]));
+    return;
+  }
+  switch (mode_) {
+    case Mode::kInt64: {
+      i64_.resize(size_ + n);
+      int64_t* out = i64_.data() + size_;
+      for (size_t i = 0; i < n; ++i) out[i] = src.i64_[rows[i]];
+      size_ += n;
+      return;
+    }
+    case Mode::kDouble: {
+      f64_.resize(size_ + n);
+      double* out = f64_.data() + size_;
+      for (size_t i = 0; i < n; ++i) out[i] = src.f64_[rows[i]];
+      size_ += n;
+      return;
+    }
+    case Mode::kString:
+      for (size_t i = 0; i < n; ++i) AppendString(src.str_[rows[i]]);
+      return;
+    case Mode::kMixed:
+      for (size_t i = 0; i < n; ++i) mixed_.push_back(src.mixed_[rows[i]]);
+      size_ += n;
+      return;
+    case Mode::kEmpty:
+      break;
+  }
+}
+
 Value ColumnVector::ValueAt(size_t i) const {
   switch (mode_) {
     case Mode::kInt64:

@@ -112,6 +112,9 @@ class ColumnVector {
   void AppendDouble(double v);
   void AppendString(std::string_view v);
   void Append(const Value& v);
+  /// Gathers elements `rows[0..n)` of `src` onto the end: a typed copy when
+  /// both vectors hold one type, per-Value appends (and demotion) otherwise.
+  void AppendFrom(const ColumnVector& src, const uint32_t* rows, size_t n);
 
   /// Raw typed data; valid only in the matching mode.
   const int64_t* i64_data() const { return i64_.data(); }

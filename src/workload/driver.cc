@@ -88,6 +88,7 @@ class Session {
     if (live_ != nullptr) {
       live_->active.fetch_add(1, std::memory_order_relaxed);
     }
+    RowBatch batch;
     for (size_t q = 0; q < opts_.queries_per_session; ++q) {
       DynamicRetrieval* engine;
       ParamMap params;
@@ -158,17 +159,18 @@ class Session {
       uint64_t fold = 0;
       uint64_t rows = 0;
       if (st.ok()) {
-        OutputRow row;
         for (;;) {
-          auto more = engine->Next(&row);
+          auto more = engine->NextBatch(&batch);
           if (!more.ok()) {
             st = more.status();
             break;
           }
           if (!*more) break;
           // XOR: order-insensitive within the query.
-          fold ^= MixU64(row.rid.ToU64());
-          rows++;
+          for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+            fold ^= MixU64(batch.rid(r).ToU64());
+          }
+          rows += batch.num_rows();
         }
       }
       // Wall latency from scheduled arrival — the figure an open-loop

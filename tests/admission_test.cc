@@ -389,14 +389,16 @@ QueryContext BrownoutContext() {
 }
 
 uint64_t DrainAll(DynamicRetrieval* e, uint64_t* rid_xor) {
-  OutputRow row;
+  RowBatch batch;
   uint64_t rows = 0;
   for (;;) {
-    auto more = e->Next(&row);
+    auto more = e->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    if (rid_xor != nullptr) *rid_xor ^= row.rid.ToU64();
-    rows++;
+    for (uint32_t r = 0; rid_xor != nullptr && r < batch.num_rows(); ++r) {
+      *rid_xor ^= batch.rid(r).ToU64();
+    }
+    rows += batch.num_rows();
   }
   return rows;
 }
@@ -417,13 +419,13 @@ TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
   // Baseline: the Sorted tactic races its Fscan against a Jscan.
   std::vector<uint64_t> base_rids;
   ASSERT_TRUE(engine.Open({}, nullptr).ok());
-  {
-    OutputRow row;
-    for (;;) {
-      auto more = engine.Next(&row);
-      ASSERT_TRUE(more.ok()) << more.status();
-      if (!*more) break;
-      base_rids.push_back(row.rid.ToU64());
+  RowBatch batch;
+  for (;;) {
+    auto more = engine.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      base_rids.push_back(batch.rid(r).ToU64());
     }
   }
   ASSERT_GT(base_rids.size(), 0u);
@@ -436,13 +438,12 @@ TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
   QueryContext ctx = BrownoutContext();
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   std::vector<uint64_t> pinned_rids;
-  {
-    OutputRow row;
-    for (;;) {
-      auto more = engine.Next(&row);
-      ASSERT_TRUE(more.ok()) << more.status();
-      if (!*more) break;
-      pinned_rids.push_back(row.rid.ToU64());
+  for (;;) {
+    auto more = engine.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      pinned_rids.push_back(batch.rid(r).ToU64());
     }
   }
   EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,

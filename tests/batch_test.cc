@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -67,9 +68,9 @@ struct Families {
   }
 };
 
-std::string RowKey(const OutputRow& row) {
-  std::string key = std::to_string(row.rid.ToU64());
-  for (const Value& v : row.values) {
+std::string RowKey(const std::vector<Value>& values, Rid rid) {
+  std::string key = std::to_string(rid.ToU64());
+  for (const Value& v : values) {
     key += '|';
     key += v.ToString();
   }
@@ -79,12 +80,18 @@ std::string RowKey(const OutputRow& row) {
 // Canonical (sorted) multiset of delivered rows — the "result hash".
 std::multiset<std::string> DrainCanonical(DynamicRetrieval* engine) {
   std::multiset<std::string> out;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    out.insert(RowKey(row));
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      std::vector<Value> values;
+      for (uint32_t c = 0; c < batch.num_columns(); ++c) {
+        values.push_back(batch.col(c).ValueAt(r));
+      }
+      out.insert(RowKey(values, batch.rid(r)));
+    }
   }
   return out;
 }
@@ -107,10 +114,9 @@ std::multiset<std::string> NaiveCanonical(Families* f,
     auto keep = spec.restriction->Eval(view, params);
     EXPECT_TRUE(keep.ok());
     if (!keep.ok() || !*keep) continue;
-    OutputRow row;
-    for (uint32_t c : spec.projection) row.values.push_back(rec[c]);
-    row.rid = rid;
-    out.insert(RowKey(row));
+    std::vector<Value> values;
+    for (uint32_t c : spec.projection) values.push_back(rec[c]);
+    out.insert(RowKey(values, rid));
   }
   return out;
 }
@@ -205,12 +211,10 @@ TEST(BatchGoldenTest, OrderByStreamIdenticalAcrossBatchSizes) {
       ASSERT_TRUE(op.ok()) << op.status();
       ASSERT_TRUE((*op)->Open().ok());
       std::vector<std::vector<Value>> rows;
-      std::vector<Value> row;
       for (;;) {
-        auto more = (*op)->Next(&row);
+        auto more = (*op)->NextBatch(&rows);
         ASSERT_TRUE(more.ok()) << more.status();
         if (!*more) break;
-        rows.push_back(row);
       }
       ASSERT_GT(rows.size(), 100u);
       size_t pos = order_col == 1 ? 1 : 2;
@@ -253,10 +257,10 @@ TEST(BatchGoldenTest, GovernedTripsSurfaceAtBatchBoundaries) {
       opt.batch_size = bs;
       DynamicRetrieval engine(&f.db, f.Spec(pred, {0, 1}), opt);
       ASSERT_TRUE(engine.Open(params, &ctx).ok());
-      OutputRow row;
+      RowBatch batch;
       Status st = Status::OK();
       for (;;) {
-        auto more = engine.Next(&row);
+        auto more = engine.NextBatch(&batch);
         if (!more.ok()) {
           st = more.status();
           break;
@@ -313,13 +317,16 @@ TEST(BatchGoldenTest, DegradedFallbackMidBatchKeepsGoldenRows) {
 
   auto drain = [](RowOperator* op, std::vector<int64_t>* ages,
                   std::multiset<int64_t>* ids) -> Status {
-    std::vector<Value> row;
+    std::vector<std::vector<Value>> rows;
     for (;;) {
-      auto more = op->Next(&row);
+      rows.clear();
+      auto more = op->NextBatch(&rows, 1);
       if (!more.ok()) return more.status();
       if (!*more) return Status::OK();
-      if (ages != nullptr) ages->push_back(row[1].AsInt64());
-      if (ids != nullptr) ids->insert(row[0].AsInt64());
+      for (const auto& row : rows) {
+        if (ages != nullptr) ages->push_back(row[1].AsInt64());
+        if (ids != nullptr) ids->insert(row[0].AsInt64());
+      }
     }
   };
 
@@ -339,9 +346,9 @@ TEST(BatchGoldenTest, DegradedFallbackMidBatchKeepsGoldenRows) {
     auto probe = CompilePlan(&db, *plan, &params);
     ASSERT_TRUE(probe.ok());
     ASSERT_TRUE((*probe)->Open().ok());
-    std::vector<Value> row;
+    std::vector<std::vector<Value>> rows;
     for (int i = 0; i < 3; ++i) {
-      auto more = (*probe)->Next(&row);
+      auto more = (*probe)->NextBatch(&rows, 1);
       ASSERT_TRUE(more.ok());
       ASSERT_TRUE(*more);
     }
@@ -368,6 +375,400 @@ TEST(BatchGoldenTest, DegradedFallbackMidBatchKeepsGoldenRows) {
   EXPECT_EQ(ids, golden_ids);  // no lost rows, no duplicates mid-batch
   EXPECT_EQ(db.pool()->PinnedPages(), 0u);
   EXPECT_TRUE(db.pool()->CheckInvariants().ok());
+}
+
+// ------------------------------------------------------- plans, end to end
+
+// Every root row of a compiled plan, pulled `max_rows` at a time through
+// the row adapter.
+Result<std::vector<std::vector<Value>>> DrainPlan(RowOperator* op,
+                                                  size_t max_rows) {
+  DYNOPT_RETURN_IF_ERROR(op->Open());
+  std::vector<std::vector<Value>> rows;
+  for (;;) {
+    DYNOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(&rows, max_rows));
+    if (!more) break;
+  }
+  return rows;
+}
+
+// The naive answer's projected rows (heap order).
+std::vector<std::vector<Value>> NaiveRows(Table* table,
+                                          const RetrievalSpec& spec,
+                                          const ParamMap& params) {
+  std::vector<std::vector<Value>> out;
+  auto cursor = table->heap()->NewCursor();
+  std::string bytes;
+  Rid rid;
+  for (;;) {
+    auto more = cursor.Next(&bytes, &rid);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    Record rec;
+    EXPECT_TRUE(DeserializeRecord(table->schema(), bytes, &rec).ok());
+    RowView view(&rec);
+    auto keep = spec.restriction->Eval(view, params);
+    EXPECT_TRUE(keep.ok());
+    if (!keep.ok() || !*keep) continue;
+    std::vector<Value>& row = out.emplace_back();
+    for (uint32_t c : spec.projection) row.push_back(rec[c]);
+  }
+  return out;
+}
+
+std::multiset<std::string> Canonical(const std::vector<std::vector<Value>>& rows) {
+  std::multiset<std::string> out;
+  for (const auto& row : rows) out.insert(RowKey(row, Rid()));
+  return out;
+}
+
+bool SortedOn(const std::vector<std::vector<Value>>& rows, size_t col) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (TotalValueLess(rows[i][col], rows[i - 1][col])) return false;
+  }
+  return true;
+}
+
+TEST(BatchPlanGoldenTest, CompiledPlansMatchNaiveAcrossBatchSizes) {
+  Families f(5000);
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
+  auto pred = Predicate::And(
+      {Predicate::Between(1, Operand::Literal(Value(int64_t{20})),
+                          Operand::Literal(Value(int64_t{45}))),
+       Predicate::Compare(2, CompareOp::kLt,
+                          Operand::Literal(Value(int64_t{120000})))});
+  ParamMap params;
+  auto spec = [&](std::vector<uint32_t> proj,
+                  std::optional<uint32_t> order = std::nullopt) {
+    RetrievalSpec s = f.Spec(pred, std::move(proj));
+    s.order_by_column = order;
+    return s;
+  };
+  auto naive = [&](const RetrievalSpec& s) {
+    return NaiveRows(f.table, s, params);
+  };
+  size_t matches = naive(spec({0})).size();
+  ASSERT_GT(matches, 500u);
+  int64_t income_sum = 0;
+  for (const auto& row : naive(spec({2}))) income_sum += row[0].AsInt64();
+  std::vector<std::vector<Value>> cities = naive(spec({3}));
+  std::sort(cities.begin(), cities.end(), [](const auto& a, const auto& b) {
+    return TotalValueLess(a[0], b[0]);
+  });
+  cities.erase(std::unique(cities.begin(), cities.end()), cities.end());
+
+  for (size_t bs : kBatchSizes) {
+    auto compile = [&](std::unique_ptr<PlanNode> plan) {
+      PlanNode* leaf = plan.get();
+      while (leaf->child != nullptr) leaf = leaf->child.get();
+      leaf->retrieval_options.batch_size = bs;
+      InferGoals(plan.get(), OptimizationGoal::kTotalTime);
+      auto op = CompilePlan(&f.db, *plan, &params);
+      EXPECT_TRUE(op.ok()) << op.status();
+      return std::move(*op);
+    };
+    for (size_t pull : {size_t{1}, kDefaultBatchRows}) {
+      SCOPED_TRACE("batch_size=" + std::to_string(bs) +
+                   " pull=" + std::to_string(pull));
+      auto count = DrainPlan(
+          compile(PlanNode::Aggregate(PlanNode::Retrieve(spec({0})),
+                                      AggregateKind::kCount))
+              .get(),
+          pull);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_EQ(*count, (std::vector<std::vector<Value>>{
+                            {Value(static_cast<int64_t>(matches))}}));
+
+      auto sum = DrainPlan(
+          compile(PlanNode::Aggregate(PlanNode::Retrieve(spec({2})),
+                                      AggregateKind::kSum, 0))
+              .get(),
+          pull);
+      ASSERT_TRUE(sum.ok()) << sum.status();
+      EXPECT_EQ(*sum, (std::vector<std::vector<Value>>{
+                          {Value(static_cast<double>(income_sum))}}));
+
+      auto sorted = DrainPlan(
+          compile(PlanNode::Sort(PlanNode::Retrieve(spec({0, 2})), 1)).get(),
+          pull);
+      ASSERT_TRUE(sorted.ok()) << sorted.status();
+      EXPECT_TRUE(SortedOn(*sorted, 1));
+      EXPECT_EQ(Canonical(*sorted), Canonical(naive(spec({0, 2}))));
+
+      auto distinct = DrainPlan(
+          compile(PlanNode::Distinct(PlanNode::Retrieve(spec({3})))).get(),
+          pull);
+      ASSERT_TRUE(distinct.ok()) << distinct.status();
+      EXPECT_EQ(*distinct, cities);
+
+      // ORDER BY age rides the by_age index; ORDER BY city has no index and
+      // takes the leaf's sort fallback.
+      for (uint32_t order_col : {uint32_t{1}, uint32_t{3}}) {
+        auto ordered = DrainPlan(
+            compile(PlanNode::Retrieve(spec({0, 1, 3}, order_col))).get(),
+            pull);
+        ASSERT_TRUE(ordered.ok()) << ordered.status();
+        EXPECT_TRUE(SortedOn(*ordered, order_col == 1 ? 1 : 2))
+            << "order_col=" << order_col;
+        EXPECT_EQ(Canonical(*ordered), Canonical(naive(spec({0, 1, 3}))));
+      }
+
+      auto limited = DrainPlan(
+          compile(PlanNode::Limit(PlanNode::Retrieve(spec({0, 1})), 25)).get(),
+          pull);
+      ASSERT_TRUE(limited.ok()) << limited.status();
+      ASSERT_EQ(limited->size(), 25u);
+      std::multiset<std::string> all = Canonical(naive(spec({0, 1})));
+      std::set<std::string> seen;
+      for (const auto& row : *limited) {
+        std::string key = RowKey(row, Rid());
+        EXPECT_EQ(all.count(key), 1u) << key;
+        EXPECT_TRUE(seen.insert(key).second) << "duplicate " << key;
+      }
+    }
+  }
+}
+
+// The degraded ORDER BY fallback at every quantum: the ordered Fscan dies
+// to an index fault after a few rows, the engine falls back to Tscan, and
+// the leaf re-sorts the remainder with SORT's code.
+TEST(BatchPlanGoldenTest, MidFlightOrderByFallbackAcrossBatchSizes) {
+  auto store = std::make_unique<FaultInjectingPageStore>(
+      std::make_unique<MemPageStore>());
+  FaultInjectingPageStore* faults = store.get();
+  DatabaseOptions dbo;
+  dbo.pool_pages = 64;
+  Database db(std::move(dbo), std::move(store));
+  auto t = db.CreateTable(
+      "families", Schema({{"id", ValueType::kInt64},
+                          {"age", ValueType::kInt64},
+                          {"income", ValueType::kInt64},
+                          {"city", ValueType::kString}}));
+  ASSERT_TRUE(t.ok());
+  Table* table = *t;
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    int64_t age = rng.NextInt(0, 99);
+    int64_t income = rng.NextInt(0, 200000);
+    std::string city = "city" + std::to_string(rng.NextBounded(50));
+    ASSERT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
+  }
+  ASSERT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
+  faults->ClassifyHeapPages(table->heap()->pages());
+  faults->FreezeClassification();
+
+  RetrievalSpec spec;
+  spec.table = table;
+  spec.restriction =
+      Predicate::Between(1, Operand::Literal(Value(int64_t{20})),
+                         Operand::Literal(Value(int64_t{45})));
+  spec.projection = {0, 1};
+  spec.order_by_column = 1;
+  ParamMap params;
+  std::multiset<std::string> golden = Canonical(NaiveRows(table, spec, params));
+  ASSERT_GT(golden.size(), 1000u);
+
+  for (size_t bs : kBatchSizes) {
+    auto plan = PlanNode::Retrieve(spec);
+    plan->retrieval_options.batch_size = bs;
+    // Store reads a cold run spends through Open plus three one-row pulls:
+    // the fault activates right after them.
+    ASSERT_TRUE(db.pool()->EvictAll().ok());
+    uint64_t probe_start = faults->total_reads();
+    {
+      auto probe = CompilePlan(&db, *plan, &params);
+      ASSERT_TRUE(probe.ok());
+      ASSERT_TRUE((*probe)->Open().ok());
+      std::vector<std::vector<Value>> rows;
+      while (rows.size() < 3) ASSERT_TRUE(*(*probe)->NextBatch(&rows, 1));
+    }
+    uint64_t probe_reads = faults->total_reads() - probe_start;
+    ASSERT_TRUE(db.pool()->EvictAll().ok());
+    FaultProgram p = FaultProgram::Permanent(PageClass::kIndex, 1.0);
+    p.activate_after_reads = faults->total_reads() + probe_reads;
+    faults->SetProgram(p);
+
+    QueryContext ctx;
+    auto op = CompilePlan(&db, *plan, &params, &ctx);
+    ASSERT_TRUE(op.ok());
+    auto rows = DrainPlan(op->get(), 1);
+    faults->ClearProgram();
+    ASSERT_TRUE(rows.ok()) << rows.status() << " batch_size=" << bs;
+    auto* leaf = static_cast<DynamicRetrievalOperator*>(op->get());
+    EXPECT_TRUE(leaf->engine()->degraded()) << "batch_size=" << bs;
+    EXPECT_TRUE(SortedOn(*rows, 1)) << "batch_size=" << bs;
+    EXPECT_EQ(Canonical(*rows), golden) << "batch_size=" << bs;
+    EXPECT_EQ(db.pool()->PinnedPages(), 0u);
+  }
+}
+
+// EXISTS and LIMIT 1 reach their first root row within the first stepper
+// batch of a full-table Tscan: a one-row pull never scans ahead.
+TEST(BatchPlanGoldenTest, OneRowPullsStopAfterOneStepperBatch) {
+  Families f(5000);  // no index: the leaf runs a full-table Tscan
+  MetricsRegistry* m = f.db.metrics();
+  ASSERT_NE(m, nullptr);
+  RetrievalSpec spec =
+      f.Spec(Predicate::Compare(2, CompareOp::kGe,
+                                Operand::Literal(Value(int64_t{1000}))),
+             {0, 1});
+  ParamMap params;
+  for (bool exists : {true, false}) {
+    for (size_t bs : kBatchSizes) {
+      auto leaf = PlanNode::Retrieve(spec);
+      leaf->retrieval_options.batch_size = bs;
+      auto plan = exists ? PlanNode::Exists(std::move(leaf))
+                         : PlanNode::Limit(std::move(leaf), 1);
+      InferGoals(plan.get(), OptimizationGoal::kTotalTime);
+      auto op = CompilePlan(&f.db, *plan, &params);
+      ASSERT_TRUE(op.ok()) << op.status();
+      uint64_t batches = m->Value("exec.batches");
+      uint64_t screened = m->Value("exec.rows_screened");
+      ASSERT_TRUE((*op)->Open().ok());
+      std::vector<std::vector<Value>> rows;
+      ASSERT_TRUE(*(*op)->NextBatch(&rows, 1));
+      ASSERT_EQ(rows.size(), 1u);
+      if (exists) EXPECT_EQ(rows[0][0].AsInt64(), 1);
+      EXPECT_EQ(m->Value("exec.batches") - batches, 1u)
+          << (exists ? "EXISTS" : "LIMIT 1") << " batch_size=" << bs;
+      EXPECT_LE(m->Value("exec.rows_screened") - screened, bs)
+          << (exists ? "EXISTS" : "LIMIT 1") << " batch_size=" << bs;
+    }
+  }
+}
+
+// ------------------------------------------- operators vs a row reference
+
+// A value from a small domain, so sorts and DISTINCT see many ties: kind 0
+// INT64, 1 DOUBLE, 2 STRING, 3 any of the three.
+Value RandomValue(Rng& rng, int kind) {
+  if (kind == 3) kind = static_cast<int>(rng.NextBounded(3));
+  switch (kind) {
+    case 0:
+      return Value(rng.NextInt(-5, 5));
+    case 1:
+      return Value(static_cast<double>(rng.NextInt(-5, 5)) / 2);
+    default:
+      return Value("s" + std::to_string(rng.NextBounded(6)));
+  }
+}
+
+bool ReferenceRowLess(const std::vector<Value>& a,
+                      const std::vector<Value>& b) {
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (TotalValueLess(a[i], b[i])) return true;
+    if (TotalValueLess(b[i], a[i])) return false;
+  }
+  return a.size() < b.size();
+}
+
+// Row-at-a-time fold of SUM/MIN/MAX over column `col` of `rows`.
+Result<Value> ReferenceAggregate(const std::vector<std::vector<Value>>& rows,
+                                 AggregateKind kind, size_t col) {
+  double sum = 0;
+  std::optional<Value> best;
+  for (const auto& row : rows) {
+    if (col >= row.size()) {
+      return Status::InvalidArgument("aggregate column beyond row arity");
+    }
+    const Value& v = row[col];
+    if (kind == AggregateKind::kSum) {
+      if (v.is_string()) {
+        return Status::InvalidArgument("SUM over non-numeric column");
+      }
+      sum += v.is_int64() ? static_cast<double>(v.AsInt64()) : v.AsDouble();
+    } else if (!best.has_value() ||
+               (kind == AggregateKind::kMin ? TotalValueLess(v, *best)
+                                            : TotalValueLess(*best, v))) {
+      best = v;
+    }
+  }
+  if (kind == AggregateKind::kSum) return Value(sum);
+  if (!best.has_value()) return Status::NotFound("MIN/MAX over empty input");
+  return *best;
+}
+
+TEST(BatchOperatorTest, OperatorsMatchRowReference) {
+  Rng rng(2024);
+  using Rows = std::vector<std::vector<Value>>;
+  auto source = [](const Rows& rows) {
+    return std::make_unique<VectorSourceOperator>(rows);
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300}, size_t{2500}}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      // Column 0 has the kind under test, column 1 is always mixed.
+      Rows input;
+      for (size_t i = 0; i < n; ++i) {
+        input.push_back({RandomValue(rng, kind), RandomValue(rng, 3)});
+      }
+      Rows by_key = input;
+      std::stable_sort(by_key.begin(), by_key.end(),
+                       [](const auto& a, const auto& b) {
+                         return TotalValueLess(a[0], b[0]);
+                       });
+      Rows distinct = input;
+      std::sort(distinct.begin(), distinct.end(), ReferenceRowLess);
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      for (size_t pull : {size_t{1}, size_t{7}, size_t{1024}}) {
+        SCOPED_TRACE("rows=" + std::to_string(n) + " kind=" +
+                     std::to_string(kind) + " pull=" + std::to_string(pull));
+        SortOperator sort(source(input), 0);
+        auto sorted = DrainPlan(&sort, pull);
+        ASSERT_TRUE(sorted.ok()) << sorted.status();
+        EXPECT_EQ(*sorted, by_key);
+
+        DistinctOperator dedup(source(input));
+        auto deduped = DrainPlan(&dedup, pull);
+        ASSERT_TRUE(deduped.ok()) << deduped.status();
+        EXPECT_EQ(*deduped, distinct);
+
+        AggregateOperator count(source(input), AggregateKind::kCount);
+        auto counted = DrainPlan(&count, pull);
+        ASSERT_TRUE(counted.ok()) << counted.status();
+        EXPECT_EQ(*counted, (Rows{{Value(static_cast<int64_t>(n))}}));
+
+        for (AggregateKind agg :
+             {AggregateKind::kSum, AggregateKind::kMin, AggregateKind::kMax}) {
+          for (size_t col : {size_t{0}, size_t{2}}) {
+            AggregateOperator op(source(input), agg, col);
+            auto got = DrainPlan(&op, pull);
+            auto want = ReferenceAggregate(input, agg, col);
+            ASSERT_EQ(got.ok(), want.ok())
+                << "agg=" << static_cast<int>(agg) << " col=" << col;
+            if (want.ok()) {
+              EXPECT_EQ(*got, (Rows{{*want}}));
+            } else {
+              EXPECT_EQ(got.status().code(), want.status().code())
+                  << got.status() << " vs " << want.status();
+            }
+          }
+        }
+
+        SortOperator beyond(source(input), 2);
+        auto sorted_beyond = DrainPlan(&beyond, pull);
+        if (n == 0) {
+          EXPECT_TRUE(sorted_beyond.ok());
+        } else {
+          EXPECT_TRUE(sorted_beyond.status().IsInvalidArgument());
+        }
+
+        for (uint64_t limit : {uint64_t{0}, uint64_t{1}, uint64_t{5}, n + 3}) {
+          LimitOperator op(source(input), limit);
+          auto got = DrainPlan(&op, pull);
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(*got, Rows(input.begin(),
+                               input.begin() + std::min<uint64_t>(limit, n)));
+        }
+
+        ExistsOperator exists(source(input));
+        auto any = DrainPlan(&exists, pull);
+        ASSERT_TRUE(any.ok()) << any.status();
+        EXPECT_EQ(*any, (Rows{{Value(static_cast<int64_t>(n > 0 ? 1 : 0))}}));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- EvalBatch
@@ -504,6 +905,51 @@ TEST(BatchMetricsTest, ExecBatchTelemetryPopulates) {
   EXPECT_LT(density->sum() / static_cast<double>(density->count()), 80.0);
   // The audited hot loops pre-reserve; steady state sees no regrowth.
   EXPECT_EQ(m->Value("exec.realloc_count"), 0u);
+}
+
+// The engine's own fetches by RID (the final stage of the tiny-range
+// shortcut and of background-only) charge the exec.* ledger like the
+// steppers' fetches do, and rows_delivered counts what reached the caller.
+TEST(BatchMetricsTest, EngineFetchesChargeTheExecLedger) {
+  Families f(20000);  // enough heap pages that Jscan's list beats a Tscan
+  f.Index("by_id", {"id"});
+  f.Index("by_age", {"age"});
+  MetricsRegistry* m = f.db.metrics();
+  ASSERT_NE(m, nullptr);
+  ParamMap params;
+  struct Case {
+    PredicateRef pred;
+    Tactic tactic;
+  };
+  std::vector<Case> cases = {
+      {Predicate::Between(0, Operand::Literal(Value(int64_t{100})),
+                          Operand::Literal(Value(int64_t{104}))),
+       Tactic::kShortcutTiny},
+      {Predicate::Between(1, Operand::Literal(Value(int64_t{10})),
+                          Operand::Literal(Value(int64_t{10}))),
+       Tactic::kBackgroundOnly},
+  };
+  for (const Case& c : cases) {
+    RetrievalSpec spec = f.Spec(c.pred, {0, 3});
+    DynamicRetrieval engine(&f.db, spec);
+    uint64_t fetched = m->Value("exec.records_fetched");
+    uint64_t screened = m->Value("exec.rows_screened");
+    uint64_t delivered = m->Value("exec.rows_delivered");
+    ASSERT_TRUE(engine.Open(params).ok());
+    ASSERT_EQ(engine.tactic(), c.tactic);
+    auto rows = DrainCanonical(&engine);
+    ASSERT_TRUE(
+        engine.events().Contains(TraceEventKind::kStageTransition, "final"));
+    // Every RID of the final list is a live row matching the restriction.
+    EXPECT_EQ(m->Value("exec.records_fetched") - fetched, rows.size())
+        << TacticName(c.tactic);
+    EXPECT_GE(m->Value("exec.rows_screened") - screened, rows.size());
+    EXPECT_EQ(m->Value("exec.rows_delivered") - delivered,
+              engine.rows_delivered())
+        << TacticName(c.tactic);
+    EXPECT_EQ(engine.rows_delivered(), rows.size());
+    EXPECT_GT(rows.size(), 0u);
+  }
 }
 
 }  // namespace

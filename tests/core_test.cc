@@ -60,12 +60,14 @@ struct Families {
 
 std::multiset<uint64_t> DrainRids(DynamicRetrieval* engine) {
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   return rids;
 }
@@ -74,13 +76,14 @@ std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec,
                                   const ParamMap& params) {
   std::multiset<uint64_t> rids;
   TscanStepper scan(db->pool(), spec, params);
-  std::vector<OutputRow> rows;
   for (;;) {
-    auto more = scan.Step(&rows);
+    auto more = scan.Step();
     EXPECT_TRUE(more.ok()) << more.status();
-    if (!*more) break;
+    if (!more.ok() || !*more) break;
+    for (uint32_t r : scan.output().sel()) {
+      rids.insert(scan.output().rid(r).ToU64());
+    }
   }
-  for (const auto& r : rows) rids.insert(r.rid.ToU64());
   return rids;
 }
 
@@ -198,8 +201,8 @@ TEST(TacticTest, EmptyRangeShortcut) {
   CostMeter before = f.db.meter();
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kShortcutEmpty);
-  OutputRow row;
-  auto more = engine.Next(&row);
+  RowBatch batch;
+  auto more = engine.NextBatch(&batch);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
   // The whole run costs a handful of index-page reads (OLTP shortcut).
@@ -261,15 +264,18 @@ TEST(TacticTest, OrderedRequestUsesSortedTactic) {
 
   // Rows must come out age-ascending and match the naive set.
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   int64_t last_age = -1;
   for (;;) {
-    auto more = engine.Next(&row);
+    auto more = engine.NextBatch(&batch);
     ASSERT_TRUE(more.ok()) << more.status();
     if (!*more) break;
-    EXPECT_GE(row.values[1].AsInt64(), last_age);
-    last_age = row.values[1].AsInt64();
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      int64_t age = batch.col(1).ValueAt(r).AsInt64();
+      EXPECT_GE(age, last_age);
+      last_age = age;
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
 }
@@ -525,12 +531,14 @@ TEST(StaticOptimizerTest, PicksIndexForSelectiveLiteral) {
   StaticRetrieval exec(&f.db, spec, *choice);
   ASSERT_TRUE(exec.Open(none).ok());
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = exec.Next(&row);
+    auto more = exec.NextBatch(&batch);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   EXPECT_EQ(rids, NaiveRids(&f.db, spec, none));
 }
@@ -563,12 +571,14 @@ TEST(StaticOptimizerTest, HostVariableForcesMagicGuess) {
     ParamMap run{{"A1", Value(a1)}};
     ASSERT_TRUE(exec.Open(run).ok());
     std::multiset<uint64_t> rids;
-    OutputRow row;
+    RowBatch batch;
     for (;;) {
-      auto more = exec.Next(&row);
+      auto more = exec.NextBatch(&batch);
       ASSERT_TRUE(more.ok());
       if (!*more) break;
-      rids.insert(row.rid.ToU64());
+      for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+        rids.insert(batch.rid(r).ToU64());
+      }
     }
     EXPECT_EQ(rids, NaiveRids(&f.db, spec, run)) << "A1=" << a1;
   }
@@ -648,17 +658,17 @@ TEST(PlanCompileTest, EndToEndLimitQuery) {
   auto op = CompilePlan(&f.db, *plan, &params);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  int n = 0;
+  std::vector<std::vector<Value>> rows;
   for (;;) {
-    auto more = (*op)->Next(&row);
+    auto more = (*op)->NextBatch(&rows, 1);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
-    n++;
+  }
+  for (const auto& row : rows) {
     EXPECT_GE(row[1].AsInt64(), 20);
     EXPECT_LE(row[1].AsInt64(), 40);
   }
-  EXPECT_EQ(n, 7);
+  EXPECT_EQ(rows.size(), 7u);
 }
 
 TEST(PlanCompileTest, OrderBySortFallbackWithoutOrderIndex) {
@@ -674,18 +684,18 @@ TEST(PlanCompileTest, OrderBySortFallbackWithoutOrderIndex) {
   auto op = CompilePlan(&f.db, *plan, &params);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  int64_t last = -1;
-  int n = 0;
+  std::vector<std::vector<Value>> rows;
   for (;;) {
-    auto more = (*op)->Next(&row);
+    auto more = (*op)->NextBatch(&rows);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
+  }
+  int64_t last = -1;
+  for (const auto& row : rows) {
     EXPECT_GE(row[0].AsInt64(), last);
     last = row[0].AsInt64();
-    n++;
   }
-  EXPECT_GT(n, 0);
+  EXPECT_GT(rows.size(), 0u);
 }
 
 // ----------------------------------------- foreground/background switches
@@ -914,10 +924,11 @@ TEST(TacticTest, FastFirstDeliversFirstRowBeforeJscanCompletes) {
   DynamicRetrieval engine(&f.db, spec);
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  OutputRow row;
-  auto more = engine.Next(&row);
+  RowBatch batch;
+  auto more = engine.NextBatch(&batch, 1);
   ASSERT_TRUE(more.ok());
   ASSERT_TRUE(*more);
+  EXPECT_EQ(batch.num_rows(), 1u);
   // The first row arrived while the background is still scanning (or just
   // settled): the engine must not have drained the whole result yet.
   ASSERT_NE(engine.jscan(), nullptr);

@@ -215,12 +215,19 @@ struct ScanFixture {
     return *r;
   }
 
-  static std::vector<OutputRow> Drain(ScanStepper* s) {
-    std::vector<OutputRow> rows;
+  // Every row the stepper delivers, as its projected values.
+  static std::vector<std::vector<Value>> Drain(ScanStepper* s,
+                                               const RetrievalSpec& spec) {
+    std::vector<std::vector<Value>> rows;
     for (;;) {
-      auto more = s->Step(&rows);
+      auto more = s->Step();
       EXPECT_TRUE(more.ok()) << more.status();
-      if (!*more) break;
+      if (!more.ok() || !*more) break;
+      const RowBatch& b = s->output();
+      for (uint32_t r : b.sel()) {
+        std::vector<Value>& row = rows.emplace_back();
+        for (uint32_t c : spec.projection) row.push_back(b.col(c).ValueAt(r));
+      }
     }
     return rows;
   }
@@ -232,9 +239,9 @@ TEST(StepperTest, TscanFindsAllMatches) {
                                  Operand::Literal(Value(int64_t{42})));
   auto spec = f.Spec(pred, {0, 1});
   TscanStepper scan(f.db.pool(), spec, f.params);
-  auto rows = ScanFixture::Drain(&scan);
+  auto rows = ScanFixture::Drain(&scan, spec);
   EXPECT_EQ(rows.size(), 10u);  // ages cycle mod 100 over 1000 rows
-  for (const auto& r : rows) EXPECT_EQ(r.values[1].AsInt64(), 42);
+  for (const auto& r : rows) EXPECT_EQ(r[1].AsInt64(), 42);
   EXPECT_EQ(scan.records_scanned(), 1000u);
   EXPECT_TRUE(scan.exhausted());
 }
@@ -245,7 +252,7 @@ TEST(StepperTest, FscanScansOnlyTheRange) {
                                  Operand::Literal(Value(int64_t{12})));
   auto spec = f.Spec(pred, {0, 1, 2});
   FscanStepper scan(f.db.pool(), spec, f.params, f.by_age, f.AgeRange(pred));
-  auto rows = ScanFixture::Drain(&scan);
+  auto rows = ScanFixture::Drain(&scan, spec);
   EXPECT_EQ(rows.size(), 30u);
   EXPECT_EQ(scan.entries_scanned(), 30u);  // never leaves the range
   EXPECT_EQ(scan.records_fetched(), 30u);
@@ -262,7 +269,7 @@ TEST(StepperTest, FscanPreFetchFilterSkipsFetches) {
   HybridRidList empty_filter(nullptr);
   ASSERT_TRUE(empty_filter.Seal().ok());
   scan.SetPreFetchFilter(&empty_filter);
-  auto rows = ScanFixture::Drain(&scan);
+  auto rows = ScanFixture::Drain(&scan, spec);
   EXPECT_EQ(rows.size(), 0u);
   EXPECT_EQ(scan.entries_scanned(), 30u);
   EXPECT_EQ(scan.records_fetched(), 0u);
@@ -279,11 +286,11 @@ TEST(StepperTest, SscanAnswersFromIndexAlone) {
   SscanStepper scan(f.db.pool(), spec, f.params, f.by_age_name,
                     f.AgeRange(pred));
   CostMeter before = f.db.meter();
-  auto rows = ScanFixture::Drain(&scan);
+  auto rows = ScanFixture::Drain(&scan, spec);
   EXPECT_EQ(rows.size(), 10u);  // age 7 rows are all "odd"
   for (const auto& r : rows) {
-    EXPECT_EQ(r.values[0].AsInt64(), 7);
-    EXPECT_EQ(r.values[1].AsString(), "odd");
+    EXPECT_EQ(r[0].AsInt64(), 7);
+    EXPECT_EQ(r[1].AsString(), "odd");
   }
 }
 
@@ -293,10 +300,9 @@ TEST(StepperTest, CostAttributionIsPerStepper) {
   auto spec = f.Spec(pred, {0});
   TscanStepper a(f.db.pool(), spec, f.params);
   TscanStepper b(f.db.pool(), spec, f.params);
-  std::vector<OutputRow> rows;
-  ASSERT_TRUE(a.Step(&rows).ok());
-  ASSERT_TRUE(a.Step(&rows).ok());
-  ASSERT_TRUE(b.StepOne(&rows).ok());  // one unit: b's meter must stay tiny
+  ASSERT_TRUE(a.Step().ok());
+  ASSERT_TRUE(a.Step().ok());
+  ASSERT_TRUE(b.Step(1).ok());  // one unit: b's meter must stay tiny
   EXPECT_GT(a.accrued().logical_reads + a.accrued().record_evals, 0u);
   EXPECT_GE(a.accrued().record_evals, 2u);
   EXPECT_LE(b.accrued().record_evals, 1u);
@@ -311,12 +317,10 @@ RowOperatorPtr Source(std::vector<std::vector<Value>> rows) {
 std::vector<std::vector<Value>> DrainOp(RowOperator* op) {
   EXPECT_TRUE(op->Open().ok());
   std::vector<std::vector<Value>> out;
-  std::vector<Value> row;
   for (;;) {
-    auto more = op->Next(&row);
+    auto more = op->NextBatch(&out);
     EXPECT_TRUE(more.ok());
-    if (!*more) break;
-    out.push_back(row);
+    if (!more.ok() || !*more) break;
   }
   return out;
 }

@@ -739,12 +739,14 @@ struct FaultyFamilies {
 
 // Drains the engine; returns the first non-OK status (or OK at end).
 Status Drain(DynamicRetrieval* engine, std::multiset<uint64_t>* rids) {
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     if (!more.ok()) return more.status();
     if (!*more) return Status::OK();
-    if (rids != nullptr) rids->insert(row.rid.ToU64());
+    for (uint32_t r = 0; rids != nullptr && r < batch.num_rows(); ++r) {
+      rids->insert(batch.rid(r).ToU64());
+    }
   }
 }
 
@@ -916,13 +918,16 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
 
   auto drain_ages = [](RowOperator* op, std::vector<int64_t>* ages,
                        std::multiset<int64_t>* ids) -> Status {
-    std::vector<Value> row;
+    std::vector<std::vector<Value>> rows;
     for (;;) {
-      auto more = op->Next(&row);
+      rows.clear();
+      auto more = op->NextBatch(&rows, 1);
       if (!more.ok()) return more.status();
       if (!*more) return Status::OK();
-      ages->push_back(row[1].AsInt64());
-      if (ids != nullptr) ids->insert(row[0].AsInt64());
+      for (const auto& row : rows) {
+        ages->push_back(row[1].AsInt64());
+        if (ids != nullptr) ids->insert(row[0].AsInt64());
+      }
     }
   };
 
@@ -943,9 +948,9 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
     auto probe = CompilePlan(f.db.get(), *plan, &params);
     ASSERT_TRUE(probe.ok());
     ASSERT_TRUE((*probe)->Open().ok());
-    std::vector<Value> row;
-    for (int i = 0; i < 3; ++i) {
-      auto more = (*probe)->Next(&row);
+    std::vector<std::vector<Value>> rows;
+    while (rows.size() < 3) {
+      auto more = (*probe)->NextBatch(&rows, 1);
       ASSERT_TRUE(more.ok());
       ASSERT_TRUE(*more);
     }
@@ -1084,15 +1089,13 @@ TEST(PlanGovernanceTest, SortDrainHonorsBudget) {
   auto clean = CompilePlan(f.db.get(), *plan, &params);
   ASSERT_TRUE(clean.ok());
   ASSERT_TRUE((*clean)->Open().ok());
-  std::vector<Value> row;
-  size_t rows = 0;
+  std::vector<std::vector<Value>> rows;
   for (;;) {
-    auto more = (*clean)->Next(&row);
+    auto more = (*clean)->NextBatch(&rows);
     ASSERT_TRUE(more.ok()) << more.status();
     if (!*more) break;
-    rows++;
   }
-  EXPECT_GT(rows, 0u);
+  EXPECT_GT(rows.size(), 0u);
 }
 
 TEST(PlanGovernanceTest, AggregateDrainPollsContext) {

@@ -19,12 +19,14 @@ namespace {
 
 std::multiset<uint64_t> Drain(DynamicRetrieval* engine) {
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   return rids;
 }
@@ -33,13 +35,14 @@ std::multiset<uint64_t> Naive(Database* db, const RetrievalSpec& spec,
                               const ParamMap& params) {
   std::multiset<uint64_t> rids;
   TscanStepper scan(db->pool(), spec, params);
-  std::vector<OutputRow> rows;
   for (;;) {
-    auto more = scan.Step(&rows);
+    auto more = scan.Step();
     EXPECT_TRUE(more.ok());
-    if (!*more) break;
+    if (!more.ok() || !*more) break;
+    for (uint32_t r : scan.output().sel()) {
+      rids.insert(scan.output().rid(r).ToU64());
+    }
   }
-  for (const auto& r : rows) rids.insert(r.rid.ToU64());
   return rids;
 }
 
@@ -201,9 +204,10 @@ TEST(IntegrationTest, CompiledAggregatePlanOverRetrieval) {
   auto op = CompilePlan(&db, *plan, &params);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  ASSERT_TRUE(*(*op)->Next(&row));
-  EXPECT_EQ(static_cast<size_t>(row[0].AsInt64()),
+  std::vector<std::vector<Value>> rows;
+  ASSERT_TRUE(*(*op)->NextBatch(&rows, 1));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(static_cast<size_t>(rows[0][0].AsInt64()),
             Naive(&db, spec, params).size());
 }
 
@@ -228,9 +232,10 @@ TEST(IntegrationTest, ExistsPlanStopsEarly) {
   ASSERT_TRUE(op.ok());
   CostMeter before = db.meter();
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  ASSERT_TRUE(*(*op)->Next(&row));
-  EXPECT_EQ(row[0].AsInt64(), 1);
+  std::vector<std::vector<Value>> rows;
+  ASSERT_TRUE(*(*op)->NextBatch(&rows, 1));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsInt64(), 1);
   double cost = (db.meter() - before).Cost(db.cost_weights());
   // 50% of records match: the probe must cost a sliver of a full scan.
   double tscan = EstimateTscanCost(spec, db.cost_weights());
@@ -261,12 +266,14 @@ TEST(IntegrationTest, StaticAndDynamicAgreeOnResultsAcrossSweep) {
     auto dyn = Drain(&dynamic);
     ASSERT_TRUE(frozen.Open(params).ok());
     std::multiset<uint64_t> sta;
-    OutputRow row;
+    RowBatch batch;
     for (;;) {
-      auto more = frozen.Next(&row);
+      auto more = frozen.NextBatch(&batch);
       ASSERT_TRUE(more.ok());
       if (!*more) break;
-      sta.insert(row.rid.ToU64());
+      for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+        sta.insert(batch.rid(r).ToU64());
+      }
     }
     EXPECT_EQ(dyn, sta) << "A1=" << a1;
   }

@@ -69,12 +69,14 @@ struct LearnFamilies {
 
 std::multiset<uint64_t> DrainRids(DynamicRetrieval* engine) {
   std::multiset<uint64_t> rids;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    rids.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+    }
   }
   return rids;
 }
@@ -83,13 +85,14 @@ std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec,
                                   const ParamMap& params) {
   std::multiset<uint64_t> rids;
   TscanStepper scan(db->pool(), spec, params);
-  std::vector<OutputRow> rows;
   for (;;) {
-    auto more = scan.Step(&rows);
+    auto more = scan.Step();
     EXPECT_TRUE(more.ok()) << more.status();
-    if (!*more) break;
+    if (!more.ok() || !*more) break;
+    for (uint32_t r : scan.output().sel()) {
+      rids.insert(scan.output().rid(r).ToU64());
+    }
   }
-  for (const auto& r : rows) rids.insert(r.rid.ToU64());
   return rids;
 }
 

@@ -184,12 +184,12 @@ struct Families {
 
 size_t Drain(DynamicRetrieval* engine) {
   size_t n = 0;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    n++;
+    n += batch.num_rows();
   }
   return n;
 }
@@ -455,8 +455,8 @@ TEST(FeedbackTest, EngineDepositsOneRecordPerExecution) {
   EXPECT_GE(rec.rows_q_error, 1.0);
 
   // Draining past the end must not double-record.
-  OutputRow row;
-  auto more = engine.Next(&row);
+  RowBatch batch;
+  auto more = engine.NextBatch(&batch);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
   EXPECT_EQ(fb->size(), 1u);

@@ -70,12 +70,12 @@ struct Families {
 
 size_t Drain(DynamicRetrieval* engine) {
   size_t n = 0;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine->Next(&row);
+    auto more = engine->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status();
     if (!more.ok() || !*more) break;
-    n++;
+    n += batch.num_rows();
   }
   return n;
 }
@@ -239,8 +239,8 @@ TEST(ExplainAnalyzeTest, MidFlightExplainFinalizesAbandonedExecution) {
   f.Index("by_age", {"age"});
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(0, 99), {0, 1}));
   ASSERT_TRUE(engine.Open({}).ok());
-  OutputRow row;
-  auto more = engine.Next(&row);  // deliver one row, abandon the rest
+  RowBatch batch;
+  auto more = engine.NextBatch(&batch, 1);  // deliver one row, abandon the rest
   ASSERT_TRUE(more.ok() && *more);
 
   std::string report = ExplainAnalyze(engine, f.db.cost_weights());
@@ -262,15 +262,13 @@ TEST(PlanProfilingTest, BareRetrieveLeafStaysDowncastable) {
   auto* leaf = dynamic_cast<DynamicRetrievalOperator*>(op->get());
   ASSERT_NE(leaf, nullptr);
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  size_t n = 0;
+  std::vector<std::vector<Value>> rows;
   for (;;) {
-    auto more = (*op)->Next(&row);
+    auto more = (*op)->NextBatch(&rows);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
-    n++;
   }
-  ASSERT_GT(n, 0u);
+  ASSERT_GT(rows.size(), 0u);
   EXPECT_TRUE(leaf->engine()->profile().active());
 }
 
@@ -286,15 +284,13 @@ TEST(PlanProfilingTest, OperatorSpansNestAboveTheLeaf) {
   auto* wrapper = dynamic_cast<ProfilingOperator*>(op->get());
   ASSERT_NE(wrapper, nullptr);
   ASSERT_TRUE((*op)->Open().ok());
-  std::vector<Value> row;
-  size_t n = 0;
+  std::vector<std::vector<Value>> rows;
   for (;;) {
-    auto more = (*op)->Next(&row);
+    auto more = (*op)->NextBatch(&rows);
     ASSERT_TRUE(more.ok()) << more.status();
     if (!*more) break;
-    n++;
   }
-  ASSERT_GT(n, 0u);
+  ASSERT_GT(rows.size(), 0u);
 }
 
 TEST(PlanProfilingTest, ProfilingOperatorRegistersSpanWithRowCount) {
@@ -306,15 +302,13 @@ TEST(PlanProfilingTest, ProfilingOperatorRegistersSpanWithRowCount) {
   auto source = std::make_unique<VectorSourceOperator>(rows);
   ProfilingOperator op(std::move(source), "limit", &profile);
   ASSERT_TRUE(op.Open().ok());
-  std::vector<Value> row;
-  size_t n = 0;
+  std::vector<std::vector<Value>> out;
   for (;;) {
-    auto more = op.Next(&row);
+    auto more = op.NextBatch(&out, 1);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
-    n++;
   }
-  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(out.size(), 3u);
   const ProfileSpan* span = FindSpan(profile.root(), "limit");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->kind, SpanKind::kOperator);

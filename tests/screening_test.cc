@@ -138,22 +138,25 @@ TEST(ScreeningTest, EngineResultsUnchangedByScreening) {
   DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
   std::multiset<uint64_t> got;
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine.Next(&row);
+    auto more = engine.NextBatch(&batch);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
-    got.insert(row.rid.ToU64());
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      got.insert(batch.rid(r).ToU64());
+    }
   }
   std::multiset<uint64_t> want;
   TscanStepper naive(f.db.pool(), spec, params);
-  std::vector<OutputRow> rows;
   for (;;) {
-    auto more = naive.Step(&rows);
+    auto more = naive.Step();
     ASSERT_TRUE(more.ok());
     if (!*more) break;
+    for (uint32_t r : naive.output().sel()) {
+      want.insert(naive.output().rid(r).ToU64());
+    }
   }
-  for (const auto& r : rows) want.insert(r.rid.ToU64());
   EXPECT_EQ(got, want);
 }
 
@@ -229,9 +232,9 @@ TEST(ExplainTest, ReportNamesTacticDecisionsAndCosts) {
   ParamMap params;
   DynamicRetrieval engine(&db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
-  OutputRow row;
+  RowBatch batch;
   for (;;) {
-    auto more = engine.Next(&row);
+    auto more = engine.NextBatch(&batch);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
   }

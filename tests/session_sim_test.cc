@@ -74,12 +74,14 @@ TEST_P(SessionSimTest, MixedDmlAndQueriesStayConsistent) {
                       {"cap", Value(cap)}};
       ASSERT_TRUE(range_engine.Open(params).ok());
       std::set<uint64_t> got;
-      OutputRow row;
+      RowBatch batch;
       for (;;) {
-        auto more = range_engine.Next(&row);
+        auto more = range_engine.NextBatch(&batch);
         ASSERT_TRUE(more.ok()) << more.status();
         if (!*more) break;
-        got.insert(row.rid.ToU64());
+        for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+          got.insert(batch.rid(r).ToU64());
+        }
       }
       std::set<uint64_t> want;
       for (const auto& [rid, r] : oracle) {
@@ -106,13 +108,13 @@ TEST_P(SessionSimTest, MixedDmlAndQueriesStayConsistent) {
       }
       ParamMap params{{"id", Value(id)}};
       ASSERT_TRUE(point_engine.Open(params).ok());
-      OutputRow row;
+      RowBatch batch;
       int found = 0;
       for (;;) {
-        auto more = point_engine.Next(&row);
+        auto more = point_engine.NextBatch(&batch);
         ASSERT_TRUE(more.ok());
         if (!*more) break;
-        found++;
+        found += static_cast<int>(batch.num_rows());
       }
       int expect = 0;
       for (const auto& [rid, r] : oracle) {
