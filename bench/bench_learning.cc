@@ -40,7 +40,7 @@
 #include "learning/selectivity_model.h"
 #include "obs/bench_report.h"
 #include "obs/dashboard.h"
-#include "obs/feedback.h"
+#include "obs/metrics.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 

@@ -7,9 +7,9 @@
 // miniature: Database::Open loads the catalog from page 0, rebinds heap
 // files and index B-trees from their persisted metadata, and the same
 // queries must return the same row counts with the same tactics and a
-// matching EXPLAIN.
+// matching EXPLAIN; the exit code is 1 when any of the three differs.
 //
-//   build/examples/persistence
+//   build/examples/persistence [db-path]   (default /tmp/dynopt_persistence.db)
 
 #include <cstdio>
 #include <string>
@@ -24,7 +24,6 @@ using namespace dynopt;
 namespace {
 
 constexpr int64_t kRows = 20000;
-const char* kPath = "/tmp/dynopt_persistence.db";
 
 RetrievalSpec QuerySpec(Table* orders) {
   // select order_id, amount from ORDERS
@@ -61,16 +60,17 @@ QueryResult RunQuery(Database* db, DynamicRetrieval* engine,
 
 }  // namespace
 
-int main() {
-  ::remove(kPath);
-  ::remove((std::string(kPath) + ".wal").c_str());
+int main(int argc, char** argv) {
+  const char* path = argc > 1 ? argv[1] : "/tmp/dynopt_persistence.db";
+  ::remove(path);
+  ::remove((std::string(path) + ".wal").c_str());
 
   std::printf("== phase 1: build, query, close ==\n\n");
   QueryResult hot_before, tail_before;
   std::string explain_before;
   {
     DatabaseOptions options;
-    options.path = kPath;
+    options.path = path;
     options.pool_pages = 4096;
     auto db = Database::Create(options);
     if (!db.ok()) {
@@ -113,9 +113,9 @@ int main() {
                 "advanced, WAL reset.\n\n");
   }
 
-  std::printf("== phase 2: reopen from %s ==\n\n", kPath);
+  std::printf("== phase 2: reopen from %s ==\n\n", path);
   DatabaseOptions options;
-  options.path = kPath;
+  options.path = path;
   options.pool_pages = 4096;
   auto db = Database::Open(options);
   if (!db.ok()) {
@@ -152,11 +152,12 @@ int main() {
 
   std::printf("\n-- EXPLAIN for the hot-customer query after reopen --\n%s\n",
               explain_after.c_str());
-  if (explain_after == explain_before) {
+  bool explain_match = explain_after == explain_before;
+  if (explain_match) {
     std::printf("(identical to the pre-close EXPLAIN, byte for byte)\n");
   } else {
     std::printf("(pre-close EXPLAIN differed -- shown for comparison)\n%s\n",
                 explain_before.c_str());
   }
-  return counts_match && tactics_match ? 0 : 1;
+  return counts_match && tactics_match && explain_match ? 0 : 1;
 }

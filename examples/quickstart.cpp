@@ -66,8 +66,8 @@ int main() {
                 static_cast<long long>(a1),
                 static_cast<unsigned long long>(rows), cost);
     std::printf("  engine decisions:\n");
-    for (const auto& line : engine.trace()) {
-      std::printf("    %s\n", line.c_str());
+    for (const TraceEvent& e : engine.events().events()) {
+      std::printf("    %s\n", FormatTraceEvent(e).c_str());
     }
     std::printf("\n");
   }

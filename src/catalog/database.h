@@ -41,7 +41,6 @@
 #include "durability/wal.h"
 #include "integrity/repair.h"
 #include "learning/selectivity_model.h"
-#include "obs/feedback.h"
 #include "replication/archive.h"
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
@@ -73,7 +72,7 @@ struct DatabaseOptions {
   /// shard reproduces the classic global-LRU pool exactly.
   size_t pool_shards = 0;
   CostWeights cost_weights;
-  /// Attach the metrics registry and estimation-feedback store to this
+  /// Attach the metrics registry and the query-class profile store to this
   /// database's components. Off, every instrumentation site in the engine
   /// reduces to one null-pointer branch.
   bool observability = true;
@@ -209,10 +208,6 @@ class Database {
   MetricsRegistry* metrics() {
     return options_.observability ? &metrics_ : nullptr;
   }
-  /// Predicted-vs-actual record per retrieval; null when observability off.
-  FeedbackStore* feedback() {
-    return options_.observability ? &feedback_ : nullptr;
-  }
   /// Durable per-query-class profile aggregates; null when observability
   /// off. File-backed databases persist the store through the catalog, so
   /// aggregates survive Close/Open.
@@ -258,7 +253,6 @@ class Database {
   bool read_only_ = false;
   CostMeter meter_;
   MetricsRegistry metrics_;   // before pool_: attached in the ctor body
-  FeedbackStore feedback_;
   ProfileStore profiles_;
   SelectivityModel learning_;
   // Before pool_, so the pool's raw repairer pointer dies first.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace dynopt {
 
@@ -43,21 +42,6 @@ double EstimateIndexScanCost(const IndexClassification& c,
                              const CostWeights& w) {
   return EstimateIndexScanCost(c.ScanEntries(), c.index->tree()->AvgFanout(),
                                w);
-}
-
-std::string AccessPathAnalysis::ToString() const {
-  std::ostringstream os;
-  os << "AccessPaths{";
-  for (const auto& c : indexes) {
-    os << c.index->name() << "(" << (c.self_sufficient ? "S" : "")
-       << (c.order_needed ? "O" : "") << (c.has_restriction ? "R" : "");
-    if (c.estimated) os << " est=" << c.estimate.estimated_rids;
-    os << ") ";
-  }
-  if (empty_shortcut) os << "EMPTY ";
-  if (tiny_shortcut) os << "TINY ";
-  os << "}";
-  return os.str();
 }
 
 Result<AccessPathAnalysis> AnalyzeAccessPaths(

@@ -86,8 +86,6 @@ struct AccessPathAnalysis {
   size_t tiny_index = 0;        // indexes[] position of the tiny range
 
   uint64_t estimation_pages = 0;  // descent I/O spent estimating
-
-  std::string ToString() const;
 };
 
 /// Classifies indexes and runs the §5 initial stage. `previous_order`

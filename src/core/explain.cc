@@ -55,8 +55,8 @@ std::string ExplainExecution(const DynamicRetrieval& engine,
   }
 
   os << "decision trace:\n";
-  for (const auto& line : engine.trace()) {
-    os << "  " << line << "\n";
+  for (const TraceEvent& e : engine.events().events()) {
+    os << "  " << FormatTraceEvent(e) << "\n";
   }
 
   CostMeter cost = engine.CostSinceOpen();

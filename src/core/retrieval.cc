@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "competition/cost_dist.h"
 #include "exec/query_class.h"
@@ -137,7 +136,6 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   pending_.Reset(spec_.projection.size());
   pending_pos_ = 0;
   delivered_.clear();
-  trace_.clear();
   events_.Clear();
   jscan_.reset();
   single_.reset();
@@ -200,14 +198,12 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
     return FallBackToTscan("analysis", analyzed.status());
   }
   analysis_ = std::move(*analyzed);
-  TraceEvent(analysis_.ToString());
   events_.Emit(TraceEventKind::kAnalysis, "access-paths", "",
                static_cast<double>(analysis_.estimation_pages),
                static_cast<double>(analysis_.indexes.size()));
   DYNOPT_RETURN_IF_ERROR(DecideTactic());
   MaybePinBrownoutStrategy();
   ComputePredictions();
-  TraceEvent("tactic: " + std::string(TacticName(tactic_)));
   events_.Emit(TraceEventKind::kTacticChosen, std::string(TacticName(tactic_)),
                "", predicted_rows_, predicted_cost_);
   Status set_up = SetUpTactic();
@@ -301,15 +297,6 @@ void DynamicRetrieval::RecordFeedback() {
   FinalizeProfile();
   if (tactic_ == Tactic::kUndecided) return;
   double actual_cost = CostSinceOpen().Cost(db_->cost_weights());
-  if (FeedbackStore* store = db_->feedback(); store != nullptr) {
-    FeedbackRecord rec;
-    rec.label = std::string(TacticName(tactic_));
-    rec.predicted_rows = predicted_rows_;
-    rec.actual_rows = static_cast<double>(rows_delivered_);
-    rec.predicted_cost = predicted_cost_;
-    rec.actual_cost = actual_cost;
-    store->Record(std::move(rec));
-  }
   if (profile_store_ != nullptr && options_.profile) {
     ProfileStore::Sample s;
     s.latency_micros =
@@ -481,7 +468,6 @@ Status DynamicRetrieval::SetUpTactic() {
   switch (tactic_) {
     case Tactic::kShortcutEmpty:
       EnterMode(Mode::kDone);
-      TraceEvent("empty range: end of data at once");
       return Status::OK();
 
     case Tactic::kShortcutTiny: {
@@ -496,8 +482,6 @@ Status DynamicRetrieval::SetUpTactic() {
         if (!more) break;
         rids.push_back(rid);
       }
-      TraceEvent("tiny range on " + c.index->name() + ": " +
-                 std::to_string(rids.size()) + " rids straight to final");
       return BeginFinalStage(std::move(rids));
     }
 
@@ -542,7 +526,6 @@ Status DynamicRetrieval::SetUpTactic() {
       auto rest = jscan_candidates(analysis_.order_needed);
       if (brownout_plain_fscan_) rest.clear();
       if (rest.empty()) {
-        TraceEvent("sorted: no background candidates, plain Fscan");
         Verdict("no-background", "plain fscan");
         StartSingle(std::move(fscan_fgr_),
                     strategy_span(profile_.root(), "fscan", predicted_cost_));
@@ -636,7 +619,6 @@ Status DynamicRetrieval::FallBackToTscan(std::string subject,
                "io_fault: " + std::string(cause.message()));
   Verdict("io-fault-fallback", subject);
   Bump(m_fallbacks_);
-  TraceEvent(subject + " hit an I/O fault: degrading to tscan");
   jscan_.reset();
   fscan_fgr_.reset();
   sscan_fgr_.reset();
@@ -721,7 +703,6 @@ Status DynamicRetrieval::StepSingle() {
   if (!stepped.ok()) return FallBackToTscan(single_->label(), stepped.status());
   if (!*stepped) {
     EnterMode(Mode::kDone);
-    TraceEvent(single_->label() + " completed retrieval");
     return Status::OK();
   }
   const RowBatch& batch = single_->output();
@@ -746,12 +727,9 @@ Status DynamicRetrieval::StepBackground() {
   if (jscan_->phase() == Jscan::Phase::kComplete) {
     auto rids = jscan_->final_list()->ToSortedVector();
     if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-    TraceEvent("jscan complete: " + std::to_string(rids->size()) +
-               " rids to final stage");
     Verdict("jscan-complete", "", static_cast<double>(rids->size()));
     return BeginFinalStage(std::move(*rids));
   }
-  TraceEvent("jscan recommended tscan");
   Verdict("jscan-recommends-tscan");
   StartTscan("jscan-recommends-tscan");
   return Status::OK();
@@ -805,7 +783,6 @@ Status DynamicRetrieval::StepForeground() {
       }
       // Competition criteria for terminating the foreground (§7).
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
-        TraceEvent("fgr buffer overflow: fall back to background-only");
         Verdict("fgr-buffer-overflow", "background-only",
                 static_cast<double>(delivered_.size()));
         fgr_active_ = false;
@@ -814,7 +791,6 @@ Status DynamicRetrieval::StepForeground() {
       }
       if (fgr_accrued_.Cost(db_->cost_weights()) >
           options_.fgr_cost_limit_fraction * jscan_->guaranteed_best_cost()) {
-        TraceEvent("fgr cost limit reached: fall back to background-only");
         Verdict("fgr-cost-limit", "background-only",
                 fgr_accrued_.Cost(db_->cost_weights()),
                 jscan_->guaranteed_best_cost());
@@ -830,7 +806,6 @@ Status DynamicRetrieval::StepForeground() {
         return FallBackToTscan(fscan_fgr_->label(), stepped.status());
       }
       if (!*stepped) {
-        TraceEvent("fscan completed first: jscan abandoned");
         Verdict("foreground-finished", "fscan");
         EnterMode(Mode::kDone);
         return Status::OK();
@@ -845,7 +820,6 @@ Status DynamicRetrieval::StepForeground() {
         return FallBackToTscan(sscan_fgr_->label(), stepped.status());
       }
       if (!*stepped) {
-        TraceEvent("sscan completed first: jscan abandoned");
         Verdict("foreground-finished", "sscan");
         EnterMode(Mode::kDone);
         return Status::OK();
@@ -858,7 +832,6 @@ Status DynamicRetrieval::StepForeground() {
       if (track_delivered_ &&
           delivered_.size() >= options_.fgr_buffer_capacity) {
         // The safer strategy survives the buffer overflow (§7).
-        TraceEvent("fgr buffer overflow: jscan terminated, sscan continues");
         Verdict("fgr-buffer-overflow", "sscan-retained",
                 static_cast<double>(delivered_.size()));
         track_delivered_ = false;
@@ -883,28 +856,22 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       if (complete) {
         auto rids = jscan_->final_list()->ToSortedVector();
         if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-        TraceEvent("jscan complete during race: final stage (" +
-                   std::to_string(rids->size()) + " rids, " +
-                   std::to_string(delivered_.size()) + " already delivered)");
         Verdict("jscan-complete", "during race",
                 static_cast<double>(rids->size()),
                 static_cast<double>(delivered_.size()));
         return BeginFinalStage(std::move(*rids));
       }
-      TraceEvent("jscan recommended tscan: foreground switches to tscan");
       Verdict("jscan-recommends-tscan", "foreground switches");
       StartTscan("jscan-recommends-tscan");  // delivered_ filters duplicates
       return Status::OK();
 
     case Tactic::kSorted:
       if (complete) {
-        TraceEvent("jscan filter installed into fscan");
         Verdict("filter-installed", "",
                 static_cast<double>(jscan_->final_list()->size()));
         fscan_fgr_->SetPreFetchFilter(jscan_->final_list());
         if (span_fg_ != nullptr) span_fg_->detail = "filter-installed";
       } else {
-        TraceEvent("jscan found no useful filter: fscan continues plain");
         Verdict("no-filter");
       }
       // The winning foreground stepper carries on as the lone strategy;
@@ -946,9 +913,6 @@ Status DynamicRetrieval::OnBackgroundSettled() {
                 (static_cast<double>(learned->samples) + 1.0);
             ShrunkCost narrowed(prior, learned_remaining, weight);
             ss_used = narrowed.Mean();
-            TraceEvent("learned sscan cost narrows remaining estimate: " +
-                       std::to_string(ss_remaining) + " -> " +
-                       std::to_string(ss_used));
             events_.Emit(TraceEventKind::kLearnedCorrectionApplied,
                          "competition", sscan_fgr_->label(), ss_used,
                          ss_remaining);
@@ -960,16 +924,12 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         if (fin_cost < ss_used) {
           auto rids = jscan_->final_list()->ToSortedVector();
           if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-          TraceEvent("jscan won the race: sscan abandoned, final stage (" +
-                     std::to_string(rids->size()) + " rids)");
           Verdict("jscan-won", "sscan abandoned", fin_cost, ss_used);
           sscan_fgr_.reset();
           return BeginFinalStage(std::move(*rids));
         }
-        TraceEvent("jscan list too costly to fetch: sscan continues alone");
         Verdict("sscan-retained", "list too costly", fin_cost, ss_used);
       } else {
-        TraceEvent("jscan recommended tscan: sscan (safer) continues alone");
         Verdict("jscan-recommends-tscan", "sscan continues");
       }
       track_delivered_ = false;
@@ -999,7 +959,6 @@ Status DynamicRetrieval::BeginFinalStage(std::vector<Rid> rids) {
 Status DynamicRetrieval::StepFinal() {
   if (final_pos_ >= final_rids_.size()) {
     EnterMode(Mode::kDone);
-    TraceEvent("final stage complete");
     return Status::OK();
   }
   // Batched final fetch: the RID list is already page-sorted, so one

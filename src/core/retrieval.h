@@ -24,8 +24,9 @@
 //
 // The foreground/background "simultaneous" run is a deterministic
 // interleaving paced by accrued cost at a configurable ratio. Every
-// decision the engine takes is appended to a human-readable trace that
-// tests assert against (the Fig 4/Fig 6 state transitions).
+// decision the engine takes is emitted as a typed event (events(), see
+// obs/trace.h) that tests assert against and EXPLAIN renders one line per
+// event (the Fig 4/Fig 6 state transitions).
 //
 // Rows leave the way the steppers produce them: each quantum's survivors
 // are gathered column by column from the stepper's batch and selection
@@ -138,10 +139,9 @@ class DynamicRetrieval {
     return degraded_ ||
            events_.EmittedCount(TraceEventKind::kStrategyDisqualified) > 0;
   }
-  const std::vector<std::string>& trace() const { return trace_; }
-  /// Typed trace of this execution (cleared by Open): the machine-readable
-  /// twin of trace() — analysis, shortcuts, the chosen tactic, every stage
-  /// transition and competition verdict, per-index Jscan outcomes.
+  /// Typed trace of this execution (cleared by Open): analysis, shortcuts,
+  /// the chosen tactic, every stage transition and competition verdict,
+  /// per-index Jscan outcomes.
   const TraceLog& events() const { return events_; }
   const AccessPathAnalysis& analysis() const { return analysis_; }
   const Jscan* jscan() const { return jscan_.get(); }
@@ -149,7 +149,7 @@ class DynamicRetrieval {
   /// Rows handed out by NextBatch() this execution.
   uint64_t rows_delivered() const { return rows_delivered_; }
   /// Pre-execution predictions behind the kTacticChosen event; compared
-  /// against actuals in the database's FeedbackStore at end of retrieval.
+  /// against actuals in the database's ProfileStore at end of retrieval.
   /// When the database's SelectivityModel has a learned correction for this
   /// query class (learn/frozen mode), these are the *corrected* figures; the
   /// raw_* accessors keep the uncorrected analytic estimates — also what
@@ -190,7 +190,6 @@ class DynamicRetrieval {
     kDone,
   };
 
-  void TraceEvent(std::string what) { trace_.push_back(std::move(what)); }
   /// Switches stage and emits the kStageTransition event (Fig 4 edges).
   void EnterMode(Mode mode);
   /// Emits a kCompetitionVerdict event (subject = stable verdict slug).
@@ -198,7 +197,8 @@ class DynamicRetrieval {
                double a = 0, double b = 0);
   /// Fills predicted_rows_/predicted_cost_ for the decided tactic.
   void ComputePredictions();
-  /// Reports predicted vs actual to the database's feedback store (once).
+  /// Reports predicted vs actual (once): one ProfileStore::Sample under
+  /// the query class, and the raw predictions to the SelectivityModel.
   void RecordFeedback();
   Status DecideTactic();
   /// Brownout mode (ctx_->brownout_pin_strategy(), set by the admission
@@ -287,7 +287,6 @@ class DynamicRetrieval {
   Mode mode_ = Mode::kDone;
   bool delivers_order_ = false;
   AccessPathAnalysis analysis_;
-  std::vector<std::string> trace_;
   TraceLog events_;
   std::vector<std::string> previous_order_;
   CostMeter open_snapshot_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/feedback.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -336,9 +335,12 @@ Status SelectivityModel::Load(std::string_view blob) {
       Neighbor n;
       uint32_t dim = 0;
       ok = r.U32(&dim);
-      if (ok) {
-        n.features.resize(dim);
-        for (double& f : n.features) ok = ok && r.F64(&f);
+      // One feature at a time: a corrupt `dim` fails on the bytes actually
+      // present instead of sizing an allocation.
+      for (uint32_t d = 0; ok && d < dim; ++d) {
+        double f;
+        ok = r.F64(&f);
+        if (ok) n.features.push_back(f);
       }
       ok = ok && r.F64(&n.log_rows_correction) &&
            r.F64(&n.log_cost_correction) && r.U64(&n.samples);

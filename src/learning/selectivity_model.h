@@ -1,13 +1,13 @@
 // Learned selectivity corrections — the estimation-feedback loop, closed.
 //
-// PR 1's feedback store records what the estimator predicted against what
-// execution observed; nothing ever read it back. This model does, in the
-// spirit of postgres AQO: executions deposit per-query-class observations
-// (predicted vs actual rows and cost, keyed by the class prefix from
-// exec/query_class.h plus a normalized feature vector of the bound host
-// variables), and later executions of the same class look up a
-// multiplicative correction learned by kNN over those features with EWMA
-// updates. A separate per-(class, strategy) cost account remembers what a
+// The profile store records what the estimator predicted against what
+// execution observed, for reporting; this model feeds the same figures back
+// into estimation, in the spirit of postgres AQO: executions deposit
+// per-query-class observations (predicted vs actual rows and cost, keyed by
+// the class prefix from exec/query_class.h plus a normalized feature vector
+// of the bound host variables), and later executions of the same class look
+// up a multiplicative correction learned by kNN over those features with
+// EWMA updates. A separate per-(class, strategy) cost account remembers what a
 // strategy *really* cost to run to completion, so the §3 competition can
 // narrow its L-shaped analytic prior around the measured mean — a learned
 // correction can change who wins the race.

@@ -70,26 +70,6 @@ std::string RenderDashboard(const MetricsRegistry& metrics,
     os << "cost meter: " << options.meter->ToString() << "\n";
   }
 
-  if (options.feedback != nullptr && options.feedback->size() > 0) {
-    const FeedbackStore& fb = *options.feedback;
-    auto rows_summary = fb.RowsSummary();
-    auto cost_summary = fb.CostSummary();
-    std::vector<std::vector<std::string>> rows = {
-        {"rows", Fmt(rows_summary.mean), Fmt(rows_summary.p50),
-         Fmt(rows_summary.p90), Fmt(rows_summary.p95), Fmt(rows_summary.max)},
-        {"cost", Fmt(cost_summary.mean), Fmt(cost_summary.p50),
-         Fmt(cost_summary.p90), Fmt(cost_summary.p95), Fmt(cost_summary.max)},
-    };
-    os << "estimation feedback (" << fb.size() << " executions, q-error):\n"
-       << FormatTable({"estimate", "mean", "p50", "p90", "p95", "max"}, rows);
-    std::vector<double> errors;
-    for (const FeedbackRecord& r : fb.records()) {
-      errors.push_back(r.rows_q_error);
-    }
-    os << "rows q-error per execution: "
-       << Sparkline(Downsample(errors, 60)) << "\n";
-  }
-
   if (!options.learning.empty()) {
     os << "-- learned selectivity (" << options.learning.size()
        << " classes, mode=" << options.learning_mode << ") --\n";

@@ -2,10 +2,10 @@
 //
 // One call renders the registry's counters (grouped into sections by
 // metric family — governance.*, integrity.*, wal.*, ...), its histograms
-// (sparklines plus shared-grid percentiles), the cost meter, the feedback
-// store's q-error summaries, and the per-query-class profile aggregates as
-// a terminal-friendly report — the human companion to the JSON exports,
-// built on util/ascii_chart.
+// (sparklines plus shared-grid percentiles), the cost meter, and the
+// per-query-class profile aggregates (latency percentiles, rows q-error,
+// plan counts) as a terminal-friendly report — the human companion to the
+// JSON exports, built on util/ascii_chart.
 
 #ifndef DYNOPT_OBS_DASHBOARD_H_
 #define DYNOPT_OBS_DASHBOARD_H_
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/feedback.h"
 #include "obs/metrics.h"
 #include "util/cost_meter.h"
 
@@ -37,9 +36,8 @@ struct LearningClassRow {
 
 struct DashboardOptions {
   std::string title = "observability dashboard";
-  const CostMeter* meter = nullptr;         // optional cost snapshot
-  const FeedbackStore* feedback = nullptr;  // optional q-error section
-  const ProfileStore* profiles = nullptr;   // optional query-class section
+  const CostMeter* meter = nullptr;        // optional cost snapshot
+  const ProfileStore* profiles = nullptr;  // optional query-class section
   // Optional learned-selectivity section (SelectivityModel::DashboardRows
   // + LearningModeName of the current mode).
   std::string learning_mode;

@@ -1,7 +1,7 @@
 // Hand-rolled JSON emission (no third-party deps).
 //
-// All observability exports — typed traces, metrics snapshots, feedback
-// records, EXPLAIN reports, bench results — render through this writer so
+// All observability exports — typed traces, metrics snapshots, query-class
+// profiles, EXPLAIN reports, bench results — render through this writer so
 // machines can consume what used to be free-form text. The writer tracks
 // nesting and comma placement; values are escaped per RFC 8259 and numbers
 // are printed deterministically (no locale, no scientific surprises for

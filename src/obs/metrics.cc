@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dynopt {
 
@@ -88,6 +89,12 @@ const std::vector<double>& QErrorBucketBounds() {
   // Q-errors start at 1 (perfect); everything past 1e6 is "hopeless".
   static const std::vector<double> kBounds = GeometricBounds125(1.0, 1e6);
   return kBounds;
+}
+
+double QError(double predicted, double actual, double eps) {
+  double p = std::max(std::fabs(predicted), eps);
+  double a = std::max(std::fabs(actual), eps);
+  return std::max(p / a, a / p);
 }
 
 Counter* MetricsRegistry::counter(std::string_view name) {

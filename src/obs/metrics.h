@@ -9,7 +9,7 @@
 //
 // The registry aggregates across queries (it belongs to the Database); the
 // per-execution story is told by the typed trace (obs/trace.h) and the
-// feedback store (obs/feedback.h).
+// per-query-class profile store (obs/profile_store.h).
 
 #ifndef DYNOPT_OBS_METRICS_H_
 #define DYNOPT_OBS_METRICS_H_
@@ -133,6 +133,11 @@ const std::vector<double>& LatencyBucketBounds();
 
 /// Shared q-error grid (1 = perfect estimate), geometric to 1e6.
 const std::vector<double>& QErrorBucketBounds();
+
+/// The multiplicative miss of an estimate: max(pred/act, act/pred) with
+/// both sides floored at `eps`, so zero-vs-zero is 1.0 (perfect) and
+/// zero-vs-n stays finite.
+double QError(double predicted, double actual, double eps = 1.0);
 
 /// Copies a CostMeter's primitive-operation counters into "cost.*" gauges —
 /// how the dynamic execution metric shows up next to component metrics in

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "obs/feedback.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -85,6 +84,17 @@ class BlobReader {
   size_t pos_ = 0;
   bool failed_ = false;
 };
+
+// Decodes `n` bucket counts one at a time, so a corrupt count fails on the
+// bytes actually present instead of sizing an allocation.
+bool ReadBuckets(BlobReader* r, uint32_t n, std::vector<uint64_t>* buckets) {
+  for (uint32_t i = 0; i < n; ++i) {
+    uint64_t b;
+    if (!r->U64(&b)) return false;
+    buckets->push_back(b);
+  }
+  return true;
+}
 
 void ObserveBucketed(std::vector<uint64_t>* buckets,
                      const std::vector<double>& bounds, double value) {
@@ -192,17 +202,10 @@ Status ProfileStore::Load(std::string_view blob) {
     ClassAggregate agg;
     uint32_t n = 0;
     bool ok = r.Str(&key) && r.U64(&agg.executions) &&
-              r.F64(&agg.latency_sum_micros) && r.U32(&n);
-    if (ok) {
-      agg.latency_buckets.resize(n);
-      for (uint64_t& b : agg.latency_buckets) ok = ok && r.U64(&b);
-    }
-    ok = ok && r.F64(&agg.rows_q_error_sum) && r.F64(&agg.rows_q_error_max) &&
-         r.U32(&n);
-    if (ok) {
-      agg.rows_q_error_buckets.resize(n);
-      for (uint64_t& b : agg.rows_q_error_buckets) ok = ok && r.U64(&b);
-    }
+              r.F64(&agg.latency_sum_micros) && r.U32(&n) &&
+              ReadBuckets(&r, n, &agg.latency_buckets) &&
+              r.F64(&agg.rows_q_error_sum) && r.F64(&agg.rows_q_error_max) &&
+              r.U32(&n) && ReadBuckets(&r, n, &agg.rows_q_error_buckets);
     ok = ok && r.F64(&agg.cost_q_error_sum) && r.F64(&agg.cost_q_error_max) &&
          r.F64(&agg.total_rows) && r.F64(&agg.total_cost) && r.U32(&n);
     for (uint32_t p = 0; ok && p < n; ++p) {

@@ -8,9 +8,9 @@
 // histograms and running sums: bounded memory per class, mergeable, and
 // serializable to a small blob the catalog persists across Close/Open.
 //
-// This is deliberately the substrate the roadmap's learned-selectivity
-// loop needs: per-class q-error distributions plus plan-choice counts,
-// surviving restarts.
+// It is the engine's one predicted-vs-actual store: per-class q-error
+// distributions plus plan-choice counts, surviving restarts. Recent drift
+// per class is the learning model's job (its EWMA q-error, in learn mode).
 
 #ifndef DYNOPT_OBS_PROFILE_STORE_H_
 #define DYNOPT_OBS_PROFILE_STORE_H_
@@ -29,8 +29,8 @@ namespace dynopt {
 
 class ProfileStore {
  public:
-  /// One execution's contribution, deposited by the engine at feedback
-  /// time (successful executions only, like the feedback store).
+  /// One execution's predicted-vs-actual record, deposited once by the
+  /// engine when it delivers its last row (completed executions only).
   struct Sample {
     double latency_micros = 0;
     double predicted_rows = 0;

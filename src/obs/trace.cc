@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <sstream>
+
 #include "obs/metrics.h"
 
 namespace dynopt {
@@ -113,6 +115,15 @@ void WriteTraceEvents(JsonWriter* w, const TraceLog& log) {
     w->EndObject();
   }
   w->EndArray();
+}
+
+std::string FormatTraceEvent(const TraceEvent& event) {
+  std::ostringstream os;
+  os << TraceEventKindName(event.kind) << " " << event.subject;
+  if (!event.detail.empty()) os << ": " << event.detail;
+  if (event.a != 0) os << " a=" << event.a;
+  if (event.b != 0) os << " b=" << event.b;
+  return os.str();
 }
 
 std::string TraceLog::ToJson() const {

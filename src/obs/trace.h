@@ -1,10 +1,11 @@
 // Typed trace events — the machine-readable decision log.
 //
 // The paper's engine "watches itself run": every tactic choice, shortcut,
-// competition verdict, and stage transition is an observable decision. The
-// seed recorded those as free-form strings; this log records them as typed
-// events with a kind enum and structured fields, so tests assert on event
-// kinds instead of substring fishing and exporters render them as JSON.
+// competition verdict, and stage transition is an observable decision. This
+// log is the engine's one record of them: typed events with a kind enum and
+// structured fields, so tests assert on event kinds instead of substring
+// fishing, exporters render them as JSON, and EXPLAIN renders each as one
+// line (FormatTraceEvent).
 //
 // Events carry monotonic per-log sequence numbers instead of timestamps:
 // runs stay bit-deterministic, and ordering (the Fig 4 state machine) is
@@ -118,6 +119,10 @@ class TraceLog {
 /// Renders the log as a JSON array into an in-progress writer (for
 /// embedding inside larger documents, e.g. the EXPLAIN export).
 void WriteTraceEvents(JsonWriter* w, const TraceLog& log);
+
+/// One event as a human-readable line: kind, subject, ": detail" when
+/// present, then " a=" and " b=" when nonzero (the EXPLAIN decision trace).
+std::string FormatTraceEvent(const TraceEvent& event);
 
 }  // namespace dynopt
 

@@ -1,8 +1,8 @@
 // Learned-selectivity subsystem tests: the model's kNN/EWMA mechanics and
 // mode gates, the engine read/write paths (estimate correction, competition
-// narrowing, feedback harvest), catalog persistence, the feedback window,
-// and the parametric workload loop. Every suite name contains "Learning" so
-// the TSan/CI filters pick the whole file up.
+// narrowing, feedback harvest), catalog persistence, and the parametric
+// workload loop. Every suite name contains "Learning" so the TSan/CI
+// filters pick the whole file up.
 
 #include <unistd.h>
 
@@ -18,7 +18,6 @@
 #include "core/retrieval.h"
 #include "exec/query_class.h"
 #include "learning/selectivity_model.h"
-#include "obs/feedback.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 #include "workload/driver.h"
@@ -265,6 +264,16 @@ TEST(LearningModelTest, SerializeLoadRoundTripIsByteIdentical) {
   wrong_version[0] = 9;
   EXPECT_FALSE(reloaded.Load(wrong_version).ok());
   EXPECT_EQ(reloaded.Serialize(), blob);
+  // A neighbor's feature count is bounded by the bytes present, not
+  // allocated up front: version 1, one class, an empty key, three zero
+  // fields, one neighbor, then dim = 0xFFFFFFFF in 44 bytes.
+  std::string huge_dim("\x01\0\0\0\x01\0\0\0\0\0\0\0", 12);
+  huge_dim.append(24, '\0');
+  huge_dim.append("\x01\0\0\0", 4);
+  huge_dim.append(4, '\xff');
+  ASSERT_EQ(huge_dim.size(), 44u);
+  EXPECT_TRUE(reloaded.Load(huge_dim).IsCorruption());
+  EXPECT_EQ(reloaded.Serialize(), blob);
 
   // An empty model round-trips too.
   SelectivityModel empty;
@@ -496,59 +505,6 @@ TEST(LearningPersistenceTest, ModelSurvivesDatabaseCloseOpen) {
   // Frozen mode wrote nothing back: the blob is unchanged.
   EXPECT_EQ((*db)->learning()->Serialize(), blob_before);
   ASSERT_TRUE((*db)->Close().ok());
-}
-
-// -------------------------------------------------------- feedback window
-
-TEST(LearningFeedbackWindowTest, WindowEvictsOldestRecords) {
-  FeedbackStore store;
-  EXPECT_EQ(store.capacity(), FeedbackStore::kDefaultCapacity);
-  store.set_capacity(4);
-  // Six wildly wrong estimates, then four perfect ones.
-  for (int i = 0; i < 10; ++i) {
-    FeedbackRecord rec;
-    rec.label = "probe";
-    rec.predicted_rows = 100;
-    rec.actual_rows = i < 6 ? 10000 : 100;
-    rec.predicted_cost = 50;
-    rec.actual_cost = 50;
-    store.Record(std::move(rec));
-  }
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.total_recorded(), 10u);
-  auto rows = store.RowsSummary();
-  EXPECT_EQ(rows.count, 4u);
-  // Every bad record has been evicted: the window sees only q = 1.
-  EXPECT_DOUBLE_EQ(rows.max, 1.0);
-}
-
-TEST(LearningFeedbackWindowTest, DriftAgesOutOfSummaries) {
-  FeedbackStore store;
-  store.set_capacity(50);
-  auto put = [&store](double actual) {
-    FeedbackRecord rec;
-    rec.label = "drift";
-    rec.predicted_rows = 100;
-    rec.actual_rows = actual;
-    store.Record(std::move(rec));
-  };
-  // Pre-drift: estimates 100x off dominate every statistic.
-  for (int i = 0; i < 50; ++i) put(10000);
-  EXPECT_DOUBLE_EQ(store.RowsSummary().p50, 100.0);
-  // Post-drift: after one full window turnover the ancient misses are gone
-  // from p50/mean/max alike, instead of polluting them forever.
-  for (int i = 0; i < 50; ++i) put(100);
-  auto rows = store.RowsSummary();
-  EXPECT_DOUBLE_EQ(rows.p50, 1.0);
-  EXPECT_DOUBLE_EQ(rows.max, 1.0);
-  EXPECT_EQ(store.total_recorded(), 100u);
-
-  // Shrinking evicts down; zero lifts the bound entirely.
-  store.set_capacity(10);
-  EXPECT_EQ(store.size(), 10u);
-  store.set_capacity(0);
-  for (int i = 0; i < 20; ++i) put(100);
-  EXPECT_EQ(store.size(), 30u);
 }
 
 // ------------------------------------------------------ workload streams

@@ -1,6 +1,7 @@
 // Observability-layer tests: typed trace vs Fig 4, registry counters wired
-// through the engine, estimation-feedback q-errors, and the JSON exporters
-// (validated by a minimal recursive-descent checker — no JSON library).
+// through the engine, q-errors, the rendered decision trace, and the JSON
+// exporters (validated by a minimal recursive-descent checker — no JSON
+// library).
 
 #include <cctype>
 #include <set>
@@ -13,7 +14,6 @@
 #include "core/explain.h"
 #include "core/retrieval.h"
 #include "obs/dashboard.h"
-#include "obs/feedback.h"
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
 #include "obs/telemetry.h"
@@ -344,7 +344,7 @@ TEST(MetricsTest, DisabledObservabilityKeepsEngineWorking) {
   on.Index("by_age", {"age"});
   off.Index("by_age", {"age"});
   EXPECT_EQ(off.db.metrics(), nullptr);
-  EXPECT_EQ(off.db.feedback(), nullptr);
+  EXPECT_EQ(off.db.profiles(), nullptr);
 
   DynamicRetrieval e_on(&on.db, on.Spec(AgeBetween(10, 15), {0, 3}));
   DynamicRetrieval e_off(&off.db, off.Spec(AgeBetween(10, 15), {0, 3}));
@@ -416,57 +416,6 @@ TEST(FeedbackTest, QErrorIsSymmetricAndFloored) {
   EXPECT_DOUBLE_EQ(QError(7, 7), 1.0);
 }
 
-TEST(FeedbackTest, SummaryPercentilesForKnownMisses) {
-  FeedbackStore store;
-  // Three executions with known cardinality misses: q-errors 2, 4, 8.
-  store.Record({"t", 50, 100, 10, 10, 1, 1});   // q = 2
-  store.Record({"t", 400, 100, 10, 10, 1, 1});  // q = 4
-  store.Record({"t", 100, 800, 10, 10, 1, 1});  // q = 8
-  ASSERT_EQ(store.size(), 3u);
-  EXPECT_DOUBLE_EQ(store.records()[0].rows_q_error, 2.0);
-  EXPECT_DOUBLE_EQ(store.records()[2].rows_q_error, 8.0);
-
-  auto s = store.RowsSummary();
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 14.0 / 3.0);
-  EXPECT_DOUBLE_EQ(s.p50, 4.0);  // nearest rank: ceil(0.5*3) = 2nd of {2,4,8}
-  EXPECT_DOUBLE_EQ(s.p90, 8.0);
-  EXPECT_DOUBLE_EQ(s.max, 8.0);
-  // Costs were all exact.
-  EXPECT_DOUBLE_EQ(store.CostSummary().max, 1.0);
-}
-
-TEST(FeedbackTest, EngineDepositsOneRecordPerExecution) {
-  Families f(5000);
-  f.Index("by_age", {"age"});
-  FeedbackStore* fb = f.db.feedback();
-  ASSERT_NE(fb, nullptr);
-
-  DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
-  ParamMap params;
-  ASSERT_TRUE(engine.Open(params).ok());
-  size_t rows = Drain(&engine);
-  ASSERT_EQ(fb->size(), 1u);
-  const FeedbackRecord& rec = fb->records()[0];
-  EXPECT_EQ(rec.label, TacticName(engine.tactic()));
-  EXPECT_EQ(rec.actual_rows, static_cast<double>(rows));
-  EXPECT_EQ(rec.predicted_rows, engine.predicted_rows());
-  EXPECT_GT(rec.actual_cost, 0.0);
-  EXPECT_GE(rec.rows_q_error, 1.0);
-
-  // Draining past the end must not double-record.
-  RowBatch batch;
-  auto more = engine.NextBatch(&batch);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-  EXPECT_EQ(fb->size(), 1u);
-
-  // A fresh Open starts a fresh record.
-  ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
-  EXPECT_EQ(fb->size(), 2u);
-}
-
 // --------------------------------------------------------------- trace ring
 
 TEST(TraceRingTest, EvictsOldestCountsDropsAndKeepsLifetimeTallies) {
@@ -528,7 +477,7 @@ TEST(JsonExportTest, TraceMetricsExplainAndFeedbackAllParse) {
   EXPECT_NE(explain_json.find("\"events\""), std::string::npos);
   EXPECT_NE(explain_json.find("\"cost\""), std::string::npos);
 
-  std::string feedback_json = f.db.feedback()->ToJson();
+  std::string feedback_json = f.db.profiles()->ToJson();
   EXPECT_TRUE(JsonChecker(feedback_json).Valid()) << feedback_json;
 }
 
@@ -551,7 +500,10 @@ TEST(ExplainTest, TscanReportNamesTacticAndCost) {
   std::string report = ExplainExecution(engine, f.db.cost_weights());
   EXPECT_NE(report.find("tactic: static-tscan"), std::string::npos);
   EXPECT_NE(report.find("decision trace:"), std::string::npos);
-  EXPECT_NE(report.find("Tscan completed retrieval"), std::string::npos);
+  EXPECT_NE(report.find("\n  tactic-chosen static-tscan"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\n  stage-transition done\n"), std::string::npos)
+      << report;
   EXPECT_NE(report.find("cost: "), std::string::npos);
   EXPECT_NE(report.find("pr="), std::string::npos);  // meter breakdown
 }
@@ -584,6 +536,14 @@ TEST(ExplainTest, CompetitionReportShowsJscanOutcomes) {
                  report.find("discarded") != std::string::npos ||
                  report.find("skipped") != std::string::npos;
   EXPECT_TRUE(verdict) << report;
+  // The decision trace is one rendered line per retained typed event, in
+  // emission order, and nothing else.
+  std::string trace_section = "decision trace:\n";
+  for (const TraceEvent& e : engine.events().events()) {
+    trace_section += "  " + FormatTraceEvent(e) + "\n";
+  }
+  EXPECT_NE(report.find(trace_section + "cost: "), std::string::npos)
+      << report;
 }
 
 // ---------------------------------------------------------------- dashboard
@@ -600,11 +560,11 @@ TEST(DashboardTest, RendersCountersHistogramsAndFeedback) {
   opts.title = "workload";
   CostMeter meter = f.db.meter();
   opts.meter = &meter;
-  opts.feedback = f.db.feedback();
+  opts.profiles = f.db.profiles();
   std::string board = RenderDashboard(*f.db.metrics(), opts);
   EXPECT_NE(board.find("workload"), std::string::npos);
   EXPECT_NE(board.find("buffer_pool.hits"), std::string::npos);
-  EXPECT_NE(board.find("q-error"), std::string::npos);
+  EXPECT_NE(board.find("rows-qerr"), std::string::npos);
 }
 
 TEST(DashboardTest, GroupsMetricFamiliesIntoSections) {

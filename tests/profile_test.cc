@@ -18,6 +18,7 @@
 #include "core/retrieval.h"
 #include "exec/operators.h"
 #include "exec/query_class.h"
+#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/profile_store.h"
 #include "obs/telemetry.h"
@@ -353,8 +354,20 @@ TEST(ProfileStoreTest, EngineDepositsSamplesUnderItsClass) {
   ParamMap p2{{"lo", Value(int64_t{12})}, {"hi", Value(int64_t{22})}};
   ASSERT_TRUE(engine.Open(p1).ok());
   size_t rows1 = Drain(&engine);
+  // One sample per completed execution; a NextBatch past the end adds none.
+  RowBatch batch;
+  auto more = engine.NextBatch(&batch);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+  auto first = store->Find(engine.query_class());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->executions, 1u);
+  EXPECT_DOUBLE_EQ(first->rows_q_error_sum,
+                   QError(engine.predicted_rows(), static_cast<double>(rows1)));
+  EXPECT_GT(first->total_cost, 0.0);
+  // A fresh Open deposits one more.
   ASSERT_TRUE(engine.Open(p2).ok());
-  Drain(&engine);
+  size_t rows2 = Drain(&engine);
 
   // Same magnitude buckets: both executions fold into one class.
   ASSERT_EQ(store->size(), 1u);
@@ -364,8 +377,10 @@ TEST(ProfileStoreTest, EngineDepositsSamplesUnderItsClass) {
   EXPECT_EQ(agg->executions, 2u);
   EXPECT_GT(agg->latency_sum_micros, 0.0);
   EXPECT_GE(agg->total_rows, static_cast<double>(rows1));
+  EXPECT_EQ(agg->total_rows, static_cast<double>(rows1 + rows2));
   EXPECT_GE(agg->rows_q_error_max, 1.0);
   ASSERT_EQ(agg->plan_counts.size(), 1u);  // same tactic both runs
+  EXPECT_EQ(agg->plan_counts.begin()->first, TacticName(engine.tactic()));
   EXPECT_EQ(agg->plan_counts.begin()->second, 2u);
   EXPECT_GE(agg->LatencyPercentile(0.99), agg->LatencyPercentile(0.50));
 }
@@ -390,6 +405,15 @@ TEST(ProfileStoreTest, SerializeLoadRoundTripIsByteIdentical) {
   std::string bad = blob.substr(0, blob.size() / 2);
   EXPECT_FALSE(reloaded.Load(bad).ok());
   EXPECT_EQ(reloaded.ToJson(), json);  // contents intact after rejection
+  // A count is bounded by the bytes present, not allocated up front:
+  // version 1, one class, an empty key, two zero fields, then a latency
+  // bucket count of 0xFFFFFFFF in 32 bytes.
+  std::string huge_count("\x01\0\0\0\x01\0\0\0\0\0\0\0", 12);
+  huge_count.append(16, '\0');
+  huge_count.append(4, '\xff');
+  ASSERT_EQ(huge_count.size(), 32u);
+  EXPECT_TRUE(reloaded.Load(huge_count).IsCorruption());
+  EXPECT_EQ(reloaded.ToJson(), json);
 }
 
 TEST(ProfileStoreTest, ProfilesSurviveDatabaseCloseOpen) {
