@@ -36,8 +36,7 @@
 #include "obs/json.h"
 #include "replication/log_shipper.h"
 #include "replication/standby.h"
-#include "workload/crash_scenario.h"
-#include "workload/failover_scenario.h"
+#include "workload/scenario.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -188,15 +187,15 @@ int Run() {
 
   // -- failover: full scenario at a post-ack point; the RTO is the
   //    promote-to-first-answer time.
-  FailoverScenarioOptions fo;
+  CrashScenarioOptions fo;
   fo.path = "bench_replication_failover.db";
   fo.rows = 1000;
   fo.extra_rows = 300;
   fo.sessions = 2;
   fo.queries_per_session = 12;
   fo.pool_pages = 1024;
-  auto failover =
-      RunFailoverScenario(CrashPoint::kCheckpointBeforeSuperblock, fo);
+  auto failover = RunCrashScenario(CrashPoint::kCheckpointBeforeSuperblock,
+                                   RecoveryPath::kFailover, fo);
   if (!failover.ok()) {
     std::printf("GATE FAIL: failover scenario: %s\n",
                 failover.status().ToString().c_str());

@@ -406,6 +406,8 @@ Status Database::LoadCatalog() {
     cur = next;
   }
 
+  // Counts below come from disk: decode element by element and never size
+  // an allocation from one, so a corrupt count reads as a truncated blob.
   CatalogReader r{blob};
   DYNOPT_ASSIGN_OR_RETURN(uint32_t version, r.U32());
   if (version < 1 || version > kCatalogVersion) {
@@ -417,7 +419,6 @@ Status Database::LoadCatalog() {
     DYNOPT_ASSIGN_OR_RETURN(std::string name, r.Str());
     DYNOPT_ASSIGN_OR_RETURN(uint32_t ncols, r.U32());
     std::vector<Column> columns;
-    columns.reserve(ncols);
     for (uint32_t c = 0; c < ncols; ++c) {
       Column col;
       DYNOPT_ASSIGN_OR_RETURN(col.name, r.Str());
@@ -431,19 +432,16 @@ Status Database::LoadCatalog() {
     DYNOPT_ASSIGN_OR_RETURN(uint64_t record_count, r.U64());
     DYNOPT_ASSIGN_OR_RETURN(uint32_t npages, r.U32());
     std::vector<PageId> pages;
-    pages.reserve(npages);
     for (uint32_t i = 0; i < npages; ++i) {
       DYNOPT_ASSIGN_OR_RETURN(PageId p, r.U32());
       pages.push_back(p);
     }
     DYNOPT_ASSIGN_OR_RETURN(uint32_t nindexes, r.U32());
     std::vector<TableIndexMeta> index_metas;
-    index_metas.reserve(nindexes);
     for (uint32_t i = 0; i < nindexes; ++i) {
       TableIndexMeta im;
       DYNOPT_ASSIGN_OR_RETURN(im.name, r.Str());
       DYNOPT_ASSIGN_OR_RETURN(uint32_t nkeys, r.U32());
-      im.key_columns.reserve(nkeys);
       for (uint32_t k = 0; k < nkeys; ++k) {
         DYNOPT_ASSIGN_OR_RETURN(uint32_t col, r.U32());
         im.key_columns.push_back(col);

@@ -47,8 +47,8 @@ enum class CrashPoint : uint8_t {
 
 /// The local crash-recovery matrix (reopen the same file, redo from the
 /// WAL). The replication points are exercised by their own matrices —
-/// kFailoverCrashPoints in workload/failover_scenario.h and the standby
-/// points directly — because they never fire in an unreplicated run.
+/// kFailoverCrashPoints in workload/scenario.h and the standby points
+/// directly — because they never fire in an unreplicated run.
 inline constexpr CrashPoint kAllCrashPoints[] = {
     CrashPoint::kWalBeforeWrite,
     CrashPoint::kWalTornWrite,

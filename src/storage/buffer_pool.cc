@@ -6,6 +6,8 @@
 #include <cmath>
 #include <thread>
 
+#include "util/rng.h"
+
 namespace dynopt {
 
 namespace {
@@ -30,14 +32,6 @@ size_t FloorPow2(size_t n) {
   size_t p = 1;
   while (p * 2 <= n) p *= 2;
   return p;
-}
-
-// splitmix64 finalizer for the backoff jitter draw.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace

@@ -4,20 +4,9 @@
 #include <string>
 #include <thread>
 
+#include "util/rng.h"
+
 namespace dynopt {
-
-namespace {
-
-// splitmix64: the same cheap deterministic mixer the workload driver uses
-// for its streams; here it decides which pages a rate-based program hits.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::string_view PageClassName(PageClass c) {
   switch (c) {

@@ -12,6 +12,16 @@
 
 namespace dynopt {
 
+/// The splitmix64 output function: a full-avalanche 64-bit mix. Hash folds
+/// run values through it so that, under XOR, a missing and a spurious small
+/// integer cannot cancel out; seeded draws hash (seed ^ key) through it.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** with splitmix64 seeding. Fast, high quality, deterministic.
 class Rng {
  public:

@@ -36,16 +36,6 @@ struct LiveCounters {
   }
 };
 
-// 64-bit finalizer (splitmix64): RID sets fold through this so that a
-// missing row and a spurious row cannot cancel out under plain XOR of
-// small integers.
-uint64_t MixU64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Bounded uniform sample of successful-query latencies. Capacity is
 /// fixed so a million-query session costs the same memory as a thousand-
 /// query one; the replacement draws come from a side rng, never from the
@@ -168,7 +158,7 @@ class Session {
           if (!*more) break;
           // XOR: order-insensitive within the query.
           for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-            fold ^= MixU64(batch.rid(r).ToU64());
+            fold ^= Mix64(batch.rid(r).ToU64());
           }
           rows += batch.num_rows();
         }
@@ -221,9 +211,9 @@ class Session {
         live_->rows.Add(rows);
       }
       // Chain in query order so stream position matters.
-      out.result_hash = MixU64(out.result_hash ^ fold ^ (rows + 1));
+      out.result_hash = Mix64(out.result_hash ^ fold ^ (rows + 1));
       if (opts_.record_query_hashes) {
-        out.query_hashes.push_back(MixU64(fold ^ (rows + 1)));
+        out.query_hashes.push_back(Mix64(fold ^ (rows + 1)));
       }
     }
     if (live_ != nullptr) {

@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +23,7 @@
 #include "durability/wal.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
-#include "workload/crash_scenario.h"
+#include "workload/scenario.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -456,6 +458,42 @@ TEST(DurabilityDatabaseTest, ReopenWithoutCheckpointReplaysTheWal) {
   EXPECT_EQ(*hash, built_hash);
 }
 
+// Catalog counts are read from disk, so a corrupt one must fail the open
+// typed instead of sizing an allocation: rewrite a closed database's
+// catalog root page so table "t"'s column count reads 0xFFFFFFFF.
+TEST(DurabilityDatabaseTest, CorruptCatalogCountOpensAsCorruption) {
+  const std::string path = TempPath("db_bad_catalog.db");
+  {
+    DatabaseOptions options;
+    options.path = path;
+    auto db = Database::Create(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(
+        (*db)->CreateTable("t", Schema({{"a", ValueType::kInt64}})).ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  {
+    auto store = FilePageStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status();
+    PageData page;
+    ASSERT_TRUE((*store)->Read(kCatalogRootPage, &page).ok());
+    // The blob after the chain header: version, table count, name length,
+    // "t", column count.
+    const size_t ncols_at = kCatalogChainHeaderSize + 4 + 4 + 4 + 1;
+    uint32_t ncols = 0;
+    std::memcpy(&ncols, page.data() + ncols_at, sizeof(ncols));
+    ASSERT_EQ(ncols, 1u);
+    std::memset(page.data() + ncols_at, 0xff, sizeof(ncols));
+    ASSERT_TRUE((*store)->Write(kCatalogRootPage, page).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  DatabaseOptions options;
+  options.path = path;
+  auto db = Database::Open(options);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status();
+}
+
 // ----------------------------------------------------------- Crash matrix
 
 TEST(CrashMatrixTest, EveryPointRecoversToItsExpectedCommittedState) {
@@ -467,14 +505,40 @@ TEST(CrashMatrixTest, EveryPointRecoversToItsExpectedCommittedState) {
     options.extra_rows = 150;
     options.sessions = 2;
     options.queries_per_session = 10;
-    auto result = RunCrashRestartScenario(point, options);
+    auto result = RunCrashScenario(point, RecoveryPath::kRestart, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->crash_fired);
     EXPECT_EQ(static_cast<int>(result->outcome),
-              static_cast<int>(ExpectedOutcome(point)));
+              static_cast<int>(ExpectedOutcome(point, RecoveryPath::kRestart)));
     if (point == CrashPoint::kWalTornWrite) {
       EXPECT_TRUE(result->recovery.torn_tail);
     }
+  }
+}
+
+// A run that never crashed would pass vacuously, so a point that cannot
+// fire where it is armed must be refused by name: the restart scenario
+// runs unarchived, and neither path arms the standby.
+TEST(CrashMatrixTest, PointsThatCannotFireAreRefusedByName) {
+  const std::pair<CrashPoint, RecoveryPath> cases[] = {
+      {CrashPoint::kArchiveAppend, RecoveryPath::kRestart},
+      {CrashPoint::kStandbyApplySegment, RecoveryPath::kRestart},
+      {CrashPoint::kStandbyApplySegment, RecoveryPath::kFailover},
+      {CrashPoint::kPromoteBeforeSuperblock, RecoveryPath::kFailover},
+  };
+  for (const auto& [point, path] : cases) {
+    const std::string name(CrashPointName(point));
+    SCOPED_TRACE(name);
+    CrashScenarioOptions options;
+    options.path = TempPath("crash_vacuous.db");
+    options.rows = 200;
+    options.extra_rows = 50;
+    options.sessions = 1;
+    options.queries_per_session = 2;
+    auto result = RunCrashScenario(point, path, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find(name), std::string::npos)
+        << result.status();
   }
 }
 

@@ -2,7 +2,7 @@
 // concurrent scenario (golden run, cold cache, governed faulted replay)
 // and must end in one of exactly two ways per query — success with the
 // golden result hash, or a clean typed error — with no pinned pages and
-// intact pool invariants afterwards. See workload/fault_scenario.h.
+// intact pool invariants afterwards. See workload/scenario.h.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 
 #include "storage/fault_store.h"
 #include "storage/page_store.h"
-#include "workload/fault_scenario.h"
+#include "workload/scenario.h"
 
 namespace dynopt {
 namespace {

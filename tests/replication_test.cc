@@ -24,8 +24,7 @@
 #include "replication/log_shipper.h"
 #include "replication/restore.h"
 #include "replication/standby.h"
-#include "workload/crash_scenario.h"
-#include "workload/failover_scenario.h"
+#include "workload/scenario.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -624,7 +623,7 @@ TEST(StandbyFenceTest, StalePrimaryAppendAndReopenFailFenced) {
 // -------------------------------------------------------------- Failover
 
 TEST(FailoverMatrixTest, EveryPointPromotesExactlyTheAckedState) {
-  FailoverScenarioOptions options;
+  CrashScenarioOptions options;
   options.path = TempPath("failover_matrix.db");
   options.rows = 300;
   options.extra_rows = 120;
@@ -633,10 +632,10 @@ TEST(FailoverMatrixTest, EveryPointPromotesExactlyTheAckedState) {
   options.pool_pages = 512;
   options.archive_segment_bytes = 32 * 1024;
   for (CrashPoint point : kFailoverCrashPoints) {
-    auto res = RunFailoverScenario(point, options);
+    auto res = RunCrashScenario(point, RecoveryPath::kFailover, options);
     ASSERT_TRUE(res.ok()) << CrashPointName(point) << ": " << res.status();
     EXPECT_TRUE(res->crash_fired) << CrashPointName(point);
-    EXPECT_EQ(res->outcome, ExpectedFailoverOutcome(point))
+    EXPECT_EQ(res->outcome, ExpectedOutcome(point, RecoveryPath::kFailover))
         << CrashPointName(point);
     EXPECT_TRUE(res->stale_primary_fenced) << CrashPointName(point);
     EXPECT_EQ(res->new_timeline, 2u) << CrashPointName(point);
@@ -645,7 +644,7 @@ TEST(FailoverMatrixTest, EveryPointPromotesExactlyTheAckedState) {
 }
 
 TEST(FailoverMatrixTest, SurvivesAHostileTransportDuringCatchUp) {
-  FailoverScenarioOptions options;
+  CrashScenarioOptions options;
   options.path = TempPath("failover_chaos.db");
   options.rows = 300;
   options.extra_rows = 120;
@@ -658,8 +657,8 @@ TEST(FailoverMatrixTest, SurvivesAHostileTransportDuringCatchUp) {
   options.faults.reorder_p = 0.5;
   options.faults.truncate_p = 0.4;
   options.faults.corrupt_p = 0.4;
-  auto res = RunFailoverScenario(CrashPoint::kCheckpointBeforeSuperblock,
-                                 options);
+  auto res = RunCrashScenario(CrashPoint::kCheckpointBeforeSuperblock,
+                              RecoveryPath::kFailover, options);
   ASSERT_TRUE(res.ok()) << res.status();
   EXPECT_EQ(res->outcome, CrashOutcome::kPostState);
   EXPECT_GT(res->shipping.faults_injected, 0u);
