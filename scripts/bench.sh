@@ -2,11 +2,15 @@
 # Builds and runs every benchmark, collecting the BENCH_<name>.json
 # reports each one writes to its working directory into a single place.
 #
-# Three binaries double as regression gates and exit non-zero (failing
+# Five binaries double as regression gates and exit non-zero (failing
 # this script) when breached: bench_profile (profiling overhead <= 5%),
-# bench_micro (batched Tscan restriction >= 2x over row-at-a-time), and
-# bench_replication (standby apply rate >= 0.5x the primary commit rate,
-# plus the failover scenario with its measured RTO).
+# bench_micro (batched Tscan restriction >= 2x over row-at-a-time),
+# bench_learning (warm median q-error <= 0.5x cold, >= 1 plan flip,
+# byte-identical persistence, inert controlled mode), bench_overload
+# (governed goodput retention at 2x load, bounded admitted p99, typed
+# sheds, golden hashes), and bench_replication (standby apply rate
+# >= 0.5x the primary commit rate, plus the failover scenario with its
+# measured RTO).
 #
 # Usage: scripts/bench.sh [output-dir] [jobs]
 #   output-dir   where benchmarks run and reports land (default:

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "integrity/check.h"
+#include "util/coding.h"
 
 namespace dynopt {
 namespace {
@@ -31,57 +32,6 @@ constexpr uint32_t kCatalogVersion = 3;
 constexpr size_t kChainHeaderSize = kCatalogChainHeaderSize;
 constexpr size_t kChainCapacity = kCatalogChainCapacity;
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-struct CatalogReader {
-  std::string_view data;
-
-  Status Raw(void* out, size_t n) {
-    if (data.size() < n) return Status::Corruption("catalog blob truncated");
-    std::memcpy(out, data.data(), n);
-    data.remove_prefix(n);
-    return Status::OK();
-  }
-  Result<uint8_t> U8() {
-    uint8_t v;
-    DYNOPT_RETURN_IF_ERROR(Raw(&v, 1));
-    return v;
-  }
-  Result<uint32_t> U32() {
-    uint32_t v;
-    DYNOPT_RETURN_IF_ERROR(Raw(&v, 4));
-    return v;
-  }
-  Result<uint64_t> U64() {
-    uint64_t v;
-    DYNOPT_RETURN_IF_ERROR(Raw(&v, 8));
-    return v;
-  }
-  Result<std::string> Str() {
-    DYNOPT_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (data.size() < len) return Status::Corruption("catalog blob truncated");
-    std::string s(data.substr(0, len));
-    data.remove_prefix(len);
-    return s;
-  }
-};
-
 void PutTreeMeta(std::string* out, const BTreeMeta& m) {
   PutU32(out, m.root);
   PutU32(out, m.height);
@@ -92,16 +42,10 @@ void PutTreeMeta(std::string* out, const BTreeMeta& m) {
   PutU64(out, m.max_fanout_seen);
 }
 
-Result<BTreeMeta> ReadTreeMeta(CatalogReader* r) {
-  BTreeMeta m;
-  DYNOPT_ASSIGN_OR_RETURN(m.root, r->U32());
-  DYNOPT_ASSIGN_OR_RETURN(m.height, r->U32());
-  DYNOPT_ASSIGN_OR_RETURN(m.entry_count, r->U64());
-  DYNOPT_ASSIGN_OR_RETURN(m.node_count, r->U64());
-  DYNOPT_ASSIGN_OR_RETURN(m.leaf_count, r->U64());
-  DYNOPT_ASSIGN_OR_RETURN(m.slot_sum, r->U64());
-  DYNOPT_ASSIGN_OR_RETURN(m.max_fanout_seen, r->U64());
-  return m;
+bool ReadTreeMeta(ByteReader* r, BTreeMeta* m) {
+  return r->U32(&m->root) && r->U32(&m->height) && r->U64(&m->entry_count) &&
+         r->U64(&m->node_count) && r->U64(&m->leaf_count) &&
+         r->U64(&m->slot_sum) && r->U64(&m->max_fanout_seen);
 }
 
 }  // namespace
@@ -289,11 +233,9 @@ Status Database::Commit() {
   // The commit payload carries the allocated-page watermark so recovery
   // can restore pages that were allocated but never written (see
   // durability/recovery.h).
-  uint8_t payload[sizeof(uint64_t)];
-  PageWrite<uint64_t>(payload, 0, static_cast<uint64_t>(store_->page_count()));
-  DYNOPT_RETURN_IF_ERROR(wal_->Commit(
-      refs, std::string_view(reinterpret_cast<const char*>(payload),
-                             sizeof(payload))));
+  std::string payload;
+  PutU64(&payload, store_->page_count());
+  DYNOPT_RETURN_IF_ERROR(wal_->Commit(refs, payload));
   pool_.MarkCommittedUpTo(epoch);
   return Status::OK();
 }
@@ -408,45 +350,53 @@ Status Database::LoadCatalog() {
 
   // Counts below come from disk: decode element by element and never size
   // an allocation from one, so a corrupt count reads as a truncated blob.
-  CatalogReader r{blob};
-  DYNOPT_ASSIGN_OR_RETURN(uint32_t version, r.U32());
+  const Status truncated = Status::Corruption("catalog blob truncated");
+  ByteReader r(blob);
+  uint32_t version = 0;
+  if (!r.U32(&version)) return truncated;
   if (version < 1 || version > kCatalogVersion) {
     return Status::Corruption("unsupported catalog version " +
                               std::to_string(version));
   }
-  DYNOPT_ASSIGN_OR_RETURN(uint32_t table_count, r.U32());
+  uint32_t table_count = 0;
+  if (!r.U32(&table_count)) return truncated;
   for (uint32_t t = 0; t < table_count; ++t) {
-    DYNOPT_ASSIGN_OR_RETURN(std::string name, r.Str());
-    DYNOPT_ASSIGN_OR_RETURN(uint32_t ncols, r.U32());
+    std::string name;
+    uint32_t ncols = 0;
+    if (!r.Str(&name) || !r.U32(&ncols)) return truncated;
     std::vector<Column> columns;
     for (uint32_t c = 0; c < ncols; ++c) {
       Column col;
-      DYNOPT_ASSIGN_OR_RETURN(col.name, r.Str());
-      DYNOPT_ASSIGN_OR_RETURN(uint8_t type, r.U8());
+      uint8_t type = 0;
+      if (!r.Str(&col.name) || !r.U8(&type)) return truncated;
       if (type > static_cast<uint8_t>(ValueType::kString)) {
         return Status::Corruption("catalog column has bad type tag");
       }
       col.type = static_cast<ValueType>(type);
       columns.push_back(std::move(col));
     }
-    DYNOPT_ASSIGN_OR_RETURN(uint64_t record_count, r.U64());
-    DYNOPT_ASSIGN_OR_RETURN(uint32_t npages, r.U32());
+    uint64_t record_count = 0;
+    uint32_t npages = 0;
+    if (!r.U64(&record_count) || !r.U32(&npages)) return truncated;
     std::vector<PageId> pages;
     for (uint32_t i = 0; i < npages; ++i) {
-      DYNOPT_ASSIGN_OR_RETURN(PageId p, r.U32());
+      PageId p = kInvalidPageId;
+      if (!r.U32(&p)) return truncated;
       pages.push_back(p);
     }
-    DYNOPT_ASSIGN_OR_RETURN(uint32_t nindexes, r.U32());
+    uint32_t nindexes = 0;
+    if (!r.U32(&nindexes)) return truncated;
     std::vector<TableIndexMeta> index_metas;
     for (uint32_t i = 0; i < nindexes; ++i) {
       TableIndexMeta im;
-      DYNOPT_ASSIGN_OR_RETURN(im.name, r.Str());
-      DYNOPT_ASSIGN_OR_RETURN(uint32_t nkeys, r.U32());
+      uint32_t nkeys = 0;
+      if (!r.Str(&im.name) || !r.U32(&nkeys)) return truncated;
       for (uint32_t k = 0; k < nkeys; ++k) {
-        DYNOPT_ASSIGN_OR_RETURN(uint32_t col, r.U32());
+        uint32_t col = 0;
+        if (!r.U32(&col)) return truncated;
         im.key_columns.push_back(col);
       }
-      DYNOPT_ASSIGN_OR_RETURN(im.tree, ReadTreeMeta(&r));
+      if (!ReadTreeMeta(&r, &im.tree)) return truncated;
       index_metas.push_back(std::move(im));
     }
     DYNOPT_ASSIGN_OR_RETURN(
@@ -456,18 +406,20 @@ Status Database::LoadCatalog() {
     tables_[std::move(name)] = std::move(table);
   }
   if (version >= 2) {
-    DYNOPT_ASSIGN_OR_RETURN(std::string profile_blob, r.Str());
+    std::string profile_blob;
+    if (!r.Str(&profile_blob)) return truncated;
     DYNOPT_RETURN_IF_ERROR(profiles_.Load(profile_blob));
   } else {
     profiles_.Clear();
   }
   if (version >= 3) {
-    DYNOPT_ASSIGN_OR_RETURN(std::string learning_blob, r.Str());
+    std::string learning_blob;
+    if (!r.Str(&learning_blob)) return truncated;
     DYNOPT_RETURN_IF_ERROR(learning_.Load(learning_blob));
   } else {
     learning_.Clear();
   }
-  if (!r.data.empty()) {
+  if (!r.exhausted()) {
     return Status::Corruption("catalog blob has trailing bytes");
   }
   return Status::OK();

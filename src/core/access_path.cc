@@ -7,6 +7,15 @@
 
 namespace dynopt {
 
+namespace {
+
+// Exactly-resolved ranges at or below this size trigger the short-range
+// shortcut: estimation stops and the entries become the final list.
+constexpr uint64_t kTinyRangeThreshold = 20;
+constexpr uint64_t kSamplingSeed = 0x5eed;
+
+}  // namespace
+
 double EstimateTscanCost(const RetrievalSpec& spec, const CostWeights& w) {
   double pages = static_cast<double>(spec.table->heap()->pages().size());
   double records = static_cast<double>(spec.table->record_count());
@@ -108,8 +117,8 @@ Result<AccessPathAnalysis> AnalyzeAccessPaths(
     out.estimation_pages += c.estimate.descent_pages;
     if (options.sampling_refinement && c.covered_residual != nullptr &&
         c.estimate.estimated_rids >
-            static_cast<double>(options.tiny_range_threshold)) {
-      Rng rng(options.sampling_seed);
+            static_cast<double>(kTinyRangeThreshold)) {
+      Rng rng(kSamplingSeed);
       auto sampled =
           SampleEstimateRanges(c.index, c.ranges, c.covered_residual, params,
                                options.sampling_samples, rng);
@@ -123,10 +132,10 @@ Result<AccessPathAnalysis> AnalyzeAccessPaths(
       out.empty_shortcut = true;
       return out;
     }
-    if (c.estimate.exact && c.estimate.k <= options.tiny_range_threshold) {
+    if (c.estimate.exact && c.estimate.k <= kTinyRangeThreshold) {
       out.tiny_shortcut = true;
       out.tiny_index = i;
-      if (options.stop_on_tiny) break;
+      break;
     }
   }
 

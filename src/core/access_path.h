@@ -53,18 +53,12 @@ struct IndexClassification {
 };
 
 struct InitialStageOptions {
-  /// Exactly-resolved ranges at or below this size trigger the short-range
-  /// shortcut (estimation stops; the entries become the final list).
-  uint64_t tiny_range_threshold = 20;
-  /// Stop estimating after this many indexes once a tiny range is found.
-  bool stop_on_tiny = true;
   /// §5 sampling: refine an index's estimate by ranked-sampling its range
   /// and evaluating the covered residual on each sample ("random sampling
   /// can estimate RIDs with any restrictions"). Pays a few descents per
   /// index; orders Jscan candidates by *effective* selectivity.
   bool sampling_refinement = false;
   uint64_t sampling_samples = 48;
-  uint64_t sampling_seed = 0x5eed;
 };
 
 struct AccessPathAnalysis {

@@ -5,6 +5,13 @@
 
 namespace dynopt {
 
+namespace {
+
+// Entries to scan before trusting the keep-rate extrapolation.
+constexpr uint64_t kMinScanBeforeProjection = 32;
+
+}  // namespace
+
 std::string_view Jscan::OutcomeKindName(IndexOutcomeKind kind) {
   switch (kind) {
     case IndexOutcomeKind::kCompleted:
@@ -119,8 +126,8 @@ Status Jscan::Advance() {
                                         : Phase::kTscanRecommended;
     return Status::OK();
   }
-  // Open a racing secondary on the next candidate when allowed.
-  if (options_.simultaneous_adjacent && options_.dynamic_thresholds &&
+  // Race the next candidate beside the primary inside the memory buffer.
+  if (options_.dynamic_thresholds &&
       secondary_ == nullptr && next_candidate_ < candidates_.size()) {
     const IndexClassification* cand = candidates_[next_candidate_];
     if (!ShouldSkip(*cand)) {
@@ -211,7 +218,7 @@ double Jscan::ProjectedFinalCost(const ActiveScan& scan) const {
 
 bool Jscan::ShouldDiscard(const ActiveScan& scan) const {
   if (!options_.dynamic_thresholds) return false;  // [MoHa90] never aborts
-  if (scan.entries_scanned < options_.min_scan_before_projection) {
+  if (scan.entries_scanned < kMinScanBeforeProjection) {
     return false;
   }
   // Two-stage competition over the whole remaining path: spent scan cost +

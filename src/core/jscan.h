@@ -58,10 +58,6 @@ class Jscan {
     /// range estimates in the path projection). In static [MoHa90] mode
     /// this is the compile-time inclusion threshold vs the Tscan estimate.
     double scan_cost_limit_fraction = 1.0;
-    /// Entries to scan before trusting the keep-rate extrapolation.
-    uint64_t min_scan_before_projection = 32;
-    /// Race adjacent indexes inside the memory buffer.
-    bool simultaneous_adjacent = true;
     /// false = [MoHa90] static-threshold baseline (no run-time switching).
     bool dynamic_thresholds = true;
     /// Index entries each Step() harvests per scan — the batch quantum.

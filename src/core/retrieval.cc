@@ -180,11 +180,11 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   sample_ = CompetitionSample();
   repairs_at_open_ = RepairsNow();
 
-  auto analyzed =
-      AnalyzeAccessPaths(spec_, params_, options_.initial,
-                         options_.remember_order && !previous_order_.empty()
-                             ? &previous_order_
-                             : nullptr);
+  // Each execution's completed index order seeds the next one's
+  // estimation preorder (§5).
+  auto analyzed = AnalyzeAccessPaths(
+      spec_, params_, options_.initial,
+      !previous_order_.empty() ? &previous_order_ : nullptr);
   if (!analyzed.ok()) {
     // An index is unreadable before any tactic exists. The heap is a
     // separate page population, so a Tscan still answers the query.
@@ -721,7 +721,7 @@ Status DynamicRetrieval::StepSingle() {
 Status DynamicRetrieval::StepBackground() {
   Status ran = jscan_->RunToCompletion();
   if (!ran.ok()) return FallBackToTscan("Jscan", ran);
-  if (options_.remember_order && !jscan_->completed_order().empty()) {
+  if (!jscan_->completed_order().empty()) {
     previous_order_ = jscan_->completed_order();
   }
   if (jscan_->phase() == Jscan::Phase::kComplete) {
@@ -847,7 +847,7 @@ Status DynamicRetrieval::StepForeground() {
 }
 
 Status DynamicRetrieval::OnBackgroundSettled() {
-  if (options_.remember_order && !jscan_->completed_order().empty()) {
+  if (!jscan_->completed_order().empty()) {
     previous_order_ = jscan_->completed_order();
   }
   bool complete = jscan_->phase() == Jscan::Phase::kComplete;

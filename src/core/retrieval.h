@@ -81,9 +81,6 @@ struct RetrievalOptions {
   /// Proportional speeds: step the background while its accrued cost is
   /// below `fgr_bgr_cost_ratio` times the foreground's.
   double fgr_bgr_cost_ratio = 1.0;
-  /// Feed each execution's completed index order into the next one's
-  /// estimation preorder (§5).
-  bool remember_order = true;
   /// Assemble a QueryProfile span tree alongside execution (the input to
   /// ExplainAnalyze and the database's ProfileStore). Off, every profiling
   /// site is a null-pointer branch and no clocks are read.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "durability/checksum.h"
+#include "durability/file_io.h"
 
 namespace dynopt {
 namespace {
@@ -23,22 +24,6 @@ constexpr size_t kDataStart = 2 * kSuperSlotSize;
 
 uint64_t FrameOffset(PageId id) {
   return kDataStart + static_cast<uint64_t>(id) * kFrameSize;
-}
-
-Status FullPwrite(int fd, const void* data, size_t n, uint64_t offset) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pwrite failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-    offset += static_cast<uint64_t>(w);
-  }
-  return Status::OK();
 }
 
 /// Reads up to n bytes; short reads past EOF return the byte count.
@@ -215,7 +200,7 @@ Status FilePageStore::Write(PageId id, const PageData& src) {
   PageWrite<uint32_t>(frame, 4, id);
   PageWrite<uint64_t>(frame, 8, Fnv1a64(src.data(), kPageSize));
   std::memcpy(frame + kFrameHeaderSize, src.data(), kPageSize);
-  return FullPwrite(fd_, frame, kFrameSize, FrameOffset(id));
+  return PwriteAll(fd_, frame, kFrameSize, FrameOffset(id));
 }
 
 uint64_t FilePageStore::FrameOffsetOf(PageId id) { return FrameOffset(id); }
@@ -254,7 +239,7 @@ Status FilePageStore::WriteSuperblock() {
   uint8_t slot[kSuperSlotSize];
   EncodeSuperblock(next, slot);
   uint64_t offset = (next.seq & 1) != 0 ? 0 : kSuperSlotSize;
-  DYNOPT_RETURN_IF_ERROR(FullPwrite(fd_, slot, kSuperSlotSize, offset));
+  DYNOPT_RETURN_IF_ERROR(PwriteAll(fd_, slot, kSuperSlotSize, offset));
   if (::fsync(fd_) != 0) {
     return Status::IOError("fsync " + path_ + " failed: " +
                            std::string(std::strerror(errno)));

@@ -1,9 +1,53 @@
 #include "durability/recovery.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstring>
+#include <string>
+
+#include "util/coding.h"
 
 namespace dynopt {
+
+Status RedoApplier::Apply(const WalRecordView& rec) {
+  switch (rec.type) {
+    case WalRecordType::kPageImage: {
+      if (rec.payload.size() != kPageSize) {
+        return Status::Corruption(
+            "page image for page " + std::to_string(rec.page) + " at lsn " +
+            std::to_string(rec.lsn) + " is " +
+            std::to_string(rec.payload.size()) + " bytes, not one page");
+      }
+      PageData& img = staged_[rec.page];
+      std::memcpy(img.data(), rec.payload.data(), kPageSize);
+      break;
+    }
+    case WalRecordType::kCommit: {
+      for (auto& [page, img] : staged_) {
+        promoted_[page] = img;
+        needed_pages_ = std::max<size_t>(needed_pages_, page + 1);
+      }
+      staged_.clear();
+      uint64_t count = 0;
+      if (ByteReader(rec.payload).U64(&count)) {
+        needed_pages_ = std::max<size_t>(needed_pages_, count);
+      }
+      last_commit_lsn_ = rec.lsn;
+      ++commits_;
+      break;
+    }
+    case WalRecordType::kNote:
+      break;
+  }
+  return Status::OK();
+}
+
+Status RedoApplier::WriteTo(FilePageStore* store) const {
+  store->EnsureAllocated(needed_pages_);
+  for (const auto& [page, img] : promoted_) {
+    DYNOPT_RETURN_IF_ERROR(store->Write(page, img));
+  }
+  return Status::OK();
+}
 
 Status RecoverFromWal(FilePageStore* store, Wal* wal, RecoveryStats* stats,
                       MetricsRegistry* metrics,
@@ -12,14 +56,8 @@ Status RecoverFromWal(FilePageStore* store, Wal* wal, RecoveryStats* stats,
   RecoveryStats* s = stats != nullptr ? stats : &local;
   *s = RecoveryStats();
 
-  // Stage images per in-flight transaction; promote at each commit. Later
-  // commits overwrite earlier images of the same page, so `apply` ends as
-  // the newest committed post-image of every logged page.
-  std::unordered_map<PageId, PageData> staged;
-  std::unordered_map<PageId, PageData> apply;
-  size_t needed_pages = 0;
+  RedoApplier redo(store->page_count());
   uint64_t first_record_lsn = 0;
-  uint64_t last_commit_lsn = 0;
 
   // Catch-up archiving: records past the archive's durable end, collected
   // per in-flight transaction and kept only once their commit lands — an
@@ -39,42 +77,19 @@ Status RecoverFromWal(FilePageStore* store, Wal* wal, RecoveryStats* stats,
                           rec.payload);
           ++catch_up_pending_records;
         }
-        switch (rec.type) {
-          case WalRecordType::kPageImage: {
-            if (rec.payload.size() != kPageSize) {
-              return Status::Corruption("wal page image with bad size");
-            }
-            PageData& img = staged[rec.page];
-            std::memcpy(img.data(), rec.payload.data(), kPageSize);
-            break;
-          }
-          case WalRecordType::kCommit: {
-            for (auto& [page, img] : staged) {
-              apply[page] = img;
-              needed_pages = std::max<size_t>(needed_pages, page + 1);
-            }
-            staged.clear();
-            if (rec.payload.size() >= sizeof(uint64_t)) {
-              uint64_t count = PageRead<uint64_t>(
-                  reinterpret_cast<const uint8_t*>(rec.payload.data()), 0);
-              needed_pages = std::max<size_t>(needed_pages, count);
-            }
-            last_commit_lsn = rec.lsn;
-            catch_up.append(catch_up_pending);
-            catch_up_records += catch_up_pending_records;
-            catch_up_pending.clear();
-            catch_up_pending_records = 0;
-            ++s->wal_commits;
-            break;
-          }
-          case WalRecordType::kNote:
-            break;
+        DYNOPT_RETURN_IF_ERROR(redo.Apply(rec));
+        if (rec.type == WalRecordType::kCommit) {
+          catch_up.append(catch_up_pending);
+          catch_up_records += catch_up_pending_records;
+          catch_up_pending.clear();
+          catch_up_pending_records = 0;
         }
         return Status::OK();
       },
       &replay_stats);
   DYNOPT_RETURN_IF_ERROR(st);
   s->wal_records = replay_stats.records;
+  s->wal_commits = redo.commits();
   s->wal_bytes = replay_stats.bytes;
   // The tear is usually caught (and truncated) by Wal::Open before this
   // replay runs; either sighting counts.
@@ -85,23 +100,20 @@ Status RecoverFromWal(FilePageStore* store, Wal* wal, RecoveryStats* stats,
   // the archive's history for good.
   if (options.archive_sink != nullptr && !catch_up.empty()) {
     DYNOPT_RETURN_IF_ERROR(options.archive_sink->AppendDurableBatch(
-        catch_up, archived + 1, last_commit_lsn));
+        catch_up, archived + 1, redo.last_commit_lsn()));
     s->records_rearchived = catch_up_records;
   }
 
-  store->EnsureAllocated(needed_pages);
-  for (const auto& [page, img] : apply) {
-    DYNOPT_RETURN_IF_ERROR(store->Write(page, img));
-    ++s->pages_applied;
-  }
+  DYNOPT_RETURN_IF_ERROR(redo.WriteTo(store));
+  s->pages_applied = redo.pages();
   DYNOPT_RETURN_IF_ERROR(store->Sync());
   DYNOPT_RETURN_IF_ERROR(store->WriteSuperblock());
   // Restart the LSN sequence right after the last commit: LSNs consumed by
   // a discarded (uncommitted) tail are reused by the next transaction, so
   // the archive's dense sequence continues without a hole.
-  uint64_t restart_lsn = last_commit_lsn > 0
-                             ? last_commit_lsn + 1
-                             : (first_record_lsn > 0 ? first_record_lsn : 0);
+  uint64_t restart_lsn = redo.last_commit_lsn() > 0
+                             ? redo.last_commit_lsn() + 1
+                             : first_record_lsn;
   DYNOPT_RETURN_IF_ERROR(wal->Reset(restart_lsn));
 
   if (metrics != nullptr) {

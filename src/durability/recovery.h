@@ -16,11 +16,17 @@
 //
 // Recovery ends with a checkpoint: data file synced, superblock bumped,
 // WAL reset — so a reopened database starts with an empty log.
+//
+// The staging itself is RedoApplier, which the warm standby
+// (replication/standby.h) and point-in-time restore (replication/
+// restore.h) run over archived segments too.
 
 #ifndef DYNOPT_DURABILITY_RECOVERY_H_
 #define DYNOPT_DURABILITY_RECOVERY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 
 #include "durability/file_page_store.h"
 #include "durability/wal.h"
@@ -28,6 +34,40 @@
 #include "util/status.h"
 
 namespace dynopt {
+
+/// Stage-then-commit redo over a stream of WAL records. Page images are
+/// staged per transaction; a commit record promotes them, raises the
+/// allocation watermark from its payload (see the payload convention
+/// above) and becomes the last commit LSN. Images with no commit after
+/// them are never promoted. Later commits overwrite earlier images of the
+/// same page, so the promoted set is the newest committed post-image of
+/// every logged page. Callers apply their own LSN filter before Apply.
+class RedoApplier {
+ public:
+  /// `page_count`: the target store's allocated pages before redo.
+  explicit RedoApplier(size_t page_count) : needed_pages_(page_count) {}
+
+  /// Feeds the next record. Corruption for a page image that is not
+  /// exactly one page.
+  Status Apply(const WalRecordView& rec);
+
+  /// Allocates through the watermark and writes every promoted image to
+  /// `store`. Does not sync.
+  Status WriteTo(FilePageStore* store) const;
+
+  /// 0 until a commit record has been applied.
+  uint64_t last_commit_lsn() const { return last_commit_lsn_; }
+  uint64_t commits() const { return commits_; }
+  /// Distinct pages promoted.
+  size_t pages() const { return promoted_.size(); }
+
+ private:
+  std::unordered_map<PageId, PageData> staged_;
+  std::unordered_map<PageId, PageData> promoted_;
+  size_t needed_pages_ = 0;
+  uint64_t last_commit_lsn_ = 0;
+  uint64_t commits_ = 0;
+};
 
 struct RecoveryStats {
   uint64_t wal_records = 0;

@@ -9,6 +9,8 @@
 #include <thread>
 
 #include "durability/checksum.h"
+#include "durability/file_io.h"
+#include "util/coding.h"
 
 namespace dynopt {
 
@@ -18,37 +20,74 @@ constexpr uint32_t kWalMagic = 0x4C575944;     // 'DYWL'
 constexpr uint32_t kRecordMagic = 0x43455257;  // 'WREC'
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kHeaderSize = 24;
-constexpr size_t kRecordHeaderSize = 32;
+// A page image plus slack; anything longer is a torn or foreign length.
+constexpr uint32_t kMaxPayload = kPageSize + 64;
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+using RecordFn = std::function<Status(const WalRecordView&)>;
+
+// Validates the log file's header and returns its first LSN.
+Result<uint64_t> ReadStartLsn(int fd) {
+  char header[kHeaderSize];
+  if (::pread(fd, header, kHeaderSize, 0) !=
+      static_cast<ssize_t>(kHeaderSize)) {
+    return Status::Corruption("wal header truncated");
+  }
+  ByteReader r(std::string_view(header, kHeaderSize));
+  uint32_t magic = 0, version = 0;
+  uint64_t start_lsn = 0, sum = 0;
+  if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&start_lsn) ||
+      !r.U64(&sum) || magic != kWalMagic || version != kWalVersion) {
+    return Status::Corruption("wal header magic/version mismatch");
+  }
+  if (sum != Fnv1a64(header, kHeaderSize - 8)) {
+    return Status::Corruption("wal header checksum mismatch");
+  }
+  return start_lsn;
 }
 
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-Status FullPwrite(int fd, const char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("wal pwrite: ") +
-                             std::strerror(errno));
+// The one record parser, behind WalScanRecords (archive segments in
+// memory) and Wal::Replay (the log file, streamed). `read_at(offset, n,
+// buf)` returns up to `n` bytes at `offset`, fewer at the end of the input;
+// it may fill `buf` and return a view of it. Checks magic, the dense LSN
+// sequence, the payload bound and the checksum; the first record that
+// fails ends the scan as a torn tail.
+template <typename ReadAt>
+Status ScanRecords(ReadAt&& read_at, uint64_t offset, uint64_t expected_lsn,
+                   const RecordFn& fn, WalReplayStats* stats) {
+  std::string header_buf;
+  std::string payload_buf;
+  for (;;) {
+    std::string_view header =
+        read_at(offset, kWalRecordHeaderSize, &header_buf);
+    if (header.empty()) break;
+    ByteReader r(header);
+    uint32_t magic = 0, type = 0, page = 0, payload_len = 0;
+    uint64_t lsn = 0, sum = 0;
+    if (!r.U32(&magic) || !r.U32(&type) || !r.U64(&lsn) || !r.U32(&page) ||
+        !r.U32(&payload_len) || !r.U64(&sum) || magic != kRecordMagic ||
+        lsn != expected_lsn || payload_len > kMaxPayload) {
+      stats->torn_tail = true;
+      break;
     }
-    data += w;
-    offset += static_cast<uint64_t>(w);
-    n -= static_cast<size_t>(w);
+    std::string_view payload =
+        read_at(offset + kWalRecordHeaderSize, payload_len, &payload_buf);
+    if (payload.size() < payload_len ||
+        Fnv1a64(payload.data(), payload.size(),
+                Fnv1a64(header.data(), kWalRecordHeaderSize - 8)) != sum) {
+      stats->torn_tail = true;
+      break;
+    }
+    WalRecordView view;
+    view.type = static_cast<WalRecordType>(type);
+    view.lsn = lsn;
+    view.page = page;
+    view.payload = payload;
+    if (fn != nullptr) DYNOPT_RETURN_IF_ERROR(fn(view));
+    stats->records++;
+    if (view.type == WalRecordType::kCommit) stats->commits++;
+    stats->bytes += WalRecordSize(view);
+    offset += WalRecordSize(view);
+    expected_lsn++;
   }
   return Status::OK();
 }
@@ -63,53 +102,23 @@ void WalAppendRecord(std::string* out, WalRecordType type, uint64_t lsn,
   PutU64(out, lsn);
   PutU32(out, page);
   PutU32(out, static_cast<uint32_t>(payload.size()));
-  uint64_t sum = Fnv1a64(out->data() + header_at, 24);
+  uint64_t sum = Fnv1a64(out->data() + header_at, kWalRecordHeaderSize - 8);
   sum = Fnv1a64(payload.data(), payload.size(), sum);
   PutU64(out, sum);
   out->append(payload.data(), payload.size());
 }
 
 Status WalScanRecords(std::string_view bytes, uint64_t expected_first_lsn,
-                      const std::function<Status(const WalRecordView&)>& fn,
-                      size_t* valid_bytes, bool* torn) {
-  size_t offset = 0;
-  uint64_t expected_lsn = expected_first_lsn;
-  bool tail_torn = false;
-  for (;;) {
-    if (bytes.size() - offset < kRecordHeaderSize) {
-      tail_torn = bytes.size() > offset;
-      break;
-    }
-    const auto* rec = reinterpret_cast<const uint8_t*>(bytes.data()) + offset;
-    uint32_t payload_len = GetU32(rec + 20);
-    uint64_t lsn = GetU64(rec + 8);
-    if (GetU32(rec) != kRecordMagic || lsn != expected_lsn ||
-        payload_len > (kPageSize + 64) ||
-        bytes.size() - offset - kRecordHeaderSize < payload_len) {
-      tail_torn = true;
-      break;
-    }
-    std::string_view payload = bytes.substr(offset + kRecordHeaderSize,
-                                            payload_len);
-    uint64_t sum = Fnv1a64(rec, 24);
-    sum = Fnv1a64(payload.data(), payload.size(), sum);
-    if (sum != GetU64(rec + 24)) {
-      tail_torn = true;
-      break;
-    }
-    if (fn != nullptr) {
-      WalRecordView view;
-      view.type = static_cast<WalRecordType>(GetU32(rec + 4));
-      view.lsn = lsn;
-      view.page = GetU32(rec + 16);
-      view.payload = payload;
-      DYNOPT_RETURN_IF_ERROR(fn(view));
-    }
-    offset += kRecordHeaderSize + payload_len;
-    expected_lsn++;
-  }
-  if (valid_bytes != nullptr) *valid_bytes = offset;
-  if (torn != nullptr) *torn = tail_torn;
+                      const RecordFn& fn, size_t* valid_bytes, bool* torn) {
+  WalReplayStats stats;
+  DYNOPT_RETURN_IF_ERROR(ScanRecords(
+      [bytes](uint64_t offset, size_t n, std::string*) {
+        return offset < bytes.size() ? bytes.substr(offset, n)
+                                     : std::string_view();
+      },
+      0, expected_first_lsn, fn, &stats));
+  if (valid_bytes != nullptr) *valid_bytes = stats.bytes;
+  if (torn != nullptr) *torn = stats.torn_tail;
   return Status::OK();
 }
 
@@ -136,25 +145,11 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string path, WalOptions options,
   }
 
   // Existing log: scan to the last valid record to place the append
-  // offset and LSN counters.
+  // offset and LSN counters (valid records are dense from the start LSN).
   WalReplayStats stats;
-  uint64_t last_lsn = 0;
-  Status scan = wal->Replay(
-      [&last_lsn](const WalRecordView& rec) {
-        last_lsn = rec.lsn;
-        return Status::OK();
-      },
-      &stats);
-  DYNOPT_RETURN_IF_ERROR(scan);
-  // Replay validated the header and the record prefix; start_lsn is
-  // re-read here for the empty-log case.
-  uint8_t header[kHeaderSize];
-  ssize_t r = ::pread(fd, header, kHeaderSize, 0);
-  if (r != static_cast<ssize_t>(kHeaderSize)) {
-    return Status::Corruption("wal header unreadable");
-  }
-  uint64_t start_lsn = GetU64(header + 8);
-  wal->next_lsn_ = stats.records > 0 ? last_lsn + 1 : start_lsn;
+  DYNOPT_RETURN_IF_ERROR(wal->Replay(nullptr, &stats));
+  DYNOPT_ASSIGN_OR_RETURN(uint64_t start_lsn, ReadStartLsn(fd));
+  wal->next_lsn_ = start_lsn + stats.records;
   wal->durable_lsn_ = wal->next_lsn_ - 1;
   wal->size_ = kHeaderSize + stats.bytes;
   wal->tail_was_torn_ = stats.torn_tail;
@@ -214,8 +209,8 @@ Status Wal::WriteHeader(uint64_t start_lsn) {
   PutU32(&header, kWalMagic);
   PutU32(&header, kWalVersion);
   PutU64(&header, start_lsn);
-  PutU64(&header, Fnv1a64(header.data(), 16));
-  return FullPwrite(fd_, header.data(), header.size(), 0);
+  PutU64(&header, Fnv1a64(header.data(), kHeaderSize - 8));
+  return PwriteAll(fd_, header.data(), header.size(), 0);
 }
 
 Status Wal::WriteAndSync(const std::string& batch, uint64_t offset) {
@@ -224,10 +219,10 @@ Status Wal::WriteAndSync(const std::string& batch, uint64_t offset) {
     // The simulated device tears the batch in half mid-write and the
     // process dies: a partial record (or partial batch with no commit
     // record) lands in the file for recovery's checksum scan to reject.
-    FullPwrite(fd_, batch.data(), batch.size() / 2, offset).ok();
+    PwriteAll(fd_, batch.data(), batch.size() / 2, offset).ok();
     return crash_->ForceCrash(CrashPoint::kWalTornWrite);
   }
-  DYNOPT_RETURN_IF_ERROR(FullPwrite(fd_, batch.data(), batch.size(), offset));
+  DYNOPT_RETURN_IF_ERROR(PwriteAll(fd_, batch.data(), batch.size(), offset));
   DYNOPT_RETURN_IF_ERROR(CrashHit(crash_, CrashPoint::kWalBeforeSync));
   if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("wal fsync: ") + std::strerror(errno));
@@ -331,68 +326,21 @@ Status Wal::Commit(
   return st;
 }
 
-Status Wal::Replay(const std::function<Status(const WalRecordView&)>& fn,
-                   WalReplayStats* stats) const {
+Status Wal::Replay(const RecordFn& fn, WalReplayStats* stats) const {
   WalReplayStats local;
   WalReplayStats* out = stats != nullptr ? stats : &local;
   *out = WalReplayStats();
-
-  uint8_t header[kHeaderSize];
-  ssize_t r = ::pread(fd_, header, kHeaderSize, 0);
-  if (r != static_cast<ssize_t>(kHeaderSize)) {
-    return Status::Corruption("wal header truncated");
-  }
-  if (GetU32(header) != kWalMagic || GetU32(header + 4) != kWalVersion) {
-    return Status::Corruption("wal header magic/version mismatch");
-  }
-  if (GetU64(header + 16) != Fnv1a64(header, 16)) {
-    return Status::Corruption("wal header checksum mismatch");
-  }
-  uint64_t expected_lsn = GetU64(header + 8);
-
-  uint64_t offset = kHeaderSize;
-  std::string payload;
-  for (;;) {
-    uint8_t rec[kRecordHeaderSize];
-    ssize_t got = ::pread(fd_, rec, kRecordHeaderSize,
-                          static_cast<off_t>(offset));
-    if (got < static_cast<ssize_t>(kRecordHeaderSize)) {
-      out->torn_tail = got > 0;
-      break;
-    }
-    uint32_t payload_len = GetU32(rec + 20);
-    uint64_t lsn = GetU64(rec + 8);
-    if (GetU32(rec) != kRecordMagic || lsn != expected_lsn ||
-        payload_len > (kPageSize + 64)) {
-      out->torn_tail = true;
-      break;
-    }
-    payload.resize(payload_len);
-    got = ::pread(fd_, payload.data(), payload_len,
-                  static_cast<off_t>(offset + kRecordHeaderSize));
-    if (got < static_cast<ssize_t>(payload_len)) {
-      out->torn_tail = true;
-      break;
-    }
-    uint64_t sum = Fnv1a64(rec, 24);
-    sum = Fnv1a64(payload.data(), payload.size(), sum);
-    if (sum != GetU64(rec + 24)) {
-      out->torn_tail = true;
-      break;
-    }
-    WalRecordView view;
-    view.type = static_cast<WalRecordType>(GetU32(rec + 4));
-    view.lsn = lsn;
-    view.page = GetU32(rec + 16);
-    view.payload = payload;
-    DYNOPT_RETURN_IF_ERROR(fn(view));
-    out->records++;
-    if (view.type == WalRecordType::kCommit) out->commits++;
-    offset += kRecordHeaderSize + payload_len;
-    out->bytes += kRecordHeaderSize + payload_len;
-    expected_lsn++;
-  }
-  return Status::OK();
+  DYNOPT_ASSIGN_OR_RETURN(uint64_t start_lsn, ReadStartLsn(fd_));
+  // One record at a time through pread: replay memory does not grow with
+  // the log.
+  return ScanRecords(
+      [this](uint64_t offset, size_t n, std::string* buf) {
+        buf->resize(n);
+        ssize_t got = ::pread(fd_, buf->data(), n, static_cast<off_t>(offset));
+        return std::string_view(buf->data(),
+                                got > 0 ? static_cast<size_t>(got) : 0);
+      },
+      kHeaderSize, start_lsn, fn, out);
 }
 
 Status Wal::Reset(uint64_t restart_lsn) {

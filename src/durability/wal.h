@@ -71,6 +71,10 @@ struct WalOptions {
   uint64_t sealed_floor_lsn = 0;
 };
 
+/// Record framing: a kWalRecordHeaderSize header (layout above), then
+/// payload_len bytes. Archive segments hold these records verbatim.
+inline constexpr size_t kWalRecordHeaderSize = 32;
+
 enum class WalRecordType : uint32_t {
   kPageImage = 1,  // payload: the 8 KiB post-image of page_id
   kCommit = 2,     // payload: opaque commit annotation (engine state)
@@ -85,6 +89,11 @@ struct WalRecordView {
   PageId page = kInvalidPageId;
   std::string_view payload;
 };
+
+/// Bytes the record occupies in the log or an archive segment.
+inline size_t WalRecordSize(const WalRecordView& rec) {
+  return kWalRecordHeaderSize + rec.payload.size();
+}
 
 struct WalReplayStats {
   uint64_t records = 0;
@@ -105,7 +114,8 @@ void WalAppendRecord(std::string* out, WalRecordType type, uint64_t lsn,
 /// valid prefix and `*torn` whether invalid bytes followed it. `fn` (may
 /// be null) sees each valid record; a non-OK status from it aborts the
 /// scan and is returned. This is the archive-segment reader: standby
-/// apply and point-in-time restore both parse segments through it.
+/// apply and point-in-time restore both parse segments through it, with
+/// the same record parser Wal::Replay streams the log file through.
 Status WalScanRecords(std::string_view bytes, uint64_t expected_first_lsn,
                       const std::function<Status(const WalRecordView&)>& fn,
                       size_t* valid_bytes, bool* torn);
@@ -143,9 +153,10 @@ class Wal {
   /// A page-less transaction (bench/test traffic through the same path).
   Status CommitNote(std::string_view note) { return Commit({}, note); }
 
-  /// Streams every valid record from the start of the file through `fn`,
-  /// stopping cleanly at the first torn/corrupt record (recorded in
-  /// `stats->torn_tail`, not an error). A non-OK status from `fn` aborts.
+  /// Streams every valid record from the start of the file through `fn`
+  /// (may be null), stopping cleanly at the first torn/corrupt record
+  /// (recorded in `stats->torn_tail`, not an error). A non-OK status from
+  /// `fn` aborts.
   Status Replay(const std::function<Status(const WalRecordView&)>& fn,
                 WalReplayStats* stats) const;
 

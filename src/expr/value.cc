@@ -211,22 +211,6 @@ Value ColumnVector::ValueAt(size_t i) const {
   return Value();
 }
 
-ValueType ColumnVector::TypeAt(size_t i) const {
-  switch (mode_) {
-    case Mode::kInt64:
-      return ValueType::kInt64;
-    case Mode::kDouble:
-      return ValueType::kDouble;
-    case Mode::kString:
-      return ValueType::kString;
-    case Mode::kMixed:
-      return mixed_[i].type();
-    case Mode::kEmpty:
-      break;
-  }
-  return ValueType::kInt64;
-}
-
 Result<uint32_t> Schema::ColumnIndex(std::string_view name) const {
   for (uint32_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].name == name) return i;

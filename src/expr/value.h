@@ -123,8 +123,6 @@ class ColumnVector {
 
   /// Element `i` as a Value (copies; use the typed accessors in hot loops).
   Value ValueAt(size_t i) const;
-  /// Element type at `i` (per-element in mixed mode, uniform otherwise).
-  ValueType TypeAt(size_t i) const;
 
  private:
   void DemoteToMixed();

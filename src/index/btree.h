@@ -198,8 +198,6 @@ class BTree {
                                       uint64_t child_count);
   Status GrowRoot(const SplitResult& sr);
 
-  Result<uint64_t> RankInternal(std::string_view key, bool key_is_infinity);
-
   Status ValidateNode(PageId id, uint32_t expected_level,
                       const std::string& lo, const std::string& hi,
                       uint64_t* leaf_entries, uint64_t* nodes,

@@ -67,14 +67,4 @@ bool WalPageRepairer::IsQuarantined(PageId id) const {
   return quarantined_.count(id) > 0;
 }
 
-std::vector<PageId> WalPageRepairer::QuarantinedPages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<PageId>(quarantined_.begin(), quarantined_.end());
-}
-
-void WalPageRepairer::ClearQuarantine() {
-  std::lock_guard<std::mutex> lock(mu_);
-  quarantined_.clear();
-}
-
 }  // namespace dynopt

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
-#include <vector>
 
 #include "durability/wal.h"
 #include "obs/metrics.h"
@@ -56,11 +55,6 @@ class WalPageRepairer : public PageRepairer {
   uint64_t repairs() const { return repairs_.load(std::memory_order_relaxed); }
   uint64_t quarantined_count() const;
   bool IsQuarantined(PageId id) const;
-  std::vector<PageId> QuarantinedPages() const;
-
-  /// Forgets the quarantine set — call after rebuilding quarantined
-  /// structures offline (tests; a future REBUILD INDEX would too).
-  void ClearQuarantine();
 
  private:
   Status Quarantine(PageId id, const Status& cause);

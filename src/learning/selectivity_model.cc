@@ -1,12 +1,12 @@
 #include "learning/selectivity_model.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/coding.h"
 
 namespace dynopt {
 
@@ -17,72 +17,18 @@ constexpr uint32_t kModelVersion = 1;
 // observation (zero-row result against a huge estimate) cannot poison a
 // class with an unbounded multiplier.
 constexpr double kMaxLogCorrection = 13.8;  // ln(1e6)
-
-// Little-endian blob codec, local so the learning layer stays free of
-// catalog dependencies (the catalog embeds this blob as an opaque string).
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-class BlobReader {
- public:
-  explicit BlobReader(std::string_view blob) : blob_(blob) {}
-
-  bool U32(uint32_t* v) {
-    if (blob_.size() - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(
-                static_cast<unsigned char>(blob_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (blob_.size() - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(
-                static_cast<unsigned char>(blob_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t n;
-    if (!U32(&n)) return false;
-    if (blob_.size() - pos_ < n) return false;
-    s->assign(blob_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool exhausted() const { return pos_ == blob_.size(); }
-
- private:
-  std::string_view blob_;
-  size_t pos_ = 0;
-};
+// Log2-space feature distance below which an observation merges into an
+// existing neighbor instead of inserting a new one.
+constexpr double kMergeRadius = 0.5;
+// Lookup search radius (mean |Δlog2| per dimension).
+constexpr double kLookupRadius = 2.0;
+// Neighbors consulted per lookup.
+constexpr size_t kNeighborsPerLookup = 3;
+// Lookup returns no correction until the matched neighbors have at least
+// this many samples between them.
+constexpr uint64_t kMinSamples = 2;
+// StrategyCost returns nothing below this many completions.
+constexpr uint64_t kMinStrategySamples = 1;
 
 double LogCorrection(double predicted, double actual) {
   double p = std::max(std::fabs(predicted), 1.0);
@@ -130,13 +76,13 @@ std::optional<SelectivityModel::Correction> SelectivityModel::Lookup(
   std::vector<Cand> cands;
   for (const Neighbor& n : it->second.neighbors) {
     double d = Distance(n.features, features);
-    if (d <= options_.lookup_radius) cands.push_back({d, &n});
+    if (d <= kLookupRadius) cands.push_back({d, &n});
   }
   if (cands.empty()) return std::nullopt;
   std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
     return a.dist < b.dist;
   });
-  if (cands.size() > options_.k) cands.resize(options_.k);
+  if (cands.size() > kNeighborsPerLookup) cands.resize(kNeighborsPerLookup);
 
   double wsum = 0, rows = 0, cost = 0;
   uint64_t samples = 0;
@@ -147,7 +93,7 @@ std::optional<SelectivityModel::Correction> SelectivityModel::Lookup(
     cost += w * c.n->log_cost_correction;
     samples += c.n->samples;
   }
-  if (samples < options_.min_samples || wsum <= 0) return std::nullopt;
+  if (samples < kMinSamples || wsum <= 0) return std::nullopt;
   Correction corr;
   corr.rows_factor = std::exp(rows / wsum);
   corr.cost_factor = std::exp(cost / wsum);
@@ -174,7 +120,7 @@ void SelectivityModel::Observe(std::string_view class_prefix,
 
   // Merge into the nearest neighbor within the merge radius, else insert.
   Neighbor* best = nullptr;
-  double best_dist = options_.merge_radius;
+  double best_dist = kMergeRadius;
   for (Neighbor& n : entry.neighbors) {
     double d = Distance(n.features, features);
     if (d <= best_dist) {
@@ -234,7 +180,7 @@ SelectivityModel::LookupStrategyCost(std::string_view class_key,
   if (it == strategy_costs_.end()) return std::nullopt;
   auto jt = it->second.find(std::string(strategy));
   if (jt == it->second.end()) return std::nullopt;
-  if (jt->second.samples < options_.min_strategy_samples) return std::nullopt;
+  if (jt->second.samples < kMinStrategySamples) return std::nullopt;
   return jt->second;
 }
 
@@ -316,7 +262,7 @@ Status SelectivityModel::Load(std::string_view blob) {
   std::map<std::string, ClassEntry, std::less<>> classes;
   std::map<std::string, std::map<std::string, StrategyCost>, std::less<>>
       strategy_costs;
-  BlobReader r(blob);
+  ByteReader r(blob);
   uint32_t version, class_count;
   if (!r.U32(&version) || version != kModelVersion) {
     return Status::Corruption("selectivity model: bad blob version");

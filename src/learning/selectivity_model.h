@@ -56,18 +56,6 @@ class SelectivityModel {
     size_t max_neighbors = 16;
     /// EWMA step for merging a new observation into a matched neighbor.
     double ewma_alpha = 0.3;
-    /// Log2-space feature distance below which an observation merges into
-    /// an existing neighbor instead of inserting a new one.
-    double merge_radius = 0.5;
-    /// Lookup search radius (mean |Δlog2| per dimension).
-    double lookup_radius = 2.0;
-    /// Neighbors consulted per lookup.
-    size_t k = 3;
-    /// Lookup returns no correction until the matched neighbors have at
-    /// least this many samples between them.
-    uint64_t min_samples = 2;
-    /// StrategyCost returns nothing below this many completions.
-    uint64_t min_strategy_samples = 1;
   };
 
   /// A learned multiplicative correction for one class + feature point.

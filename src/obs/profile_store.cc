@@ -1,11 +1,10 @@
 #include "obs/profile_store.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/coding.h"
 
 namespace dynopt {
 
@@ -13,81 +12,9 @@ namespace {
 
 constexpr uint32_t kProfileStoreVersion = 1;
 
-// Little-endian blob codec, local so the obs layer stays free of catalog
-// dependencies (the catalog embeds this blob as an opaque string).
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-class BlobReader {
- public:
-  explicit BlobReader(std::string_view blob) : blob_(blob) {}
-
-  bool U32(uint32_t* v) {
-    if (blob_.size() - pos_ < 4) return Fail();
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(
-                static_cast<unsigned char>(blob_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (blob_.size() - pos_ < 8) return Fail();
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(
-                static_cast<unsigned char>(blob_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t n;
-    if (!U32(&n)) return false;
-    if (blob_.size() - pos_ < n) return Fail();
-    s->assign(blob_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool exhausted() const { return pos_ == blob_.size(); }
-  bool failed() const { return failed_; }
-
- private:
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-  std::string_view blob_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
 // Decodes `n` bucket counts one at a time, so a corrupt count fails on the
 // bytes actually present instead of sizing an allocation.
-bool ReadBuckets(BlobReader* r, uint32_t n, std::vector<uint64_t>* buckets) {
+bool ReadBuckets(ByteReader* r, uint32_t n, std::vector<uint64_t>* buckets) {
   for (uint32_t i = 0; i < n; ++i) {
     uint64_t b;
     if (!r->U64(&b)) return false;
@@ -189,7 +116,7 @@ std::string ProfileStore::Serialize() const {
 
 Status ProfileStore::Load(std::string_view blob) {
   std::map<std::string, ClassAggregate> loaded;
-  BlobReader r(blob);
+  ByteReader r(blob);
   uint32_t version, class_count;
   if (!r.U32(&version) || version != kProfileStoreVersion) {
     return Status::Corruption("profile store: bad blob version");

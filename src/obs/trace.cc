@@ -38,8 +38,6 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
       return "query-shed";
     case TraceEventKind::kBrownoutStep:
       return "brownout-step";
-    case TraceEventKind::kSegmentSealed:
-      return "segment-sealed";
     case TraceEventKind::kSegmentApplied:
       return "segment-applied";
     case TraceEventKind::kStandbyPromoted:

@@ -50,7 +50,6 @@ enum class TraceEventKind : uint8_t {
   kAdmissionQueued,    // subject = "wait"; a = queue depth after enqueue
   kQueryShed,          // subject = shed reason; a = queue depth at shed
   kBrownoutStep,       // subject = "down"/"up"; a = new level, b = pressure
-  kSegmentSealed,      // subject = segment label; a = end lsn, b = bytes
   kSegmentApplied,     // subject = segment label; a = applied lsn, b = commits
   kStandbyPromoted,    // subject = "promote"; a = new timeline, b = applied lsn
 };

@@ -12,6 +12,8 @@
 #include <cstring>
 
 #include "durability/checksum.h"
+#include "durability/file_io.h"
+#include "util/coding.h"
 
 namespace dynopt {
 
@@ -21,42 +23,7 @@ constexpr uint32_t kSegmentMagic = 0x47535944;   // 'DYSG'
 constexpr uint32_t kManifestMagic = 0x4D525944;  // 'DYRM'
 constexpr uint32_t kArchiveVersion = 1;
 constexpr size_t kManifestHeaderSize = 32;
-// Mirrors the WAL's record-header size (durability/wal.cc) — segment
-// record regions are raw WAL bytes, so record sizes follow its format.
-constexpr size_t kWalRecordHeaderSize = 32;
 constexpr char kManifestName[] = "MANIFEST";
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-Status FullPwrite(int fd, const char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("archive pwrite: ") +
-                             std::strerror(errno));
-    }
-    data += w;
-    offset += static_cast<uint64_t>(w);
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
 
 /// Reads a whole file. NotFound on ENOENT so callers can distinguish an
 /// archive gap from an I/O failure.
@@ -95,7 +62,7 @@ Status WriteFileAtomic(const std::string& dir, const std::string& name,
     return Status::IOError("cannot create " + tmp + ": " +
                            std::strerror(errno));
   }
-  Status st = FullPwrite(fd, bytes.data(), bytes.size(), 0);
+  Status st = PwriteAll(fd, bytes.data(), bytes.size(), 0);
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::IOError("fsync " + tmp + ": " + std::strerror(errno));
   }
@@ -137,41 +104,40 @@ std::string SerializeManifest(uint64_t timeline, uint64_t sealed_through,
 }
 
 Result<ArchiveManifest> ParseManifest(std::string_view bytes) {
-  if (bytes.size() < kManifestHeaderSize + sizeof(uint64_t)) {
+  ByteReader r(bytes);
+  ArchiveManifest m;
+  uint32_t magic = 0, version = 0, seg_count = 0, base_count = 0;
+  if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&m.timeline) ||
+      !r.U64(&m.sealed_through_lsn) || !r.U32(&seg_count) ||
+      !r.U32(&base_count)) {
     return Status::Corruption("archive manifest truncated");
   }
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  if (GetU32(p) != kManifestMagic || GetU32(p + 4) != kArchiveVersion) {
+  if (magic != kManifestMagic || version != kArchiveVersion) {
     return Status::Corruption("archive manifest magic/version mismatch");
   }
-  ArchiveManifest m;
-  m.timeline = GetU64(p + 8);
-  m.sealed_through_lsn = GetU64(p + 16);
-  uint32_t seg_count = GetU32(p + 24);
-  uint32_t base_count = GetU32(p + 28);
   size_t body = kManifestHeaderSize + seg_count * 32ull + base_count * 24ull;
   if (bytes.size() != body + sizeof(uint64_t)) {
     return Status::Corruption("archive manifest size mismatch");
   }
-  if (GetU64(p + body) != Fnv1a64(bytes.data(), body)) {
+  uint64_t sum = 0;
+  if (!ByteReader(bytes.substr(body)).U64(&sum) ||
+      sum != Fnv1a64(bytes.data(), body)) {
     return Status::Corruption("archive manifest checksum mismatch");
   }
-  size_t at = kManifestHeaderSize;
-  m.segments.reserve(seg_count);
-  for (uint32_t i = 0; i < seg_count; ++i, at += 32) {
+  // The size check above covers every entry, so these reads cannot fail.
+  for (uint32_t i = 0; i < seg_count; ++i) {
     ArchiveSegmentInfo s;
-    s.start_lsn = GetU64(p + at);
-    s.end_lsn = GetU64(p + at + 8);
-    s.bytes = GetU64(p + at + 16);
-    s.checksum = GetU64(p + at + 24);
+    if (!r.U64(&s.start_lsn) || !r.U64(&s.end_lsn) || !r.U64(&s.bytes) ||
+        !r.U64(&s.checksum)) {
+      return Status::Corruption("archive manifest truncated");
+    }
     m.segments.push_back(s);
   }
-  m.bases.reserve(base_count);
-  for (uint32_t i = 0; i < base_count; ++i, at += 24) {
+  for (uint32_t i = 0; i < base_count; ++i) {
     ArchiveBaseInfo b;
-    b.lsn = GetU64(p + at);
-    b.bytes = GetU64(p + at + 8);
-    b.checksum = GetU64(p + at + 16);
+    if (!r.U64(&b.lsn) || !r.U64(&b.bytes) || !r.U64(&b.checksum)) {
+      return Status::Corruption("archive manifest truncated");
+    }
     m.bases.push_back(b);
   }
   return m;
@@ -183,7 +149,7 @@ std::string BuildSegmentHeader(uint64_t timeline, uint64_t start_lsn) {
   PutU32(&h, kArchiveVersion);
   PutU64(&h, timeline);
   PutU64(&h, start_lsn);
-  PutU64(&h, Fnv1a64(h.data(), 24));
+  PutU64(&h, Fnv1a64(h.data(), kArchiveSegmentHeaderSize - 8));
   return h;
 }
 
@@ -209,18 +175,21 @@ std::string ArchiveSegmentLabel(uint64_t start_lsn, uint64_t end_lsn,
 
 Status ParseArchiveSegmentHeader(std::string_view bytes, uint64_t* timeline,
                                  uint64_t* start_lsn) {
-  if (bytes.size() < kArchiveSegmentHeaderSize) {
+  ByteReader r(bytes);
+  uint32_t magic = 0, version = 0;
+  uint64_t header_timeline = 0, header_start = 0, sum = 0;
+  if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&header_timeline) ||
+      !r.U64(&header_start) || !r.U64(&sum)) {
     return Status::Corruption("archive segment header truncated");
   }
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  if (GetU32(p) != kSegmentMagic || GetU32(p + 4) != kArchiveVersion) {
+  if (magic != kSegmentMagic || version != kArchiveVersion) {
     return Status::Corruption("archive segment magic/version mismatch");
   }
-  if (GetU64(p + 24) != Fnv1a64(bytes.data(), 24)) {
+  if (sum != Fnv1a64(bytes.data(), kArchiveSegmentHeaderSize - 8)) {
     return Status::Corruption("archive segment header checksum mismatch");
   }
-  if (timeline != nullptr) *timeline = GetU64(p + 8);
-  if (start_lsn != nullptr) *start_lsn = GetU64(p + 16);
+  if (timeline != nullptr) *timeline = header_timeline;
+  if (start_lsn != nullptr) *start_lsn = header_start;
   return Status::OK();
 }
 
@@ -480,7 +449,7 @@ Status WalArchive::OpenCurrentSegmentLocked(uint64_t start_lsn) {
                            std::strerror(errno));
   }
   std::string header = BuildSegmentHeader(timeline_, start_lsn);
-  Status st = FullPwrite(fd, header.data(), header.size(), 0);
+  Status st = PwriteAll(fd, header.data(), header.size(), 0);
   if (!st.ok()) {
     ::close(fd);
     return st;
@@ -509,20 +478,23 @@ Status WalArchive::AppendDurableBatch(std::string_view bytes,
   // the manifest (rename), so a stale primary holding this handle sees the
   // new timeline here and is refused before a single byte lands.
   {
-    uint8_t head[16];
+    char head[16];
     int fd = ::open((dir_ + "/" + kManifestName).c_str(),
                     O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
       return Status::IOError("archive manifest unreadable: " +
                              std::string(std::strerror(errno)));
     }
-    ssize_t r = ::pread(fd, head, sizeof(head), 0);
+    ssize_t got = ::pread(fd, head, sizeof(head), 0);
     ::close(fd);
-    if (r != static_cast<ssize_t>(sizeof(head)) ||
-        GetU32(head) != kManifestMagic) {
+    ByteReader r(std::string_view(head, got > 0 ? static_cast<size_t>(got)
+                                                : 0));
+    uint32_t magic = 0, version = 0;
+    uint64_t disk_timeline = 0;
+    if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&disk_timeline) ||
+        magic != kManifestMagic) {
       return Status::Corruption("archive manifest header unreadable");
     }
-    uint64_t disk_timeline = GetU64(head + 8);
     if (disk_timeline != timeline_) {
       Bump(m_fence_rejections_);
       return Status::Fenced(
@@ -542,8 +514,8 @@ Status WalArchive::AppendDurableBatch(std::string_view bytes,
   if (cur_fd_ < 0) {
     DYNOPT_RETURN_IF_ERROR(OpenCurrentSegmentLocked(first_lsn));
   }
-  DYNOPT_RETURN_IF_ERROR(FullPwrite(cur_fd_, bytes.data(), bytes.size(),
-                                    kArchiveSegmentHeaderSize + cur_bytes_));
+  DYNOPT_RETURN_IF_ERROR(PwriteAll(cur_fd_, bytes.data(), bytes.size(),
+                                   kArchiveSegmentHeaderSize + cur_bytes_));
   if (::fsync(cur_fd_) != 0) {
     return Status::IOError(std::string("archive fsync: ") +
                            std::strerror(errno));
@@ -563,11 +535,6 @@ Status WalArchive::AppendDurableBatch(std::string_view bytes,
     return SealCurrentSegmentLocked();
   }
   return Status::OK();
-}
-
-Status WalArchive::SealCurrentSegment() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SealCurrentSegmentLocked();
 }
 
 Status WalArchive::SealCurrentSegmentLocked() {
@@ -590,12 +557,6 @@ Status WalArchive::SealCurrentSegmentLocked() {
   sealed_through_ = cur_end_lsn_;
   DYNOPT_RETURN_IF_ERROR(WriteManifestLocked());
   Bump(m_sealed_);
-  if (trace_ != nullptr) {
-    trace_->Emit(TraceEventKind::kSegmentSealed,
-                 ArchiveSegmentLabel(info.start_lsn, info.end_lsn, timeline_),
-                 std::string(), static_cast<double>(info.end_lsn),
-                 static_cast<double>(info.bytes));
-  }
   cur_start_lsn_ = cur_end_lsn_ = cur_bytes_ = cur_records_ = 0;
   cur_checksum_ = kFnvOffset;
   return Status::OK();
@@ -637,7 +598,7 @@ Status WalArchive::TruncateTailToLocked(uint64_t lsn) {
       region, cur_start_lsn_,
       [&](const WalRecordView& rec) {
         if (rec.lsn <= lsn) {
-          keep += kWalRecordHeaderSize + rec.payload.size();
+          keep += WalRecordSize(rec);
           ++kept_records;
         }
         return Status::OK();

@@ -57,7 +57,6 @@
 #include "durability/crash.h"
 #include "durability/wal.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/status.h"
 
 namespace dynopt {
@@ -163,9 +162,6 @@ class WalArchive : public WalSink {
   Status AppendDurableBatch(std::string_view bytes, uint64_t first_lsn,
                             uint64_t last_lsn) override;
 
-  /// Seals the current segment regardless of size (no-op when empty).
-  Status SealCurrentSegment();
-
   /// Drops current-tail records with LSNs beyond `lsn`. Recovery calls
   /// this after replay so archived-but-uncommitted records (the suffix of
   /// a transaction whose commit never landed) do not outlive the crash
@@ -194,9 +190,6 @@ class WalArchive : public WalSink {
 
   /// Binds replication.* counters and the archived-LSN gauge.
   void AttachMetrics(MetricsRegistry* registry);
-  /// Optional decision log (kSegmentSealed). Not thread-safe against
-  /// concurrent readers of the same log; tests attach their own.
-  void AttachTrace(TraceLog* trace) { trace_ = trace; }
   void set_crash(CrashController* crash) { crash_ = crash; }
 
  private:
@@ -218,7 +211,6 @@ class WalArchive : public WalSink {
   std::string dir_;
   WalArchiveOptions options_;
   CrashController* crash_ = nullptr;
-  TraceLog* trace_ = nullptr;
 
   mutable std::mutex mu_;
   int dir_fd_ = -1;

@@ -140,16 +140,16 @@ Result<uint64_t> LogShipper::Pump() {
                                    /*allow_destructive_faults=*/true));
   }
 
-  if (options_.ship_unsealed_tail) {
-    DYNOPT_ASSIGN_OR_RETURN(std::string tail, reader_.ReadCurrentTail(manifest));
-    if (!tail.empty()) {
-      std::string label =
-          ArchiveSegmentFileName(manifest.sealed_through_lsn + 1) + "(tail)";
-      // The tail may legitimately be torn mid-record, so only
-      // non-destructive faults (delay, duplicate) apply to it.
-      DYNOPT_RETURN_IF_ERROR(Deliver(tail, /*sealed=*/false, 0, label,
-                                     /*allow_destructive_faults=*/false));
-    }
+  // The unsealed current segment ships too, so standby lag is one commit
+  // batch rather than one segment.
+  DYNOPT_ASSIGN_OR_RETURN(std::string tail, reader_.ReadCurrentTail(manifest));
+  if (!tail.empty()) {
+    std::string label =
+        ArchiveSegmentFileName(manifest.sealed_through_lsn + 1) + "(tail)";
+    // The tail may legitimately be torn mid-record, so only
+    // non-destructive faults (delay, duplicate) apply to it.
+    DYNOPT_RETURN_IF_ERROR(Deliver(tail, /*sealed=*/false, 0, label,
+                                   /*allow_destructive_faults=*/false));
   }
 
   UpdateLagGauges(manifest);

@@ -47,9 +47,6 @@ struct ShipperFaultOptions {
 
 struct LogShipperOptions {
   ShipperFaultOptions faults;
-  /// Ship the unsealed current segment too (tail shipping keeps standby
-  /// lag at one commit batch instead of one segment).
-  bool ship_unsealed_tail = true;
 };
 
 struct ShipperStats {

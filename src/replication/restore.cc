@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 
+#include "durability/file_io.h"
 #include "durability/file_page_store.h"
+#include "durability/recovery.h"
 
 namespace dynopt {
 
@@ -21,25 +21,12 @@ Status WritePlainFile(const std::string& path, std::string_view bytes) {
     return Status::IOError("cannot create " + path + ": " +
                            std::strerror(errno));
   }
-  const char* p = bytes.data();
-  size_t n = bytes.size();
-  while (n > 0) {
-    ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      int e = errno;
-      ::close(fd);
-      return Status::IOError("write " + path + ": " + std::strerror(e));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::IOError("fsync " + path);
+  Status st = PwriteAll(fd, bytes.data(), bytes.size(), 0);
+  if (st.ok() && ::fsync(fd) != 0) {
+    st = Status::IOError("fsync " + path);
   }
   ::close(fd);
-  return Status::OK();
+  return st;
 }
 
 }  // namespace
@@ -79,47 +66,17 @@ Result<RestoreReport> RestoreToLsn(const std::string& archive_dir,
     DYNOPT_RETURN_IF_ERROR(WritePlainFile(dest_path, image));
     report.base_lsn = base->lsn;
   }
-  report.restored_lsn = report.base_lsn;
 
   DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> store,
                           FilePageStore::Open(dest_path));
 
   // Same staged→promoted redo as crash recovery, across segment files.
-  std::unordered_map<PageId, PageData> staged;
-  std::unordered_map<PageId, PageData> apply;
-  size_t needed_pages = store->page_count();
+  RedoApplier redo(store->page_count());
   auto replay_record = [&](const WalRecordView& rec) -> Status {
     if (rec.lsn <= report.base_lsn || rec.lsn > target_lsn) {
       return Status::OK();
     }
-    switch (rec.type) {
-      case WalRecordType::kPageImage: {
-        if (rec.payload.size() != kPageSize) {
-          return Status::Corruption("archived page image with bad size");
-        }
-        PageData& img = staged[rec.page];
-        std::memcpy(img.data(), rec.payload.data(), kPageSize);
-        break;
-      }
-      case WalRecordType::kCommit: {
-        for (auto& [page, img] : staged) {
-          apply[page] = img;
-          needed_pages = std::max<size_t>(needed_pages, page + 1);
-        }
-        staged.clear();
-        if (rec.payload.size() >= sizeof(uint64_t)) {
-          uint64_t count;
-          std::memcpy(&count, rec.payload.data(), sizeof(count));
-          needed_pages = std::max<size_t>(needed_pages, count);
-        }
-        report.restored_lsn = rec.lsn;
-        report.commits_applied++;
-        break;
-      }
-      case WalRecordType::kNote:
-        break;
-    }
-    return Status::OK();
+    return redo.Apply(rec);
   };
 
   uint64_t prev_end = 0;
@@ -152,11 +109,11 @@ Result<RestoreReport> RestoreToLsn(const std::string& archive_dir,
     }
   }
 
-  store->EnsureAllocated(needed_pages);
-  for (const auto& [page, img] : apply) {
-    DYNOPT_RETURN_IF_ERROR(store->Write(page, img));
-    report.pages_applied++;
-  }
+  DYNOPT_RETURN_IF_ERROR(redo.WriteTo(store.get()));
+  report.restored_lsn = redo.last_commit_lsn() > 0 ? redo.last_commit_lsn()
+                                                   : report.base_lsn;
+  report.commits_applied = redo.commits();
+  report.pages_applied = redo.pages();
   DYNOPT_RETURN_IF_ERROR(store->Sync());
   // Timeline 0 marks the clone as detached: it must never continue the
   // archive's history, and the Open-time fence enforces exactly that.

@@ -1,13 +1,13 @@
 // Point-in-time recovery: rebuild a database file at any committed LSN
 // from the archive's base image + sealed segments + current tail.
 //
-// The reconstruction is pure redo, the same staged→promoted discipline as
-// crash recovery (durability/recovery.h): start from the newest base image
-// at or below the target (or an empty file), then replay every archived
-// record with LSN in (base, target], promoting staged page images at each
-// commit. Because images are full post-images, the result is byte-identical
-// page content to the primary checkpointed at that commit — which is
-// exactly what the PITR tests assert against a golden twin.
+// The reconstruction is pure redo through crash recovery's RedoApplier
+// (durability/recovery.h): start from the newest base image at or below
+// the target (or an empty file), then replay every archived record with
+// LSN in (base, target], promoting staged page images at each commit.
+// Because images are full post-images, the result is byte-identical page
+// content to the primary checkpointed at that commit — which is exactly
+// what the PITR tests assert against a golden twin.
 //
 // Failure modes are typed and name the offender: a missing sealed segment
 // is NotFound ("archive gap … [start, end] is unrecoverable"), a segment

@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstring>
-#include <unordered_map>
+#include "durability/recovery.h"
 
 namespace dynopt {
 
@@ -97,11 +95,7 @@ Status StandbyDatabase::ApplySegmentBytes(std::string_view bytes, bool sealed,
   // Stage→promote over the delivered records, skipping everything at or
   // below the applied LSN (applied always sits on a commit boundary, so
   // the skip drops whole transactions — redelivery is idempotent).
-  std::unordered_map<PageId, PageData> staged;
-  std::unordered_map<PageId, PageData> apply;
-  size_t needed_pages = store_->page_count();
-  uint64_t last_commit = 0;
-  uint64_t commits = 0;
+  RedoApplier redo(store_->page_count());
   uint64_t records_total = 0;
   bool torn = false;
   Status scan = WalScanRecords(
@@ -109,33 +103,9 @@ Status StandbyDatabase::ApplySegmentBytes(std::string_view bytes, bool sealed,
       [&](const WalRecordView& rec) -> Status {
         ++records_total;
         if (rec.lsn <= applied) return Status::OK();
-        switch (rec.type) {
-          case WalRecordType::kPageImage: {
-            if (rec.payload.size() != kPageSize) {
-              return Status::Corruption("segment " + name +
-                                        " page image with bad size");
-            }
-            PageData& img = staged[rec.page];
-            std::memcpy(img.data(), rec.payload.data(), kPageSize);
-            break;
-          }
-          case WalRecordType::kCommit: {
-            for (auto& [page, img] : staged) {
-              apply[page] = img;
-              needed_pages = std::max<size_t>(needed_pages, page + 1);
-            }
-            staged.clear();
-            if (rec.payload.size() >= sizeof(uint64_t)) {
-              uint64_t count;
-              std::memcpy(&count, rec.payload.data(), sizeof(count));
-              needed_pages = std::max<size_t>(needed_pages, count);
-            }
-            last_commit = rec.lsn;
-            ++commits;
-            break;
-          }
-          case WalRecordType::kNote:
-            break;
+        Status st = redo.Apply(rec);
+        if (!st.ok()) {
+          return Status::Corruption("segment " + name + ": " + st.message());
         }
         return Status::OK();
       },
@@ -163,12 +133,10 @@ Status StandbyDatabase::ApplySegmentBytes(std::string_view bytes, bool sealed,
   }
   // An unsealed tail's torn suffix (and any trailing uncommitted
   // transaction) is simply not applied yet; redelivery will bring it.
+  const uint64_t last_commit = redo.last_commit_lsn();
   if (last_commit == 0) return Status::OK();
 
-  store_->EnsureAllocated(needed_pages);
-  for (const auto& [page, img] : apply) {
-    DYNOPT_RETURN_IF_ERROR(store_->Write(page, img));
-  }
+  DYNOPT_RETURN_IF_ERROR(redo.WriteTo(store_));
   // Crash here (pages written, superblock not advanced): reopen resumes
   // from the old applied LSN and re-applies the same full post-images.
   DYNOPT_RETURN_IF_ERROR(
@@ -186,13 +154,14 @@ Status StandbyDatabase::ApplySegmentBytes(std::string_view bytes, bool sealed,
   applied_.store(last_commit, std::memory_order_release);
 
   Bump(m_segments_applied_);
-  Bump(m_commits_applied_, commits);
-  Bump(m_pages_applied_, apply.size());
+  Bump(m_commits_applied_, redo.commits());
+  Bump(m_pages_applied_, redo.pages());
   if (MetricsRegistry* registry = db_->metrics()) {
     registry->Set("replication.applied_lsn", last_commit);
   }
   trace_.Emit(TraceEventKind::kSegmentApplied, std::move(name), std::string(),
-              static_cast<double>(last_commit), static_cast<double>(commits));
+              static_cast<double>(last_commit),
+              static_cast<double>(redo.commits()));
   return Status::OK();
 }
 

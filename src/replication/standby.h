@@ -3,8 +3,8 @@
 // snapshot-consistent retrievals at its applied LSN.
 //
 // Apply pipeline (exclusive lock): parse a delivered segment, stage page
-// images per transaction, promote at each commit (the recovery
-// discipline), write the promoted images to the standby's store, fsync,
+// images per transaction, promote at each commit (recovery's
+// RedoApplier), write the promoted images to the standby's store, fsync,
 // stamp {timeline, applied LSN} into the superblock, drop the buffer
 // pool's now-stale cache, and reload the catalog. Readers take the lock
 // shared, so every retrieval — full dynamic competition included — sees

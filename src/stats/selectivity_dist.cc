@@ -217,21 +217,4 @@ SelectivityDist ApplyOpChain(const SelectivityDist& base,
   return cur;
 }
 
-SelectivityDist NarrowedBy(const SelectivityDist& prior,
-                           double observed_selectivity, double confidence) {
-  double c = std::clamp(confidence, 0.0, 1.0);
-  if (c <= 0.0) return prior;
-  double s = std::clamp(observed_selectivity, 0.0, 1.0);
-  // The measurement bell tightens with confidence: a barely-trusted
-  // observation is a broad hump, a well-sampled one approaches a spike
-  // (floored at one bin width so the mixture stays a proper density).
-  double stddev = std::max(1.0 / SelectivityDist::kBins, 0.25 * (1.0 - c));
-  SelectivityDist bell = SelectivityDist::Bell(s, stddev);
-  std::vector<double> weights(SelectivityDist::kBins, 0.0);
-  for (int i = 0; i < SelectivityDist::kBins; ++i) {
-    weights[i] = (1.0 - c) * prior.MassAt(i) + c * bell.MassAt(i);
-  }
-  return SelectivityDist::FromWeights(std::move(weights));
-}
-
 }  // namespace dynopt

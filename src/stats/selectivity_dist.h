@@ -112,15 +112,6 @@ class SelectivityDist {
 SelectivityDist ApplyOpChain(const SelectivityDist& base,
                              const std::string& op_chain, double corr);
 
-/// Narrows `prior` toward an observed selectivity with the given confidence
-/// c ∈ [0,1]: a mixture (1−c)·prior + c·Bell(observed, width), the bell's
-/// width shrinking as confidence grows. This is how learned feedback enters
-/// the §2 calculus — measurement does not replace the prior, it
-/// concentrates it (c=0 returns the prior; c→1 approaches a tight bell at
-/// the observation).
-SelectivityDist NarrowedBy(const SelectivityDist& prior,
-                           double observed_selectivity, double confidence);
-
 }  // namespace dynopt
 
 #endif  // DYNOPT_STATS_SELECTIVITY_DIST_H_

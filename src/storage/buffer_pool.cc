@@ -28,6 +28,8 @@ size_t AutoShardCount(size_t capacity) {
   return shards;
 }
 
+constexpr uint64_t kJitterSeed = 0x9E3779B9;
+
 size_t FloorPow2(size_t n) {
   size_t p = 1;
   while (p * 2 <= n) p *= 2;
@@ -47,7 +49,7 @@ uint64_t JitteredBackoffMicros(const BufferPool::IoRetryPolicy& policy,
     // Top 53 bits of a seeded hash of (page, attempt) as a uniform [0,1)
     // draw — stateless, lock-free, and replayable for a given seed.
     double u = static_cast<double>(
-                   Mix64(policy.jitter_seed ^ (static_cast<uint64_t>(id) << 8) ^
+                   Mix64(kJitterSeed ^ (static_cast<uint64_t>(id) << 8) ^
                          attempt) >>
                    11) /
                static_cast<double>(1ULL << 53);

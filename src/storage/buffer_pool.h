@@ -128,7 +128,6 @@ class BufferPool {
     /// [1 - jitter_fraction, 1 + jitter_fraction]. 0 recovers the exact
     /// exponential ladder.
     double jitter_fraction = 0.25;
-    uint64_t jitter_seed = 0x9E3779B9;
   };
 
   /// `capacity` is the total number of page frames; `meter` (optional)

@@ -42,6 +42,9 @@ struct LiveCounters {
 /// stream rng, so collecting latencies cannot perturb the query stream.
 constexpr size_t kLatencyReservoirCap = 2048;
 
+// Log2 range-width buckets the parametric stream sweeps.
+constexpr size_t kParametricBuckets = 4;
+
 /// One session: its own prepared statements, rng, and outcome. The stream
 /// is generated inside Run(), so it depends only on (seed, index).
 class Session {
@@ -87,9 +90,7 @@ class Session {
         // range width sweeps the log2 buckets so every bucket of the class
         // keeps receiving fresh observations.
         int64_t lo = rng_.NextInt(0, 99);
-        int64_t hi =
-            lo + (int64_t{1} << (q % std::max<size_t>(
-                                         opts_.parametric_buckets, 1)));
+        int64_t hi = lo + (int64_t{1} << (q % kParametricBuckets));
         params = {{"lo", Value(lo)}, {"hi", Value(hi)},
                   {"cap", Value(int64_t{240000})}};
         engine = range_engine_.get();

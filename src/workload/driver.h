@@ -47,11 +47,10 @@ struct SessionWorkloadOptions {
   double point_fraction = 0.5;
   /// Parametric-stream mode: every query is the *same* range class (same
   /// predicate shape, so one QueryClassPrefix) with host variables swept
-  /// across `parametric_buckets` log2 width buckets — the repeated
-  /// parametric workload that exercises learned-selectivity convergence.
-  /// Ignores point_fraction.
+  /// across four log2 width buckets — the repeated parametric workload
+  /// that exercises learned-selectivity convergence. Ignores
+  /// point_fraction.
   bool parametric = false;
-  size_t parametric_buckets = 4;
   /// false: run the same session streams one after another on the calling
   /// thread (the determinism baseline and the 1-thread throughput anchor).
   bool concurrent = true;

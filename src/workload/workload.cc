@@ -75,17 +75,6 @@ class DerivedIntGen final : public ColumnGenerator {
   int64_t noise_;
 };
 
-class UniformDoubleGen final : public ColumnGenerator {
- public:
-  UniformDoubleGen(double lo, double hi) : lo_(lo), hi_(hi) {}
-  Value Next(Rng& rng, int64_t, const Record&) override {
-    return lo_ + rng.NextDouble() * (hi_ - lo_);
-  }
-
- private:
-  double lo_, hi_;
-};
-
 }  // namespace
 
 ColumnGeneratorPtr UniformInt(int64_t lo, int64_t hi) {
@@ -106,9 +95,6 @@ ColumnGeneratorPtr DerivedInt(size_t source_column, int64_t noise) {
 ColumnGeneratorPtr CategoricalString(std::string prefix, uint64_t n,
                                      double theta) {
   return std::make_shared<CategoricalStringGen>(std::move(prefix), n, theta);
-}
-ColumnGeneratorPtr UniformDouble(double lo, double hi) {
-  return std::make_shared<UniformDoubleGen>(lo, hi);
 }
 
 Result<Table*> BuildTable(Database* db, const TableSpec& spec, int64_t rows,

@@ -47,8 +47,6 @@ ColumnGeneratorPtr DerivedInt(size_t source_column, int64_t noise);
 /// "<prefix><k>" with k uniform (theta = 0) or Zipf-skewed over n values.
 ColumnGeneratorPtr CategoricalString(std::string prefix, uint64_t n,
                                      double theta = 0.0);
-/// Uniform double in [lo, hi).
-ColumnGeneratorPtr UniformDouble(double lo, double hi);
 
 struct TableSpec {
   std::string name;

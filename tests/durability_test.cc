@@ -74,6 +74,37 @@ TEST(WalTest, CommitReplayRoundTrip) {
   EXPECT_EQ(payloads, (std::vector<std::string>{"first", "second"}));
 }
 
+TEST(WalTest, AppendRecordPinsTheFraming) {
+  std::string rec;
+  WalAppendRecord(&rec, WalRecordType::kCommit, 0x0102030405060708ull, 7,
+                  "xy");
+  ASSERT_EQ(rec.size(), kWalRecordHeaderSize + 2);
+  // magic 'WREC', type 2, lsn, page 7, payload length 2, then the FNV-1a
+  // checksum over the first 24 header bytes and the payload.
+  EXPECT_EQ(rec, std::string("WREC"
+                             "\x02\x00\x00\x00"
+                             "\x08\x07\x06\x05\x04\x03\x02\x01"
+                             "\x07\x00\x00\x00"
+                             "\x02\x00\x00\x00"
+                             "\xb4\x88\xcc\xb8\x91\x2a\x8e\x28"
+                             "xy",
+                             34));
+  size_t valid = 0;
+  bool torn = true;
+  uint64_t seen_lsn = 0;
+  ASSERT_TRUE(WalScanRecords(
+                  rec, 0x0102030405060708ull,
+                  [&seen_lsn](const WalRecordView& view) {
+                    seen_lsn = view.lsn;
+                    return Status::OK();
+                  },
+                  &valid, &torn)
+                  .ok());
+  EXPECT_EQ(seen_lsn, 0x0102030405060708ull);
+  EXPECT_EQ(valid, rec.size());
+  EXPECT_FALSE(torn);
+}
+
 TEST(WalTest, ReopenContinuesLsnSequence) {
   const std::string path = TempPath("wal_reopen.wal");
   ::unlink(path.c_str());
@@ -238,6 +269,57 @@ TEST(WalTest, FailedFlushPoisonsTheLogTyped) {
           .ok());
   EXPECT_GE(stats.commits, 1u);
   EXPECT_FALSE(stats.torn_tail);
+}
+
+// ------------------------------------------------------------ RedoApplier
+
+TEST(RedoApplierTest, PromotesAtCommitDropsTheTailAndRejectsBadImages) {
+  const std::string path = TempPath("redo_applier.db");
+  ::unlink(path.c_str());
+  auto store = FilePageStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_EQ((*store)->page_count(), 0u);
+
+  PageData committed, uncommitted;
+  committed.fill(0x11);
+  uncommitted.fill(0x22);
+  auto image = [](uint64_t lsn, PageId page, const PageData& data) {
+    WalRecordView rec;
+    rec.type = WalRecordType::kPageImage;
+    rec.lsn = lsn;
+    rec.page = page;
+    rec.payload = std::string_view(
+        reinterpret_cast<const char*>(data.data()), data.size());
+    return rec;
+  };
+  // The commit payload's allocation watermark: 5 pages, past the one image.
+  std::string watermark(8, '\0');
+  watermark[0] = 5;
+  WalRecordView commit;
+  commit.type = WalRecordType::kCommit;
+  commit.lsn = 2;
+  commit.payload = watermark;
+
+  RedoApplier redo((*store)->page_count());
+  ASSERT_TRUE(redo.Apply(image(1, 2, committed)).ok());
+  ASSERT_TRUE(redo.Apply(commit).ok());
+  // An uncommitted tail: its image must never reach the store.
+  ASSERT_TRUE(redo.Apply(image(3, 0, uncommitted)).ok());
+  EXPECT_EQ(redo.commits(), 1u);
+  EXPECT_EQ(redo.last_commit_lsn(), 2u);
+  EXPECT_EQ(redo.pages(), 1u);
+
+  ASSERT_TRUE(redo.WriteTo(store->get()).ok());
+  EXPECT_EQ((*store)->page_count(), 5u);
+  PageData read;
+  ASSERT_TRUE((*store)->Read(2, &read).ok());
+  EXPECT_EQ(read, committed);
+  ASSERT_TRUE((*store)->Read(0, &read).ok());
+  EXPECT_EQ(read, PageData{});
+
+  WalRecordView short_image = image(4, 1, committed);
+  short_image.payload.remove_suffix(1);
+  EXPECT_TRUE(redo.Apply(short_image).IsCorruption());
 }
 
 // --------------------------------------------------------- FilePageStore

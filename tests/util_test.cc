@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "util/ascii_chart.h"
+#include "util/coding.h"
 #include "util/cost_meter.h"
 #include "util/key_codec.h"
 #include "util/rng.h"
@@ -306,6 +307,107 @@ TEST(KeyCodecTest, PrefixSuccessorOfEncodedIntEqualsNextIntEncoding) {
   EncodeInt64(41, &e41);
   EncodeInt64(42, &e42);
   EXPECT_EQ(PrefixSuccessor(e41), e42);
+}
+
+// ---------------------------------------------------------------- Coding
+
+TEST(CodingTest, AppendersPinLittleEndianBytes) {
+  std::string out;
+  PutU8(&out, 0xab);
+  EXPECT_EQ(out, std::string("\xab", 1));
+  out.clear();
+  PutU32(&out, 0x01020304u);
+  EXPECT_EQ(out, std::string("\x04\x03\x02\x01", 4));
+  out.clear();
+  PutU64(&out, 0x0102030405060708ull);
+  EXPECT_EQ(out, std::string("\x08\x07\x06\x05\x04\x03\x02\x01", 8));
+  out.clear();
+  PutF64(&out, 1.0);  // IEEE-754 0x3ff0000000000000
+  EXPECT_EQ(out, std::string("\x00\x00\x00\x00\x00\x00\xf0\x3f", 8));
+  out.clear();
+  PutStr(&out, "ab");
+  EXPECT_EQ(out, std::string("\x02\x00\x00\x00" "ab", 6));
+  out.clear();
+  PutStr(&out, "");
+  EXPECT_EQ(out, std::string(4, '\0'));
+}
+
+TEST(CodingTest, ReaderRoundTripsEveryPrimitive) {
+  std::string bytes;
+  PutU8(&bytes, 7);
+  PutU32(&bytes, 0xdeadbeefu);
+  PutU64(&bytes, ~0ull);
+  PutF64(&bytes, -2.5);
+  PutStr(&bytes, std::string("a\0b", 3));
+  ByteReader r(bytes);
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double f64 = 0;
+  std::string str;
+  ASSERT_TRUE(r.U8(&u8) && r.U32(&u32) && r.U64(&u64) && r.F64(&f64) &&
+              r.Str(&str));
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, ~0ull);
+  EXPECT_EQ(f64, -2.5);
+  EXPECT_EQ(str, std::string("a\0b", 3));
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_FALSE(r.U8(&u8));
+}
+
+TEST(CodingTest, EveryReadFailsOnTruncatedInputAndConsumesNothing) {
+  std::string full;
+  PutU64(&full, 0x1122334455667788ull);
+  PutStr(&full, "xyz");  // bytes [8, 15)
+  for (size_t n = 0; n < full.size(); ++n) {
+    SCOPED_TRACE(n);
+    const std::string_view cut = std::string_view(full).substr(0, n);
+    uint8_t u8 = 0;
+    uint32_t u32 = 0;
+    uint64_t u64 = 0;
+    double f64 = 0;
+    EXPECT_EQ(ByteReader(cut).U8(&u8), n >= 1);
+    EXPECT_EQ(ByteReader(cut).U32(&u32), n >= 4);
+    EXPECT_EQ(ByteReader(cut).U64(&u64), n >= 8);
+    EXPECT_EQ(ByteReader(cut).F64(&f64), n >= 8);
+    ByteReader r(cut);
+    if (n < 8) {
+      // A failed read leaves the position where it was.
+      EXPECT_FALSE(r.U64(&u64));
+      EXPECT_EQ(r.U8(&u8), n >= 1);
+      if (n >= 1) {
+        EXPECT_EQ(u8, 0x88);
+      }
+      continue;
+    }
+    ASSERT_TRUE(r.U64(&u64));
+    std::string str = "untouched";
+    EXPECT_FALSE(r.Str(&str));
+    EXPECT_EQ(str, "untouched");
+    EXPECT_EQ(r.U8(&u8), n > 8);
+    if (n > 8) {
+      EXPECT_EQ(u8, 3);  // the length prefix's low byte
+    }
+  }
+}
+
+TEST(CodingTest, StringLengthPastTheEndFailsWithoutAllocating) {
+  // A 4 GiB length prefix in front of three bytes. A reader that sized
+  // its buffer from the prefix would allocate 4 GiB here (bad_alloc, or
+  // an allocation-size report under ASan).
+  std::string bytes;
+  PutU32(&bytes, 0xffffffffu);
+  bytes += "abc";
+  ByteReader r(bytes);
+  std::string out;
+  const size_t capacity = out.capacity();
+  EXPECT_FALSE(r.Str(&out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.capacity(), capacity);
+  uint32_t len = 0;
+  ASSERT_TRUE(r.U32(&len));
+  EXPECT_EQ(len, 0xffffffffu);
 }
 
 // ----------------------------------------------------------- CostMeter
