@@ -10,10 +10,14 @@
 //              early and late termination;
 //  sorted      order-delivering Fscan + Jscan filter vs unfiltered Fscan;
 //  index-only  Sscan/Jscan race vs each alone.
+//
+// Every drained run (dynamic or frozen) must return as many rows as a naive
+// Tscan + filter over the same table; the bench exits 1 otherwise.
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "catalog/database.h"
@@ -27,21 +31,51 @@ namespace {
 
 constexpr int64_t kRows = 60000;
 
-/// Runs `engine` until `k` rows (0 = all); returns metered cost.
-double RunEngine(Database* db, DynamicRetrieval* engine, const ParamMap& p,
-                 uint64_t k, uint64_t* rows_out = nullptr) {
+/// Set when a drained run's row count differs from the naive oracle; the
+/// bench then exits non-zero.
+bool g_row_mismatch = false;
+
+/// Checks a drained run's row count against a naive Tscan + filter over
+/// the same table.
+void CheckDrain(Database* db, const RetrievalSpec& spec, const ParamMap& p,
+                const std::string& label, uint64_t rows) {
+  TscanStepper scan(db->pool(), spec, p);
+  uint64_t naive = 0;
+  for (;;) {
+    auto more = scan.Step();
+    if (!more.ok() || !*more) break;
+    naive += scan.output().sel().size();
+  }
+  if (rows == naive) return;
+  std::printf("  ROW MISMATCH: %s drained %llu rows, naive Tscan + filter "
+              "%llu\n",
+              label.c_str(), static_cast<unsigned long long>(rows),
+              static_cast<unsigned long long>(naive));
+  g_row_mismatch = true;
+}
+
+/// Runs `engine` until `k` rows (0 = drain, checked against the naive
+/// oracle); returns metered cost.
+double RunEngine(Database* db, DynamicRetrieval* engine,
+                 const RetrievalSpec& spec, const ParamMap& p, uint64_t k,
+                 uint64_t* rows_out = nullptr) {
   db->pool()->EvictAll().ok();
   CostMeter before = db->meter();
   engine->Open(p).ok();
   RowBatch batch;
   uint64_t n = 0;
-  while (n < k) {
-    auto more = engine->NextBatch(&batch, k - n);
+  while (k == 0 || n < k) {
+    auto more = engine->NextBatch(&batch, k == 0 ? kDefaultBatchRows : k - n);
     if (!more.ok() || !*more) break;
     n += batch.num_rows();
   }
+  double cost = (db->meter() - before).Cost(db->cost_weights());
+  if (k == 0) {
+    CheckDrain(db, spec, p,
+               "dynamic " + std::string(TacticName(engine->tactic())), n);
+  }
   if (rows_out != nullptr) *rows_out = n;
-  return (db->meter() - before).Cost(db->cost_weights());
+  return cost;
 }
 
 double RunFrozen(Database* db, const RetrievalSpec& spec,
@@ -52,12 +86,14 @@ double RunFrozen(Database* db, const RetrievalSpec& spec,
   exec.Open(p).ok();
   RowBatch batch;
   uint64_t n = 0;
-  while (n < k) {
+  while (k == 0 || n < k) {
     auto more = exec.NextBatch(&batch);
     if (!more.ok() || !*more) break;
     n += batch.num_rows();
   }
-  return (db->meter() - before).Cost(db->cost_weights());
+  double cost = (db->meter() - before).Cost(db->cost_weights());
+  if (k == 0) CheckDrain(db, spec, p, "frozen " + exec.choice().ToString(), n);
+  return cost;
 }
 
 StaticPlanChoice Frozen(StaticPlanChoice::Kind kind,
@@ -86,10 +122,10 @@ void GoalSection(Database* db, Table* table, BenchReport* report) {
   spec.goal = OptimizationGoal::kTotalTime;
   DynamicRetrieval tt(db, spec);
 
-  double ff_first = RunEngine(db, &ff, p, 1);
-  double tt_first = RunEngine(db, &tt, p, 1);
-  double ff_all = RunEngine(db, &ff, p, 0);
-  double tt_all = RunEngine(db, &tt, p, 0);
+  double ff_first = RunEngine(db, &ff, spec, p, 1);
+  double tt_first = RunEngine(db, &tt, spec, p, 1);
+  double ff_all = RunEngine(db, &ff, spec, p, 0);
+  double tt_all = RunEngine(db, &tt, spec, p, 0);
   std::printf("%24s %14s %14s\n", "goal", "first-row cost", "full cost");
   std::printf("%24s %14.0f %14.0f\n", "fast-first", ff_first, ff_all);
   std::printf("%24s %14.0f %14.0f\n", "total-time", tt_first, tt_all);
@@ -120,7 +156,7 @@ void BackgroundOnlySection(Database* db, Table* table, BenchReport* report) {
 
   DynamicRetrieval engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &engine, p, 0, &rows);
+  double dyn = RunEngine(db, &engine, spec, p, 0, &rows);
   double f_income = RunFrozen(
       db, spec, Frozen(StaticPlanChoice::Kind::kFscan,
                        *table->GetIndex("by_income")),
@@ -173,9 +209,11 @@ void FastFirstSection(Database* db, Table* table, BenchReport* report) {
        std::vector<std::tuple<const char*, const char*,
                               std::function<double(uint64_t)>>>{
            {"fast-first tactic", "fast_first.tactic",
-            [&](uint64_t k) { return RunEngine(db, &ff, p, k); }},
+            [&](uint64_t k) { return RunEngine(db, &ff, spec, p, k); }},
            {"pure Jscan (total-time)", "fast_first.pure_jscan",
-            [&](uint64_t k) { return RunEngine(db, &jscan_only, p, k); }},
+            [&](uint64_t k) {
+              return RunEngine(db, &jscan_only, tt_spec, p, k);
+            }},
            {"pure Fscan(by_income)", "fast_first.pure_fscan",
             [&](uint64_t k) {
               return RunFrozen(db, spec,
@@ -209,7 +247,7 @@ void SortedSection(Database* db, Table* table, BenchReport* report) {
 
   DynamicRetrieval sorted_engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &sorted_engine, p, 0, &rows);
+  double dyn = RunEngine(db, &sorted_engine, spec, p, 0, &rows);
   // Naive ordered alternative: plain Fscan over by_age (delivers order,
   // fetches everything in the age range = the whole table).
   double plain = RunFrozen(db, spec,
@@ -259,7 +297,7 @@ void IndexOnlySection(Database* db, BenchReport* report) {
 
   DynamicRetrieval engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &engine, p, 0, &rows);
+  double dyn = RunEngine(db, &engine, spec, p, 0, &rows);
   double sscan = RunFrozen(db, spec,
                            Frozen(StaticPlanChoice::Kind::kSscan,
                                   *(*table2)->GetIndex("cover_age_income")),
@@ -321,5 +359,5 @@ void Run() {
 
 int main() {
   dynopt::Run();
-  return 0;
+  return dynopt::g_row_mismatch ? 1 : 0;
 }

@@ -2,7 +2,7 @@
 # Builds and runs every benchmark, collecting the BENCH_<name>.json
 # reports each one writes to its working directory into a single place.
 #
-# Five binaries double as regression gates and exit non-zero (failing
+# Six binaries double as regression gates and exit non-zero (failing
 # this script) when breached: bench_profile (profiling overhead <= 5%),
 # bench_micro (batched Tscan restriction >= 2x over row-at-a-time),
 # bench_learning (warm median q-error <= 0.5x cold, >= 1 plan flip,
@@ -10,7 +10,8 @@
 # (governed goodput retention at 2x load, bounded admitted p99, typed
 # sheds, golden hashes), and bench_replication (standby apply rate
 # >= 0.5x the primary commit rate, plus the failover scenario with its
-# measured RTO).
+# measured RTO), and bench_tactics (every drained row count matches a
+# naive Tscan + filter over the same table).
 #
 # Usage: scripts/bench.sh [output-dir] [jobs]
 #   output-dir   where benchmarks run and reports land (default:

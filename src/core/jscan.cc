@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace dynopt {
 
@@ -74,7 +75,7 @@ void Jscan::EmitOutcome(const IndexOutcome& outcome) {
 
 std::unique_ptr<Jscan::ActiveScan> Jscan::StartScan(
     const IndexClassification* cand) {
-  auto scan = std::make_unique<ActiveScan>(cand);
+  auto scan = std::make_unique<ActiveScan>(cand, db_->page_count());
   scan->list = std::make_unique<HybridRidList>(db_->pool(), options_.rid_list);
   scan->list->set_context(ctx_);
   if (cand->covered_residual != nullptr) {
@@ -140,7 +141,8 @@ Status Jscan::Advance() {
 
 Result<bool> Jscan::StepScan(ActiveScan* scan) {
   MeterScope scope(db_->pool(), &scan->accrued);
-  scan_entries_.Clear();
+  const PredicateRef& screen = scan->cand->covered_residual;
+  scan_entries_.Clear(/*collect_keys=*/screen != nullptr);
   DYNOPT_ASSIGN_OR_RETURN(
       bool more,
       scan->cursor.NextBatch(options_.batch_entries, &scan_entries_));
@@ -151,42 +153,38 @@ Result<bool> Jscan::StepScan(ActiveScan* scan) {
     return false;
   }
   scan->entries_scanned += n;
+  std::span<const Rid> rids = scan_entries_.rids();
   // Intersection filter: the previously completed list drops entries
   // before they ever reach this scan's RID list.
-  scan_keep_.clear();
-  scan_keep_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (completed_list_ != nullptr &&
-        !completed_list_->MightContain(scan_entries_.rid(i))) {
-      continue;
-    }
-    scan_keep_.push_back(i);
+  if (completed_list_ != nullptr) {
+    completed_list_->Probe(rids, &scan_keep_);
+  } else {
+    scan_keep_.resize(n);
+    std::iota(scan_keep_.begin(), scan_keep_.end(), 0u);
   }
-  if (scan->cand->covered_residual != nullptr && !scan_keep_.empty()) {
+  if (screen != nullptr && !scan_keep_.empty()) {
     // Vectorized index screening: reject from the keys alone, before the
     // entries reach a RID list (and long before any record fetch).
     scan->keys.Clear();
     for (uint32_t i : scan_keep_) {
       DYNOPT_RETURN_IF_ERROR(scan->cand->index->DecodeKeyColumnsInto(
           scan_entries_.key(i), scan->keys.dests(), &decode_scratch_));
-      scan->keys.AddRow(scan_entries_.rid(i));
+      scan->keys.AddRow(rids[i]);
     }
     db_->pool()->meter_ptr()->record_evals += scan_keep_.size();
     BatchView view(scan->keys.cols(), scan->keys.num_columns());
-    DYNOPT_RETURN_IF_ERROR(FilterSelection(*scan->cand->covered_residual,
-                                           view, params_, &scan_scratch_,
+    DYNOPT_RETURN_IF_ERROR(FilterSelection(*screen, view, params_,
+                                           &scan_scratch_,
                                            &scan->keys.sel()));
     // keys row r corresponds to scan_keep_[r]; compact in place.
     size_t kept = 0;
     for (uint32_t r : scan->keys.sel()) scan_keep_[kept++] = scan_keep_[r];
     scan_keep_.resize(kept);
   }
-  for (uint32_t i : scan_keep_) {
-    const Rid& rid = scan_entries_.rid(i);
-    DYNOPT_RETURN_IF_ERROR(scan->list->Append(rid));
-    scan->kept++;
-    scan->kept_pages.insert(rid.page);
-  }
+  Status appended = scan->list->Append(rids, scan_keep_);
+  scan->kept = scan->list->size();  // a failed spill keeps what it took
+  DYNOPT_RETURN_IF_ERROR(appended);
+  for (uint32_t i : scan_keep_) scan->kept_pages.Insert(rids[i].page);
   return true;
 }
 
@@ -206,7 +204,7 @@ double Jscan::ProjectedFinalCost(const ActiveScan& scan) const {
                               : static_cast<double>(scan.kept) * scale;
   double total_pages =
       static_cast<double>(spec_.table->heap()->pages().size());
-  double linear_pages = static_cast<double>(scan.kept_pages.size()) * scale;
+  double linear_pages = static_cast<double>(scan.kept_pages.count()) * scale;
   double cardenas =
       total_pages > 0
           ? total_pages *
@@ -256,17 +254,11 @@ Status Jscan::RefilterPartial(ActiveScan* scan) {
   MeterScope scope(db_->pool(), &scan->accrued);
   auto fresh = std::make_unique<HybridRidList>(db_->pool(), options_.rid_list);
   fresh->set_context(ctx_);
-  size_t n = scan->list->InMemorySize();
-  uint64_t kept = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Rid rid = scan->list->GetInMemory(i);
-    if (completed_list_->MightContain(rid)) {
-      DYNOPT_RETURN_IF_ERROR(fresh->Append(rid));
-      kept++;
-    }
-  }
+  std::span<const Rid> partial = scan->list->InMemory();
+  completed_list_->Probe(partial, &scan_keep_);
+  DYNOPT_RETURN_IF_ERROR(fresh->Append(partial, scan_keep_));
   scan->list = std::move(fresh);
-  scan->kept = kept;
+  scan->kept = scan->list->size();
   borrow_generation_++;
   return Status::OK();
 }
@@ -278,7 +270,7 @@ Status Jscan::CompleteScan(std::unique_ptr<ActiveScan> scan) {
 
   // The complete list's page spread is now *known*, not estimated.
   double final_cost = FetchCostFromPages(
-      static_cast<double>(scan->kept_pages.size()),
+      static_cast<double>(scan->kept_pages.count()),
       static_cast<double>(scan->kept), db_->cost_weights());
   bool improves = final_cost < gbc_ || completed_list_ != nullptr;
   if (options_.dynamic_thresholds) {
@@ -451,8 +443,9 @@ std::optional<Rid> Jscan::BorrowNextRid() {
     borrow_source_generation_ = borrow_generation_;
     borrow_pos_ = 0;
   }
-  if (borrow_pos_ >= source->InMemorySize()) return std::nullopt;
-  return source->GetInMemory(borrow_pos_++);
+  std::span<const Rid> borrowable = source->InMemory();
+  if (borrow_pos_ >= borrowable.size()) return std::nullopt;
+  return borrowable[borrow_pos_++];
 }
 
 }  // namespace dynopt

@@ -34,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/database.h"
@@ -163,13 +162,15 @@ class Jscan {
     CostMeter accrued;
     /// Distinct heap pages among kept RIDs: the live clustering
     /// measurement the final-cost projection is built from (§3b).
-    std::unordered_set<PageId> kept_pages;
+    PageBitmap kept_pages;
     /// Decoded key columns of the current batch's screen candidates
     /// (configured at StartScan when a covered residual exists).
     RowBatch keys;
 
-    explicit ActiveScan(const IndexClassification* c)
-        : cand(c), cursor(c->index->tree(), &c->ranges) {}
+    ActiveScan(const IndexClassification* c, size_t page_count)
+        : cand(c),
+          cursor(c->index->tree(), &c->ranges),
+          kept_pages(page_count) {}
   };
 
   /// Starts scans for the next candidate(s); updates phase when none left.
@@ -236,7 +237,7 @@ class Jscan {
   RidBatch scan_entries_;
   BatchEvalScratch scan_scratch_;
   std::string decode_scratch_;
-  std::vector<uint32_t> scan_keep_;  // batch indexes surviving the filter
+  std::vector<uint32_t> scan_keep_;  // RID indexes surviving the filter
 };
 
 }  // namespace dynopt

@@ -1,6 +1,7 @@
 #include "exec/rid_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace dynopt {
@@ -36,53 +37,61 @@ void HybridRidList::SetBit(Rid rid) {
   bitmap_[bit / 64] |= uint64_t{1} << (bit % 64);
 }
 
-Status HybridRidList::Append(Rid rid) {
+void HybridRidList::Charge(uint64_t n, uint64_t bytes) const {
+  if (n != 0 && pool_ != nullptr) pool_->meter_ptr()->rid_ops += n;
+  if (bytes != 0 && ctx_ != nullptr) ctx_->ChargeRidListBytes(bytes);
+}
+
+Status HybridRidList::Append(std::span<const Rid> rids,
+                             std::span<const uint32_t> sel) {
   if (sealed_) return Status::Internal("append to sealed RID list");
-  if (pool_ != nullptr) pool_->meter_ptr()->rid_ops++;
-  switch (storage_) {
-    case Storage::kInline:
-      if (size_ < options_.inline_capacity) {
-        inline_buf_[size_++] = rid;
-        if (ctx_ != nullptr) ctx_->ChargeRidListBytes(sizeof(Rid));
-        return Status::OK();
-      }
+  const size_t n = sel.size();
+  size_t i = 0;
+  if (storage_ == Storage::kInline) {
+    size_t take = std::min(n, options_.inline_capacity - size_);
+    for (; i < take; ++i) inline_buf_[size_++] = rids[sel[i]];
+    if (i < n) {
       // Promote: copy the inline region into an allocated buffer sized
       // for the whole in-memory region at once — the list grows to
       // memory_capacity before spilling, so anything smaller buys a
       // doubling-and-memcpy cascade inside the scan hot loop.
       heap_buf_.reserve(options_.memory_capacity);
-      heap_buf_.assign(inline_buf_.begin(),
-                       inline_buf_.begin() + size_);
+      heap_buf_.assign(inline_buf_.begin(), inline_buf_.begin() + size_);
       storage_ = Storage::kHeap;
-      [[fallthrough]];
-    case Storage::kHeap:
-      if (heap_buf_.size() < options_.memory_capacity) {
-        if (heap_buf_.size() == heap_buf_.capacity()) Bump(m_reallocs_);
-        heap_buf_.push_back(rid);
-        size_++;
-        if (ctx_ != nullptr) ctx_->ChargeRidListBytes(sizeof(Rid));
-        return Status::OK();
-      }
-      // Overflow: open the temporary table and build the bitmap over
-      // everything seen so far.
-      if (pool_ == nullptr) {
-        return Status::ResourceExhausted(
-            "RID list exceeded memory capacity with no spill pool");
-      }
-      spill_ = std::make_unique<TempRidFile>(pool_, ctx_);
-      bitmap_.assign((options_.bitmap_bits + 63) / 64, 0);
-      for (const Rid& r : heap_buf_) SetBit(r);
-      storage_ = Storage::kSpilled;
-      [[fallthrough]];
-    case Storage::kSpilled: {
-      Status st = spill_->Append(rid);
-      if (!st.ok()) return WithContext("RID-list spill append", st);
-      SetBit(rid);
-      size_++;
-      return Status::OK();
     }
   }
-  return Status::Internal("unreachable RID storage state");
+  if (storage_ == Storage::kHeap && i < n) {
+    size_t take =
+        std::min(n - i, options_.memory_capacity - heap_buf_.size());
+    if (heap_buf_.size() + take > heap_buf_.capacity()) Bump(m_reallocs_);
+    for (size_t end = i + take; i < end; ++i) {
+      heap_buf_.push_back(rids[sel[i]]);
+    }
+    size_ += take;
+  }
+  Charge(i, i * sizeof(Rid));
+  if (i == n) return Status::OK();
+  // Overflow: open the temporary table and build the bitmap over
+  // everything seen so far.
+  if (pool_ == nullptr) {
+    return Status::ResourceExhausted(
+        "RID list exceeded memory capacity with no spill pool");
+  }
+  if (storage_ != Storage::kSpilled) {
+    spill_ = std::make_unique<TempRidFile>(pool_, ctx_);
+    bitmap_.assign((options_.bitmap_bits + 63) / 64, 0);
+    for (const Rid& r : heap_buf_) SetBit(r);
+    storage_ = Storage::kSpilled;
+  }
+  for (; i < n; ++i) {
+    Charge(1);
+    const Rid& rid = rids[sel[i]];
+    Status st = spill_->Append(rid);
+    if (!st.ok()) return WithContext("RID-list spill append", st);
+    SetBit(rid);
+    size_++;
+  }
+  return Status::OK();
 }
 
 Status HybridRidList::Seal() {
@@ -93,41 +102,61 @@ Status HybridRidList::Seal() {
   } else {
     std::sort(heap_buf_.begin(), heap_buf_.end());
   }
+  if (storage_ != Storage::kSpilled) {
+    // About 8 bits per RID, rounded down to a power of two so a probe
+    // masks instead of dividing: most non-members find their bit clear
+    // and skip the binary search.
+    uint64_t bits = std::max<uint64_t>(64, std::bit_floor(8 * size_));
+    filter_mask_ = bits - 1;
+    bitmap_.assign(bits / 64, 0);
+    for (const Rid& r : InMemory()) {
+      uint64_t bit = MixRid(r.ToU64()) & filter_mask_;
+      bitmap_[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
   return Status::OK();
 }
 
-bool HybridRidList::MightContain(Rid rid) const {
+bool HybridRidList::Contains(Rid rid) const {
   assert(sealed_ && "filter probed before Seal()");
-  if (pool_ != nullptr) pool_->meter_ptr()->rid_ops++;
-  switch (storage_) {
-    case Storage::kInline:
-      return std::binary_search(inline_buf_.begin(),
-                                inline_buf_.begin() + size_, rid);
-    case Storage::kHeap:
-      return std::binary_search(heap_buf_.begin(), heap_buf_.end(), rid);
-    case Storage::kSpilled: {
-      uint64_t bit = MixRid(rid.ToU64()) % options_.bitmap_bits;
-      return (bitmap_[bit / 64] >> (bit % 64)) & 1;
-    }
+  uint64_t h = MixRid(rid.ToU64());
+  if (storage_ == Storage::kSpilled) {
+    uint64_t bit = h % options_.bitmap_bits;
+    return (bitmap_[bit / 64] >> (bit % 64)) & 1;
   }
-  return false;
+  uint64_t bit = h & filter_mask_;
+  if (((bitmap_[bit / 64] >> (bit % 64)) & 1) == 0) return false;
+  std::span<const Rid> mem = InMemory();
+  return std::binary_search(mem.begin(), mem.end(), rid);
+}
+
+void HybridRidList::Probe(std::span<const Rid> rids,
+                          std::vector<uint32_t>* keep) const {
+  Charge(rids.size());
+  keep->clear();
+  keep->reserve(rids.size());
+  for (uint32_t i = 0; i < rids.size(); ++i) {
+    if (Contains(rids[i])) keep->push_back(i);
+  }
+}
+
+bool HybridRidList::MightContain(Rid rid) const {
+  Charge(1);
+  return Contains(rid);
 }
 
 Result<std::vector<Rid>> HybridRidList::ToSortedVector() {
   std::vector<Rid> out;
   out.reserve(size_);
-  if (storage_ == Storage::kInline) {
-    out.assign(inline_buf_.begin(), inline_buf_.begin() + size_);
-  } else {
-    out = heap_buf_;
-    if (spill_ != nullptr) {
-      auto cursor = spill_->NewCursor();
-      Rid rid;
-      for (;;) {
-        DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&rid));
-        if (!more) break;
-        out.push_back(rid);
-      }
+  std::span<const Rid> mem = InMemory();
+  out.assign(mem.begin(), mem.end());
+  if (spill_ != nullptr) {
+    auto cursor = spill_->NewCursor();
+    Rid rid;
+    for (;;) {
+      DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&rid));
+      if (!more) break;
+      out.push_back(rid);
     }
   }
   std::sort(out.begin(), out.end());
@@ -135,14 +164,9 @@ Result<std::vector<Rid>> HybridRidList::ToSortedVector() {
 }
 
 Result<bool> HybridRidList::Cursor::Next(Rid* rid) {
-  size_t mem_size = list_->storage_ == Storage::kInline
-                        ? list_->size_
-                        : list_->heap_buf_.size();
-  if (mem_pos_ < mem_size) {
-    *rid = list_->storage_ == Storage::kInline
-               ? list_->inline_buf_[mem_pos_]
-               : list_->heap_buf_[mem_pos_];
-    mem_pos_++;
+  std::span<const Rid> mem = list_->InMemory();
+  if (mem_pos_ < mem.size()) {
+    *rid = mem[mem_pos_++];
     return true;
   }
   if (list_->spill_ != nullptr) {

@@ -7,16 +7,25 @@
 // still spill to a temporary table while a hashed bitmap [Babb79] of "a
 // size as small as necessary" stands in as the membership filter.
 //
-// After Seal(), a list answers MightContain() probes: exact for in-memory
+// After Seal(), a list answers membership probes: exact for in-memory
 // storage, no-false-negative (possible false positives) for the spilled
 // bitmap. False positives are harmless to the engine — the final stage
-// re-evaluates the full restriction on fetched records anyway.
+// re-evaluates the full restriction on fetched records anyway. Seal() also
+// puts a small hashed bitmap in front of an in-memory list's sorted
+// buffer, so most non-members are rejected without a binary search.
+//
+// Appends and probes come in batches: one call per index-entry batch, one
+// meter charge per call while the list is in memory (a spilled RID is
+// charged with its temp-table I/O). The charges equal one rid_op per RID
+// appended or probed, exactly as a per-RID loop would make them.
 
 #ifndef DYNOPT_EXEC_RID_SET_H_
 #define DYNOPT_EXEC_RID_SET_H_
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -51,23 +60,41 @@ class HybridRidList {
   /// Call before the first Append.
   void set_context(QueryContext* ctx) { ctx_ = ctx; }
 
-  /// Appends a RID (duplicates are the caller's concern). Charges one
-  /// rid_op; spilling charges real temp-table I/O through the pool.
-  Status Append(Rid rid);
+  /// Appends rids[i] for every i in `sel`, in `sel` order (duplicates are
+  /// the caller's concern). Charges one rid_op per RID and the in-memory
+  /// RID-list bytes once per call; spilling charges real temp-table I/O
+  /// through the pool. On a failed spill append, the RIDs before the
+  /// failing one stay appended (size() counts them).
+  Status Append(std::span<const Rid> rids, std::span<const uint32_t> sel);
+
+  /// One-RID Append.
+  Status Append(Rid rid) {
+    const uint32_t first = 0;
+    return Append(std::span<const Rid>(&rid, 1),
+                  std::span<const uint32_t>(&first, 1));
+  }
 
   uint64_t size() const { return size_; }
   Storage storage() const { return storage_; }
   bool empty() const { return size_ == 0; }
 
-  /// Finalizes the list for filtering: sorts the in-memory region. Appends
-  /// after Seal() are rejected.
+  /// Finalizes the list for filtering: sorts the in-memory region and,
+  /// unless spilled, builds the hashed bitmap in front of it (about 8 bits
+  /// per RID, a power of two, at least one 64-bit word). Appends after
+  /// Seal() are rejected.
   Status Seal();
 
-  /// Membership probe (requires Seal()). Exact unless spilled; spilled
-  /// lists answer through the bitmap (no false negatives).
+  /// Batch membership probe (requires Seal()): sets `*keep` to the
+  /// ascending indexes i of `rids` whose RID the list might contain.
+  /// Exact unless spilled; spilled lists answer through their bitmap (no
+  /// false negatives). Charges one rid_op per probed RID, once per call.
+  void Probe(std::span<const Rid> rids, std::vector<uint32_t>* keep) const;
+
+  /// One-RID Probe.
   bool MightContain(Rid rid) const;
 
-  /// True when probes are exact (no bitmap involved).
+  /// True when probes are exact (the list did not spill to its lossy
+  /// bitmap).
   bool filter_is_exact() const { return storage_ != Storage::kSpilled; }
 
   /// Materializes all RIDs in sorted order (reads back any spill — that
@@ -75,17 +102,15 @@ class HybridRidList {
   /// final list so several records on one page are fetched together.
   Result<std::vector<Rid>> ToSortedVector();
 
-  /// Number of RIDs held in memory (inline or heap region) — the portion a
-  /// fast-first foreground may borrow from (§7). Spilled RIDs are excluded.
-  size_t InMemorySize() const {
-    return storage_ == Storage::kInline ? static_cast<size_t>(size_)
-                                        : heap_buf_.size();
-  }
-
-  /// In-memory RID at position `i` (i < InMemorySize()). Order is append
-  /// order before Seal(), sorted order after.
-  Rid GetInMemory(size_t i) const {
-    return storage_ == Storage::kInline ? inline_buf_[i] : heap_buf_[i];
+  /// The RIDs held in memory (inline or heap region) — the portion a
+  /// fast-first foreground may borrow from (§7). Spilled RIDs are
+  /// excluded. Order is append order before Seal(), sorted order after.
+  std::span<const Rid> InMemory() const {
+    if (storage_ == Storage::kInline) {
+      return std::span<const Rid>(inline_buf_.data(),
+                                  static_cast<size_t>(size_));
+    }
+    return heap_buf_;
   }
 
   /// Streams RIDs in append order without materializing (spill-aware).
@@ -106,6 +131,11 @@ class HybridRidList {
   friend class Cursor;
 
   void SetBit(Rid rid);
+  /// The probe both MightContain and Probe run; charges nothing.
+  bool Contains(Rid rid) const;
+  /// Charges `n` rid_ops (and, for in-memory appends, `bytes` RID-list
+  /// bytes) in one meter add.
+  void Charge(uint64_t n, uint64_t bytes = 0) const;
 
   BufferPool* pool_;
   QueryContext* ctx_ = nullptr;
@@ -118,7 +148,37 @@ class HybridRidList {
   std::array<Rid, 32> inline_buf_;            // first region (<= capacity)
   std::vector<Rid> heap_buf_;                 // second region
   std::unique_ptr<TempRidFile> spill_;        // third region (overflow only)
-  std::vector<uint64_t> bitmap_;              // filter for the spilled case
+  // Hashed bitmap [Babb79]: the whole filter once spilled (bit = hash mod
+  // options_.bitmap_bits), or, once an in-memory list is sealed, the
+  // pre-check in front of its sorted buffer (bit = hash & filter_mask_).
+  std::vector<uint64_t> bitmap_;
+  uint64_t filter_mask_ = 0;
+};
+
+/// Distinct heap pages among a stream of RIDs: one bit per page id, plus a
+/// running count — the Jscan's live page-spread measurement (§3b). Sized
+/// for `page_count` ids up front; a higher id grows it to exactly that id.
+class PageBitmap {
+ public:
+  explicit PageBitmap(size_t page_count = 0)
+      : words_((page_count + 63) / 64, 0) {}
+
+  void Insert(PageId page) {
+    size_t word = page / 64;
+    if (word >= words_.size()) {
+      words_.reserve(word + 1);  // exact: no growth slack
+      words_.resize(word + 1, 0);
+    }
+    uint64_t bit = uint64_t{1} << (page % 64);
+    count_ += (words_[word] & bit) == 0;
+    words_[word] |= bit;
+  }
+
+  uint64_t count() const { return count_; }
+
+ private:
+  std::vector<uint64_t> words_;
+  uint64_t count_ = 0;
 };
 
 }  // namespace dynopt

@@ -1,6 +1,7 @@
 #include "exec/steppers.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dynopt {
 
@@ -91,7 +92,7 @@ Result<bool> FscanStepper::Step(size_t max_units) {
   if (exhausted_) return false;
   DYNOPT_RETURN_IF_ERROR(PollGovernance());
   MeterScope scope(pool_, &accrued_);
-  entries_.Clear();
+  entries_.Clear(/*collect_keys=*/screen_ != nullptr);
   DYNOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextBatch(max_units, &entries_));
   (void)more;
   size_t n = entries_.size();
@@ -101,14 +102,13 @@ Result<bool> FscanStepper::Step(size_t max_units) {
   }
   entries_scanned_ += n;
 
-  // Stage 1: pre-fetch RID filter (the Sorted tactic's Jscan cooperation).
-  survivors_.clear();
-  survivors_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (filter_ != nullptr && !filter_->MightContain(entries_.rid(i))) {
-      continue;  // rejected before the expensive fetch
-    }
-    survivors_.push_back(i);
+  // Stage 1: pre-fetch RID filter (the Sorted tactic's Jscan cooperation)
+  // rejects RIDs before their expensive fetch.
+  if (filter_ != nullptr) {
+    filter_->Probe(entries_.rids(), &survivors_);
+  } else {
+    survivors_.resize(n);
+    std::iota(survivors_.begin(), survivors_.end(), 0u);
   }
 
   // Stage 2: index screening — evaluate the covered conjuncts over the

@@ -496,7 +496,15 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
   *bound_hit = false;
   if (exhausted_) return false;
   out->Reserve(out->size() + max);
-  auto* compares = &tree_->pool_->meter_ptr()->key_compares;
+  // One key compare per entry touched, charged once per call on every
+  // return path (the meter is read only between steps).
+  struct ChargeCompares {
+    RelaxedCounter* meter;
+    uint64_t n = 0;
+    ~ChargeCompares() {
+      if (n != 0) meter->Add(n);
+    }
+  } compares{&tree_->pool_->meter_ptr()->key_compares};
   size_t n = 0;
   for (;;) {
     if (!guard_.valid() || guard_.id() != leaf_) {
@@ -511,7 +519,7 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
     uint16_t count = node.count();
     while (pos_ < count && n < max) {
       std::string_view key = node.Key(pos_);
-      (*compares)++;  // per-entry CPU touch, same rate as row-path Next
+      compares.n++;  // per-entry CPU touch, same rate as row-path Next
       if (!hi.empty() && key >= hi) {
         // Leave the cursor parked on the bounding entry; the caller
         // either reseeks for the next range or closes.

@@ -132,8 +132,10 @@ class BTree {
     /// whole leaf's qualifying entries per page pin instead of re-entering
     /// the cursor per entry. Stops early when a key reaches `hi`
     /// (exclusive encoded upper bound; empty = unbounded), setting
-    /// `*bound_hit`. Returns true when the batch filled and more entries
-    /// may remain; false when the scan is over (tree end or bound hit).
+    /// `*bound_hit`. Keys are copied only when `out` collects them. Key
+    /// compares are charged to the meter once per call. Returns true when
+    /// the batch filled and more entries may remain; false when the scan
+    /// is over (tree end or bound hit).
     Result<bool> NextBatch(std::string_view hi, size_t max, RidBatch* out,
                            bool* bound_hit);
 

@@ -4,11 +4,13 @@
 // whole leaf's qualifying entries into a RidBatch under a single page pin,
 // so the buffer pool is locked once per leaf rather than once per entry.
 // Key strings are recycled across Clear() — steady-state scans perform no
-// per-entry allocation.
+// per-entry allocation. A caller that screens nothing by key turns key
+// collection off, and the batch carries RIDs alone.
 
 #ifndef DYNOPT_INDEX_RID_BATCH_H_
 #define DYNOPT_INDEX_RID_BATCH_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,33 +22,37 @@ namespace dynopt {
 class RidBatch {
  public:
   void Reserve(size_t n) {
-    keys_.reserve(n);
+    if (collect_keys_) keys_.reserve(n);
     rids_.reserve(n);
   }
 
-  void Clear() {
-    size_ = 0;
+  /// Empties the batch; `collect_keys` says whether the next harvest keeps
+  /// key bytes (key(i) is valid only when it does).
+  void Clear(bool collect_keys = true) {
+    collect_keys_ = collect_keys;
     rids_.clear();
   }
 
   void Append(std::string_view key, const Rid& rid) {
-    if (size_ < keys_.size()) {
-      keys_[size_].assign(key);  // recycle the slot's allocation
-    } else {
-      keys_.emplace_back(key);
+    if (collect_keys_) {
+      if (rids_.size() < keys_.size()) {
+        keys_[rids_.size()].assign(key);  // recycle the slot's allocation
+      } else {
+        keys_.emplace_back(key);
+      }
     }
-    size_++;
     rids_.push_back(rid);
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return rids_.size(); }
+  bool empty() const { return rids_.empty(); }
   const std::string& key(size_t i) const { return keys_[i]; }
   const Rid& rid(size_t i) const { return rids_[i]; }
+  std::span<const Rid> rids() const { return rids_; }
 
  private:
-  size_t size_ = 0;
-  std::vector<std::string> keys_;  // size_ may trail keys_.size()
+  bool collect_keys_ = true;
+  std::vector<std::string> keys_;  // size() may trail keys_.size()
   std::vector<Rid> rids_;
 };
 

@@ -748,6 +748,104 @@ TEST(RaceTest, SortedTacticInstallsFilterOrFinishesFirst) {
               SawVerdict(engine, "no-filter"));
 }
 
+// The race paths the Jscan's batch probe and append serve: a Jscan list
+// completing inside a fast-first race, a completed list installed as the
+// Sorted tactic's pre-fetch filter, and a spilled completed list filtering
+// the next scan. age in [10,20] AND income < 4000 over 8,000 rows: the
+// income list (176 RIDs) completes first and filters the age scan.
+PredicateRef AgeIncomeConjunction() {
+  return Predicate::And(
+      {AgeBetween(10, 20),
+       Predicate::Compare(2, CompareOp::kLt,
+                          Operand::Literal(Value(int64_t{4000})))});
+}
+
+TEST(RaceTest, FastFirstJscanCompletesDuringRace) {
+  Families f(8000);
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec =
+      f.Spec(AgeIncomeConjunction(), {0, 1, 2}, OptimizationGoal::kFastFirst);
+  DynamicRetrieval engine(&f.db, spec);
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kFastFirst);
+  auto rids = DrainRids(&engine);
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  const TraceEvent* v =
+      engine.events().Find(TraceEventKind::kCompetitionVerdict,
+                           "jscan-complete");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, "during race");
+  EXPECT_GT(v->b, 0);  // the foreground delivered rows before completion
+  // Both lists completed: the final list is the intersection.
+  ASSERT_NE(engine.jscan(), nullptr);
+  EXPECT_EQ(engine.jscan()->completed_order().size(), 2u);
+}
+
+TEST(RaceTest, SortedTacticInstallsJscanFilter) {
+  Families f(8000);
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {0, 1, 2},
+                              OptimizationGoal::kFastFirst);
+  spec.order_by_column = 1;
+  DynamicRetrieval engine(&f.db, spec);
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kSorted);
+  std::vector<int64_t> ages;
+  std::multiset<uint64_t> rids;
+  RowBatch batch;
+  for (;;) {
+    auto more = engine.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+      ages.push_back(batch.col(1).ValueAt(r).AsInt64());
+    }
+  }
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
+  EXPECT_TRUE(SawVerdict(engine, "filter-installed"))
+      << engine.events().ToJson();
+  EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
+}
+
+TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {
+  Families f(8000);
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
+  RetrievalOptions opt;
+  opt.jscan.rid_list.memory_capacity = 64;  // the 176-RID list spills
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {0, 1, 2});
+  DynamicRetrieval engine(&f.db, spec, opt);
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
+  auto rids = DrainRids(&engine);
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  const TraceEvent* v =
+      engine.events().Find(TraceEventKind::kCompetitionVerdict,
+                           "jscan-complete");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  ASSERT_NE(engine.jscan(), nullptr);
+  const auto& outcomes = engine.jscan()->outcomes();
+  ASSERT_EQ(outcomes.size(), 2u);
+  // The first list outgrew memory and was sealed spilled.
+  EXPECT_EQ(outcomes[0].index_name, "by_income");
+  EXPECT_EQ(outcomes[0].kind, Jscan::IndexOutcomeKind::kCompleted);
+  EXPECT_GT(outcomes[0].kept, opt.jscan.rid_list.memory_capacity);
+  // Its lossy bitmap filtered the whole age scan: nothing was dropped that
+  // the result needs, and most entries never reached the second list.
+  EXPECT_EQ(outcomes[1].index_name, "by_age");
+  EXPECT_EQ(outcomes[1].kind, Jscan::IndexOutcomeKind::kCompleted);
+  EXPECT_GE(outcomes[1].kept, rids.size());
+  EXPECT_LT(outcomes[1].kept, outcomes[1].entries_scanned / 4);
+  EXPECT_EQ(v->a, static_cast<double>(outcomes[1].kept));  // final list
+}
+
 // ------------------------------------------- §7 extension: OR coverage
 
 TEST(OrCoverageTest, InListUsesMultiRangeIndexScan) {

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "exec/retrieval_spec.h"
 #include "exec/rid_set.h"
 #include "exec/steppers.h"
+#include "governance/query_context.h"
 #include "util/rng.h"
 
 namespace dynopt {
@@ -167,8 +170,201 @@ TEST(HybridRidListTest, InMemoryAccessors) {
   for (uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(list.Append(Rid{i, 0}).ok());
   }
-  ASSERT_EQ(list.InMemorySize(), 5u);
-  EXPECT_EQ(list.GetInMemory(3).page, 3u);  // append order before Seal
+  ASSERT_EQ(list.InMemory().size(), 5u);
+  EXPECT_EQ(list.InMemory()[3].page, 3u);  // append order before Seal
+}
+
+// The inline, heap and spilled setups of the tests above:
+// RegionTransitions' capacities, ExactMembershipInMemory's defaults and
+// SpilledBitmapHasNoFalseNegatives' 64-RID memory with a 4,096-bit bitmap.
+struct RidListSetup {
+  const char* name;
+  HybridRidList::Options opt;
+  size_t n;                        // RIDs appended
+  HybridRidList::Storage storage;  // the region the list ends in
+};
+
+std::vector<RidListSetup> RidListSetups() {
+  HybridRidList::Options inline_opt;
+  inline_opt.inline_capacity = 4;
+  inline_opt.memory_capacity = 10;
+  HybridRidList::Options spill_opt;
+  spill_opt.memory_capacity = 64;
+  spill_opt.bitmap_bits = 1 << 12;
+  return {{"inline", inline_opt, 4, HybridRidList::Storage::kInline},
+          {"heap", HybridRidList::Options(), 100,
+           HybridRidList::Storage::kHeap},
+          {"spilled", spill_opt, 2000, HybridRidList::Storage::kSpilled}};
+}
+
+// `n` distinct random RIDs.
+std::vector<Rid> RandomRids(Rng& rng, size_t n) {
+  std::set<Rid> seen;
+  std::vector<Rid> out;
+  while (out.size() < n) {
+    Rid r{static_cast<PageId>(rng.NextBounded(1 << 20)),
+          static_cast<uint16_t>(rng.NextBounded(100))};
+    if (seen.insert(r).second) out.push_back(r);
+  }
+  return out;
+}
+
+// Members, their slot neighbours and random RIDs: what a probe sees.
+std::vector<Rid> ProbeCandidates(Rng& rng, const std::vector<Rid>& members) {
+  std::vector<Rid> out = RandomRids(rng, 3000);
+  for (const Rid& r : members) {
+    out.push_back(r);
+    out.push_back(Rid{r.page, static_cast<uint16_t>(r.slot + 1)});
+  }
+  return out;
+}
+
+TEST(HybridRidListTest, BatchProbeMatchesBinarySearchInMemory) {
+  for (const RidListSetup& setup : RidListSetups()) {
+    if (setup.storage == HybridRidList::Storage::kSpilled) continue;
+    SCOPED_TRACE(setup.name);
+    MemPageStore store;
+    BufferPool pool(&store, 16);
+    HybridRidList list(&pool, setup.opt);
+    Rng rng(7);
+    std::vector<Rid> members = RandomRids(rng, setup.n);
+    for (const Rid& r : members) ASSERT_TRUE(list.Append(r).ok());
+    ASSERT_TRUE(list.Seal().ok());
+    ASSERT_EQ(list.storage(), setup.storage);
+    std::vector<Rid> sorted = members;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Rid> candidates = ProbeCandidates(rng, members);
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < candidates.size(); ++i) {
+      bool found =
+          std::binary_search(sorted.begin(), sorted.end(), candidates[i]);
+      if (found) want.push_back(i);
+      EXPECT_EQ(list.MightContain(candidates[i]), found);
+    }
+    std::vector<uint32_t> keep = {99};  // Probe replaces, never appends
+    list.Probe(candidates, &keep);
+    EXPECT_EQ(keep, want);
+  }
+  // A sealed empty list keeps nothing.
+  HybridRidList empty(nullptr);
+  ASSERT_TRUE(empty.Seal().ok());
+  std::vector<uint32_t> keep;
+  std::vector<Rid> some = {Rid{0, 0}, Rid{1, 1}, Rid{kInvalidPageId, 0}};
+  empty.Probe(some, &keep);
+  EXPECT_TRUE(keep.empty());
+}
+
+TEST(HybridRidListTest, BatchProbeNeverDropsASpilledMember) {
+  const RidListSetup setup = RidListSetups()[2];
+  MemPageStore store;
+  BufferPool pool(&store, 16);
+  HybridRidList list(&pool, setup.opt);
+  Rng rng(11);
+  std::vector<Rid> members = RandomRids(rng, setup.n);
+  for (const Rid& r : members) ASSERT_TRUE(list.Append(r).ok());
+  ASSERT_TRUE(list.Seal().ok());
+  ASSERT_EQ(list.storage(), HybridRidList::Storage::kSpilled);
+  std::vector<uint32_t> keep;
+  list.Probe(members, &keep);
+  std::vector<uint32_t> all(members.size());
+  std::iota(all.begin(), all.end(), 0u);
+  EXPECT_EQ(keep, all);
+  // Non-members get the one-RID answer, false positives included.
+  std::vector<Rid> candidates = ProbeCandidates(rng, members);
+  list.Probe(candidates, &keep);
+  std::vector<uint32_t> want;
+  for (uint32_t i = 0; i < candidates.size(); ++i) {
+    if (list.MightContain(candidates[i])) want.push_back(i);
+  }
+  EXPECT_EQ(keep, want);
+  EXPECT_LT(keep.size(), candidates.size());
+}
+
+TEST(HybridRidListTest, BatchProbeChargesOneRidOpPerRid) {
+  for (const RidListSetup& setup : RidListSetups()) {
+    SCOPED_TRACE(setup.name);
+    MemPageStore store;
+    BufferPool pool(&store, 16);
+    HybridRidList list(&pool, setup.opt);
+    Rng rng(13);
+    std::vector<Rid> members = RandomRids(rng, setup.n);
+    for (const Rid& r : members) ASSERT_TRUE(list.Append(r).ok());
+    ASSERT_TRUE(list.Seal().ok());
+    std::vector<Rid> candidates = ProbeCandidates(rng, members);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{17}, candidates.size()}) {
+      CostMeter before = pool.meter();
+      std::vector<uint32_t> keep;
+      list.Probe(std::span<const Rid>(candidates).first(n), &keep);
+      CostMeter d = pool.meter() - before;
+      EXPECT_EQ(d.rid_ops, n);
+      EXPECT_EQ(d.Cost(), static_cast<double>(n) * CostWeights().rid_op);
+    }
+    CostMeter before = pool.meter();
+    list.MightContain(candidates[0]);
+    EXPECT_EQ((pool.meter() - before).rid_ops, 1u);
+  }
+}
+
+TEST(HybridRidListTest, BatchAppendChargesAndMovesLikePerRidAppends) {
+  for (const RidListSetup& setup : RidListSetups()) {
+    SCOPED_TRACE(setup.name);
+    // Twin lists on twin pools, so each meter sees one list only.
+    MemPageStore store_a, store_b;
+    BufferPool pool_a(&store_a, 16), pool_b(&store_b, 16);
+    QueryContext ctx_a, ctx_b;
+    HybridRidList per_rid(&pool_a, setup.opt), batched(&pool_b, setup.opt);
+    per_rid.set_context(&ctx_a);
+    batched.set_context(&ctx_b);
+    Rng rng(17);
+    // Enough RIDs to pass through all three regions.
+    std::vector<Rid> rids =
+        RandomRids(rng, 2 * setup.opt.memory_capacity + 40);
+    std::set<HybridRidList::Storage> seen;
+    // Uneven chunks; every third RID of a chunk is left unselected.
+    const size_t chunks[] = {1, 2, 3, 7, 64, 5, 300};
+    size_t pos = 0;
+    for (size_t c = 0; pos < rids.size(); ++c) {
+      size_t len = std::min(chunks[c % std::size(chunks)], rids.size() - pos);
+      std::span<const Rid> chunk(rids.data() + pos, len);
+      std::vector<uint32_t> sel;
+      for (uint32_t i = 0; i < len; ++i) {
+        if ((pos + i) % 3 != 2) sel.push_back(i);
+      }
+      for (uint32_t i : sel) ASSERT_TRUE(per_rid.Append(chunk[i]).ok());
+      ASSERT_TRUE(batched.Append(chunk, sel).ok());
+      pos += len;
+      // Same region, same in-memory RIDs (so the same RID moved the list
+      // on), same charges.
+      ASSERT_EQ(batched.storage(), per_rid.storage()) << "after " << pos;
+      ASSERT_EQ(batched.size(), per_rid.size());
+      ASSERT_TRUE(std::ranges::equal(batched.InMemory(), per_rid.InMemory()));
+      ASSERT_EQ(pool_b.meter().ToString(), pool_a.meter().ToString());
+      ASSERT_EQ(ctx_b.rid_list_bytes(), ctx_a.rid_list_bytes());
+      ASSERT_EQ(ctx_b.spill_bytes(), ctx_a.spill_bytes());
+      seen.insert(batched.storage());
+    }
+    EXPECT_EQ(seen.size(), 3u);
+    auto a = per_rid.ToSortedVector();
+    auto b = batched.ToSortedVector();
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b);
+  }
+}
+
+TEST(HybridRidListTest, PageBitmapCountMatchesASetOfPages) {
+  for (size_t presize : {size_t{0}, size_t{100}, size_t{1} << 16}) {
+    SCOPED_TRACE(presize);
+    PageBitmap bitmap(presize);
+    std::set<PageId> pages;
+    Rng rng(19);
+    for (int i = 0; i < 20000; ++i) {
+      PageId page = i % 50 == 0 ? static_cast<PageId>(rng.NextBounded(64))
+                                : static_cast<PageId>(rng.NextBounded(1 << 17));
+      bitmap.Insert(page);
+      pages.insert(page);
+      ASSERT_EQ(bitmap.count(), pages.size()) << "after " << i;
+    }
+  }
 }
 
 // -------------------------------------------------------------- Steppers
