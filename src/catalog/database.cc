@@ -405,19 +405,17 @@ Status Database::LoadCatalog() {
                     std::move(pages), record_count, index_metas));
     tables_[std::move(name)] = std::move(table);
   }
+  // Older catalogs carry no profile (v1) or learning (v1–2) blob; Open
+  // loads into a fresh database, so those stores simply stay empty.
   if (version >= 2) {
     std::string profile_blob;
     if (!r.Str(&profile_blob)) return truncated;
     DYNOPT_RETURN_IF_ERROR(profiles_.Load(profile_blob));
-  } else {
-    profiles_.Clear();
   }
   if (version >= 3) {
     std::string learning_blob;
     if (!r.Str(&learning_blob)) return truncated;
     DYNOPT_RETURN_IF_ERROR(learning_.Load(learning_blob));
-  } else {
-    learning_.Clear();
   }
   if (!r.exhausted()) {
     return Status::Corruption("catalog blob has trailing bytes");

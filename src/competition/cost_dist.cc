@@ -80,41 +80,6 @@ double EmpiricalCost::Sample(Rng& rng) const {
 
 double EmpiricalCost::MaxCost() const { return sorted_.back(); }
 
-ShrunkCost::ShrunkCost(std::shared_ptr<const CostDistribution> prior,
-                       double observed_mean, double weight)
-    : prior_(std::move(prior)),
-      m_(observed_mean),
-      w_(std::clamp(weight, 0.0, 1.0 - 1e-9)) {
-  assert(prior_ != nullptr);
-}
-
-double ShrunkCost::Mean() const {
-  // E[(1−w)X + wm] — linearity; the quantile map is affine in X.
-  return (1.0 - w_) * prior_->Mean() + w_ * m_;
-}
-
-double ShrunkCost::Cdf(double x) const {
-  return prior_->Cdf((x - w_ * m_) / (1.0 - w_));
-}
-
-double ShrunkCost::Quantile(double p) const {
-  return (1.0 - w_) * prior_->Quantile(p) + w_ * m_;
-}
-
-double ShrunkCost::MeanBelow(double x) const {
-  double y = (x - w_ * m_) / (1.0 - w_);
-  if (prior_->Cdf(y) <= 0.0) return 0.0;
-  return (1.0 - w_) * prior_->MeanBelow(y) + w_ * m_;
-}
-
-double ShrunkCost::Sample(Rng& rng) const {
-  return (1.0 - w_) * prior_->Sample(rng) + w_ * m_;
-}
-
-double ShrunkCost::MaxCost() const {
-  return (1.0 - w_) * prior_->MaxCost() + w_ * m_;
-}
-
 double FitHyperbolaToMean(double mean, double cmax) {
   assert(cmax > 0);
   // Mean(b) = a·cmax − b with a = 1/ln((cmax+b)/b) is increasing in b,

@@ -10,7 +10,7 @@
 #ifndef DYNOPT_COMPETITION_COST_DIST_H_
 #define DYNOPT_COMPETITION_COST_DIST_H_
 
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.h"
@@ -75,38 +75,11 @@ class EmpiricalCost final : public CostDistribution {
   std::vector<double> prefix_sum_;  // prefix_sum_[i] = sum of first i values
 };
 
-/// A prior narrowed toward an observed mean — how learned feedback enters
-/// the §3 calculus. Each quantile is pulled toward the measurement:
-/// Q'(p) = (1−w)·Q(p) + w·m, with w in [0,1] the measurement weight. At
-/// w=0 this is the prior; at w=1 it degenerates to a point mass at m. The
-/// L-shape survives at intermediate w but its spread shrinks by (1−w):
-/// a learned correction *narrows* the distribution rather than replacing
-/// it, so the competition keeps a tail to reason about.
-class ShrunkCost final : public CostDistribution {
- public:
-  /// `weight` is clamped to [0, 1).
-  ShrunkCost(std::shared_ptr<const CostDistribution> prior,
-             double observed_mean, double weight);
-
-  double Mean() const override;
-  double Cdf(double x) const override;
-  double Quantile(double p) const override;
-  double MeanBelow(double x) const override;
-  double Sample(Rng& rng) const override;
-  double MaxCost() const override;
-
-  double weight() const { return w_; }
-
- private:
-  std::shared_ptr<const CostDistribution> prior_;
-  double m_;
-  double w_;
-};
-
 /// The b parameter of a TruncatedHyperbolaCost on [0, cmax] whose Mean()
 /// equals `mean` (bisection; mean is clamped into the hyperbola's feasible
 /// range (0, cmax/2)). Lets a measured mean be re-expressed as an analytic
-/// L-shaped prior before narrowing.
+/// L-shaped prior before narrowing (the §7 index-only settle in
+/// core/retrieval.cc).
 double FitHyperbolaToMean(double mean, double cmax);
 
 }  // namespace dynopt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "competition/cost_dist.h"
 #include "exec/query_class.h"
@@ -63,10 +64,13 @@ std::string WinnerForVerdict(std::string_view subject,
 
 DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
                                    RetrievalOptions options)
-    : db_(db), spec_(std::move(spec)), options_(options), exec_(db->pool()) {
+    : db_(db),
+      spec_(std::move(spec)),
+      options_(options),
+      exec_(db->pool()),
+      final_fetch_(db->pool(), spec_, params_, &delivered_),
+      ff_fetch_(db->pool(), spec_, params_, &delivered_) {
   if (spec_.restriction == nullptr) spec_.restriction = Predicate::True();
-  fetch_batch_.Configure(spec_.table->schema().num_columns(),
-                         spec_.NeededColumns(), options_.batch_size);
   // One batch quantum governs the whole engine: steppers, Jscan harvests,
   // and the final fetch stage all sample competition state at this grain.
   options_.jscan.batch_entries = options_.batch_size;
@@ -138,14 +142,9 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   delivered_.clear();
   events_.Clear();
   jscan_.reset();
-  single_.reset();
-  fscan_fgr_.reset();
-  sscan_fgr_.reset();
-  fgr_accrued_ = CostMeter();
-  fgr_active_ = false;
+  owned_.reset();
+  single_ = fgr_ = nullptr;
   track_delivered_ = false;
-  final_rids_.clear();
-  final_pos_ = 0;
   delivers_order_ = false;
   rows_delivered_ = 0;
   predicted_rows_ = 0;
@@ -161,8 +160,6 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   degraded_ = false;
   single_is_tscan_ = false;
   brownout_plain_fscan_ = false;
-  charged_reads_ = 0;
-  engine_accrued_ = CostMeter();
   if (options_.profile) {
     profile_.Begin("query");
     open_time_ = std::chrono::steady_clock::now();
@@ -174,7 +171,7 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
     class_key_.clear();
   }
   profile_finished_ = false;
-  span_single_ = span_fg_ = span_bg_ = span_final_ = nullptr;
+  span_single_ = span_fg_ = span_bg_ = nullptr;
   span_competition_ = span_rows_ = charged_span_ = nullptr;
   have_sample_ = false;
   sample_ = CompetitionSample();
@@ -317,12 +314,10 @@ void DynamicRetrieval::RecordFeedback() {
                        static_cast<double>(rows_delivered_),
                        raw_predicted_cost_, actual_cost);
     if (mode_ == Mode::kDone) {
-      ScanStepper* winner =
-          single_ != nullptr      ? single_.get()
-          : sscan_fgr_ != nullptr ? static_cast<ScanStepper*>(sscan_fgr_.get())
-          : fscan_fgr_ != nullptr ? static_cast<ScanStepper*>(fscan_fgr_.get())
-                                  : nullptr;
-      if (winner != nullptr && winner->exhausted()) {
+      // The final stage is a fetch of the Jscan's list, not a strategy a
+      // brownout can pin, so it records no strategy cost.
+      ScanStepper* winner = single_ != nullptr ? single_ : fgr_;
+      if (winner != nullptr && !IsFetch(winner) && winner->exhausted()) {
         learning_->ObserveStrategyCost(learn_key_, winner->label(),
                                        winner->AccruedCost(
                                            db_->cost_weights()));
@@ -454,12 +449,16 @@ Status DynamicRetrieval::SetUpTactic() {
     jscan_->set_tolerate_io_faults(fallback_armed_);
   };
 
-  // The competition span with the foreground `fg` and the Jscan under it;
-  // the foreground gets credit for delivered rows.
-  auto start_race = [&](std::string_view fg, double fg_cost, double bg_cost) {
+  // Races `fg` against the Jscan: the competition span holds the
+  // foreground span `name` and the Jscan's; the foreground gets credit for
+  // delivered rows.
+  auto start_race = [&](ScanStepper* fg, std::string_view name, double fg_cost,
+                        double bg_cost) {
+    fgr_ = fg;
+    fgr_->set_context(ctx_);
     span_competition_ =
         profile_.AddSpan(profile_.root(), SpanKind::kCompetition, "race");
-    span_fg_ = strategy_span(span_competition_, fg, fg_cost);
+    span_fg_ = strategy_span(span_competition_, name, fg_cost);
     span_bg_ = strategy_span(span_competition_, "jscan", bg_cost);
     span_rows_ = span_fg_;
     EnterMode(Mode::kRace);
@@ -473,30 +472,43 @@ Status DynamicRetrieval::SetUpTactic() {
     case Tactic::kShortcutTiny: {
       const IndexClassification& c = analysis_.indexes[analysis_.tiny_index];
       std::vector<Rid> rids;
-      MultiRangeCursor cursor(c.index->tree(), &c.ranges);
-      std::string key;
-      Rid rid;
-      MeterScope scope(db_->pool(), &engine_accrued_);
-      for (;;) {
-        DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&key, &rid));
-        if (!more) break;
-        rids.push_back(rid);
+      CostMeter probe;
+      Status scanned;
+      {
+        MultiRangeCursor cursor(c.index->tree(), &c.ranges);
+        std::string key;
+        Rid rid;
+        MeterScope scope(db_->pool(), &probe);
+        for (;;) {
+          auto more = cursor.Next(&key, &rid);
+          if (!more.ok()) {
+            scanned = more.status();
+            break;
+          }
+          if (!*more) break;
+          rids.push_back(rid);
+        }
       }
+      // The probe belongs to no strategy, but its pages count against the
+      // context's budget all the same.
+      if (ctx_ != nullptr) ctx_->ChargePagesRead(probe.logical_reads);
+      DYNOPT_RETURN_IF_ERROR(scanned);
       return BeginFinalStage(std::move(rids));
     }
 
     case Tactic::kStaticTscan:
       single_is_tscan_ = true;
-      StartSingle(std::make_unique<TscanStepper>(db_->pool(), spec_, params_),
-                  strategy_span(profile_.root(), "tscan", predicted_cost_));
+      StartSingle(
+          Own(std::make_unique<TscanStepper>(db_->pool(), spec_, params_)),
+          strategy_span(profile_.root(), "tscan", predicted_cost_));
       return Status::OK();
 
     case Tactic::kStaticSscan: {
       const IndexClassification& c =
           analysis_.indexes[analysis_.best_self_sufficient];
       delivers_order_ = spec_.order_by_column.has_value() && c.order_needed;
-      StartSingle(std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
-                                                 c.index, c.ranges),
+      StartSingle(Own(std::make_unique<SscanStepper>(
+                      db_->pool(), spec_, params_, c.index, c.ranges)),
                   strategy_span(profile_.root(), "sscan", predicted_cost_));
       return Status::OK();
     }
@@ -509,43 +521,40 @@ Status DynamicRetrieval::SetUpTactic() {
 
     case Tactic::kFastFirst:
       start_jscan(jscan_candidates(-1));
-      fgr_active_ = true;
+      ff_fetch_.Restart();
       track_delivered_ = true;
-      start_race("fast-first-fetch", -1, predicted_cost_);
+      start_race(&ff_fetch_, "fast-first-fetch", -1, predicted_cost_);
       return Status::OK();
 
     case Tactic::kSorted: {
       const IndexClassification& c = analysis_.indexes[analysis_.order_needed];
-      fscan_fgr_ = std::make_unique<FscanStepper>(db_->pool(), spec_, params_,
+      auto fscan = std::make_unique<FscanStepper>(db_->pool(), spec_, params_,
                                                   c.index, c.ranges);
-      fscan_fgr_->set_context(ctx_);
-      if (c.covered_residual != nullptr) {
-        fscan_fgr_->SetScreen(c.covered_residual);
-      }
+      if (c.covered_residual != nullptr) fscan->SetScreen(c.covered_residual);
       delivers_order_ = true;
       auto rest = jscan_candidates(analysis_.order_needed);
       if (brownout_plain_fscan_) rest.clear();
       if (rest.empty()) {
         Verdict("no-background", "plain fscan");
-        StartSingle(std::move(fscan_fgr_),
+        StartSingle(Own(std::move(fscan)),
                     strategy_span(profile_.root(), "fscan", predicted_cost_));
         return Status::OK();
       }
       start_jscan(std::move(rest));
-      start_race("fscan", predicted_cost_, -1);
+      start_race(Own(std::move(fscan)), "fscan", predicted_cost_, -1);
       return Status::OK();
     }
 
     case Tactic::kIndexOnly: {
       const IndexClassification& c =
           analysis_.indexes[analysis_.best_self_sufficient];
-      sscan_fgr_ = std::make_unique<SscanStepper>(db_->pool(), spec_, params_,
-                                                  c.index, c.ranges);
-      sscan_fgr_->set_context(ctx_);
       delivers_order_ = spec_.order_by_column.has_value() && c.order_needed;
       start_jscan(jscan_candidates(analysis_.best_self_sufficient));
       track_delivered_ = true;
-      start_race("sscan", predicted_cost_, -1);
+      start_race(Own(std::make_unique<SscanStepper>(db_->pool(), spec_,
+                                                    params_, c.index,
+                                                    c.ranges)),
+                 "sscan", predicted_cost_, -1);
       return Status::OK();
     }
 
@@ -589,27 +598,14 @@ Result<bool> DynamicRetrieval::NextBatch(RowBatch* out, size_t max_rows) {
 Status DynamicRetrieval::Fail(Status st) {
   FinalizeProfile();  // before teardown, while stepper costs are readable
   jscan_.reset();
-  single_.reset();
-  fscan_fgr_.reset();
-  sscan_fgr_.reset();
+  owned_.reset();
+  single_ = fgr_ = nullptr;
   pending_.Clear();
   pending_pos_ = 0;
-  final_rids_.clear();
-  fgr_active_ = false;
   mode_ = Mode::kDone;
   events_.Emit(TraceEventKind::kStageTransition, "aborted",
                std::string(st.message()));
   return st;
-}
-
-Status DynamicRetrieval::PollGovernance() {
-  if (ctx_ == nullptr) return Status::OK();
-  uint64_t reads = engine_accrued_.logical_reads;
-  if (reads > charged_reads_) {
-    ctx_->ChargePagesRead(reads - charged_reads_);
-    charged_reads_ = reads;
-  }
-  return ctx_->Check();
 }
 
 Status DynamicRetrieval::FallBackToTscan(std::string subject,
@@ -620,24 +616,22 @@ Status DynamicRetrieval::FallBackToTscan(std::string subject,
   Verdict("io-fault-fallback", subject);
   Bump(m_fallbacks_);
   jscan_.reset();
-  fscan_fgr_.reset();
-  sscan_fgr_.reset();
-  final_rids_.clear();
-  final_pos_ = 0;
-  fgr_active_ = false;
+  // An index foreground goes with the race; the fast-first foreground only
+  // fetched, and stays so its span still reports the cost.
+  if (fgr_ != &ff_fetch_) fgr_ = nullptr;
   delivers_order_ = false;
   degraded_ = true;
   StartTscan("io-fault-fallback");
   return Status::OK();
 }
 
-void DynamicRetrieval::StartSingle(std::unique_ptr<ScanStepper> stepper,
-                                   ProfileSpan* span) {
-  single_ = std::move(stepper);
+void DynamicRetrieval::StartSingle(ScanStepper* stepper, ProfileSpan* span,
+                                   Mode mode) {
+  single_ = stepper;
   single_->set_context(ctx_);
   span_single_ = span;
   span_rows_ = span;
-  EnterMode(Mode::kSingle);
+  EnterMode(mode);
 }
 
 void DynamicRetrieval::StartTscan(std::string_view detail) {
@@ -645,7 +639,7 @@ void DynamicRetrieval::StartTscan(std::string_view detail) {
   ProfileSpan* span =
       profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
   if (span != nullptr) span->detail = std::string(detail);
-  StartSingle(std::make_unique<TscanStepper>(db_->pool(), spec_, params_),
+  StartSingle(Own(std::make_unique<TscanStepper>(db_->pool(), spec_, params_)),
               span);
 }
 
@@ -674,14 +668,15 @@ void DynamicRetrieval::Deliver(const RowBatch& src,
 }
 
 Status DynamicRetrieval::Pump() {
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
   // Wall time accrues to the span of the strategy owning the quantum, but
   // the clock is only read when ownership *changes* (ChargeSpan): quanta
   // are entry-granular, and a clock pair per quantum alone blows the
   // bench_profile 5% overhead gate. kRace charges inside StepRace, where
-  // the pacing decision knows which competitor moves.
+  // the pacing decision knows which competitor moves. The stepped strategy
+  // polls the context; the engine itself never does.
   switch (mode_) {
     case Mode::kSingle:
+    case Mode::kFinal:
       ChargeSpan(span_single_);
       return StepSingle();
     case Mode::kBackground:
@@ -689,9 +684,6 @@ Status DynamicRetrieval::Pump() {
       return StepBackground();
     case Mode::kRace:
       return StepRace();
-    case Mode::kFinal:
-      ChargeSpan(span_final_);
-      return StepFinal();
     case Mode::kDone:
       return Status::OK();
   }
@@ -700,13 +692,14 @@ Status DynamicRetrieval::Pump() {
 
 Status DynamicRetrieval::StepSingle() {
   auto stepped = single_->Step(options_.batch_size);
-  if (!stepped.ok()) return FallBackToTscan(single_->label(), stepped.status());
+  if (!stepped.ok()) return StrategyFailed(*single_, stepped.status());
   if (!*stepped) {
     EnterMode(Mode::kDone);
     return Status::OK();
   }
   const RowBatch& batch = single_->output();
-  if (delivered_.empty()) {
+  // A FetchStepper never fetched a delivered RID in the first place.
+  if (delivered_.empty() || single_ == &final_fetch_) {
     Deliver(batch, batch.sel());
     return Status::OK();
   }
@@ -735,20 +728,6 @@ Status DynamicRetrieval::StepBackground() {
   return Status::OK();
 }
 
-double DynamicRetrieval::ForegroundCost() const {
-  const CostWeights& w = db_->cost_weights();
-  switch (tactic_) {
-    case Tactic::kFastFirst:
-      return fgr_accrued_.Cost(w);
-    case Tactic::kSorted:
-      return fscan_fgr_ != nullptr ? fscan_fgr_->AccruedCost(w) : 0;
-    case Tactic::kIndexOnly:
-      return sscan_fgr_ != nullptr ? sscan_fgr_->AccruedCost(w) : 0;
-    default:
-      return 0;
-  }
-}
-
 Status DynamicRetrieval::StepRace() {
   if (jscan_->phase() != Jscan::Phase::kScanning) {
     ChargeSpan(span_competition_);
@@ -766,83 +745,63 @@ Status DynamicRetrieval::StepRace() {
 }
 
 Status DynamicRetrieval::StepForeground() {
+  if (tactic_ == Tactic::kFastFirst) {
+    // §7: the foreground fetches the next RID it borrows from the Jscan.
+    std::optional<Rid> rid = jscan_->BorrowNextRid();
+    if (!rid.has_value()) {
+      // Starved: nothing new to borrow, give the quantum to the Jscan.
+      Status st = jscan_->Step().status();
+      return st.ok() ? st : FallBackToTscan("Jscan", st);
+    }
+    ff_fetch_.Queue(*rid);
+  }
+  auto stepped = fgr_->Step(options_.batch_size);
+  if (!stepped.ok()) return StrategyFailed(*fgr_, stepped.status());
+  if (!*stepped) {
+    Verdict("foreground-finished",
+            tactic_ == Tactic::kSorted ? "fscan" : "sscan");
+    EnterMode(Mode::kDone);
+    return Status::OK();
+  }
+  const RowBatch& batch = fgr_->output();
+  if (tactic_ == Tactic::kFastFirst) {
+    // Every fetched RID counts as delivered, qualifying or not, so the
+    // final stage never fetches it again.
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      RememberDelivered(batch.rid(r));
+    }
+  } else if (track_delivered_) {
+    for (uint32_t r : batch.sel()) RememberDelivered(batch.rid(r));
+  }
+  Deliver(batch, batch.sel());
+
+  // Competition criteria for terminating the foreground (§7).
+  const CostWeights& w = db_->cost_weights();
   switch (tactic_) {
-    case Tactic::kFastFirst: {
-      std::optional<Rid> rid;
-      {
-        MeterScope scope(db_->pool(), &fgr_accrued_);
-        rid = jscan_->BorrowNextRid();
-        if (rid.has_value() && delivered_.count(*rid) == 0) {
-          DYNOPT_RETURN_IF_ERROR(DeliverByRid(*rid));
-        }
-      }
-      if (!rid.has_value()) {
-        // Starved: nothing new to borrow, give the quantum to the Jscan.
-        Status st = jscan_->Step().status();
-        return st.ok() ? st : FallBackToTscan("Jscan", st);
-      }
-      // Competition criteria for terminating the foreground (§7).
+    case Tactic::kFastFirst:
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
         Verdict("fgr-buffer-overflow", "background-only",
                 static_cast<double>(delivered_.size()));
-        fgr_active_ = false;
         EnterMode(Mode::kBackground);
-        return Status::OK();
-      }
-      if (fgr_accrued_.Cost(db_->cost_weights()) >
-          options_.fgr_cost_limit_fraction * jscan_->guaranteed_best_cost()) {
-        Verdict("fgr-cost-limit", "background-only",
-                fgr_accrued_.Cost(db_->cost_weights()),
+      } else if (fgr_->AccruedCost(w) > options_.fgr_cost_limit_fraction *
+                                            jscan_->guaranteed_best_cost()) {
+        Verdict("fgr-cost-limit", "background-only", fgr_->AccruedCost(w),
                 jscan_->guaranteed_best_cost());
-        fgr_active_ = false;
         EnterMode(Mode::kBackground);
       }
       return Status::OK();
-    }
-
-    case Tactic::kSorted: {
-      auto stepped = fscan_fgr_->Step(options_.batch_size);
-      if (!stepped.ok()) {
-        return FallBackToTscan(fscan_fgr_->label(), stepped.status());
-      }
-      if (!*stepped) {
-        Verdict("foreground-finished", "fscan");
-        EnterMode(Mode::kDone);
-        return Status::OK();
-      }
-      Deliver(fscan_fgr_->output(), fscan_fgr_->output().sel());
-      return Status::OK();
-    }
-
-    case Tactic::kIndexOnly: {
-      auto stepped = sscan_fgr_->Step(options_.batch_size);
-      if (!stepped.ok()) {
-        return FallBackToTscan(sscan_fgr_->label(), stepped.status());
-      }
-      if (!*stepped) {
-        Verdict("foreground-finished", "sscan");
-        EnterMode(Mode::kDone);
-        return Status::OK();
-      }
-      const RowBatch& batch = sscan_fgr_->output();
-      if (track_delivered_) {
-        for (uint32_t r : batch.sel()) RememberDelivered(batch.rid(r));
-      }
-      Deliver(batch, batch.sel());
-      if (track_delivered_ &&
-          delivered_.size() >= options_.fgr_buffer_capacity) {
+    case Tactic::kIndexOnly:
+      if (delivered_.size() >= options_.fgr_buffer_capacity) {
         // The safer strategy survives the buffer overflow (§7).
         Verdict("fgr-buffer-overflow", "sscan-retained",
                 static_cast<double>(delivered_.size()));
         track_delivered_ = false;
         if (!fallback_armed_) delivered_.clear();
-        StartSingle(std::move(sscan_fgr_), span_fg_);
+        StartSingle(std::exchange(fgr_, nullptr), span_fg_);
       }
       return Status::OK();
-    }
-
     default:
-      return Status::Internal("foreground step in non-race tactic");
+      return Status::OK();
   }
 }
 
@@ -869,14 +828,16 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       if (complete) {
         Verdict("filter-installed", "",
                 static_cast<double>(jscan_->final_list()->size()));
-        fscan_fgr_->SetPreFetchFilter(jscan_->final_list());
+        // The Sorted tactic's foreground is an Fscan.
+        static_cast<FscanStepper*>(fgr_)->SetPreFetchFilter(
+            jscan_->final_list());
         if (span_fg_ != nullptr) span_fg_->detail = "filter-installed";
       } else {
         Verdict("no-filter");
       }
       // The winning foreground stepper carries on as the lone strategy;
       // its span keeps accruing under the kSingle quantum timer.
-      StartSingle(std::move(fscan_fgr_), span_fg_);
+      StartSingle(std::exchange(fgr_, nullptr), span_fg_);
       return Status::OK();
 
     case Tactic::kIndexOnly:
@@ -888,33 +849,36 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         double ss_total = EstimateIndexScanCost(
             analysis_.indexes[analysis_.best_self_sufficient], w);
         double ss_remaining =
-            std::max(0.0, ss_total - sscan_fgr_->AccruedCost(w));
+            std::max(0.0, ss_total - fgr_->AccruedCost(w));
         double fin_cost = EstimateFetchCost(
             static_cast<double>(jscan_->final_list()->size()), spec_, w);
         // Learned narrowing (§3): when past executions of this class ran
         // the Sscan to completion, re-express the analytic remaining cost
-        // as an L-shaped prior and shrink it toward the measured mean. The
+        // as an L-shaped prior and shrink it toward the measured mean m:
+        // every quantile moves to (1−weight)·Q(p) + weight·m, so the mean
+        // does too, and a weight below 1 keeps the prior's tail. The
         // narrowed mean replaces the analytic one in the abandon decision —
         // a learned correction can change who wins the competition.
         double ss_used = ss_remaining;
         if (learning_ != nullptr) {
           if (auto learned = learning_->LookupStrategyCost(
-                  learn_key_, sscan_fgr_->label())) {
+                  learn_key_, fgr_->label())) {
             double learned_remaining = std::max(
-                0.0, learned->mean_cost - sscan_fgr_->AccruedCost(w));
+                0.0, learned->mean_cost - fgr_->AccruedCost(w));
             double span =
                 std::max({ss_remaining, learned_remaining, 1.0});
             double cmax = 2.2 * span;  // both means feasible (< cmax/2)
-            auto prior = std::make_shared<TruncatedHyperbolaCost>(
+            TruncatedHyperbolaCost prior(
                 FitHyperbolaToMean(std::max(ss_remaining, 1e-3), cmax),
                 cmax);
-            double weight =
+            double weight = std::clamp(
                 static_cast<double>(learned->samples) /
-                (static_cast<double>(learned->samples) + 1.0);
-            ShrunkCost narrowed(prior, learned_remaining, weight);
-            ss_used = narrowed.Mean();
+                    (static_cast<double>(learned->samples) + 1.0),
+                0.0, 1.0 - 1e-9);
+            ss_used = (1.0 - weight) * prior.Mean() +
+                      weight * learned_remaining;
             events_.Emit(TraceEventKind::kLearnedCorrectionApplied,
-                         "competition", sscan_fgr_->label(), ss_used,
+                         "competition", fgr_->label(), ss_used,
                          ss_remaining);
             if ((fin_cost < ss_used) != (fin_cost < ss_remaining)) {
               learning_->NoteCompetitionOverride();
@@ -925,7 +889,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
           auto rids = jscan_->final_list()->ToSortedVector();
           if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
           Verdict("jscan-won", "sscan abandoned", fin_cost, ss_used);
-          sscan_fgr_.reset();
+          fgr_ = nullptr;
           return BeginFinalStage(std::move(*rids));
         }
         Verdict("sscan-retained", "list too costly", fin_cost, ss_used);
@@ -934,7 +898,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       }
       track_delivered_ = false;
       if (!fallback_armed_) delivered_.clear();
-      StartSingle(std::move(sscan_fgr_), span_fg_);
+      StartSingle(std::exchange(fgr_, nullptr), span_fg_);
       return Status::OK();
 
     default:
@@ -943,76 +907,15 @@ Status DynamicRetrieval::OnBackgroundSettled() {
 }
 
 Status DynamicRetrieval::BeginFinalStage(std::vector<Rid> rids) {
+  // Page-sorted, so one pin covers every row a step fetches from a page.
+  // Heap-page faults are not degradable (StrategyFailed): a fallback Tscan
+  // reads the same pages.
   std::sort(rids.begin(), rids.end());
-  final_rids_ = std::move(rids);
-  final_pos_ = 0;
-  span_final_ =
+  ProfileSpan* span =
       profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "final-fetch");
-  if (span_final_ != nullptr) {
-    span_final_->estimated_rows = static_cast<double>(final_rids_.size());
-  }
-  span_rows_ = span_final_;
-  EnterMode(Mode::kFinal);
-  return Status::OK();
-}
-
-Status DynamicRetrieval::StepFinal() {
-  if (final_pos_ >= final_rids_.size()) {
-    EnterMode(Mode::kDone);
-    return Status::OK();
-  }
-  // Batched final fetch: the RID list is already page-sorted, so one
-  // BatchReader pin covers every row on a page. Heap-page faults are not
-  // degradable (a fallback Tscan reads the same pages) — typed errors
-  // propagate to the caller.
-  MeterScope scope(db_->pool(), &engine_accrued_);
-  fetch_batch_.Clear();
-  HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
-  while (final_pos_ < final_rids_.size() &&
-         fetch_batch_.num_rows() < options_.batch_size) {
-    Rid rid = final_rids_[final_pos_++];
-    if (AlreadyDelivered(rid)) continue;
-    DYNOPT_RETURN_IF_ERROR(FetchRecord(&reader, rid));
-  }
-  return ScreenFetched();  // an empty batch: the next pump notices the end
-}
-
-Status DynamicRetrieval::DeliverByRid(Rid rid) {
-  // Heap-page faults are not degradable: a fallback Tscan reads the same
-  // heap pages, so the typed error propagates to the caller instead.
-  MeterScope scope(db_->pool(), &engine_accrued_);
-  fetch_batch_.Clear();
-  HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
-  DYNOPT_RETURN_IF_ERROR(FetchRecord(&reader, rid));
-  if (fetch_batch_.num_rows() == 0) return Status::OK();  // deleted row
-  RememberDelivered(rid);
-  return ScreenFetched();
-}
-
-Status DynamicRetrieval::FetchRecord(HeapFile::BatchReader* reader, Rid rid) {
-  auto bytes = reader->Read(rid);
-  if (!bytes.ok()) {
-    if (bytes.status().IsNotFound()) return Status::OK();  // deleted row
-    return bytes.status();
-  }
-  DYNOPT_RETURN_IF_ERROR(DeserializeRecordColumns(
-      spec_.table->schema(), *bytes, fetch_batch_.dests()));
-  fetch_batch_.AddRow(rid);
-  return Status::OK();
-}
-
-Status DynamicRetrieval::ScreenFetched() {
-  size_t n = fetch_batch_.num_rows();
-  if (n == 0) return Status::OK();
-  db_->pool()->meter_ptr()->record_evals += n;
-  Bump(exec_.records_fetched, n);
-  Bump(exec_.rows_screened, n);
-  BatchView view(fetch_batch_.cols(), fetch_batch_.num_columns());
-  DYNOPT_RETURN_IF_ERROR(FilterSelection(*spec_.restriction, view, params_,
-                                         &fetch_scratch_,
-                                         &fetch_batch_.sel()));
-  exec_.NoteBatch(n, fetch_batch_.sel().size());
-  Deliver(fetch_batch_, fetch_batch_.sel());
+  if (span != nullptr) span->estimated_rows = static_cast<double>(rids.size());
+  final_fetch_.Restart(std::move(rids));
+  StartSingle(&final_fetch_, span, Mode::kFinal);
   return Status::OK();
 }
 
@@ -1063,9 +966,6 @@ void DynamicRetrieval::FinalizeProfile() {
         }
       }
     }
-  }
-  if (span_final_ != nullptr) {
-    span_final_->actual_cost = engine_accrued_.Cost(w);
   }
   if (span_competition_ != nullptr) {
     if (have_sample_) {

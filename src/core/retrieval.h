@@ -8,12 +8,12 @@
 //                      straight to the final fetch stage.
 //   Static clear cases Tscan when no index helps; Sscan when one covering
 //                      index obviously wins.
-//   Background-Only    Jscan to completion, then the final stage (Fin)
-//                      fetches the sorted RID list (§7).
-//   Fast-First         a foreground process borrows RIDs from the live
-//                      Jscan, fetches and delivers immediately, and is
-//                      terminated by competition when fast-first
-//                      satisfaction stops being realistic (§7).
+//   Background-Only    Jscan to completion, then the final stage (Fin), a
+//                      FetchStepper, fetches the sorted RID list (§7).
+//   Fast-First         a foreground FetchStepper borrows RIDs from the
+//                      live Jscan, one per quantum, fetches and delivers
+//                      immediately, and is terminated by competition when
+//                      fast-first satisfaction stops being realistic (§7).
 //   Sorted             Fscan on the best order-needed index races Jscan
 //                      over the remaining indexes; the completed Jscan
 //                      filter is installed into the Fscan to reject RIDs
@@ -24,6 +24,8 @@
 //
 // The foreground/background "simultaneous" run is a deterministic
 // interleaving paced by accrued cost at a configurable ratio. Every
+// strategy is a stepper (exec/steppers.h) or the Jscan, each metering its
+// own cost and polling the query's context once per quantum. Every
 // decision the engine takes is emitted as a typed event (events(), see
 // obs/trace.h) that tests assert against and EXPLAIN renders one line per
 // event (the Fig 4/Fig 6 state transitions).
@@ -99,12 +101,16 @@ class DynamicRetrieval {
  public:
   DynamicRetrieval(Database* db, RetrievalSpec spec,
                    RetrievalOptions options = RetrievalOptions());
+  // The fetch steppers hold references into the engine itself.
+  DynamicRetrieval(const DynamicRetrieval&) = delete;
+  DynamicRetrieval& operator=(const DynamicRetrieval&) = delete;
 
   /// Binds parameters and (re)optimizes. May be called repeatedly; each
   /// call is an independent execution that reuses learned index order.
   ///
-  /// `ctx` (optional, must outlive the execution) governs it: every pump
-  /// charges page reads and polls for cancellation/deadline/budget, and —
+  /// `ctx` (optional, must outlive the execution) governs it: every
+  /// quantum that steps a strategy charges its page reads and polls once
+  /// for cancellation/deadline/budget, and —
   /// when the context allows degraded fallback — an I/O fault on an index
   /// strategy disqualifies it and the execution continues on a Tscan
   /// (already-delivered RIDs are deduplicated, so rows are exact).
@@ -183,7 +189,7 @@ class DynamicRetrieval {
     kSingle,      // one stepper runs alone (Tscan/Sscan/filtered Fscan)
     kBackground,  // Jscan alone, then final stage
     kRace,        // foreground + background interleaved
-    kFinal,       // fetching the final RID list
+    kFinal,       // the final stage's FetchStepper runs alone
     kDone,
   };
 
@@ -211,21 +217,18 @@ class DynamicRetrieval {
   Status StepSingle();
   Status StepBackground();
   Status StepRace();
-  Status StepFinal();
   /// The race's background finished: route per tactic.
   Status OnBackgroundSettled();
   /// One foreground quantum inside the race.
   Status StepForeground();
+  /// Starts the final stage: a FetchStepper over `rids`, page-sorted, that
+  /// skips RIDs already delivered.
   Status BeginFinalStage(std::vector<Rid> rids);
-  /// Fetch+evaluate+deliver one RID a fast-first foreground borrowed, and
-  /// remember it as delivered whether or not it qualifies.
-  Status DeliverByRid(Rid rid);
-  /// Appends `rid`'s record to fetch_batch_ (a deleted row is skipped).
-  Status FetchRecord(HeapFile::BatchReader* reader, Rid rid);
-  /// Screens fetch_batch_ with the restriction in one pass, charges the
-  /// fetches to the exec.* ledger, and delivers the survivors.
-  Status ScreenFetched();
-  double ForegroundCost() const;
+  /// The race foreground's accrued cost (0 once it stopped racing, unless
+  /// it is the fast-first foreground, whose stepper outlives the race).
+  double ForegroundCost() const {
+    return fgr_ != nullptr ? fgr_->AccruedCost(db_->cost_weights()) : 0;
+  }
   /// Current db-wide repaired-page tally (read-path + pin-path); deltas
   /// over an execution land in the profile's consumption block.
   uint64_t RepairsNow() const;
@@ -235,9 +238,6 @@ class DynamicRetrieval {
   /// keeps profiling under the bench_profile overhead gate. A null span
   /// stops the accrual (profiling off, or finalize flush).
   void ChargeSpan(ProfileSpan* span);
-  /// Charges pages read outside any stepper (final stage, fast-first
-  /// fetches, shortcuts) to ctx_ and polls it. No-op without a context.
-  Status PollGovernance();
   /// True when `st` should degrade this execution (disqualify the faulted
   /// strategy, continue on Tscan) instead of failing it.
   bool CanDegrade(const Status& st) const {
@@ -248,9 +248,26 @@ class DynamicRetrieval {
   /// on a fresh Tscan (delivered_ filters duplicates); otherwise returns
   /// `cause` unchanged.
   Status FallBackToTscan(std::string subject, const Status& cause);
-  /// Makes `stepper` the lone strategy (Mode::kSingle); `span` gets its
-  /// wall time and row credit.
-  void StartSingle(std::unique_ptr<ScanStepper> stepper, ProfileSpan* span);
+  /// True for the two FetchSteppers: they read only heap pages, which a
+  /// fallback Tscan would read too, and the final stage is no strategy a
+  /// brownout can pin.
+  bool IsFetch(const ScanStepper* stepper) const {
+    return stepper == &final_fetch_ || stepper == &ff_fetch_;
+  }
+  /// `stepper`'s step failed with `st`: a FetchStepper's fault propagates,
+  /// an index strategy's goes through FallBackToTscan.
+  Status StrategyFailed(const ScanStepper& stepper, const Status& st) {
+    return IsFetch(&stepper) ? st : FallBackToTscan(stepper.label(), st);
+  }
+  /// Makes `stepper` this execution's Tscan, Fscan or Sscan; returns it.
+  ScanStepper* Own(std::unique_ptr<ScanStepper> stepper) {
+    owned_ = std::move(stepper);
+    return owned_.get();
+  }
+  /// Makes `stepper` the lone strategy (`mode` kSingle, or kFinal for the
+  /// final stage); `span` gets its wall time, row credit and cost.
+  void StartSingle(ScanStepper* stepper, ProfileSpan* span,
+                   Mode mode = Mode::kSingle);
   /// Starts the last-resort Tscan as the lone strategy; `detail` says why.
   void StartTscan(std::string_view detail);
   /// True while a degraded fallback can still happen — once the last-resort
@@ -300,19 +317,17 @@ class DynamicRetrieval {
   std::string learn_key_;         // full class key (prefix + param suffix)
 
   std::unique_ptr<Jscan> jscan_;
-  std::unique_ptr<ScanStepper> single_;     // kSingle stepper
-  std::unique_ptr<FscanStepper> fscan_fgr_; // Sorted foreground
-  std::unique_ptr<SscanStepper> sscan_fgr_; // Index-Only foreground
-  CostMeter fgr_accrued_;                   // Fast-First foreground cost
-  bool fgr_active_ = false;
+  std::unique_ptr<ScanStepper> owned_;  // this execution's Tscan/Fscan/Sscan
+  ScanStepper* single_ = nullptr;       // kSingle/kFinal stepper
+  // The race foreground: the Sorted tactic's Fscan, the Index-Only
+  // tactic's Sscan, or ff_fetch_.
+  ScanStepper* fgr_ = nullptr;
 
   QueryContext* ctx_ = nullptr;        // per-execution; set by Open
   bool fallback_armed_ = false;        // ctx_ allows degraded fallback
   bool degraded_ = false;
   bool single_is_tscan_ = false;       // the last-resort strategy is running
   bool brownout_plain_fscan_ = false;  // Sorted pinned to its foreground
-  uint64_t charged_reads_ = 0;         // engine-side reads charged to ctx_
-  CostMeter engine_accrued_;           // work done outside any stepper
   Counter* m_fallbacks_ = nullptr;
 
   // Profiling state. The span pointers index into profile_'s arena and are
@@ -322,7 +337,6 @@ class DynamicRetrieval {
   ProfileSpan* span_single_ = nullptr;
   ProfileSpan* span_fg_ = nullptr;
   ProfileSpan* span_bg_ = nullptr;
-  ProfileSpan* span_final_ = nullptr;
   ProfileSpan* span_competition_ = nullptr;
   ProfileSpan* span_rows_ = nullptr;
   ProfileSpan* charged_span_ = nullptr;  // span currently accruing wall time
@@ -340,14 +354,12 @@ class DynamicRetrieval {
 
   std::unordered_set<Rid> delivered_;
   bool track_delivered_ = false;
-
-  std::vector<Rid> final_rids_;
-  size_t final_pos_ = 0;
-  // Records the engine fetches by RID (final stage, fast-first borrows),
-  // page-clustered in the final stage.
-  RowBatch fetch_batch_;
-  BatchEvalScratch fetch_scratch_;
   ExecCounters exec_;
+  // The final stage, and the fast-first foreground the engine feeds one
+  // borrowed RID per quantum. Both skip delivered_, and both live as long
+  // as the engine, so a point lookup allocates no fetch batch.
+  FetchStepper final_fetch_;
+  FetchStepper ff_fetch_;
 
   RowBatch* out_ = nullptr;  // the caller's batch during NextBatch
   size_t out_room_ = 0;      // its max_rows

@@ -149,9 +149,4 @@ Result<bool> StaticRetrieval::NextBatch(RowBatch* out) {
   return true;
 }
 
-const CostMeter& StaticRetrieval::accrued() const {
-  static const CostMeter kEmpty;
-  return stepper_ != nullptr ? stepper_->accrued() : kEmpty;
-}
-
 }  // namespace dynopt

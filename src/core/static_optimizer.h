@@ -64,7 +64,6 @@ class StaticRetrieval {
   Result<bool> NextBatch(RowBatch* out);
 
   const StaticPlanChoice& choice() const { return choice_; }
-  const CostMeter& accrued() const;
 
  private:
   Database* db_;

@@ -395,9 +395,4 @@ uint64_t Wal::durable_lsn() const {
   return durable_lsn_;
 }
 
-uint64_t Wal::size_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
 }  // namespace dynopt

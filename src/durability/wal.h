@@ -180,8 +180,6 @@ class Wal {
 
   uint64_t next_lsn() const;
   uint64_t durable_lsn() const;
-  /// Append offset = bytes of header + valid records.
-  uint64_t size_bytes() const;
   /// True when Open() found (and truncated away) a torn tail — the
   /// signature of a crash mid-append. Replay after Open no longer sees
   /// the tail; this flag is how recovery learns it existed.

@@ -163,6 +163,69 @@ Result<bool> FscanStepper::Step(size_t max_units) {
   return true;
 }
 
+// ------------------------------------------------------------------ Fetch
+
+FetchStepper::FetchStepper(BufferPool* pool, const RetrievalSpec& spec,
+                           const ParamMap& params,
+                           const std::unordered_set<Rid>* skip)
+    : ScanStepper("Fetch", pool, spec, params), skip_(skip) {
+  // No reserve: the batch grows to what the steps fetch and keeps it, so a
+  // point lookup's final stage never allocates a full batch.
+  batch_.Configure(spec.table->schema().num_columns(), spec.NeededColumns(),
+                   0);
+}
+
+void FetchStepper::Restart(std::vector<Rid> rids) {
+  rids_ = std::move(rids);
+  pos_ = 0;
+  exhausted_ = false;
+  accrued_ = CostMeter();
+  charged_reads_ = 0;
+}
+
+Result<bool> FetchStepper::Step(size_t max_units) {
+  if (exhausted_) return false;
+  DYNOPT_RETURN_IF_ERROR(PollGovernance());
+  if (pos_ == rids_.size()) {
+    exhausted_ = true;
+    return false;
+  }
+  {
+    MeterScope scope(pool_, &accrued_);
+    batch_.Clear();
+    const Schema& schema = spec_.table->schema();
+    // One reader for the step: page-sorted RIDs share each page's pin.
+    HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
+    while (pos_ < rids_.size() && batch_.num_rows() < max_units) {
+      Rid rid = rids_[pos_++];
+      if (skip_ != nullptr && skip_->count(rid) > 0) continue;
+      auto bytes = reader.Read(rid);
+      if (!bytes.ok()) {
+        if (bytes.status().IsNotFound()) continue;  // deleted row
+        return bytes.status();
+      }
+      DYNOPT_RETURN_IF_ERROR(
+          DeserializeRecordColumns(schema, *bytes, batch_.dests()));
+      batch_.AddRow(rid);
+    }
+    size_t n = batch_.num_rows();
+    if (n > 0) {
+      Bump(exec_.records_fetched, n);
+      DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
+      exec_.NoteBatch(n, batch_.sel().size());
+    }
+  }
+  if (pos_ == rids_.size()) {  // a fed queue restarts empty
+    rids_.clear();
+    pos_ = 0;
+  }
+  // Charged now rather than at this stepper's next poll: the next poll of
+  // any strategy sees them, and a fast-first foreground may never step
+  // again once the race moves on.
+  ChargeReads();
+  return true;
+}
+
 // ------------------------------------------------------------------ Sscan
 
 SscanStepper::SscanStepper(BufferPool* pool, const RetrievalSpec& spec,

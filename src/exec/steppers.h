@@ -6,14 +6,16 @@
 // and meters its own cost, so the retrieval engine can race strategies at
 // proportional speeds and compare their accrued/projected costs exactly.
 //
-// Tscan, Fscan and Sscan live here; Jscan — the paper's contribution — is
-// built on top of these pieces in src/core/jscan.h.
+// Tscan, Fscan, Sscan and the fetch-by-RID stepper live here; Jscan — the
+// paper's contribution — is built on top of these pieces in
+// src/core/jscan.h.
 
 #ifndef DYNOPT_EXEC_STEPPERS_H_
 #define DYNOPT_EXEC_STEPPERS_H_
 
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "catalog/index.h"
@@ -45,8 +47,8 @@ class MeterScope {
 };
 
 /// The executor's exec.* counters, bound from a pool's attached registry
-/// (all null when the pool has none). The steppers and the retrieval
-/// engine's own record fetches charge the same counters.
+/// (all null when the pool has none). Every stepper and the retrieval
+/// engine charge the same counters.
 struct ExecCounters {
   explicit ExecCounters(BufferPool* pool);
 
@@ -104,12 +106,17 @@ class ScanStepper {
   /// Step() with no pins held — a stepper holds pins only *within* a step.
   Status PollGovernance() {
     if (ctx_ == nullptr) return Status::OK();
+    ChargeReads();
+    return ctx_->Check();
+  }
+  /// Charges the logical reads accrued since the last charge to the
+  /// context's page budget.
+  void ChargeReads() {
     uint64_t reads = accrued_.logical_reads;
-    if (reads > charged_reads_) {
+    if (ctx_ != nullptr && reads > charged_reads_) {
       ctx_->ChargePagesRead(reads - charged_reads_);
       charged_reads_ = reads;
     }
-    return ctx_->Check();
   }
   /// Binds the shared executor counters from `pool`'s attached registry
   /// (null pool or detached registry leaves them disabled).
@@ -195,6 +202,37 @@ class FscanStepper final : public ScanStepper {
   std::string decode_scratch_;
   std::vector<uint32_t> survivors_;    // entry indexes surviving filter+screen
   std::vector<uint32_t> fetch_order_;  // survivors sorted by (page, slot)
+};
+
+/// Fetch by RID: fetches the records of the RIDs its caller queues, in
+/// queue order, and screens them with the restriction in one batch pass.
+/// A deleted row, or a RID in the skip set, is passed over without a fetch
+/// and does not count against the step's quantum. The retrieval engine
+/// runs two of them (§7): the final stage (Fin) over the Jscan's
+/// page-sorted RID list, and the fast-first foreground, fed one borrowed
+/// RID per quantum. Both live as long as the engine and restart for each
+/// execution, so fetching by RID allocates nothing once the batch has
+/// grown.
+class FetchStepper final : public ScanStepper {
+ public:
+  /// `skip` (may be null) must outlive the stepper.
+  FetchStepper(BufferPool* pool, const RetrievalSpec& spec,
+               const ParamMap& params, const std::unordered_set<Rid>* skip);
+
+  /// Starts over on the queue `rids`, with an empty meter and nothing
+  /// charged to a context yet.
+  void Restart(std::vector<Rid> rids = {});
+  /// Queues one more RID to fetch.
+  void Queue(Rid rid) { rids_.push_back(rid); }
+
+  /// Fetches up to `max_units` records. Returns false once it finds the
+  /// queue empty.
+  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
+
+ private:
+  const std::unordered_set<Rid>* skip_;
+  std::vector<Rid> rids_;  // the queue; rids_[pos_] is fetched next
+  size_t pos_ = 0;
 };
 
 /// Self-sufficient index scan: delivers results from index keys alone.

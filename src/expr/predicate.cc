@@ -18,11 +18,6 @@ Result<Value> Operand::Bind(const ParamMap& params) const {
   return it->second;
 }
 
-std::string Operand::ToString() const {
-  if (is_host_var()) return ":" + var_name_;
-  return literal_.ToString();
-}
-
 std::string Operand::ShapeString() const {
   if (is_host_var()) return ":" + var_name_;
   return "?";
@@ -123,7 +118,6 @@ class TruePredicate final : public Predicate {
     return Status::OK();
   }
   void CollectColumns(std::set<uint32_t>*) const override {}
-  std::string ToString() const override { return "TRUE"; }
   std::string ShapeString() const override { return "TRUE"; }
 };
 
@@ -195,12 +189,6 @@ class ComparePredicate final : public Predicate {
     cols->insert(col_);
   }
 
-  std::string ToString() const override {
-    std::ostringstream os;
-    os << "c" << col_ << " " << CompareOpName(op_) << " "
-       << operand_.ToString();
-    return os.str();
-  }
 
   std::string ShapeString() const override {
     std::ostringstream os;
@@ -284,12 +272,6 @@ class BetweenPredicate final : public Predicate {
     cols->insert(col_);
   }
 
-  std::string ToString() const override {
-    std::ostringstream os;
-    os << "c" << col_ << " BETWEEN " << lo_.ToString() << " AND "
-       << hi_.ToString();
-    return os.str();
-  }
 
   std::string ShapeString() const override {
     std::ostringstream os;
@@ -373,9 +355,6 @@ class ContainsPredicate final : public Predicate {
     cols->insert(col_);
   }
 
-  std::string ToString() const override {
-    return "c" + std::to_string(col_) + " CONTAINS \"" + needle_ + "\"";
-  }
 
   std::string ShapeString() const override {
     return "c" + std::to_string(col_) + " CONTAINS ?";
@@ -441,15 +420,13 @@ class ModPredicate final : public Predicate {
     cols->insert(col_);
   }
 
-  std::string ToString() const override {
+  // Modulus/residue are structural (never host-bound), so they stay in the
+  // shape: c0 % 2 = 0 and c0 % 7 = 3 are genuinely different queries.
+  std::string ShapeString() const override {
     std::ostringstream os;
     os << "c" << col_ << " % " << modulus_ << " = " << residue_;
     return os.str();
   }
-
-  // Modulus/residue are structural (never host-bound), so they stay in the
-  // shape: c0 % 2 = 0 and c0 % 7 = 3 are genuinely different queries.
-  std::string ShapeString() const override { return ToString(); }
 
  private:
   uint32_t col_;
@@ -513,17 +490,6 @@ class NaryPredicate final : public Predicate {
     for (const auto& child : children_) child->CollectColumns(cols);
   }
 
-  std::string ToString() const override {
-    std::ostringstream os;
-    os << "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) os << (kind() == Kind::kAnd ? " AND " : " OR ");
-      os << children_[i]->ToString();
-    }
-    os << ")";
-    return os.str();
-  }
-
   std::string ShapeString() const override {
     std::ostringstream os;
     os << "(";
@@ -561,10 +527,6 @@ class NotPredicate final : public Predicate {
 
   void CollectColumns(std::set<uint32_t>* cols) const override {
     child_->CollectColumns(cols);
-  }
-
-  std::string ToString() const override {
-    return "NOT " + child_->ToString();
   }
 
   std::string ShapeString() const override {

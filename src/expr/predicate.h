@@ -56,10 +56,9 @@ class Operand {
   /// Resolves to a concrete value under `params`.
   Result<Value> Bind(const ParamMap& params) const;
 
-  std::string ToString() const;
-  /// Like ToString, but with literal constants stripped to "?": host vars
-  /// keep their names (part of the query's identity), constants do not —
-  /// the operand's contribution to a query-class key.
+  /// The operand with literal constants stripped to "?": host vars keep
+  /// their names (part of the query's identity), constants do not — the
+  /// operand's contribution to a query-class key.
   std::string ShapeString() const;
 
  private:
@@ -151,8 +150,6 @@ class Predicate {
 
   /// Adds every column the predicate reads to `*cols`.
   virtual void CollectColumns(std::set<uint32_t>* cols) const = 0;
-
-  virtual std::string ToString() const = 0;
 
   /// The predicate's *shape*: same structure and host-variable names, but
   /// literal constants stripped to "?". Two queries with the same shape are

@@ -76,10 +76,6 @@ double BTree::AvgFanout() const {
   return std::max(f, 1.0);
 }
 
-uint64_t BTree::node_reads() const {
-  return m_node_reads_ != nullptr ? m_node_reads_->value.load() : 0;
-}
-
 Result<PageId> BTree::DescendToLeaf(std::string_view key,
                                     std::vector<PathStep>* path) {
   Bump(m_descents_);

@@ -159,7 +159,6 @@ class BTree {
 
   uint64_t entry_count() const { return entry_count_; }
   uint32_t height() const { return height_; }
-  uint64_t node_reads() const;  // metered node visits (0 when detached)
   uint64_t node_count() const { return node_count_; }
   uint64_t leaf_count() const { return leaf_count_; }
   /// Average entries per node across all nodes (the estimator's f).

@@ -220,12 +220,6 @@ uint64_t SelectivityModel::observations() const {
   return n;
 }
 
-void SelectivityModel::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  classes_.clear();
-  strategy_costs_.clear();
-}
-
 std::string SelectivityModel::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string blob;

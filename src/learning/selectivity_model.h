@@ -122,7 +122,6 @@ class SelectivityModel {
   /// Number of query classes with at least one kNN neighbor.
   size_t size() const;
   uint64_t observations() const;
-  void Clear();
 
   /// Deterministic blob for the catalog (mode excluded). Load replaces the
   /// learned state; Serialize(Load(Serialize(x))) is byte-identical.

@@ -102,8 +102,11 @@ JsonWriter& JsonWriter::String(std::string_view value) {
 }
 
 JsonWriter& JsonWriter::Number(double value) {
-  if (!std::isfinite(value)) return Null();
   Separate();
+  if (!std::isfinite(value)) {
+    out_ += "null";
+    return *this;
+  }
   // Integral doubles print without a fraction so counters stay exact.
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
     char buf[32];
@@ -117,12 +120,6 @@ JsonWriter& JsonWriter::Number(double value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Int(int64_t value) {
-  Separate();
-  out_ += std::to_string(value);
-  return *this;
-}
-
 JsonWriter& JsonWriter::Uint(uint64_t value) {
   Separate();
   out_ += std::to_string(value);
@@ -132,12 +129,6 @@ JsonWriter& JsonWriter::Uint(uint64_t value) {
 JsonWriter& JsonWriter::Bool(bool value) {
   Separate();
   out_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  Separate();
-  out_ += "null";
   return *this;
 }
 

@@ -34,10 +34,8 @@ class JsonWriter {
 
   JsonWriter& String(std::string_view value);
   JsonWriter& Number(double value);   // non-finite values render as null
-  JsonWriter& Int(int64_t value);
   JsonWriter& Uint(uint64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
   /// Splices pre-rendered JSON (e.g. a document built by another writer)
   /// in value position. The caller vouches for its validity.
   JsonWriter& Raw(std::string_view json);
@@ -51,9 +49,6 @@ class JsonWriter {
   }
   JsonWriter& KV(std::string_view key, uint64_t value) {
     return Key(key).Uint(value);
-  }
-  JsonWriter& KV(std::string_view key, int value) {
-    return Key(key).Int(value);
   }
   JsonWriter& KV(std::string_view key, bool value) {
     return Key(key).Bool(value);

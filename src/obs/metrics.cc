@@ -139,17 +139,6 @@ void MetricsRegistry::Set(std::string_view name, uint64_t value) {
   counter(name)->value = value;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Counter& c : counter_slots_) c.value = 0;
-  for (Histogram& h : histogram_slots_) {
-    // Re-observe from zero: buckets/count/sum reset, bounds survive.
-    h = Histogram(h.name(), h.bounds());
-  }
-  // The map points into the deque; rebuilding histograms in place above
-  // keeps addresses stable, so nothing else to fix up.
-}
-
 std::vector<const Counter*> MetricsRegistry::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Counter*> out;

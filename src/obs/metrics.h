@@ -92,10 +92,6 @@ class MetricsRegistry {
   /// Gauge-style overwrite (used for snapshots, e.g. cost-meter exports).
   void Set(std::string_view name, uint64_t value);
 
-  /// Zeroes every counter and histogram (names and buckets survive, so
-  /// held pointers stay valid).
-  void Reset();
-
   /// Name-ordered views for rendering.
   std::vector<const Counter*> counters() const;
   std::vector<const Histogram*> histograms() const;

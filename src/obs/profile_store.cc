@@ -81,11 +81,6 @@ std::vector<std::string> ProfileStore::Classes() const {
   return out;
 }
 
-void ProfileStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  classes_.clear();
-}
-
 std::string ProfileStore::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string blob;

@@ -74,8 +74,6 @@ class ProfileStore {
   /// Class keys in deterministic (sorted) order.
   std::vector<std::string> Classes() const;
 
-  void Clear();
-
   /// Compact binary image for the catalog blob. Deterministic given the
   /// same aggregates, so re-export after a round trip is byte-identical.
   std::string Serialize() const;

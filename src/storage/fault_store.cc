@@ -132,11 +132,6 @@ uint64_t FaultInjectingPageStore::injected_write_faults() const {
   return injected_writes_;
 }
 
-uint64_t FaultInjectingPageStore::total_writes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writes_;
-}
-
 bool FaultInjectingPageStore::IsTorn(PageId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   return torn_pages_.count(id) > 0;

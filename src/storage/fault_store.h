@@ -192,7 +192,6 @@ class FaultInjectingPageStore : public PageStore {
   /// nothing failed).
   uint64_t slow_reads() const;
   uint64_t injected_write_faults() const;
-  uint64_t total_writes() const;
   /// True while page `id` carries a torn (half-written) image.
   bool IsTorn(PageId id) const;
 

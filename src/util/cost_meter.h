@@ -33,9 +33,12 @@ struct CostWeights {
 /// Charges are relaxed atomic RMWs, so one meter may be shared by many
 /// concurrent sessions (the shared buffer pool charges it from every
 /// worker). Snapshots copy field-by-field: each counter is exact, but a
-/// concurrent snapshot is not a consistent cut across fields — deltas taken
-/// while other sessions run include their interference, which is precisely
-/// the §3(c) cost-uncertainty the competition model consumes.
+/// concurrent snapshot is not a consistent cut across fields. A delta taken
+/// while other sessions run also counts their work, so a strategy's or a
+/// query's measured cost grows with the number of concurrent sessions.
+/// That is not the paper's §3(c) cache interference, which a per-query
+/// meter would still see as extra physical reads of its own; ROADMAP item 2
+/// gives each query its own meter.
 struct CostMeter {
   RelaxedCounter physical_reads = 0;
   RelaxedCounter physical_writes = 0;

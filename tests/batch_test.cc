@@ -147,7 +147,7 @@ TEST(BatchGoldenTest, TscanResultsIdenticalAcrossBatchSizes) {
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
       EXPECT_EQ(DrainCanonical(&engine), golden)
-          << pred->ToString() << " batch_size=" << bs;
+          << pred->ShapeString() << " batch_size=" << bs;
     }
   }
 }
@@ -186,7 +186,7 @@ TEST(BatchGoldenTest, IndexTacticsIdenticalAcrossBatchSizes) {
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
       EXPECT_EQ(DrainCanonical(&engine), golden)
-          << pred->ToString() << " batch_size=" << bs;
+          << pred->ShapeString() << " batch_size=" << bs;
     }
   }
 }
@@ -826,13 +826,13 @@ TEST(BatchEvalTest, EvalBatchMatchesRowEvalOnRandomBatches) {
       ASSERT_TRUE(
           pred->EvalBatch(view, params, sel->data(), sel->size(), mask.data())
               .ok())
-          << pred->ToString();
+          << pred->ShapeString();
       for (size_t i = 0; i < sel->size(); ++i) {
         RowView row(&records[(*sel)[i]]);
         auto want = pred->Eval(row, params);
         ASSERT_TRUE(want.ok());
         EXPECT_EQ(mask[i] != 0, *want)
-            << pred->ToString() << " row " << (*sel)[i];
+            << pred->ShapeString() << " row " << (*sel)[i];
       }
     }
   }

@@ -813,6 +813,121 @@ TEST(RaceTest, SortedTacticInstallsJscanFilter) {
   EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
 }
 
+// Drains `engine`, returning its RIDs and the values of projection column
+// `col` in delivery order.
+std::multiset<uint64_t> DrainWithColumn(DynamicRetrieval* engine, size_t col,
+                                        std::vector<int64_t>* values) {
+  std::multiset<uint64_t> rids;
+  RowBatch batch;
+  for (;;) {
+    auto more = engine->NextBatch(&batch);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      rids.insert(batch.rid(r).ToU64());
+      values->push_back(batch.col(col).ValueAt(r).AsInt64());
+    }
+  }
+  return rids;
+}
+
+// The race outcomes a foreground decides on its own. A zero pacing ratio
+// starves the Jscan after its first quantum, so the foreground runs until
+// it finishes or its delivered-RID buffer overflows.
+RetrievalOptions StarvedBackground() {
+  RetrievalOptions opt;
+  opt.fgr_bgr_cost_ratio = 0.0;
+  return opt;
+}
+
+TEST(RaceTest, SortedFscanFinishesFirst) {
+  Families f(8000);
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {0, 1, 2});
+  spec.order_by_column = 1;
+  DynamicRetrieval engine(&f.db, spec, StarvedBackground());
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kSorted);
+  std::vector<int64_t> ages;
+  auto rids = DrainWithColumn(&engine, 1, &ages);
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
+  const TraceEvent* v = engine.events().Find(
+      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, "fscan");
+}
+
+TEST(RaceTest, IndexOnlySscanFinishesFirst) {
+  Families f(8000);
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {1, 2});
+  DynamicRetrieval engine(&f.db, spec, StarvedBackground());
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
+  auto rids = DrainRids(&engine);
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  const TraceEvent* v = engine.events().Find(
+      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, "sscan");
+}
+
+TEST(RaceTest, IndexOnlyBufferOverflowRetainsSscan) {
+  Families f(8000);
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  RetrievalOptions opt = StarvedBackground();
+  opt.fgr_buffer_capacity = 8;
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {1, 2});
+  DynamicRetrieval engine(&f.db, spec, opt);
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
+  auto rids = DrainRids(&engine);
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  ASSERT_GT(rids.size(), opt.fgr_buffer_capacity);
+  const TraceEvent* v = engine.events().Find(
+      TraceEventKind::kCompetitionVerdict, "fgr-buffer-overflow");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, "sscan-retained");
+  EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
+}
+
+// The Sorted tactic's foreground screens index entries on the covered
+// residual (income < 4000 lives in the by_age_income key) before fetching.
+TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
+  Families f(8000);
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(AgeIncomeConjunction(), {0, 1, 3});
+  spec.order_by_column = 1;
+  DynamicRetrieval engine(&f.db, spec, StarvedBackground());
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kSorted);
+  const AccessPathAnalysis& a = engine.analysis();
+  ASSERT_GE(a.order_needed, 0);
+  ASSERT_NE(a.indexes[a.order_needed].covered_residual, nullptr);
+  uint64_t fetched = f.db.metrics()->Value("exec.records_fetched");
+  std::vector<int64_t> ages;
+  auto rids = DrainWithColumn(&engine, 1, &ages);
+  fetched = f.db.metrics()->Value("exec.records_fetched") - fetched;
+  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
+  const TraceEvent* v = engine.events().Find(
+      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, "fscan");
+  // The whole restriction lives in the key, so only qualifying entries
+  // reach their record fetch.
+  EXPECT_EQ(fetched, rids.size());
+}
+
 TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {
   Families f(8000);
   f.Index("by_age", {"age"});
@@ -942,7 +1057,8 @@ TEST_P(OrOracleTest, RandomDisjunctionsMatchNaive) {
     ParamMap params;
     ASSERT_TRUE(engine.Open(params).ok());
     ASSERT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params))
-        << pred->ToString();
+        << "query " << q << " seed " << GetParam() << " shape "
+        << pred->ShapeString();
   }
 }
 
@@ -1091,7 +1207,7 @@ TEST_P(EngineOracleTest, DynamicMatchesNaiveAcrossRandomQueries) {
     auto want = NaiveRids(&f.db, spec, params);
     ASSERT_EQ(got, want) << "query " << q << " seed " << GetParam()
                          << " tactic " << TacticName(engine.tactic())
-                         << " pred " << pred->ToString();
+                         << " shape " << pred->ShapeString();
   }
 }
 

@@ -3,11 +3,13 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/database.h"
+#include "core/retrieval.h"
 #include "exec/operators.h"
 #include "exec/retrieval_spec.h"
 #include "exec/rid_set.h"
@@ -374,6 +376,7 @@ struct ScanFixture {
   Table* table = nullptr;
   SecondaryIndex* by_age = nullptr;
   SecondaryIndex* by_age_name = nullptr;
+  std::vector<Rid> rids;  // rids[i] holds id i
   ParamMap params;
 
   ScanFixture() {
@@ -384,10 +387,10 @@ struct ScanFixture {
     EXPECT_TRUE(t.ok());
     table = *t;
     for (int i = 0; i < 1000; ++i) {
-      EXPECT_TRUE(table
-                      ->Insert(Record{int64_t{i}, int64_t{i % 100},
-                                      std::string(i % 2 ? "odd" : "even")})
-                      .ok());
+      auto rid = table->Insert(Record{int64_t{i}, int64_t{i % 100},
+                                      std::string(i % 2 ? "odd" : "even")});
+      EXPECT_TRUE(rid.ok());
+      rids.push_back(*rid);
     }
     auto i1 = table->CreateIndex("by_age", {"age"});
     EXPECT_TRUE(i1.ok());
@@ -502,6 +505,145 @@ TEST(StepperTest, CostAttributionIsPerStepper) {
   EXPECT_GT(a.accrued().logical_reads + a.accrued().record_evals, 0u);
   EXPECT_GE(a.accrued().record_evals, 2u);
   EXPECT_LE(b.accrued().record_evals, 1u);
+}
+
+// The ids of the rows one FetchStepper step delivered, in delivery order.
+std::vector<int64_t> StepIds(FetchStepper* fetch, size_t max_units,
+                             bool* more) {
+  auto stepped = fetch->Step(max_units);
+  EXPECT_TRUE(stepped.ok()) << stepped.status();
+  *more = stepped.ok() && *stepped;
+  std::vector<int64_t> ids;
+  if (!*more) return ids;
+  const RowBatch& b = fetch->output();
+  for (uint32_t r : b.sel()) ids.push_back(b.col(0).ValueAt(r).AsInt64());
+  return ids;
+}
+
+TEST(StepperTest, FetchScreensQueuedRidsInQueueOrder) {
+  ScanFixture f;
+  auto pred = Predicate::Compare(1, CompareOp::kLt,
+                                 Operand::Literal(Value(int64_t{5})));
+  auto spec = f.Spec(pred, {0, 1});
+  std::vector<Rid> queue = {f.rids[102], f.rids[7], f.rids[3], f.rids[250]};
+  FetchStepper fetch(f.db.pool(), spec, f.params, nullptr);
+  fetch.Restart(queue);
+  uint64_t fetched = f.db.metrics()->Value("exec.records_fetched");
+  bool more = false;
+  EXPECT_EQ(StepIds(&fetch, 1024, &more), (std::vector<int64_t>{102, 3}));
+  EXPECT_TRUE(more);
+  EXPECT_EQ(fetch.output().num_rows(), 4u);  // fetched; the screen kept 2
+  EXPECT_EQ(f.db.metrics()->Value("exec.records_fetched") - fetched, 4u);
+  EXPECT_TRUE(StepIds(&fetch, 1024, &more).empty());
+  EXPECT_FALSE(more);
+  EXPECT_TRUE(fetch.exhausted());
+
+  // A restart serves a new execution: a fresh queue and a zero meter.
+  fetch.Restart({f.rids[4]});
+  EXPECT_FALSE(fetch.exhausted());
+  EXPECT_EQ(fetch.accrued().record_evals, 0u);
+  EXPECT_EQ(StepIds(&fetch, 1024, &more), (std::vector<int64_t>{4}));
+  EXPECT_EQ(fetch.accrued().record_evals, 1u);
+}
+
+// A deleted row and a RID in the skip set are passed over without a fetch,
+// and neither counts against the quantum: each step fetches `max_units`
+// records.
+TEST(StepperTest, FetchSkipsDeletedAndSkippedRidsAcrossQuanta) {
+  ScanFixture f;
+  auto spec = f.Spec(Predicate::True(), {0});
+  ASSERT_TRUE(f.table->Delete(f.rids[1]).ok());
+  std::unordered_set<Rid> skip = {f.rids[4], f.rids[8]};
+  std::vector<Rid> queue(f.rids.begin(), f.rids.begin() + 10);
+  FetchStepper fetch(f.db.pool(), spec, f.params, &skip);
+  fetch.Restart(queue);
+  uint64_t fetched = f.db.metrics()->Value("exec.records_fetched");
+  uint64_t batches = f.db.metrics()->Value("exec.batches");
+  bool more = false;
+  EXPECT_EQ(StepIds(&fetch, 3, &more), (std::vector<int64_t>{0, 2, 3}));
+  EXPECT_EQ(StepIds(&fetch, 3, &more), (std::vector<int64_t>{5, 6, 7}));
+  EXPECT_EQ(StepIds(&fetch, 3, &more), (std::vector<int64_t>{9}));
+  EXPECT_TRUE(more);
+  StepIds(&fetch, 3, &more);
+  EXPECT_FALSE(more);
+  EXPECT_EQ(f.db.metrics()->Value("exec.records_fetched") - fetched, 7u);
+  EXPECT_EQ(f.db.metrics()->Value("exec.batches") - batches, 3u);
+}
+
+// Fed one RID per step, the way the fast-first foreground is: a step whose
+// only RID is skipped still succeeds, with no rows and no fetch.
+TEST(StepperTest, FetchFedOneRidPerStep) {
+  ScanFixture f;
+  auto spec = f.Spec(Predicate::True(), {0});
+  std::unordered_set<Rid> skip = {f.rids[11]};
+  FetchStepper fetch(f.db.pool(), spec, f.params, &skip);
+  uint64_t fetched = f.db.metrics()->Value("exec.records_fetched");
+  bool more = false;
+  for (int id : {10, 11, 12}) {
+    fetch.Queue(f.rids[id]);
+    std::vector<int64_t> ids = StepIds(&fetch, 1024, &more);
+    EXPECT_TRUE(more);
+    EXPECT_EQ(ids, id == 11 ? std::vector<int64_t>{}
+                            : std::vector<int64_t>{id});
+  }
+  EXPECT_FALSE(fetch.exhausted());
+  EXPECT_EQ(f.db.metrics()->Value("exec.records_fetched") - fetched, 2u);
+}
+
+// The stepper's meter is exactly what a MeterScope around the same steps
+// sees, and every page it read is charged to its context by the time a
+// step returns.
+TEST(StepperTest, FetchMeterMatchesAScopeAroundItsSteps) {
+  ScanFixture f;
+  auto pred = Predicate::Compare(2, CompareOp::kEq,
+                                 Operand::Literal(Value("odd")));
+  auto spec = f.Spec(pred, {0, 2});
+  std::vector<Rid> queue;
+  for (size_t i = 0; i < f.rids.size(); i += 7) queue.push_back(f.rids[i]);
+  FetchStepper fetch(f.db.pool(), spec, f.params, nullptr);
+  fetch.Restart(queue);
+  QueryContext ctx;
+  fetch.set_context(&ctx);
+  CostMeter outer;
+  {
+    MeterScope scope(f.db.pool(), &outer);
+    bool more = true;
+    while (more) StepIds(&fetch, 16, &more);
+  }
+  const CostMeter& own = fetch.accrued();
+  EXPECT_GT(own.logical_reads, 0u);
+  EXPECT_EQ(own.record_evals, queue.size());
+  EXPECT_EQ(own.physical_reads, outer.physical_reads);
+  EXPECT_EQ(own.physical_writes, outer.physical_writes);
+  EXPECT_EQ(own.logical_reads, outer.logical_reads);
+  EXPECT_EQ(own.key_compares, outer.key_compares);
+  EXPECT_EQ(own.record_evals, outer.record_evals);
+  EXPECT_EQ(own.rid_ops, outer.rid_ops);
+  EXPECT_EQ(ctx.pages_read(), own.logical_reads);
+}
+
+// One poll per quantum: a single-strategy execution under a context polls
+// once per stepper batch, including the batch that finds the scan done.
+TEST(StepperTest, SingleStrategyPollsOncePerBatch) {
+  ScanFixture f;
+  auto pred = Predicate::Compare(2, CompareOp::kEq,
+                                 Operand::Literal(Value("odd")));
+  RetrievalOptions opt;
+  opt.batch_size = 100;
+  DynamicRetrieval engine(&f.db, f.Spec(pred, {0}), opt);
+  QueryContext ctx;
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kStaticTscan);
+  RowBatch batch;
+  uint64_t rows = 0;
+  for (;;) {
+    auto more = engine.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    rows += batch.num_rows();
+  }
+  EXPECT_EQ(rows, 500u);
+  EXPECT_EQ(ctx.polls(), 1000u / 100 + 1);
 }
 
 // -------------------------------------------------------------- Operators

@@ -122,7 +122,7 @@ TEST(PredicateTest, CompareOpsAgainstLiteral) {
     auto p = Predicate::Compare(kAge, c.op, Operand::Literal(Value(c.v)));
     auto res = p->Eval(view, params);
     ASSERT_TRUE(res.ok());
-    EXPECT_EQ(*res, c.expect) << p->ToString();
+    EXPECT_EQ(*res, c.expect) << CompareOpName(c.op) << " " << c.v;
   }
 }
 

@@ -684,7 +684,12 @@ struct FaultyFamilies {
   std::unique_ptr<Database> db;
   Table* table = nullptr;
 
-  explicit FaultyFamilies(int n = 2000, size_t pool_pages = 64) {
+  // `extra_indexes` (name, columns) are built beside by_id and by_age,
+  // before the fault classification freezes, so their pages are kIndex.
+  explicit FaultyFamilies(
+      int n = 2000, size_t pool_pages = 64,
+      std::vector<std::pair<std::string, std::vector<std::string>>>
+          extra_indexes = {}) {
     auto store = std::make_unique<FaultInjectingPageStore>(
         std::make_unique<MemPageStore>());
     faults = store.get();
@@ -707,6 +712,9 @@ struct FaultyFamilies {
     }
     EXPECT_TRUE(table->CreateIndex("by_id", {"id"}).ok());
     EXPECT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
+    for (const auto& [name, cols] : extra_indexes) {
+      EXPECT_TRUE(table->CreateIndex(name, cols).ok());
+    }
     faults->ClassifyHeapPages(table->heap()->pages());
     faults->FreezeClassification();
   }
@@ -1062,6 +1070,142 @@ TEST(DegradedFallbackTest, DisabledFallbackPropagatesTheFault) {
 
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(IsIoFault(st)) << st;
+  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+}
+
+// The oracle: a naive Tscan plus filter.
+std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec) {
+  std::multiset<uint64_t> rids;
+  ParamMap params;
+  TscanStepper scan(db->pool(), spec, params);
+  for (;;) {
+    auto more = scan.Step();
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    for (uint32_t r : scan.output().sel()) {
+      rids.insert(scan.output().rid(r).ToU64());
+    }
+  }
+  return rids;
+}
+
+// Opens `spec` under a governed context, delivers the first rows cleanly,
+// then loses every index page: the next index read fails permanently. The
+// rows must still equal the oracle's, and the verdict names `subject`.
+void LoseIndexesAfterFirstRows(FaultyFamilies* f, const RetrievalSpec& spec,
+                               const RetrievalOptions& opt, Tactic tactic,
+                               std::string_view subject) {
+  std::multiset<uint64_t> want = NaiveRids(f->db.get(), spec);
+  QueryContext ctx;  // degraded fallback on by default
+  DynamicRetrieval engine(f->db.get(), spec, opt);
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  ASSERT_EQ(engine.tactic(), tactic);
+  std::multiset<uint64_t> got;
+  RowBatch batch;
+  auto first = engine.NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(*first);
+  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+    got.insert(batch.rid(r).ToU64());
+  }
+  ASSERT_TRUE(f->db->pool()->EvictAll().ok());
+  f->faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
+  Status st = Drain(&engine, &got);
+  f->faults->ClearProgram();
+  ASSERT_TRUE(st.ok()) << st;
+
+  EXPECT_EQ(got, want);  // no lost rows, no duplicates
+  EXPECT_TRUE(engine.degraded());
+  const TraceEvent* v = engine.events().Find(
+      TraceEventKind::kCompetitionVerdict, "io-fault-fallback");
+  ASSERT_NE(v, nullptr) << engine.events().ToJson();
+  EXPECT_EQ(v->detail, subject);
+  // The fault came mid-race: no verdict settled the race before it.
+  for (const TraceEvent& e : engine.events().events()) {
+    if (e.kind != TraceEventKind::kCompetitionVerdict) continue;
+    EXPECT_EQ(e.subject, "io-fault-fallback") << engine.events().ToJson();
+    break;
+  }
+  EXPECT_EQ(f->db->pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f->db->pool()->CheckInvariants().ok());
+}
+
+// A zero pacing ratio starves the Jscan after its first quantum, so the
+// first index read after the first rows is the race foreground's.
+RetrievalOptions ForegroundRunsTheRace() {
+  RetrievalOptions opt;
+  opt.fgr_bgr_cost_ratio = 0.0;
+  opt.batch_size = 4;
+  return opt;
+}
+
+PredicateRef AgeAndIdRange() {
+  return Predicate::And(
+      {Predicate::Between(1, Operand::Literal(Value(int64_t{20})),
+                          Operand::Literal(Value(int64_t{45}))),
+       Predicate::Between(0, Operand::Literal(Value(int64_t{100})),
+                          Operand::Literal(Value(int64_t{150})))});
+}
+
+TEST(DegradedFallbackTest, SortedForegroundFaultMidRace) {
+  FaultyFamilies f;
+  RetrievalSpec spec;
+  spec.table = f.table;
+  spec.restriction = AgeAndIdRange();
+  spec.projection = {0, 1, 2};
+  spec.order_by_column = 1;  // by_age is the Fscan; by_id the Jscan
+  LoseIndexesAfterFirstRows(&f, spec, ForegroundRunsTheRace(),
+                            Tactic::kSorted, "Fscan(by_age)");
+}
+
+TEST(DegradedFallbackTest, IndexOnlyForegroundFaultMidRace) {
+  FaultyFamilies f(2000, 64, {{"by_age_id", {"age", "id"}}});
+  RetrievalSpec spec;
+  spec.table = f.table;
+  spec.restriction = AgeAndIdRange();
+  spec.projection = {1};  // by_age_id covers it all; by_id is the Jscan
+  LoseIndexesAfterFirstRows(&f, spec, ForegroundRunsTheRace(),
+                            Tactic::kIndexOnly, "Sscan(by_age_id)");
+}
+
+// An index that faults inside the Jscan disqualifies that one scan; the
+// Jscan carries on with the survivors and, with none left, recommends the
+// Tscan that finishes the retrieval.
+TEST(DegradedFallbackTest, JscanDisqualifiesAFaultedScan) {
+  FaultyFamilies f;
+  RetrievalSpec spec;
+  spec.table = f.table;
+  spec.restriction = AgeAndIdRange();
+  spec.projection = {0, 1, 2};
+  std::multiset<uint64_t> want = NaiveRids(f.db.get(), spec);
+
+  QueryContext ctx;
+  DynamicRetrieval engine(f.db.get(), spec);
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
+  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
+  std::multiset<uint64_t> got;
+  Status st = Drain(&engine, &got);
+  f.faults->ClearProgram();
+  ASSERT_TRUE(st.ok()) << st;
+
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(engine.degraded());
+  std::vector<std::string> disqualified;
+  for (const TraceEvent& e : engine.events().events()) {
+    if (e.kind == TraceEventKind::kStrategyDisqualified) {
+      disqualified.push_back(e.subject);
+    }
+  }
+  ASSERT_FALSE(disqualified.empty()) << engine.events().ToJson();
+  EXPECT_EQ(disqualified[0].rfind("Jscan(", 0), 0u) << disqualified[0];
+  EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
+                                       "jscan-recommends-tscan"))
+      << engine.events().ToJson();
+  EXPECT_FALSE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
+                                        "io-fault-fallback"));
   EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
   EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
 }

@@ -272,8 +272,8 @@ TEST(ExtractRangeSetTest, RandomPredicatesAreSoundSupersets) {
         ASSERT_TRUE(sat.ok());
         if (*sat) {
           EXPECT_TRUE(set->Contains(IntKey(age)))
-              << "age " << age << " name " << name << " escapes set for "
-              << p->ToString();
+              << "age " << age << " name " << name << " escapes set in trial "
+              << trial << " for " << p->ShapeString();
         }
       }
     }
