@@ -24,10 +24,6 @@ ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 survivors="$(cat <<'EOF'
 dynopt::(anonymous namespace)::StateName -- names a crash outcome in a golden-twin mismatch message
 dynopt::(anonymous namespace)::TruePredicate::ShapeString -- the class key of an unrestricted retrieval; no test runs one
-dynopt::ColumnVector::AppendDouble -- DOUBLE columns are live code no test exercises yet (ROADMAP item 3)
-dynopt::ColumnVector::f64_data -- DOUBLE columns are live code no test exercises yet (ROADMAP item 3)
-dynopt::Status dynopt::(anonymous namespace)::BetweenPredicate::TypedBetween<double> -- DOUBLE columns are live code no test exercises yet (ROADMAP item 3)
-void dynopt::(anonymous namespace)::TypedCompareLoop<double> -- DOUBLE columns are live code no test exercises yet (ROADMAP item 3)
 dynopt::EmpiricalCost::Sample -- CostDistribution override; the Monte-Carlo validators sample only hyperbolas under test
 dynopt::PageStore::Free -- the interface's default for stores that do not reclaim pages; every store overrides it
 dynopt::FilePageStore::Free -- PageStore override; only a spilled RID list frees pages, and no test spills on a file-backed database

@@ -55,6 +55,9 @@ Result<std::string> SecondaryIndex::MakeKeyPrefix(const Record& record) const {
     }
     v.EncodeKey(&key);
   }
+  if (key.size() + sizeof(uint64_t) > kMaxKeySize) {
+    return Status::InvalidArgument("index key exceeds kMaxKeySize");
+  }
   return key;
 }
 
@@ -80,10 +83,9 @@ Result<Rid> SecondaryIndex::SplitRidSuffix(std::string_view full_key,
   return Rid::FromU64(u);
 }
 
-Status SecondaryIndex::InsertRecord(const Record& record, Rid rid) {
-  DYNOPT_ASSIGN_OR_RETURN(std::string key, MakeKeyPrefix(record));
-  AppendRidSuffix(rid, &key);
-  return tree_->Insert(key, rid);
+Status SecondaryIndex::InsertKey(std::string prefix, Rid rid) {
+  AppendRidSuffix(rid, &prefix);
+  return tree_->Insert(prefix, rid);
 }
 
 Status SecondaryIndex::DeleteRecord(const Record& record, Rid rid) {

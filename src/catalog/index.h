@@ -38,13 +38,16 @@ class SecondaryIndex {
       BufferPool* pool, std::string name, const Schema* schema,
       std::vector<uint32_t> key_columns, const BTreeMeta& tree_meta);
 
-  /// Adds (or removes) the index entry for `record` stored at `rid`.
-  Status InsertRecord(const Record& record, Rid rid);
-  Status DeleteRecord(const Record& record, Rid rid);
-
-  /// Encodes just the key columns of `record` (no RID suffix). Rejects NaN
-  /// doubles, which have no place in an ordered key space.
+  /// Encodes just the key columns of `record` (no RID suffix). Rejects
+  /// what the index cannot store: a NaN double, which has no place in an
+  /// ordered key space, and a key past kMaxKeySize once the RID suffix is
+  /// on.
   Result<std::string> MakeKeyPrefix(const Record& record) const;
+
+  /// Adds the entry for key prefix `prefix` (from MakeKeyPrefix) at `rid`.
+  Status InsertKey(std::string prefix, Rid rid);
+  /// Removes the index entry for `record` stored at `rid`.
+  Status DeleteRecord(const Record& record, Rid rid);
 
   /// Appends the 8-byte big-endian RID suffix that makes keys unique.
   static void AppendRidSuffix(Rid rid, std::string* key);

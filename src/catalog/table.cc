@@ -40,9 +40,15 @@ Result<std::unique_ptr<Table>> Table::Open(
 Result<Rid> Table::Insert(const Record& record) {
   std::string bytes;
   DYNOPT_RETURN_IF_ERROR(SerializeRecord(schema_, record, &bytes));
+  // Every index encodes, and so vets, its key before the heap write: a
+  // record one index rejects leaves no row and no entry behind.
+  std::vector<std::string> keys(indexes_.size());
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    DYNOPT_ASSIGN_OR_RETURN(keys[i], indexes_[i]->MakeKeyPrefix(record));
+  }
   DYNOPT_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(bytes));
-  for (auto& index : indexes_) {
-    DYNOPT_RETURN_IF_ERROR(index->InsertRecord(record, rid));
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    DYNOPT_RETURN_IF_ERROR(indexes_[i]->InsertKey(std::move(keys[i]), rid));
   }
   return rid;
 }
@@ -89,7 +95,8 @@ Result<SecondaryIndex*> Table::CreateIndex(
     if (!more) break;
     Record record;
     DYNOPT_RETURN_IF_ERROR(DeserializeRecord(schema_, bytes, &record));
-    DYNOPT_RETURN_IF_ERROR(index->InsertRecord(record, rid));
+    DYNOPT_ASSIGN_OR_RETURN(std::string key, index->MakeKeyPrefix(record));
+    DYNOPT_RETURN_IF_ERROR(index->InsertKey(std::move(key), rid));
   }
   indexes_.push_back(std::move(index));
   return indexes_.back().get();

@@ -126,7 +126,7 @@ double TwoStageCompetition::SimulateDynamic(double theta, Rng& rng,
 }
 
 double CompetitionSample::loser_cost() const {
-  if (verdict == "filter-installed") return 0;
+  if (winner == "fscan+filter") return 0;
   if (winner == "tscan") return foreground_cost + background_cost;
   if (winner == "jscan") return foreground_cost;
   return background_cost;

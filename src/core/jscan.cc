@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace dynopt {
 
@@ -28,14 +27,13 @@ std::string_view Jscan::OutcomeKindName(IndexOutcomeKind kind) {
 Jscan::Jscan(Database* db, const RetrievalSpec& spec, const ParamMap& params,
              std::vector<const IndexClassification*> candidates,
              Options options)
-    : db_(db),
-      spec_(spec),
-      params_(params),
+    : ScanStepper("Jscan", db->pool(), spec, params),
+      db_(db),
       candidates_(std::move(candidates)),
       options_(options) {
   tscan_cost_ = EstimateTscanCost(spec_, db_->cost_weights());
   gbc_ = tscan_cost_;
-  if (MetricsRegistry* r = db_->pool()->metrics()) {
+  if (MetricsRegistry* r = pool_->metrics()) {
     m_strategy_fallbacks_ = r->counter("governance.strategy_fallbacks");
     m_entries_scanned_ = r->counter("jscan.entries_scanned");
     m_rids_kept_ = r->counter("jscan.rids_kept");
@@ -45,9 +43,7 @@ Jscan::Jscan(Database* db, const RetrievalSpec& spec, const ParamMap& params,
     m_rid_list_size_ = r->histogram(
         "jscan.rid_list_size", {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536});
   }
-  if (candidates_.empty()) {
-    phase_ = Phase::kTscanRecommended;
-  }
+  exhausted_ = candidates_.empty();
 }
 
 void Jscan::EmitOutcome(const IndexOutcome& outcome) {
@@ -76,13 +72,12 @@ void Jscan::EmitOutcome(const IndexOutcome& outcome) {
 std::unique_ptr<Jscan::ActiveScan> Jscan::StartScan(
     const IndexClassification* cand) {
   auto scan = std::make_unique<ActiveScan>(cand, db_->page_count());
-  scan->list = std::make_unique<HybridRidList>(db_->pool(), options_.rid_list);
+  scan->list = std::make_unique<HybridRidList>(pool_, options_.rid_list);
   scan->list->set_context(ctx_);
   if (cand->covered_residual != nullptr) {
     std::set<uint32_t> cols;
     cand->covered_residual->CollectColumns(&cols);
-    scan->keys.Configure(spec_.table->schema().num_columns(), cols,
-                         options_.batch_entries);
+    scan->keys.Configure(spec_.table->schema().num_columns(), cols);
   }
   borrow_generation_++;
   return scan;
@@ -122,9 +117,9 @@ Status Jscan::Advance() {
     primary_ = StartScan(cand);
   }
   if (primary_ == nullptr) {
-    // Nothing left to scan.
-    phase_ = completed_list_ != nullptr ? Phase::kComplete
-                                        : Phase::kTscanRecommended;
+    // Nothing left to scan: phase() now reads kComplete when a list
+    // completed, kTscanRecommended otherwise.
+    exhausted_ = true;
     return Status::OK();
   }
   // Race the next candidate beside the primary inside the memory buffer.
@@ -139,52 +134,22 @@ Status Jscan::Advance() {
   return Status::OK();
 }
 
-Result<bool> Jscan::StepScan(ActiveScan* scan) {
-  MeterScope scope(db_->pool(), &scan->accrued);
-  const PredicateRef& screen = scan->cand->covered_residual;
-  scan_entries_.Clear(/*collect_keys=*/screen != nullptr);
+Result<bool> Jscan::StepScan(ActiveScan* scan, size_t max_units) {
+  MeterScope scope(pool_, &scan->accrued);
+  // The previously completed list is the intersection filter, and the
+  // key screen rejects entries before they reach this scan's RID list
+  // (and long before any record fetch).
   DYNOPT_ASSIGN_OR_RETURN(
-      bool more,
-      scan->cursor.NextBatch(options_.batch_entries, &scan_entries_));
-  (void)more;
-  size_t n = scan_entries_.size();
-  if (n == 0) {
-    scan->exhausted = true;
-    return false;
-  }
+      size_t n, Harvest(&scan->cursor, max_units, completed_list_.get(),
+                        *scan->cand->index, scan->cand->covered_residual.get(),
+                        &scan->keys));
+  if (n == 0) return false;
   scan->entries_scanned += n;
-  std::span<const Rid> rids = scan_entries_.rids();
-  // Intersection filter: the previously completed list drops entries
-  // before they ever reach this scan's RID list.
-  if (completed_list_ != nullptr) {
-    completed_list_->Probe(rids, &scan_keep_);
-  } else {
-    scan_keep_.resize(n);
-    std::iota(scan_keep_.begin(), scan_keep_.end(), 0u);
-  }
-  if (screen != nullptr && !scan_keep_.empty()) {
-    // Vectorized index screening: reject from the keys alone, before the
-    // entries reach a RID list (and long before any record fetch).
-    scan->keys.Clear();
-    for (uint32_t i : scan_keep_) {
-      DYNOPT_RETURN_IF_ERROR(scan->cand->index->DecodeKeyColumnsInto(
-          scan_entries_.key(i), scan->keys.dests(), &decode_scratch_));
-      scan->keys.AddRow(rids[i]);
-    }
-    db_->pool()->meter_ptr()->record_evals += scan_keep_.size();
-    BatchView view(scan->keys.cols(), scan->keys.num_columns());
-    DYNOPT_RETURN_IF_ERROR(FilterSelection(*screen, view, params_,
-                                           &scan_scratch_,
-                                           &scan->keys.sel()));
-    // keys row r corresponds to scan_keep_[r]; compact in place.
-    size_t kept = 0;
-    for (uint32_t r : scan->keys.sel()) scan_keep_[kept++] = scan_keep_[r];
-    scan_keep_.resize(kept);
-  }
-  Status appended = scan->list->Append(rids, scan_keep_);
+  std::span<const Rid> rids = entries_.rids();
+  Status appended = scan->list->Append(rids, survivors_);
   scan->kept = scan->list->size();  // a failed spill keeps what it took
   DYNOPT_RETURN_IF_ERROR(appended);
-  for (uint32_t i : scan_keep_) scan->kept_pages.Insert(rids[i].page);
+  for (uint32_t i : survivors_) scan->kept_pages.Insert(rids[i].page);
   return true;
 }
 
@@ -244,19 +209,18 @@ bool Jscan::ShouldDiscard(const ActiveScan& scan) const {
 void Jscan::RecordOutcome(const ActiveScan& scan, IndexOutcomeKind kind) {
   outcomes_.push_back(IndexOutcome{scan.cand->index->name(), kind,
                                    scan.entries_scanned, scan.kept});
-  accrued_ += scan.accrued;
 }
 
 Status Jscan::RefilterPartial(ActiveScan* scan) {
   // The loser of an adjacent race keeps its partial list by refiltering the
   // in-memory RIDs through the newly completed filter — cheap, and the
   // reason the race "does not continue beyond the memory buffer".
-  MeterScope scope(db_->pool(), &scan->accrued);
-  auto fresh = std::make_unique<HybridRidList>(db_->pool(), options_.rid_list);
+  MeterScope scope(pool_, &scan->accrued);
+  auto fresh = std::make_unique<HybridRidList>(pool_, options_.rid_list);
   fresh->set_context(ctx_);
   std::span<const Rid> partial = scan->list->InMemory();
-  completed_list_->Probe(partial, &scan_keep_);
-  DYNOPT_RETURN_IF_ERROR(fresh->Append(partial, scan_keep_));
+  completed_list_->Probe(partial, &survivors_);
+  DYNOPT_RETURN_IF_ERROR(fresh->Append(partial, survivors_));
   scan->list = std::move(fresh);
   scan->kept = scan->list->size();
   borrow_generation_++;
@@ -291,20 +255,6 @@ Status Jscan::CompleteScan(std::unique_ptr<ActiveScan> scan) {
   return Status::OK();
 }
 
-Status Jscan::PollGovernance() {
-  if (ctx_ == nullptr) return Status::OK();
-  // Cumulative reads: retired scans live in accrued_, in-flight ones in
-  // their private meters — the sum is monotone across scan hand-offs.
-  uint64_t reads = accrued_.logical_reads;
-  if (primary_ != nullptr) reads += primary_->accrued.logical_reads;
-  if (secondary_ != nullptr) reads += secondary_->accrued.logical_reads;
-  if (reads > charged_reads_) {
-    ctx_->ChargePagesRead(reads - charged_reads_);
-    charged_reads_ = reads;
-  }
-  return ctx_->Check();
-}
-
 Status Jscan::DisqualifyScan(bool stepping_secondary, const Status& cause) {
   ActiveScan* scan = stepping_secondary ? secondary_.get() : primary_.get();
   if (trace_ != nullptr) {
@@ -332,12 +282,10 @@ Status Jscan::DisqualifyScan(bool stepping_secondary, const Status& cause) {
   return Status::OK();
 }
 
-Result<bool> Jscan::Step() {
-  if (phase_ != Phase::kScanning) return false;
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
+Result<bool> Jscan::StepOnce(size_t max_units) {
   if (primary_ == nullptr) {
     DYNOPT_RETURN_IF_ERROR(Advance());
-    if (phase_ != Phase::kScanning) return false;
+    if (exhausted_) return false;
   }
 
   // Dissolve the race when either list has left main memory.
@@ -346,7 +294,6 @@ Result<bool> Jscan::Step() {
        secondary_->list->storage() == HybridRidList::Storage::kSpilled)) {
     // The secondary's partial work is abandoned; its candidate re-enters
     // the queue to be scanned (with a better filter) later.
-    accrued_ += secondary_->accrued;
     next_candidate_--;  // un-consume the secondary's candidate
     secondary_.reset();
     step_secondary_next_ = false;
@@ -361,14 +308,14 @@ Result<bool> Jscan::Step() {
   }
   step_secondary_next_ = !step_secondary_next_;
 
-  auto stepped = StepScan(scan);
+  auto stepped = StepScan(scan, max_units);
   if (!stepped.ok()) {
     const Status& st = stepped.status();
     if (!tolerate_io_faults_ || !IsIoFault(st)) return st;
     // The scan's index (or its spill) is unreadable: disqualify this
     // strategy and let the competition continue with the survivors.
     DYNOPT_RETURN_IF_ERROR(DisqualifyScan(stepping_secondary, st));
-    return phase_ == Phase::kScanning;
+    return !exhausted_;
   }
   bool progressed = *stepped;
 
@@ -395,7 +342,7 @@ Result<bool> Jscan::Step() {
     if (primary_ == nullptr) {
       DYNOPT_RETURN_IF_ERROR(Advance());
     }
-    return phase_ == Phase::kScanning;
+    return !exhausted_;
   }
 
   if (ShouldDiscard(*scan)) {
@@ -404,7 +351,6 @@ Result<bool> Jscan::Step() {
       // it will not ultimately occupy (the primary's filter does not exist
       // yet), so competition dissolves the race and requeues the candidate
       // to be scanned later in its proper, filtered position.
-      accrued_ += secondary_->accrued;
       next_candidate_--;  // un-consume the secondary's candidate
       secondary_.reset();
     } else {
@@ -419,16 +365,14 @@ Result<bool> Jscan::Step() {
       }
     }
     step_secondary_next_ = false;
-    return phase_ == Phase::kScanning;
+    return !exhausted_;
   }
   return true;
 }
 
 Status Jscan::RunToCompletion() {
-  for (;;) {
-    DYNOPT_ASSIGN_OR_RETURN(bool more, Step());
-    if (!more) return Status::OK();
-  }
+  while (!exhausted_) DYNOPT_RETURN_IF_ERROR(Step().status());
+  return Status::OK();
 }
 
 std::optional<Rid> Jscan::BorrowNextRid() {

@@ -46,7 +46,13 @@
 
 namespace dynopt {
 
-class Jscan {
+/// The Jscan is a stepper like the foregrounds it races: each Step()
+/// advances one scan by up to `max_units` index entries and settles what
+/// that batch decided. It delivers no rows (output() stays empty); it is
+/// exhausted once phase() leaves kScanning. Its RID lists charge their
+/// spill and RID bytes to the context set_context() attached, so attach it
+/// before the first Step().
+class Jscan final : public ScanStepper {
  public:
   struct Options {
     /// Terminate a scan when its projected final cost reaches this
@@ -59,10 +65,6 @@ class Jscan {
     double scan_cost_limit_fraction = 1.0;
     /// false = [MoHa90] static-threshold baseline (no run-time switching).
     bool dynamic_thresholds = true;
-    /// Index entries each Step() harvests per scan — the batch quantum.
-    /// Alternation, spill dissolution, and discard checks happen at batch
-    /// boundaries. Tests pin 1 to recover entry-at-a-time interleaving.
-    uint64_t batch_entries = kDefaultBatchRows;
     HybridRidList::Options rid_list;
   };
 
@@ -87,18 +89,21 @@ class Jscan {
 
   /// `candidates` must outlive the Jscan; they come from the initial
   /// stage's jscan_order (ascending estimated RIDs). `params` (bound host
-  /// variables) is used for index-screening evaluation.
+  /// variables) is used for index-screening evaluation. Step()'s
+  /// `max_units` is the batch each scan harvests: alternation, spill
+  /// dissolution and discard checks happen at batch boundaries.
   Jscan(Database* db, const RetrievalSpec& spec, const ParamMap& params,
         std::vector<const IndexClassification*> candidates, Options options);
 
-  /// Advances one unit of work. Returns false once phase() != kScanning.
-  Result<bool> Step();
-
-  /// Runs Step() to completion (convenience for background-only callers
-  /// with no foreground to interleave).
+  /// Runs Step() to completion (convenience for callers with no foreground
+  /// to interleave).
   Status RunToCompletion();
 
-  Phase phase() const { return phase_; }
+  Phase phase() const {
+    if (!exhausted()) return Phase::kScanning;
+    return completed_list_ != nullptr ? Phase::kComplete
+                                      : Phase::kTscanRecommended;
+  }
 
   /// The final (sealed) RID list; non-null iff phase() == kComplete.
   HybridRidList* final_list() { return completed_list_.get(); }
@@ -106,18 +111,6 @@ class Jscan {
   /// Current "guaranteed best" remaining-retrieval cost estimate.
   double guaranteed_best_cost() const { return gbc_; }
   double tscan_cost_estimate() const { return tscan_cost_; }
-
-  /// Total cost accrued by all Jscan work (scans + discarded work).
-  const CostMeter& accrued() const { return accrued_; }
-
-  /// Like accrued(), but including the scans still in flight — what the
-  /// engine compares against the foreground when pacing the race.
-  double accrued_live_cost(const CostWeights& w) const {
-    double c = accrued_.Cost(w);
-    if (primary_ != nullptr) c += primary_->accrued.Cost(w);
-    if (secondary_ != nullptr) c += secondary_->accrued.Cost(w);
-    return c;
-  }
 
   const std::vector<IndexOutcome>& outcomes() const { return outcomes_; }
   /// True when the adjacent race flipped the scan order at least once.
@@ -133,11 +126,6 @@ class Jscan {
   /// verdict (after the verdict is final; a completed first list demoted
   /// for not beating Tscan reports as discarded). Null disables.
   void set_trace(TraceLog* log) { trace_ = log; }
-
-  /// Attaches governance: every Step() charges the cumulative Jscan page
-  /// reads and polls the context. Call before the first Step so the RID
-  /// lists pick up spill/RID-byte accounting too.
-  void set_context(QueryContext* ctx) { ctx_ = ctx; }
 
   /// When true, an I/O fault (EIO/corruption) inside an index scan
   /// disqualifies that scan through the competition bookkeeping — trace
@@ -155,10 +143,11 @@ class Jscan {
   struct ActiveScan {
     const IndexClassification* cand = nullptr;
     MultiRangeCursor cursor;
-    bool exhausted = false;
     uint64_t entries_scanned = 0;
     uint64_t kept = 0;
     std::unique_ptr<HybridRidList> list;
+    /// This scan's own cost, which the discard test weighs; the Jscan's
+    /// meter (accrued()) covers every step whole.
     CostMeter accrued;
     /// Distinct heap pages among kept RIDs: the live clustering
     /// measurement the final-cost projection is built from (§3b).
@@ -173,11 +162,14 @@ class Jscan {
           kept_pages(page_count) {}
   };
 
-  /// Starts scans for the next candidate(s); updates phase when none left.
+  Result<bool> StepOnce(size_t max_units) override;
+  /// Starts scans for the next candidate(s); exhausts the Jscan when none
+  /// are left.
   Status Advance();
   std::unique_ptr<ActiveScan> StartScan(const IndexClassification* cand);
-  /// One index-entry step; applies the previous filter.
-  Result<bool> StepScan(ActiveScan* scan);
+  /// One index-entry batch of `scan`, through the previous filter and the
+  /// key screen into its RID list.
+  Result<bool> StepScan(ActiveScan* scan, size_t max_units);
   /// Competition checks; true = the scan must be discarded now.
   bool ShouldDiscard(const ActiveScan& scan) const;
   double ProjectedFinalCost(const ActiveScan& scan) const;
@@ -190,19 +182,14 @@ class Jscan {
   void EmitOutcome(const IndexOutcome& outcome);
   /// Rebuilds `scan`'s in-memory partial list through the new filter.
   Status RefilterPartial(ActiveScan* scan);
-  /// Charges accumulated page reads to ctx_ and polls it.
-  Status PollGovernance();
   /// Retires the faulted scan (primary or secondary) as disqualified and
   /// moves the competition along.
   Status DisqualifyScan(bool stepping_secondary, const Status& cause);
 
   Database* db_;
-  const RetrievalSpec& spec_;
-  const ParamMap& params_;
   std::vector<const IndexClassification*> candidates_;
   Options options_;
 
-  Phase phase_ = Phase::kScanning;
   size_t next_candidate_ = 0;
   std::unique_ptr<ActiveScan> primary_;
   std::unique_ptr<ActiveScan> secondary_;
@@ -212,15 +199,12 @@ class Jscan {
   double tscan_cost_ = 0;
   double gbc_ = 0;
 
-  CostMeter accrued_;
   std::vector<IndexOutcome> outcomes_;
   std::vector<std::string> completed_names_;
   bool reordered_ = false;
 
   TraceLog* trace_ = nullptr;
-  QueryContext* ctx_ = nullptr;
   bool tolerate_io_faults_ = false;
-  uint64_t charged_reads_ = 0;  // page reads already charged to ctx_
   Counter* m_strategy_fallbacks_ = nullptr;
   Counter* m_entries_scanned_ = nullptr;
   Counter* m_rids_kept_ = nullptr;
@@ -232,12 +216,6 @@ class Jscan {
   uint64_t borrow_generation_ = 0;
   uint64_t borrow_source_generation_ = ~uint64_t{0};
   size_t borrow_pos_ = 0;
-
-  // Batch scratch shared by StepScan calls (allocations recycled).
-  RidBatch scan_entries_;
-  BatchEvalScratch scan_scratch_;
-  std::string decode_scratch_;
-  std::vector<uint32_t> scan_keep_;  // RID indexes surviving the filter
 };
 
 }  // namespace dynopt

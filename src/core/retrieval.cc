@@ -41,25 +41,6 @@ std::string_view ModeName(uint8_t mode) {
   return mode < 5 ? kNames[mode] : "?";
 }
 
-/// Maps a settle-verdict slug onto the strategy that ends up delivering
-/// the rows — the "winner" the CompetitionSample records.
-std::string WinnerForVerdict(std::string_view subject,
-                             std::string_view detail) {
-  if (subject == "foreground-finished") return std::string(detail);
-  if (subject == "jscan-won" || subject == "jscan-complete") return "jscan";
-  if (subject == "filter-installed") return "fscan+filter";
-  if (subject == "no-filter") return "fscan";
-  if (subject == "sscan-retained") return "sscan";
-  if (subject == "jscan-recommends-tscan" || subject == "io-fault-fallback") {
-    return "tscan";
-  }
-  if (subject == "fgr-buffer-overflow" || subject == "fgr-cost-limit") {
-    // Fast-first hands over to the background; index-only keeps the Sscan.
-    return detail == "sscan-retained" ? "sscan" : "jscan";
-  }
-  return std::string(subject);
-}
-
 }  // namespace
 
 DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
@@ -71,9 +52,6 @@ DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
       final_fetch_(db->pool(), spec_, params_, &delivered_),
       ff_fetch_(db->pool(), spec_, params_, &delivered_) {
   if (spec_.restriction == nullptr) spec_.restriction = Predicate::True();
-  // One batch quantum governs the whole engine: steppers, Jscan harvests,
-  // and the final fetch stage all sample competition state at this grain.
-  options_.jscan.batch_entries = options_.batch_size;
   class_prefix_ = QueryClassPrefix(spec_);
   profile_store_ = db_->profiles();
   learning_ = db_->learning();
@@ -112,6 +90,7 @@ void DynamicRetrieval::EnterMode(Mode mode) {
 }
 
 void DynamicRetrieval::Verdict(std::string_view subject,
+                               std::string_view winner,
                                std::string_view detail, double a, double b) {
   events_.Emit(TraceEventKind::kCompetitionVerdict, std::string(subject),
                std::string(detail), a, b);
@@ -122,10 +101,10 @@ void DynamicRetrieval::Verdict(std::string_view subject,
   if (options_.profile && span_competition_ != nullptr) {
     have_sample_ = true;
     sample_.verdict = std::string(subject);
-    sample_.winner = WinnerForVerdict(subject, detail);
+    sample_.winner = std::string(winner);
     sample_.foreground_cost = ForegroundCost();
     if (jscan_ != nullptr) {
-      sample_.background_cost = jscan_->accrued_live_cost(db_->cost_weights());
+      sample_.background_cost = jscan_->AccruedCost(db_->cost_weights());
       sample_.guaranteed_best = jscan_->guaranteed_best_cost();
     }
   }
@@ -383,7 +362,7 @@ void DynamicRetrieval::MaybePinBrownoutStrategy() {
       // foreground itself: drop the background candidates and run the
       // degenerate plain-Fscan arm of the Sorted tactic.
       brownout_plain_fscan_ = true;
-      Verdict("brownout-pinned", "fscan");
+      Verdict("brownout-pinned", "fscan", "fscan");
       return;
     case Tactic::kFastFirst:
     case Tactic::kBackgroundOnly:
@@ -409,11 +388,11 @@ void DynamicRetrieval::MaybePinBrownoutStrategy() {
   if (sscan.has_value() &&
       (!tscan.has_value() || sscan->mean_cost <= tscan->mean_cost)) {
     tactic_ = Tactic::kStaticSscan;
-    Verdict("brownout-pinned", "sscan", sscan->mean_cost,
+    Verdict("brownout-pinned", "sscan", "sscan", sscan->mean_cost,
             static_cast<double>(sscan->samples));
   } else {
     tactic_ = Tactic::kStaticTscan;
-    Verdict("brownout-pinned", "tscan", tscan->mean_cost,
+    Verdict("brownout-pinned", "tscan", "tscan", tscan->mean_cost,
             static_cast<double>(tscan->samples));
   }
 }
@@ -535,7 +514,7 @@ Status DynamicRetrieval::SetUpTactic() {
       auto rest = jscan_candidates(analysis_.order_needed);
       if (brownout_plain_fscan_) rest.clear();
       if (rest.empty()) {
-        Verdict("no-background", "plain fscan");
+        Verdict("no-background", "fscan", "plain fscan");
         StartSingle(Own(std::move(fscan)),
                     strategy_span(profile_.root(), "fscan", predicted_cost_));
         return Status::OK();
@@ -613,12 +592,13 @@ Status DynamicRetrieval::FallBackToTscan(std::string subject,
   if (!CanDegrade(cause)) return cause;
   events_.Emit(TraceEventKind::kStrategyDisqualified, subject,
                "io_fault: " + std::string(cause.message()));
-  Verdict("io-fault-fallback", subject);
+  Verdict("io-fault-fallback", "tscan", subject);
   Bump(m_fallbacks_);
+  // Every strategy goes but the last-resort Tscan: their spans keep the
+  // costs they accrued.
+  StampSpanCosts();
   jscan_.reset();
-  // An index foreground goes with the race; the fast-first foreground only
-  // fetched, and stays so its span still reports the cost.
-  if (fgr_ != &ff_fetch_) fgr_ = nullptr;
+  fgr_ = nullptr;
   delivers_order_ = false;
   degraded_ = true;
   StartTscan("io-fault-fallback");
@@ -712,33 +692,24 @@ Status DynamicRetrieval::StepSingle() {
 }
 
 Status DynamicRetrieval::StepBackground() {
-  Status ran = jscan_->RunToCompletion();
-  if (!ran.ok()) return FallBackToTscan("Jscan", ran);
-  if (!jscan_->completed_order().empty()) {
-    previous_order_ = jscan_->completed_order();
-  }
-  if (jscan_->phase() == Jscan::Phase::kComplete) {
-    auto rids = jscan_->final_list()->ToSortedVector();
-    if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-    Verdict("jscan-complete", "", static_cast<double>(rids->size()));
-    return BeginFinalStage(std::move(*rids));
-  }
-  Verdict("jscan-recommends-tscan");
-  StartTscan("jscan-recommends-tscan");
-  return Status::OK();
+  if (jscan_->exhausted()) return OnBackgroundSettled();
+  return StepJscan();
+}
+
+Status DynamicRetrieval::StepJscan() {
+  Status st = jscan_->Step(options_.batch_size).status();
+  return st.ok() ? st : StrategyFailed(*jscan_, st);
 }
 
 Status DynamicRetrieval::StepRace() {
-  if (jscan_->phase() != Jscan::Phase::kScanning) {
+  if (jscan_->exhausted()) {
     ChargeSpan(span_competition_);
     return OnBackgroundSettled();
   }
-  double fgr_cost = ForegroundCost();
-  double bgr_cost = jscan_->accrued_live_cost(db_->cost_weights());
-  if (bgr_cost <= options_.fgr_bgr_cost_ratio * fgr_cost) {
+  double bgr_cost = jscan_->AccruedCost(db_->cost_weights());
+  if (bgr_cost <= options_.fgr_bgr_cost_ratio * ForegroundCost()) {
     ChargeSpan(span_bg_);
-    Status st = jscan_->Step().status();
-    return st.ok() ? st : FallBackToTscan("Jscan", st);
+    return StepJscan();
   }
   ChargeSpan(span_fg_);
   return StepForeground();
@@ -750,16 +721,15 @@ Status DynamicRetrieval::StepForeground() {
     std::optional<Rid> rid = jscan_->BorrowNextRid();
     if (!rid.has_value()) {
       // Starved: nothing new to borrow, give the quantum to the Jscan.
-      Status st = jscan_->Step().status();
-      return st.ok() ? st : FallBackToTscan("Jscan", st);
+      return StepJscan();
     }
     ff_fetch_.Queue(*rid);
   }
   auto stepped = fgr_->Step(options_.batch_size);
   if (!stepped.ok()) return StrategyFailed(*fgr_, stepped.status());
   if (!*stepped) {
-    Verdict("foreground-finished",
-            tactic_ == Tactic::kSorted ? "fscan" : "sscan");
+    std::string_view fg = tactic_ == Tactic::kSorted ? "fscan" : "sscan";
+    Verdict("foreground-finished", fg, fg);
     EnterMode(Mode::kDone);
     return Status::OK();
   }
@@ -780,20 +750,20 @@ Status DynamicRetrieval::StepForeground() {
   switch (tactic_) {
     case Tactic::kFastFirst:
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
-        Verdict("fgr-buffer-overflow", "background-only",
+        Verdict("fgr-buffer-overflow", "jscan", "background-only",
                 static_cast<double>(delivered_.size()));
         EnterMode(Mode::kBackground);
       } else if (fgr_->AccruedCost(w) > options_.fgr_cost_limit_fraction *
                                             jscan_->guaranteed_best_cost()) {
-        Verdict("fgr-cost-limit", "background-only", fgr_->AccruedCost(w),
-                jscan_->guaranteed_best_cost());
+        Verdict("fgr-cost-limit", "jscan", "background-only",
+                fgr_->AccruedCost(w), jscan_->guaranteed_best_cost());
         EnterMode(Mode::kBackground);
       }
       return Status::OK();
     case Tactic::kIndexOnly:
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
         // The safer strategy survives the buffer overflow (§7).
-        Verdict("fgr-buffer-overflow", "sscan-retained",
+        Verdict("fgr-buffer-overflow", "sscan", "sscan-retained",
                 static_cast<double>(delivered_.size()));
         track_delivered_ = false;
         if (!fallback_armed_) delivered_.clear();
@@ -811,29 +781,36 @@ Status DynamicRetrieval::OnBackgroundSettled() {
   }
   bool complete = jscan_->phase() == Jscan::Phase::kComplete;
   switch (tactic_) {
-    case Tactic::kFastFirst:
+    case Tactic::kBackgroundOnly:
+    case Tactic::kFastFirst: {
+      // Only a settle inside the fast-first race says so and counts the
+      // foreground's deliveries; background-only and a handed-over race
+      // settle plainly.
+      bool race = mode_ == Mode::kRace;
       if (complete) {
         auto rids = jscan_->final_list()->ToSortedVector();
-        if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-        Verdict("jscan-complete", "during race",
+        if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
+        Verdict("jscan-complete", "jscan", race ? "during race" : "",
                 static_cast<double>(rids->size()),
-                static_cast<double>(delivered_.size()));
+                race ? static_cast<double>(delivered_.size()) : 0);
         return BeginFinalStage(std::move(*rids));
       }
-      Verdict("jscan-recommends-tscan", "foreground switches");
+      Verdict("jscan-recommends-tscan", "tscan",
+              race ? "foreground switches" : "");
       StartTscan("jscan-recommends-tscan");  // delivered_ filters duplicates
       return Status::OK();
+    }
 
     case Tactic::kSorted:
       if (complete) {
-        Verdict("filter-installed", "",
+        Verdict("filter-installed", "fscan+filter", "",
                 static_cast<double>(jscan_->final_list()->size()));
         // The Sorted tactic's foreground is an Fscan.
         static_cast<FscanStepper*>(fgr_)->SetPreFetchFilter(
             jscan_->final_list());
         if (span_fg_ != nullptr) span_fg_->detail = "filter-installed";
       } else {
-        Verdict("no-filter");
+        Verdict("no-filter", "fscan");
       }
       // The winning foreground stepper carries on as the lone strategy;
       // its span keeps accruing under the kSingle quantum timer.
@@ -887,14 +864,17 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         }
         if (fin_cost < ss_used) {
           auto rids = jscan_->final_list()->ToSortedVector();
-          if (!rids.ok()) return FallBackToTscan("Jscan", rids.status());
-          Verdict("jscan-won", "sscan abandoned", fin_cost, ss_used);
-          fgr_ = nullptr;
+          if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
+          // The abandoned Sscan stays fgr_, so its span reports its cost.
+          Verdict("jscan-won", "jscan", "sscan abandoned", fin_cost, ss_used);
           return BeginFinalStage(std::move(*rids));
         }
-        Verdict("sscan-retained", "list too costly", fin_cost, ss_used);
+        Verdict("sscan-retained", "sscan", "list too costly", fin_cost,
+                ss_used);
       } else {
-        Verdict("jscan-recommends-tscan", "sscan continues");
+        // The sample has always named the Jscan's recommendation here,
+        // though the Sscan delivers on (ROADMAP item 5).
+        Verdict("jscan-recommends-tscan", "tscan", "sscan continues");
       }
       track_delivered_ = false;
       if (!fallback_armed_) delivered_.clear();
@@ -919,6 +899,21 @@ Status DynamicRetrieval::BeginFinalStage(std::vector<Rid> rids) {
   return Status::OK();
 }
 
+void DynamicRetrieval::StampSpanCosts() {
+  const CostWeights& w = db_->cost_weights();
+  if (span_single_ != nullptr && single_ != nullptr) {
+    span_single_->actual_cost = single_->AccruedCost(w);
+  }
+  // A foreground that settled into single_ was stamped above; one that
+  // lost keeps fgr_ until a fallback lets it go.
+  if (span_fg_ != nullptr && fgr_ != nullptr) {
+    span_fg_->actual_cost = fgr_->AccruedCost(w);
+  }
+  if (span_bg_ != nullptr && jscan_ != nullptr) {
+    span_bg_->actual_cost = jscan_->AccruedCost(w);
+  }
+}
+
 void DynamicRetrieval::FinalizeProfile() {
   if (!profile_.active() || profile_finished_) return;
   profile_finished_ = true;
@@ -932,20 +927,8 @@ void DynamicRetrieval::FinalizeProfile() {
   root->actual_rows = rows_delivered_;
   root->actual_cost = CostSinceOpen().Cost(w);
 
-  if (span_single_ != nullptr && single_ != nullptr) {
-    span_single_->actual_cost = single_->AccruedCost(w);
-  }
-  if (span_fg_ != nullptr && span_fg_ != span_single_) {
-    // The foreground lost (or the race is still running): its cost comes
-    // from its own meter; a settle move to single_ was handled above.
-    span_fg_->actual_cost = ForegroundCost();
-  }
+  StampSpanCosts();
   if (span_bg_ != nullptr) {
-    if (jscan_ != nullptr) {
-      span_bg_->actual_cost = jscan_->accrued_live_cost(w);
-    } else if (have_sample_) {
-      span_bg_->actual_cost = sample_.background_cost;
-    }
     // Per-index children: the Jscan's own account of each index it
     // scanned, discarded, or skipped, paired with the estimate that put
     // the index into the preorder.

@@ -24,8 +24,9 @@
 //
 // The foreground/background "simultaneous" run is a deterministic
 // interleaving paced by accrued cost at a configurable ratio. Every
-// strategy is a stepper (exec/steppers.h) or the Jscan, each metering its
-// own cost and polling the query's context once per quantum. Every
+// strategy, the Jscan included, is a stepper (exec/steppers.h): each one
+// meters its own cost, polls the query's context once per quantum and
+// charges the quantum's page reads as it ends. Every
 // decision the engine takes is emitted as a typed event (events(), see
 // obs/trace.h) that tests assert against and EXPLAIN renders one line per
 // event (the Fig 4/Fig 6 state transitions).
@@ -187,7 +188,7 @@ class DynamicRetrieval {
  private:
   enum class Mode : uint8_t {
     kSingle,      // one stepper runs alone (Tscan/Sscan/filtered Fscan)
-    kBackground,  // Jscan alone, then final stage
+    kBackground,  // the Jscan steps alone, then settles
     kRace,        // foreground + background interleaved
     kFinal,       // the final stage's FetchStepper runs alone
     kDone,
@@ -195,9 +196,10 @@ class DynamicRetrieval {
 
   /// Switches stage and emits the kStageTransition event (Fig 4 edges).
   void EnterMode(Mode mode);
-  /// Emits a kCompetitionVerdict event (subject = stable verdict slug).
-  void Verdict(std::string_view subject, std::string_view detail = {},
-               double a = 0, double b = 0);
+  /// Emits a kCompetitionVerdict event (subject = stable verdict slug);
+  /// `winner` names the strategy that delivers next, for the sample.
+  void Verdict(std::string_view subject, std::string_view winner,
+               std::string_view detail = {}, double a = 0, double b = 0);
   /// Fills predicted_rows_/predicted_cost_ for the decided tactic.
   void ComputePredictions();
   /// Reports predicted vs actual (once): one ProfileStore::Sample under
@@ -215,17 +217,20 @@ class DynamicRetrieval {
   /// One scheduling quantum; may deliver rows.
   Status Pump();
   Status StepSingle();
+  /// One Jscan quantum with no foreground; settles once it is exhausted.
   Status StepBackground();
   Status StepRace();
-  /// The race's background finished: route per tactic.
+  /// One Jscan quantum; a fault goes through StrategyFailed.
+  Status StepJscan();
+  /// The Jscan finished, racing or alone: route per tactic.
   Status OnBackgroundSettled();
   /// One foreground quantum inside the race.
   Status StepForeground();
   /// Starts the final stage: a FetchStepper over `rids`, page-sorted, that
   /// skips RIDs already delivered.
   Status BeginFinalStage(std::vector<Rid> rids);
-  /// The race foreground's accrued cost (0 once it stopped racing, unless
-  /// it is the fast-first foreground, whose stepper outlives the race).
+  /// The race foreground's accrued cost (0 once it settled into the lone
+  /// strategy or a fallback let it go).
   double ForegroundCost() const {
     return fgr_ != nullptr ? fgr_->AccruedCost(db_->cost_weights()) : 0;
   }
@@ -238,6 +243,9 @@ class DynamicRetrieval {
   /// keeps profiling under the bench_profile overhead gate. A null span
   /// stops the accrual (profiling off, or finalize flush).
   void ChargeSpan(ProfileSpan* span);
+  /// Records each live strategy's accrued cost in its span: at finalize,
+  /// and in FallBackToTscan, where the engine lets strategies go.
+  void StampSpanCosts();
   /// True when `st` should degrade this execution (disqualify the faulted
   /// strategy, continue on Tscan) instead of failing it.
   bool CanDegrade(const Status& st) const {

@@ -19,11 +19,58 @@ ExecCounters::ExecCounters(BufferPool* pool) {
       m->histogram("exec.selection_density", {1, 5, 10, 25, 50, 75, 90, 99});
 }
 
+Result<bool> ScanStepper::Step(size_t max_units) {
+  if (exhausted_) return false;
+  if (ctx_ != nullptr) DYNOPT_RETURN_IF_ERROR(ctx_->Check());
+  CostMeter before = pool_->meter();
+  Result<bool> stepped = StepOnce(max_units);
+  CostMeter step = pool_->meter() - before;
+  accrued_ += step;
+  if (ctx_ != nullptr) ctx_->ChargePagesRead(step.logical_reads);
+  return stepped;
+}
+
 Status ScanStepper::Screen(const Predicate& pred, RowBatch* batch) {
   pool_->meter_ptr()->record_evals += batch->num_rows();
   Bump(exec_.rows_screened, batch->num_rows());
   BatchView view(batch->cols(), batch->num_columns());
   return FilterSelection(pred, view, params_, &scratch_, &batch->sel());
+}
+
+Result<size_t> ScanStepper::Harvest(MultiRangeCursor* cursor,
+                                    size_t max_units,
+                                    const HybridRidList* filter,
+                                    const SecondaryIndex& index,
+                                    const Predicate* screen, RowBatch* keys) {
+  entries_.Clear(/*collect_keys=*/screen != nullptr);
+  DYNOPT_ASSIGN_OR_RETURN(bool more, cursor->NextBatch(max_units, &entries_));
+  (void)more;
+  size_t n = entries_.size();
+  if (n == 0) return n;
+  // The sealed filter (the Sorted tactic's Jscan cooperation, or the
+  // Jscan's previously completed list) rejects RIDs before any later work.
+  if (filter != nullptr) {
+    filter->Probe(entries_.rids(), &survivors_);
+  } else {
+    survivors_.resize(n);
+    std::iota(survivors_.begin(), survivors_.end(), 0u);
+  }
+  // Index screening: evaluate the covered conjuncts over the decoded key
+  // columns, so failing entries never reach a fetch or a RID list.
+  if (screen != nullptr && !survivors_.empty()) {
+    keys->Clear();
+    for (uint32_t i : survivors_) {
+      DYNOPT_RETURN_IF_ERROR(index.DecodeKeyColumnsInto(
+          entries_.key(i), keys->dests(), &decode_scratch_));
+      keys->AddRow(entries_.rid(i));
+    }
+    DYNOPT_RETURN_IF_ERROR(Screen(*screen, keys));
+    // keys row r corresponds to survivors_[r]; compact in place.
+    size_t kept = 0;
+    for (uint32_t r : keys->sel()) survivors_[kept++] = survivors_[r];
+    survivors_.resize(kept);
+  }
+  return n;
 }
 
 // ------------------------------------------------------------------ Tscan
@@ -35,10 +82,7 @@ TscanStepper::TscanStepper(BufferPool* pool, const RetrievalSpec& spec,
   batch_.Configure(spec.table->schema().num_columns(), spec.NeededColumns());
 }
 
-Result<bool> TscanStepper::Step(size_t max_units) {
-  if (exhausted_) return false;
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
-  MeterScope scope(pool_, &accrued_);
+Result<bool> TscanStepper::StepOnce(size_t max_units) {
   batch_.Clear();
   size_t cap_reserved = batch_.allocated_rows();
   const Schema& schema = spec_.table->schema();
@@ -88,44 +132,16 @@ void FscanStepper::SetScreen(PredicateRef screen) {
   }
 }
 
-Result<bool> FscanStepper::Step(size_t max_units) {
-  if (exhausted_) return false;
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
-  MeterScope scope(pool_, &accrued_);
-  entries_.Clear(/*collect_keys=*/screen_ != nullptr);
-  DYNOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextBatch(max_units, &entries_));
-  (void)more;
-  size_t n = entries_.size();
+Result<bool> FscanStepper::StepOnce(size_t max_units) {
+  // Stages 1-2: the pre-fetch RID filter and the index screen reject
+  // entries before their expensive fetch.
+  DYNOPT_ASSIGN_OR_RETURN(size_t n, Harvest(&cursor_, max_units, filter_,
+                                            *index_, screen_.get(), &keys_));
   if (n == 0) {
     exhausted_ = true;
     return false;
   }
   entries_scanned_ += n;
-
-  // Stage 1: pre-fetch RID filter (the Sorted tactic's Jscan cooperation)
-  // rejects RIDs before their expensive fetch.
-  if (filter_ != nullptr) {
-    filter_->Probe(entries_.rids(), &survivors_);
-  } else {
-    survivors_.resize(n);
-    std::iota(survivors_.begin(), survivors_.end(), 0u);
-  }
-
-  // Stage 2: index screening — evaluate the covered conjuncts over the
-  // decoded key columns, so failing entries never reach their fetch.
-  if (screen_ != nullptr && !survivors_.empty()) {
-    keys_.Clear();
-    for (uint32_t i : survivors_) {
-      DYNOPT_RETURN_IF_ERROR(index_->DecodeKeyColumnsInto(
-          entries_.key(i), keys_.dests(), &decode_scratch_));
-      keys_.AddRow(entries_.rid(i));
-    }
-    DYNOPT_RETURN_IF_ERROR(Screen(*screen_, &keys_));
-    // keys_ row r corresponds to survivors_[r]; compact in place.
-    size_t kept = 0;
-    for (uint32_t r : keys_.sel()) survivors_[kept++] = survivors_[r];
-    survivors_.resize(kept);
-  }
 
   // Stage 3: page-clustered fetch — sort the surviving RIDs by (page,
   // slot) so each heap page is pinned exactly once per batch.
@@ -180,49 +196,39 @@ void FetchStepper::Restart(std::vector<Rid> rids) {
   pos_ = 0;
   exhausted_ = false;
   accrued_ = CostMeter();
-  charged_reads_ = 0;
 }
 
-Result<bool> FetchStepper::Step(size_t max_units) {
-  if (exhausted_) return false;
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
+Result<bool> FetchStepper::StepOnce(size_t max_units) {
   if (pos_ == rids_.size()) {
     exhausted_ = true;
     return false;
   }
-  {
-    MeterScope scope(pool_, &accrued_);
-    batch_.Clear();
-    const Schema& schema = spec_.table->schema();
-    // One reader for the step: page-sorted RIDs share each page's pin.
-    HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
-    while (pos_ < rids_.size() && batch_.num_rows() < max_units) {
-      Rid rid = rids_[pos_++];
-      if (skip_ != nullptr && skip_->count(rid) > 0) continue;
-      auto bytes = reader.Read(rid);
-      if (!bytes.ok()) {
-        if (bytes.status().IsNotFound()) continue;  // deleted row
-        return bytes.status();
-      }
-      DYNOPT_RETURN_IF_ERROR(
-          DeserializeRecordColumns(schema, *bytes, batch_.dests()));
-      batch_.AddRow(rid);
+  batch_.Clear();
+  const Schema& schema = spec_.table->schema();
+  // One reader for the step: page-sorted RIDs share each page's pin.
+  HeapFile::BatchReader reader = spec_.table->heap()->NewBatchReader();
+  while (pos_ < rids_.size() && batch_.num_rows() < max_units) {
+    Rid rid = rids_[pos_++];
+    if (skip_ != nullptr && skip_->count(rid) > 0) continue;
+    auto bytes = reader.Read(rid);
+    if (!bytes.ok()) {
+      if (bytes.status().IsNotFound()) continue;  // deleted row
+      return bytes.status();
     }
-    size_t n = batch_.num_rows();
-    if (n > 0) {
-      Bump(exec_.records_fetched, n);
-      DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
-      exec_.NoteBatch(n, batch_.sel().size());
-    }
+    DYNOPT_RETURN_IF_ERROR(
+        DeserializeRecordColumns(schema, *bytes, batch_.dests()));
+    batch_.AddRow(rid);
+  }
+  size_t n = batch_.num_rows();
+  if (n > 0) {
+    Bump(exec_.records_fetched, n);
+    DYNOPT_RETURN_IF_ERROR(Screen(*spec_.restriction, &batch_));
+    exec_.NoteBatch(n, batch_.sel().size());
   }
   if (pos_ == rids_.size()) {  // a fed queue restarts empty
     rids_.clear();
     pos_ = 0;
   }
-  // Charged now rather than at this stepper's next poll: the next poll of
-  // any strategy sees them, and a fast-first foreground may never step
-  // again once the race moves on.
-  ChargeReads();
   return true;
 }
 
@@ -245,10 +251,7 @@ SscanStepper::SscanStepper(BufferPool* pool, const RetrievalSpec& spec,
   batch_.Configure(spec.table->schema().num_columns(), active);
 }
 
-Result<bool> SscanStepper::Step(size_t max_units) {
-  if (exhausted_) return false;
-  DYNOPT_RETURN_IF_ERROR(PollGovernance());
-  MeterScope scope(pool_, &accrued_);
+Result<bool> SscanStepper::StepOnce(size_t max_units) {
   entries_.Clear();
   DYNOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextBatch(max_units, &entries_));
   (void)more;

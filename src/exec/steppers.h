@@ -6,9 +6,9 @@
 // and meters its own cost, so the retrieval engine can race strategies at
 // proportional speeds and compare their accrued/projected costs exactly.
 //
-// Tscan, Fscan, Sscan and the fetch-by-RID stepper live here; Jscan — the
-// paper's contribution — is built on top of these pieces in
-// src/core/jscan.h.
+// Tscan, Fscan, Sscan and the fetch-by-RID stepper live here; the Jscan —
+// the paper's contribution — is the fifth stepper, in src/core/jscan.h,
+// and harvests its index scans the way the Fscan does.
 
 #ifndef DYNOPT_EXEC_STEPPERS_H_
 #define DYNOPT_EXEC_STEPPERS_H_
@@ -76,12 +76,16 @@ class ScanStepper {
   virtual ~ScanStepper() = default;
 
   /// Performs one *batch* of work — up to `max_units` input units (records
-  /// scanned / index entries read, NOT output rows). One governance poll,
-  /// one meter scope, and one metrics charge cover the whole batch;
-  /// `max_units` is the competition sampling quantum. Returns false once
-  /// the scan is exhausted (idempotent afterwards); after a true return,
+  /// scanned / index entries read, NOT output rows). Returns false, without
+  /// polling, once the strategy is exhausted (idempotent afterwards).
+  /// Otherwise polls the context once, runs the strategy's own step under
+  /// one meter scope and, on every return path, charges the step's page
+  /// reads to the context as it ends. `max_units` is the competition
+  /// sampling quantum. A typed governance error
+  /// (Cancelled/DeadlineExceeded/BudgetExceeded) propagates with no pins
+  /// held — a stepper holds pins only *within* a step. After a true return,
   /// output() holds the step's rows.
-  virtual Result<bool> Step(size_t max_units = kDefaultBatchRows) = 0;
+  Result<bool> Step(size_t max_units = kDefaultBatchRows);
 
   /// The last step's rows: columns in schema order (the spec's needed
   /// columns materialized), sel() listing the delivered rows in delivery
@@ -89,35 +93,15 @@ class ScanStepper {
   const RowBatch& output() const { return batch_; }
 
   bool exhausted() const { return exhausted_; }
-  /// Cost this scan has accrued so far (its private meter).
+  /// Cost this strategy has accrued so far (its private meter).
   const CostMeter& accrued() const { return accrued_; }
   double AccruedCost(const CostWeights& w) const { return accrued_.Cost(w); }
   const std::string& label() const { return label_; }
 
-  /// Attaches governance: every Step() begins by charging the pages read
-  /// since the last poll and checking the context — the "batch boundary"
-  /// where cancellation, deadlines, and budgets surface.
+  /// Attaches governance: the context every Step() polls and charges.
   void set_context(QueryContext* ctx) { ctx_ = ctx; }
 
  protected:
-  /// Called at the top of every Step() override. Charges the accrued
-  /// logical-read delta to the context and polls it; the resulting typed
-  /// error (Cancelled/DeadlineExceeded/BudgetExceeded) propagates out of
-  /// Step() with no pins held — a stepper holds pins only *within* a step.
-  Status PollGovernance() {
-    if (ctx_ == nullptr) return Status::OK();
-    ChargeReads();
-    return ctx_->Check();
-  }
-  /// Charges the logical reads accrued since the last charge to the
-  /// context's page budget.
-  void ChargeReads() {
-    uint64_t reads = accrued_.logical_reads;
-    if (ctx_ != nullptr && reads > charged_reads_) {
-      ctx_->ChargePagesRead(reads - charged_reads_);
-      charged_reads_ = reads;
-    }
-  }
   /// Binds the shared executor counters from `pool`'s attached registry
   /// (null pool or detached registry leaves them disabled).
   ScanStepper(std::string label, BufferPool* pool, const RetrievalSpec& spec,
@@ -128,10 +112,25 @@ class ScanStepper {
         params_(params),
         exec_(pool) {}
 
+  /// The strategy's own work for one Step(). Returns false, with
+  /// exhausted_ set, when it finds nothing left to do.
+  virtual Result<bool> StepOnce(size_t max_units) = 0;
+
   /// Evaluates `pred` over every row of `batch` in one vectorized pass,
   /// narrowing its selection, and charges the evaluations to the meter and
   /// to exec.rows_screened.
   Status Screen(const Predicate& pred, RowBatch* batch);
+
+  /// One index-entry harvest, shared by the Fscan and the Jscan's scans:
+  /// reads up to `max_units` entries off `cursor` into entries_ and leaves
+  /// in survivors_ those that the sealed `filter` admits (null admits all)
+  /// and whose key columns, decoded by `index` into `keys`, pass `screen`
+  /// (null screens none). Returns the number of entries read; 0 means the
+  /// cursor is exhausted.
+  Result<size_t> Harvest(MultiRangeCursor* cursor, size_t max_units,
+                         const HybridRidList* filter,
+                         const SecondaryIndex& index, const Predicate* screen,
+                         RowBatch* keys);
 
   std::string label_;
   BufferPool* pool_;
@@ -141,9 +140,12 @@ class ScanStepper {
   CostMeter accrued_;
   bool exhausted_ = false;
   QueryContext* ctx_ = nullptr;
-  uint64_t charged_reads_ = 0;  // logical reads already charged to ctx_
   ExecCounters exec_;
   RowBatch batch_;  // the step's rows (output())
+  // Index-entry batch state, reused across steps (allocations recycled).
+  RidBatch entries_;
+  std::vector<uint32_t> survivors_;  // entry indexes surviving a Harvest
+  std::string decode_scratch_;
 };
 
 /// Full table scan: the classical sequential retrieval, batched: each
@@ -155,11 +157,11 @@ class TscanStepper final : public ScanStepper {
   TscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                const ParamMap& params);
 
-  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
-
   uint64_t records_scanned() const { return records_scanned_; }
 
  private:
+  Result<bool> StepOnce(size_t max_units) override;
+
   HeapFile::Cursor cursor_;
   uint64_t records_scanned_ = 0;
 };
@@ -172,8 +174,6 @@ class FscanStepper final : public ScanStepper {
   FscanStepper(BufferPool* pool, const RetrievalSpec& spec,
                const ParamMap& params, SecondaryIndex* index,
                RangeSet ranges);
-
-  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
 
   /// Installs a pre-fetch RID filter (must outlive the stepper; must be
   /// sealed). RIDs rejected by it skip the (expensive) record fetch.
@@ -188,6 +188,8 @@ class FscanStepper final : public ScanStepper {
   uint64_t records_fetched() const { return records_fetched_; }
 
  private:
+  Result<bool> StepOnce(size_t max_units) override;
+
   SecondaryIndex* index_;
   RangeSet ranges_;
   MultiRangeCursor cursor_;
@@ -197,10 +199,7 @@ class FscanStepper final : public ScanStepper {
   uint64_t records_fetched_ = 0;
   // Batch state, reused across Steps (allocations recycled). batch_ holds
   // the fetched records in page-clustered order.
-  RidBatch entries_;
-  RowBatch keys_;  // decoded key columns of screen survivors
-  std::string decode_scratch_;
-  std::vector<uint32_t> survivors_;    // entry indexes surviving filter+screen
+  RowBatch keys_;  // decoded key columns of the screen's candidates
   std::vector<uint32_t> fetch_order_;  // survivors sorted by (page, slot)
 };
 
@@ -219,17 +218,16 @@ class FetchStepper final : public ScanStepper {
   FetchStepper(BufferPool* pool, const RetrievalSpec& spec,
                const ParamMap& params, const std::unordered_set<Rid>* skip);
 
-  /// Starts over on the queue `rids`, with an empty meter and nothing
-  /// charged to a context yet.
+  /// Starts over on the queue `rids`, with an empty meter.
   void Restart(std::vector<Rid> rids = {});
   /// Queues one more RID to fetch.
   void Queue(Rid rid) { rids_.push_back(rid); }
 
+ private:
   /// Fetches up to `max_units` records. Returns false once it finds the
   /// queue empty.
-  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
+  Result<bool> StepOnce(size_t max_units) override;
 
- private:
   const std::unordered_set<Rid>* skip_;
   std::vector<Rid> rids_;  // the queue; rids_[pos_] is fetched next
   size_t pos_ = 0;
@@ -243,20 +241,17 @@ class SscanStepper final : public ScanStepper {
                const ParamMap& params, SecondaryIndex* index,
                RangeSet ranges);
 
-  Result<bool> Step(size_t max_units = kDefaultBatchRows) override;
-
   uint64_t entries_scanned() const { return entries_scanned_; }
 
  private:
+  Result<bool> StepOnce(size_t max_units) override;
+
   SecondaryIndex* index_;
   RangeSet ranges_;
   MultiRangeCursor cursor_;
   uint64_t entries_scanned_ = 0;
-  // Batch state, reused across Steps. batch_ materializes the needed
-  // columns the index covers; an uncovered projection column is an
-  // Internal error.
-  RidBatch entries_;
-  std::string decode_scratch_;
+  // batch_ materializes the needed columns the index covers; an uncovered
+  // projection column is an Internal error.
 };
 
 }  // namespace dynopt

@@ -775,21 +775,23 @@ TEST(BatchOperatorTest, OperatorsMatchRowReference) {
 
 TEST(BatchEvalTest, EvalBatchMatchesRowEvalOnRandomBatches) {
   Rng rng(7);
-  // Random 3-column batch: int64, int64, string.
+  // Random 4-column batch: int64, int64, string, double.
   constexpr size_t kRows = 257;
   std::vector<Record> records;
-  ColumnVector cols[3];
+  ColumnVector cols[4];
   for (size_t i = 0; i < kRows; ++i) {
     int64_t a = rng.NextInt(-50, 50);
     int64_t b = rng.NextInt(0, 1000);
     std::string s = "str" + std::to_string(rng.NextBounded(20));
-    records.push_back(Record{Value(a), Value(b), Value(s)});
+    double d = static_cast<double>(rng.NextInt(-400, 400)) / 8.0;
+    records.push_back(Record{Value(a), Value(b), Value(s), Value(d)});
     cols[0].AppendInt64(a);
     cols[1].AppendInt64(b);
     cols[2].AppendString(s);
+    cols[3].AppendDouble(d);
   }
-  const ColumnVector* col_ptrs[3] = {&cols[0], &cols[1], &cols[2]};
-  BatchView view(col_ptrs, 3);
+  const ColumnVector* col_ptrs[4] = {&cols[0], &cols[1], &cols[2], &cols[3]};
+  BatchView view(col_ptrs, 4);
 
   ParamMap params{{"lo", Value(int64_t{-10})}, {"hi", Value(int64_t{25})}};
   std::vector<PredicateRef> preds;
@@ -813,6 +815,32 @@ TEST(BatchEvalTest, EvalBatchMatchesRowEvalOnRandomBatches) {
        Predicate::Not(Predicate::Between(
            1, Operand::Literal(Value(int64_t{100})),
            Operand::Literal(Value(int64_t{900}))))}));
+  // All six compare ops on every column type, against a literal and a
+  // host variable; BETWEEN over strings and doubles.
+  params.emplace("s", Value(std::string("str12")));
+  params.emplace("d", Value(-3.0));
+  const std::vector<std::pair<uint32_t, Value>> operands = {
+      {0, Value(int64_t{7})},          {1, Value(int64_t{500})},
+      {2, Value(std::string("str5"))}, {3, Value(12.5)},
+  };
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    for (const auto& [col, value] : operands) {
+      preds.push_back(Predicate::Compare(col, op, Operand::Literal(value)));
+    }
+    preds.push_back(Predicate::Compare(2, op, Operand::HostVar("s")));
+    preds.push_back(Predicate::Compare(3, op, Operand::HostVar("d")));
+  }
+  preds.push_back(
+      Predicate::Between(2, Operand::Literal(Value(std::string("str11"))),
+                         Operand::Literal(Value(std::string("str3")))));
+  preds.push_back(
+      Predicate::Between(2, Operand::HostVar("s"),
+                         Operand::Literal(Value(std::string("str8")))));
+  preds.push_back(Predicate::Between(3, Operand::Literal(Value(-10.25)),
+                                     Operand::Literal(Value(20.0))));
+  preds.push_back(Predicate::Not(Predicate::Between(
+      3, Operand::HostVar("d"), Operand::Literal(Value(40.0)))));
 
   // Both a full selection and a strided one (mask indexes by position).
   std::vector<uint32_t> full, strided;

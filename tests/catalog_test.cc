@@ -8,6 +8,7 @@
 #include "catalog/database.h"
 #include "catalog/index.h"
 #include "catalog/table.h"
+#include "integrity/check.h"
 #include "util/rng.h"
 
 namespace dynopt {
@@ -86,6 +87,38 @@ TEST(TableTest, IndexBackfillAndMaintenance) {
   auto got = (*t)->GetIndex("by_age");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, *idx);
+}
+
+// A record an index rejects leaves no trace: no heap row, no entry in an
+// index that accepted its key, and a database the checker finds clean.
+void ExpectInsertRejectedWithoutTrace(const Record& bad) {
+  Database db;
+  auto t = db.CreateTable("people", PeopleSchema());
+  ASSERT_TRUE(t.ok());
+  auto by_id = (*t)->CreateIndex("by_id", {"id"});
+  ASSERT_TRUE(by_id.ok());
+  auto by_name = (*t)->CreateIndex("by_name", {"name"});
+  ASSERT_TRUE(by_name.ok());
+  auto by_score = (*t)->CreateIndex("by_score", {"score"});
+  ASSERT_TRUE(by_score.ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE((*t)->Insert(Person(i, 30, "p" + std::to_string(i), i)).ok());
+  }
+  EXPECT_TRUE((*t)->Insert(bad).status().IsInvalidArgument());
+  EXPECT_EQ((*t)->record_count(), 10u);
+  for (SecondaryIndex* index : {*by_id, *by_name, *by_score}) {
+    EXPECT_EQ(index->tree()->entry_count(), 10u) << index->name();
+  }
+  IntegrityReport report = CheckDatabase(&db);
+  EXPECT_TRUE(report.clean()) << report.Summary();
+}
+
+TEST(TableTest, RejectedNanKeyLeavesNoTrace) {
+  ExpectInsertRejectedWithoutTrace(Person(10, 30, "nan", std::nan("")));
+}
+
+TEST(TableTest, RejectedOversizedKeyLeavesNoTrace) {
+  ExpectInsertRejectedWithoutTrace(Person(10, 30, std::string(2000, 'x'), 1));
 }
 
 TEST(IndexTest, DuplicateColumnValuesCoexistViaRidSuffix) {

@@ -482,13 +482,11 @@ TEST(JscanTest, BorrowedRidsComeFromTheLiveList) {
   JscanFixture jf(8000, pred, {"age"});
   // Entry-at-a-time quantum: borrowing must observe the list *while* it
   // grows, before any batch-boundary competition verdict retires it.
-  Jscan::Options jopt;
-  jopt.batch_entries = 1;
-  Jscan jscan(&jf.f.db, jf.spec, jf.params, jf.Candidates(), jopt);
+  Jscan jscan(&jf.f.db, jf.spec, jf.params, jf.Candidates(), Jscan::Options());
   std::set<uint64_t> borrowed;
   for (int i = 0; i < 100000 && jscan.phase() == Jscan::Phase::kScanning;
        ++i) {
-    auto more = jscan.Step();
+    auto more = jscan.Step(1);
     ASSERT_TRUE(more.ok());
     auto rid = jscan.BorrowNextRid();
     if (rid.has_value()) borrowed.insert(rid->ToU64());
@@ -926,6 +924,120 @@ TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
   // The whole restriction lives in the key, so only qualifying entries
   // reach their record fetch.
   EXPECT_EQ(fetched, rids.size());
+}
+
+// Every strategy charges its page reads to the query's context as each
+// step ends, so a governed execution's page count is exactly the logical
+// reads it made past the initial stage's estimation descents, whichever
+// strategy read them last: the tiny shortcut's probe and final fetch, a
+// lone stepper, the Jscan's last step, and a race's loser.
+TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
+  Families plain(8000);
+  Families age(8000);
+  age.Index("by_age", {"age"});
+  Families two(8000);
+  two.Index("by_age", {"age"});
+  two.Index("by_income", {"income"});
+  Families cov(8000);
+  cov.Index("by_age_income", {"age", "income"});
+  cov.Index("by_income", {"income"});
+  auto income_lt = [](int64_t v) {
+    return Predicate::Compare(2, CompareOp::kLt, Operand::Literal(Value(v)));
+  };
+  struct Case {
+    Families* f;
+    RetrievalSpec spec;
+    Tactic tactic;
+    std::string_view verdict;  // "" = no verdict expected
+  };
+  std::vector<Case> cases = {
+      {&two,
+       two.Spec(Predicate::Between(2, Operand::Literal(Value(int64_t{1000})),
+                                   Operand::Literal(Value(int64_t{1100}))),
+                {0, 1, 2}),
+       Tactic::kShortcutTiny, ""},
+      {&plain, plain.Spec(AgeBetween(10, 30), {0, 1}), Tactic::kStaticTscan,
+       ""},
+      {&age, age.Spec(AgeBetween(10, 60), {1}), Tactic::kStaticSscan, ""},
+      {&two, two.Spec(AgeIncomeConjunction(), {0, 1, 2}),
+       Tactic::kBackgroundOnly, "jscan-complete"},
+      {&two,
+       two.Spec(AgeIncomeConjunction(), {0, 1, 2},
+                OptimizationGoal::kFastFirst),
+       Tactic::kFastFirst, "jscan-complete"},
+      {&two,
+       two.Spec(AgeIncomeConjunction(), {0, 1, 2},
+                OptimizationGoal::kFastFirst),
+       Tactic::kSorted, "filter-installed"},
+      {&two,
+       two.Spec(Predicate::And({AgeBetween(10, 12),
+                                Predicate::Compare(
+                                    2, CompareOp::kGe,
+                                    Operand::Literal(Value(int64_t{1000})))}),
+                {0, 1, 2}),
+       Tactic::kSorted, "no-filter"},
+      {&cov, cov.Spec(Predicate::And({AgeBetween(2, 97), income_lt(3000)}),
+                      {1, 2}),
+       Tactic::kIndexOnly, "jscan-won"},
+      {&cov, cov.Spec(Predicate::And({AgeBetween(10, 60), income_lt(3000)}),
+                      {1, 2}),
+       Tactic::kIndexOnly, "sscan-retained"},
+  };
+  cases[5].spec.order_by_column = 1;
+  cases[6].spec.order_by_column = 1;
+  for (Case& c : cases) {
+    QueryContext ctx;
+    DynamicRetrieval engine(&c.f->db, c.spec);
+    ASSERT_TRUE(engine.Open({}, &ctx).ok());
+    ASSERT_EQ(engine.tactic(), c.tactic) << TacticName(c.tactic);
+    auto rids = DrainRids(&engine);
+    EXPECT_EQ(ctx.pages_read(), engine.CostSinceOpen().logical_reads -
+                                    engine.analysis().estimation_pages)
+        << TacticName(c.tactic) << " " << c.verdict;
+    if (!c.verdict.empty()) {
+      EXPECT_TRUE(SawVerdict(engine, c.verdict)) << engine.events().ToJson();
+    }
+    EXPECT_EQ(rids, NaiveRids(&c.f->db, c.spec, {}));
+  }
+}
+
+const ProfileSpan* FindSpan(const ProfileSpan* node, std::string_view name) {
+  if (node == nullptr) return nullptr;
+  if (node->name == name) return node;
+  for (const ProfileSpan* child : node->children) {
+    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
+  }
+  return nullptr;
+}
+
+// The Sscan the Jscan's list beat stops racing but keeps the cost it spent:
+// its span reports it, and the race span adds it to the Jscan's.
+TEST(RaceTest, JscanWonKeepsTheAbandonedSscanCost) {
+  Families f(8000);
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(
+      Predicate::And({AgeBetween(2, 97),
+                      Predicate::Compare(
+                          2, CompareOp::kLt,
+                          Operand::Literal(Value(int64_t{3000})))}),
+      {1, 2});
+  DynamicRetrieval engine(&f.db, spec);
+  ASSERT_TRUE(engine.Open({}).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, {}));
+  ASSERT_TRUE(SawVerdict(engine, "jscan-won")) << engine.events().ToJson();
+  const CompetitionSample* sample = engine.competition_sample();
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->winner, "jscan");
+  const ProfileSpan* race = FindSpan(engine.profile().root(), "race");
+  const ProfileSpan* sscan = FindSpan(race, "sscan");
+  const ProfileSpan* jscan = FindSpan(race, "jscan");
+  ASSERT_NE(sscan, nullptr);
+  ASSERT_NE(jscan, nullptr);
+  EXPECT_GT(sscan->actual_cost, 0);
+  EXPECT_DOUBLE_EQ(sscan->actual_cost, sample->foreground_cost);
+  EXPECT_DOUBLE_EQ(race->actual_cost, sscan->actual_cost + jscan->actual_cost);
 }
 
 TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {

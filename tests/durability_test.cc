@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -538,6 +539,37 @@ TEST(DurabilityDatabaseTest, ReopenWithoutCheckpointReplaysTheWal) {
   auto hash = WorkloadResultHash(db->get(), *table, 2, 10, 5);
   ASSERT_TRUE(hash.ok()) << hash.status();
   EXPECT_EQ(*hash, built_hash);
+}
+
+// A record an index rejects (a NaN key) is rejected before the heap write,
+// so committing after it leaves a database that verifies on reopen.
+TEST(DurabilityDatabaseTest, CommitAfterRejectedInsertReopens) {
+  const std::string path = TempPath("db_rejected_insert.db");
+  {
+    DatabaseOptions options;
+    options.path = path;
+    auto db = Database::Create(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto table = (*db)->CreateTable(
+        "t", Schema({{"a", ValueType::kInt64}, {"x", ValueType::kDouble}}));
+    ASSERT_TRUE(table.ok()) << table.status();
+    ASSERT_TRUE((*table)->CreateIndex("by_x", {"x"}).ok());
+    for (int64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE((*table)->Insert(Record{i, 0.5 * i}).ok());
+    }
+    EXPECT_TRUE((*table)->Insert(Record{int64_t{10}, std::nan("")})
+                    .status()
+                    .IsInvalidArgument());
+    ASSERT_TRUE((*db)->Commit().ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  DatabaseOptions options;
+  options.path = path;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto table = (*db)->GetTable("t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->record_count(), 10u);
 }
 
 // Catalog counts are read from disk, so a corrupt one must fail the open

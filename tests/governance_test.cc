@@ -1169,6 +1169,74 @@ TEST(DegradedFallbackTest, IndexOnlyForegroundFaultMidRace) {
                             Tactic::kIndexOnly, "Sscan(by_age_id)");
 }
 
+const ProfileSpan* FindSpan(const ProfileSpan* node, std::string_view name) {
+  if (node == nullptr) return nullptr;
+  if (node->name == name) return node;
+  for (const ProfileSpan* child : node->children) {
+    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
+  }
+  return nullptr;
+}
+
+// The fallback lets the faulted strategies go, but their spans keep what
+// they spent: the race foreground's span reports the cost the verdict
+// sampled, and the race span adds it to the Jscan's.
+TEST(DegradedFallbackTest, FallbackKeepsTheDroppedForegroundCost) {
+  FaultyFamilies f(2000, 64, {{"by_age_id", {"age", "id"}}});
+  RetrievalSpec spec;
+  spec.table = f.table;
+  spec.restriction = AgeAndIdRange();
+  spec.projection = {1};
+  QueryContext ctx;
+  DynamicRetrieval engine(f.db.get(), spec, ForegroundRunsTheRace());
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
+  RowBatch batch;
+  auto first = engine.NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
+  Status st = Drain(&engine, nullptr);
+  f.faults->ClearProgram();
+  ASSERT_TRUE(st.ok()) << st;
+  const CompetitionSample* sample = engine.competition_sample();
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->verdict, "io-fault-fallback");
+  const ProfileSpan* race = FindSpan(engine.profile().root(), "race");
+  const ProfileSpan* sscan = FindSpan(race, "sscan");
+  const ProfileSpan* jscan = FindSpan(race, "jscan");
+  ASSERT_NE(sscan, nullptr);
+  ASSERT_NE(jscan, nullptr);
+  EXPECT_GT(sscan->actual_cost, 0);
+  EXPECT_DOUBLE_EQ(sscan->actual_cost, sample->foreground_cost);
+  EXPECT_DOUBLE_EQ(jscan->actual_cost, sample->background_cost);
+  EXPECT_DOUBLE_EQ(race->actual_cost, sscan->actual_cost + jscan->actual_cost);
+}
+
+// A lone Sscan that faults hands over to the Tscan; its span keeps its cost.
+TEST(DegradedFallbackTest, FallbackKeepsTheDroppedSscanCost) {
+  FaultyFamilies f;
+  RetrievalSpec spec = f.CoveringAgeSpec();
+  RetrievalOptions opt;
+  opt.batch_size = 16;
+  QueryContext ctx;
+  DynamicRetrieval engine(f.db.get(), spec, opt);
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kStaticSscan);
+  RowBatch batch;
+  auto first = engine.NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
+  Status st = Drain(&engine, nullptr);
+  f.faults->ClearProgram();
+  ASSERT_TRUE(st.ok()) << st;
+  ASSERT_TRUE(engine.degraded());
+  const ProfileSpan* sscan = FindSpan(engine.profile().root(), "sscan");
+  ASSERT_NE(sscan, nullptr);
+  EXPECT_GT(sscan->actual_cost, 0);
+}
+
 // An index that faults inside the Jscan disqualifies that one scan; the
 // Jscan carries on with the survivors and, with none left, recommends the
 // Tscan that finishes the retrieval.
