@@ -222,10 +222,10 @@ size_t TscanRowReference(TscanEnv* env) {
   std::deque<QueuedRow> queue;
   size_t delivered = 0;
   for (;;) {
-    // One seed-stepper step per row: meter snapshot/diff around the work,
+    // One seed-stepper step per row: a meter scope around the work,
     // full-record deserialize, RowView Eval, survivors round-trip through
     // the engine's output queue.
-    MeterScope scope(pool, &accrued);
+    ScopedCostMeter scope(&accrued, pool->shared_meter());
     auto more = cursor.Next(&bytes, &rid);
     if (!more.ok() || !*more) break;
     if (!DeserializeRecord(schema, bytes, &record).ok()) break;

@@ -135,7 +135,7 @@ Status Jscan::Advance() {
 }
 
 Result<bool> Jscan::StepScan(ActiveScan* scan, size_t max_units) {
-  MeterScope scope(pool_, &scan->accrued);
+  ScopedCostMeter scope(&scan->accrued, pool_->shared_meter());
   // The previously completed list is the intersection filter, and the
   // key screen rejects entries before they reach this scan's RID list
   // (and long before any record fetch).
@@ -215,7 +215,7 @@ Status Jscan::RefilterPartial(ActiveScan* scan) {
   // The loser of an adjacent race keeps its partial list by refiltering the
   // in-memory RIDs through the newly completed filter — cheap, and the
   // reason the race "does not continue beyond the memory buffer".
-  MeterScope scope(pool_, &scan->accrued);
+  ScopedCostMeter scope(&scan->accrued, pool_->shared_meter());
   auto fresh = std::make_unique<HybridRidList>(pool_, options_.rid_list);
   fresh->set_context(ctx_);
   std::span<const Rid> partial = scan->list->InMemory();

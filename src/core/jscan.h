@@ -146,8 +146,8 @@ class Jscan final : public ScanStepper {
     uint64_t entries_scanned = 0;
     uint64_t kept = 0;
     std::unique_ptr<HybridRidList> list;
-    /// This scan's own cost, which the discard test weighs; the Jscan's
-    /// meter (accrued()) covers every step whole.
+    /// This scan's own cost, which the discard test weighs; installed
+    /// inside the Jscan's step, it folds into the Jscan's accrued().
     CostMeter accrued;
     /// Distinct heap pages among kept RIDs: the live clustering
     /// measurement the final-cost projection is built from (§3b).

@@ -111,10 +111,12 @@ void DynamicRetrieval::Verdict(std::string_view subject,
 }
 
 Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
-  // Publish the governing context thread-locally for the duration of the
-  // call: the buffer pool's interruptible retry backoff looks it up with
-  // CurrentQueryContext() so a Cancel() or deadline can wake the wait.
+  // Publish the governing context and this execution's meter for the call:
+  // the pool's retry backoff looks up CurrentQueryContext() so a Cancel()
+  // or deadline can wake the wait, and every charge lands in meter_.
   ScopedQueryContext current(ctx);
+  meter_ = CostMeter();
+  ScopedCostMeter metered(&meter_, db_->pool()->shared_meter());
   params_ = params;
   pending_.Reset(spec_.projection.size());
   pending_pos_ = 0;
@@ -133,7 +135,6 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   feedback_recorded_ = false;
   features_ = QueryClassFeatures(params_);
   learn_key_ = class_prefix_ + QueryClassParamSuffix(params_);
-  open_snapshot_ = db_->meter();
   ctx_ = ctx;
   fallback_armed_ = ctx != nullptr && ctx->degraded_fallback_enabled();
   degraded_ = false;
@@ -451,13 +452,12 @@ Status DynamicRetrieval::SetUpTactic() {
     case Tactic::kShortcutTiny: {
       const IndexClassification& c = analysis_.indexes[analysis_.tiny_index];
       std::vector<Rid> rids;
-      CostMeter probe;
       Status scanned;
+      uint64_t pages = meter_.logical_reads;
       {
         MultiRangeCursor cursor(c.index->tree(), &c.ranges);
         std::string key;
         Rid rid;
-        MeterScope scope(db_->pool(), &probe);
         for (;;) {
           auto more = cursor.Next(&key, &rid);
           if (!more.ok()) {
@@ -468,9 +468,7 @@ Status DynamicRetrieval::SetUpTactic() {
           rids.push_back(rid);
         }
       }
-      // The probe belongs to no strategy, but its pages count against the
-      // context's budget all the same.
-      if (ctx_ != nullptr) ctx_->ChargePagesRead(probe.logical_reads);
+      ChargePagesReadSince(pages);
       DYNOPT_RETURN_IF_ERROR(scanned);
       return BeginFinalStage(std::move(rids));
     }
@@ -544,7 +542,8 @@ Status DynamicRetrieval::SetUpTactic() {
 }
 
 Result<bool> DynamicRetrieval::NextBatch(RowBatch* out, size_t max_rows) {
-  ScopedQueryContext current(ctx_);  // see Open(): wakes retry backoff
+  ScopedQueryContext current(ctx_);  // see Open()
+  ScopedCostMeter metered(&meter_, db_->pool()->shared_meter());
   out->Reset(spec_.projection.size());
   max_rows = std::max<size_t>(max_rows, 1);
   size_t waiting = pending_.num_rows() - pending_pos_;
@@ -788,7 +787,9 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       // settle plainly.
       bool race = mode_ == Mode::kRace;
       if (complete) {
+        uint64_t pages = meter_.logical_reads;
         auto rids = jscan_->final_list()->ToSortedVector();
+        ChargePagesReadSince(pages);
         if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
         Verdict("jscan-complete", "jscan", race ? "during race" : "",
                 static_cast<double>(rids->size()),
@@ -863,7 +864,9 @@ Status DynamicRetrieval::OnBackgroundSettled() {
           }
         }
         if (fin_cost < ss_used) {
+          uint64_t pages = meter_.logical_reads;
           auto rids = jscan_->final_list()->ToSortedVector();
+          ChargePagesReadSince(pages);
           if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
           // The abandoned Sscan stays fgr_, so its span reports its cost.
           Verdict("jscan-won", "jscan", "sscan abandoned", fin_cost, ss_used);
@@ -872,9 +875,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         Verdict("sscan-retained", "sscan", "list too costly", fin_cost,
                 ss_used);
       } else {
-        // The sample has always named the Jscan's recommendation here,
-        // though the Sscan delivers on (ROADMAP item 5).
-        Verdict("jscan-recommends-tscan", "tscan", "sscan continues");
+        Verdict("jscan-recommends-tscan", "sscan", "sscan continues");
       }
       track_delivered_ = false;
       if (!fallback_armed_) delivered_.clear();

@@ -163,8 +163,8 @@ class DynamicRetrieval {
   double raw_predicted_rows() const { return raw_predicted_rows_; }
   double raw_predicted_cost() const { return raw_predicted_cost_; }
 
-  /// Cost accrued by this execution so far (database-meter delta).
-  CostMeter CostSinceOpen() const { return db_->meter() - open_snapshot_; }
+  /// Cost this execution has accrued so far, in its own meter.
+  CostMeter CostSinceOpen() const { return meter_; }
 
   /// This execution's span profile (inactive when options.profile is off).
   const QueryProfile& profile() const { return profile_; }
@@ -226,6 +226,11 @@ class DynamicRetrieval {
   Status OnBackgroundSettled();
   /// One foreground quantum inside the race.
   Status StepForeground();
+  /// Charges the context the pages read since meter_ showed `reads`: the
+  /// tiny range's probe and a spilled final list's read-back run in no step.
+  void ChargePagesReadSince(uint64_t reads) {
+    if (ctx_ != nullptr) ctx_->ChargePagesRead(meter_.logical_reads - reads);
+  }
   /// Starts the final stage: a FetchStepper over `rids`, page-sorted, that
   /// skips RIDs already delivered.
   Status BeginFinalStage(std::vector<Rid> rids);
@@ -311,7 +316,7 @@ class DynamicRetrieval {
   AccessPathAnalysis analysis_;
   TraceLog events_;
   std::vector<std::string> previous_order_;
-  CostMeter open_snapshot_;
+  CostMeter meter_;  // installed while Open() and NextBatch() run
   uint64_t rows_delivered_ = 0;
   double predicted_rows_ = 0;
   double predicted_cost_ = 0;

@@ -22,11 +22,9 @@ ExecCounters::ExecCounters(BufferPool* pool) {
 Result<bool> ScanStepper::Step(size_t max_units) {
   if (exhausted_) return false;
   if (ctx_ != nullptr) DYNOPT_RETURN_IF_ERROR(ctx_->Check());
-  CostMeter before = pool_->meter();
+  ScopedCostMeter scope(&accrued_, pool_->shared_meter());
   Result<bool> stepped = StepOnce(max_units);
-  CostMeter step = pool_->meter() - before;
-  accrued_ += step;
-  if (ctx_ != nullptr) ctx_->ChargePagesRead(step.logical_reads);
+  if (ctx_ != nullptr) ctx_->ChargePagesRead(scope.gained().logical_reads);
   return stepped;
 }
 

@@ -30,22 +30,6 @@
 
 namespace dynopt {
 
-/// Accumulates the global-meter delta of a scope into a private meter —
-/// how each strategy's individual cost is attributed.
-class MeterScope {
- public:
-  MeterScope(BufferPool* pool, CostMeter* acc)
-      : pool_(pool), acc_(acc), snapshot_(pool->meter()) {}
-  ~MeterScope() { *acc_ += pool_->meter() - snapshot_; }
-  MeterScope(const MeterScope&) = delete;
-  MeterScope& operator=(const MeterScope&) = delete;
-
- private:
-  BufferPool* pool_;
-  CostMeter* acc_;
-  CostMeter snapshot_;
-};
-
 /// The executor's exec.* counters, bound from a pool's attached registry
 /// (all null when the pool has none). Every stepper and the retrieval
 /// engine charge the same counters.
@@ -78,13 +62,13 @@ class ScanStepper {
   /// Performs one *batch* of work — up to `max_units` input units (records
   /// scanned / index entries read, NOT output rows). Returns false, without
   /// polling, once the strategy is exhausted (idempotent afterwards).
-  /// Otherwise polls the context once, runs the strategy's own step under
-  /// one meter scope and, on every return path, charges the step's page
-  /// reads to the context as it ends. `max_units` is the competition
-  /// sampling quantum. A typed governance error
-  /// (Cancelled/DeadlineExceeded/BudgetExceeded) propagates with no pins
-  /// held — a stepper holds pins only *within* a step. After a true return,
-  /// output() holds the step's rows.
+  /// Otherwise polls the context once, runs the strategy's own step with
+  /// its accrued() meter installed (ScopedCostMeter) and, on every return
+  /// path, charges the step's page reads to the context as it ends.
+  /// `max_units` is the competition sampling quantum. A typed governance
+  /// error (Cancelled/DeadlineExceeded/BudgetExceeded) propagates with no
+  /// pins held — a stepper holds pins only *within* a step. After a true
+  /// return, output() holds the step's rows.
   Result<bool> Step(size_t max_units = kDefaultBatchRows);
 
   /// The last step's rows: columns in schema order (the spec's needed

@@ -202,7 +202,8 @@ Status NodeRef::InsertRaw(uint16_t pos, std::string_view key,
   }
   uint16_t off = free_off();
   PageWrite<uint16_t>(p_, off, static_cast<uint16_t>(key.size()));
-  std::memcpy(p_ + off + 2, key.data(), key.size());
+  // The internal node's −∞ sentinel is an empty key whose data() is null.
+  if (!key.empty()) std::memcpy(p_ + off + 2, key.data(), key.size());
   std::memcpy(p_ + off + 2 + key.size(), payload, payload_size);
   // Open slot `pos`: shift slots [pos, count) one position further down.
   uint16_t n = count();

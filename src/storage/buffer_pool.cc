@@ -135,7 +135,7 @@ size_t BufferPool::ShardOf(PageId id) const {
 }
 
 Result<PageGuard> BufferPool::Pin(PageId id) {
-  meter_->logical_reads++;
+  meter_ptr()->logical_reads++;
   uint32_t si = static_cast<uint32_t>(ShardOf(id));
   Shard& s = *shards_[si];
   std::unique_lock<std::mutex> lock(s.mu);
@@ -242,7 +242,7 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
                            std::to_string(attempts) + " attempt(s)",
                        read);
   }
-  meter_->physical_reads++;
+  meter_ptr()->physical_reads++;
   s.cv.notify_all();
   return PageGuard(this, si, frame, id);
 }
@@ -282,7 +282,7 @@ Result<PageGuard> BufferPool::NewPage() {
                       std::memory_order_relaxed);
   f.in_use = true;
   s.table[id] = frame;
-  meter_->logical_reads++;
+  meter_ptr()->logical_reads++;
   return PageGuard(this, si, frame, id);
 }
 
@@ -295,7 +295,7 @@ Status BufferPool::FlushAll() {
       if (f.in_use && f.pins == 0 &&
           f.dirty.load(std::memory_order_relaxed) && CanWriteBack(f)) {
         DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, f.data));
-        meter_->physical_writes++;
+        meter_ptr()->physical_writes++;
         s.stats.writebacks++;
         Bump(writeback_count_);
         f.dirty.store(false, std::memory_order_relaxed);
@@ -534,7 +534,7 @@ Status BufferPool::EvictFrame(Shard& s, uint32_t frame) {
   Bump(eviction_count_);
   if (f.dirty.load(std::memory_order_relaxed)) {
     DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, f.data));
-    meter_->physical_writes++;
+    meter_ptr()->physical_writes++;
     s.stats.writebacks++;
     Bump(writeback_count_);
     f.dirty.store(false, std::memory_order_relaxed);

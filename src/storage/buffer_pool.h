@@ -131,7 +131,7 @@ class BufferPool {
   };
 
   /// `capacity` is the total number of page frames; `meter` (optional)
-  /// receives the I/O charges. `shards` must be a power of two (rounded
+  /// is the shared meter. `shards` must be a power of two (rounded
   /// down otherwise); 0 picks automatically: one shard per 64 frames,
   /// capped at 16, minimum 1 — so small deterministic test pools keep the
   /// classic single-LRU behavior. The pool does not own the store or meter.
@@ -232,9 +232,12 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t cached_pages() const;
+  /// The shared meter, which work outside every installed meter charges
+  /// and each outermost ScopedCostMeter folds into.
   const CostMeter& meter() const { return *meter_; }
-  /// Mutable meter for components charging non-I/O costs (key compares...).
-  CostMeter* meter_ptr() { return meter_; }
+  CostMeter* shared_meter() { return meter_; }
+  /// The meter a charge made on this thread lands in (CurrentCostMeter).
+  CostMeter* meter_ptr() { return CurrentCostMeter(meter_); }
   PageStore* store() { return store_; }
 
   size_t shard_count() const { return shards_.size(); }

@@ -1,16 +1,16 @@
 // Relaxed-ordering atomic counters for shared accounting state.
 //
-// Once many sessions run against one buffer pool, the cost meter and the
-// metrics registry are charged from every thread at once. These wrappers
-// make each individual charge a relaxed atomic RMW — no locks, no
-// allocation, no ordering beyond the count itself — while staying
-// drop-in compatible with the single-threaded idioms the engine already
-// uses everywhere (`meter->logical_reads++`, snapshot copies, deltas).
+// The metrics registry and the buffer pool's shared cost meter are charged
+// from every session's thread at once. These wrappers make each
+// individual charge a relaxed atomic RMW — no locks, no allocation, no
+// ordering beyond the count itself — while staying drop-in compatible
+// with the single-threaded idioms the engine already uses everywhere
+// (`meter->logical_reads++`, snapshot copies, deltas).
 //
 // Relaxed ordering is deliberate: counters are monotonic tallies, not
-// synchronization. Cross-field snapshots (CostMeter copies) are therefore
+// synchronization. Cross-field snapshots of the shared meter are therefore
 // not a consistent cut under concurrency — each field is exact, the tuple
-// is approximate. Single-threaded behavior is bit-for-bit unchanged.
+// is approximate. A query's own meter is charged by its thread alone.
 
 #ifndef DYNOPT_UTIL_ATOMIC_COUNTER_H_
 #define DYNOPT_UTIL_ATOMIC_COUNTER_H_

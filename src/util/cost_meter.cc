@@ -13,4 +13,22 @@ std::string CostMeter::ToString() const {
   return os.str();
 }
 
+namespace {
+thread_local CostMeter* g_installed = nullptr;  // see CurrentCostMeter()
+}  // namespace
+
+CostMeter* CurrentCostMeter(CostMeter* otherwise) {
+  return g_installed != nullptr ? g_installed : otherwise;
+}
+
+ScopedCostMeter::ScopedCostMeter(CostMeter* meter, CostMeter* shared)
+    : meter_(meter), prev_(g_installed), shared_(shared), at_entry_(*meter) {
+  g_installed = meter;
+}
+
+ScopedCostMeter::~ScopedCostMeter() {
+  g_installed = prev_;
+  *CurrentCostMeter(shared_) += gained();
+}
+
 }  // namespace dynopt

@@ -30,15 +30,12 @@ struct CostWeights {
 
 /// Monotonic counters of primitive operations plus their weighted total.
 ///
-/// Charges are relaxed atomic RMWs, so one meter may be shared by many
-/// concurrent sessions (the shared buffer pool charges it from every
-/// worker). Snapshots copy field-by-field: each counter is exact, but a
-/// concurrent snapshot is not a consistent cut across fields. A delta taken
-/// while other sessions run also counts their work, so a strategy's or a
-/// query's measured cost grows with the number of concurrent sessions.
-/// That is not the paper's §3(c) cache interference, which a per-query
-/// meter would still see as extra physical reads of its own; ROADMAP item 2
-/// gives each query its own meter.
+/// A charge lands in the meter installed on the charging thread
+/// (ScopedCostMeter): the running query's own, or that of the strategy it
+/// is stepping, so no session counts another's work. Work outside any query
+/// charges the buffer pool's shared meter, which each query's totals fold
+/// into. Charges are relaxed atomic RMWs: a snapshot of the shared meter is
+/// exact per field but not a consistent cut across fields.
 struct CostMeter {
   RelaxedCounter physical_reads = 0;
   RelaxedCounter physical_writes = 0;
@@ -79,6 +76,29 @@ struct CostMeter {
   }
 
   std::string ToString() const;
+};
+
+/// The meter installed on this thread, or `otherwise` when none is.
+CostMeter* CurrentCostMeter(CostMeter* otherwise);
+
+/// Installs `meter` on this thread for the scope's lifetime, the way
+/// ScopedQueryContext installs a QueryContext. On exit, what `meter` gained
+/// in the scope is added to the meter it displaced or, when it was the
+/// outermost one, to `shared`.
+class ScopedCostMeter {
+ public:
+  ScopedCostMeter(CostMeter* meter, CostMeter* shared);
+  ~ScopedCostMeter();
+  ScopedCostMeter(const ScopedCostMeter&) = delete;
+  ScopedCostMeter& operator=(const ScopedCostMeter&) = delete;
+  /// What `meter` has gained since the scope began.
+  CostMeter gained() const { return *meter_ - at_entry_; }
+
+ private:
+  CostMeter* meter_;
+  CostMeter* prev_;
+  CostMeter* shared_;
+  CostMeter at_entry_;
 };
 
 }  // namespace dynopt

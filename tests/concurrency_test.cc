@@ -1,6 +1,7 @@
 // Concurrency tests: the sharded buffer pool under multi-threaded stress,
-// relaxed-atomic accounting exactness, and concurrent-vs-serial session
-// stream equivalence.
+// relaxed-atomic accounting exactness, concurrent-vs-serial session
+// stream equivalence, and each execution's cost staying its own beside
+// other sessions.
 //
 // The stress tests are written to be TSan-clean by construction: threads
 // share pages only for reading; every page a thread writes is private to
@@ -9,13 +10,17 @@
 // pool's locking protocol, not a lucky schedule.
 
 #include <atomic>
+#include <iomanip>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/database.h"
+#include "core/retrieval.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
@@ -339,6 +344,216 @@ TEST(SessionWorkloadTest, ReportAggregatesAreConsistent) {
   EXPECT_GE(report->hit_rate, 0.0);
   EXPECT_LE(report->hit_rate, 1.0);
   EXPECT_GT(report->queries_per_second, 0.0);
+}
+
+// ------------------------------------------ one cost meter per execution
+
+// What one execution decided and charged: its event log, its own meter,
+// each strategy span's cost, and a hash of its rows in delivery order.
+struct ExecutionRecord {
+  std::string events;
+  std::string cost;
+  std::string span_costs;
+  uint64_t result_hash = 14695981039346656037ull;
+
+  bool operator==(const ExecutionRecord&) const = default;
+};
+
+void AppendSpanCosts(const ProfileSpan* span, std::ostringstream* os) {
+  if (span == nullptr) return;
+  if (span->kind == SpanKind::kStrategy) {
+    *os << span->name << "=" << std::setprecision(17) << span->actual_cost
+        << ";";
+  }
+  for (const ProfileSpan* child : span->children) AppendSpanCosts(child, os);
+}
+
+// Pulls up to `max_rows` rows from `engine` into `rec`'s hash; false at
+// the end of the retrieval, when the rest of `rec` is filled in.
+Result<bool> Pull(DynamicRetrieval* engine, size_t max_rows,
+                  ExecutionRecord* rec) {
+  RowBatch batch;
+  DYNOPT_ASSIGN_OR_RETURN(bool more, engine->NextBatch(&batch, max_rows));
+  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+    rec->result_hash = (rec->result_hash ^ batch.rid(r).ToU64()) *
+                       1099511628211ull;
+  }
+  if (more) return true;
+  rec->events = engine->events().ToJson();
+  rec->cost = engine->CostSinceOpen().ToString();
+  std::ostringstream spans;
+  AppendSpanCosts(engine->profile().root(), &spans);
+  rec->span_costs = spans.str();
+  return false;
+}
+
+// Opens `engine` on `params` and drains it `max_rows` at a time.
+ExecutionRecord RunExecution(DynamicRetrieval* engine,
+                             const ParamMap& params, size_t max_rows) {
+  ExecutionRecord rec;
+  Status st = engine->Open(params);
+  for (bool more = st.ok(); more;) {
+    auto pulled = Pull(engine, max_rows, &rec);
+    st = pulled.status();
+    more = pulled.ok() && *pulled;
+  }
+  EXPECT_TRUE(st.ok()) << st;
+  return rec;
+}
+
+// FAMILIES with three indexes in a pool that holds the whole database,
+// and the four kinds of retrieval that race or pace strategies by cost:
+// fast-first, total-time, ORDER BY and index-only, 8 parameter sets each.
+struct IsolationFixture {
+  Database db{DatabaseOptions{.pool_pages = 4096}};
+  Table* table = nullptr;
+  std::vector<RetrievalSpec> specs;
+  std::vector<ParamMap> params;
+
+  IsolationFixture() {
+    auto t = BuildFamilies(&db, 10000, 42);
+    EXPECT_TRUE(t.ok()) << t.status();
+    table = *t;
+    EXPECT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
+    EXPECT_TRUE(table->CreateIndex("by_income", {"income"}).ok());
+    EXPECT_TRUE(table->CreateIndex("by_age_income", {"age", "income"}).ok());
+    auto restriction = Predicate::And(
+        {Predicate::Between(1, Operand::HostVar("lo"), Operand::HostVar("hi")),
+         Predicate::Compare(2, CompareOp::kLt, Operand::HostVar("inc"))});
+    auto spec = [&](std::vector<uint32_t> proj, OptimizationGoal goal) {
+      RetrievalSpec s;
+      s.table = table;
+      s.restriction = restriction;
+      s.projection = std::move(proj);
+      s.goal = goal;
+      return s;
+    };
+    specs.push_back(spec({0, 1, 2, 3}, OptimizationGoal::kFastFirst));
+    specs.push_back(spec({0, 1, 2, 3}, OptimizationGoal::kTotalTime));
+    specs.push_back(spec({0, 1, 2}, OptimizationGoal::kTotalTime));
+    specs.back().order_by_column = 1;
+    specs.push_back(spec({1, 2}, OptimizationGoal::kTotalTime));
+    for (int64_t i = 0; i < 8; ++i) {
+      int64_t lo = 3 + 11 * i;
+      params.push_back({{"lo", Value(lo)},
+                        {"hi", Value(lo + 2 + 5 * (i % 4))},
+                        {"inc", Value(int64_t{2000} + 9000 * (i % 5))}});
+    }
+  }
+
+  // Every (spec, parameter set) run once on a fresh engine, pulled
+  // `max_rows` at a time.
+  std::vector<ExecutionRecord> RunAll(size_t max_rows) {
+    std::vector<ExecutionRecord> out;
+    for (const RetrievalSpec& s : specs) {
+      for (const ParamMap& p : params) {
+        DynamicRetrieval engine(&db, s);
+        out.push_back(RunExecution(&engine, p, max_rows));
+      }
+    }
+    return out;
+  }
+};
+
+// Counts the runs of `got` that differ from their serial twin in `want`,
+// naming the first few.
+int CountDiffering(const std::vector<ExecutionRecord>& want,
+                   const std::vector<ExecutionRecord>& got) {
+  EXPECT_EQ(want.size(), got.size());
+  int differing = 0;
+  for (size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    if (++differing <= 3) {
+      ADD_FAILURE() << "run " << i << " differs from its serial twin:\n"
+                    << "  cost " << got[i].cost << " vs " << want[i].cost
+                    << "\n  spans " << got[i].span_costs << " vs "
+                    << want[i].span_costs << "\n  events "
+                    << (got[i].events == want[i].events ? "same" : "differ")
+                    << ", rows "
+                    << (got[i].result_hash == want[i].result_hash ? "same"
+                                                                  : "differ");
+    }
+  }
+  return differing;
+}
+
+// Each execution charges its own meter, so three Tscan sessions beside it
+// change none of what it decides or reports: its events, its
+// CostSinceOpen(), each strategy's span cost and its rows all match the
+// serial run. No page is read physically, so no §3(c) cache interference
+// is in play; only a shared tally could make them differ.
+TEST(SessionWorkloadTest, EachExecutionCostIsItsOwnBesideTscanSessions) {
+  IsolationFixture f;
+  uint64_t physical = f.db.meter().physical_reads;
+  std::vector<ExecutionRecord> serial = f.RunAll(kDefaultBatchRows);
+
+  RetrievalSpec tscan;
+  tscan.table = f.table;
+  tscan.restriction = Predicate::Compare(3, CompareOp::kEq,
+                                         Operand::Literal(Value("city7")));
+  tscan.projection = {0, 3};
+  constexpr int kTscanSessions = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kTscanSessions; ++t) {
+    sessions.emplace_back([&] {
+      bool counted = false;
+      while (!stop.load()) {
+        DynamicRetrieval engine(&f.db, tscan);
+        RunExecution(&engine, {}, kDefaultBatchRows);
+        EXPECT_EQ(engine.tactic(), Tactic::kStaticTscan);
+        if (!counted) started.fetch_add(1);
+        counted = true;
+      }
+    });
+  }
+  while (started.load() < kTscanSessions) std::this_thread::yield();
+  int differing = 0;
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    differing += CountDiffering(serial, f.RunAll(kDefaultBatchRows));
+  }
+  stop.store(true);
+  for (std::thread& t : sessions) t.join();
+  EXPECT_EQ(differing, 0) << "of " << kRounds * serial.size()
+                          << " concurrent runs";
+  EXPECT_EQ(f.db.meter().physical_reads, physical);
+}
+
+// Two executions pulled a row at a time, alternately, on one thread: each
+// counts only its own work.
+TEST(SessionWorkloadTest, AlternatelyPulledExecutionsKeepTheirOwnCosts) {
+  IsolationFixture f;
+  std::vector<ExecutionRecord> serial = f.RunAll(1);
+  std::vector<ExecutionRecord> alternate;
+  for (const RetrievalSpec& spec : f.specs) {
+    for (size_t p = 0; p < f.params.size(); p += 2) {
+      DynamicRetrieval a(&f.db, spec);
+      DynamicRetrieval b(&f.db, spec);
+      ExecutionRecord rec_a;
+      ExecutionRecord rec_b;
+      ASSERT_TRUE(a.Open(f.params[p]).ok());
+      ASSERT_TRUE(b.Open(f.params[p + 1]).ok());
+      bool more_a = true;
+      bool more_b = true;
+      while (more_a || more_b) {
+        if (more_a) {
+          auto pulled = Pull(&a, 1, &rec_a);
+          ASSERT_TRUE(pulled.ok()) << pulled.status();
+          more_a = *pulled;
+        }
+        if (more_b) {
+          auto pulled = Pull(&b, 1, &rec_b);
+          ASSERT_TRUE(pulled.ok()) << pulled.status();
+          more_b = *pulled;
+        }
+      }
+      alternate.push_back(std::move(rec_a));
+      alternate.push_back(std::move(rec_b));
+    }
+  }
+  EXPECT_EQ(CountDiffering(serial, alternate), 0);
 }
 
 }  // namespace

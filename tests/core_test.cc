@@ -896,6 +896,32 @@ TEST(RaceTest, IndexOnlyBufferOverflowRetainsSscan) {
   EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
 }
 
+// A Jscan that completes no list recommends a Tscan, but in the
+// Index-Only race the Sscan, the safer strategy, delivers on: the sample
+// names it as the winner.
+TEST(RaceTest, IndexOnlyJscanRecommendingTscanLeavesTheSscanWinning) {
+  Families f(8000);
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(
+      Predicate::And({AgeBetween(5, 95),
+                      Predicate::Compare(
+                          2, CompareOp::kLt,
+                          Operand::Literal(Value(int64_t{190000})))}),
+      {1, 2});
+  DynamicRetrieval engine(&f.db, spec);
+  ParamMap params;
+  ASSERT_TRUE(engine.Open(params).ok());
+  ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params));
+  ASSERT_TRUE(SawVerdict(engine, "jscan-recommends-tscan"))
+      << engine.events().ToJson();
+  const CompetitionSample* sample = engine.competition_sample();
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->verdict, "jscan-recommends-tscan");
+  EXPECT_EQ(sample->winner, "sscan");
+}
+
 // The Sorted tactic's foreground screens index entries on the covered
 // residual (income < 4000 lives in the by_age_income key) before fetching.
 TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
@@ -930,7 +956,8 @@ TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
 // step ends, so a governed execution's page count is exactly the logical
 // reads it made past the initial stage's estimation descents, whichever
 // strategy read them last: the tiny shortcut's probe and final fetch, a
-// lone stepper, the Jscan's last step, and a race's loser.
+// lone stepper, the Jscan's last step, a race's loser, and the settle's
+// read-back of a spilled final list.
 TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
   Families plain(8000);
   Families age(8000);
@@ -949,6 +976,7 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
     RetrievalSpec spec;
     Tactic tactic;
     std::string_view verdict;  // "" = no verdict expected
+    RetrievalOptions options = {};
   };
   std::vector<Case> cases = {
       {&two,
@@ -985,12 +1013,23 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
   };
   cases[5].spec.order_by_column = 1;
   cases[6].spec.order_by_column = 1;
+  // Background-only with one candidate, whose 176-RID list spills.
+  cases.push_back({&two, two.Spec(income_lt(4000), {0, 1, 2}),
+                   Tactic::kBackgroundOnly, "jscan-complete"});
+  cases.back().options.jscan.rid_list.memory_capacity = 64;
   for (Case& c : cases) {
     QueryContext ctx;
-    DynamicRetrieval engine(&c.f->db, c.spec);
+    DynamicRetrieval engine(&c.f->db, c.spec, c.options);
     ASSERT_TRUE(engine.Open({}, &ctx).ok());
     ASSERT_EQ(engine.tactic(), c.tactic) << TacticName(c.tactic);
     auto rids = DrainRids(&engine);
+    if (c.options.jscan.rid_list.memory_capacity == 64) {
+      // The final list outgrew memory, so the settle read it back.
+      const TraceEvent* v = engine.events().Find(
+          TraceEventKind::kCompetitionVerdict, "jscan-complete");
+      ASSERT_NE(v, nullptr) << engine.events().ToJson();
+      EXPECT_GT(v->a, 64);
+    }
     EXPECT_EQ(ctx.pages_read(), engine.CostSinceOpen().logical_reads -
                                     engine.analysis().estimation_pages)
         << TacticName(c.tactic) << " " << c.verdict;

@@ -590,9 +590,9 @@ TEST(StepperTest, FetchFedOneRidPerStep) {
   EXPECT_EQ(f.db.metrics()->Value("exec.records_fetched") - fetched, 2u);
 }
 
-// The stepper's meter is exactly what a MeterScope around the same steps
-// sees, and every page it read is charged to its context by the time a
-// step returns.
+// The stepper's meter is exactly what a meter installed around the same
+// steps gains, and every page it read is charged to its context by the
+// time a step returns.
 TEST(StepperTest, FetchMeterMatchesAScopeAroundItsSteps) {
   ScanFixture f;
   auto pred = Predicate::Compare(2, CompareOp::kEq,
@@ -606,7 +606,7 @@ TEST(StepperTest, FetchMeterMatchesAScopeAroundItsSteps) {
   fetch.set_context(&ctx);
   CostMeter outer;
   {
-    MeterScope scope(f.db.pool(), &outer);
+    ScopedCostMeter scope(&outer, f.db.pool()->shared_meter());
     bool more = true;
     while (more) StepIds(&fetch, 16, &more);
   }

@@ -221,6 +221,156 @@ TEST(ReplicationArchiveTest, RecoveryReArchivesTheUnshippedTail) {
   EXPECT_EQ(MustHash(view->db(), *stable), MustHash(reopened->get(), *table));
 }
 
+/// The archived primary at `path` reopened after a crash, with the
+/// archive options MakePrimary gave it.
+Result<std::unique_ptr<Database>> ReopenPrimary(const std::string& path,
+                                                const std::string& dir,
+                                                uint64_t segment_bytes,
+                                                RecoveryStats* stats) {
+  DatabaseOptions dbo;
+  dbo.pool_pages = 512;
+  dbo.path = path;
+  dbo.archive_dir = dir;
+  dbo.archive_segment_bytes = segment_bytes;
+  return Database::Open(std::move(dbo), stats);
+}
+
+/// Catches a fresh standby up from `dir` and returns the hash of its rows.
+uint64_t StandbyHash(const std::string& name, const std::string& dir) {
+  StandbyOptions so;
+  so.path = TempPath(name);
+  ::unlink(so.path.c_str());
+  auto standby = StandbyDatabase::Open(std::move(so), dir);
+  EXPECT_TRUE(standby.ok()) << standby.status();
+  if (!standby.ok()) return 0;
+  auto applied = (*standby)->CatchUp();
+  EXPECT_TRUE(applied.ok()) << applied.status();
+  auto view = (*standby)->BeginRead();
+  EXPECT_TRUE(view.ok()) << view.status();
+  if (!view.ok()) return 0;
+  auto table = view->db()->GetTable("families");
+  EXPECT_TRUE(table.ok());
+  return table.ok() ? MustHash(view->db(), *table) : 0;
+}
+
+// A primary that crashed mid-segment reattaches to its unsealed current
+// segment on reopen: the stray bytes after the last whole record are cut
+// off, the next commit continues the LSN sequence in the same file, and a
+// standby reading the archive reproduces the primary's rows.
+TEST(ReplicationArchiveTest, ReopenCutsTheTornTailOfTheUnsealedSegment) {
+  const std::string path = TempPath("repl_reattach.db");
+  const std::string dir = TempPath("repl_reattach.archive");
+  constexpr uint64_t kSegmentBytes = 64 << 20;  // nothing ever seals
+  auto p = MakePrimary(path, dir, 200, nullptr, kSegmentBytes);
+  ASSERT_TRUE(p.ok()) << p.status();
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(InsertScenarioRows(p->table, 200 + 10 * i, 10).ok());
+    ASSERT_TRUE(p->db->Commit().ok());
+  }
+  WalArchiveReader reader(dir);
+  auto manifest = reader.ReadManifest();
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  ASSERT_EQ(manifest->sealed_through_lsn, 0u);
+  const std::string seg = dir + "/" + ArchiveSegmentFileName(1);
+  auto records = SlurpFile(seg);
+  ASSERT_TRUE(records.ok()) << records.status();
+  auto end = reader.DurableEndLsn();
+  ASSERT_TRUE(end.ok()) << end.status();
+
+  // The database goes without Close, and the segment ends in bytes that
+  // belong to no record.
+  p->db.reset();
+  ASSERT_TRUE(DumpFile(seg, *records + std::string(37, '\xab')).ok());
+  RecoveryStats stats;
+  auto reopened = ReopenPrimary(path, dir, kSegmentBytes, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(stats.records_rearchived, 0u);
+  auto cut = SlurpFile(seg);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(*cut, *records);
+
+  auto table = (*reopened)->GetTable("families");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(InsertScenarioRows(*table, 230, 10).ok());
+  ASSERT_TRUE((*reopened)->Commit().ok());
+  auto grown = SlurpFile(seg);
+  ASSERT_TRUE(grown.ok());
+  uint64_t scanned = 0;
+  uint64_t last = 0;
+  size_t valid = 0;
+  bool torn = true;
+  ASSERT_TRUE(WalScanRecords(
+                  std::string_view(*grown).substr(kArchiveSegmentHeaderSize),
+                  1,
+                  [&](const WalRecordView& rec) {
+                    ++scanned;
+                    last = rec.lsn;
+                    return Status::OK();
+                  },
+                  &valid, &torn)
+                  .ok());
+  EXPECT_FALSE(torn);
+  EXPECT_EQ(kArchiveSegmentHeaderSize + valid, grown->size());
+  EXPECT_EQ(scanned, last);  // dense from LSN 1
+  EXPECT_GT(last, *end);
+  auto new_end = reader.DurableEndLsn();
+  ASSERT_TRUE(new_end.ok());
+  EXPECT_EQ(*new_end, last);
+
+  EXPECT_EQ((*table)->record_count(), 240u);
+  EXPECT_EQ(StandbyHash("repl_reattach.standby", dir),
+            MustHash(reopened->get(), *table));
+}
+
+// A crash inside the first append to a fresh segment leaves a torn header,
+// or a whole header and no whole record: no record in the file is durable,
+// so reattaching removes it, and recovery re-archives the commit from the
+// WAL.
+TEST(ReplicationArchiveTest, ReopenRemovesAnUnsealedSegmentWithNoRecord) {
+  constexpr uint64_t kSegmentBytes = 128 * 1024;  // a few commits each
+  for (size_t keep : {size_t{20}, kArchiveSegmentHeaderSize + 5}) {
+    SCOPED_TRACE(keep);
+    const std::string path = TempPath("repl_norecord.db");
+    const std::string dir = TempPath("repl_norecord.archive");
+    auto p = MakePrimary(path, dir, 200, nullptr, kSegmentBytes);
+    ASSERT_TRUE(p.ok()) << p.status();
+    // Commit until an append seals the current segment, then once more:
+    // the current segment holds that one commit.
+    WalArchiveReader reader(dir);
+    for (int64_t row = 200;; ++row) {
+      auto manifest = reader.ReadManifest();
+      ASSERT_TRUE(manifest.ok()) << manifest.status();
+      auto tail = reader.ReadCurrentTail(*manifest);
+      ASSERT_TRUE(tail.ok()) << tail.status();
+      ASSERT_TRUE(InsertScenarioRows(p->table, row, 1).ok());
+      ASSERT_TRUE(p->db->Commit().ok());
+      if (tail->empty()) break;
+      ASSERT_LT(row, 300);
+    }
+    auto manifest = reader.ReadManifest();
+    ASSERT_TRUE(manifest.ok());
+    const std::string seg =
+        dir + "/" + ArchiveSegmentFileName(manifest->sealed_through_lsn + 1);
+    auto bytes = SlurpFile(seg);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    ASSERT_GT(bytes->size(), kArchiveSegmentHeaderSize + 5);
+    uint64_t primary = MustHash(p->db.get(), p->table);
+    p->db.reset();
+    ASSERT_TRUE(DumpFile(seg, bytes->substr(0, keep)).ok());
+
+    auto archive = WalArchive::Open(dir, {.segment_bytes = kSegmentBytes});
+    ASSERT_TRUE(archive.ok()) << archive.status();
+    EXPECT_NE(::access(seg.c_str(), F_OK), 0);
+    archive->reset();
+
+    RecoveryStats stats;
+    auto reopened = ReopenPrimary(path, dir, kSegmentBytes, &stats);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_GT(stats.records_rearchived, 0u);
+    EXPECT_EQ(StandbyHash("repl_norecord.standby", dir), primary);
+  }
+}
+
 TEST(ReplicationArchiveTest, SealedHistoryCorruptionIsRefusedTyped) {
   const std::string path = TempPath("repl_sealedfloor.db");
   const std::string dir = TempPath("repl_sealedfloor.archive");
