@@ -24,6 +24,7 @@
 #include "core/retrieval.h"
 #include "core/static_optimizer.h"
 #include "obs/bench_report.h"
+#include "workload/oracle.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -35,17 +36,12 @@ constexpr int64_t kRows = 60000;
 /// bench then exits non-zero.
 bool g_row_mismatch = false;
 
-/// Checks a drained run's row count against a naive Tscan + filter over
-/// the same table.
-void CheckDrain(Database* db, const RetrievalSpec& spec, const ParamMap& p,
+/// Checks a drained run's row count against the naive oracle, a
+/// row-at-a-time Tscan + filter over the same table.
+void CheckDrain(const RetrievalSpec& spec, const ParamMap& p,
                 const std::string& label, uint64_t rows) {
-  TscanStepper scan(db->pool(), spec, p);
-  uint64_t naive = 0;
-  for (;;) {
-    auto more = scan.Step();
-    if (!more.ok() || !*more) break;
-    naive += scan.output().sel().size();
-  }
+  auto oracle = NaiveRetrieve(spec, p);
+  uint64_t naive = oracle.ok() ? oracle->size() : 0;
   if (rows == naive) return;
   std::printf("  ROW MISMATCH: %s drained %llu rows, naive Tscan + filter "
               "%llu\n",
@@ -71,7 +67,7 @@ double RunEngine(Database* db, DynamicRetrieval* engine,
   }
   double cost = (db->meter() - before).Cost(db->cost_weights());
   if (k == 0) {
-    CheckDrain(db, spec, p,
+    CheckDrain(spec, p,
                "dynamic " + std::string(TacticName(engine->tactic())), n);
   }
   if (rows_out != nullptr) *rows_out = n;
@@ -92,7 +88,7 @@ double RunFrozen(Database* db, const RetrievalSpec& spec,
     n += batch.num_rows();
   }
   double cost = (db->meter() - before).Cost(db->cost_weights());
-  if (k == 0) CheckDrain(db, spec, p, "frozen " + exec.choice().ToString(), n);
+  if (k == 0) CheckDrain(spec, p, "frozen " + exec.choice().ToString(), n);
   return cost;
 }
 

@@ -23,10 +23,8 @@ ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 # parameter list), " -- ", and why it stays.
 survivors="$(cat <<'EOF'
 dynopt::(anonymous namespace)::StateName -- names a crash outcome in a golden-twin mismatch message
-dynopt::(anonymous namespace)::TruePredicate::ShapeString -- the class key of an unrestricted retrieval; no test runs one
 dynopt::EmpiricalCost::Sample -- CostDistribution override; the Monte-Carlo validators sample only hyperbolas under test
 dynopt::PageStore::Free -- the interface's default for stores that do not reclaim pages; every store overrides it
-dynopt::FilePageStore::Free -- PageStore override; only a spilled RID list frees pages, and no test spills on a file-backed database
 dynopt::FaultInjectingPageStore::Free -- PageStore override; no fault-store test spills a RID list
 dynopt::operator<< -- prints a Status in test failure messages
 EOF

@@ -71,6 +71,11 @@ uint64_t DynamicRetrieval::RepairsNow() const {
   return n;
 }
 
+const std::string& DynamicRetrieval::query_class() const {
+  static const std::string kNoClass;
+  return options_.profile && profile_store_ != nullptr ? class_key_ : kNoClass;
+}
+
 void DynamicRetrieval::ChargeSpan(ProfileSpan* span) {
   if (span == charged_span_) return;  // fast path: zero clock reads
   auto now = std::chrono::steady_clock::now();
@@ -134,7 +139,7 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   raw_predicted_cost_ = 0;
   feedback_recorded_ = false;
   features_ = QueryClassFeatures(params_);
-  learn_key_ = class_prefix_ + QueryClassParamSuffix(params_);
+  class_key_ = class_prefix_ + QueryClassParamSuffix(params_);
   ctx_ = ctx;
   fallback_armed_ = ctx != nullptr && ctx->degraded_fallback_enabled();
   degraded_ = false;
@@ -143,12 +148,8 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   if (options_.profile) {
     profile_.Begin("query");
     open_time_ = std::chrono::steady_clock::now();
-    class_key_ = profile_store_ != nullptr
-                     ? class_prefix_ + QueryClassParamSuffix(params_)
-                     : std::string();
   } else {
     profile_.Clear();
-    class_key_.clear();
   }
   profile_finished_ = false;
   span_single_ = span_fg_ = span_bg_ = nullptr;
@@ -298,7 +299,7 @@ void DynamicRetrieval::RecordFeedback() {
       // brownout can pin, so it records no strategy cost.
       ScanStepper* winner = single_ != nullptr ? single_ : fgr_;
       if (winner != nullptr && !IsFetch(winner) && winner->exhausted()) {
-        learning_->ObserveStrategyCost(learn_key_, winner->label(),
+        learning_->ObserveStrategyCost(class_key_, winner->label(),
                                        winner->AccruedCost(
                                            db_->cost_weights()));
       }
@@ -378,13 +379,13 @@ void DynamicRetrieval::MaybePinBrownoutStrategy() {
   std::optional<SelectivityModel::StrategyCost> sscan;
   if (analysis_.best_self_sufficient >= 0) {
     sscan = learning_->LookupStrategyCost(
-        learn_key_,
+        class_key_,
         "Sscan(" +
             analysis_.indexes[analysis_.best_self_sufficient].index->name() +
             ")");
   }
   std::optional<SelectivityModel::StrategyCost> tscan =
-      learning_->LookupStrategyCost(learn_key_, "Tscan");
+      learning_->LookupStrategyCost(class_key_, "Tscan");
   if (!sscan.has_value() && !tscan.has_value()) return;
   if (sscan.has_value() &&
       (!tscan.has_value() || sscan->mean_cost <= tscan->mean_cost)) {
@@ -840,7 +841,7 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         double ss_used = ss_remaining;
         if (learning_ != nullptr) {
           if (auto learned = learning_->LookupStrategyCost(
-                  learn_key_, fgr_->label())) {
+                  class_key_, fgr_->label())) {
             double learned_remaining = std::max(
                 0.0, learned->mean_cost - fgr_->AccruedCost(w));
             double span =

@@ -183,7 +183,7 @@ class DynamicRetrieval {
   }
   /// The query-class key this execution records under ("" with profiling
   /// off or no profile store attached). See exec/query_class.h.
-  const std::string& query_class() const { return class_key_; }
+  const std::string& query_class() const;
 
  private:
   enum class Mode : uint8_t {
@@ -327,7 +327,6 @@ class DynamicRetrieval {
   // Learned-selectivity loop (db_->learning(); inert in controlled mode).
   SelectivityModel* learning_ = nullptr;
   std::vector<double> features_;  // QueryClassFeatures(params_), per Open
-  std::string learn_key_;         // full class key (prefix + param suffix)
 
   std::unique_ptr<Jscan> jscan_;
   std::unique_ptr<ScanStepper> owned_;  // this execution's Tscan/Fscan/Sscan
@@ -359,7 +358,7 @@ class DynamicRetrieval {
   CompetitionSample sample_;
   bool have_sample_ = false;
   std::string class_prefix_;  // param-independent part of the class key
-  std::string class_key_;     // full key for the current execution
+  std::string class_key_;     // prefix + param suffix, per Open
   ProfileStore* profile_store_ = nullptr;  // db_->profiles(); may be null
   Counter* m_repairs_ = nullptr;           // integrity.repairs
   Counter* m_pin_repairs_ = nullptr;       // integrity.pin_repairs

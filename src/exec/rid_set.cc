@@ -163,20 +163,4 @@ Result<std::vector<Rid>> HybridRidList::ToSortedVector() {
   return out;
 }
 
-Result<bool> HybridRidList::Cursor::Next(Rid* rid) {
-  std::span<const Rid> mem = list_->InMemory();
-  if (mem_pos_ < mem.size()) {
-    *rid = mem[mem_pos_++];
-    return true;
-  }
-  if (list_->spill_ != nullptr) {
-    if (spill_cursor_ == nullptr) {
-      spill_cursor_ =
-          std::make_unique<TempRidFile::Cursor>(list_->spill_->NewCursor());
-    }
-    return spill_cursor_->Next(rid);
-  }
-  return false;
-}
-
 }  // namespace dynopt

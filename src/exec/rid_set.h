@@ -113,23 +113,7 @@ class HybridRidList {
     return heap_buf_;
   }
 
-  /// Streams RIDs in append order without materializing (spill-aware).
-  class Cursor {
-   public:
-    explicit Cursor(HybridRidList* list) : list_(list) {}
-    Result<bool> Next(Rid* rid);
-
-   private:
-    HybridRidList* list_;
-    size_t mem_pos_ = 0;
-    std::unique_ptr<TempRidFile::Cursor> spill_cursor_;
-  };
-
-  Cursor NewCursor() { return Cursor(this); }
-
  private:
-  friend class Cursor;
-
   void SetBit(Rid rid);
   /// The probe both MightContain and Probe run; charges nothing.
   bool Contains(Rid rid) const;

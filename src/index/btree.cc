@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 namespace dynopt {
 
@@ -535,96 +534,6 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
       return false;
     }
   }
-}
-
-Status BTree::ValidateNode(PageId id, uint32_t expected_level,
-                           const std::string& lo, const std::string& hi,
-                           uint64_t* leaf_entries, uint64_t* nodes,
-                           uint64_t* leaves, uint64_t* slots,
-                           std::vector<PageId>* leaf_chain) {
-  DYNOPT_ASSIGN_OR_RETURN(PageGuard page, pool_->Pin(id));
-  // Copy the page: recursion would otherwise hold many pins.
-  PageData snapshot;
-  std::memcpy(snapshot.data(), page.data(), kPageSize);
-  page.Release();
-  NodeRef n(snapshot.data());
-
-  (*nodes)++;
-  *slots += n.count();
-  if (n.level() != expected_level) {
-    return Status::Corruption("node level mismatch");
-  }
-  for (uint16_t i = 1; i < n.count(); ++i) {
-    if (n.Key(i - 1) >= n.Key(i)) {
-      return Status::Corruption("node keys out of order");
-    }
-  }
-  if (n.is_leaf()) {
-    (*leaves)++;
-    *leaf_entries += n.count();
-    leaf_chain->push_back(id);
-    for (uint16_t i = 0; i < n.count(); ++i) {
-      std::string_view k = n.Key(i);
-      if (k < std::string_view(lo)) {
-        return Status::Corruption("leaf key below subtree bound");
-      }
-      if (!hi.empty() && k >= std::string_view(hi)) {
-        return Status::Corruption("leaf key above subtree bound");
-      }
-    }
-    return Status::OK();
-  }
-  if (n.count() == 0) return Status::Corruption("empty internal node");
-  if (!n.Key(0).empty() && std::string(n.Key(0)) != lo) {
-    // Entry 0 is the -infinity sentinel of the subtree range.
-    return Status::Corruption("internal first key is not subtree low bound");
-  }
-  for (uint16_t i = 0; i < n.count(); ++i) {
-    std::string child_lo = i == 0 ? lo : std::string(n.Key(i));
-    std::string child_hi = (i + 1 < n.count()) ? std::string(n.Key(i + 1)) : hi;
-    uint64_t child_leaf_entries = 0;
-    DYNOPT_RETURN_IF_ERROR(ValidateNode(n.ChildId(i), expected_level - 1,
-                                        child_lo, child_hi,
-                                        &child_leaf_entries, nodes, leaves,
-                                        slots, leaf_chain));
-    if (child_leaf_entries != n.ChildCount(i)) {
-      return Status::Corruption("subtree count mismatch");
-    }
-    *leaf_entries += child_leaf_entries;
-  }
-  return Status::OK();
-}
-
-Status BTree::ValidateInvariants() {
-  uint64_t leaf_entries = 0, nodes = 0, leaves = 0, slots = 0;
-  std::vector<PageId> leaf_chain;
-  DYNOPT_RETURN_IF_ERROR(ValidateNode(root_, height_, std::string(),
-                                      std::string(), &leaf_entries, &nodes,
-                                      &leaves, &slots, &leaf_chain));
-  if (leaf_entries != entry_count_) {
-    return Status::Corruption("entry_count bookkeeping mismatch");
-  }
-  if (nodes != node_count_) {
-    return Status::Corruption("node_count bookkeeping mismatch");
-  }
-  if (leaves != leaf_count_) {
-    return Status::Corruption("leaf_count bookkeeping mismatch");
-  }
-  if (slots != slot_sum_) {
-    return Status::Corruption("slot_sum bookkeeping mismatch");
-  }
-  // Leaf sibling chain must visit exactly the leaves, in key order.
-  PageId cur = leaf_chain.empty() ? kInvalidPageId : leaf_chain.front();
-  for (PageId expected : leaf_chain) {
-    if (cur != expected) return Status::Corruption("leaf chain out of order");
-    DYNOPT_ASSIGN_OR_RETURN(PageGuard page, pool_->Pin(cur));
-    NodeRef n(const_cast<uint8_t*>(page.data()));
-    cur = n.next_leaf();
-  }
-  if (cur != kInvalidPageId) {
-    return Status::Corruption("leaf chain has trailing nodes");
-  }
-  return Status::OK();
 }
 
 }  // namespace dynopt

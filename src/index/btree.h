@@ -20,8 +20,8 @@
 // Deletion is lazy about underflow: nodes may become
 // arbitrarily underfull (empty leaves are skipped by cursors); this trades
 // worst-case space for simplicity and matches the read-dominated workloads
-// the retrieval experiments run. ValidateInvariants() checks structural
-// integrity in tests.
+// the retrieval experiments run. CheckTree (integrity/check.h) checks
+// structural integrity.
 
 #ifndef DYNOPT_INDEX_BTREE_H_
 #define DYNOPT_INDEX_BTREE_H_
@@ -49,7 +49,7 @@ struct IndexEntry {
 
 /// The tree's structural bookkeeping, persisted by the catalog so a
 /// reopened tree rebinds to its pages without a rebuild. Everything here
-/// is derivable from the pages (ValidateInvariants recomputes it), but
+/// is derivable from the pages (the integrity checker recomputes it), but
 /// persisting it keeps reopen O(1).
 struct BTreeMeta {
   PageId root = kInvalidPageId;
@@ -164,11 +164,6 @@ class BTree {
   /// Average entries per node across all nodes (the estimator's f).
   double AvgFanout() const;
 
-  /// Structural self-check for tests: key ordering inside nodes, separator
-  /// invariants, subtree-count exactness, leaf-chain completeness, and the
-  /// bookkeeping counters. Returns Corruption describing the first problem.
-  Status ValidateInvariants();
-
  private:
   explicit BTree(BufferPool* pool) : pool_(pool) {}
 
@@ -198,12 +193,6 @@ class BTree {
                                       std::string_view sep, PageId child,
                                       uint64_t child_count);
   Status GrowRoot(const SplitResult& sr);
-
-  Status ValidateNode(PageId id, uint32_t expected_level,
-                      const std::string& lo, const std::string& hi,
-                      uint64_t* leaf_entries, uint64_t* nodes,
-                      uint64_t* leaves, uint64_t* slots,
-                      std::vector<PageId>* leaf_chain);
 
   BufferPool* pool_;
   // Registry counters, bound at Create() from the pool's attached registry

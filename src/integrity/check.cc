@@ -126,10 +126,12 @@ struct Checker {
 struct TreeWalk {
   Checker* c;
   std::string object;
-  // Live heap RIDs (packed) for the forward cross-reference.
+  // Live heap RIDs (packed) for the forward cross-reference; null for a
+  // bare tree, whose keys carry no RID suffix.
   const std::unordered_set<uint64_t>* live;
   std::unordered_set<uint64_t> seen_rids;
   std::unordered_set<PageId> visited;
+  uint64_t slots = 0;  // entries summed over every node
   // (leaf page, its next_leaf) in recursive key order — checked against
   // the sibling chain after the walk.
   std::vector<std::pair<PageId, PageId>> leaves;
@@ -169,10 +171,11 @@ struct TreeWalk {
       return std::nullopt;
     }
     const uint16_t n = node.count();
+    slots += n;
 
     // In-page key order is strict (unique-key contract). The internal
-    // sentinel at slot 0 is the empty string, which any real key exceeds,
-    // so the same loop covers both node types.
+    // sentinel at slot 0 is empty or the subtree's lower bound, which every
+    // later key exceeds, so the same loop covers both node types.
     for (uint16_t i = 0; i + 1 < n; ++i) {
       if (node.Key(i) >= node.Key(i + 1)) {
         c->Add(IntegrityFindingKind::kKeyOrder, id, object,
@@ -193,8 +196,8 @@ struct TreeWalk {
     }
 
     if (node.is_leaf()) {
-      c->report.rid_entries_checked += n;
-      for (uint16_t i = 0; i < n; ++i) {
+      for (uint16_t i = 0; live != nullptr && i < n; ++i) {
+        c->report.rid_entries_checked++;
         Result<Rid> rid = SecondaryIndex::SplitRidSuffix(node.Key(i));
         if (!rid.ok()) {
           c->Add(IntegrityFindingKind::kRidCrossRef, id, object,
@@ -203,7 +206,7 @@ struct TreeWalk {
           continue;
         }
         uint64_t packed = rid.value().ToU64();
-        if (live != nullptr && live->count(packed) == 0) {
+        if (live->count(packed) == 0) {
           c->Add(IntegrityFindingKind::kRidCrossRef, id, object,
                  "slot " + std::to_string(i) + " points at rid (" +
                      std::to_string(rid.value().page) + "," +
@@ -222,9 +225,14 @@ struct TreeWalk {
 
     // Internal node. Splits always leave at least two children; only the
     // root may narrow to one (and a root leaf handles the empty tree).
-    if (!is_root && n < 2) {
+    if (n < (is_root ? 1 : 2)) {
       c->Add(IntegrityFindingKind::kTreeShape, id, object,
-             "non-root internal node with fanout " + std::to_string(n));
+             std::string(is_root ? "root" : "non-root") +
+                 " internal node with fanout " + std::to_string(n));
+    }
+    if (n > 0 && !node.Key(0).empty() && node.Key(0) != lo) {
+      c->Add(IntegrityFindingKind::kKeyOrder, id, object,
+             "slot 0 is neither empty nor the subtree's lower bound");
     }
     uint64_t total = 0;
     bool complete = true;
@@ -255,6 +263,45 @@ struct TreeWalk {
     }
     if (!complete) return std::nullopt;
     return total;
+  }
+
+  /// Walks the tree `meta` describes, then checks the sibling chain and
+  /// the meta bookkeeping against what the walk found. Returns false when
+  /// damage kept the walk from covering the whole tree.
+  bool Walk(const BTreeMeta& meta) {
+    std::optional<uint64_t> total = CheckNode(
+        meta.root, static_cast<uint8_t>(meta.height), /*lo=*/std::string(),
+        /*hi=*/nullptr, /*is_root=*/true);
+
+    // Sibling chain vs the recursive structure: leaf i links to leaf i+1,
+    // and the last leaf terminates. A wrong link is the finding of the
+    // leaf holding it.
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      PageId expected =
+          i + 1 < leaves.size() ? leaves[i + 1].first : kInvalidPageId;
+      if (leaves[i].second != expected) {
+        c->Add(IntegrityFindingKind::kTreeShape, leaves[i].first, object,
+               "next_leaf points at " + std::to_string(leaves[i].second) +
+                   " but key order puts " + std::to_string(expected) +
+                   " next");
+      }
+    }
+
+    // Bookkeeping only means something when the walk covered the whole
+    // tree.
+    if (!total.has_value()) return false;
+    auto check_count = [&](const char* what, uint64_t recorded,
+                           uint64_t found) {
+      if (recorded == found) return;
+      c->Add(IntegrityFindingKind::kTreeBookkeeping, meta.root, object,
+             "meta records " + std::to_string(recorded) + " " + what +
+                 " but the walk found " + std::to_string(found));
+    };
+    check_count("entries", meta.entry_count, *total);
+    check_count("nodes", meta.node_count, visited.size());
+    check_count("leaves", meta.leaf_count, leaves.size());
+    check_count("slots", meta.slot_sum, slots);
+    return true;
   }
 };
 
@@ -383,55 +430,16 @@ void CheckTable(Checker* c, Table* table) {
 
   for (const auto& index : table->indexes()) {
     c->report.indexes_checked++;
-    const std::string object = "index:" + table->name() + "." + index->name();
-    BTree* tree = index->tree();
-    const BTreeMeta& meta = tree->meta();
+    const BTreeMeta meta = index->tree()->meta();
+    TreeWalk walk{c, "index:" + table->name() + "." + index->name(), &live};
+    const bool complete = walk.Walk(meta);
+    for (PageId node : walk.visited) c->Claim(node, walk.object);
 
-    TreeWalk walk{c, object, &live};
-    std::optional<uint64_t> total = walk.CheckNode(
-        meta.root, static_cast<uint8_t>(meta.height), /*lo=*/std::string(),
-        /*hi=*/nullptr, /*is_root=*/true);
-    for (PageId node : walk.visited) c->Claim(node, object);
-
-    // Sibling chain vs the recursive structure: leaf i links to leaf i+1,
-    // and the last leaf terminates. A wrong link is the finding of the
-    // leaf holding it.
-    for (size_t i = 0; i < walk.leaves.size(); ++i) {
-      PageId expected = i + 1 < walk.leaves.size() ? walk.leaves[i + 1].first
-                                                   : kInvalidPageId;
-      if (walk.leaves[i].second != expected) {
-        c->Add(IntegrityFindingKind::kTreeShape, walk.leaves[i].first, object,
-               "next_leaf points at " +
-                   std::to_string(walk.leaves[i].second) + " but key order puts " +
-                   std::to_string(expected) + " next");
-      }
-    }
-
-    // Bookkeeping and the reverse cross-reference only mean something when
-    // the walk covered the whole tree.
-    if (!total.has_value()) continue;
-    if (*total != meta.entry_count) {
-      c->Add(IntegrityFindingKind::kTreeBookkeeping, meta.root, object,
-             "meta records " + std::to_string(meta.entry_count) +
-                 " entries but the leaves hold " + std::to_string(*total));
-    }
-    if (walk.visited.size() != meta.node_count) {
-      c->Add(IntegrityFindingKind::kTreeBookkeeping, meta.root, object,
-             "meta records " + std::to_string(meta.node_count) +
-                 " nodes but the walk found " +
-                 std::to_string(walk.visited.size()));
-    }
-    if (walk.leaves.size() != meta.leaf_count) {
-      c->Add(IntegrityFindingKind::kTreeBookkeeping, meta.root, object,
-             "meta records " + std::to_string(meta.leaf_count) +
-                 " leaves but the walk found " +
-                 std::to_string(walk.leaves.size()));
-    }
     // Forward direction already proved seen_rids ⊆ live with no duplicates;
     // equal cardinality upgrades that to a bijection, i.e. every live heap
     // record is indexed exactly once.
-    if (walk.seen_rids.size() != live.size()) {
-      c->Add(IntegrityFindingKind::kRidCrossRef, meta.root, object,
+    if (complete && walk.seen_rids.size() != live.size()) {
+      c->Add(IntegrityFindingKind::kRidCrossRef, meta.root, walk.object,
              "index resolves " + std::to_string(walk.seen_rids.size()) +
                  " distinct rids but the heap has " +
                  std::to_string(live.size()) + " live records");
@@ -452,6 +460,13 @@ void ScanUnclaimedPages(Checker* c) {
 }
 
 }  // namespace
+
+IntegrityReport CheckTree(BufferPool* pool, const BTree& tree) {
+  Checker c{nullptr, pool, {}, {}, {}};
+  TreeWalk walk{&c, "btree", /*live=*/nullptr};
+  walk.Walk(tree.meta());
+  return std::move(c.report);
+}
 
 IntegrityReport CheckDatabase(Database* db,
                               const IntegrityCheckOptions& options) {

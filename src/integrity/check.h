@@ -10,9 +10,10 @@
 //  * heap pages: HeapFile::CheckPage (bounded slot directory, every live
 //    record inside the entry area), plus live-count vs record_count();
 //  * B+-trees: NodeRef::CheckBytes on every node, uniform height, key
-//    order within pages and across parent separator bounds, sibling-chain
-//    agreement with recursive structure, exact subtree counts, minimum
-//    internal fanout, and meta bookkeeping (entry/node/leaf counts);
+//    order within pages and across parent separator bounds (an internal
+//    node's slot 0 empty or its lower bound), sibling-chain agreement with
+//    recursive structure, exact subtree counts, minimum internal fanout,
+//    and meta bookkeeping (entry/node/leaf/slot counts);
 //  * RID cross-reference both directions: every index entry resolves to a
 //    live heap record, no duplicates, and the index holds exactly as many
 //    entries as the heap has live records;
@@ -38,6 +39,8 @@
 
 namespace dynopt {
 
+class BTree;
+class BufferPool;
 class Database;
 
 enum class IntegrityFindingKind : uint8_t {
@@ -105,6 +108,13 @@ struct IntegrityReport {
 
 IntegrityReport CheckDatabase(Database* db,
                               const IntegrityCheckOptions& options = {});
+
+/// The B+-tree checks CheckDatabase runs on every index, for one tree on
+/// its own: node bytes, uniform height, key order and separator bounds,
+/// fanout, subtree counts, the sibling chain, and the meta bookkeeping
+/// (entry, node, leaf and slot counts). A bare tree's keys carry no RID
+/// suffix, so the RID and heap cross-reference checks are skipped.
+IntegrityReport CheckTree(BufferPool* pool, const BTree& tree);
 
 }  // namespace dynopt
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "catalog/database.h"
 #include "core/retrieval.h"
+#include "families.h"
 #include "governance/admission.h"
 #include "governance/query_context.h"
 #include "learning/selectivity_model.h"
@@ -369,42 +371,16 @@ TEST(BrownoutTest, RetryBudgetMatchesOptionsAndIsShared) {
 // ---------------------------------------------------------------------------
 // Engine integration: brownout competition pinning.
 
-struct PinFamilies {
-  Database db;
-  Table* table = nullptr;
-
-  explicit PinFamilies(int n = 2000) {
-    auto built = BuildFamilies(&db, n, 42);
-    EXPECT_TRUE(built.ok());
-    table = *built;
-    EXPECT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
-    EXPECT_TRUE(table->CreateIndex("by_income", {"income"}).ok());
-  }
-};
-
 QueryContext BrownoutContext() {
   QueryGovernanceOptions o;
   o.brownout_pin_strategy = true;
   return QueryContext(o);
 }
 
-uint64_t DrainAll(DynamicRetrieval* e, uint64_t* rid_xor) {
-  RowBatch batch;
-  uint64_t rows = 0;
-  for (;;) {
-    auto more = e->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; rid_xor != nullptr && r < batch.num_rows(); ++r) {
-      *rid_xor ^= batch.rid(r).ToU64();
-    }
-    rows += batch.num_rows();
-  }
-  return rows;
-}
-
 TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
-  PinFamilies f;
+  Families f(2000, DatabaseOptions{});
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
   RetrievalSpec spec;
   spec.table = f.table;
   spec.restriction = Predicate::And(
@@ -452,7 +428,9 @@ TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
 }
 
 TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
-  PinFamilies f;
+  Families f(2000, DatabaseOptions{});
+  f.Index("by_age", {"age"});
+  f.Index("by_income", {"income"});
   f.db.learning()->set_mode(LearningMode::kLearn);
   // Covered projection on age + an income jscan candidate: kIndexOnly.
   RetrievalSpec spec;
@@ -469,9 +447,8 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   // must still run (and complete correctly).
   QueryContext cold = BrownoutContext();
   ASSERT_TRUE(engine.Open({}, &cold).ok());
-  uint64_t cold_xor = 0;
-  uint64_t cold_rows = DrainAll(&engine, &cold_xor);
-  ASSERT_GT(cold_rows, 0u);
+  std::multiset<uint64_t> cold_rids = DrainRids(&engine);
+  ASSERT_GT(cold_rids.size(), 0u);
   EXPECT_FALSE(
       engine.events().Contains(TraceEventKind::kCompetitionVerdict,
                                "brownout-pinned"));
@@ -480,19 +457,18 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   // winner's full-run cost under this class key.
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(engine.Open({}, nullptr).ok());
-    DrainAll(&engine, nullptr);
+    DrainRids(&engine);
   }
 
   // Browned out with a warm account: the competition is replaced by the
   // cheapest learned single strategy, same results.
   QueryContext ctx = BrownoutContext();
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
-  uint64_t pinned_xor = 0;
-  uint64_t pinned_rows = DrainAll(&engine, &pinned_xor);
+  std::multiset<uint64_t> pinned_rids = DrainRids(&engine);
   EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
                                        "brownout-pinned"));
-  EXPECT_EQ(pinned_rows, cold_rows);
-  EXPECT_EQ(pinned_xor, cold_xor);
+  EXPECT_EQ(pinned_rids.size(), cold_rids.size());
+  EXPECT_EQ(pinned_rids, cold_rids);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,52 +21,13 @@
 #include "core/retrieval.h"
 #include "expr/predicate.h"
 #include "expr/value.h"
+#include "families.h"
 #include "storage/fault_store.h"
 #include "storage/page_store.h"
 #include "util/rng.h"
 
 namespace dynopt {
 namespace {
-
-// Test database: FAMILIES(id, age, income, city), indexes per test.
-struct Families {
-  Database db;
-  Table* table = nullptr;
-
-  explicit Families(int n = 5000, size_t pool_pages = 4096)
-      : db(DatabaseOptions{.pool_pages = pool_pages}) {
-    auto t = db.CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(
-          table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
-  }
-
-  void Index(const std::string& name, std::vector<std::string> cols) {
-    auto idx = table->CreateIndex(name, cols);
-    ASSERT_TRUE(idx.ok()) << idx.status();
-  }
-
-  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj,
-                     OptimizationGoal goal = OptimizationGoal::kTotalTime) {
-    RetrievalSpec s;
-    s.table = table;
-    s.restriction = std::move(pred);
-    s.projection = std::move(proj);
-    s.goal = goal;
-    return s;
-  }
-};
 
 std::string RowKey(const std::vector<Value>& values, Rid rid) {
   std::string key = std::to_string(rid.ToU64());
@@ -77,47 +38,10 @@ std::string RowKey(const std::vector<Value>& values, Rid rid) {
   return key;
 }
 
-// Canonical (sorted) multiset of delivered rows — the "result hash".
-std::multiset<std::string> DrainCanonical(DynamicRetrieval* engine) {
+// Canonical (sorted) multiset of rows with their RIDs — the "result hash".
+std::multiset<std::string> Canonical(const std::vector<ResultRow>& rows) {
   std::multiset<std::string> out;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> values;
-      for (uint32_t c = 0; c < batch.num_columns(); ++c) {
-        values.push_back(batch.col(c).ValueAt(r));
-      }
-      out.insert(RowKey(values, batch.rid(r)));
-    }
-  }
-  return out;
-}
-
-// Independent row-at-a-time reference: full heap scan + per-row Eval.
-std::multiset<std::string> NaiveCanonical(Families* f,
-                                          const RetrievalSpec& spec,
-                                          const ParamMap& params) {
-  std::multiset<std::string> out;
-  auto cursor = f->table->heap()->NewCursor();
-  std::string bytes;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&bytes, &rid);
-    EXPECT_TRUE(more.ok());
-    if (!more.ok() || !*more) break;
-    Record rec;
-    EXPECT_TRUE(DeserializeRecord(f->table->schema(), bytes, &rec).ok());
-    RowView view(&rec);
-    auto keep = spec.restriction->Eval(view, params);
-    EXPECT_TRUE(keep.ok());
-    if (!keep.ok() || !*keep) continue;
-    std::vector<Value> values;
-    for (uint32_t c : spec.projection) values.push_back(rec[c]);
-    out.insert(RowKey(values, rid));
-  }
+  for (const ResultRow& row : rows) out.insert(RowKey(row.values, row.rid));
   return out;
 }
 
@@ -140,13 +64,13 @@ TEST(BatchGoldenTest, TscanResultsIdenticalAcrossBatchSizes) {
   ParamMap params;
   for (const auto& pred : preds) {
     RetrievalSpec spec = f.Spec(pred, {0, 1, 3});
-    auto golden = NaiveCanonical(&f, spec, params);
+    auto golden = Canonical(NaiveRows(spec, params));
     for (size_t bs : kBatchSizes) {
       RetrievalOptions opt;
       opt.batch_size = bs;
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
-      EXPECT_EQ(DrainCanonical(&engine), golden)
+      EXPECT_EQ(Canonical(DrainRows(&engine)), golden)
           << pred->ShapeString() << " batch_size=" << bs;
     }
   }
@@ -179,13 +103,13 @@ TEST(BatchGoldenTest, IndexTacticsIdenticalAcrossBatchSizes) {
         goal == OptimizationGoal::kFastFirst ? std::vector<uint32_t>{0, 1}
                                              : std::vector<uint32_t>{1, 2};
     RetrievalSpec spec = f.Spec(pred, proj, goal);
-    auto golden = NaiveCanonical(&f, spec, params);
+    auto golden = Canonical(NaiveRows(spec, params));
     for (size_t bs : kBatchSizes) {
       RetrievalOptions opt;
       opt.batch_size = bs;
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
-      EXPECT_EQ(DrainCanonical(&engine), golden)
+      EXPECT_EQ(Canonical(DrainRows(&engine)), golden)
           << pred->ShapeString() << " batch_size=" << bs;
     }
   }
@@ -287,20 +211,9 @@ TEST(BatchGoldenTest, DegradedFallbackMidBatchKeepsGoldenRows) {
   DatabaseOptions dbo;
   dbo.pool_pages = 64;
   Database db(std::move(dbo), std::move(store));
-  auto t = db.CreateTable(
-      "families", Schema({{"id", ValueType::kInt64},
-                          {"age", ValueType::kInt64},
-                          {"income", ValueType::kInt64},
-                          {"city", ValueType::kString}}));
+  auto t = BuildFamilies(&db, 30000);
   ASSERT_TRUE(t.ok());
   Table* table = *t;
-  Rng rng(42);
-  for (int i = 0; i < 30000; ++i) {
-    int64_t age = rng.NextInt(0, 99);
-    int64_t income = rng.NextInt(0, 200000);
-    std::string city = "city" + std::to_string(rng.NextBounded(50));
-    ASSERT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-  }
   ASSERT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
   faults->ClassifyHeapPages(table->heap()->pages());
   faults->FreezeClassification();
@@ -392,33 +305,16 @@ Result<std::vector<std::vector<Value>>> DrainPlan(RowOperator* op,
   return rows;
 }
 
-// The naive answer's projected rows (heap order).
-std::vector<std::vector<Value>> NaiveRows(Table* table,
-                                          const RetrievalSpec& spec,
-                                          const ParamMap& params) {
-  std::vector<std::vector<Value>> out;
-  auto cursor = table->heap()->NewCursor();
-  std::string bytes;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&bytes, &rid);
-    EXPECT_TRUE(more.ok());
-    if (!more.ok() || !*more) break;
-    Record rec;
-    EXPECT_TRUE(DeserializeRecord(table->schema(), bytes, &rec).ok());
-    RowView view(&rec);
-    auto keep = spec.restriction->Eval(view, params);
-    EXPECT_TRUE(keep.ok());
-    if (!keep.ok() || !*keep) continue;
-    std::vector<Value>& row = out.emplace_back();
-    for (uint32_t c : spec.projection) row.push_back(rec[c]);
-  }
-  return out;
-}
-
 std::multiset<std::string> Canonical(const std::vector<std::vector<Value>>& rows) {
   std::multiset<std::string> out;
   for (const auto& row : rows) out.insert(RowKey(row, Rid()));
+  return out;
+}
+
+// The projected values of `rows`, without the RIDs a plan root never shows.
+std::vector<std::vector<Value>> Values(std::vector<ResultRow> rows) {
+  std::vector<std::vector<Value>> out;
+  for (ResultRow& row : rows) out.push_back(std::move(row.values));
   return out;
 }
 
@@ -446,7 +342,7 @@ TEST(BatchPlanGoldenTest, CompiledPlansMatchNaiveAcrossBatchSizes) {
     return s;
   };
   auto naive = [&](const RetrievalSpec& s) {
-    return NaiveRows(f.table, s, params);
+    return Values(NaiveRows(s, params));
   };
   size_t matches = naive(spec({0})).size();
   ASSERT_GT(matches, 500u);
@@ -540,20 +436,9 @@ TEST(BatchPlanGoldenTest, MidFlightOrderByFallbackAcrossBatchSizes) {
   DatabaseOptions dbo;
   dbo.pool_pages = 64;
   Database db(std::move(dbo), std::move(store));
-  auto t = db.CreateTable(
-      "families", Schema({{"id", ValueType::kInt64},
-                          {"age", ValueType::kInt64},
-                          {"income", ValueType::kInt64},
-                          {"city", ValueType::kString}}));
+  auto t = BuildFamilies(&db, 20000, 7);
   ASSERT_TRUE(t.ok());
   Table* table = *t;
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    int64_t age = rng.NextInt(0, 99);
-    int64_t income = rng.NextInt(0, 200000);
-    std::string city = "city" + std::to_string(rng.NextBounded(50));
-    ASSERT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-  }
   ASSERT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
   faults->ClassifyHeapPages(table->heap()->pages());
   faults->FreezeClassification();
@@ -566,7 +451,8 @@ TEST(BatchPlanGoldenTest, MidFlightOrderByFallbackAcrossBatchSizes) {
   spec.projection = {0, 1};
   spec.order_by_column = 1;
   ParamMap params;
-  std::multiset<std::string> golden = Canonical(NaiveRows(table, spec, params));
+  std::multiset<std::string> golden =
+      Canonical(Values(NaiveRows(spec, params)));
   ASSERT_GT(golden.size(), 1000u);
 
   for (size_t bs : kBatchSizes) {
@@ -914,7 +800,7 @@ TEST(BatchMetricsTest, ExecBatchTelemetryPopulates) {
   uint64_t batches_before = m->Value("exec.batches");
   DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
-  auto rows = DrainCanonical(&engine);
+  auto rows = DrainRids(&engine);
   EXPECT_GT(rows.size(), 0u);
 
   // One Tscan over 4000 rows at the 1024 quantum: a handful of batches.
@@ -965,7 +851,7 @@ TEST(BatchMetricsTest, EngineFetchesChargeTheExecLedger) {
     uint64_t delivered = m->Value("exec.rows_delivered");
     ASSERT_TRUE(engine.Open(params).ok());
     ASSERT_EQ(engine.tactic(), c.tactic);
-    auto rows = DrainCanonical(&engine);
+    auto rows = DrainRids(&engine);
     ASSERT_TRUE(
         engine.events().Contains(TraceEventKind::kStageTransition, "final"));
     // Every RID of the final list is a live row matching the restriction.

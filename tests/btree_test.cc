@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "index/btree.h"
+#include "integrity/check.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "util/key_codec.h"
@@ -48,7 +49,7 @@ TEST(BTreeTest, EmptyTreeBasics) {
   TreeFixture f;
   EXPECT_EQ(f.tree->entry_count(), 0u);
   EXPECT_EQ(f.tree->height(), 1u);
-  EXPECT_TRUE(f.tree->ValidateInvariants().ok());
+  EXPECT_TRUE(CheckTree(&f.pool, *f.tree).clean());
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
   std::string key;
@@ -111,7 +112,7 @@ TEST(BTreeTest, GrowsHeightAndStaysValid) {
     ASSERT_TRUE(f.tree->Insert(key, Rid{static_cast<PageId>(i), 0}).ok());
   }
   EXPECT_GE(f.tree->height(), 3u);
-  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(&f.pool, *f.tree).clean());
 }
 
 TEST(BTreeTest, SeekPositionsAtLowerBound) {
@@ -153,7 +154,7 @@ TEST_P(BTreeOracleTest, RandomInsertDeleteMatchesStdMap) {
       oracle.erase(it);
     }
   }
-  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(&f.pool, *f.tree).clean());
   EXPECT_EQ(f.tree->entry_count(), oracle.size());
 
   // Full scan matches the oracle exactly, in order.
@@ -411,7 +412,7 @@ TEST(BTreeCostTest, AvgFanoutIsPlausible) {
   // 8 KiB pages with 18-byte leaf entries: hundreds of entries per node.
   EXPECT_GT(f_avg, 50.0);
   EXPECT_LT(f_avg, 1000.0);
-  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(&f.pool, *f.tree).clean());
 }
 
 TEST(BTreeStressTest, LargeMixedWorkloadStaysValid) {
@@ -441,7 +442,7 @@ TEST(BTreeStressTest, LargeMixedWorkloadStaysValid) {
       ASSERT_TRUE(sample.ok());
     }
   }
-  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(&f.pool, *f.tree).clean());
   EXPECT_EQ(f.tree->entry_count(), oracle.size());
   auto count = f.tree->CountRange(EncodedRange::All());
   ASSERT_TRUE(count.ok());

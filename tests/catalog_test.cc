@@ -79,7 +79,7 @@ TEST(TableTest, IndexBackfillAndMaintenance) {
   EXPECT_EQ((*idx)->tree()->entry_count(), 101u);
   ASSERT_TRUE((*t)->Delete(rids[3]).ok());
   EXPECT_EQ((*idx)->tree()->entry_count(), 100u);
-  ASSERT_TRUE((*idx)->tree()->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(db.pool(), *(*idx)->tree()).clean());
 
   EXPECT_TRUE((*t)->CreateIndex("by_age", {"age"}).status()
                   .IsInvalidArgument());
@@ -131,7 +131,7 @@ TEST(IndexTest, DuplicateColumnValuesCoexistViaRidSuffix) {
     ASSERT_TRUE((*t)->Insert(Person(i, 42, "same", 0.0)).ok());
   }
   EXPECT_EQ((*idx)->tree()->entry_count(), 500u);
-  ASSERT_TRUE((*idx)->tree()->ValidateInvariants().ok());
+  ASSERT_TRUE(CheckTree(db.pool(), *(*idx)->tree()).clean());
 }
 
 TEST(IndexTest, RidSuffixRoundTrip) {

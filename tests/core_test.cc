@@ -12,91 +12,14 @@
 #include "core/plan.h"
 #include "core/retrieval.h"
 #include "core/static_optimizer.h"
+#include "families.h"
 #include "util/rng.h"
 
 namespace dynopt {
 namespace {
 
-// Test database: FAMILIES(id, age, income, city) — the paper's motivating
-// table, with indexes created per test.
-struct Families {
-  Database db;
-  Table* table = nullptr;
-
-  explicit Families(int n = 5000, size_t pool_pages = 4096)
-      : db(DatabaseOptions{.pool_pages = pool_pages}) {
-    auto t = db.CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(
-          table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
-  }
-
-  void Index(const std::string& name, std::vector<std::string> cols) {
-    auto idx = table->CreateIndex(name, cols);
-    ASSERT_TRUE(idx.ok()) << idx.status();
-  }
-
-  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj,
-                     OptimizationGoal goal = OptimizationGoal::kTotalTime) {
-    RetrievalSpec s;
-    s.table = table;
-    s.restriction = std::move(pred);
-    s.projection = std::move(proj);
-    s.goal = goal;
-    return s;
-  }
-};
-
-std::multiset<uint64_t> DrainRids(DynamicRetrieval* engine) {
-  std::multiset<uint64_t> rids;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      rids.insert(batch.rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
-std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec,
-                                  const ParamMap& params) {
-  std::multiset<uint64_t> rids;
-  TscanStepper scan(db->pool(), spec, params);
-  for (;;) {
-    auto more = scan.Step();
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r : scan.output().sel()) {
-      rids.insert(scan.output().rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
-bool SawVerdict(const DynamicRetrieval& e, std::string_view subject) {
-  return e.events().Contains(TraceEventKind::kCompetitionVerdict, subject);
-}
-
 PredicateRef AgeGe(Operand op) {
   return Predicate::Compare(1, CompareOp::kGe, std::move(op));
-}
-PredicateRef AgeBetween(int64_t lo, int64_t hi) {
-  return Predicate::Between(1, Operand::Literal(Value(lo)),
-                            Operand::Literal(Value(hi)));
 }
 
 // ---------------------------------------------------------- access paths
@@ -173,13 +96,8 @@ TEST(TacticTest, NoIndexesMeansStaticTscan) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kStaticTscan);
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, engine.analysis().indexes
-                                                     .empty()
-                                              ? f.Spec(AgeBetween(10, 20),
-                                                       {0, 1})
-                                              : f.Spec(AgeBetween(10, 20),
-                                                       {0, 1}),
-                                          params));
+  EXPECT_EQ(DrainRids(&engine),
+            NaiveRids(f.Spec(AgeBetween(10, 20), {0, 1}), params));
 }
 
 TEST(TacticTest, EmptyRangeShortcut) {
@@ -221,7 +139,7 @@ TEST(TacticTest, TotalTimeWithFetchNeededIndexIsBackgroundOnly) {
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
   EXPECT_EQ(DrainRids(&engine),
-            NaiveRids(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}), params));
+            NaiveRids(f.Spec(AgeBetween(10, 15), {0, 3}), params));
 }
 
 TEST(TacticTest, FastFirstGoalUsesFastFirstTactic) {
@@ -234,7 +152,7 @@ TEST(TacticTest, FastFirstGoalUsesFastFirstTactic) {
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kFastFirst);
   EXPECT_EQ(DrainRids(&engine),
-            NaiveRids(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}), params));
+            NaiveRids(f.Spec(AgeBetween(10, 15), {0, 3}), params));
 }
 
 TEST(TacticTest, OrderedRequestUsesSortedTactic) {
@@ -268,7 +186,7 @@ TEST(TacticTest, OrderedRequestUsesSortedTactic) {
       rids.insert(batch.rid(r).ToU64());
     }
   }
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
 }
 
 TEST(TacticTest, CoveringPlusFetchNeededUsesIndexOnly) {
@@ -284,7 +202,7 @@ TEST(TacticTest, CoveringPlusFetchNeededUsesIndexOnly) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kIndexOnly);
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
 TEST(TacticTest, CoveringIndexAloneIsStaticSscan) {
@@ -296,7 +214,7 @@ TEST(TacticTest, CoveringIndexAloneIsStaticSscan) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kStaticSscan);
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
 // --------------------------------------------- the paper's §4 example
@@ -325,7 +243,7 @@ TEST(HostVariableTest, DynamicEngineAdaptsPerRun) {
   ParamMap run2{{"A1", Value(int64_t{95})}};
   ASSERT_TRUE(engine.Open(run2).ok());
   auto rids2 = DrainRids(&engine);
-  EXPECT_EQ(rids2, NaiveRids(&f.db, spec, run2));
+  EXPECT_EQ(rids2, NaiveRids(spec, run2));
   EXPECT_GT(rids2.size(), 100u);
   EXPECT_LT(rids2.size(), 1000u);
 
@@ -386,7 +304,7 @@ TEST(JscanTest, IntersectsTwoIndexes) {
   ASSERT_TRUE(rids.ok());
   // The final list must contain every truly-matching RID (it may contain
   // extras only if a bitmap filter was involved).
-  auto naive = NaiveRids(&jf.f.db, jf.spec, jf.params);
+  auto naive = NaiveRids(jf.spec, jf.params);
   std::set<uint64_t> final_set;
   for (const Rid& r : *rids) final_set.insert(r.ToU64());
   for (uint64_t r : naive) {
@@ -493,7 +411,7 @@ TEST(JscanTest, BorrowedRidsComeFromTheLiveList) {
     if (!*more) break;
   }
   EXPECT_GT(borrowed.size(), 0u);
-  auto naive = NaiveRids(&jf.f.db, jf.spec, jf.params);
+  auto naive = NaiveRids(jf.spec, jf.params);
   std::set<uint64_t> naive_set(naive.begin(), naive.end());
   for (uint64_t b : borrowed) {
     EXPECT_TRUE(naive_set.count(b)) << "borrowed rid outside the range";
@@ -529,7 +447,7 @@ TEST(StaticOptimizerTest, PicksIndexForSelectiveLiteral) {
       rids.insert(batch.rid(r).ToU64());
     }
   }
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, none));
+  EXPECT_EQ(rids, NaiveRids(spec, none));
 }
 
 TEST(StaticOptimizerTest, PicksTscanForWideLiteral) {
@@ -569,7 +487,7 @@ TEST(StaticOptimizerTest, HostVariableForcesMagicGuess) {
         rids.insert(batch.rid(r).ToU64());
       }
     }
-    EXPECT_EQ(rids, NaiveRids(&f.db, spec, run)) << "A1=" << a1;
+    EXPECT_EQ(rids, NaiveRids(spec, run)) << "A1=" << a1;
   }
 }
 
@@ -702,7 +620,7 @@ TEST(RaceTest, FastFirstBufferOverflowFallsBackToBackground) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(SawVerdict(engine, "fgr-buffer-overflow"));
 }
 
@@ -722,7 +640,7 @@ TEST(RaceTest, IndexOnlySurvivesJscanTermination) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
 }
 
 TEST(RaceTest, SortedTacticInstallsFilterOrFinishesFirst) {
@@ -740,7 +658,7 @@ TEST(RaceTest, SortedTacticInstallsFilterOrFinishesFirst) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kSorted);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(SawVerdict(engine, "filter-installed") ||
               SawVerdict(engine, "foreground-finished") ||
               SawVerdict(engine, "no-filter"));
@@ -769,7 +687,7 @@ TEST(RaceTest, FastFirstJscanCompletesDuringRace) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kFastFirst);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   const TraceEvent* v =
       engine.events().Find(TraceEventKind::kCompetitionVerdict,
                            "jscan-complete");
@@ -804,7 +722,7 @@ TEST(RaceTest, SortedTacticInstallsJscanFilter) {
       ages.push_back(batch.col(1).ValueAt(r).AsInt64());
     }
   }
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
   EXPECT_TRUE(SawVerdict(engine, "filter-installed"))
       << engine.events().ToJson();
@@ -816,15 +734,9 @@ TEST(RaceTest, SortedTacticInstallsJscanFilter) {
 std::multiset<uint64_t> DrainWithColumn(DynamicRetrieval* engine, size_t col,
                                         std::vector<int64_t>* values) {
   std::multiset<uint64_t> rids;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      rids.insert(batch.rid(r).ToU64());
-      values->push_back(batch.col(col).ValueAt(r).AsInt64());
-    }
+  for (const ResultRow& row : DrainRows(engine)) {
+    rids.insert(row.rid.ToU64());
+    values->push_back(row.values[col].AsInt64());
   }
   return rids;
 }
@@ -850,7 +762,7 @@ TEST(RaceTest, SortedFscanFinishesFirst) {
   ASSERT_EQ(engine.tactic(), Tactic::kSorted);
   std::vector<int64_t> ages;
   auto rids = DrainWithColumn(&engine, 1, &ages);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
   const TraceEvent* v = engine.events().Find(
       TraceEventKind::kCompetitionVerdict, "foreground-finished");
@@ -868,7 +780,7 @@ TEST(RaceTest, IndexOnlySscanFinishesFirst) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   const TraceEvent* v = engine.events().Find(
       TraceEventKind::kCompetitionVerdict, "foreground-finished");
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
@@ -887,7 +799,7 @@ TEST(RaceTest, IndexOnlyBufferOverflowRetainsSscan) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   ASSERT_GT(rids.size(), opt.fgr_buffer_capacity);
   const TraceEvent* v = engine.events().Find(
       TraceEventKind::kCompetitionVerdict, "fgr-buffer-overflow");
@@ -913,7 +825,7 @@ TEST(RaceTest, IndexOnlyJscanRecommendingTscanLeavesTheSscanWinning) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
   ASSERT_TRUE(SawVerdict(engine, "jscan-recommends-tscan"))
       << engine.events().ToJson();
   const CompetitionSample* sample = engine.competition_sample();
@@ -941,7 +853,7 @@ TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
   std::vector<int64_t> ages;
   auto rids = DrainWithColumn(&engine, 1, &ages);
   fetched = f.db.metrics()->Value("exec.records_fetched") - fetched;
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
   const TraceEvent* v = engine.events().Find(
       TraceEventKind::kCompetitionVerdict, "foreground-finished");
@@ -1036,17 +948,8 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
     if (!c.verdict.empty()) {
       EXPECT_TRUE(SawVerdict(engine, c.verdict)) << engine.events().ToJson();
     }
-    EXPECT_EQ(rids, NaiveRids(&c.f->db, c.spec, {}));
+    EXPECT_EQ(rids, NaiveRids(c.spec, {}));
   }
-}
-
-const ProfileSpan* FindSpan(const ProfileSpan* node, std::string_view name) {
-  if (node == nullptr) return nullptr;
-  if (node->name == name) return node;
-  for (const ProfileSpan* child : node->children) {
-    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
-  }
-  return nullptr;
 }
 
 // The Sscan the Jscan's list beat stops racing but keeps the cost it spent:
@@ -1064,7 +967,7 @@ TEST(RaceTest, JscanWonKeepsTheAbandonedSscanCost) {
   DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open({}).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, {}));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, {}));
   ASSERT_TRUE(SawVerdict(engine, "jscan-won")) << engine.events().ToJson();
   const CompetitionSample* sample = engine.competition_sample();
   ASSERT_NE(sample, nullptr);
@@ -1091,7 +994,7 @@ TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   const TraceEvent* v =
       engine.events().Find(TraceEventKind::kCompetitionVerdict,
                            "jscan-complete");
@@ -1132,7 +1035,7 @@ TEST(OrCoverageTest, InListUsesMultiRangeIndexScan) {
   EXPECT_NE(engine.tactic(), Tactic::kStaticTscan)
       << "the IN-list must be index-servable";
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_GT(rids.size(), 100u);
 }
 
@@ -1151,7 +1054,7 @@ TEST(OrCoverageTest, DisjointRangesResolveExactlyOrCheaply) {
   CostMeter before = f.db.meter();
   ASSERT_TRUE(engine.Open(params).ok());
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   double cost = (f.db.meter() - before).Cost(f.db.cost_weights());
   double tscan_cost = EstimateTscanCost(spec, f.db.cost_weights());
   EXPECT_LT(cost * 3, tscan_cost)
@@ -1207,7 +1110,7 @@ TEST_P(OrOracleTest, RandomDisjunctionsMatchNaive) {
     DynamicRetrieval engine(&f.db, spec);
     ParamMap params;
     ASSERT_TRUE(engine.Open(params).ok());
-    ASSERT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params))
+    ASSERT_EQ(DrainRids(&engine), NaiveRids(spec, params))
         << "query " << q << " seed " << GetParam() << " shape "
         << pred->ShapeString();
   }
@@ -1250,7 +1153,7 @@ TEST(RaceTest, FastFirstCostLimitTriggersFallback) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   auto rids = DrainRids(&engine);
-  EXPECT_EQ(rids, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(SawVerdict(engine, "fgr-cost-limit"));
 }
 
@@ -1269,7 +1172,7 @@ TEST(TacticTest, SortedTacticAlsoServesTotalTime) {
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kSorted);
   EXPECT_TRUE(engine.delivers_order());
-  EXPECT_EQ(DrainRids(&engine), NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
 TEST(TacticTest, FastFirstDeliversFirstRowBeforeJscanCompletes) {
@@ -1355,7 +1258,7 @@ TEST_P(EngineOracleTest, DynamicMatchesNaiveAcrossRandomQueries) {
     ParamMap params;
     ASSERT_TRUE(engine.Open(params).ok());
     auto got = DrainRids(&engine);
-    auto want = NaiveRids(&f.db, spec, params);
+    auto want = NaiveRids(spec, params);
     ASSERT_EQ(got, want) << "query " << q << " seed " << GetParam()
                          << " tactic " << TacticName(engine.tactic())
                          << " shape " << pred->ShapeString();

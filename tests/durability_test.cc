@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,10 +19,13 @@
 #include <gtest/gtest.h>
 
 #include "catalog/database.h"
+#include "core/retrieval.h"
 #include "durability/crash.h"
 #include "durability/file_page_store.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
+#include "families.h"
+#include "integrity/check.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "workload/scenario.h"
@@ -606,6 +610,51 @@ TEST(DurabilityDatabaseTest, CorruptCatalogCountOpensAsCorruption) {
   auto db = Database::Open(options);
   ASSERT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsCorruption()) << db.status();
+}
+
+// A Jscan list that outgrows memory spills to pages of the database file.
+// The list hands them back to the store when it dies, so each run reuses
+// the first run's page, and the database still commits, closes and
+// reopens clean.
+TEST(DurabilityDatabaseTest, SpilledRidListHandsItsPageBackToTheFile) {
+  const std::string path = TempPath("db_spill.db");
+  DatabaseOptions options;
+  options.path = path;
+  {
+    auto db = Database::Create(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto table = BuildFamilies(db->get(), 20000);
+    ASSERT_TRUE(table.ok()) << table.status();
+    ASSERT_TRUE((*table)->CreateIndex("by_age", {"age"}).ok());
+    ASSERT_TRUE((*table)->CreateIndex("by_income", {"income"}).ok());
+    ASSERT_TRUE((*db)->Commit().ok());
+
+    RetrievalSpec spec;
+    spec.table = *table;
+    spec.restriction = Predicate::And(
+        {AgeBetween(10, 60),
+         Predicate::Compare(2, CompareOp::kLt,
+                            Operand::Literal(Value(int64_t{60000})))});
+    spec.projection = {0};
+    RetrievalOptions opt;
+    opt.jscan.rid_list.memory_capacity = 64;
+    const std::multiset<uint64_t> want = NaiveRids(spec);
+    const size_t pages_before = (*db)->page_count();
+    size_t pages_after_first = 0;
+    for (int run = 0; run < 3; ++run) {
+      DynamicRetrieval engine(db->get(), spec, opt);
+      ASSERT_TRUE(engine.Open({}).ok());
+      EXPECT_EQ(DrainRids(&engine), want) << "run " << run;
+      if (run == 0) pages_after_first = (*db)->page_count();
+      EXPECT_EQ((*db)->page_count(), pages_after_first) << "run " << run;
+    }
+    EXPECT_GT(pages_after_first, pages_before);  // the list did spill
+    ASSERT_TRUE((*db)->Commit().ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(options);  // verify-on-open
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_TRUE(CheckDatabase(db->get()).clean());
 }
 
 // ----------------------------------------------------------- Crash matrix

@@ -127,27 +127,6 @@ TEST(HybridRidListTest, ToSortedVectorSpansSpill) {
   EXPECT_EQ((*sorted)[0].page, 1u);
 }
 
-TEST(HybridRidListTest, CursorStreamsEverything) {
-  MemPageStore store;
-  BufferPool pool(&store, 16);
-  HybridRidList::Options opt;
-  opt.memory_capacity = 30;
-  HybridRidList list(&pool, opt);
-  for (uint32_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(list.Append(Rid{i, 0}).ok());
-  }
-  auto cursor = list.NewCursor();
-  Rid rid;
-  std::set<uint32_t> seen;
-  for (;;) {
-    auto more = cursor.Next(&rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    seen.insert(rid.page);
-  }
-  EXPECT_EQ(seen.size(), 200u);
-}
-
 TEST(HybridRidListTest, AppendAfterSealRejected) {
   HybridRidList list(nullptr);
   ASSERT_TRUE(list.Append(Rid{1, 0}).ok());

@@ -1,0 +1,144 @@
+// Shared engine-test support: the FAMILIES fixture, the drains that
+// collect what an engine delivers, the naive oracle's answer, and the small
+// probes over an execution's trace and profile.
+//
+// Engine rows are checked against NaiveRetrieve (workload/oracle.h), the
+// row-at-a-time scan that shares no code with the steppers it checks. Test
+// targets that include this header link dynopt_workload.
+
+#ifndef DYNOPT_TESTS_FAMILIES_H_
+#define DYNOPT_TESTS_FAMILIES_H_
+
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "catalog/database.h"
+#include "core/retrieval.h"
+#include "storage/page_store.h"
+#include "workload/oracle.h"
+#include "workload/workload.h"
+
+namespace dynopt {
+
+/// FAMILIES(id, age, income, city), §4's motivating table, with the rows
+/// BuildFamilies(n, 42) inserts; indexes are created per test.
+struct Families {
+  Database db;
+  Table* table = nullptr;
+
+  explicit Families(int n = 5000, size_t pool_pages = 4096)
+      : Families(n, DatabaseOptions{.pool_pages = pool_pages}) {}
+  /// `store` is the page store under the database (a fault-injecting one,
+  /// say).
+  Families(int n, DatabaseOptions options,
+           std::unique_ptr<PageStore> store = std::make_unique<MemPageStore>())
+      : db(std::move(options), std::move(store)) {
+    Result<Table*> t = BuildFamilies(&db, n);
+    EXPECT_TRUE(t.ok()) << t.status();
+    if (t.ok()) table = *t;
+  }
+
+  void Index(const std::string& name, std::vector<std::string> cols) {
+    auto idx = table->CreateIndex(name, cols);
+    ASSERT_TRUE(idx.ok()) << idx.status();
+  }
+
+  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj,
+                     OptimizationGoal goal = OptimizationGoal::kTotalTime) {
+    RetrievalSpec s;
+    s.table = table;
+    s.restriction = std::move(pred);
+    s.projection = std::move(proj);
+    s.goal = goal;
+    return s;
+  }
+};
+
+/// Drains `engine`, adding each delivered RID to `*rids` (may be null).
+/// Returns the first error, or OK at the end of the stream.
+inline Status Drain(DynamicRetrieval* engine, std::multiset<uint64_t>* rids) {
+  RowBatch batch;
+  for (;;) {
+    Result<bool> more = engine->NextBatch(&batch);
+    if (!more.ok()) return more.status();
+    if (!*more) return Status::OK();
+    for (uint32_t r = 0; rids != nullptr && r < batch.num_rows(); ++r) {
+      rids->insert(batch.rid(r).ToU64());
+    }
+  }
+}
+
+/// Every RID `engine` delivers; an error fails the test.
+inline std::multiset<uint64_t> DrainRids(DynamicRetrieval* engine) {
+  std::multiset<uint64_t> rids;
+  Status st = Drain(engine, &rids);
+  EXPECT_TRUE(st.ok()) << st;
+  return rids;
+}
+
+/// Every row `engine` delivers, in delivery order; an error fails the test.
+inline std::vector<ResultRow> DrainRows(DynamicRetrieval* engine) {
+  std::vector<ResultRow> rows;
+  RowBatch batch;
+  for (;;) {
+    Result<bool> more = engine->NextBatch(&batch);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) return rows;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      ResultRow& row = rows.emplace_back();
+      row.rid = batch.rid(r);
+      for (uint32_t c = 0; c < batch.num_columns(); ++c) {
+        row.values.push_back(batch.col(c).ValueAt(r));
+      }
+    }
+  }
+}
+
+/// The oracle's rows for `spec`; an error fails the test.
+inline std::vector<ResultRow> NaiveRows(const RetrievalSpec& spec,
+                                        const ParamMap& params = {}) {
+  Result<std::vector<ResultRow>> rows = NaiveRetrieve(spec, params);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  return rows.ok() ? std::move(*rows) : std::vector<ResultRow>();
+}
+
+/// The oracle's RIDs for `spec`.
+inline std::multiset<uint64_t> NaiveRids(const RetrievalSpec& spec,
+                                         const ParamMap& params = {}) {
+  std::multiset<uint64_t> rids;
+  for (const ResultRow& row : NaiveRows(spec, params)) {
+    rids.insert(row.rid.ToU64());
+  }
+  return rids;
+}
+
+inline bool SawVerdict(const DynamicRetrieval& e, std::string_view subject) {
+  return e.events().Contains(TraceEventKind::kCompetitionVerdict, subject);
+}
+
+/// The first span named `name` in `node`'s subtree, depth first.
+inline const ProfileSpan* FindSpan(const ProfileSpan* node,
+                                   std::string_view name) {
+  if (node == nullptr) return nullptr;
+  if (node->name == name) return node;
+  for (const ProfileSpan* child : node->children) {
+    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
+  }
+  return nullptr;
+}
+
+inline PredicateRef AgeBetween(int64_t lo, int64_t hi) {
+  return Predicate::Between(1, Operand::Literal(Value(lo)),
+                            Operand::Literal(Value(hi)));
+}
+
+}  // namespace dynopt
+
+#endif  // DYNOPT_TESTS_FAMILIES_H_

@@ -18,13 +18,13 @@
 #include "core/plan.h"
 #include "core/retrieval.h"
 #include "exec/rid_set.h"
+#include "families.h"
 #include "governance/query_context.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_store.h"
 #include "storage/page_store.h"
 #include "storage/temp_rid_file.h"
-#include "util/rng.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
@@ -678,38 +678,25 @@ TEST(HybridRidListTest, SpilledListChargesAndRefundsContext) {
 // ---------------------------------------------------------------------------
 // Engine-level governance: the poll-boundary sweep.
 
-// FAMILIES over a FaultInjectingPageStore, with by_id and by_age.
-struct FaultyFamilies {
-  FaultInjectingPageStore* faults = nullptr;
-  std::unique_ptr<Database> db;
-  Table* table = nullptr;
+// The fault store, a base so it is built before the database that takes
+// it over.
+struct FaultStore {
+  std::unique_ptr<FaultInjectingPageStore> store =
+      std::make_unique<FaultInjectingPageStore>(
+          std::make_unique<MemPageStore>());
+  FaultInjectingPageStore* faults = store.get();
+};
 
+// FAMILIES over a FaultInjectingPageStore, with by_id and by_age.
+struct FaultyFamilies : FaultStore, Families {
   // `extra_indexes` (name, columns) are built beside by_id and by_age,
   // before the fault classification freezes, so their pages are kIndex.
   explicit FaultyFamilies(
       int n = 2000, size_t pool_pages = 64,
       std::vector<std::pair<std::string, std::vector<std::string>>>
-          extra_indexes = {}) {
-    auto store = std::make_unique<FaultInjectingPageStore>(
-        std::make_unique<MemPageStore>());
-    faults = store.get();
-    DatabaseOptions o;
-    o.pool_pages = pool_pages;
-    db = std::make_unique<Database>(std::move(o), std::move(store));
-    auto t = db->CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
+          extra_indexes = {})
+      : Families(n, DatabaseOptions{.pool_pages = pool_pages},
+                 std::move(store)) {
     EXPECT_TRUE(table->CreateIndex("by_id", {"id"}).ok());
     EXPECT_TRUE(table->CreateIndex("by_age", {"age"}).ok());
     for (const auto& [name, cols] : extra_indexes) {
@@ -745,19 +732,6 @@ struct FaultyFamilies {
   }
 };
 
-// Drains the engine; returns the first non-OK status (or OK at end).
-Status Drain(DynamicRetrieval* engine, std::multiset<uint64_t>* rids) {
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    if (!more.ok()) return more.status();
-    if (!*more) return Status::OK();
-    for (uint32_t r = 0; rids != nullptr && r < batch.num_rows(); ++r) {
-      rids->insert(batch.rid(r).ToU64());
-    }
-  }
-}
-
 // Measures how many polls one clean execution makes, then replays it with
 // the context rigged to trip at every single poll boundary, asserting a
 // typed unwind (right code, no pinned pages, invariants hold) each time.
@@ -769,7 +743,7 @@ void SweepTripBoundaries(FaultyFamilies* f, const RetrievalSpec& spec,
   uint64_t total_polls = 0;
   for (int i = 0; i < 2; ++i) {
     QueryContext probe;
-    DynamicRetrieval engine(f->db.get(), spec);
+    DynamicRetrieval engine(&f->db, spec);
     ASSERT_TRUE(engine.Open({}, &probe).ok());
     ASSERT_TRUE(Drain(&engine, nullptr).ok());
     total_polls = probe.polls();
@@ -779,24 +753,24 @@ void SweepTripBoundaries(FaultyFamilies* f, const RetrievalSpec& spec,
   for (uint64_t n = 1; n <= total_polls; ++n) {
     QueryContext ctx;
     ctx.TripAfterPolls(n, code);
-    DynamicRetrieval engine(f->db.get(), spec);
+    DynamicRetrieval engine(&f->db, spec);
     Status st = engine.Open({}, &ctx);
     if (st.ok()) st = Drain(&engine, nullptr);
     ASSERT_FALSE(st.ok()) << "poll " << n << " of " << total_polls
                           << " never fired";
     ASSERT_EQ(st.code(), code) << "poll " << n << ": " << st;
-    ASSERT_EQ(f->db->pool()->PinnedPages(), 0u) << "poll " << n;
-    Status inv = f->db->pool()->CheckInvariants();
+    ASSERT_EQ(f->db.pool()->PinnedPages(), 0u) << "poll " << n;
+    Status inv = f->db.pool()->CheckInvariants();
     ASSERT_TRUE(inv.ok()) << "poll " << n << ": " << inv;
   }
 
   // One past the last boundary: the hook never fires, the query completes.
   QueryContext ctx;
   ctx.TripAfterPolls(total_polls + 1, code);
-  DynamicRetrieval engine(f->db.get(), spec);
+  DynamicRetrieval engine(&f->db, spec);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   EXPECT_TRUE(Drain(&engine, nullptr).ok());
-  EXPECT_EQ(f->db->pool()->PinnedPages(), 0u);
+  EXPECT_EQ(f->db.pool()->PinnedPages(), 0u);
 }
 
 TEST(EngineGovernanceTest, CancellationSweepBackgroundOnly) {
@@ -826,14 +800,14 @@ TEST(EngineGovernanceTest, PageBudgetTripsMidQuery) {
   QueryGovernanceOptions o;
   o.budgets.max_pages_read = 2;  // a B-tree descent alone exceeds this
   QueryContext ctx(o);
-  DynamicRetrieval engine(f.db.get(), f.RangeSpec());
+  DynamicRetrieval engine(&f.db, f.RangeSpec());
   Status st = engine.Open({}, &ctx);
   if (st.ok()) st = Drain(&engine, nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsBudgetExceeded()) << st;
   EXPECT_GT(ctx.pages_read(), 2u);
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -844,17 +818,17 @@ TEST(DegradedFallbackTest, PermanentIndexFaultFallsBackToTscan) {
   FaultyFamilies f;
   RetrievalSpec spec = f.RangeSpec();
 
-  DynamicRetrieval baseline_engine(f.db.get(), spec);
+  DynamicRetrieval baseline_engine(&f.db, spec);
   ASSERT_TRUE(baseline_engine.Open({}).ok());
   std::multiset<uint64_t> baseline;
   ASSERT_TRUE(Drain(&baseline_engine, &baseline).ok());
   ASSERT_FALSE(baseline.empty());
 
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
 
   QueryContext ctx;  // degraded fallback on by default
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   Status st = engine.Open({}, &ctx);
   ASSERT_TRUE(st.ok()) << st;
   std::multiset<uint64_t> got;
@@ -865,40 +839,40 @@ TEST(DegradedFallbackTest, PermanentIndexFaultFallsBackToTscan) {
   EXPECT_TRUE(engine.degraded());
   EXPECT_GE(engine.events().CountKind(TraceEventKind::kStrategyDisqualified),
             1u);
-  EXPECT_GE(f.db->metrics()->Value("governance.strategy_fallbacks"), 1u);
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_GE(f.db.metrics()->Value("governance.strategy_fallbacks"), 1u);
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsExact) {
   FaultyFamilies f;
   RetrievalSpec spec = f.CoveringAgeSpec();
 
-  DynamicRetrieval baseline_engine(f.db.get(), spec);
+  DynamicRetrieval baseline_engine(&f.db, spec);
   ASSERT_TRUE(baseline_engine.Open({}).ok());
   std::multiset<uint64_t> baseline;
   ASSERT_TRUE(Drain(&baseline_engine, &baseline).ok());
   ASSERT_GT(baseline.size(), 100u);
 
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   // Let the replay start clean and lose the index a few reads in.
   FaultProgram p = FaultProgram::Permanent(PageClass::kIndex, 1.0);
   p.activate_after_reads = f.faults->total_reads() + 4;
   f.faults->SetProgram(p);
 
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   Status st = engine.Open({}, &ctx);
   if (st.ok()) st = Drain(&engine, nullptr);
   ASSERT_TRUE(st.ok()) << st;
   f.faults->ClearProgram();
 
   // Replay once more for the row set (the dedup path), faulting again.
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   p.activate_after_reads = f.faults->total_reads() + 4;
   f.faults->SetProgram(p);
   QueryContext ctx2;
-  DynamicRetrieval engine2(f.db.get(), spec);
+  DynamicRetrieval engine2(&f.db, spec);
   ASSERT_TRUE(engine2.Open({}, &ctx2).ok());
   std::multiset<uint64_t> got;
   ASSERT_TRUE(Drain(&engine2, &got).ok());
@@ -906,8 +880,8 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsExact) {
 
   EXPECT_EQ(got, baseline);  // no lost rows, no duplicates
   EXPECT_TRUE(engine2.degraded());
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // An ordered retrieval that loses its ordered index mid-flight must not
@@ -939,7 +913,7 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
     }
   };
 
-  auto golden_op = CompilePlan(f.db.get(), *plan, &params);
+  auto golden_op = CompilePlan(&f.db, *plan, &params);
   ASSERT_TRUE(golden_op.ok()) << golden_op.status();
   ASSERT_TRUE((*golden_op)->Open().ok());
   std::vector<int64_t> golden_ages;
@@ -950,10 +924,10 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
 
   // Probe how many store reads a cold ordered run spends in Open plus the
   // first few rows, so the fault activates strictly mid-flight.
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   uint64_t probe_start = f.faults->total_reads();
   {
-    auto probe = CompilePlan(f.db.get(), *plan, &params);
+    auto probe = CompilePlan(&f.db, *plan, &params);
     ASSERT_TRUE(probe.ok());
     ASSERT_TRUE((*probe)->Open().ok());
     std::vector<std::vector<Value>> rows;
@@ -965,13 +939,13 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
   }
   uint64_t reads_through_first_rows = f.faults->total_reads() - probe_start;
 
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   FaultProgram p = FaultProgram::Permanent(PageClass::kIndex, 1.0);
   p.activate_after_reads = f.faults->total_reads() + reads_through_first_rows;
   f.faults->SetProgram(p);
 
   QueryContext ctx;
-  auto op = CompilePlan(f.db.get(), *plan, &params, &ctx);
+  auto op = CompilePlan(&f.db, *plan, &params, &ctx);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Open().ok());
   std::vector<int64_t> ages;
@@ -985,8 +959,8 @@ TEST(DegradedFallbackTest, MidFlightFaultKeepsRowsOrdered) {
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()))
       << "degraded ordered retrieval streamed misordered rows";
   EXPECT_EQ(ids, golden_ids);  // no lost rows, no duplicates
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // The fallback dedup set is real memory: it must be charged against the
@@ -996,7 +970,7 @@ TEST(DegradedFallbackTest, DeliveredSetIsChargedToRidBudget) {
   RetrievalSpec spec = f.CoveringAgeSpec();  // large covering result
 
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_TRUE(Drain(&engine, nullptr).ok());
   // A fault-free governed query still records delivered RIDs while a
@@ -1006,13 +980,13 @@ TEST(DegradedFallbackTest, DeliveredSetIsChargedToRidBudget) {
   QueryGovernanceOptions o;
   o.budgets.max_rid_list_bytes = 16 * sizeof(Rid);
   QueryContext tight(o);
-  DynamicRetrieval engine2(f.db.get(), spec);
+  DynamicRetrieval engine2(&f.db, spec);
   Status st = engine2.Open({}, &tight);
   if (st.ok()) st = Drain(&engine2, nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsBudgetExceeded()) << st;
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // A plain Tscan never falls back, so governed Tscans must not grow (or
@@ -1027,7 +1001,7 @@ TEST(DegradedFallbackTest, TscanDoesNotRecordDeliveredRids) {
   spec.projection = {0};
 
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kStaticTscan);
   std::multiset<uint64_t> rids;
@@ -1039,11 +1013,11 @@ TEST(DegradedFallbackTest, TscanDoesNotRecordDeliveredRids) {
 TEST(DegradedFallbackTest, HeapFaultStaysATypedError) {
   FaultyFamilies f;
   RetrievalSpec spec = f.RangeSpec();
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kHeap, 1.0));
 
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   Status st = engine.Open({}, &ctx);
   if (st.ok()) st = Drain(&engine, nullptr);
   f.faults->ClearProgram();
@@ -1051,43 +1025,27 @@ TEST(DegradedFallbackTest, HeapFaultStaysATypedError) {
   // No alternative strategy avoids the heap: the query fails, typed.
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsIOError()) << st;
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 TEST(DegradedFallbackTest, DisabledFallbackPropagatesTheFault) {
   FaultyFamilies f;
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
 
   QueryGovernanceOptions o;
   o.degraded_fallback = false;
   QueryContext ctx(o);
-  DynamicRetrieval engine(f.db.get(), f.RangeSpec());
+  DynamicRetrieval engine(&f.db, f.RangeSpec());
   Status st = engine.Open({}, &ctx);
   if (st.ok()) st = Drain(&engine, nullptr);
   f.faults->ClearProgram();
 
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(IsIoFault(st)) << st;
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
-}
-
-// The oracle: a naive Tscan plus filter.
-std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec) {
-  std::multiset<uint64_t> rids;
-  ParamMap params;
-  TscanStepper scan(db->pool(), spec, params);
-  for (;;) {
-    auto more = scan.Step();
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r : scan.output().sel()) {
-      rids.insert(scan.output().rid(r).ToU64());
-    }
-  }
-  return rids;
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // Opens `spec` under a governed context, delivers the first rows cleanly,
@@ -1096,9 +1054,9 @@ std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec) {
 void LoseIndexesAfterFirstRows(FaultyFamilies* f, const RetrievalSpec& spec,
                                const RetrievalOptions& opt, Tactic tactic,
                                std::string_view subject) {
-  std::multiset<uint64_t> want = NaiveRids(f->db.get(), spec);
+  std::multiset<uint64_t> want = NaiveRids(spec);
   QueryContext ctx;  // degraded fallback on by default
-  DynamicRetrieval engine(f->db.get(), spec, opt);
+  DynamicRetrieval engine(&f->db, spec, opt);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_EQ(engine.tactic(), tactic);
   std::multiset<uint64_t> got;
@@ -1109,7 +1067,7 @@ void LoseIndexesAfterFirstRows(FaultyFamilies* f, const RetrievalSpec& spec,
   for (uint32_t r = 0; r < batch.num_rows(); ++r) {
     got.insert(batch.rid(r).ToU64());
   }
-  ASSERT_TRUE(f->db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f->db.pool()->EvictAll().ok());
   f->faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
   Status st = Drain(&engine, &got);
   f->faults->ClearProgram();
@@ -1127,8 +1085,8 @@ void LoseIndexesAfterFirstRows(FaultyFamilies* f, const RetrievalSpec& spec,
     EXPECT_EQ(e.subject, "io-fault-fallback") << engine.events().ToJson();
     break;
   }
-  EXPECT_EQ(f->db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f->db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f->db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f->db.pool()->CheckInvariants().ok());
 }
 
 // A zero pacing ratio starves the Jscan after its first quantum, so the
@@ -1169,15 +1127,6 @@ TEST(DegradedFallbackTest, IndexOnlyForegroundFaultMidRace) {
                             Tactic::kIndexOnly, "Sscan(by_age_id)");
 }
 
-const ProfileSpan* FindSpan(const ProfileSpan* node, std::string_view name) {
-  if (node == nullptr) return nullptr;
-  if (node->name == name) return node;
-  for (const ProfileSpan* child : node->children) {
-    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
-  }
-  return nullptr;
-}
-
 // The fallback lets the faulted strategies go, but their spans keep what
 // they spent: the race foreground's span reports the cost the verdict
 // sampled, and the race span adds it to the Jscan's.
@@ -1188,13 +1137,13 @@ TEST(DegradedFallbackTest, FallbackKeepsTheDroppedForegroundCost) {
   spec.restriction = AgeAndIdRange();
   spec.projection = {1};
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec, ForegroundRunsTheRace());
+  DynamicRetrieval engine(&f.db, spec, ForegroundRunsTheRace());
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   RowBatch batch;
   auto first = engine.NextBatch(&batch);
   ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
   Status st = Drain(&engine, nullptr);
   f.faults->ClearProgram();
@@ -1220,13 +1169,13 @@ TEST(DegradedFallbackTest, FallbackKeepsTheDroppedSscanCost) {
   RetrievalOptions opt;
   opt.batch_size = 16;
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec, opt);
+  DynamicRetrieval engine(&f.db, spec, opt);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kStaticSscan);
   RowBatch batch;
   auto first = engine.NextBatch(&batch);
   ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
   Status st = Drain(&engine, nullptr);
   f.faults->ClearProgram();
@@ -1246,13 +1195,13 @@ TEST(DegradedFallbackTest, JscanDisqualifiesAFaultedScan) {
   spec.table = f.table;
   spec.restriction = AgeAndIdRange();
   spec.projection = {0, 1, 2};
-  std::multiset<uint64_t> want = NaiveRids(f.db.get(), spec);
+  std::multiset<uint64_t> want = NaiveRids(spec);
 
   QueryContext ctx;
-  DynamicRetrieval engine(f.db.get(), spec);
+  DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
-  ASSERT_TRUE(f.db->pool()->EvictAll().ok());
+  ASSERT_TRUE(f.db.pool()->EvictAll().ok());
   f.faults->SetProgram(FaultProgram::Permanent(PageClass::kIndex, 1.0));
   std::multiset<uint64_t> got;
   Status st = Drain(&engine, &got);
@@ -1274,8 +1223,8 @@ TEST(DegradedFallbackTest, JscanDisqualifiesAFaultedScan) {
       << engine.events().ToJson();
   EXPECT_FALSE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
                                         "io-fault-fallback"));
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
-  EXPECT_TRUE(f.db->pool()->CheckInvariants().ok());
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
+  EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,15 +1239,15 @@ TEST(PlanGovernanceTest, SortDrainHonorsBudget) {
   QueryGovernanceOptions o;
   o.budgets.max_pages_read = 2;
   QueryContext ctx(o);
-  auto op = CompilePlan(f.db.get(), *plan, &params, &ctx);
+  auto op = CompilePlan(&f.db, *plan, &params, &ctx);
   ASSERT_TRUE(op.ok()) << op.status();
   Status st = (*op)->Open();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsBudgetExceeded()) << st;
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
 
   // Ungoverned compile of the same plan still works.
-  auto clean = CompilePlan(f.db.get(), *plan, &params);
+  auto clean = CompilePlan(&f.db, *plan, &params);
   ASSERT_TRUE(clean.ok());
   ASSERT_TRUE((*clean)->Open().ok());
   std::vector<std::vector<Value>> rows;
@@ -1318,12 +1267,12 @@ TEST(PlanGovernanceTest, AggregateDrainPollsContext) {
   ParamMap params;
   QueryContext ctx;
   ctx.TripAfterPolls(1, StatusCode::kCancelled);
-  auto op = CompilePlan(f.db.get(), *plan, &params, &ctx);
+  auto op = CompilePlan(&f.db, *plan, &params, &ctx);
   ASSERT_TRUE(op.ok());
   Status st = (*op)->Open();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCancelled()) << st;
-  EXPECT_EQ(f.db->pool()->PinnedPages(), 0u);
+  EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,39 +12,11 @@
 #include "core/plan.h"
 #include "core/retrieval.h"
 #include "core/static_optimizer.h"
+#include "families.h"
 #include "workload/workload.h"
 
 namespace dynopt {
 namespace {
-
-std::multiset<uint64_t> Drain(DynamicRetrieval* engine) {
-  std::multiset<uint64_t> rids;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      rids.insert(batch.rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
-std::multiset<uint64_t> Naive(Database* db, const RetrievalSpec& spec,
-                              const ParamMap& params) {
-  std::multiset<uint64_t> rids;
-  TscanStepper scan(db->pool(), spec, params);
-  for (;;) {
-    auto more = scan.Step();
-    EXPECT_TRUE(more.ok());
-    if (!more.ok() || !*more) break;
-    for (uint32_t r : scan.output().sel()) {
-      rids.insert(scan.output().rid(r).ToU64());
-    }
-  }
-  return rids;
-}
 
 TEST(IntegrationTest, TinyBufferPoolStillCorrect) {
   // Working set far exceeds the pool: every structure faults constantly.
@@ -65,7 +37,7 @@ TEST(IntegrationTest, TinyBufferPoolStillCorrect) {
   ParamMap params;
   DynamicRetrieval engine(&db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
-  EXPECT_EQ(Drain(&engine), Naive(&db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
   EXPECT_GT(db.meter().physical_reads, 100u);  // it really did fault
 }
 
@@ -94,7 +66,7 @@ TEST(IntegrationTest, SpilledJscanListsWithBitmapFalsePositives) {
   ParamMap params;
   DynamicRetrieval engine(&db, spec, opt);
   ASSERT_TRUE(engine.Open(params).ok());
-  EXPECT_EQ(Drain(&engine), Naive(&db, spec, params));
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
 TEST(IntegrationTest, DeletedRowsSkippedByFinalStage) {
@@ -112,7 +84,7 @@ TEST(IntegrationTest, DeletedRowsSkippedByFinalStage) {
 
   DynamicRetrieval engine(&db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
-  auto before = Drain(&engine);
+  auto before = DrainRids(&engine);
   ASSERT_GT(before.size(), 10u);
 
   // Delete half of the matching rows (index entries removed with them).
@@ -124,8 +96,8 @@ TEST(IntegrationTest, DeletedRowsSkippedByFinalStage) {
     removed++;
   }
   ASSERT_TRUE(engine.Open(params).ok());
-  auto after = Drain(&engine);
-  EXPECT_EQ(after, Naive(&db, spec, params));
+  auto after = DrainRids(&engine);
+  EXPECT_EQ(after, NaiveRids(spec, params));
   EXPECT_LT(after.size(), before.size());
 }
 
@@ -157,7 +129,7 @@ TEST(IntegrationTest, CacheInterferenceRaisesAndSpreadsCost) {
   auto run_cost = [&]() {
     CostMeter before = db.meter();
     EXPECT_TRUE(engine.Open(params).ok());
-    Drain(&engine);
+    DrainRids(&engine);
     return (db.meter() - before).Cost(db.cost_weights());
   };
 
@@ -208,7 +180,7 @@ TEST(IntegrationTest, CompiledAggregatePlanOverRetrieval) {
   ASSERT_TRUE(*(*op)->NextBatch(&rows, 1));
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(static_cast<size_t>(rows[0][0].AsInt64()),
-            Naive(&db, spec, params).size());
+            NaiveRids(spec, params).size());
 }
 
 TEST(IntegrationTest, ExistsPlanStopsEarly) {
@@ -263,7 +235,7 @@ TEST(IntegrationTest, StaticAndDynamicAgreeOnResultsAcrossSweep) {
   for (int64_t a1 : {0, 37, 80, 99, 150}) {
     ParamMap params{{"A1", Value(a1)}};
     ASSERT_TRUE(dynamic.Open(params).ok());
-    auto dyn = Drain(&dynamic);
+    auto dyn = DrainRids(&dynamic);
     ASSERT_TRUE(frozen.Open(params).ok());
     std::multiset<uint64_t> sta;
     RowBatch batch;
@@ -295,12 +267,12 @@ TEST(IntegrationTest, RerunAfterIndexCreationChangesTactic) {
   DynamicRetrieval engine(&db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kStaticTscan);
-  auto without_index = Drain(&engine);
+  auto without_index = DrainRids(&engine);
 
   (*t)->CreateIndex("by_income", {"income"}).ok();
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_NE(engine.tactic(), Tactic::kStaticTscan);
-  EXPECT_EQ(Drain(&engine), without_index);
+  EXPECT_EQ(DrainRids(&engine), without_index);
 }
 
 }  // namespace

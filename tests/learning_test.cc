@@ -17,95 +17,17 @@
 #include "catalog/database.h"
 #include "core/retrieval.h"
 #include "exec/query_class.h"
+#include "families.h"
 #include "learning/selectivity_model.h"
 #include "obs/metrics.h"
-#include "util/rng.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
 namespace dynopt {
 namespace {
 
-// FAMILIES(id, age, income, city) with configurable DatabaseOptions (the
-// flip test needs custom cost weights, which the core_test fixture does not
-// expose). Same data distribution and seed as core_test's Families.
-struct LearnFamilies {
-  Database db;
-  Table* table = nullptr;
-
-  explicit LearnFamilies(int n, DatabaseOptions dbo = DatabaseOptions{
-                                    .pool_pages = 4096})
-      : db(dbo) {
-    auto t = db.CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
-  }
-
-  void Index(const std::string& name, std::vector<std::string> cols) {
-    auto idx = table->CreateIndex(name, cols);
-    ASSERT_TRUE(idx.ok()) << idx.status();
-  }
-
-  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj) {
-    RetrievalSpec s;
-    s.table = table;
-    s.restriction = std::move(pred);
-    s.projection = std::move(proj);
-    return s;
-  }
-};
-
-std::multiset<uint64_t> DrainRids(DynamicRetrieval* engine) {
-  std::multiset<uint64_t> rids;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      rids.insert(batch.rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
-std::multiset<uint64_t> NaiveRids(Database* db, const RetrievalSpec& spec,
-                                  const ParamMap& params) {
-  std::multiset<uint64_t> rids;
-  TscanStepper scan(db->pool(), spec, params);
-  for (;;) {
-    auto more = scan.Step();
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    for (uint32_t r : scan.output().sel()) {
-      rids.insert(scan.output().rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
-bool SawVerdict(const DynamicRetrieval& e, std::string_view subject) {
-  return e.events().Contains(TraceEventKind::kCompetitionVerdict, subject);
-}
-
 uint64_t CorrectionEvents(const DynamicRetrieval& e) {
   return e.events().EmittedCount(TraceEventKind::kLearnedCorrectionApplied);
-}
-
-PredicateRef AgeBetween(int64_t lo, int64_t hi) {
-  return Predicate::Between(1, Operand::Literal(Value(lo)),
-                            Operand::Literal(Value(hi)));
 }
 
 PredicateRef IncomeLt(int64_t cap) {
@@ -301,7 +223,7 @@ TEST(LearningModelTest, DashboardRowsReportPerClassState) {
 // ----------------------------------------------------------- engine loop
 
 TEST(LearningEngineTest, LearnedCorrectionReshapesEstimates) {
-  LearnFamilies f(4000);
+  Families f(4000);
   f.Index("by_age", {"age"});
   RetrievalSpec spec =
       f.Spec(Predicate::And({AgeBetween(10, 40), IncomeLt(3000)}), {0, 1, 2});
@@ -338,7 +260,7 @@ TEST(LearningEngineTest, LearnedCorrectionReshapesEstimates) {
 }
 
 TEST(LearningEngineTest, ExecutionsFeedTheModelEndToEnd) {
-  LearnFamilies f(4000);
+  Families f(4000);
   f.Index("by_age", {"age"});
   RetrievalSpec spec =
       f.Spec(Predicate::And({AgeBetween(10, 60), IncomeLt(5000)}), {0, 1, 2});
@@ -365,7 +287,7 @@ TEST(LearningEngineTest, ExecutionsFeedTheModelEndToEnd) {
 }
 
 TEST(LearningEngineTest, ControlledModeIsBitForBitInert) {
-  LearnFamilies f(2000);
+  Families f(2000);
   f.Index("by_age", {"age"});
   RetrievalSpec spec = f.Spec(AgeBetween(10, 30), {0, 1});
   DynamicRetrieval engine(&f.db, spec);
@@ -398,7 +320,7 @@ TEST(LearningFlipTest, WarmedStrategyCostFlipsCompetitionVerdict) {
   DatabaseOptions dbo;
   dbo.pool_pages = 4096;
   dbo.cost_weights.record_eval = 5.0;
-  LearnFamilies f(8000, dbo);
+  Families f(8000, dbo);
   f.Index("by_age_income", {"age", "income"});
   f.Index("by_income", {"income"});
   auto pred = Predicate::And({AgeBetween(2, 97), IncomeLt(3000)});
@@ -420,7 +342,7 @@ TEST(LearningFlipTest, WarmedStrategyCostFlipsCompetitionVerdict) {
   EXPECT_TRUE(SawVerdict(engine, "sscan-retained")) << "cold verdict";
   EXPECT_FALSE(engine.events().Contains(
       TraceEventKind::kLearnedCorrectionApplied, "competition"));
-  EXPECT_EQ(cold, NaiveRids(&f.db, spec, params));
+  EXPECT_EQ(cold, NaiveRids(spec, params));
 
   // Warm: the learned full-run cost flips the settle to the Jscan list.
   ASSERT_TRUE(engine.Open(params).ok());

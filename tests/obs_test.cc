@@ -13,12 +13,12 @@
 #include "catalog/database.h"
 #include "core/explain.h"
 #include "core/retrieval.h"
+#include "families.h"
 #include "obs/dashboard.h"
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "util/rng.h"
 
 namespace dynopt {
 namespace {
@@ -142,63 +142,6 @@ class JsonChecker {
 
 // ----------------------------------------------------------------- fixture
 
-struct Families {
-  Database db;
-  Table* table = nullptr;
-
-  explicit Families(int n = 5000, size_t pool_pages = 4096,
-                    bool observability = true)
-      : db(DatabaseOptions{.pool_pages = pool_pages,
-                           .observability = observability}) {
-    auto t = db.CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
-  }
-
-  void Index(const std::string& name, std::vector<std::string> cols) {
-    auto idx = table->CreateIndex(name, cols);
-    ASSERT_TRUE(idx.ok()) << idx.status();
-  }
-
-  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj,
-                     OptimizationGoal goal = OptimizationGoal::kTotalTime) {
-    RetrievalSpec s;
-    s.table = table;
-    s.restriction = std::move(pred);
-    s.projection = std::move(proj);
-    s.goal = goal;
-    return s;
-  }
-};
-
-size_t Drain(DynamicRetrieval* engine) {
-  size_t n = 0;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    n += batch.num_rows();
-  }
-  return n;
-}
-
-PredicateRef AgeBetween(int64_t lo, int64_t hi) {
-  return Predicate::Between(1, Operand::Literal(Value(lo)),
-                            Operand::Literal(Value(hi)));
-}
-
 // ------------------------------------------------------------- typed trace
 
 TEST(TypedTraceTest, TscanFollowsFig4Transitions) {
@@ -207,7 +150,7 @@ TEST(TypedTraceTest, TscanFollowsFig4Transitions) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kStaticTscan);  // no indexes at all
-  Drain(&engine);
+  DrainRids(&engine);
 
   const auto& ev = engine.events().events();
   ASSERT_GE(ev.size(), 4u);
@@ -228,7 +171,7 @@ TEST(TypedTraceTest, EmptyRangeShortcutEmitsShortcutEvent) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   EXPECT_EQ(engine.tactic(), Tactic::kShortcutEmpty);
-  EXPECT_EQ(Drain(&engine), 0u);
+  EXPECT_EQ(DrainRids(&engine).size(), 0u);
 
   EXPECT_TRUE(engine.events().Contains(TraceEventKind::kShortcut,
                                        "empty-range"));
@@ -247,7 +190,7 @@ TEST(TypedTraceTest, BackgroundOnlyEmitsJscanOutcomesAndStages) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
-  Drain(&engine);
+  DrainRids(&engine);
 
   auto stages = engine.events().Subjects(TraceEventKind::kStageTransition);
   ASSERT_FALSE(stages.empty());
@@ -274,7 +217,7 @@ TEST(TypedTraceTest, RaceEmitsCompetitionVerdict) {
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
-  Drain(&engine);
+  DrainRids(&engine);
 
   static const std::set<std::string> kIndexOnlyVerdicts = {
       "foreground-finished", "fgr-buffer-overflow", "jscan-won",
@@ -300,7 +243,7 @@ TEST(MetricsTest, BufferPoolAndBTreeCountersAreWired) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   EXPECT_GT(m->Value("buffer_pool.hits"), 0u);
   EXPECT_GT(m->Value("buffer_pool.misses"), 0u);
@@ -316,7 +259,7 @@ TEST(MetricsTest, StepperCountersTrackScreenedAndDelivered) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 20), {0, 1}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  size_t rows = Drain(&engine);
+  size_t rows = DrainRids(&engine).size();
   ASSERT_GT(rows, 0u);
 
   MetricsRegistry* m = f.db.metrics();
@@ -340,7 +283,8 @@ TEST(MetricsTest, HistogramBucketsValuesInclusively) {
 
 TEST(MetricsTest, DisabledObservabilityKeepsEngineWorking) {
   Families on(2000);
-  Families off(2000, 4096, /*observability=*/false);
+  Families off(2000, DatabaseOptions{.pool_pages = 4096,
+                                     .observability = false});
   on.Index("by_age", {"age"});
   off.Index("by_age", {"age"});
   EXPECT_EQ(off.db.metrics(), nullptr);
@@ -353,7 +297,7 @@ TEST(MetricsTest, DisabledObservabilityKeepsEngineWorking) {
   ASSERT_TRUE(e_off.Open(params).ok());
   // Instrumentation must not change behaviour: same tactic, same rows.
   EXPECT_EQ(e_on.tactic(), e_off.tactic());
-  EXPECT_EQ(Drain(&e_on), Drain(&e_off));
+  EXPECT_EQ(DrainRids(&e_on).size(), DrainRids(&e_off).size());
   // The typed trace still works detached — it lives on the engine.
   EXPECT_FALSE(e_off.events().events().empty());
 }
@@ -399,7 +343,7 @@ TEST(MetricsTest, CostMeterSnapshotLandsInRegistry) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(0, 99), {0}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   std::string json = f.db.ExportMetricsJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("cost.logical_reads"), std::string::npos);
@@ -460,7 +404,7 @@ TEST(JsonExportTest, TraceMetricsExplainAndFeedbackAllParse) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   std::string trace_json = engine.events().ToJson();
   EXPECT_TRUE(JsonChecker(trace_json).Valid()) << trace_json;
@@ -496,7 +440,7 @@ TEST(ExplainTest, TscanReportNamesTacticAndCost) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 20), {0, 1}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   std::string report = ExplainExecution(engine, f.db.cost_weights());
   EXPECT_NE(report.find("tactic: static-tscan"), std::string::npos);
   EXPECT_NE(report.find("decision trace:"), std::string::npos);
@@ -514,7 +458,7 @@ TEST(ExplainTest, ShortcutReportShowsShortcutLine) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(200, 300), {0}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   std::string report = ExplainExecution(engine, f.db.cost_weights());
   EXPECT_NE(report.find("tactic: shortcut-empty"), std::string::npos);
   EXPECT_NE(report.find("empty-range shortcut"), std::string::npos);
@@ -527,7 +471,7 @@ TEST(ExplainTest, CompetitionReportShowsJscanOutcomes) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   std::string report = ExplainExecution(engine, f.db.cost_weights());
   EXPECT_NE(report.find("joint scan:"), std::string::npos);
   EXPECT_NE(report.find("guaranteed best cost:"), std::string::npos);
@@ -554,7 +498,7 @@ TEST(DashboardTest, RendersCountersHistogramsAndFeedback) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   DashboardOptions opts;
   opts.title = "workload";
@@ -644,7 +588,7 @@ TEST(JsonExportTest, ExplainAnalyzeJsonParses) {
                     {1, 2}));
   ParamMap params;
   ASSERT_TRUE(engine.Open(params).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   std::string json = ExplainAnalyzeJson(engine, f.db.cost_weights());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;

@@ -18,82 +18,16 @@
 #include "core/retrieval.h"
 #include "exec/operators.h"
 #include "exec/query_class.h"
+#include "families.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/profile_store.h"
 #include "obs/telemetry.h"
-#include "util/rng.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
 namespace dynopt {
 namespace {
-
-struct Families {
-  Database db;
-  Table* table = nullptr;
-
-  explicit Families(int n = 5000, size_t pool_pages = 4096,
-                    bool observability = true)
-      : db(DatabaseOptions{.pool_pages = pool_pages,
-                           .observability = observability}) {
-    auto t = db.CreateTable(
-        "families", Schema({{"id", ValueType::kInt64},
-                            {"age", ValueType::kInt64},
-                            {"income", ValueType::kInt64},
-                            {"city", ValueType::kString}}));
-    EXPECT_TRUE(t.ok());
-    table = *t;
-    Rng rng(42);
-    for (int i = 0; i < n; ++i) {
-      int64_t age = rng.NextInt(0, 99);
-      int64_t income = rng.NextInt(0, 200000);
-      std::string city = "city" + std::to_string(rng.NextBounded(50));
-      EXPECT_TRUE(table->Insert(Record{int64_t{i}, age, income, city}).ok());
-    }
-  }
-
-  void Index(const std::string& name, std::vector<std::string> cols) {
-    auto idx = table->CreateIndex(name, cols);
-    ASSERT_TRUE(idx.ok()) << idx.status();
-  }
-
-  RetrievalSpec Spec(PredicateRef pred, std::vector<uint32_t> proj,
-                     OptimizationGoal goal = OptimizationGoal::kTotalTime) {
-    RetrievalSpec s;
-    s.table = table;
-    s.restriction = std::move(pred);
-    s.projection = std::move(proj);
-    s.goal = goal;
-    return s;
-  }
-};
-
-size_t Drain(DynamicRetrieval* engine) {
-  size_t n = 0;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    EXPECT_TRUE(more.ok()) << more.status();
-    if (!more.ok() || !*more) break;
-    n += batch.num_rows();
-  }
-  return n;
-}
-
-PredicateRef AgeBetween(int64_t lo, int64_t hi) {
-  return Predicate::Between(1, Operand::Literal(Value(lo)),
-                            Operand::Literal(Value(hi)));
-}
-
-const ProfileSpan* FindSpan(const ProfileSpan* node, std::string_view name) {
-  if (node == nullptr) return nullptr;
-  if (node->name == name) return node;
-  for (const ProfileSpan* child : node->children) {
-    if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
-  }
-  return nullptr;
-}
 
 // ----------------------------------------------------------- span profiles
 
@@ -101,7 +35,7 @@ TEST(ProfileTest, SingleTacticQueryProducesRootAndStrategySpans) {
   Families f(2000);  // no indexes: static tscan
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 20), {0, 1}));
   ASSERT_TRUE(engine.Open({}).ok());
-  size_t rows = Drain(&engine);
+  size_t rows = DrainRids(&engine).size();
   ASSERT_GT(rows, 0u);
 
   const QueryProfile& p = engine.profile();
@@ -133,7 +67,7 @@ TEST(ProfileTest, CompetitionQueryProfilesBothCompetitorsAndVerdict) {
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 40), {1, 2}));
   ASSERT_TRUE(engine.Open({}).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
-  size_t rows = Drain(&engine);
+  size_t rows = DrainRids(&engine).size();
   ASSERT_GT(rows, 0u);
 
   const ProfileSpan* root = engine.profile().root();
@@ -178,7 +112,7 @@ TEST(ProfileTest, ProfilingOffCostsNoSpansAndChangesNothing) {
   ASSERT_TRUE(e_on.Open({}).ok());
   ASSERT_TRUE(e_off.Open({}).ok());
   EXPECT_EQ(e_on.tactic(), e_off.tactic());
-  EXPECT_EQ(Drain(&e_on), Drain(&e_off));
+  EXPECT_EQ(DrainRids(&e_on).size(), DrainRids(&e_off).size());
 
   EXPECT_TRUE(e_on.profile().active());
   EXPECT_FALSE(e_off.profile().active());
@@ -195,14 +129,14 @@ TEST(ProfileTest, ReopenResetsTheProfile) {
   f.Index("by_age", {"age"});
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}));
   ASSERT_TRUE(engine.Open({}).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   double first_elapsed = engine.profile().root()->elapsed_micros;
   EXPECT_GT(first_elapsed, 0.0);
 
   ASSERT_TRUE(engine.Open({}).ok());
   // Fresh profile: no rows delivered yet, elapsed restarts.
   EXPECT_EQ(engine.profile().root()->actual_rows, 0u);
-  size_t rows = Drain(&engine);
+  size_t rows = DrainRids(&engine).size();
   EXPECT_EQ(engine.profile().root()->actual_rows, rows);
 }
 
@@ -214,7 +148,7 @@ TEST(ExplainAnalyzeTest, ReportShowsTimingsEstimatesAndCompetition) {
   f.Index("by_age_income", {"age", "income"});
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 40), {1, 2}));
   ASSERT_TRUE(engine.Open({}).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   std::string report = ExplainAnalyze(engine, f.db.cost_weights());
   EXPECT_NE(report.find("profile:"), std::string::npos);
@@ -353,7 +287,7 @@ TEST(ProfileStoreTest, EngineDepositsSamplesUnderItsClass) {
   ParamMap p1{{"lo", Value(int64_t{10})}, {"hi", Value(int64_t{20})}};
   ParamMap p2{{"lo", Value(int64_t{12})}, {"hi", Value(int64_t{22})}};
   ASSERT_TRUE(engine.Open(p1).ok());
-  size_t rows1 = Drain(&engine);
+  size_t rows1 = DrainRids(&engine).size();
   // One sample per completed execution; a NextBatch past the end adds none.
   RowBatch batch;
   auto more = engine.NextBatch(&batch);
@@ -367,7 +301,7 @@ TEST(ProfileStoreTest, EngineDepositsSamplesUnderItsClass) {
   EXPECT_GT(first->total_cost, 0.0);
   // A fresh Open deposits one more.
   ASSERT_TRUE(engine.Open(p2).ok());
-  size_t rows2 = Drain(&engine);
+  size_t rows2 = DrainRids(&engine).size();
 
   // Same magnitude buckets: both executions fold into one class.
   ASSERT_EQ(store->size(), 1u);
@@ -383,6 +317,22 @@ TEST(ProfileStoreTest, EngineDepositsSamplesUnderItsClass) {
   EXPECT_EQ(agg->plan_counts.begin()->first, TacticName(engine.tactic()));
   EXPECT_EQ(agg->plan_counts.begin()->second, 2u);
   EXPECT_GE(agg->LatencyPercentile(0.99), agg->LatencyPercentile(0.50));
+}
+
+// An unrestricted retrieval is a class of its own, keyed by TRUE's shape.
+TEST(ProfileStoreTest, UnrestrictedRetrievalDepositsUnderItsClass) {
+  Families f(2000);
+  ProfileStore* store = f.db.profiles();
+  ASSERT_NE(store, nullptr);
+  RetrievalSpec spec = f.Spec(nullptr, {0, 2});
+  DynamicRetrieval engine(&f.db, spec);
+  ASSERT_TRUE(engine.Open({}).ok());
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec));
+  ASSERT_FALSE(engine.query_class().empty());
+  auto agg = store->Find(engine.query_class());
+  ASSERT_TRUE(agg.has_value());
+  EXPECT_EQ(agg->executions, 1u);
+  EXPECT_EQ(agg->total_rows, 2000.0);
 }
 
 TEST(ProfileStoreTest, SerializeLoadRoundTripIsByteIdentical) {
@@ -441,7 +391,7 @@ TEST(ProfileStoreTest, ProfilesSurviveDatabaseCloseOpen) {
     for (int64_t lo : {10, 30, 50}) {
       ParamMap p{{"lo", Value(lo)}, {"hi", Value(lo + 10)}};
       ASSERT_TRUE(engine.Open(p).ok());
-      Drain(&engine);
+      DrainRids(&engine);
     }
     cls = engine.query_class();
     // lo=10/30/50 land in distinct magnitude buckets: three classes.
@@ -472,7 +422,7 @@ TEST(ProfileStoreTest, ProfilesSurviveDatabaseCloseOpen) {
   DynamicRetrieval engine(db->get(), spec);
   ParamMap p{{"lo", Value(int64_t{10})}, {"hi", Value(int64_t{20})}};
   ASSERT_TRUE(engine.Open(p).ok());
-  Drain(&engine);
+  DrainRids(&engine);
   // Before the rerun every class held exactly one execution; the rerun's
   // class (lo=10) now holds two.
   auto after = (*db)->profiles()->Find(engine.query_class());
@@ -490,7 +440,7 @@ TEST(ProfileTest, TraceRingDropsAreCountedIntoProfileAndMetrics) {
   opts.trace_capacity = 4;  // force evictions on any real execution
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}), opts);
   ASSERT_TRUE(engine.Open({}).ok());
-  Drain(&engine);
+  DrainRids(&engine);
 
   EXPECT_LE(engine.events().events().size(), 4u);
   EXPECT_GT(engine.events().dropped(), 0u);

@@ -9,6 +9,7 @@
 #include "core/access_path.h"
 #include "core/explain.h"
 #include "core/retrieval.h"
+#include "families.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -137,27 +138,7 @@ TEST(ScreeningTest, EngineResultsUnchangedByScreening) {
 
   DynamicRetrieval engine(&f.db, spec);
   ASSERT_TRUE(engine.Open(params).ok());
-  std::multiset<uint64_t> got;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine.NextBatch(&batch);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      got.insert(batch.rid(r).ToU64());
-    }
-  }
-  std::multiset<uint64_t> want;
-  TscanStepper naive(f.db.pool(), spec, params);
-  for (;;) {
-    auto more = naive.Step();
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    for (uint32_t r : naive.output().sel()) {
-      want.insert(naive.output().rid(r).ToU64());
-    }
-  }
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
 // ------------------------------------------------- sampling refinement

@@ -11,6 +11,7 @@
 
 #include "catalog/database.h"
 #include "core/retrieval.h"
+#include "integrity/check.h"
 #include "util/rng.h"
 
 namespace dynopt {
@@ -125,7 +126,7 @@ TEST_P(SessionSimTest, MixedDmlAndQueriesStayConsistent) {
   }
   // Structural soundness after the whole session.
   for (const auto& index : table->indexes()) {
-    EXPECT_TRUE(index->tree()->ValidateInvariants().ok());
+    EXPECT_TRUE(CheckTree(db.pool(), *index->tree()).clean());
     EXPECT_EQ(index->tree()->entry_count(), oracle.size());
   }
   EXPECT_EQ(table->record_count(), oracle.size());
