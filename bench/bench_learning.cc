@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -191,33 +192,38 @@ bool Run(int* exit_code) {
   DynamicRetrieval flip_engine(&flip_db, flip_spec, flip_opt);
   flip_db.learning()->set_mode(LearningMode::kLearn);
 
-  auto verdict_of = [](const DynamicRetrieval& e) -> std::string {
-    for (const char* v : {"jscan-won", "sscan-retained",
-                          "jscan-recommends-tscan"}) {
-      if (e.events().Contains(TraceEventKind::kCompetitionVerdict, v)) {
+  auto verdict_of = [](const DynamicRetrieval& e) -> std::optional<Verdict> {
+    for (Verdict v : {Verdict::kJscanWon, Verdict::kSscanRetained,
+                      Verdict::kJscanRecommendsTscan}) {
+      if (e.events().Contains(TraceEventKind::kCompetitionVerdict,
+                              VerdictName(v))) {
         return v;
       }
     }
-    return "none";
+    return std::nullopt;
+  };
+  auto name_of = [](std::optional<Verdict> v) {
+    return std::string(v.has_value() ? VerdictName(*v) : "none");
   };
 
   bool ok = true;
   if (!flip_engine.Open({}).ok()) return false;
   auto flip_cold = Drain(&flip_engine, &ok);
-  std::string cold_verdict = verdict_of(flip_engine);
+  std::optional<Verdict> cold_verdict = verdict_of(flip_engine);
   if (!flip_engine.Open({}).ok()) return false;
   auto flip_warm = Drain(&flip_engine, &ok);
-  std::string warm_verdict = verdict_of(flip_engine);
+  std::optional<Verdict> warm_verdict = verdict_of(flip_engine);
   if (!ok) {
     std::printf("flip drains failed\n");
     return false;
   }
-  int flips = (cold_verdict == "sscan-retained" &&
-               warm_verdict == "jscan-won" && flip_cold == flip_warm)
+  int flips = (cold_verdict == Verdict::kSscanRetained &&
+               warm_verdict == Verdict::kJscanWon && flip_cold == flip_warm)
                   ? 1
                   : 0;
   std::printf("flip: cold verdict %-16s warm verdict %-16s rows %zu\n",
-              cold_verdict.c_str(), warm_verdict.c_str(), flip_warm.size());
+              name_of(cold_verdict).c_str(), name_of(warm_verdict).c_str(),
+              flip_warm.size());
   uint64_t overrides =
       flip_db.metrics() != nullptr
           ? flip_db.metrics()->Value("learning.competition_overrides")
@@ -229,7 +235,7 @@ bool Run(int* exit_code) {
   report.Add("learning.overrides", static_cast<double>(overrides));
   if (flips < 1) {
     std::printf("FLIP GATE FAILED: cold=%s warm=%s equal_results=%d\n",
-                cold_verdict.c_str(), warm_verdict.c_str(),
+                name_of(cold_verdict).c_str(), name_of(warm_verdict).c_str(),
                 flip_cold == flip_warm ? 1 : 0);
     *exit_code = 1;
   }

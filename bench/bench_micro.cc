@@ -93,9 +93,9 @@ void BM_BTreePointLookup(benchmark::State& state) {
     EncodeInt64(env.rng.NextInt(0, state.range(0) - 1), &key);
     auto cursor = env.tree->NewCursor();
     cursor.Seek(key).ok();
-    std::string k;
-    Rid rid;
-    benchmark::DoNotOptimize(cursor.Next(&k, &rid));
+    RidBatch entry;
+    bool bound_hit = false;
+    benchmark::DoNotOptimize(cursor.NextBatch("", 1, &entry, &bound_hit));
   }
 }
 BENCHMARK(BM_BTreePointLookup)->Arg(10000)->Arg(100000);
@@ -107,12 +107,9 @@ void BM_BTreeRangeScan1000(benchmark::State& state) {
     EncodeInt64(env.rng.NextInt(0, 99000), &key);
     auto cursor = env.tree->NewCursor();
     cursor.Seek(key).ok();
-    std::string k;
-    Rid rid;
-    for (int i = 0; i < 1000; ++i) {
-      auto more = cursor.Next(&k, &rid);
-      if (!more.ok() || !*more) break;
-    }
+    RidBatch entries;
+    bool bound_hit = false;
+    benchmark::DoNotOptimize(cursor.NextBatch("", 1000, &entries, &bound_hit));
   }
 }
 BENCHMARK(BM_BTreeRangeScan1000);

@@ -240,20 +240,27 @@ Status Database::Commit() {
   return Status::OK();
 }
 
-Status Database::Checkpoint() {
+Status Database::Checkpoint() { return CheckpointFile().status(); }
+
+Result<bool> Database::CheckpointFile() {
   if (read_only_) {
     return Status::NotSupported("read-only database: Checkpoint refused");
   }
-  if (wal_ == nullptr) return Status::OK();
+  if (wal_ == nullptr) return true;
   DYNOPT_RETURN_IF_ERROR(Commit());
-  DYNOPT_RETURN_IF_ERROR(pool_.FlushAll());
+  DYNOPT_ASSIGN_OR_RETURN(size_t pinned, pool_.FlushAll());
   DYNOPT_RETURN_IF_ERROR(file_store_->Sync());
   DYNOPT_RETURN_IF_ERROR(
       CrashHit(options_.crash, CrashPoint::kCheckpointBeforeSuperblock));
   DYNOPT_RETURN_IF_ERROR(file_store_->WriteSuperblock());
   DYNOPT_RETURN_IF_ERROR(
       CrashHit(options_.crash, CrashPoint::kCheckpointAfterSuperblock));
-  return wal_->Reset();
+  // A reader's pin kept a committed page out of the file, and the log
+  // holds its newest image: keep the log (recovery replays all of it)
+  // until a later checkpoint can write the page back.
+  if (pinned > 0) return false;
+  DYNOPT_RETURN_IF_ERROR(wal_->Reset());
+  return true;
 }
 
 Status Database::Close() {
@@ -265,7 +272,12 @@ Status Database::ArchiveBaseImage() {
   if (wal_ == nullptr || archive_ == nullptr) {
     return Status::NotSupported("ArchiveBaseImage needs an attached archive");
   }
-  DYNOPT_RETURN_IF_ERROR(Checkpoint());
+  DYNOPT_ASSIGN_OR_RETURN(bool complete, CheckpointFile());
+  if (!complete) {
+    return Status::NotSupported(
+        "ArchiveBaseImage refused: an open cursor pins a committed page the "
+        "checkpoint could not write back");
+  }
   // Checkpoint quiesced the file (pool flushed, store synced, superblock
   // bumped), so the on-disk bytes are exactly the durable-LSN state.
   return archive_->WriteBaseImage(wal_->durable_lsn(), options_.path);

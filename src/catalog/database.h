@@ -157,6 +157,10 @@ class Database {
 
   /// Commit, then migrate data to the database file: flush the pool, sync,
   /// bump the superblock, and reset the WAL to empty. Bounds recovery work.
+  /// A committed page that an open cursor pins (a LIMIT or EXISTS plan
+  /// holds one until its next Open) cannot be written back; then the WAL,
+  /// which holds its newest image, is kept for recovery to replay, and a
+  /// later checkpoint resets it.
   Status Checkpoint();
 
   /// Checkpoint; call before destruction for a clean shutdown. (Skipping
@@ -186,7 +190,8 @@ class Database {
 
   /// Checkpoints, then copies the quiesced database file into the archive
   /// as the base image for the current durable LSN — the restore anchor
-  /// for point-in-time recovery. Requires an attached archive.
+  /// for point-in-time recovery. Requires an attached archive; refused
+  /// (NotSupported) while a pinned committed page kept the file behind.
   Status ArchiveBaseImage();
   CrashController* crash() { return options_.crash; }
   /// Allocated-page watermark of the underlying store (both modes).
@@ -239,6 +244,9 @@ class Database {
   Status WriteCatalog();
   /// Reads and parses the chain, reconstructing tables_.
   Status LoadCatalog();
+  /// Checkpoint's work. False when a pinned committed page kept the WAL:
+  /// the file then lacks that page's newest image.
+  Result<bool> CheckpointFile();
   /// Durable databases only: builds the WAL-backed repairer and points the
   /// pool's corrupt-read path at it.
   void AttachRepairer();

@@ -125,11 +125,4 @@ double TwoStageCompetition::SimulateDynamic(double theta, Rng& rng,
   return total / trials;
 }
 
-double CompetitionSample::loser_cost() const {
-  if (winner == "fscan+filter") return 0;
-  if (winner == "tscan") return foreground_cost + background_cost;
-  if (winner == "jscan") return foreground_cost;
-  return background_cost;
-}
-
 }  // namespace dynopt

@@ -26,32 +26,10 @@
 #ifndef DYNOPT_COMPETITION_COMPETITION_H_
 #define DYNOPT_COMPETITION_COMPETITION_H_
 
-#include <string>
-
 #include "competition/cost_dist.h"
 #include "util/rng.h"
 
 namespace dynopt {
-
-/// The observed outcome of one run-time competition — what the engine
-/// actually did with the §3 arrangement, recorded into the query profile.
-/// `foreground_cost`/`background_cost` are the accrued cost-model units
-/// each competitor had consumed when the race settled (the last verdict's
-/// snapshot); `guaranteed_best` is the fallback bound the background scan
-/// competed against.
-struct CompetitionSample {
-  std::string verdict;  // last settle verdict slug ("jscan-won", ...)
-  std::string winner;   // strategy that ended up delivering
-  double foreground_cost = 0;
-  double background_cost = 0;
-  double guaranteed_best = 0;
-  int disqualifications = 0;  // strategies lost to I/O faults
-
-  /// Cost sunk into the abandoned competitor — the run-time price of
-  /// racing, the empirical counterpart of §3's (1-P)·c2 term. A filter
-  /// install counts as zero: the background work was converted, not lost.
-  double loser_cost() const;
-};
 
 struct CompetitionPolicy {
   double alpha = 1.0;    // fraction of effort given to A2 during the race

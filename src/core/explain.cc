@@ -142,12 +142,15 @@ std::string ExplainAnalyze(DynamicRetrieval& engine,
   }
   if (const CompetitionSample* s = engine.competition_sample();
       s != nullptr) {
-    os << "competition: winner=" << s->winner << " verdict=" << s->verdict
+    os << "competition: winner=" << s->winner()
+       << " verdict=" << VerdictName(s->verdict)
        << " fg_cost=" << s->foreground_cost
        << " bg_cost=" << s->background_cost
        << " guaranteed_best=" << s->guaranteed_best
        << " loser_cost=" << s->loser_cost()
-       << " disqualifications=" << s->disqualifications << "\n";
+       << " disqualifications="
+       << engine.events().EmittedCount(TraceEventKind::kStrategyDisqualified)
+       << "\n";
   }
   if (!engine.query_class().empty()) {
     os << "query class: " << engine.query_class() << "\n";
@@ -168,13 +171,14 @@ std::string ExplainAnalyzeJson(DynamicRetrieval& engine,
   if (const CompetitionSample* s = engine.competition_sample();
       s != nullptr) {
     w.Key("competition").BeginObject();
-    w.KV("verdict", s->verdict);
-    w.KV("winner", s->winner);
+    w.KV("verdict", VerdictName(s->verdict));
+    w.KV("winner", s->winner());
     w.KV("foreground_cost", s->foreground_cost);
     w.KV("background_cost", s->background_cost);
     w.KV("guaranteed_best", s->guaranteed_best);
     w.KV("loser_cost", s->loser_cost());
-    w.KV("disqualifications", static_cast<uint64_t>(s->disqualifications));
+    w.KV("disqualifications", engine.events().EmittedCount(
+                                  TraceEventKind::kStrategyDisqualified));
     w.EndObject();
   }
   w.KV("query_class", engine.query_class());

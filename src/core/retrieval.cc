@@ -1,6 +1,7 @@
 #include "core/retrieval.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -33,6 +34,56 @@ std::string_view TacticName(Tactic t) {
   return "?";
 }
 
+std::string_view VerdictName(Verdict v) {
+  static constexpr std::string_view kNames[] = {
+      "brownout-pinned",     "no-background",
+      "io-fault-fallback",   "foreground-finished",
+      "fgr-buffer-overflow", "fgr-cost-limit",
+      "jscan-complete",      "jscan-recommends-tscan",
+      "filter-installed",    "no-filter",
+      "jscan-won",           "sscan-retained"};
+  size_t i = static_cast<size_t>(v);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
+
+std::string_view VerdictWinner(Verdict v, Tactic t) {
+  switch (v) {
+    case Verdict::kBrownoutPinned:
+      // The pin rewrote the tactic; Sorted pins to its ordered Fscan.
+      if (t == Tactic::kStaticSscan) return "sscan";
+      return t == Tactic::kStaticTscan ? "tscan" : "fscan";
+    case Verdict::kNoBackground:
+    case Verdict::kNoFilter:
+      return "fscan";
+    case Verdict::kIoFaultFallback:
+      return "tscan";
+    case Verdict::kForegroundFinished:
+      return t == Tactic::kSorted ? "fscan" : "sscan";
+    case Verdict::kJscanRecommendsTscan:
+    case Verdict::kFgrBufferOverflow:
+      // The Index-Only Sscan, the safer strategy, delivers on.
+      if (t == Tactic::kIndexOnly) return "sscan";
+      return v == Verdict::kFgrBufferOverflow ? "jscan" : "tscan";
+    case Verdict::kFgrCostLimit:
+    case Verdict::kJscanComplete:
+    case Verdict::kJscanWon:
+      return "jscan";
+    case Verdict::kFilterInstalled:
+      return "fscan+filter";
+    case Verdict::kSscanRetained:
+      return "sscan";
+  }
+  return "?";
+}
+
+double CompetitionSample::loser_cost() const {
+  std::string_view w = winner();
+  if (w == "fscan+filter") return 0;
+  if (w == "tscan") return foreground_cost + background_cost;
+  if (w == "jscan") return foreground_cost;
+  return background_cost;
+}
+
 namespace {
 
 std::string_view ModeName(uint8_t mode) {
@@ -55,10 +106,9 @@ DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
   class_prefix_ = QueryClassPrefix(spec_);
   profile_store_ = db_->profiles();
   learning_ = db_->learning();
-  events_.set_capacity(options_.trace_capacity);
+  events_.set_capacity(0);  // an execution emits a bounded number of events
   if (db_->metrics() != nullptr) {
     m_fallbacks_ = db_->metrics()->counter("governance.strategy_fallbacks");
-    events_.set_dropped_counter(db_->metrics()->counter("obs.trace_dropped"));
     m_repairs_ = db_->metrics()->counter("integrity.repairs");
     m_pin_repairs_ = db_->metrics()->counter("integrity.pin_repairs");
   }
@@ -94,24 +144,19 @@ void DynamicRetrieval::EnterMode(Mode mode) {
                std::string(ModeName(static_cast<uint8_t>(mode))));
 }
 
-void DynamicRetrieval::Verdict(std::string_view subject,
-                               std::string_view winner,
-                               std::string_view detail, double a, double b) {
-  events_.Emit(TraceEventKind::kCompetitionVerdict, std::string(subject),
-               std::string(detail), a, b);
+void DynamicRetrieval::Decide(Verdict verdict, std::string_view detail,
+                              double a, double b) {
+  events_.Emit(TraceEventKind::kCompetitionVerdict,
+               std::string(VerdictName(verdict)), std::string(detail), a, b);
   // A verdict under a live competition span is the race settling: snapshot
   // what each competitor had spent at that moment. Later verdicts (e.g. a
   // fallback after the settle) overwrite — the sample reflects the last
-  // word. Steppers are still alive here; verdicts fire before moves.
+  // word. Steppers are still alive here, the race's Jscan included;
+  // verdicts fire before moves.
   if (options_.profile && span_competition_ != nullptr) {
-    have_sample_ = true;
-    sample_.verdict = std::string(subject);
-    sample_.winner = std::string(winner);
-    sample_.foreground_cost = ForegroundCost();
-    if (jscan_ != nullptr) {
-      sample_.background_cost = jscan_->AccruedCost(db_->cost_weights());
-      sample_.guaranteed_best = jscan_->guaranteed_best_cost();
-    }
+    sample_ = CompetitionSample{tactic_, verdict, ForegroundCost(),
+                                jscan_->AccruedCost(db_->cost_weights()),
+                                jscan_->guaranteed_best_cost()};
   }
 }
 
@@ -142,7 +187,6 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   class_key_ = class_prefix_ + QueryClassParamSuffix(params_);
   ctx_ = ctx;
   fallback_armed_ = ctx != nullptr && ctx->degraded_fallback_enabled();
-  degraded_ = false;
   single_is_tscan_ = false;
   brownout_plain_fscan_ = false;
   if (options_.profile) {
@@ -154,8 +198,7 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   profile_finished_ = false;
   span_single_ = span_fg_ = span_bg_ = nullptr;
   span_competition_ = span_rows_ = charged_span_ = nullptr;
-  have_sample_ = false;
-  sample_ = CompetitionSample();
+  sample_.reset();
   repairs_at_open_ = RepairsNow();
 
   // Each execution's completed index order seeds the next one's
@@ -263,7 +306,6 @@ void DynamicRetrieval::ComputePredictions() {
 
   if (profile_.active()) {
     ProfileSpan* root = profile_.root();
-    root->detail = std::string(TacticName(tactic_));
     root->estimated_rows = predicted_rows_;
     root->estimated_cost = predicted_cost_;
   }
@@ -364,7 +406,7 @@ void DynamicRetrieval::MaybePinBrownoutStrategy() {
       // foreground itself: drop the background candidates and run the
       // degenerate plain-Fscan arm of the Sorted tactic.
       brownout_plain_fscan_ = true;
-      Verdict("brownout-pinned", "fscan", "fscan");
+      Decide(Verdict::kBrownoutPinned, "fscan");
       return;
     case Tactic::kFastFirst:
     case Tactic::kBackgroundOnly:
@@ -390,12 +432,12 @@ void DynamicRetrieval::MaybePinBrownoutStrategy() {
   if (sscan.has_value() &&
       (!tscan.has_value() || sscan->mean_cost <= tscan->mean_cost)) {
     tactic_ = Tactic::kStaticSscan;
-    Verdict("brownout-pinned", "sscan", "sscan", sscan->mean_cost,
-            static_cast<double>(sscan->samples));
+    Decide(Verdict::kBrownoutPinned, "sscan", sscan->mean_cost,
+           static_cast<double>(sscan->samples));
   } else {
     tactic_ = Tactic::kStaticTscan;
-    Verdict("brownout-pinned", "tscan", "tscan", tscan->mean_cost,
-            static_cast<double>(tscan->samples));
+    Decide(Verdict::kBrownoutPinned, "tscan", tscan->mean_cost,
+           static_cast<double>(tscan->samples));
   }
 }
 
@@ -452,26 +494,18 @@ Status DynamicRetrieval::SetUpTactic() {
 
     case Tactic::kShortcutTiny: {
       const IndexClassification& c = analysis_.indexes[analysis_.tiny_index];
-      std::vector<Rid> rids;
-      Status scanned;
+      RidBatch entries;
+      entries.Clear(/*collect_keys=*/false);
+      MultiRangeCursor cursor(c.index->tree(), &c.ranges);
+      Result<bool> more = true;
       uint64_t pages = meter_.logical_reads;
-      {
-        MultiRangeCursor cursor(c.index->tree(), &c.ranges);
-        std::string key;
-        Rid rid;
-        for (;;) {
-          auto more = cursor.Next(&key, &rid);
-          if (!more.ok()) {
-            scanned = more.status();
-            break;
-          }
-          if (!*more) break;
-          rids.push_back(rid);
-        }
+      // One call: the exact estimate counted the range's entries.
+      while (more.ok() && *more) {
+        more = cursor.NextBatch(entries.size() + c.estimate.k + 1, &entries);
       }
       ChargePagesReadSince(pages);
-      DYNOPT_RETURN_IF_ERROR(scanned);
-      return BeginFinalStage(std::move(rids));
+      DYNOPT_RETURN_IF_ERROR(more.status());
+      return BeginFinalStage({entries.rids().begin(), entries.rids().end()});
     }
 
     case Tactic::kStaticTscan:
@@ -513,7 +547,7 @@ Status DynamicRetrieval::SetUpTactic() {
       auto rest = jscan_candidates(analysis_.order_needed);
       if (brownout_plain_fscan_) rest.clear();
       if (rest.empty()) {
-        Verdict("no-background", "fscan", "plain fscan");
+        Decide(Verdict::kNoBackground, "plain fscan");
         StartSingle(Own(std::move(fscan)),
                     strategy_span(profile_.root(), "fscan", predicted_cost_));
         return Status::OK();
@@ -592,7 +626,7 @@ Status DynamicRetrieval::FallBackToTscan(std::string subject,
   if (!CanDegrade(cause)) return cause;
   events_.Emit(TraceEventKind::kStrategyDisqualified, subject,
                "io_fault: " + std::string(cause.message()));
-  Verdict("io-fault-fallback", "tscan", subject);
+  Decide(Verdict::kIoFaultFallback, subject);
   Bump(m_fallbacks_);
   // Every strategy goes but the last-resort Tscan: their spans keep the
   // costs they accrued.
@@ -600,8 +634,7 @@ Status DynamicRetrieval::FallBackToTscan(std::string subject,
   jscan_.reset();
   fgr_ = nullptr;
   delivers_order_ = false;
-  degraded_ = true;
-  StartTscan("io-fault-fallback");
+  StartTscan();
   return Status::OK();
 }
 
@@ -614,13 +647,10 @@ void DynamicRetrieval::StartSingle(ScanStepper* stepper, ProfileSpan* span,
   EnterMode(mode);
 }
 
-void DynamicRetrieval::StartTscan(std::string_view detail) {
+void DynamicRetrieval::StartTscan() {
   single_is_tscan_ = true;
-  ProfileSpan* span =
-      profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan");
-  if (span != nullptr) span->detail = std::string(detail);
   StartSingle(Own(std::make_unique<TscanStepper>(db_->pool(), spec_, params_)),
-              span);
+              profile_.AddSpan(profile_.root(), SpanKind::kStrategy, "tscan"));
 }
 
 void DynamicRetrieval::RememberDelivered(Rid rid) {
@@ -728,8 +758,8 @@ Status DynamicRetrieval::StepForeground() {
   auto stepped = fgr_->Step(options_.batch_size);
   if (!stepped.ok()) return StrategyFailed(*fgr_, stepped.status());
   if (!*stepped) {
-    std::string_view fg = tactic_ == Tactic::kSorted ? "fscan" : "sscan";
-    Verdict("foreground-finished", fg, fg);
+    Decide(Verdict::kForegroundFinished,
+           VerdictWinner(Verdict::kForegroundFinished, tactic_));
     EnterMode(Mode::kDone);
     return Status::OK();
   }
@@ -750,21 +780,21 @@ Status DynamicRetrieval::StepForeground() {
   switch (tactic_) {
     case Tactic::kFastFirst:
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
-        Verdict("fgr-buffer-overflow", "jscan", "background-only",
-                static_cast<double>(delivered_.size()));
+        Decide(Verdict::kFgrBufferOverflow, "background-only",
+               static_cast<double>(delivered_.size()));
         EnterMode(Mode::kBackground);
       } else if (fgr_->AccruedCost(w) > options_.fgr_cost_limit_fraction *
                                             jscan_->guaranteed_best_cost()) {
-        Verdict("fgr-cost-limit", "jscan", "background-only",
-                fgr_->AccruedCost(w), jscan_->guaranteed_best_cost());
+        Decide(Verdict::kFgrCostLimit, "background-only", fgr_->AccruedCost(w),
+               jscan_->guaranteed_best_cost());
         EnterMode(Mode::kBackground);
       }
       return Status::OK();
     case Tactic::kIndexOnly:
       if (delivered_.size() >= options_.fgr_buffer_capacity) {
         // The safer strategy survives the buffer overflow (§7).
-        Verdict("fgr-buffer-overflow", "sscan", "sscan-retained",
-                static_cast<double>(delivered_.size()));
+        Decide(Verdict::kFgrBufferOverflow, "sscan-retained",
+               static_cast<double>(delivered_.size()));
         track_delivered_ = false;
         if (!fallback_armed_) delivered_.clear();
         StartSingle(std::exchange(fgr_, nullptr), span_fg_);
@@ -792,27 +822,25 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         auto rids = jscan_->final_list()->ToSortedVector();
         ChargePagesReadSince(pages);
         if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
-        Verdict("jscan-complete", "jscan", race ? "during race" : "",
-                static_cast<double>(rids->size()),
-                race ? static_cast<double>(delivered_.size()) : 0);
+        Decide(Verdict::kJscanComplete, race ? "during race" : "",
+               static_cast<double>(rids->size()),
+               race ? static_cast<double>(delivered_.size()) : 0);
         return BeginFinalStage(std::move(*rids));
       }
-      Verdict("jscan-recommends-tscan", "tscan",
-              race ? "foreground switches" : "");
-      StartTscan("jscan-recommends-tscan");  // delivered_ filters duplicates
+      Decide(Verdict::kJscanRecommendsTscan, race ? "foreground switches" : "");
+      StartTscan();  // delivered_ filters duplicates
       return Status::OK();
     }
 
     case Tactic::kSorted:
       if (complete) {
-        Verdict("filter-installed", "fscan+filter", "",
-                static_cast<double>(jscan_->final_list()->size()));
+        Decide(Verdict::kFilterInstalled, "",
+               static_cast<double>(jscan_->final_list()->size()));
         // The Sorted tactic's foreground is an Fscan.
         static_cast<FscanStepper*>(fgr_)->SetPreFetchFilter(
             jscan_->final_list());
-        if (span_fg_ != nullptr) span_fg_->detail = "filter-installed";
       } else {
-        Verdict("no-filter", "fscan");
+        Decide(Verdict::kNoFilter);
       }
       // The winning foreground stepper carries on as the lone strategy;
       // its span keeps accruing under the kSingle quantum timer.
@@ -870,13 +898,12 @@ Status DynamicRetrieval::OnBackgroundSettled() {
           ChargePagesReadSince(pages);
           if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
           // The abandoned Sscan stays fgr_, so its span reports its cost.
-          Verdict("jscan-won", "jscan", "sscan abandoned", fin_cost, ss_used);
+          Decide(Verdict::kJscanWon, "sscan abandoned", fin_cost, ss_used);
           return BeginFinalStage(std::move(*rids));
         }
-        Verdict("sscan-retained", "sscan", "list too costly", fin_cost,
-                ss_used);
+        Decide(Verdict::kSscanRetained, "list too costly", fin_cost, ss_used);
       } else {
-        Verdict("jscan-recommends-tscan", "sscan", "sscan continues");
+        Decide(Verdict::kJscanRecommendsTscan, "sscan continues");
       }
       track_delivered_ = false;
       if (!fallback_armed_) delivered_.clear();
@@ -930,33 +957,7 @@ void DynamicRetrieval::FinalizeProfile() {
   root->actual_cost = CostSinceOpen().Cost(w);
 
   StampSpanCosts();
-  if (span_bg_ != nullptr) {
-    // Per-index children: the Jscan's own account of each index it
-    // scanned, discarded, or skipped, paired with the estimate that put
-    // the index into the preorder.
-    if (jscan_ != nullptr) {
-      for (const Jscan::IndexOutcome& o : jscan_->outcomes()) {
-        ProfileSpan* child =
-            profile_.AddSpan(span_bg_, SpanKind::kStrategy, o.index_name);
-        child->detail = std::string(Jscan::OutcomeKindName(o.kind));
-        child->actual_rows = o.kept;
-        child->work_units = o.entries_scanned;
-        for (const IndexClassification& c : analysis_.indexes) {
-          if (c.index != nullptr && c.index->name() == o.index_name) {
-            if (c.estimated) {
-              child->estimated_rows = c.estimate.estimated_rids;
-            }
-            break;
-          }
-        }
-      }
-    }
-  }
   if (span_competition_ != nullptr) {
-    if (have_sample_) {
-      span_competition_->detail =
-          "winner=" + sample_.winner + " verdict=" + sample_.verdict;
-    }
     // A span's elapsed time is inclusive of its children; the competition
     // span itself only timed the settle quantum until now.
     double fg_e = span_fg_ != nullptr ? span_fg_->elapsed_micros : 0;
@@ -966,8 +967,6 @@ void DynamicRetrieval::FinalizeProfile() {
     double bg_c = span_bg_ != nullptr ? span_bg_->actual_cost : 0;
     span_competition_->actual_cost = fg_c + bg_c;
   }
-  sample_.disqualifications = static_cast<int>(
-      events_.EmittedCount(TraceEventKind::kStrategyDisqualified));
 
   ProfileConsumption c;
   if (ctx_ != nullptr) {
@@ -977,11 +976,7 @@ void DynamicRetrieval::FinalizeProfile() {
     c.spill_bytes = ctx_->spill_bytes();
     c.polls = ctx_->polls();
   }
-  c.degraded = degraded();
-  c.disqualifications =
-      events_.EmittedCount(TraceEventKind::kStrategyDisqualified);
   c.pages_repaired = RepairsNow() - repairs_at_open_;
-  c.trace_dropped = events_.dropped();
   profile_.set_consumption(c);
 }
 

@@ -29,7 +29,9 @@
 // charges the quantum's page reads as it ends. Every
 // decision the engine takes is emitted as a typed event (events(), see
 // obs/trace.h) that tests assert against and EXPLAIN renders one line per
-// event (the Fig 4/Fig 6 state transitions).
+// event (the Fig 4/Fig 6 state transitions). That log is the execution's
+// one record of its decisions; the span profile records only what it
+// measured.
 //
 // Rows leave the way the steppers produce them: each quantum's survivors
 // are gathered column by column from the stepper's batch and selection
@@ -41,12 +43,12 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "catalog/database.h"
-#include "competition/competition.h"
 #include "core/access_path.h"
 #include "core/jscan.h"
 #include "governance/query_context.h"
@@ -72,6 +74,48 @@ enum class Tactic : uint8_t {
 
 std::string_view TacticName(Tactic t);
 
+/// A run-time competition decision (§7), emitted as a kCompetitionVerdict
+/// event whose subject is VerdictName.
+enum class Verdict : uint8_t {
+  kBrownoutPinned,       // a brownout replaced the race by one strategy
+  kNoBackground,         // Sorted with no Jscan candidate: a plain Fscan
+  kIoFaultFallback,      // an index strategy faulted; a Tscan takes over
+  kForegroundFinished,   // the race foreground finished first
+  kFgrBufferOverflow,    // the foreground's delivered-RID buffer filled
+  kFgrCostLimit,         // the fast-first foreground got too expensive
+  kJscanComplete,        // the Jscan's list goes to the final stage
+  kJscanRecommendsTscan, // the Jscan completed no list
+  kFilterInstalled,      // the Jscan's list filters the Sorted Fscan
+  kNoFilter,             // the Sorted Fscan carries on unfiltered
+  kJscanWon,             // the Jscan's list beat the Index-Only Sscan
+  kSscanRetained,        // the Index-Only Sscan beat the Jscan's list
+};
+
+/// The verdict's stable slug ("jscan-won", ...), as events and exports
+/// spell it.
+std::string_view VerdictName(Verdict v);
+/// The strategy that delivers after verdict `v` under tactic `t`
+/// ("tscan", "sscan", "fscan", "fscan+filter" or "jscan").
+std::string_view VerdictWinner(Verdict v, Tactic t);
+
+/// The observed outcome of one run-time competition: the last verdict
+/// that settled the race and what each competitor had spent at that
+/// moment, in cost-model units. `guaranteed_best` is the fallback bound
+/// the background scan competed against.
+struct CompetitionSample {
+  Tactic tactic = Tactic::kUndecided;
+  Verdict verdict = Verdict::kJscanComplete;
+  double foreground_cost = 0;
+  double background_cost = 0;
+  double guaranteed_best = 0;
+
+  std::string_view winner() const { return VerdictWinner(verdict, tactic); }
+  /// Cost sunk into the abandoned competitor — the run-time price of
+  /// racing, the empirical counterpart of §3's (1-P)·c2 term. A filter
+  /// install counts as zero: the background work was converted, not lost.
+  double loser_cost() const;
+};
+
 struct RetrievalOptions {
   Jscan::Options jscan;
   InitialStageOptions initial;
@@ -88,9 +132,6 @@ struct RetrievalOptions {
   /// ExplainAnalyze and the database's ProfileStore). Off, every profiling
   /// site is a null-pointer branch and no clocks are read.
   bool profile = true;
-  /// Trace ring capacity per execution; oldest events drop past it (see
-  /// obs/trace.h). Tests pin a small value to exercise drop accounting.
-  size_t trace_capacity = TraceLog::kDefaultCapacity;
   /// Input units (records / index entries) each stepper processes per
   /// quantum — the batch size of the vectorized executor and the grain of
   /// competition sampling, governance polls, and profiling charges. Tests
@@ -138,14 +179,11 @@ class DynamicRetrieval {
   /// fallbacks and scans the Jscan disqualified internally (it records
   /// them in the trace).
   bool degraded() const {
-    // EmittedCount, not CountKind: disqualification events must register
-    // even if the trace ring has evicted them.
-    return degraded_ ||
-           events_.EmittedCount(TraceEventKind::kStrategyDisqualified) > 0;
+    return events_.EmittedCount(TraceEventKind::kStrategyDisqualified) > 0;
   }
-  /// Typed trace of this execution (cleared by Open): analysis, shortcuts,
-  /// the chosen tactic, every stage transition and competition verdict,
-  /// per-index Jscan outcomes.
+  /// Typed trace of this execution (cleared by Open; keeps every event):
+  /// analysis, shortcuts, the chosen tactic, every stage transition and
+  /// competition verdict, per-index Jscan outcomes, disqualifications.
   const TraceLog& events() const { return events_; }
   const AccessPathAnalysis& analysis() const { return analysis_; }
   const Jscan* jscan() const { return jscan_.get(); }
@@ -172,14 +210,14 @@ class DynamicRetrieval {
   /// leaf register their spans here. Stable for the engine's lifetime.
   QueryProfile* profile_handle() { return &profile_; }
   /// Stamps end-of-execution figures into the profile (root elapsed/actual,
-  /// per-strategy costs, per-index jscan outcomes, context consumption).
+  /// per-strategy costs, context consumption).
   /// Idempotent; called automatically at end of retrieval and on failure,
   /// and by ExplainAnalyze for executions abandoned mid-flight.
   void FinalizeProfile();
   /// The observed race outcome; null when no competition ran (shortcuts,
   /// static tactics, background-only) or profiling is off.
   const CompetitionSample* competition_sample() const {
-    return have_sample_ ? &sample_ : nullptr;
+    return sample_.has_value() ? &*sample_ : nullptr;
   }
   /// The query-class key this execution records under ("" with profiling
   /// off or no profile store attached). See exec/query_class.h.
@@ -196,10 +234,10 @@ class DynamicRetrieval {
 
   /// Switches stage and emits the kStageTransition event (Fig 4 edges).
   void EnterMode(Mode mode);
-  /// Emits a kCompetitionVerdict event (subject = stable verdict slug);
-  /// `winner` names the strategy that delivers next, for the sample.
-  void Verdict(std::string_view subject, std::string_view winner,
-               std::string_view detail = {}, double a = 0, double b = 0);
+  /// Emits the kCompetitionVerdict event for `verdict`; inside a race it
+  /// also samples what each competitor has spent.
+  void Decide(Verdict verdict, std::string_view detail = {}, double a = 0,
+              double b = 0);
   /// Fills predicted_rows_/predicted_cost_ for the decided tactic.
   void ComputePredictions();
   /// Reports predicted vs actual (once): one ProfileStore::Sample under
@@ -281,8 +319,8 @@ class DynamicRetrieval {
   /// final stage); `span` gets its wall time, row credit and cost.
   void StartSingle(ScanStepper* stepper, ProfileSpan* span,
                    Mode mode = Mode::kSingle);
-  /// Starts the last-resort Tscan as the lone strategy; `detail` says why.
-  void StartTscan(std::string_view detail);
+  /// Starts the last-resort Tscan as the lone strategy.
+  void StartTscan();
   /// True while a degraded fallback can still happen — once the last-resort
   /// Tscan is running, or the final stage (which never falls back) has
   /// begun, recording delivered RIDs for fallback dedup is pointless.
@@ -337,7 +375,6 @@ class DynamicRetrieval {
 
   QueryContext* ctx_ = nullptr;        // per-execution; set by Open
   bool fallback_armed_ = false;        // ctx_ allows degraded fallback
-  bool degraded_ = false;
   bool single_is_tscan_ = false;       // the last-resort strategy is running
   bool brownout_plain_fscan_ = false;  // Sorted pinned to its foreground
   Counter* m_fallbacks_ = nullptr;
@@ -355,8 +392,7 @@ class DynamicRetrieval {
   std::chrono::steady_clock::time_point charged_since_;
   bool profile_finished_ = false;
   std::chrono::steady_clock::time_point open_time_;
-  CompetitionSample sample_;
-  bool have_sample_ = false;
+  std::optional<CompetitionSample> sample_;
   std::string class_prefix_;  // param-independent part of the class key
   std::string class_key_;     // prefix + param suffix, per Open
   ProfileStore* profile_store_ = nullptr;  // db_->profiles(); may be null

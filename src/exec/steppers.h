@@ -66,9 +66,12 @@ class ScanStepper {
   /// its accrued() meter installed (ScopedCostMeter) and, on every return
   /// path, charges the step's page reads to the context as it ends.
   /// `max_units` is the competition sampling quantum. A typed governance
-  /// error (Cancelled/DeadlineExceeded/BudgetExceeded) propagates with no
-  /// pins held — a stepper holds pins only *within* a step. After a true
-  /// return, output() holds the step's rows.
+  /// error (Cancelled/DeadlineExceeded/BudgetExceeded) propagates before
+  /// the step runs. A cursor-backed stepper (Tscan, Fscan, Sscan, the
+  /// Jscan's scans) keeps its current heap page or leaf pinned *between*
+  /// steps until it is exhausted or destroyed, so an execution its caller
+  /// stops pulling (a LIMIT, an EXISTS) holds one page until its next
+  /// Open. After a true return, output() holds the step's rows.
   Result<bool> Step(size_t max_units = kDefaultBatchRows);
 
   /// The last step's rows: columns in schema order (the spec's needed

@@ -455,37 +455,6 @@ Status BTree::Cursor::Seek(std::string_view key) {
   return Status::OK();
 }
 
-Result<bool> BTree::Cursor::Next(std::string* key, Rid* rid) {
-  if (exhausted_) return false;
-  for (;;) {
-    if (!guard_.valid() || guard_.id() != leaf_) {
-      DYNOPT_ASSIGN_OR_RETURN(guard_, tree_->pool_->Pin(leaf_));
-      // The sibling link is raw bytes off the store: gate the new page
-      // before the accessors trust it.
-      DYNOPT_RETURN_IF_ERROR(NodeRef::CheckHeader(guard_.data(), leaf_));
-      if (!NodeRef(const_cast<uint8_t*>(guard_.data())).is_leaf()) {
-        return Status::Corruption("leaf chain points at non-leaf page " +
-                                  std::to_string(leaf_));
-      }
-    }
-    NodeRef n(const_cast<uint8_t*>(guard_.data()));
-    if (pos_ < n.count()) {
-      key->assign(n.Key(pos_));
-      *rid = n.LeafRid(pos_);
-      pos_++;
-      tree_->pool_->meter_ptr()->key_compares++;  // per-entry CPU touch
-      return true;
-    }
-    leaf_ = n.next_leaf();
-    pos_ = 0;
-    if (leaf_ == kInvalidPageId) {
-      guard_.Release();
-      exhausted_ = true;
-      return false;
-    }
-  }
-}
-
 Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
                                       RidBatch* out, bool* bound_hit) {
   *bound_hit = false;
@@ -514,7 +483,7 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
     uint16_t count = node.count();
     while (pos_ < count && n < max) {
       std::string_view key = node.Key(pos_);
-      compares.n++;  // per-entry CPU touch, same rate as row-path Next
+      compares.n++;  // per-entry CPU touch
       if (!hi.empty() && key >= hi) {
         // Leave the cursor parked on the bounding entry; the caller
         // either reseeks for the next range or closes.

@@ -125,17 +125,13 @@ class BTree {
     Status Seek(std::string_view key);
     Status SeekFirst() { return Seek(std::string_view()); }
 
-    /// Produces the entry under the cursor and advances. False at end.
-    Result<bool> Next(std::string* key, Rid* rid);
-
-    /// Batched Next: appends up to `max` entries to `*out`, copying a
-    /// whole leaf's qualifying entries per page pin instead of re-entering
-    /// the cursor per entry. Stops early when a key reaches `hi`
-    /// (exclusive encoded upper bound; empty = unbounded), setting
-    /// `*bound_hit`. Keys are copied only when `out` collects them. Key
-    /// compares are charged to the meter once per call. Returns true when
-    /// the batch filled and more entries may remain; false when the scan
-    /// is over (tree end or bound hit).
+    /// Appends up to `max` entries to `*out` and advances past them,
+    /// copying a whole leaf's qualifying entries per page pin. Stops early
+    /// when a key reaches `hi` (exclusive encoded upper bound; empty =
+    /// unbounded), setting `*bound_hit`. Keys are copied only when `out`
+    /// collects them. Key compares are charged to the meter once per call.
+    /// Returns true when the batch filled and more entries may remain;
+    /// false when the scan is over (tree end or bound hit).
     Result<bool> NextBatch(std::string_view hi, size_t max, RidBatch* out,
                            bool* bound_hit);
 

@@ -2,38 +2,6 @@
 
 namespace dynopt {
 
-Result<bool> MultiRangeCursor::Next(std::string* key, Rid* rid) {
-  if (exhausted_) return false;
-  for (;;) {
-    if (range_idx_ >= ranges_->ranges().size()) {
-      // The last range may have ended mid-leaf: drop the leaf pin now
-      // rather than when the owning stepper dies.
-      cursor_.Close();
-      exhausted_ = true;
-      return false;
-    }
-    const EncodedRange& range = ranges_->ranges()[range_idx_];
-    if (!range_open_) {
-      DYNOPT_RETURN_IF_ERROR(cursor_.Seek(range.lo));
-      range_open_ = true;
-    }
-    DYNOPT_ASSIGN_OR_RETURN(bool more, cursor_.Next(key, rid));
-    if (more && (range.hi.empty() || *key < range.hi)) {
-      return true;
-    }
-    // Current range exhausted (or tree ended): move to the next range.
-    range_idx_++;
-    range_open_ = false;
-    if (!more) {
-      // Tree itself is exhausted; later ranges can hold nothing either
-      // (ranges ascend), but a fresh Seek would also just return nothing.
-      cursor_.Close();
-      exhausted_ = true;
-      return false;
-    }
-  }
-}
-
 Result<bool> MultiRangeCursor::NextBatch(size_t max, RidBatch* out) {
   if (exhausted_) return false;
   while (out->size() < max) {

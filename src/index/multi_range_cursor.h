@@ -8,8 +8,6 @@
 #ifndef DYNOPT_INDEX_MULTI_RANGE_CURSOR_H_
 #define DYNOPT_INDEX_MULTI_RANGE_CURSOR_H_
 
-#include <string>
-
 #include "index/btree.h"
 #include "index/encoded_range.h"
 
@@ -19,22 +17,17 @@ class MultiRangeCursor {
  public:
   /// `ranges` must outlive the cursor and stay unchanged while iterating.
   MultiRangeCursor(BTree* tree, const RangeSet* ranges)
-      : tree_(tree), ranges_(ranges), cursor_(tree->NewCursor()) {}
+      : ranges_(ranges), cursor_(tree->NewCursor()) {}
   MultiRangeCursor(MultiRangeCursor&&) = default;
   MultiRangeCursor& operator=(MultiRangeCursor&&) = default;
 
-  /// Produces the next entry across all ranges, in key order.
-  /// False at the end of the last range.
-  Result<bool> Next(std::string* key, Rid* rid);
-
-  /// Batched Next: appends entries (across range boundaries) to `*out`
-  /// until it holds `max` entries or every range is exhausted. Returns
-  /// true when more entries may remain. Entries already in `*out` count
-  /// toward `max`.
+  /// Appends entries across all ranges, in key order, to `*out` until it
+  /// holds `max` entries or every range is exhausted. Returns true when
+  /// more entries may remain. Entries already in `*out` count toward
+  /// `max`.
   Result<bool> NextBatch(size_t max, RidBatch* out);
 
  private:
-  BTree* tree_;
   const RangeSet* ranges_;
   BTree::Cursor cursor_;
   size_t range_idx_ = 0;

@@ -71,7 +71,6 @@ void AppendSpanLine(const ProfileSpan& s, const std::string& prefix,
                     bool last, bool is_root, std::ostringstream* out) {
   if (!is_root) *out << prefix << (last ? "`- " : "|- ");
   *out << SpanKindName(s.kind) << " " << s.name;
-  if (!s.detail.empty()) *out << " [" << s.detail << "]";
   char buf[64];
   std::snprintf(buf, sizeof(buf), " %.1fus", s.elapsed_micros);
   *out << buf;
@@ -88,7 +87,6 @@ void AppendSpanLine(const ProfileSpan& s, const std::string& prefix,
     std::snprintf(buf, sizeof(buf), " est_cost=%.1f", s.estimated_cost);
     *out << buf;
   }
-  if (s.work_units > 0) *out << " work=" << s.work_units;
   *out << "\n";
   std::string child_prefix =
       is_root ? std::string() : prefix + (last ? "   " : "|  ");
@@ -102,13 +100,11 @@ void WriteSpan(JsonWriter* w, const ProfileSpan& s) {
   w->BeginObject();
   w->KV("kind", SpanKindName(s.kind));
   w->KV("name", s.name);
-  if (!s.detail.empty()) w->KV("detail", s.detail);
   w->KV("elapsed_micros", s.elapsed_micros);
   if (s.estimated_rows >= 0) w->KV("estimated_rows", s.estimated_rows);
   if (s.estimated_cost >= 0) w->KV("estimated_cost", s.estimated_cost);
   w->KV("actual_rows", s.actual_rows);
   w->KV("actual_cost", s.actual_cost);
-  if (s.work_units > 0) w->KV("work_units", s.work_units);
   if (!s.children.empty()) {
     w->Key("children").BeginArray();
     for (const ProfileSpan* c : s.children) WriteSpan(w, *c);
@@ -135,12 +131,7 @@ std::string QueryProfile::RenderTree() const {
   } else {
     out << " ungoverned";
   }
-  if (c.degraded) out << " degraded";
-  if (c.disqualifications > 0) {
-    out << " disqualifications=" << c.disqualifications;
-  }
   if (c.pages_repaired > 0) out << " pages_repaired=" << c.pages_repaired;
-  if (c.trace_dropped > 0) out << " trace_dropped=" << c.trace_dropped;
   out << "\n";
   return out.str();
 }
@@ -158,10 +149,7 @@ void WriteProfile(JsonWriter* w, const QueryProfile& profile) {
     w->KV("rid_list_bytes", c.rid_list_bytes);
     w->KV("spill_bytes", c.spill_bytes);
     w->KV("polls", c.polls);
-    w->KV("degraded", c.degraded);
-    w->KV("disqualifications", c.disqualifications);
     w->KV("pages_repaired", c.pages_repaired);
-    w->KV("trace_dropped", c.trace_dropped);
     w->EndObject();
   }
   w->EndObject();

@@ -3,11 +3,13 @@
 //
 // A QueryProfile is a small tree of spans assembled alongside one retrieval
 // execution: the query root, an optional competition node, one strategy
-// node per competitor (plus per-index children for the joint scan), and one
-// operator node per plan operator above the retrieval leaf. Each span pairs
-// monotonic wall time with the estimate the optimizer held going in and the
-// actuals the execution produced — the estimate-vs-actual delta the
-// roadmap's learned-selectivity loop will feed on.
+// node per competitor, and one operator node per plan operator above the
+// retrieval leaf. Each span pairs monotonic wall time with the estimate the
+// optimizer held going in and the actuals the execution produced — the
+// estimate-vs-actual delta the learned-selectivity loop feeds on. A profile
+// records what the execution measured; what it decided (tactic, verdicts,
+// per-index Jscan outcomes, disqualifications) lives in its event log
+// (obs/trace.h), which EXPLAIN ANALYZE prints above the profile.
 //
 // Cheapness is structural: spans live in a deque arena owned by the
 // profile (stable pointers, no per-span allocation churn), the engine
@@ -41,8 +43,7 @@ std::string_view SpanKindName(SpanKind kind);
 
 struct ProfileSpan {
   SpanKind kind = SpanKind::kQuery;
-  std::string name;    // tactic/strategy/index/operator name
-  std::string detail;  // winner, verdict, fallback cause, ...
+  std::string name;  // query/race/strategy/operator name
   /// Monotonic wall time attributed to this span (inclusive of children).
   double elapsed_micros = 0;
   /// What the optimizer predicted going in; -1 = no estimate held.
@@ -51,8 +52,6 @@ struct ProfileSpan {
   /// What the execution actually produced/charged.
   uint64_t actual_rows = 0;
   double actual_cost = 0;
-  /// Kind-specific work units (e.g. index entries scanned for jscan spans).
-  uint64_t work_units = 0;
   std::vector<ProfileSpan*> children;
 };
 
@@ -64,10 +63,7 @@ struct ProfileConsumption {
   uint64_t rid_list_bytes = 0;
   uint64_t spill_bytes = 0;
   uint64_t polls = 0;
-  bool degraded = false;            // completed on a fallback strategy
-  uint64_t disqualifications = 0;   // strategies lost to I/O faults
-  uint64_t pages_repaired = 0;      // db-wide repair delta over the query
-  uint64_t trace_dropped = 0;       // events evicted from the trace ring
+  uint64_t pages_repaired = 0;  // db-wide repair delta over the query
 };
 
 /// One execution's span tree. Begin() arms it; with no Begin() (profiling
@@ -99,7 +95,7 @@ class QueryProfile {
   void set_consumption(const ProfileConsumption& c) { consumption_ = c; }
   const ProfileConsumption& consumption() const { return consumption_; }
 
-  /// ASCII tree (timings, est vs actual, details), newline-terminated.
+  /// ASCII tree (timings, est vs actual), newline-terminated.
   std::string RenderTree() const;
   std::string ToJson() const;
 

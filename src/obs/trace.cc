@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/metrics.h"
-
 namespace dynopt {
 
 std::string_view TraceEventKindName(TraceEventKind kind) {
@@ -65,7 +63,6 @@ void TraceLog::EvictOverCapacity() {
   while (events_.size() > capacity_) {
     events_.pop_front();
     dropped_++;
-    Bump(dropped_counter_);
   }
 }
 

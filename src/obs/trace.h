@@ -11,11 +11,12 @@
 // runs stay bit-deterministic, and ordering (the Fig 4 state machine) is
 // still fully reconstructible.
 //
-// The log is a bounded ring: past `capacity()` the oldest events drop (and
-// are tallied, optionally into an `obs.trace_dropped` counter) so a
-// long-running workload cannot grow a trace without bound. Lifetime kind
-// tallies (`EmittedCount`) survive eviction, so decision counts — e.g.
-// "was any strategy disqualified?" — stay exact even after wraparound.
+// A workload-wide log (the admission controller's, the standby's) is a
+// bounded ring: past `capacity()` the oldest events drop and are tallied,
+// so a long-running workload cannot grow a trace without bound. Lifetime
+// kind tallies (`EmittedCount`) survive eviction, so decision counts stay
+// exact even after wraparound. A retrieval execution emits a bounded
+// number of events, so its log keeps every one (capacity 0).
 
 #ifndef DYNOPT_OBS_TRACE_H_
 #define DYNOPT_OBS_TRACE_H_
@@ -30,8 +31,6 @@
 #include "obs/json.h"
 
 namespace dynopt {
-
-struct Counter;
 
 enum class TraceEventKind : uint8_t {
   kAnalysis,           // initial stage done; a = estimation pages, b = #indexes
@@ -84,8 +83,6 @@ class TraceLog {
   size_t capacity() const { return capacity_; }
   /// Events evicted by the ring since the last Clear().
   uint64_t dropped() const { return dropped_; }
-  /// Optional registry counter (obs.trace_dropped) bumped on each eviction.
-  void set_dropped_counter(Counter* counter) { dropped_counter_ = counter; }
 
   bool Contains(TraceEventKind kind, std::string_view subject) const {
     return Find(kind, subject) != nullptr;
@@ -111,7 +108,6 @@ class TraceLog {
   uint64_t next_seq_ = 0;
   size_t capacity_ = kDefaultCapacity;
   uint64_t dropped_ = 0;
-  Counter* dropped_counter_ = nullptr;
   std::array<uint64_t, 32> emitted_{};  // lifetime tallies, indexed by kind
 };
 

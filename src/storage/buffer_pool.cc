@@ -286,14 +286,19 @@ Result<PageGuard> BufferPool::NewPage() {
   return PageGuard(this, si, frame, id);
 }
 
-Status BufferPool::FlushAll() {
+Result<size_t> BufferPool::FlushAll() {
+  size_t pinned_committed = 0;
   for (auto& shard : shards_) {
     Shard& s = *shard;
     std::lock_guard<std::mutex> lock(s.mu);
     for (uint32_t i = 0; i < s.frame_count; ++i) {
       Frame& f = s.frames[i];
-      if (f.in_use && f.pins == 0 &&
-          f.dirty.load(std::memory_order_relaxed) && CanWriteBack(f)) {
+      if (f.in_use && f.dirty.load(std::memory_order_relaxed) &&
+          CanWriteBack(f)) {
+        if (f.pins > 0) {
+          pinned_committed++;
+          continue;
+        }
         DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, f.data));
         meter_ptr()->physical_writes++;
         s.stats.writebacks++;
@@ -302,7 +307,7 @@ Status BufferPool::FlushAll() {
       }
     }
   }
-  return Status::OK();
+  return pinned_committed;
 }
 
 void BufferPool::AttachMetrics(MetricsRegistry* registry) {

@@ -187,9 +187,11 @@ class BufferPool {
   size_t PinnedPages() const;
 
   /// Writes back all dirty unpinned pages (retaining cache contents).
-  /// Pinned pages are skipped — their holder may be mid-mutation; they are
-  /// flushed on eviction or on a later FlushAll once released.
-  Status FlushAll();
+  /// Pinned pages are skipped — their holder may be mid-mutation; they stay
+  /// dirty for eviction or a later FlushAll once released. Returns how
+  /// many committed dirty pages it skipped that way: the store lacks their
+  /// newest committed image, which only the WAL holds.
+  Result<size_t> FlushAll();
 
   /// Evicts every unpinned page (flushing dirty ones): a cold cache.
   Status EvictAll();

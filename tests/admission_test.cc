@@ -405,9 +405,7 @@ TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
     }
   }
   ASSERT_GT(base_rids.size(), 0u);
-  EXPECT_FALSE(
-      engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                               "brownout-pinned"));
+  EXPECT_FALSE(SawVerdict(engine, Verdict::kBrownoutPinned));
 
   // Brownout: pinned to the ordered foreground, skipping the race — and
   // the delivered rows are identical, in identical order.
@@ -422,8 +420,7 @@ TEST(OverloadPinTest, SortedPinsToPlainFscanWithSameOrderedRows) {
       pinned_rids.push_back(batch.rid(r).ToU64());
     }
   }
-  EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                                       "brownout-pinned"));
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kBrownoutPinned));
   EXPECT_EQ(base_rids, pinned_rids);
 }
 
@@ -449,9 +446,7 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   ASSERT_TRUE(engine.Open({}, &cold).ok());
   std::multiset<uint64_t> cold_rids = DrainRids(&engine);
   ASSERT_GT(cold_rids.size(), 0u);
-  EXPECT_FALSE(
-      engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                               "brownout-pinned"));
+  EXPECT_FALSE(SawVerdict(engine, Verdict::kBrownoutPinned));
 
   // Warm the per-strategy cost account: repeated unpinned runs record the
   // winner's full-run cost under this class key.
@@ -465,8 +460,7 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   QueryContext ctx = BrownoutContext();
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   std::multiset<uint64_t> pinned_rids = DrainRids(&engine);
-  EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                                       "brownout-pinned"));
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kBrownoutPinned));
   EXPECT_EQ(pinned_rids.size(), cold_rids.size());
   EXPECT_EQ(pinned_rids, cold_rids);
 }

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -31,6 +32,27 @@ EncodedRange IntRange(int64_t lo, int64_t hi) {
   return r;
 }
 
+/// Up to `max` entries from the cursor's position onward, read through
+/// NextBatch a leaf-sized chunk at a time.
+RidBatch ReadEntries(BTree::Cursor* cursor, size_t max = SIZE_MAX) {
+  RidBatch out;
+  bool bound_hit = false;
+  while (out.size() < max) {
+    size_t n = std::min<size_t>(max - out.size(), 256);
+    auto more = cursor->NextBatch("", n, &out, &bound_hit);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+  }
+  return out;
+}
+
+int64_t KeyValue(const std::string& key) {
+  std::string_view sv(key);
+  int64_t v = -1;
+  EXPECT_TRUE(DecodeInt64(&sv, &v).ok());
+  return v;
+}
+
 struct TreeFixture {
   MemPageStore store;
   CostMeter meter;
@@ -52,11 +74,12 @@ TEST(BTreeTest, EmptyTreeBasics) {
   EXPECT_TRUE(CheckTree(&f.pool, *f.tree).clean());
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
-  std::string key;
-  Rid rid;
-  auto more = cursor.Next(&key, &rid);
+  RidBatch entries;
+  bool bound_hit = false;
+  auto more = cursor.NextBatch("", 1, &entries, &bound_hit);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
+  EXPECT_TRUE(entries.empty());
 }
 
 TEST(BTreeTest, InsertAndScanInOrder) {
@@ -67,17 +90,11 @@ TEST(BTreeTest, InsertAndScanInOrder) {
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
   std::vector<int64_t> got;
-  std::string key;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&key, &rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    std::string_view sv(key);
-    int64_t v;
-    ASSERT_TRUE(DecodeInt64(&sv, &v).ok());
+  RidBatch entries = ReadEntries(&cursor);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    int64_t v = KeyValue(entries.key(i));
     got.push_back(v);
-    EXPECT_EQ(rid.page, static_cast<PageId>(v));
+    EXPECT_EQ(entries.rid(i).page, static_cast<PageId>(v));
   }
   EXPECT_EQ(got, (std::vector<int64_t>{1, 3, 5, 7, 9}));
 }
@@ -122,13 +139,9 @@ TEST(BTreeTest, SeekPositionsAtLowerBound) {
   }
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.Seek(IntKey(31)).ok());
-  std::string key;
-  Rid rid;
-  ASSERT_TRUE(*cursor.Next(&key, &rid));
-  std::string_view sv(key);
-  int64_t v;
-  ASSERT_TRUE(DecodeInt64(&sv, &v).ok());
-  EXPECT_EQ(v, 32);
+  RidBatch entries = ReadEntries(&cursor, 1);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(KeyValue(entries.key(0)), 32);
 }
 
 class BTreeOracleTest : public ::testing::TestWithParam<uint64_t> {};
@@ -161,15 +174,11 @@ TEST_P(BTreeOracleTest, RandomInsertDeleteMatchesStdMap) {
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
   auto it = oracle.begin();
-  std::string key;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&key, &rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
+  RidBatch entries = ReadEntries(&cursor);
+  for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_NE(it, oracle.end());
-    EXPECT_EQ(key, it->first);
-    EXPECT_EQ(rid.ToU64(), it->second);
+    EXPECT_EQ(entries.key(i), it->first);
+    EXPECT_EQ(entries.rid(i).ToU64(), it->second);
     ++it;
   }
   EXPECT_EQ(it, oracle.end());
@@ -396,9 +405,7 @@ TEST(BTreeCostTest, PointLookupTouchesHeightPages) {
   CostMeter before = f.meter;
   auto cursor = f.tree->NewCursor();
   ASSERT_TRUE(cursor.Seek(IntKey(54321)).ok());
-  std::string key;
-  Rid rid;
-  ASSERT_TRUE(*cursor.Next(&key, &rid));
+  ASSERT_EQ(ReadEntries(&cursor, 1).size(), 1u);
   CostMeter delta = f.meter - before;
   EXPECT_LE(delta.logical_reads, f.tree->height() + 2);
 }

@@ -163,11 +163,12 @@ TEST(IndexTest, DecodeKeyColumnsReconstructsSparseRow) {
 
   auto cursor = (*idx)->tree()->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
-  std::string key;
-  Rid rid;
-  ASSERT_TRUE(*cursor.Next(&key, &rid));
+  RidBatch entries;
+  bool bound_hit = false;
+  ASSERT_TRUE(cursor.NextBatch("", 1, &entries, &bound_hit).ok());
+  ASSERT_EQ(entries.size(), 1u);
   std::vector<std::optional<Value>> sparse;
-  ASSERT_TRUE((*idx)->DecodeKeyColumns(key, &sparse).ok());
+  ASSERT_TRUE((*idx)->DecodeKeyColumns(entries.key(0), &sparse).ok());
   ASSERT_EQ(sparse.size(), 4u);
   EXPECT_FALSE(sparse[0].has_value());
   ASSERT_TRUE(sparse[1].has_value());
@@ -190,14 +191,14 @@ TEST(IndexTest, CompositeIndexOrdersByColumnSequence) {
   auto cursor = (*idx)->tree()->NewCursor();
   ASSERT_TRUE(cursor.SeekFirst().ok());
   std::vector<std::pair<int64_t, std::string>> got;
-  std::string key;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&key, &rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
+  RidBatch entries;
+  bool bound_hit = false;
+  auto more = cursor.NextBatch("", 16, &entries, &bound_hit);
+  ASSERT_TRUE(more.ok());
+  ASSERT_FALSE(*more);  // the tree ended inside the batch
+  for (size_t i = 0; i < entries.size(); ++i) {
     std::vector<std::optional<Value>> sparse;
-    ASSERT_TRUE((*idx)->DecodeKeyColumns(key, &sparse).ok());
+    ASSERT_TRUE((*idx)->DecodeKeyColumns(entries.key(i), &sparse).ok());
     got.emplace_back(sparse[1]->AsInt64(), sparse[2]->AsString());
   }
   std::vector<std::pair<int64_t, std::string>> expect{

@@ -1,7 +1,11 @@
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +221,81 @@ TEST(TacticTest, CoveringIndexAloneIsStaticSscan) {
   EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
 }
 
+// ------------------------------------------------------- verdict vocabulary
+
+TEST(VerdictTest, NameIsTheEventSlug) {
+  const std::pair<Verdict, std::string_view> kSlugs[] = {
+      {Verdict::kBrownoutPinned, "brownout-pinned"},
+      {Verdict::kNoBackground, "no-background"},
+      {Verdict::kIoFaultFallback, "io-fault-fallback"},
+      {Verdict::kForegroundFinished, "foreground-finished"},
+      {Verdict::kFgrBufferOverflow, "fgr-buffer-overflow"},
+      {Verdict::kFgrCostLimit, "fgr-cost-limit"},
+      {Verdict::kJscanComplete, "jscan-complete"},
+      {Verdict::kJscanRecommendsTscan, "jscan-recommends-tscan"},
+      {Verdict::kFilterInstalled, "filter-installed"},
+      {Verdict::kNoFilter, "no-filter"},
+      {Verdict::kJscanWon, "jscan-won"},
+      {Verdict::kSscanRetained, "sscan-retained"},
+  };
+  for (const auto& [verdict, slug] : kSlugs) {
+    EXPECT_EQ(VerdictName(verdict), slug);
+  }
+}
+
+// Every (verdict, winner) pair the engine emits, under each tactic that
+// emits it: the strategy that delivers next, and the cost loser_cost()
+// counts as sunk into the competitor that lost.
+TEST(VerdictTest, WinnerAndLoserCostPerPair) {
+  struct Pair {
+    Verdict verdict;
+    Tactic tactic;
+    std::string_view winner;
+  };
+  const Pair kPairs[] = {
+      {Verdict::kBrownoutPinned, Tactic::kSorted, "fscan"},
+      {Verdict::kBrownoutPinned, Tactic::kStaticSscan, "sscan"},
+      {Verdict::kBrownoutPinned, Tactic::kStaticTscan, "tscan"},
+      {Verdict::kNoBackground, Tactic::kSorted, "fscan"},
+      {Verdict::kForegroundFinished, Tactic::kSorted, "fscan"},
+      {Verdict::kForegroundFinished, Tactic::kIndexOnly, "sscan"},
+      {Verdict::kFgrBufferOverflow, Tactic::kFastFirst, "jscan"},
+      {Verdict::kFgrBufferOverflow, Tactic::kIndexOnly, "sscan"},
+      {Verdict::kFgrCostLimit, Tactic::kFastFirst, "jscan"},
+      {Verdict::kJscanComplete, Tactic::kBackgroundOnly, "jscan"},
+      {Verdict::kJscanComplete, Tactic::kFastFirst, "jscan"},
+      {Verdict::kJscanRecommendsTscan, Tactic::kBackgroundOnly, "tscan"},
+      {Verdict::kJscanRecommendsTscan, Tactic::kFastFirst, "tscan"},
+      {Verdict::kJscanRecommendsTscan, Tactic::kIndexOnly, "sscan"},
+      {Verdict::kFilterInstalled, Tactic::kSorted, "fscan+filter"},
+      {Verdict::kNoFilter, Tactic::kSorted, "fscan"},
+      {Verdict::kJscanWon, Tactic::kIndexOnly, "jscan"},
+      {Verdict::kSscanRetained, Tactic::kIndexOnly, "sscan"},
+  };
+  std::vector<Pair> pairs(std::begin(kPairs), std::end(kPairs));
+  // A fault can hand any tactic over to the Tscan.
+  for (Tactic t : {Tactic::kShortcutTiny, Tactic::kStaticTscan,
+                   Tactic::kStaticSscan, Tactic::kBackgroundOnly,
+                   Tactic::kFastFirst, Tactic::kSorted, Tactic::kIndexOnly}) {
+    pairs.push_back({Verdict::kIoFaultFallback, t, "tscan"});
+  }
+  for (const Pair& p : pairs) {
+    CompetitionSample sample;
+    sample.tactic = p.tactic;
+    sample.verdict = p.verdict;
+    sample.foreground_cost = 3;
+    sample.background_cost = 5;
+    SCOPED_TRACE(std::string(VerdictName(p.verdict)) + " under " +
+                 std::string(TacticName(p.tactic)));
+    EXPECT_EQ(sample.winner(), p.winner);
+    double loser = p.winner == "fscan+filter" ? 0   // work converted
+                   : p.winner == "tscan"      ? 8   // both competitors
+                   : p.winner == "jscan"      ? 3   // the foreground
+                                              : 5;  // the background
+    EXPECT_EQ(sample.loser_cost(), loser);
+  }
+}
+
 // --------------------------------------------- the paper's §4 example
 
 TEST(HostVariableTest, DynamicEngineAdaptsPerRun) {
@@ -235,7 +314,7 @@ TEST(HostVariableTest, DynamicEngineAdaptsPerRun) {
   EXPECT_EQ(rids1.size(), 8000u);
   EXPECT_TRUE(
       engine.events().Contains(TraceEventKind::kTacticChosen, "static-tscan") ||
-      SawVerdict(engine, "jscan-recommends-tscan"))
+      SawVerdict(engine, Verdict::kJscanRecommendsTscan))
       << "wide range should end in a table scan";
   double cost1 = engine.CostSinceOpen().Cost(f.db.cost_weights());
 
@@ -621,7 +700,7 @@ TEST(RaceTest, FastFirstBufferOverflowFallsBackToBackground) {
   ASSERT_TRUE(engine.Open(params).ok());
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
-  EXPECT_TRUE(SawVerdict(engine, "fgr-buffer-overflow"));
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kFgrBufferOverflow));
 }
 
 TEST(RaceTest, IndexOnlySurvivesJscanTermination) {
@@ -659,9 +738,9 @@ TEST(RaceTest, SortedTacticInstallsFilterOrFinishesFirst) {
   ASSERT_EQ(engine.tactic(), Tactic::kSorted);
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
-  EXPECT_TRUE(SawVerdict(engine, "filter-installed") ||
-              SawVerdict(engine, "foreground-finished") ||
-              SawVerdict(engine, "no-filter"));
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kFilterInstalled) ||
+              SawVerdict(engine, Verdict::kForegroundFinished) ||
+              SawVerdict(engine, Verdict::kNoFilter));
 }
 
 // The race paths the Jscan's batch probe and append serve: a Jscan list
@@ -689,8 +768,7 @@ TEST(RaceTest, FastFirstJscanCompletesDuringRace) {
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
   const TraceEvent* v =
-      engine.events().Find(TraceEventKind::kCompetitionVerdict,
-                           "jscan-complete");
+      FindVerdict(engine, Verdict::kJscanComplete);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, "during race");
   EXPECT_GT(v->b, 0);  // the foreground delivered rows before completion
@@ -724,9 +802,9 @@ TEST(RaceTest, SortedTacticInstallsJscanFilter) {
   }
   EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
-  EXPECT_TRUE(SawVerdict(engine, "filter-installed"))
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kFilterInstalled))
       << engine.events().ToJson();
-  EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
+  EXPECT_FALSE(SawVerdict(engine, Verdict::kForegroundFinished));
 }
 
 // Drains `engine`, returning its RIDs and the values of projection column
@@ -764,8 +842,7 @@ TEST(RaceTest, SortedFscanFinishesFirst) {
   auto rids = DrainWithColumn(&engine, 1, &ages);
   EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
-  const TraceEvent* v = engine.events().Find(
-      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  const TraceEvent* v = FindVerdict(engine, Verdict::kForegroundFinished);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, "fscan");
 }
@@ -781,8 +858,7 @@ TEST(RaceTest, IndexOnlySscanFinishesFirst) {
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
-  const TraceEvent* v = engine.events().Find(
-      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  const TraceEvent* v = FindVerdict(engine, Verdict::kForegroundFinished);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, "sscan");
 }
@@ -801,11 +877,10 @@ TEST(RaceTest, IndexOnlyBufferOverflowRetainsSscan) {
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
   ASSERT_GT(rids.size(), opt.fgr_buffer_capacity);
-  const TraceEvent* v = engine.events().Find(
-      TraceEventKind::kCompetitionVerdict, "fgr-buffer-overflow");
+  const TraceEvent* v = FindVerdict(engine, Verdict::kFgrBufferOverflow);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, "sscan-retained");
-  EXPECT_FALSE(SawVerdict(engine, "foreground-finished"));
+  EXPECT_FALSE(SawVerdict(engine, Verdict::kForegroundFinished));
 }
 
 // A Jscan that completes no list recommends a Tscan, but in the
@@ -826,12 +901,12 @@ TEST(RaceTest, IndexOnlyJscanRecommendingTscanLeavesTheSscanWinning) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, params));
-  ASSERT_TRUE(SawVerdict(engine, "jscan-recommends-tscan"))
+  ASSERT_TRUE(SawVerdict(engine, Verdict::kJscanRecommendsTscan))
       << engine.events().ToJson();
   const CompetitionSample* sample = engine.competition_sample();
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->verdict, "jscan-recommends-tscan");
-  EXPECT_EQ(sample->winner, "sscan");
+  EXPECT_EQ(sample->verdict, Verdict::kJscanRecommendsTscan);
+  EXPECT_EQ(sample->winner(), "sscan");
 }
 
 // The Sorted tactic's foreground screens index entries on the covered
@@ -855,8 +930,7 @@ TEST(RaceTest, SortedForegroundScreensOnItsIndexKey) {
   fetched = f.db.metrics()->Value("exec.records_fetched") - fetched;
   EXPECT_EQ(rids, NaiveRids(spec, params));
   EXPECT_TRUE(std::is_sorted(ages.begin(), ages.end()));
-  const TraceEvent* v = engine.events().Find(
-      TraceEventKind::kCompetitionVerdict, "foreground-finished");
+  const TraceEvent* v = FindVerdict(engine, Verdict::kForegroundFinished);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, "fscan");
   // The whole restriction lives in the key, so only qualifying entries
@@ -887,7 +961,7 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
     Families* f;
     RetrievalSpec spec;
     Tactic tactic;
-    std::string_view verdict;  // "" = no verdict expected
+    std::optional<Verdict> verdict;  // nullopt = no verdict expected
     RetrievalOptions options = {};
   };
   std::vector<Case> cases = {
@@ -895,39 +969,40 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
        two.Spec(Predicate::Between(2, Operand::Literal(Value(int64_t{1000})),
                                    Operand::Literal(Value(int64_t{1100}))),
                 {0, 1, 2}),
-       Tactic::kShortcutTiny, ""},
+       Tactic::kShortcutTiny, std::nullopt},
       {&plain, plain.Spec(AgeBetween(10, 30), {0, 1}), Tactic::kStaticTscan,
-       ""},
-      {&age, age.Spec(AgeBetween(10, 60), {1}), Tactic::kStaticSscan, ""},
+       std::nullopt},
+      {&age, age.Spec(AgeBetween(10, 60), {1}), Tactic::kStaticSscan,
+       std::nullopt},
       {&two, two.Spec(AgeIncomeConjunction(), {0, 1, 2}),
-       Tactic::kBackgroundOnly, "jscan-complete"},
+       Tactic::kBackgroundOnly, Verdict::kJscanComplete},
       {&two,
        two.Spec(AgeIncomeConjunction(), {0, 1, 2},
                 OptimizationGoal::kFastFirst),
-       Tactic::kFastFirst, "jscan-complete"},
+       Tactic::kFastFirst, Verdict::kJscanComplete},
       {&two,
        two.Spec(AgeIncomeConjunction(), {0, 1, 2},
                 OptimizationGoal::kFastFirst),
-       Tactic::kSorted, "filter-installed"},
+       Tactic::kSorted, Verdict::kFilterInstalled},
       {&two,
        two.Spec(Predicate::And({AgeBetween(10, 12),
                                 Predicate::Compare(
                                     2, CompareOp::kGe,
                                     Operand::Literal(Value(int64_t{1000})))}),
                 {0, 1, 2}),
-       Tactic::kSorted, "no-filter"},
+       Tactic::kSorted, Verdict::kNoFilter},
       {&cov, cov.Spec(Predicate::And({AgeBetween(2, 97), income_lt(3000)}),
                       {1, 2}),
-       Tactic::kIndexOnly, "jscan-won"},
+       Tactic::kIndexOnly, Verdict::kJscanWon},
       {&cov, cov.Spec(Predicate::And({AgeBetween(10, 60), income_lt(3000)}),
                       {1, 2}),
-       Tactic::kIndexOnly, "sscan-retained"},
+       Tactic::kIndexOnly, Verdict::kSscanRetained},
   };
   cases[5].spec.order_by_column = 1;
   cases[6].spec.order_by_column = 1;
   // Background-only with one candidate, whose 176-RID list spills.
   cases.push_back({&two, two.Spec(income_lt(4000), {0, 1, 2}),
-                   Tactic::kBackgroundOnly, "jscan-complete"});
+                   Tactic::kBackgroundOnly, Verdict::kJscanComplete});
   cases.back().options.jscan.rid_list.memory_capacity = 64;
   for (Case& c : cases) {
     QueryContext ctx;
@@ -937,16 +1012,15 @@ TEST(RaceTest, EveryTacticChargesExactlyItsPageReads) {
     auto rids = DrainRids(&engine);
     if (c.options.jscan.rid_list.memory_capacity == 64) {
       // The final list outgrew memory, so the settle read it back.
-      const TraceEvent* v = engine.events().Find(
-          TraceEventKind::kCompetitionVerdict, "jscan-complete");
+      const TraceEvent* v = FindVerdict(engine, Verdict::kJscanComplete);
       ASSERT_NE(v, nullptr) << engine.events().ToJson();
       EXPECT_GT(v->a, 64);
     }
     EXPECT_EQ(ctx.pages_read(), engine.CostSinceOpen().logical_reads -
                                     engine.analysis().estimation_pages)
-        << TacticName(c.tactic) << " " << c.verdict;
-    if (!c.verdict.empty()) {
-      EXPECT_TRUE(SawVerdict(engine, c.verdict)) << engine.events().ToJson();
+        << TacticName(c.tactic);
+    if (c.verdict.has_value()) {
+      EXPECT_TRUE(SawVerdict(engine, *c.verdict)) << engine.events().ToJson();
     }
     EXPECT_EQ(rids, NaiveRids(c.spec, {}));
   }
@@ -968,10 +1042,10 @@ TEST(RaceTest, JscanWonKeepsTheAbandonedSscanCost) {
   ASSERT_TRUE(engine.Open({}).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   EXPECT_EQ(DrainRids(&engine), NaiveRids(spec, {}));
-  ASSERT_TRUE(SawVerdict(engine, "jscan-won")) << engine.events().ToJson();
+  ASSERT_TRUE(SawVerdict(engine, Verdict::kJscanWon)) << engine.events().ToJson();
   const CompetitionSample* sample = engine.competition_sample();
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->winner, "jscan");
+  EXPECT_EQ(sample->winner(), "jscan");
   const ProfileSpan* race = FindSpan(engine.profile().root(), "race");
   const ProfileSpan* sscan = FindSpan(race, "sscan");
   const ProfileSpan* jscan = FindSpan(race, "jscan");
@@ -996,8 +1070,7 @@ TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
   const TraceEvent* v =
-      engine.events().Find(TraceEventKind::kCompetitionVerdict,
-                           "jscan-complete");
+      FindVerdict(engine, Verdict::kJscanComplete);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   ASSERT_NE(engine.jscan(), nullptr);
   const auto& outcomes = engine.jscan()->outcomes();
@@ -1154,7 +1227,7 @@ TEST(RaceTest, FastFirstCostLimitTriggersFallback) {
   ASSERT_TRUE(engine.Open(params).ok());
   auto rids = DrainRids(&engine);
   EXPECT_EQ(rids, NaiveRids(spec, params));
-  EXPECT_TRUE(SawVerdict(engine, "fgr-cost-limit"));
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kFgrCostLimit));
 }
 
 TEST(TacticTest, SortedTacticAlsoServesTotalTime) {

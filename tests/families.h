@@ -119,8 +119,13 @@ inline std::multiset<uint64_t> NaiveRids(const RetrievalSpec& spec,
   return rids;
 }
 
-inline bool SawVerdict(const DynamicRetrieval& e, std::string_view subject) {
-  return e.events().Contains(TraceEventKind::kCompetitionVerdict, subject);
+/// The first kCompetitionVerdict event for `v`; null if none was emitted.
+inline const TraceEvent* FindVerdict(const DynamicRetrieval& e, Verdict v) {
+  return e.events().Find(TraceEventKind::kCompetitionVerdict, VerdictName(v));
+}
+
+inline bool SawVerdict(const DynamicRetrieval& e, Verdict v) {
+  return FindVerdict(e, v) != nullptr;
 }
 
 /// The first span named `name` in `node`'s subtree, depth first.

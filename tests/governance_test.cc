@@ -1075,14 +1075,14 @@ void LoseIndexesAfterFirstRows(FaultyFamilies* f, const RetrievalSpec& spec,
 
   EXPECT_EQ(got, want);  // no lost rows, no duplicates
   EXPECT_TRUE(engine.degraded());
-  const TraceEvent* v = engine.events().Find(
-      TraceEventKind::kCompetitionVerdict, "io-fault-fallback");
+  const TraceEvent* v = FindVerdict(engine, Verdict::kIoFaultFallback);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
   EXPECT_EQ(v->detail, subject);
   // The fault came mid-race: no verdict settled the race before it.
   for (const TraceEvent& e : engine.events().events()) {
     if (e.kind != TraceEventKind::kCompetitionVerdict) continue;
-    EXPECT_EQ(e.subject, "io-fault-fallback") << engine.events().ToJson();
+    EXPECT_EQ(e.subject, VerdictName(Verdict::kIoFaultFallback))
+        << engine.events().ToJson();
     break;
   }
   EXPECT_EQ(f->db.pool()->PinnedPages(), 0u);
@@ -1150,7 +1150,7 @@ TEST(DegradedFallbackTest, FallbackKeepsTheDroppedForegroundCost) {
   ASSERT_TRUE(st.ok()) << st;
   const CompetitionSample* sample = engine.competition_sample();
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->verdict, "io-fault-fallback");
+  EXPECT_EQ(sample->verdict, Verdict::kIoFaultFallback);
   const ProfileSpan* race = FindSpan(engine.profile().root(), "race");
   const ProfileSpan* sscan = FindSpan(race, "sscan");
   const ProfileSpan* jscan = FindSpan(race, "jscan");
@@ -1218,11 +1218,9 @@ TEST(DegradedFallbackTest, JscanDisqualifiesAFaultedScan) {
   }
   ASSERT_FALSE(disqualified.empty()) << engine.events().ToJson();
   EXPECT_EQ(disqualified[0].rfind("Jscan(", 0), 0u) << disqualified[0];
-  EXPECT_TRUE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                                       "jscan-recommends-tscan"))
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kJscanRecommendsTscan))
       << engine.events().ToJson();
-  EXPECT_FALSE(engine.events().Contains(TraceEventKind::kCompetitionVerdict,
-                                        "io-fault-fallback"));
+  EXPECT_FALSE(SawVerdict(engine, Verdict::kIoFaultFallback));
   EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
   EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
 }

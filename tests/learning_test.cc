@@ -339,7 +339,7 @@ TEST(LearningFlipTest, WarmedStrategyCostFlipsCompetitionVerdict) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto cold = DrainRids(&engine);
-  EXPECT_TRUE(SawVerdict(engine, "sscan-retained")) << "cold verdict";
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kSscanRetained)) << "cold verdict";
   EXPECT_FALSE(engine.events().Contains(
       TraceEventKind::kLearnedCorrectionApplied, "competition"));
   EXPECT_EQ(cold, NaiveRids(spec, params));
@@ -348,7 +348,7 @@ TEST(LearningFlipTest, WarmedStrategyCostFlipsCompetitionVerdict) {
   ASSERT_TRUE(engine.Open(params).ok());
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   auto warm = DrainRids(&engine);
-  EXPECT_TRUE(SawVerdict(engine, "jscan-won")) << "warm verdict";
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kJscanWon)) << "warm verdict";
   EXPECT_TRUE(engine.events().Contains(
       TraceEventKind::kLearnedCorrectionApplied, "competition"));
   ASSERT_NE(f.db.metrics(), nullptr);
@@ -360,7 +360,8 @@ TEST(LearningFlipTest, WarmedStrategyCostFlipsCompetitionVerdict) {
   f.db.learning()->set_mode(LearningMode::kControlled);
   ASSERT_TRUE(engine.Open(params).ok());
   auto controlled = DrainRids(&engine);
-  EXPECT_TRUE(SawVerdict(engine, "sscan-retained")) << "controlled verdict";
+  EXPECT_TRUE(SawVerdict(engine, Verdict::kSscanRetained))
+      << "controlled verdict";
   EXPECT_EQ(CorrectionEvents(engine), 0u);
   EXPECT_EQ(controlled, cold);
 }

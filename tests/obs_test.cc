@@ -219,9 +219,11 @@ TEST(TypedTraceTest, RaceEmitsCompetitionVerdict) {
   ASSERT_EQ(engine.tactic(), Tactic::kIndexOnly);
   DrainRids(&engine);
 
-  static const std::set<std::string> kIndexOnlyVerdicts = {
-      "foreground-finished", "fgr-buffer-overflow", "jscan-won",
-      "sscan-retained", "jscan-recommends-tscan"};
+  static const std::set<std::string_view> kIndexOnlyVerdicts = {
+      VerdictName(Verdict::kForegroundFinished),
+      VerdictName(Verdict::kFgrBufferOverflow),
+      VerdictName(Verdict::kJscanWon), VerdictName(Verdict::kSscanRetained),
+      VerdictName(Verdict::kJscanRecommendsTscan)};
   auto verdicts =
       engine.events().Subjects(TraceEventKind::kCompetitionVerdict);
   ASSERT_FALSE(verdicts.empty()) << "a race must settle with a verdict";
@@ -365,14 +367,11 @@ TEST(FeedbackTest, QErrorIsSymmetricAndFloored) {
 TEST(TraceRingTest, EvictsOldestCountsDropsAndKeepsLifetimeTallies) {
   TraceLog log;
   log.set_capacity(3);
-  Counter dropped{"obs.trace_dropped"};
-  log.set_dropped_counter(&dropped);
   for (int i = 0; i < 5; ++i) {
     log.Emit(TraceEventKind::kStageTransition, "s" + std::to_string(i));
   }
   ASSERT_EQ(log.events().size(), 3u);
   EXPECT_EQ(log.dropped(), 2u);
-  EXPECT_EQ(dropped.value.load(), 2u);
   // Oldest went first; sequence numbers keep their original values.
   EXPECT_EQ(log.events().front().subject, "s2");
   EXPECT_EQ(log.events().front().seq, 2u);

@@ -1,8 +1,8 @@
 // Query profiling observatory tests: per-query span trees (timings,
 // estimated vs actual), EXPLAIN ANALYZE exports, the durable query-class
-// ProfileStore (including the Close/Open round trip), trace-ring drop
-// accounting at the engine, live workload telemetry, and concurrent
-// profiling under the workload driver (the TSan target).
+// ProfileStore (including the Close/Open round trip), live workload
+// telemetry, and concurrent profiling under the workload driver (the TSan
+// target).
 
 #include <unistd.h>
 
@@ -43,7 +43,9 @@ TEST(ProfileTest, SingleTacticQueryProducesRootAndStrategySpans) {
   const ProfileSpan* root = p.root();
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->kind, SpanKind::kQuery);
-  EXPECT_EQ(root->detail, "static-tscan");
+  // The tactic is a decision: the event log records it.
+  EXPECT_TRUE(engine.events().Contains(TraceEventKind::kTacticChosen,
+                                       TacticName(Tactic::kStaticTscan)));
   EXPECT_EQ(root->actual_rows, rows);
   EXPECT_GT(root->elapsed_micros, 0.0);
   EXPECT_GT(root->actual_cost, 0.0);
@@ -79,24 +81,30 @@ TEST(ProfileTest, CompetitionQueryProfilesBothCompetitorsAndVerdict) {
   ASSERT_EQ(race->children.size(), 2u);
   EXPECT_NE(FindSpan(race, "sscan"), nullptr);
   EXPECT_NE(FindSpan(race, "jscan"), nullptr);
-  // The verdict is stamped into the competition span's detail.
-  EXPECT_NE(race->detail.find("winner="), std::string::npos);
-  EXPECT_NE(race->detail.find("verdict="), std::string::npos);
 
+  // The verdict is a decision: the event log records it, and the sample
+  // holds the last one with the costs it settled on.
   const CompetitionSample* sample = engine.competition_sample();
   ASSERT_NE(sample, nullptr);
-  EXPECT_FALSE(sample->verdict.empty());
-  EXPECT_FALSE(sample->winner.empty());
+  EXPECT_EQ(sample->tactic, Tactic::kIndexOnly);
+  EXPECT_TRUE(SawVerdict(engine, sample->verdict)) << engine.events().ToJson();
+  EXPECT_FALSE(sample->winner().empty());
 
-  // The joint scan span carries per-index child spans with their outcomes.
-  const ProfileSpan* jscan = FindSpan(race, "jscan");
-  ASSERT_EQ(jscan->children.size(), engine.jscan() != nullptr
-                                        ? engine.jscan()->outcomes().size()
-                                        : jscan->children.size());
-  for (const ProfileSpan* idx : jscan->children) {
-    EXPECT_EQ(idx->kind, SpanKind::kStrategy);
-    EXPECT_FALSE(idx->name.empty());
-    EXPECT_FALSE(idx->detail.empty());  // completed/discarded/skipped
+  // So are the Jscan's per-index outcomes: one event per index it
+  // completed, discarded or skipped, with its entries and kept RIDs.
+  ASSERT_NE(engine.jscan(), nullptr);
+  const std::vector<Jscan::IndexOutcome>& outcomes = engine.jscan()->outcomes();
+  std::vector<const TraceEvent*> events;
+  for (const TraceEvent& e : engine.events().events()) {
+    if (e.kind == TraceEventKind::kJscanIndexOutcome) events.push_back(&e);
+  }
+  ASSERT_FALSE(outcomes.empty());
+  ASSERT_EQ(events.size(), outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(events[i]->subject, outcomes[i].index_name);
+    EXPECT_EQ(events[i]->detail, Jscan::OutcomeKindName(outcomes[i].kind));
+    EXPECT_EQ(events[i]->a, static_cast<double>(outcomes[i].entries_scanned));
+    EXPECT_EQ(events[i]->b, static_cast<double>(outcomes[i].kept));
   }
 }
 
@@ -429,28 +437,6 @@ TEST(ProfileStoreTest, ProfilesSurviveDatabaseCloseOpen) {
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->executions, 2u);
   ASSERT_TRUE((*db)->Close().ok());
-}
-
-// ---------------------------------------------------------- trace-ring drops
-
-TEST(ProfileTest, TraceRingDropsAreCountedIntoProfileAndMetrics) {
-  Families f(3000);
-  f.Index("by_age", {"age"});
-  RetrievalOptions opts;
-  opts.trace_capacity = 4;  // force evictions on any real execution
-  DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(10, 15), {0, 3}), opts);
-  ASSERT_TRUE(engine.Open({}).ok());
-  DrainRids(&engine);
-
-  EXPECT_LE(engine.events().events().size(), 4u);
-  EXPECT_GT(engine.events().dropped(), 0u);
-  // Lifetime kind tallies survive eviction (degraded() etc. stay exact).
-  EXPECT_GT(engine.events().EmittedCount(TraceEventKind::kAnalysis), 0u);
-  // The drops surface in the registry and in the profile's consumption.
-  EXPECT_GE(f.db.metrics()->Value("obs.trace_dropped"),
-            engine.events().dropped());
-  EXPECT_EQ(engine.profile().consumption().trace_dropped,
-            engine.events().dropped());
 }
 
 // ---------------------------------------------------------------- telemetry

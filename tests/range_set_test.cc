@@ -296,19 +296,26 @@ struct TreeFixture {
   }
 };
 
+/// Every entry `cursor` yields, `chunk` entries per NextBatch call, so
+/// calls straddle range boundaries.
+RidBatch DrainEntries(MultiRangeCursor* cursor, size_t chunk = 4) {
+  RidBatch out;
+  for (;;) {
+    auto more = cursor->NextBatch(out.size() + chunk, &out);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) return out;
+  }
+}
+
 TEST(MultiRangeCursorTest, VisitsAllRangesInOrder) {
   TreeFixture f(1000);
   auto set = RangeSet::FromRanges(
       {IntRange(800, 810), IntRange(5, 10), IntRange(400, 402)});
   MultiRangeCursor cursor(f.tree.get(), &set);
   std::vector<int64_t> got;
-  std::string key;
-  Rid rid;
-  for (;;) {
-    auto more = cursor.Next(&key, &rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    std::string_view sv(key);
+  RidBatch entries = DrainEntries(&cursor);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    std::string_view sv(entries.key(i));
     int64_t v;
     ASSERT_TRUE(DecodeInt64(&sv, &v).ok());
     got.push_back(v);
@@ -324,33 +331,25 @@ TEST(MultiRangeCursorTest, EmptySetAndEmptyRanges) {
   TreeFixture f(100);
   auto empty = RangeSet::Empty();
   MultiRangeCursor cursor(f.tree.get(), &empty);
-  std::string key;
-  Rid rid;
-  auto more = cursor.Next(&key, &rid);
+  RidBatch entries;
+  auto more = cursor.NextBatch(1, &entries);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
+  EXPECT_TRUE(entries.empty());
 
   auto beyond = RangeSet::Of(IntRange(500, 600));  // past all data
   MultiRangeCursor cursor2(f.tree.get(), &beyond);
-  more = cursor2.Next(&key, &rid);
+  more = cursor2.NextBatch(1, &entries);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
+  EXPECT_TRUE(entries.empty());
 }
 
 TEST(MultiRangeCursorTest, UnrestrictedScansEverything) {
   TreeFixture f(500);
   auto all = RangeSet::All();
   MultiRangeCursor cursor(f.tree.get(), &all);
-  std::string key;
-  Rid rid;
-  int n = 0;
-  for (;;) {
-    auto more = cursor.Next(&key, &rid);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    n++;
-  }
-  EXPECT_EQ(n, 500);
+  EXPECT_EQ(DrainEntries(&cursor, 64).size(), 500u);
 }
 
 }  // namespace

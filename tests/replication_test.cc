@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/database.h"
+#include "core/retrieval.h"
 #include "durability/crash.h"
 #include "durability/file_page_store.h"
 #include "replication/archive.h"
@@ -160,6 +161,34 @@ TEST(ReplicationArchiveTest, RoundTripSealsSegmentsAndTracksWal) {
   auto durable2 = reader.DurableEndLsn();
   ASSERT_TRUE(durable2.ok()) << durable2.status();
   EXPECT_GT(*durable2, *durable);
+}
+
+// A base image is a copy of the checkpointed file. While a reader pins a
+// committed page the checkpoint could not write back, the file lacks that
+// page's newest image, so the archive refuses the copy, typed; once the
+// pin is gone the next attempt succeeds.
+TEST(ReplicationArchiveTest, BaseImageRefusedWhileAReaderPinsACommittedPage) {
+  const std::string path = TempPath("repl_pinned_base.db");
+  const std::string dir = TempPath("repl_pinned_base.archive");
+  auto p = MakePrimary(path, dir, 400);
+  ASSERT_TRUE(p.ok()) << p.status();
+  {
+    RetrievalSpec spec;
+    spec.table = p->table;
+    spec.projection = {0};
+    RetrievalOptions opt;
+    opt.batch_size = 1;  // the Tscan stops on the first row's page
+    DynamicRetrieval engine(p->db.get(), spec, opt);
+    ASSERT_TRUE(engine.Open({}).ok());
+    RowBatch batch;
+    auto first = engine.NextBatch(&batch, 1);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_TRUE(*first);
+    ASSERT_TRUE(p->table->Delete(batch.rid(0)).ok());  // dirties that page
+    ASSERT_TRUE(p->db->Commit().ok());
+    EXPECT_TRUE(p->db->ArchiveBaseImage().IsNotSupported());
+  }
+  EXPECT_TRUE(p->db->ArchiveBaseImage().ok());
 }
 
 TEST(ReplicationArchiveTest, RecoveryReArchivesTheUnshippedTail) {
