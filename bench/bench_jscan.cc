@@ -52,12 +52,9 @@ Outcome RunJscan(Database* db, const RetrievalSpec& spec, bool dynamic) {
   // Charge the full retrieval either way: drain the final RID list like
   // Fin would, or fall back to the recommended table scan.
   if (jscan.phase() == Jscan::Phase::kComplete) {
-    auto rids = jscan.final_list()->ToSortedVector();
-    if (rids.ok()) {
-      std::string bytes;
-      for (const Rid& r : *rids) {
-        spec.table->heap()->Fetch(r, &bytes).ok();
-      }
+    std::string bytes;
+    for (const Rid& r : jscan.final_list()->ToSortedVector()) {
+      spec.table->heap()->Fetch(r, &bytes).ok();
     }
   } else {
     auto cursor = spec.table->heap()->NewCursor();

@@ -24,8 +24,6 @@ ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 survivors="$(cat <<'EOF'
 dynopt::(anonymous namespace)::StateName -- names a crash outcome in a golden-twin mismatch message
 dynopt::EmpiricalCost::Sample -- CostDistribution override; the Monte-Carlo validators sample only hyperbolas under test
-dynopt::PageStore::Free -- the interface's default for stores that do not reclaim pages; every store overrides it
-dynopt::FaultInjectingPageStore::Free -- PageStore override; no fault-store test spills a RID list
 dynopt::operator<< -- prints a Status in test failure messages
 EOF
 )"

@@ -134,6 +134,14 @@ Status Jscan::Advance() {
   return Status::OK();
 }
 
+void Jscan::DetachContext() {
+  set_context(nullptr);
+  for (ActiveScan* scan : {primary_.get(), secondary_.get()}) {
+    if (scan != nullptr) scan->list->set_context(nullptr);
+  }
+  if (completed_list_ != nullptr) completed_list_->set_context(nullptr);
+}
+
 Result<bool> Jscan::StepScan(ActiveScan* scan, size_t max_units) {
   ScopedCostMeter scope(&scan->accrued, pool_->shared_meter());
   // The previously completed list is the intersection filter, and the
@@ -146,9 +154,8 @@ Result<bool> Jscan::StepScan(ActiveScan* scan, size_t max_units) {
   if (n == 0) return false;
   scan->entries_scanned += n;
   std::span<const Rid> rids = entries_.rids();
-  Status appended = scan->list->Append(rids, survivors_);
-  scan->kept = scan->list->size();  // a failed spill keeps what it took
-  DYNOPT_RETURN_IF_ERROR(appended);
+  DYNOPT_RETURN_IF_ERROR(scan->list->Append(rids, survivors_));
+  scan->kept = scan->list->size();
   for (uint32_t i : survivors_) scan->kept_pages.Insert(rids[i].page);
   return true;
 }
@@ -312,8 +319,8 @@ Result<bool> Jscan::StepOnce(size_t max_units) {
   if (!stepped.ok()) {
     const Status& st = stepped.status();
     if (!tolerate_io_faults_ || !IsIoFault(st)) return st;
-    // The scan's index (or its spill) is unreadable: disqualify this
-    // strategy and let the competition continue with the survivors.
+    // The scan's index is unreadable: disqualify this strategy and let the
+    // competition continue with the survivors.
     DYNOPT_RETURN_IF_ERROR(DisqualifyScan(stepping_secondary, st));
     return !exhausted_;
   }

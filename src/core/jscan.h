@@ -108,6 +108,11 @@ class Jscan final : public ScanStepper {
   /// The final (sealed) RID list; non-null iff phase() == kComplete.
   HybridRidList* final_list() { return completed_list_.get(); }
 
+  /// Detaches the context from the Jscan and every list it holds, so
+  /// none refunds spill to it when it dies: the execution that attached
+  /// the context is over, and the context may be gone.
+  void DetachContext();
+
   /// Current "guaranteed best" remaining-retrieval cost estimate.
   double guaranteed_best_cost() const { return gbc_; }
   double tscan_cost_estimate() const { return tscan_cost_; }

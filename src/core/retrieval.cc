@@ -114,6 +114,10 @@ DynamicRetrieval::DynamicRetrieval(Database* db, RetrievalSpec spec,
   }
 }
 
+DynamicRetrieval::~DynamicRetrieval() {
+  if (jscan_ != nullptr) jscan_->DetachContext();
+}
+
 uint64_t DynamicRetrieval::RepairsNow() const {
   uint64_t n = 0;
   if (m_repairs_ != nullptr) n += m_repairs_->value.load();
@@ -172,6 +176,8 @@ Status DynamicRetrieval::Open(const ParamMap& params, QueryContext* ctx) {
   pending_pos_ = 0;
   delivered_.clear();
   events_.Clear();
+  // The previous execution's context may be gone.
+  if (jscan_ != nullptr) jscan_->DetachContext();
   jscan_.reset();
   owned_.reset();
   single_ = fgr_ = nullptr;
@@ -819,13 +825,12 @@ Status DynamicRetrieval::OnBackgroundSettled() {
       bool race = mode_ == Mode::kRace;
       if (complete) {
         uint64_t pages = meter_.logical_reads;
-        auto rids = jscan_->final_list()->ToSortedVector();
+        std::vector<Rid> rids = jscan_->final_list()->ToSortedVector();
         ChargePagesReadSince(pages);
-        if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
         Decide(Verdict::kJscanComplete, race ? "during race" : "",
-               static_cast<double>(rids->size()),
+               static_cast<double>(rids.size()),
                race ? static_cast<double>(delivered_.size()) : 0);
-        return BeginFinalStage(std::move(*rids));
+        return BeginFinalStage(std::move(rids));
       }
       Decide(Verdict::kJscanRecommendsTscan, race ? "foreground switches" : "");
       StartTscan();  // delivered_ filters duplicates
@@ -894,12 +899,11 @@ Status DynamicRetrieval::OnBackgroundSettled() {
         }
         if (fin_cost < ss_used) {
           uint64_t pages = meter_.logical_reads;
-          auto rids = jscan_->final_list()->ToSortedVector();
+          std::vector<Rid> rids = jscan_->final_list()->ToSortedVector();
           ChargePagesReadSince(pages);
-          if (!rids.ok()) return StrategyFailed(*jscan_, rids.status());
           // The abandoned Sscan stays fgr_, so its span reports its cost.
           Decide(Verdict::kJscanWon, "sscan abandoned", fin_cost, ss_used);
-          return BeginFinalStage(std::move(*rids));
+          return BeginFinalStage(std::move(rids));
         }
         Decide(Verdict::kSscanRetained, "list too costly", fin_cost, ss_used);
       } else {

@@ -146,6 +146,9 @@ class DynamicRetrieval {
   // The fetch steppers hold references into the engine itself.
   DynamicRetrieval(const DynamicRetrieval&) = delete;
   DynamicRetrieval& operator=(const DynamicRetrieval&) = delete;
+  /// The last execution's context may already be gone: its RID lists are
+  /// dropped without touching it.
+  ~DynamicRetrieval();
 
   /// Binds parameters and (re)optimizes. May be called repeatedly; each
   /// call is an independent execution that reuses learned index order.
@@ -331,9 +334,9 @@ class DynamicRetrieval {
   /// Inserts into delivered_, charging each new entry to the context's
   /// RID-list budget so the dedup set cannot bypass the memory ceiling.
   void RememberDelivered(Rid rid);
-  /// Error unwind: tears down every stepper and RID list so pins, spill
-  /// pages, and budget accounting release now — not when the engine object
-  /// eventually dies. Returns `st` for the caller to propagate.
+  /// Error unwind: tears down every stepper and RID list so pins and spill
+  /// bytes release now — not when the engine object eventually dies.
+  /// Returns `st` for the caller to propagate.
   Status Fail(Status st);
   /// Hands rows `rows` of a stepper batch to the caller: the first ones
   /// into out_ up to its room, the rest into pending_. Remembers their

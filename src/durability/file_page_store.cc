@@ -120,34 +120,10 @@ FilePageStore::~FilePageStore() {
 }
 
 PageId FilePageStore::Allocate() {
-  {
-    std::lock_guard<std::mutex> lock(free_mu_);
-    if (!free_.empty()) {
-      PageId id = free_.back();
-      free_.pop_back();
-      return id;
-    }
-  }
   // Growth is logical: the frame materializes in the file on first Write,
   // and an unwritten frame reads back zeroed (matching MemPageStore).
   return static_cast<PageId>(
       page_count_.fetch_add(1, std::memory_order_relaxed));
-}
-
-Status FilePageStore::Free(PageId id) {
-  if (id >= page_count_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("free of unallocated page " +
-                                   std::to_string(id));
-  }
-  std::lock_guard<std::mutex> lock(free_mu_);
-  for (PageId f : free_) {
-    if (f == id) {
-      return Status::InvalidArgument("double free of page " +
-                                     std::to_string(id));
-    }
-  }
-  free_.push_back(id);
-  return Status::OK();
 }
 
 Status FilePageStore::Read(PageId id, PageData* dst) const {

@@ -36,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "durability/crash.h"
 #include "storage/page.h"
@@ -70,12 +69,6 @@ class FilePageStore : public PageStore {
   PageId Allocate() override;
   Status Read(PageId id, PageData* dst) const override;
   Status Write(PageId id, const PageData& src) override;
-  /// Returns the page to an in-memory free list consumed by Allocate().
-  /// The list is not persisted (freed pages are temp-query scratch; after
-  /// a restart the ids are simply allocated fresh past the watermark). A
-  /// reused frame still holds its old bytes on disk, so it must be written
-  /// before it is read — BufferPool::NewPage guarantees that.
-  Status Free(PageId id) override;
   size_t page_count() const override;
 
   /// fsyncs the data file (crash point kStoreSync).
@@ -119,9 +112,6 @@ class FilePageStore : public PageStore {
   std::atomic<size_t> page_count_{0};
   mutable std::mutex super_mu_;  // guards super_ and slot selection
   Superblock super_;
-
-  mutable std::mutex free_mu_;  // guards free_
-  std::vector<PageId> free_;    // volatile free list; see Free()
 };
 
 }  // namespace dynopt

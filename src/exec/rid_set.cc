@@ -32,6 +32,12 @@ HybridRidList::HybridRidList(BufferPool* pool, Options options)
   if (options_.bitmap_bits == 0) options_.bitmap_bits = 64;
 }
 
+HybridRidList::~HybridRidList() {
+  if (ctx_ != nullptr && !spill_.empty()) {
+    ctx_->ReleaseSpillBytes(spill_pages() * kPageSize);
+  }
+}
+
 void HybridRidList::SetBit(Rid rid) {
   uint64_t bit = MixRid(rid.ToU64()) % options_.bitmap_bits;
   bitmap_[bit / 64] |= uint64_t{1} << (bit % 64);
@@ -69,28 +75,25 @@ Status HybridRidList::Append(std::span<const Rid> rids,
     }
     size_ += take;
   }
-  Charge(i, i * sizeof(Rid));
-  if (i == n) return Status::OK();
-  // Overflow: open the temporary table and build the bitmap over
-  // everything seen so far.
-  if (pool_ == nullptr) {
-    return Status::ResourceExhausted(
-        "RID list exceeded memory capacity with no spill pool");
-  }
-  if (storage_ != Storage::kSpilled) {
-    spill_ = std::make_unique<TempRidFile>(pool_, ctx_);
+  const size_t in_memory = i;
+  if (i < n && storage_ != Storage::kSpilled) {
+    // Overflow: start the temporary table and build the bitmap over
+    // everything seen so far.
     bitmap_.assign((options_.bitmap_bits + 63) / 64, 0);
     for (const Rid& r : heap_buf_) SetBit(r);
     storage_ = Storage::kSpilled;
   }
   for (; i < n; ++i) {
-    Charge(1);
-    const Rid& rid = rids[sel[i]];
-    Status st = spill_->Append(rid);
-    if (!st.ok()) return WithContext("RID-list spill append", st);
-    SetBit(rid);
-    size_++;
+    if (spill_.size() % kRidsPerPage == 0) {
+      // A fresh temp-table page: one page write, one page of live spill.
+      if (pool_ != nullptr) pool_->meter_ptr()->physical_writes++;
+      if (ctx_ != nullptr) ctx_->ChargeSpillBytes(kPageSize);
+    }
+    spill_.push_back(rids[sel[i]]);
+    SetBit(spill_.back());
   }
+  size_ += n - in_memory;
+  Charge(n, in_memory * sizeof(Rid));
   return Status::OK();
 }
 
@@ -145,20 +148,17 @@ bool HybridRidList::MightContain(Rid rid) const {
   return Contains(rid);
 }
 
-Result<std::vector<Rid>> HybridRidList::ToSortedVector() {
+std::vector<Rid> HybridRidList::ToSortedVector() const {
   std::vector<Rid> out;
   out.reserve(size_);
   std::span<const Rid> mem = InMemory();
   out.assign(mem.begin(), mem.end());
-  if (spill_ != nullptr) {
-    auto cursor = spill_->NewCursor();
-    Rid rid;
-    for (;;) {
-      DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&rid));
-      if (!more) break;
-      out.push_back(rid);
-    }
+  if (const uint64_t pages = spill_pages(); pages != 0 && pool_ != nullptr) {
+    CostMeter* meter = pool_->meter_ptr();
+    meter->physical_reads += pages;
+    meter->logical_reads += pages;
   }
+  out.insert(out.end(), spill_.begin(), spill_.end());
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -5,7 +5,10 @@
 // ~20 RIDs live in a small statically-allocated buffer (no allocation
 // overhead), bigger lists move to an allocated heap buffer, and bigger
 // still spill to a temporary table while a hashed bitmap [Babb79] of "a
-// size as small as necessary" stands in as the membership filter.
+// size as small as necessary" stands in as the membership filter. The
+// list owns that temporary table: packed 1,023-RID pages of its own,
+// metered as temp-table I/O, so no spill page ever reaches the buffer
+// pool, the WAL or the database file.
 //
 // After Seal(), a list answers membership probes: exact for in-memory
 // storage, no-false-negative (possible false positives) for the spilled
@@ -15,22 +18,20 @@
 // buffer, so most non-members are rejected without a binary search.
 //
 // Appends and probes come in batches: one call per index-entry batch, one
-// meter charge per call while the list is in memory (a spilled RID is
-// charged with its temp-table I/O). The charges equal one rid_op per RID
-// appended or probed, exactly as a per-RID loop would make them.
+// meter charge per call (a spill page also charges its temp-table write as
+// it starts). The charges equal one rid_op per RID appended or probed,
+// exactly as a per-RID loop would make them.
 
 #ifndef DYNOPT_EXEC_RID_SET_H_
 #define DYNOPT_EXEC_RID_SET_H_
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "storage/temp_rid_file.h"
 #include "util/status.h"
 
 namespace dynopt {
@@ -50,21 +51,30 @@ class HybridRidList {
 
   enum class Storage { kInline, kHeap, kSpilled };
 
-  /// `pool` is only used if the list spills; it may be null when
-  /// memory_capacity is never exceeded by construction.
+  /// RIDs per temp-table page: an 8 KiB page less an 8-byte header, in
+  /// packed 64-bit RIDs.
+  static constexpr size_t kRidsPerPage = (kPageSize - 8) / sizeof(uint64_t);
+
+  /// `pool` supplies the meter charges land in (its installed meter) and
+  /// the metrics registry; it may be null, and then nothing is charged.
   explicit HybridRidList(BufferPool* pool) : HybridRidList(pool, Options()) {}
   HybridRidList(BufferPool* pool, Options options);
+  HybridRidList(const HybridRidList&) = delete;
+  HybridRidList& operator=(const HybridRidList&) = delete;
+  /// Refunds the spill bytes of every temp-table page, so early unwind —
+  /// cancel, deadline, fault — leaks no budget.
+  ~HybridRidList();
 
   /// Attaches governance accounting: in-memory appends charge RID-list
   /// bytes, spill pages charge (and on destruction refund) spill bytes.
-  /// Call before the first Append.
+  /// Call before the first Append; null detaches it, and the destructor
+  /// then refunds nothing.
   void set_context(QueryContext* ctx) { ctx_ = ctx; }
 
   /// Appends rids[i] for every i in `sel`, in `sel` order (duplicates are
   /// the caller's concern). Charges one rid_op per RID and the in-memory
-  /// RID-list bytes once per call; spilling charges real temp-table I/O
-  /// through the pool. On a failed spill append, the RIDs before the
-  /// failing one stay appended (size() counts them).
+  /// RID-list bytes once per call; each temp-table page the spill starts
+  /// charges one physical write and one page of spill bytes.
   Status Append(std::span<const Rid> rids, std::span<const uint32_t> sel);
 
   /// One-RID Append.
@@ -97,10 +107,11 @@ class HybridRidList {
   /// bitmap).
   bool filter_is_exact() const { return storage_ != Storage::kSpilled; }
 
-  /// Materializes all RIDs in sorted order (reads back any spill — that
-  /// cost is the point of the hybrid arrangement). The paper sorts the
-  /// final list so several records on one page are fetched together.
-  Result<std::vector<Rid>> ToSortedVector();
+  /// Materializes all RIDs in sorted order. Reading the spill back costs
+  /// one physical and one logical read per temp-table page — the cost the
+  /// hybrid arrangement spares small lists. The paper sorts the final list
+  /// so several records on one page are fetched together.
+  std::vector<Rid> ToSortedVector() const;
 
   /// The RIDs held in memory (inline or heap region) — the portion a
   /// fast-first foreground may borrow from (§7). Spilled RIDs are
@@ -120,6 +131,10 @@ class HybridRidList {
   /// Charges `n` rid_ops (and, for in-memory appends, `bytes` RID-list
   /// bytes) in one meter add.
   void Charge(uint64_t n, uint64_t bytes = 0) const;
+  /// Temp-table pages the spilled region fills (the last may be partial).
+  uint64_t spill_pages() const {
+    return (spill_.size() + kRidsPerPage - 1) / kRidsPerPage;
+  }
 
   BufferPool* pool_;
   QueryContext* ctx_ = nullptr;
@@ -131,7 +146,7 @@ class HybridRidList {
 
   std::array<Rid, 32> inline_buf_;            // first region (<= capacity)
   std::vector<Rid> heap_buf_;                 // second region
-  std::unique_ptr<TempRidFile> spill_;        // third region (overflow only)
+  std::vector<Rid> spill_;                    // third region, append order
   // Hashed bitmap [Babb79]: the whole filter once spilled (bit = hash mod
   // options_.bitmap_bits), or, once an in-memory list is sealed, the
   // pre-check in front of its sorted buffer (bit = hash & filter_mask_).

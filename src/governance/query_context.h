@@ -11,10 +11,10 @@
 //
 // Budgets are charged by the components that consume the resource:
 // steppers charge pages read, HybridRidList and the engine's degraded-
-// fallback dedup set charge in-memory RID bytes, TempRidFile charges (and
-// on destruction releases) spill bytes. Pages read and RID bytes are
-// cumulative for the query's lifetime; spill bytes track live spill so
-// early unwind returns them.
+// fallback dedup set charge in-memory RID bytes, and HybridRidList charges
+// (and on destruction releases) spill bytes, one page per temp-table page.
+// Pages read and RID bytes are cumulative for the query's lifetime; spill
+// bytes track live spill so early unwind returns them.
 
 #ifndef DYNOPT_GOVERNANCE_QUERY_CONTEXT_H_
 #define DYNOPT_GOVERNANCE_QUERY_CONTEXT_H_

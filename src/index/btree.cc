@@ -459,7 +459,6 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
                                       RidBatch* out, bool* bound_hit) {
   *bound_hit = false;
   if (exhausted_) return false;
-  out->Reserve(out->size() + max);
   // One key compare per entry touched, charged once per call on every
   // return path (the meter is read only between steps).
   struct ChargeCompares {
@@ -481,6 +480,11 @@ Result<bool> BTree::Cursor::NextBatch(std::string_view hi, size_t max,
     }
     NodeRef node(const_cast<uint8_t*>(guard_.data()));
     uint16_t count = node.count();
+    // Room for what this leaf can still give, not for all of `max`: the
+    // range, not the caller's batch size, sizes the allocation.
+    if (pos_ < count) {
+      out->Reserve(out->size() + std::min<size_t>(count - pos_, max - n));
+    }
     while (pos_ < count && n < max) {
       std::string_view key = node.Key(pos_);
       compares.n++;  // per-entry CPU touch

@@ -75,8 +75,8 @@ struct IntegrityFinding {
 };
 
 struct IntegrityCheckOptions {
-  /// Also pin every allocated page no structure claimed (free-list scratch,
-  /// leaked pages) and report unreadable ones. Off by default: verify-on-
+  /// Also pin every allocated page no structure claimed (leaked pages) and
+  /// report unreadable ones. Off by default: verify-on-
   /// open only vouches for reachable structures.
   bool scan_all_pages = false;
   /// Findings beyond this many are counted in dropped_findings instead of

@@ -19,9 +19,9 @@
 // ever exposed to readers.
 //
 // Mutation guard rails: the inner database is read-only — CreateTable /
-// Commit / Checkpoint fail typed, and the pool refuses page allocation
-// (a reader spilling temp pages would silently desynchronize the store's
-// page watermark from the primary's commits).
+// Commit / Checkpoint fail typed, and the pool refuses page allocation, so
+// the store's page watermark moves only through applied redo. A reader's
+// spilled RID list keeps its overflow in the list and takes no page.
 //
 // Promote() turns the standby into the new primary: final catch-up from
 // the archive, fence the old timeline in the manifest (stale-primary

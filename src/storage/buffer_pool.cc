@@ -257,22 +257,7 @@ Result<PageGuard> BufferPool::NewPage() {
   uint32_t si = static_cast<uint32_t>(ShardOf(id));
   Shard& s = *shards_[si];
   std::lock_guard<std::mutex> lock(s.mu);
-  uint32_t frame;
-  auto it = s.table.find(id);
-  if (it != s.table.end()) {
-    // A stale cached copy of a previously freed page (e.g. the scrubber
-    // pinned it moments before the store recycled the id). Reuse the frame
-    // in place — inserting a second mapping would orphan it.
-    frame = it->second;
-    Frame& stale = s.frames[frame];
-    if (stale.pins != 0 || stale.loading) {
-      return Status::Internal("allocated page " + std::to_string(id) +
-                              " is still pinned in the cache");
-    }
-    s.lru.erase(stale.lru_pos);
-  } else {
-    DYNOPT_ASSIGN_OR_RETURN(frame, GrabFrame(s));
-  }
+  DYNOPT_ASSIGN_OR_RETURN(uint32_t frame, GrabFrame(s));
   Frame& f = s.frames[frame];
   f.data.fill(0);
   f.id = id;
@@ -407,34 +392,6 @@ Result<size_t> BufferPool::ScrambleCache(Rng& rng, double fraction) {
     }
   }
   return evicted;
-}
-
-Status BufferPool::DiscardPage(PageId id) {
-  uint32_t si = static_cast<uint32_t>(ShardOf(id));
-  Shard& s = *shards_[si];
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.table.find(id);
-    if (it != s.table.end()) {
-      uint32_t frame = it->second;
-      Frame& f = s.frames[frame];
-      if (f.pins != 0) {
-        return Status::Internal("discard of pinned page " +
-                                std::to_string(id));
-      }
-      // Dropped, not evicted: the page's contents are dead by contract,
-      // so no write-back regardless of the dirty bit or WAL epoch.
-      s.table.erase(it);
-      s.lru.erase(f.lru_pos);
-      f.in_use = false;
-      f.id = kInvalidPageId;
-      f.dirty.store(false, std::memory_order_relaxed);
-      s.free_frames.push_back(frame);
-    }
-  }
-  Status freed = store_->Free(id);
-  if (freed.IsNotSupported()) return Status::OK();
-  return freed;
 }
 
 size_t BufferPool::PinnedPages() const {

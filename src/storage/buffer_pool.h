@@ -153,17 +153,11 @@ class BufferPool {
 
   /// Read-only guard rail for warm standbys: while set, NewPage() fails
   /// typed instead of allocating. A standby's store watermark must move
-  /// only through applied redo; a query spilling temp pages there would
+  /// only through applied redo; heap, index or catalog growth there would
   /// silently desynchronize the page count from the primary's commits.
   /// Pin() stays available — reads (and read-path repair) are the point.
   void SetReadOnly(bool read_only) { read_only_ = read_only; }
   bool read_only() const { return read_only_; }
-
-  /// Drops page `id` from the cache without write-back and returns it to
-  /// the store's free list (no-op on stores without reclamation). The page
-  /// must be dead to the caller — discarding a pinned page is an error.
-  /// Temp-spill teardown uses this; never call it on catalog/index pages.
-  Status DiscardPage(PageId id);
 
   void set_retry_policy(const IoRetryPolicy& policy) { retry_ = policy; }
   const IoRetryPolicy& retry_policy() const { return retry_; }

@@ -74,8 +74,6 @@ Status FaultInjectingPageStore::Write(PageId id, const PageData& src) {
   return inner_->Write(id, src);
 }
 
-Status FaultInjectingPageStore::Free(PageId id) { return inner_->Free(id); }
-
 size_t FaultInjectingPageStore::page_count() const {
   return inner_->page_count();
 }

@@ -14,7 +14,7 @@
 // typed-error path (there is no alternative way to fetch a record). The
 // harness classifies pages after building the database: heap pages are
 // named explicitly, everything else allocated before FreezeClassification()
-// is index, and later allocations (temp spill) are kOther.
+// is index, and later allocations (growth after the build) are kOther.
 //
 // Transient faults are deterministic per page: each affected page fails
 // `fail_reads` consecutive reads, then succeeds once, then the cycle
@@ -166,13 +166,12 @@ class FaultInjectingPageStore : public PageStore {
   PageId Allocate() override;
   Status Read(PageId id, PageData* dst) const override;
   Status Write(PageId id, const PageData& src) override;
-  Status Free(PageId id) override;
   size_t page_count() const override;
 
   /// Marks the given pages as heap pages (call once per table).
   void ClassifyHeapPages(const std::vector<PageId>& pages);
   /// Every page allocated so far and not marked heap becomes kIndex;
-  /// pages allocated afterwards are kOther (temp/scratch).
+  /// pages allocated afterwards are kOther.
   void FreezeClassification();
   PageClass Classify(PageId id) const;
 

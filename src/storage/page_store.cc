@@ -26,31 +26,9 @@ void PageStore::SimulateWriteLatency() const {
 
 PageId MemPageStore::Allocate() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!free_.empty()) {
-    PageId id = free_.back();
-    free_.pop_back();
-    pages_[id]->fill(0);
-    return id;
-  }
   pages_.push_back(std::make_unique<PageData>());
   pages_.back()->fill(0);
   return static_cast<PageId>(pages_.size() - 1);
-}
-
-Status MemPageStore::Free(PageId id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  if (id >= pages_.size()) {
-    return Status::InvalidArgument("free of unallocated page " +
-                                   std::to_string(id));
-  }
-  for (PageId f : free_) {
-    if (f == id) {
-      return Status::InvalidArgument("double free of page " +
-                                     std::to_string(id));
-    }
-  }
-  free_.push_back(id);
-  return Status::OK();
 }
 
 Status MemPageStore::Read(PageId id, PageData* dst) const {

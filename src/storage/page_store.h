@@ -54,16 +54,6 @@ class PageStore {
   /// Copies `src` into page `id`.
   virtual Status Write(PageId id, const PageData& src) = 0;
 
-  /// Returns page `id` to the store's free list for reuse by a later
-  /// Allocate(). Callers must hold no live references to the page (the
-  /// BufferPool drops its frame first — see BufferPool::DiscardPage).
-  /// Stores without reclamation return NotSupported; that is not an error
-  /// condition for callers freeing best-effort.
-  virtual Status Free(PageId id) {
-    return Status::NotSupported("page store does not reclaim page " +
-                                std::to_string(id));
-  }
-
   virtual size_t page_count() const = 0;
 
   /// Blocks each Read/Write for the given microseconds (0 = off). The
@@ -94,13 +84,11 @@ class MemPageStore : public PageStore {
   PageId Allocate() override;
   Status Read(PageId id, PageData* dst) const override;
   Status Write(PageId id, const PageData& src) override;
-  Status Free(PageId id) override;
   size_t page_count() const override;
 
  private:
   mutable std::shared_mutex mu_;  // guards the pages_ directory
   std::vector<std::unique_ptr<PageData>> pages_;
-  std::vector<PageId> free_;  // ids returned by Free(), reused by Allocate()
 };
 
 }  // namespace dynopt

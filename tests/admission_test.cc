@@ -429,7 +429,9 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   f.Index("by_age", {"age"});
   f.Index("by_income", {"income"});
   f.db.learning()->set_mode(LearningMode::kLearn);
-  // Covered projection on age + an income jscan candidate: kIndexOnly.
+  // by_age covers the projection but not the income conjunct, so no index
+  // answers alone: the query runs background-only (a Jscan over by_age and
+  // by_income), and the learned accounts pin it to the Tscan.
   RetrievalSpec spec;
   spec.table = f.table;
   spec.restriction = Predicate::And(
@@ -447,6 +449,7 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   std::multiset<uint64_t> cold_rids = DrainRids(&engine);
   ASSERT_GT(cold_rids.size(), 0u);
   EXPECT_FALSE(SawVerdict(engine, Verdict::kBrownoutPinned));
+  EXPECT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
 
   // Warm the per-strategy cost account: repeated unpinned runs record the
   // winner's full-run cost under this class key.
@@ -461,8 +464,52 @@ TEST(OverloadPinTest, RacePinsToCheapestLearnedStrategy) {
   ASSERT_TRUE(engine.Open({}, &ctx).ok());
   std::multiset<uint64_t> pinned_rids = DrainRids(&engine);
   EXPECT_TRUE(SawVerdict(engine, Verdict::kBrownoutPinned));
+  EXPECT_EQ(engine.tactic(), Tactic::kStaticTscan);
   EXPECT_EQ(pinned_rids.size(), cold_rids.size());
   EXPECT_EQ(pinned_rids, cold_rids);
+}
+
+// The Index-Only race's pin: by_age_income covers the restriction and the
+// projection, so its Sscan races a Jscan over by_income. Each unpinned run
+// ends with the Jscan recommending a Tscan and the Sscan delivering, which
+// records the Sscan's full-run cost; browned out, the query then runs that
+// Sscan alone.
+TEST(OverloadPinTest, IndexOnlyPinsToTheLearnedSscan) {
+  Families f(2000, DatabaseOptions{});
+  f.Index("by_age_income", {"age", "income"});
+  f.Index("by_income", {"income"});
+  f.db.learning()->set_mode(LearningMode::kLearn);
+  RetrievalSpec spec;
+  spec.table = f.table;
+  spec.restriction = Predicate::And(
+      {Predicate::Between(1, Operand::Literal(Value(int64_t{30})),
+                          Operand::Literal(Value(int64_t{40}))),
+       Predicate::Compare(2, CompareOp::kLt,
+                          Operand::Literal(Value(int64_t{150000})))});
+  spec.projection = {1, 2};
+  const std::multiset<std::string> want = RowSet(NaiveRows(spec));
+  ASSERT_GT(want.size(), 0u);
+
+  DynamicRetrieval engine(&f.db, spec, RetrievalOptions{});
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(engine.Open({}, nullptr).ok());
+    EXPECT_EQ(RowSet(DrainRows(&engine)), want) << "run " << i;
+    EXPECT_EQ(engine.tactic(), Tactic::kIndexOnly);
+    EXPECT_TRUE(SawVerdict(engine, Verdict::kJscanRecommendsTscan));
+  }
+  auto learned = f.db.learning()->LookupStrategyCost(engine.query_class(),
+                                                     "Sscan(by_age_income)");
+  ASSERT_TRUE(learned.has_value());
+  EXPECT_EQ(learned->samples, 6u);
+
+  QueryContext ctx = BrownoutContext();
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  EXPECT_EQ(RowSet(DrainRows(&engine)), want);
+  EXPECT_EQ(engine.tactic(), Tactic::kStaticSscan);
+  const TraceEvent* pin = FindVerdict(engine, Verdict::kBrownoutPinned);
+  ASSERT_NE(pin, nullptr);
+  EXPECT_EQ(pin->a, learned->mean_cost);
+  EXPECT_EQ(pin->b, 6.0);
 }
 
 // ---------------------------------------------------------------------------

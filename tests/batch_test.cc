@@ -38,13 +38,6 @@ std::string RowKey(const std::vector<Value>& values, Rid rid) {
   return key;
 }
 
-// Canonical (sorted) multiset of rows with their RIDs — the "result hash".
-std::multiset<std::string> Canonical(const std::vector<ResultRow>& rows) {
-  std::multiset<std::string> out;
-  for (const ResultRow& row : rows) out.insert(RowKey(row.values, row.rid));
-  return out;
-}
-
 const size_t kBatchSizes[] = {1, 3, 1024};
 
 TEST(BatchGoldenTest, TscanResultsIdenticalAcrossBatchSizes) {
@@ -64,13 +57,13 @@ TEST(BatchGoldenTest, TscanResultsIdenticalAcrossBatchSizes) {
   ParamMap params;
   for (const auto& pred : preds) {
     RetrievalSpec spec = f.Spec(pred, {0, 1, 3});
-    auto golden = Canonical(NaiveRows(spec, params));
+    auto golden = RowSet(NaiveRows(spec, params));
     for (size_t bs : kBatchSizes) {
       RetrievalOptions opt;
       opt.batch_size = bs;
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
-      EXPECT_EQ(Canonical(DrainRows(&engine)), golden)
+      EXPECT_EQ(RowSet(DrainRows(&engine)), golden)
           << pred->ShapeString() << " batch_size=" << bs;
     }
   }
@@ -103,13 +96,13 @@ TEST(BatchGoldenTest, IndexTacticsIdenticalAcrossBatchSizes) {
         goal == OptimizationGoal::kFastFirst ? std::vector<uint32_t>{0, 1}
                                              : std::vector<uint32_t>{1, 2};
     RetrievalSpec spec = f.Spec(pred, proj, goal);
-    auto golden = Canonical(NaiveRows(spec, params));
+    auto golden = RowSet(NaiveRows(spec, params));
     for (size_t bs : kBatchSizes) {
       RetrievalOptions opt;
       opt.batch_size = bs;
       DynamicRetrieval engine(&f.db, spec, opt);
       ASSERT_TRUE(engine.Open(params).ok());
-      EXPECT_EQ(Canonical(DrainRows(&engine)), golden)
+      EXPECT_EQ(RowSet(DrainRows(&engine)), golden)
           << pred->ShapeString() << " batch_size=" << bs;
     }
   }

@@ -379,13 +379,13 @@ TEST(JscanTest, IntersectsTwoIndexes) {
   ASSERT_TRUE(jscan.RunToCompletion().ok());
   ASSERT_EQ(jscan.phase(), Jscan::Phase::kComplete);
 
-  auto rids = jscan.final_list()->ToSortedVector();
-  ASSERT_TRUE(rids.ok());
   // The final list must contain every truly-matching RID (it may contain
   // extras only if a bitmap filter was involved).
   auto naive = NaiveRids(jf.spec, jf.params);
   std::set<uint64_t> final_set;
-  for (const Rid& r : *rids) final_set.insert(r.ToU64());
+  for (const Rid& r : jscan.final_list()->ToSortedVector()) {
+    final_set.insert(r.ToU64());
+  }
   for (uint64_t r : naive) {
     EXPECT_TRUE(final_set.count(r) > 0) << "missing rid " << r;
   }

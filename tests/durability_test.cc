@@ -613,14 +613,16 @@ TEST(DurabilityDatabaseTest, CorruptCatalogCountOpensAsCorruption) {
   EXPECT_TRUE(db.status().IsCorruption()) << db.status();
 }
 
-// A Jscan list that outgrows memory spills to pages of the database file.
-// The list hands them back to the store when it dies, so each run reuses
-// the first run's page, and the database still commits, closes and
-// reopens clean.
-TEST(DurabilityDatabaseTest, SpilledRidListHandsItsPageBackToTheFile) {
+// A Jscan list that outgrows memory spills into pages the list owns, not
+// pages of the database file: three sessions each run a spilling query
+// and commit, and neither they nor the reopen move the file's page count.
+TEST(DurabilityDatabaseTest, SpilledRidListsLeaveTheFileAlone) {
   const std::string path = TempPath("db_spill.db");
+  ::unlink(path.c_str());
+  ::unlink((path + ".wal").c_str());
   DatabaseOptions options;
   options.path = path;
+  size_t pages = 0;
   {
     auto db = Database::Create(options);
     ASSERT_TRUE(db.ok()) << db.status();
@@ -629,7 +631,16 @@ TEST(DurabilityDatabaseTest, SpilledRidListHandsItsPageBackToTheFile) {
     ASSERT_TRUE((*table)->CreateIndex("by_age", {"age"}).ok());
     ASSERT_TRUE((*table)->CreateIndex("by_income", {"income"}).ok());
     ASSERT_TRUE((*db)->Commit().ok());
-
+    ASSERT_TRUE((*db)->Close().ok());
+    pages = (*db)->page_count();
+  }
+  RetrievalOptions opt;
+  opt.jscan.rid_list.memory_capacity = 64;
+  for (int session = 0; session < 3; ++session) {
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto table = (*db)->GetTable("families");
+    ASSERT_TRUE(table.ok()) << table.status();
     RetrievalSpec spec;
     spec.table = *table;
     spec.restriction = Predicate::And(
@@ -637,25 +648,110 @@ TEST(DurabilityDatabaseTest, SpilledRidListHandsItsPageBackToTheFile) {
          Predicate::Compare(2, CompareOp::kLt,
                             Operand::Literal(Value(int64_t{60000})))});
     spec.projection = {0};
-    RetrievalOptions opt;
-    opt.jscan.rid_list.memory_capacity = 64;
-    const std::multiset<uint64_t> want = NaiveRids(spec);
-    const size_t pages_before = (*db)->page_count();
-    size_t pages_after_first = 0;
-    for (int run = 0; run < 3; ++run) {
-      DynamicRetrieval engine(db->get(), spec, opt);
-      ASSERT_TRUE(engine.Open({}).ok());
-      EXPECT_EQ(DrainRids(&engine), want) << "run " << run;
-      if (run == 0) pages_after_first = (*db)->page_count();
-      EXPECT_EQ((*db)->page_count(), pages_after_first) << "run " << run;
-    }
-    EXPECT_GT(pages_after_first, pages_before);  // the list did spill
+    DynamicRetrieval engine(db->get(), spec, opt);
+    ASSERT_TRUE(engine.Open({}).ok());
+    EXPECT_EQ(DrainRids(&engine), NaiveRids(spec)) << "session " << session;
+    // The list spilled: each temp-table page it started was charged as a
+    // page write (the pool holds the whole database, so nothing else is).
+    EXPECT_GT(engine.CostSinceOpen().physical_writes, 0u)
+        << "session " << session;
+    EXPECT_EQ((*db)->page_count(), pages) << "session " << session;
     ASSERT_TRUE((*db)->Commit().ok());
+    EXPECT_EQ((*db)->page_count(), pages) << "session " << session;
     ASSERT_TRUE((*db)->Close().ok());
   }
   auto db = Database::Open(options);  // verify-on-open
   ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_TRUE(CheckDatabase(db->get()).clean());
+  EXPECT_EQ((*db)->page_count(), pages);
+  IntegrityCheckOptions check;
+  check.scan_all_pages = true;
+  EXPECT_TRUE(CheckDatabase(db->get(), check).clean());
+}
+
+// Spill pages used to be dirty pool frames under an uncommitted epoch,
+// which no eviction may write back, so a spill could fill a small pool of
+// a file-backed database. The list's own pages take no frame.
+TEST(DurabilityDatabaseTest, SpillingJscanRunsInASixFramePool) {
+  DatabaseOptions options;
+  options.path = TempPath("db_spill_small_pool.db");
+  {
+    auto db = CreateSpillDatabase(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  options.pool_pages = 6;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  RetrievalSpec spec = SpillSpec(db->get());
+  RetrievalOptions opt;
+  opt.jscan.rid_list.memory_capacity = 64;
+  QueryContext ctx;
+  DynamicRetrieval engine(db->get(), spec, opt);
+  ASSERT_TRUE(engine.Open({}, &ctx).ok());
+  EXPECT_EQ(RowSet(DrainRows(&engine)), RowSet(NaiveRows(spec)));
+  EXPECT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
+  EXPECT_GT(ctx.spill_bytes(), 0u);  // the list spilled
+  EXPECT_EQ((*db)->pool()->PinnedPages(), 0u);
+}
+
+// A commit logs the pool's dirty frames and records the store's page
+// count. A live spilled list (an engine that stopped after one row keeps
+// its Jscan until its next Open) used to add its pages to both, at every
+// commit. Now two commits beside it log what the same two commits log on
+// a twin database with no query open, and the page count matches.
+TEST(DurabilityDatabaseTest, CommitBesideALiveSpillLogsOnlyItsOwnPages) {
+  struct Commits {
+    std::vector<uint64_t> records;  // WAL records each commit logged
+    size_t pages = 0;               // the store's page count after them
+  };
+  // From a checkpoint, two commits of one new row each; `beside_spill`
+  // first pulls one row from the spilling query and keeps it open.
+  auto run = [](const std::string& name, bool beside_spill) {
+    Commits out;
+    DatabaseOptions options;
+    options.path = TempPath(name);
+    auto db = CreateSpillDatabase(options);
+    EXPECT_TRUE(db.ok()) << db.status();
+    if (!db.ok()) return out;
+    RetrievalSpec spec = SpillSpec(db->get());
+    EXPECT_TRUE((*db)->Checkpoint().ok());
+    RetrievalOptions opt;
+    opt.jscan.rid_list.memory_capacity = 64;
+    QueryContext ctx;
+    DynamicRetrieval engine(db->get(), spec, opt);
+    RowBatch first;
+    if (beside_spill) {
+      EXPECT_TRUE(engine.Open({}, &ctx).ok());
+      auto more = engine.NextBatch(&first, 1);
+      EXPECT_TRUE(more.ok() && *more);
+      EXPECT_GT(ctx.spill_bytes(), 0u);  // the spilled list is alive
+    }
+    const MetricsRegistry& metrics = *(*db)->metrics();
+    for (int64_t id : {1000000, 1000001}) {
+      const uint64_t before = metrics.Value("wal.records");
+      EXPECT_TRUE(spec.table
+                      ->Insert(Record{id, int64_t{30}, int64_t{50000},
+                                      std::string("city7"),
+                                      std::string(300, 'p')})
+                      .ok());
+      EXPECT_TRUE((*db)->Commit().ok());
+      out.records.push_back(metrics.Value("wal.records") - before);
+    }
+    out.pages = (*db)->page_count();
+    if (beside_spill) {
+      // The query still answers with the oracle's rows.
+      std::vector<ResultRow> rows = DrainRows(&engine);
+      rows.push_back(ResultRow{first.rid(0), {first.col(0).ValueAt(0),
+                                              first.col(1).ValueAt(0)}});
+      EXPECT_EQ(RowSet(rows), RowSet(NaiveRows(spec)));
+    }
+    return out;
+  };
+  const Commits control = run("db_spill_commit_control.db", false);
+  const Commits beside = run("db_spill_commit.db", true);
+  ASSERT_EQ(control.records.size(), 2u);
+  EXPECT_EQ(beside.records, control.records);
+  EXPECT_EQ(beside.pages, control.pages);
 }
 
 // A checkpoint must not drop a committed page that an open cursor pins.

@@ -120,11 +120,63 @@ TEST(HybridRidListTest, ToSortedVectorSpansSpill) {
   for (uint32_t i = 500; i > 0; --i) {
     ASSERT_TRUE(list.Append(Rid{i, 0}).ok());
   }
-  auto sorted = list.ToSortedVector();
-  ASSERT_TRUE(sorted.ok());
-  ASSERT_EQ(sorted->size(), 500u);
-  EXPECT_TRUE(std::is_sorted(sorted->begin(), sorted->end()));
-  EXPECT_EQ((*sorted)[0].page, 1u);
+  std::vector<Rid> sorted = list.ToSortedVector();
+  ASSERT_EQ(sorted.size(), 500u);
+  for (uint32_t i = 0; i < 500; ++i) ASSERT_EQ(sorted[i], (Rid{i + 1, 0}));
+  // Reading back consumes nothing: a second read returns the same RIDs.
+  EXPECT_EQ(list.ToSortedVector(), sorted);
+}
+
+// The temporary table is metered per page: each page it starts costs one
+// physical write and one page of live spill bytes, and reading the spill
+// back costs one physical and one logical read per page. The boundaries
+// fall at memory_capacity + 1,023·k.
+TEST(HybridRidListTest, SpillChargesEachTempTablePageOnce) {
+  MemPageStore store;
+  BufferPool pool(&store, 4);
+  QueryContext ctx;
+  HybridRidList::Options opt;
+  opt.memory_capacity = 100;
+  HybridRidList list(&pool, opt);
+  list.set_context(&ctx);
+  const size_t per_page = HybridRidList::kRidsPerPage;
+  ASSERT_EQ(per_page, 1023u);
+  // RIDs appended so far → temp-table pages started.
+  auto expect_pages = [&](uint64_t pages) {
+    EXPECT_EQ(pool.meter().physical_writes, pages) << list.size();
+    EXPECT_EQ(ctx.spill_bytes(), pages * kPageSize) << list.size();
+  };
+  uint32_t next = 0;
+  auto append_to = [&](size_t n) {
+    while (list.size() < n) ASSERT_TRUE(list.Append(Rid{next++, 0}).ok());
+  };
+  append_to(100);
+  EXPECT_EQ(list.storage(), HybridRidList::Storage::kHeap);
+  expect_pages(0);
+  append_to(101);
+  EXPECT_EQ(list.storage(), HybridRidList::Storage::kSpilled);
+  expect_pages(1);
+  append_to(100 + per_page);
+  expect_pages(1);
+  append_to(101 + per_page);
+  expect_pages(2);
+  append_to(100 + 2 * per_page);
+  expect_pages(2);
+  append_to(101 + 2 * per_page);
+  expect_pages(3);
+  // Appends charge no read and touch neither the pool nor its store.
+  EXPECT_EQ(pool.meter().logical_reads, 0u);
+  EXPECT_EQ(pool.meter().rid_ops, list.size());
+  EXPECT_EQ(store.page_count(), 0u);
+  EXPECT_EQ(pool.cached_pages(), 0u);
+
+  CostMeter before = pool.meter();
+  EXPECT_EQ(list.ToSortedVector().size(), list.size());
+  CostMeter read = pool.meter() - before;
+  EXPECT_EQ(read.physical_reads, 3u);
+  EXPECT_EQ(read.logical_reads, 3u);
+  EXPECT_EQ(read.physical_writes, 0u);
+  EXPECT_EQ(ctx.spill_bytes(), 3 * kPageSize);
 }
 
 TEST(HybridRidListTest, AppendAfterSealRejected) {
@@ -134,16 +186,21 @@ TEST(HybridRidListTest, AppendAfterSealRejected) {
   EXPECT_TRUE(list.Append(Rid{2, 0}).IsInternal());
 }
 
-TEST(HybridRidListTest, NoPoolOverflowIsResourceExhausted) {
+// The temporary table belongs to the list, so a list with no pool still
+// spills; it only has no meter to charge.
+TEST(HybridRidListTest, NoPoolOverflowSpillsInTheList) {
   HybridRidList::Options opt;
   opt.inline_capacity = 4;
   opt.memory_capacity = 8;
   HybridRidList list(nullptr, opt);
-  Status last = Status::OK();
-  for (uint32_t i = 0; i < 20 && last.ok(); ++i) {
-    last = list.Append(Rid{i, 0});
+  for (uint32_t i = 20; i > 0; --i) {
+    ASSERT_TRUE(list.Append(Rid{i, 0}).ok());
   }
-  EXPECT_TRUE(last.IsResourceExhausted());
+  EXPECT_EQ(list.storage(), HybridRidList::Storage::kSpilled);
+  EXPECT_EQ(list.InMemory().size(), 8u);
+  std::vector<Rid> sorted = list.ToSortedVector();
+  ASSERT_EQ(sorted.size(), 20u);
+  for (uint32_t i = 0; i < 20; ++i) EXPECT_EQ(sorted[i], (Rid{i + 1, 0}));
 }
 
 TEST(HybridRidListTest, InMemoryAccessors) {
@@ -325,10 +382,7 @@ TEST(HybridRidListTest, BatchAppendChargesAndMovesLikePerRidAppends) {
       seen.insert(batched.storage());
     }
     EXPECT_EQ(seen.size(), 3u);
-    auto a = per_rid.ToSortedVector();
-    auto b = batched.ToSortedVector();
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b);
+    EXPECT_EQ(per_rid.ToSortedVector(), batched.ToSortedVector());
   }
 }
 
@@ -463,13 +517,21 @@ TEST(StepperTest, SscanAnswersFromIndexAlone) {
   auto spec = f.Spec(pred, {1, 2});
   SscanStepper scan(f.db.pool(), spec, f.params, f.by_age_name,
                     f.AgeRange(pred));
-  CostMeter before = f.db.meter();
+  const MetricsRegistry& metrics = *f.db.metrics();
+  const uint64_t fetched = metrics.Value("exec.records_fetched");
   auto rows = ScanFixture::Drain(&scan, spec);
   EXPECT_EQ(rows.size(), 10u);  // age 7 rows are all "odd"
   for (const auto& r : rows) {
     EXPECT_EQ(r[0].AsInt64(), 7);
     EXPECT_EQ(r[1].AsString(), "odd");
   }
+  // No heap record was fetched: the Sscan read one descent and the leaves
+  // its range spans. The ten age-7 entries are adjacent and a leaf holds
+  // far more than ten, so they span at most two leaves.
+  EXPECT_EQ(metrics.Value("exec.records_fetched"), fetched);
+  const BTree& tree = *f.by_age_name->tree();
+  ASSERT_GT(tree.entry_count() / tree.leaf_count(), 20u);
+  EXPECT_LE(scan.accrued().logical_reads, tree.height() + 2);
 }
 
 TEST(StepperTest, CostAttributionIsPerStepper) {

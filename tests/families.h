@@ -10,6 +10,7 @@
 #define DYNOPT_TESTS_FAMILIES_H_
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -119,6 +120,18 @@ inline std::multiset<uint64_t> NaiveRids(const RetrievalSpec& spec,
   return rids;
 }
 
+/// `rows` as an order-insensitive set (the "result hash"): each row's RID
+/// and values, printed.
+inline std::multiset<std::string> RowSet(const std::vector<ResultRow>& rows) {
+  std::multiset<std::string> out;
+  for (const ResultRow& row : rows) {
+    std::string line = std::to_string(row.rid.ToU64());
+    for (const Value& v : row.values) line += "|" + v.ToString();
+    out.insert(std::move(line));
+  }
+  return out;
+}
+
 /// The first kCompetitionVerdict event for `v`; null if none was emitted.
 inline const TraceEvent* FindVerdict(const DynamicRetrieval& e, Verdict v) {
   return e.events().Find(TraceEventKind::kCompetitionVerdict, VerdictName(v));
@@ -137,6 +150,37 @@ inline const ProfileSpan* FindSpan(const ProfileSpan* node,
     if (const ProfileSpan* hit = FindSpan(child, name)) return hit;
   }
   return nullptr;
+}
+
+/// A file-backed FAMILIES database at `options.path` (any earlier file and
+/// its WAL are removed) whose SpillSpec query runs a background-only Jscan
+/// over by_id: 20,000 rows with 300-byte payloads, by_id alone, committed.
+/// The query's 6,000-RID list spills past the default 4,096-RID memory
+/// region.
+inline Result<std::unique_ptr<Database>> CreateSpillDatabase(
+    DatabaseOptions options) {
+  std::error_code ignored;
+  std::filesystem::remove(options.path, ignored);
+  std::filesystem::remove(options.path + ".wal", ignored);
+  DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                          Database::Create(std::move(options)));
+  DYNOPT_ASSIGN_OR_RETURN(Table * table,
+                          BuildFamilies(db.get(), 20000, 42, 300));
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_id", {"id"}).status());
+  DYNOPT_RETURN_IF_ERROR(db->Commit());
+  return db;
+}
+
+/// `id < 6000` over `db`'s FAMILIES, projecting id and city.
+inline RetrievalSpec SpillSpec(Database* db) {
+  RetrievalSpec spec;
+  auto table = db->GetTable("families");
+  EXPECT_TRUE(table.ok()) << table.status();
+  spec.table = table.ok() ? *table : nullptr;
+  spec.restriction = Predicate::Compare(
+      0, CompareOp::kLt, Operand::Literal(Value(int64_t{6000})));
+  spec.projection = {0, 3};
+  return spec;
 }
 
 inline PredicateRef AgeBetween(int64_t lo, int64_t hi) {

@@ -24,7 +24,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/fault_store.h"
 #include "storage/page_store.h"
-#include "storage/temp_rid_file.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
@@ -620,39 +619,7 @@ TEST(QueryContextTest, ConcurrentCancelAndBudgetTripHasOneStableWinner) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill accounting on early unwind (the TempRidFile regression).
-
-TEST(TempRidFileTest, EarlyDestructionReturnsPagesAndBudget) {
-  MemPageStore store;
-  BufferPool pool(&store, 16);
-  QueryContext ctx;
-  const uint64_t rids = uint64_t{TempRidFile::kRidsPerPage} * 2 + 5;
-  size_t pages_before = 0;
-  {
-    TempRidFile file(&pool, &ctx);
-    for (uint64_t i = 0; i < rids; ++i) {
-      ASSERT_TRUE(file.Append(Rid::FromU64(i + 1)).ok());
-    }
-    EXPECT_EQ(file.bytes(), 3 * kPageSize);
-    EXPECT_EQ(ctx.spill_bytes(), 3 * kPageSize);
-    pages_before = store.page_count();
-    // `file` dies here mid-query — the early-unwind path.
-  }
-  EXPECT_EQ(ctx.spill_bytes(), 0u);  // budget returned
-  EXPECT_EQ(pool.PinnedPages(), 0u);
-  EXPECT_TRUE(pool.CheckInvariants().ok());
-
-  // The spill pages went back to the free list: an identical second spill
-  // reuses them instead of growing the store.
-  {
-    TempRidFile file(&pool, &ctx);
-    for (uint64_t i = 0; i < rids; ++i) {
-      ASSERT_TRUE(file.Append(Rid::FromU64(i + 1)).ok());
-    }
-    EXPECT_EQ(store.page_count(), pages_before);
-  }
-  EXPECT_EQ(ctx.spill_bytes(), 0u);
-}
+// Spill accounting on early unwind.
 
 TEST(HybridRidListTest, SpilledListChargesAndRefundsContext) {
   MemPageStore store;
@@ -668,11 +635,14 @@ TEST(HybridRidListTest, SpilledListChargesAndRefundsContext) {
       ASSERT_TRUE(list.Append(Rid::FromU64(i + 1)).ok());
     }
     EXPECT_EQ(list.storage(), HybridRidList::Storage::kSpilled);
-    EXPECT_GT(ctx.rid_list_bytes(), 0u);
-    EXPECT_GT(ctx.spill_bytes(), 0u);
+    EXPECT_EQ(ctx.rid_list_bytes(), 16 * sizeof(Rid));
+    // 4,080 spilled RIDs fill four temp-table pages.
+    EXPECT_EQ(ctx.spill_bytes(), 4 * kPageSize);
+    // `list` dies here mid-query, unsealed — the early-unwind path.
   }
-  EXPECT_EQ(ctx.spill_bytes(), 0u);
+  EXPECT_EQ(ctx.spill_bytes(), 0u);  // budget returned
   EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(store.page_count(), 0u);  // no spill page reached the store
 }
 
 // ---------------------------------------------------------------------------
@@ -808,6 +778,31 @@ TEST(EngineGovernanceTest, PageBudgetTripsMidQuery) {
   EXPECT_GT(ctx.pages_read(), 2u);
   EXPECT_EQ(f.db.pool()->PinnedPages(), 0u);
   EXPECT_TRUE(f.db.pool()->CheckInvariants().ok());
+}
+
+// An engine keeps its Jscan's RID lists past the execution whose context
+// their spill is charged to, until its next Open or its end. Here each
+// context dies once its execution is drained, as the session driver's do,
+// and the last dies before the engine: neither the next Open nor the
+// engine's end may refund spill into a dead context (ASan reports it).
+TEST(EngineGovernanceTest, SpilledListsOutliveTheirExecutionsContext) {
+  Families f(8000);
+  f.Index("by_income", {"income"});
+  RetrievalSpec spec = f.Spec(
+      Predicate::Compare(2, CompareOp::kLt,
+                         Operand::Literal(Value(int64_t{4000}))),
+      {0});
+  RetrievalOptions opt;
+  opt.jscan.rid_list.memory_capacity = 64;  // the 176-RID list spills
+  const std::multiset<uint64_t> want = NaiveRids(spec);
+  auto engine = std::make_unique<DynamicRetrieval>(&f.db, spec, opt);
+  for (int run = 0; run < 3; ++run) {
+    auto ctx = std::make_unique<QueryContext>();
+    ASSERT_TRUE(engine->Open({}, ctx.get()).ok());
+    EXPECT_EQ(DrainRids(engine.get()), want) << "run " << run;
+    EXPECT_GT(ctx->spill_bytes(), 0u) << "run " << run;  // still live
+  }
+  engine.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "core/retrieval.h"
 #include "durability/crash.h"
 #include "durability/file_page_store.h"
+#include "families.h"
 #include "replication/archive.h"
 #include "replication/log_shipper.h"
 #include "replication/restore.h"
@@ -628,6 +629,48 @@ TEST(StandbyApplyTest, CatchUpServesSnapshotConsistentReads) {
   auto table = view->db()->GetTable("families");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(MustHash(view->db(), *table), h2);
+}
+
+// A standby's pool refuses page allocation, and a spilled RID list used to
+// take its pages from the pool, so every standby query whose Jscan list
+// passed the 4,096-RID memory region failed. The list now keeps its own
+// overflow: `id < 6000` over by_id (a background-only Jscan whose 6,000-RID
+// list spills) answers on the standby with the primary's rows.
+TEST(StandbyReadTest, SpillingJscanAnswersLikeThePrimary) {
+  const std::string dir = TempPath("standby_spill.archive");
+  DatabaseOptions dbo;
+  dbo.path = TempPath("standby_spill.db");
+  dbo.archive_dir = dir;
+  auto primary = CreateSpillDatabase(std::move(dbo));
+  ASSERT_TRUE(primary.ok()) << primary.status();
+
+  StandbyOptions so;
+  so.path = TempPath("standby_spill.standby");
+  ::unlink(so.path.c_str());
+  auto standby = StandbyDatabase::Open(std::move(so), dir);
+  ASSERT_TRUE(standby.ok()) << standby.status();
+  ASSERT_TRUE((*standby)->CatchUp().ok());
+  auto view = (*standby)->BeginRead();
+  ASSERT_TRUE(view.ok()) << view.status();
+  const size_t pages = (*standby)->store()->page_count();
+
+  auto answer = [](Database* db) {
+    RetrievalSpec spec = SpillSpec(db);
+    DynamicRetrieval engine(db, spec);
+    Status opened = engine.Open({});
+    EXPECT_TRUE(opened.ok()) << opened;
+    std::multiset<std::string> rows = RowSet(DrainRows(&engine));
+    EXPECT_EQ(engine.tactic(), Tactic::kBackgroundOnly);
+    // Its final list spilled: each temp-table page was charged as a write.
+    EXPECT_GT(engine.CostSinceOpen().physical_writes, 0u);
+    EXPECT_EQ(rows, RowSet(NaiveRows(spec)));
+    return rows;
+  };
+  const std::multiset<std::string> on_standby = answer(view->db());
+  EXPECT_EQ(on_standby.size(), 6000u);
+  EXPECT_EQ(answer(primary->get()), on_standby);
+  // The read allocated nothing on the standby.
+  EXPECT_EQ((*standby)->store()->page_count(), pages);
 }
 
 TEST(StandbyChaosTest, HostileTransportAppliesIdempotentlyOrFailsTyped) {

@@ -9,7 +9,6 @@
 #include "storage/heap_file.h"
 #include "storage/page.h"
 #include "storage/page_store.h"
-#include "storage/temp_rid_file.h"
 #include "util/rng.h"
 
 namespace dynopt {
@@ -361,120 +360,6 @@ TEST_P(HeapFileRandomTest, MatchesOracleUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeapFileRandomTest,
                          ::testing::Values(101, 202, 303));
-
-// ----------------------------------------------------------- TempRidFile
-
-TEST(TempRidFileTest, AppendAndReplay) {
-  MemPageStore store;
-  BufferPool pool(&store, 8);
-  TempRidFile file(&pool);
-  std::vector<Rid> rids;
-  for (uint32_t i = 0; i < 5000; ++i) {
-    Rid r{i * 3, static_cast<uint16_t>(i % 7)};
-    rids.push_back(r);
-    ASSERT_TRUE(file.Append(r).ok());
-  }
-  EXPECT_EQ(file.size(), 5000u);
-  auto cursor = file.NewCursor();
-  Rid out;
-  for (uint32_t i = 0; i < 5000; ++i) {
-    auto more = cursor.Next(&out);
-    ASSERT_TRUE(more.ok());
-    ASSERT_TRUE(*more);
-    EXPECT_EQ(out, rids[i]);
-  }
-  auto more = cursor.Next(&out);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-}
-
-TEST(TempRidFileTest, EmptyFileReplaysNothing) {
-  MemPageStore store;
-  BufferPool pool(&store, 2);
-  TempRidFile file(&pool);
-  auto cursor = file.NewCursor();
-  Rid out;
-  auto more = cursor.Next(&out);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-}
-
-// Page-capacity boundaries: 0, exactly one page, and one RID over. The
-// page count must grow only when the capacity is *exceeded*, and re-read
-// order must stay append order across the page seam.
-TEST(TempRidFileTest, BoundaryZeroRidsAllocatesNoPages) {
-  MemPageStore store;
-  BufferPool pool(&store, 4);
-  TempRidFile file(&pool);
-  EXPECT_EQ(file.size(), 0u);
-  EXPECT_EQ(store.page_count(), 0u);
-  auto cursor = file.NewCursor();
-  Rid out;
-  auto more = cursor.Next(&out);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-}
-
-TEST(TempRidFileTest, BoundaryExactCapacityFitsOnePage) {
-  MemPageStore store;
-  BufferPool pool(&store, 4);
-  TempRidFile file(&pool);
-  for (uint32_t i = 0; i < TempRidFile::kRidsPerPage; ++i) {
-    ASSERT_TRUE(file.Append(Rid{i, 1}).ok());
-  }
-  EXPECT_EQ(file.size(), TempRidFile::kRidsPerPage);
-  EXPECT_EQ(store.page_count(), 1u);
-  auto cursor = file.NewCursor();
-  Rid out;
-  for (uint32_t i = 0; i < TempRidFile::kRidsPerPage; ++i) {
-    auto more = cursor.Next(&out);
-    ASSERT_TRUE(more.ok());
-    ASSERT_TRUE(*more);
-    ASSERT_EQ(out, (Rid{i, 1}));
-  }
-  auto more = cursor.Next(&out);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);
-}
-
-TEST(TempRidFileTest, BoundaryCapacityPlusOneSpillsToSecondPage) {
-  MemPageStore store;
-  BufferPool pool(&store, 4);
-  TempRidFile file(&pool);
-  const uint32_t n = TempRidFile::kRidsPerPage + 1;
-  for (uint32_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(file.Append(Rid{i, 2}).ok());
-  }
-  EXPECT_EQ(file.size(), n);
-  EXPECT_EQ(store.page_count(), 2u);
-  // Append order survives the page seam; a second pass after Reset too.
-  auto cursor = file.NewCursor();
-  for (int pass = 0; pass < 2; ++pass) {
-    Rid out;
-    for (uint32_t i = 0; i < n; ++i) {
-      auto more = cursor.Next(&out);
-      ASSERT_TRUE(more.ok());
-      ASSERT_TRUE(*more);
-      ASSERT_EQ(out, (Rid{i, 2}));
-    }
-    auto more = cursor.Next(&out);
-    ASSERT_TRUE(more.ok());
-    EXPECT_FALSE(*more);
-    cursor.Reset();
-  }
-}
-
-TEST(TempRidFileTest, SpillIncursPhysicalWritesWhenPoolIsSmall) {
-  MemPageStore store;
-  CostMeter meter;
-  BufferPool pool(&store, 2, &meter);
-  TempRidFile file(&pool);
-  for (uint32_t i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(file.Append(Rid{i, 0}).ok());
-  }
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_GT(meter.physical_writes, 5u);
-}
 
 }  // namespace
 }  // namespace dynopt
