@@ -17,14 +17,14 @@
 
 #include "competition/competition.h"
 #include "competition/cost_dist.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "util/ascii_chart.h"
 #include "util/rng.h"
 
 namespace dynopt {
 namespace {
 
-void DirectSection(BenchReport* report) {
+void DirectSection(Report* report) {
   std::printf("=== Direct competition (§3) ===\n");
   // Two heavy L-shapes: 50%% of mass sits below ~3 cost units while the
   // means are in the hundreds (b << cmax).
@@ -39,12 +39,11 @@ void DirectSection(BenchReport* report) {
   std::printf("M1 (traditional single-best) = %.1f, M2 = %.1f\n", m1,
               a2.Mean());
   std::printf("c2 (A2 median) = %.2f, m2 = E[X2|X2<=c2] = %.2f\n", c2, m2);
-  std::printf("paper formula (m2 + c2 + M1)/2        = %.1f\n",
-              (m2 + c2 + m1) / 2.0);
-  std::printf("probe-then-switch expectation (quad)  = %.1f\n",
-              comp.ExpectedProbeThenSwitch(c2));
-  report->Add("direct.paper_formula", (m2 + c2 + m1) / 2.0);
-  report->Add("direct.probe_then_switch_quad", comp.ExpectedProbeThenSwitch(c2));
+  report->Print("direct.paper_formula", (m2 + c2 + m1) / 2.0,
+                "paper formula (m2 + c2 + M1)/2        = %.1f");
+  report->Print("direct.probe_then_switch_quad",
+                comp.ExpectedProbeThenSwitch(c2),
+                "probe-then-switch expectation (quad)  = %.1f");
   CompetitionPolicy probe{1.0, c2};
   std::printf("probe-then-switch expectation (MC)    = %.1f\n",
               comp.SimulatePolicy(probe, rng, 200000));
@@ -91,7 +90,7 @@ void DirectSection(BenchReport* report) {
   report->Add("direct.advantage", best.single_best / best.best_simultaneous);
 }
 
-void TwoStageSection(BenchReport* report) {
+void TwoStageSection(Report* report) {
   std::printf("=== Two-stage competition (§3/§6) ===\n");
   std::printf(
       "A2 = cheap stage-1 (the index scan) + stage-2 whose exact cost is\n"
@@ -129,9 +128,8 @@ void TwoStageSection(BenchReport* report) {
 }  // namespace dynopt
 
 int main() {
-  dynopt::BenchReport report("competition");
+  dynopt::Report report("competition");
   dynopt::DirectSection(&report);
   dynopt::TwoStageSection(&report);
-  report.WriteFile();
-  return 0;
+  return report.Finish();
 }

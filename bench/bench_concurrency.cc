@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "catalog/database.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "util/ascii_chart.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
@@ -36,15 +36,14 @@ struct Setup {
   Table* table = nullptr;
 };
 
-Setup Build(size_t pool_shards) {
+Result<Setup> Build(size_t pool_shards) {
   Setup s;
   s.db = std::make_unique<Database>(
       DatabaseOptions{.pool_pages = 256, .pool_shards = pool_shards});
-  auto table = BuildFamilies(s.db.get(), kRows, 42, kPayloadBytes);
-  if (!table.ok()) return s;
-  if (!(*table)->CreateIndex("by_id", {"id"}).ok()) return s;
-  if (!(*table)->CreateIndex("by_age", {"age"}).ok()) return s;
-  s.table = *table;
+  DYNOPT_ASSIGN_OR_RETURN(s.table,
+                          BuildFamilies(s.db.get(), kRows, 42, kPayloadBytes));
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_id", {"id"}).status());
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_age", {"age"}).status());
   // Latency goes on only after the build: loading 40k rows at 100us per
   // fault would dominate the bench without measuring anything.
   s.db->pool()->store()->set_simulated_latency(kLatencyMicros,
@@ -66,115 +65,85 @@ Result<SessionWorkloadReport> RunCold(Setup& s, size_t sessions,
   return RunSessionWorkload(s.db.get(), s.table, opts);
 }
 
-void Run() {
+Status Run(Report* report) {
   std::printf("=== concurrent-session scaling on the sharded pool ===\n\n");
-  Setup sharded = Build(/*pool_shards=*/16);
-  if (sharded.table == nullptr) {
-    std::printf("setup failed\n");
-    return;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(Setup sharded, Build(/*pool_shards=*/16));
   std::printf("FAMILIES %lld rows, pool 256 frames / %zu shards, "
               "simulated device latency %u us\n\n",
               static_cast<long long>(kRows),
               sharded.db->pool()->shard_count(), kLatencyMicros);
 
-  BenchReport report("concurrency");
   double qps1 = 0;
   std::vector<double> curve;
   std::printf("%8s %10s %10s %10s %9s\n", "threads", "queries", "wall_s",
               "qps", "speedup");
-  const SessionWorkloadReport* four_thread = nullptr;
-  SessionWorkloadReport reports[4];
-  int idx = 0;
+  SessionWorkloadReport four_thread;
   for (size_t threads : {1, 2, 4, 8}) {
-    auto r = RunCold(sharded, threads, /*concurrent=*/true);
-    if (!r.ok()) {
-      std::printf("run failed: %s\n", r.status().ToString().c_str());
-      return;
-    }
-    for (const SessionOutcome& s : r->sessions) {
+    DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport rep,
+                            RunCold(sharded, threads, /*concurrent=*/true));
+    for (const SessionOutcome& s : rep.sessions) {
       if (!s.error.empty()) {
-        std::printf("session error: %s\n", s.error.c_str());
-        return;
+        return Status::Internal("session error: " + s.error);
       }
     }
-    reports[idx] = *r;
-    const SessionWorkloadReport& rep = reports[idx];
     if (threads == 1) qps1 = rep.queries_per_second;
-    if (threads == 4) four_thread = &reports[idx];
-    idx++;
+    if (threads == 4) four_thread = rep;
     double speedup = qps1 > 0 ? rep.queries_per_second / qps1 : 0;
     curve.push_back(rep.queries_per_second);
     std::printf("%8zu %10llu %10.3f %10.1f %8.2fx\n", threads,
                 static_cast<unsigned long long>(rep.total_queries),
                 rep.wall_seconds, rep.queries_per_second, speedup);
-    char key[64];
-    std::snprintf(key, sizeof key, "threads_%zu.qps", threads);
-    report.Add(key, rep.queries_per_second);
-    std::snprintf(key, sizeof key, "threads_%zu.wall_seconds", threads);
-    report.Add(key, rep.wall_seconds);
-    std::snprintf(key, sizeof key, "threads_%zu.hit_rate", threads);
-    report.Add(key, rep.hit_rate);
-    std::snprintf(key, sizeof key, "speedup.t%zu", threads);
-    report.Add(key, speedup);
+    std::string key = "threads_" + std::to_string(threads);
+    report->Add(key + ".qps", rep.queries_per_second);
+    report->Add(key + ".wall_seconds", rep.wall_seconds);
+    report->Add(key + ".hit_rate", rep.hit_rate);
+    report->Add("speedup.t" + std::to_string(threads), speedup);
   }
   std::printf("\nscaling curve (qps): %s\n\n", Sparkline(curve).c_str());
 
-  if (four_thread != nullptr) {
-    std::printf("per-shard traffic at 4 threads (hit rate per shard):\n  ");
-    uint64_t hits = 0, misses = 0;
-    for (size_t s = 0; s < four_thread->shard_deltas.size(); ++s) {
-      const BufferPool::ShardStats& d = four_thread->shard_deltas[s];
-      hits += d.hits;
-      misses += d.misses;
-      double rate = (d.hits + d.misses) > 0
-                        ? static_cast<double>(d.hits) / (d.hits + d.misses)
-                        : 0;
-      std::printf("%.2f ", rate);
-      char key[64];
-      std::snprintf(key, sizeof key, "shard_%zu.hit_rate", s);
-      report.Add(key, rate);
-    }
-    std::printf("\n  aggregate hit rate %.3f (%llu hits / %llu misses)\n\n",
-                four_thread->hit_rate,
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses));
+  std::printf("per-shard traffic at 4 threads (hit rate per shard):\n  ");
+  uint64_t hits = 0, misses = 0;
+  for (size_t s = 0; s < four_thread.shard_deltas.size(); ++s) {
+    const BufferPool::ShardStats& d = four_thread.shard_deltas[s];
+    hits += d.hits;
+    misses += d.misses;
+    double rate = (d.hits + d.misses) > 0
+                      ? static_cast<double>(d.hits) / (d.hits + d.misses)
+                      : 0;
+    std::printf("%.2f ", rate);
+    report->Add("shard_" + std::to_string(s) + ".hit_rate", rate);
   }
+  std::printf("\n  aggregate hit rate %.3f (%llu hits / %llu misses)\n\n",
+              four_thread.hit_rate, static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses));
 
   // The control: the same 4 sessions against a single-shard pool, where
   // every fault's device wait happens under the one global lock.
-  Setup single = Build(/*pool_shards=*/1);
-  if (single.table == nullptr) {
-    std::printf("single-shard setup failed\n");
-    return;
-  }
-  auto control = RunCold(single, 4, /*concurrent=*/true);
-  if (!control.ok()) {
-    std::printf("control failed: %s\n", control.status().ToString().c_str());
-    return;
-  }
-  double gain = control->queries_per_second > 0 && four_thread != nullptr
-                    ? four_thread->queries_per_second /
-                          control->queries_per_second
+  DYNOPT_ASSIGN_OR_RETURN(Setup single, Build(/*pool_shards=*/1));
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport control,
+                          RunCold(single, 4, /*concurrent=*/true));
+  double gain = control.queries_per_second > 0
+                    ? four_thread.queries_per_second /
+                          control.queries_per_second
                     : 0;
   std::printf("single-shard control at 4 threads: %.1f qps -> sharding "
               "gain %.2fx\n",
-              control->queries_per_second, gain);
-  report.Add("single_shard.qps_4t", control->queries_per_second);
-  report.Add("single_shard.hit_rate", control->hit_rate);
-  report.Add("sharding.gain_4t", gain);
-  report.AddMeter("meter", sharded.db->meter());
-  report.WriteFile();
+              control.queries_per_second, gain);
+  report->Add("single_shard.qps_4t", control.queries_per_second);
+  report->Add("single_shard.hit_rate", control.hit_rate);
+  report->Add("sharding.gain_4t", gain);
+  report->AddMeter("meter", sharded.db->meter());
   std::printf(
       "\nWith per-shard locks the sessions' simulated faults overlap like\n"
       "queued device I/O; one shard serializes them. The 4-thread speedup\n"
       "over 1 thread is the issue's acceptance gate (>= 2.5x).\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("concurrency");
+  return report.Finish(dynopt::Run(&report));
 }

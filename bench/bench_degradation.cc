@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "catalog/database.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "storage/fault_store.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
@@ -44,7 +44,7 @@ struct Setup {
   Table* table = nullptr;
 };
 
-Setup Build() {
+Result<Setup> Build() {
   Setup s;
   auto inner = std::make_unique<MemPageStore>();
   s.inner = inner.get();
@@ -55,12 +55,10 @@ Setup Build() {
   DatabaseOptions o;
   o.pool_pages = 128;
   s.db = std::make_unique<Database>(std::move(o), std::move(store));
-  auto table = BuildFamilies(s.db.get(), kRows, 42);
-  if (!table.ok()) return s;
-  if (!(*table)->CreateIndex("by_id", {"id"}).ok()) return s;
-  if (!(*table)->CreateIndex("by_age", {"age"}).ok()) return s;
-  s.table = *table;
-  s.faults->ClassifyHeapPages((*table)->heap()->pages());
+  DYNOPT_ASSIGN_OR_RETURN(s.table, BuildFamilies(s.db.get(), kRows, 42));
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_id", {"id"}).status());
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_age", {"age"}).status());
+  s.faults->ClassifyHeapPages(s.table->heap()->pages());
   s.faults->FreezeClassification();
   return s;
 }
@@ -71,7 +69,7 @@ uint64_t Metric(Database* db, std::string_view name) {
 }
 
 Result<SessionWorkloadReport> RunGoverned(Setup& s, uint64_t deadline_micros) {
-  if (Status st = s.db->pool()->EvictAll(); !st.ok()) return st;
+  DYNOPT_RETURN_IF_ERROR(s.db->pool()->EvictAll());
   SessionWorkloadOptions opts;
   opts.sessions = kSessions;
   opts.queries_per_session = kQueries;
@@ -82,18 +80,12 @@ Result<SessionWorkloadReport> RunGoverned(Setup& s, uint64_t deadline_micros) {
   return RunSessionWorkload(s.db.get(), s.table, opts);
 }
 
-void Run() {
+Status Run(Report* report) {
   std::printf("=== degradation under transient I/O faults ===\n\n");
-  Setup s = Build();
-  if (s.table == nullptr) {
-    std::printf("setup failed\n");
-    return;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(Setup s, Build());
   std::printf("FAMILIES %lld rows, %zu sessions x %zu queries, "
               "transient faults on any page class (2 failed reads/cycle)\n\n",
               static_cast<long long>(kRows), kSessions, kQueries);
-
-  BenchReport report("degradation");
 
   // Part 1: throughput vs transient fault rate. fail_reads=2 stays below
   // the pool's retry budget, so every query must still succeed.
@@ -117,10 +109,7 @@ void Run() {
     }
     auto r = RunGoverned(s, /*deadline_micros=*/0);
     s.faults->ClearProgram();
-    if (!r.ok()) {
-      std::printf("run failed: %s\n", r.status().ToString().c_str());
-      return;
-    }
+    DYNOPT_RETURN_IF_ERROR(r.status());
     uint64_t retries = Metric(s.db.get(), "governance.io_retries") - retries0;
     if (rc.rate == 0.0) qps_clean = r->queries_per_second;
     double retained =
@@ -130,10 +119,10 @@ void Run() {
                 r->queries_per_second,
                 static_cast<unsigned long long>(retries), retained);
     std::string key = std::string("rate_") + rc.label;
-    report.Add(key + ".qps", r->queries_per_second);
-    report.Add(key + ".io_retries", static_cast<double>(retries));
-    report.Add(key + ".hit_rate", r->hit_rate);
-    report.Add(key + ".qps_retained", retained);
+    report->Add(key + ".qps", r->queries_per_second);
+    report->Add(key + ".io_retries", static_cast<double>(retries));
+    report->Add(key + ".hit_rate", r->hit_rate);
+    report->Add(key + ".qps_retained", retained);
   }
 
   // Part 2: the latency tail with and without a statement deadline, on a
@@ -149,36 +138,28 @@ void Run() {
     s.faults->SetProgram(p);
     auto r = RunGoverned(s, deadline);
     s.faults->ClearProgram();
-    if (!r.ok()) {
-      std::printf("run failed: %s\n", r.status().ToString().c_str());
-      return;
-    }
+    DYNOPT_RETURN_IF_ERROR(r.status());
     const char* key = deadline == 0 ? "deadline_off" : "deadline_on";
     std::printf("%14s %10llu %8llu %12.0f %12.0f\n",
                 deadline == 0 ? "none" : "2ms",
                 static_cast<unsigned long long>(r->total_queries),
                 static_cast<unsigned long long>(r->governance_trips),
                 r->p50_latency_micros, r->p99_latency_micros);
-    report.Add(std::string(key) + ".p50_micros", r->p50_latency_micros);
-    report.Add(std::string(key) + ".p99_micros", r->p99_latency_micros);
-    report.Add(std::string(key) + ".trips",
-               static_cast<double>(r->governance_trips));
-    report.Add(std::string(key) + ".completed",
-               static_cast<double>(r->total_queries));
+    report->Add(std::string(key) + ".p50_micros", r->p50_latency_micros);
+    report->Add(std::string(key) + ".p99_micros", r->p99_latency_micros);
+    report->Add(std::string(key) + ".trips",
+                static_cast<double>(r->governance_trips));
+    report->Add(std::string(key) + ".completed",
+                static_cast<double>(r->total_queries));
   }
   s.inner->set_simulated_latency(0, 0);
-
-  if (!report.WriteFile()) {
-    std::printf("warning: could not write BENCH_degradation.json\n");
-  } else {
-    std::printf("\nwrote BENCH_degradation.json\n");
-  }
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("degradation");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "stats/hyperbola.h"
 #include "stats/selectivity_dist.h"
 #include "util/ascii_chart.h"
@@ -28,7 +28,7 @@ struct Curve {
   double corr;  // NaN = unknown-correlation mixture
 };
 
-void Run() {
+void Run(Report* report) {
   std::printf("=== Figure 2.1: Transformation of Uniform Distributions ===\n");
   std::printf(
       "Selectivity densities for Boolean chains over predicates with\n"
@@ -66,7 +66,6 @@ void Run() {
   // Hyperbola fits (the §2 quantitative claim).
   std::printf("--- Truncated-hyperbola fit quality (paper: &X ~ 1/4 = 0.25, "
               "&&X ~ 1/7 = 0.143, &&&X ~ 1/23 = 0.043) ---\n");
-  BenchReport report("fig2_1");
   std::vector<std::vector<std::string>> rows;
   struct FitCase {
     const char* label;
@@ -85,11 +84,10 @@ void Run() {
     std::snprintf(n3, sizeof(n3), "%.3f", free.relative_error);
     rows.push_back({fc.label, n1, n2, n3});
     std::string chain(fc.chain);
-    report.Add(chain + ".paper_err", fc.paper);
-    report.Add(chain + ".normalized_fit_err", norm.relative_error);
-    report.Add(chain + ".free_fit_err", free.relative_error);
+    report->Add(chain + ".paper_err", fc.paper);
+    report->Add(chain + ".normalized_fit_err", norm.relative_error);
+    report->Add(chain + ".free_fit_err", free.relative_error);
   }
-  report.WriteFile();
   std::printf("%s\n",
               FormatTable({"chain", "paper_err", "normalized_fit_err",
                            "free_fit_err"},
@@ -115,6 +113,7 @@ void Run() {
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("fig2_1");
+  dynopt::Run(&report);
+  return report.Finish();
 }

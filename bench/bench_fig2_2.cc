@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "stats/selectivity_dist.h"
 #include "util/ascii_chart.h"
 
@@ -17,7 +17,7 @@ namespace {
 
 constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
 
-void Run() {
+void Run(Report* report) {
   std::printf("=== Figure 2.2: Degradation of Certainty ===\n");
   std::printf(
       "Chains applied to an estimation bell p_X with mean m=0.2 and error\n"
@@ -65,16 +65,14 @@ void Run() {
               "(x%.0f)\n",
               e0, e1, e1 / e0);
 
-  BenchReport report("fig2_2");
-  report.Add("stddev.X", e0);
-  report.Add("stddev.andX", e1);
-  report.Add("single_and_spread_factor", e1 / e0);
+  report->Add("stddev.X", e0);
+  report->Add("stddev.andX", e1);
+  report->Add("single_and_spread_factor", e1 / e0);
   for (const auto& [label, dist] : results) {
     if (label == "&&&X" || label == "|||X") {
-      report.Add("stddev." + label, dist.StdDev());
+      report->Add("stddev." + label, dist.StdDev());
     }
   }
-  report.WriteFile();
 
   std::printf("\n--- CSV (s, then one density column per chain) ---\n");
   std::printf("s");
@@ -94,6 +92,7 @@ void Run() {
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("fig2_2");
+  dynopt::Run(&report);
+  return report.Finish();
 }

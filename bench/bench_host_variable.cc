@@ -15,6 +15,9 @@
 //
 // The paper's claim: only per-run (dynamic) choice tracks the winner across
 // the crossover, and the empty run resolves in a handful of page reads.
+//
+// Every run's row count must match the naive oracle's (a row-at-a-time
+// Tscan + filter); the bench exits 1 otherwise.
 
 #include <algorithm>
 #include <cstdio>
@@ -23,7 +26,7 @@
 #include "catalog/database.h"
 #include "core/retrieval.h"
 #include "core/static_optimizer.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "util/ascii_chart.h"
 #include "workload/workload.h"
 
@@ -32,54 +35,14 @@ namespace {
 
 constexpr int64_t kRows = 50000;
 
-struct RunCost {
-  double cost = 0;
-  uint64_t rows = 0;
-};
-
-RunCost RunDynamic(Database* db, DynamicRetrieval* engine, int64_t a1) {
-  Rng rng(1);
-  db->pool()->EvictAll().ok();  // cold cache: comparable runs
-  ParamMap params{{"A1", Value(a1)}};
-  CostMeter before = db->meter();
-  Status st = engine->Open(params);
-  if (!st.ok()) std::printf("open failed: %s\n", st.ToString().c_str());
-  RowBatch batch;
-  RunCost rc;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    if (!more.ok()) {
-      std::printf("next failed: %s\n", more.status().ToString().c_str());
-      break;
-    }
-    if (!*more) break;
-    rc.rows += batch.num_rows();
-  }
-  rc.cost = (db->meter() - before).Cost(db->cost_weights());
-  return rc;
+/// One run from a cold cache: comparable runs.
+template <typename Exec>
+Result<Drained> RunCold(Database* db, Exec* exec, int64_t a1) {
+  DYNOPT_RETURN_IF_ERROR(db->pool()->EvictAll());
+  return Drain(db, exec, ParamMap{{"A1", Value(a1)}});
 }
 
-RunCost RunStatic(Database* db, const RetrievalSpec& spec,
-                  const StaticPlanChoice& choice, int64_t a1) {
-  db->pool()->EvictAll().ok();
-  StaticRetrieval exec(db, spec, choice);
-  ParamMap params{{"A1", Value(a1)}};
-  CostMeter before = db->meter();
-  Status st = exec.Open(params);
-  if (!st.ok()) std::printf("open failed: %s\n", st.ToString().c_str());
-  RowBatch batch;
-  RunCost rc;
-  for (;;) {
-    auto more = exec.NextBatch(&batch);
-    if (!more.ok()) break;
-    if (!*more) break;
-    rc.rows += batch.num_rows();
-  }
-  rc.cost = (db->meter() - before).Cost(db->cost_weights());
-  return rc;
-}
-
-void Run() {
+Status Run(Report* report) {
   std::printf("=== §4 host-variable experiment: AGE >= :A1 over %lld rows "
               "===\n\n",
               static_cast<long long>(kRows));
@@ -94,26 +57,26 @@ void Run() {
       {{"income", ValueType::kInt64}, UniformInt(0, 200000)},
       {{"payload", ValueType::kString}, CategoricalString(std::string(380, 'p'), 1000)},
   };
-  auto table = BuildTable(&db, spec_t, kRows, 42);
-  if (!table.ok()) return;
-  (*table)->CreateIndex("by_age", {"age"}).ok();
+  DYNOPT_ASSIGN_OR_RETURN(Table * table, BuildTable(&db, spec_t, kRows, 42));
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_age,
+                          table->CreateIndex("by_age", {"age"}));
 
   RetrievalSpec spec;
-  spec.table = *table;
+  spec.table = table;
   spec.restriction =
       Predicate::Compare(1, CompareOp::kGe, Operand::HostVar("A1"));
   spec.projection = {0, 1, 2, 3};
 
   // Compile-time static choice — :A1 unknown.
   ParamMap compile_time;
-  auto blind = ChooseStaticPlan(&db, spec, compile_time);
-  if (!blind.ok()) return;
+  DYNOPT_ASSIGN_OR_RETURN(StaticPlanChoice blind,
+                          ChooseStaticPlan(&db, spec, compile_time));
   std::printf("static-blind compile-time choice: %s\n\n",
-              blind->ToString().c_str());
+              blind.ToString().c_str());
 
   StaticPlanChoice frozen_index;
   frozen_index.kind = StaticPlanChoice::Kind::kFscan;
-  frozen_index.index = *(*table)->GetIndex("by_age");
+  frozen_index.index = by_age;
   StaticPlanChoice frozen_tscan;
   frozen_tscan.kind = StaticPlanChoice::Kind::kTscan;
 
@@ -122,32 +85,39 @@ void Run() {
   std::printf("%6s %8s | %12s %12s %12s %12s %12s | %s\n", "A1", "rows",
               "dynamic", "static-blind", "frozen-index", "frozen-tscan",
               "oracle", "dynamic vs oracle");
-  BenchReport report("host_variable");
+  const CostWeights& w = db.cost_weights();
   std::vector<double> dyn_curve, oracle_curve;
+  // Each sweep point's drained row counts, checked once every figure is
+  // recorded: the naive oracle charges the meter the report reads.
+  std::vector<std::pair<int64_t, std::vector<uint64_t>>> drained;
   for (int64_t a1 :
        std::vector<int64_t>{0, 10, 25, 50, 75, 90, 95, 98, 99, 100, 200}) {
-    RunCost dyn = RunDynamic(&db, &engine, a1);
-    RunCost blind_rc = RunStatic(&db, spec, *blind, a1);
-    RunCost fidx = RunStatic(&db, spec, frozen_index, a1);
-    RunCost ftsc = RunStatic(&db, spec, frozen_tscan, a1);
-    double oracle = std::min(fidx.cost, ftsc.cost);
-    dyn_curve.push_back(dyn.cost);
+    DYNOPT_ASSIGN_OR_RETURN(Drained dyn, RunCold(&db, &engine, a1));
+    StaticRetrieval blind_exec(&db, spec, blind);
+    DYNOPT_ASSIGN_OR_RETURN(Drained blind_run, RunCold(&db, &blind_exec, a1));
+    StaticRetrieval fidx_exec(&db, spec, frozen_index);
+    DYNOPT_ASSIGN_OR_RETURN(Drained fidx, RunCold(&db, &fidx_exec, a1));
+    StaticRetrieval ftsc_exec(&db, spec, frozen_tscan);
+    DYNOPT_ASSIGN_OR_RETURN(Drained ftsc, RunCold(&db, &ftsc_exec, a1));
+    double dyn_cost = dyn.meter.Cost(w);
+    double blind_cost = blind_run.meter.Cost(w);
+    double oracle = std::min(fidx.meter.Cost(w), ftsc.meter.Cost(w));
+    dyn_curve.push_back(dyn_cost);
     oracle_curve.push_back(oracle);
     std::printf("%6lld %8llu | %12.0f %12.0f %12.0f %12.0f %12.0f | %6.2fx\n",
                 static_cast<long long>(a1),
-                static_cast<unsigned long long>(dyn.rows), dyn.cost,
-                blind_rc.cost, fidx.cost, ftsc.cost, oracle,
-                dyn.cost / std::max(oracle, 1.0));
-    char key[32];
-    std::snprintf(key, sizeof(key), "a1_%lld", static_cast<long long>(a1));
-    std::string k(key);
-    report.Add(k + ".dynamic_cost", dyn.cost);
-    report.Add(k + ".static_blind_cost", blind_rc.cost);
-    report.Add(k + ".oracle_cost", oracle);
-    report.Add(k + ".dynamic_vs_oracle", dyn.cost / std::max(oracle, 1.0));
+                static_cast<unsigned long long>(dyn.rows), dyn_cost,
+                blind_cost, fidx.meter.Cost(w), ftsc.meter.Cost(w), oracle,
+                dyn_cost / std::max(oracle, 1.0));
+    std::string k = "a1_" + std::to_string(a1);
+    report->Add(k + ".dynamic_cost", dyn_cost);
+    report->Add(k + ".static_blind_cost", blind_cost);
+    report->Add(k + ".oracle_cost", oracle);
+    report->Add(k + ".dynamic_vs_oracle", dyn_cost / std::max(oracle, 1.0));
+    drained.push_back(
+        {a1, {dyn.rows, blind_run.rows, fidx.rows, ftsc.rows}});
   }
-  report.AddMeter("meter", db.meter());
-  report.WriteFile();
+  report->AddMeter("meter", db.meter());
   std::printf("\n  dynamic cost over the sweep: %s\n",
               Sparkline(dyn_curve).c_str());
   std::printf("  oracle  cost over the sweep: %s\n",
@@ -157,12 +127,18 @@ void Run() {
       "is flat; static-blind is stuck with one of those rows; dynamic\n"
       "tracks the oracle within a small overhead factor and collapses to\n"
       "near-zero on the empty run (:A1 >= 100).\n");
+  for (const auto& [a1, rows] : drained) {
+    DYNOPT_RETURN_IF_ERROR(CheckRowCounts(
+        report, spec, ParamMap{{"A1", Value(a1)}},
+        "A1=" + std::to_string(a1), rows));
+  }
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("host_variable");
+  return report.Finish(dynopt::Run(&report));
 }

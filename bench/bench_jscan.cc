@@ -14,13 +14,16 @@
 //   independent  — a control where intersection genuinely pays and both
 //                  variants should perform alike (dynamic overhead ~ 0).
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "catalog/database.h"
 #include "core/access_path.h"
 #include "core/jscan.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "workload/workload.h"
 
 namespace dynopt {
@@ -32,68 +35,61 @@ struct Outcome {
   double cost = 0;
   uint64_t final_rids = 0;
   int completed = 0, discarded = 0, skipped = 0;
-  Jscan::Phase phase = Jscan::Phase::kScanning;
 };
 
-Outcome RunJscan(Database* db, const RetrievalSpec& spec, bool dynamic) {
-  db->pool()->EvictAll().ok();
+Result<Outcome> RunJscan(Database* db, const RetrievalSpec& spec,
+                         bool dynamic) {
+  DYNOPT_RETURN_IF_ERROR(db->pool()->EvictAll());
   ParamMap params;
-  auto analysis = AnalyzeAccessPaths(spec, params);
-  if (!analysis.ok()) return Outcome{};
+  DYNOPT_ASSIGN_OR_RETURN(AccessPathAnalysis analysis,
+                          AnalyzeAccessPaths(spec, params));
   std::vector<const IndexClassification*> cands;
-  for (size_t pos : analysis->jscan_order) {
-    cands.push_back(&analysis->indexes[pos]);
+  for (size_t pos : analysis.jscan_order) {
+    cands.push_back(&analysis.indexes[pos]);
   }
   Jscan::Options opt;
   opt.dynamic_thresholds = dynamic;
   CostMeter before = db->meter();
   Jscan jscan(db, spec, params, cands, opt);
-  jscan.RunToCompletion().ok();
+  TraceLog log;
+  jscan.set_trace(&log);
+  DYNOPT_RETURN_IF_ERROR(jscan.RunToCompletion());
   // Charge the full retrieval either way: drain the final RID list like
   // Fin would, or fall back to the recommended table scan.
+  std::string bytes;
   if (jscan.phase() == Jscan::Phase::kComplete) {
-    std::string bytes;
     for (const Rid& r : jscan.final_list()->ToSortedVector()) {
-      spec.table->heap()->Fetch(r, &bytes).ok();
+      DYNOPT_RETURN_IF_ERROR(spec.table->heap()->Fetch(r, &bytes));
     }
   } else {
     auto cursor = spec.table->heap()->NewCursor();
-    std::string bytes;
     Rid rid;
     for (;;) {
-      auto more = cursor.Next(&bytes, &rid);
-      if (!more.ok() || !*more) break;
+      DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&bytes, &rid));
+      if (!more) break;
     }
   }
   Outcome out;
   out.cost = (db->meter() - before).Cost(db->cost_weights());
-  out.phase = jscan.phase();
   if (jscan.final_list() != nullptr) out.final_rids = jscan.final_list()->size();
-  for (const auto& o : jscan.outcomes()) {
-    switch (o.kind) {
-      case Jscan::IndexOutcomeKind::kCompleted:
-        out.completed++;
-        break;
-      case Jscan::IndexOutcomeKind::kDiscarded:
-        out.discarded++;
-        break;
-      case Jscan::IndexOutcomeKind::kSkipped:
-        out.skipped++;
-        break;
-    }
+  for (const TraceEvent& e : log.events()) {
+    if (e.kind != TraceEventKind::kJscanIndexOutcome) continue;
+    if (e.detail == "completed") out.completed++;
+    if (e.detail == "discarded") out.discarded++;
+    if (e.detail == "skipped") out.skipped++;
   }
   return out;
 }
 
-void RunScenario(const char* name, const char* key, Table* table,
-                 Database* db, PredicateRef pred, BenchReport* report) {
+Status RunScenario(const char* name, const char* key, Table* table,
+                   Database* db, PredicateRef pred, Report* report) {
   RetrievalSpec spec;
   spec.table = table;
   spec.restriction = std::move(pred);
   spec.projection = {0};
 
-  Outcome dyn = RunJscan(db, spec, /*dynamic=*/true);
-  Outcome sta = RunJscan(db, spec, /*dynamic=*/false);
+  DYNOPT_ASSIGN_OR_RETURN(Outcome dyn, RunJscan(db, spec, /*dynamic=*/true));
+  DYNOPT_ASSIGN_OR_RETURN(Outcome sta, RunJscan(db, spec, /*dynamic=*/false));
   std::printf("%-34s | %9.0f %9.0f | %6.2fx | dyn(c/d/s)=%d/%d/%d "
               "sta=%d/%d/%d | rids dyn=%llu sta=%llu\n",
               name, dyn.cost, sta.cost, sta.cost / std::max(dyn.cost, 1.0),
@@ -108,9 +104,21 @@ void RunScenario(const char* name, const char* key, Table* table,
   report->Add(k + ".dyn_final_rids", static_cast<double>(dyn.final_rids));
   report->Add(k + ".dyn_discarded", dyn.discarded);
   report->Add(k + ".static_discarded", sta.discarded);
+  return Status::OK();
 }
 
-void Run() {
+/// Builds `spec` with indexes <prefix>_a, <prefix>_b and <prefix>_c.
+Result<Table*> BuildIndexed(Database* db, const TableSpec& spec,
+                            uint64_t seed, const std::string& prefix) {
+  DYNOPT_ASSIGN_OR_RETURN(Table * table, BuildTable(db, spec, kRows, seed));
+  for (const char* col : {"a", "b", "c"}) {
+    DYNOPT_RETURN_IF_ERROR(
+        table->CreateIndex(prefix + "_" + col, {col}).status());
+  }
+  return table;
+}
+
+Status Run(Report* report) {
   std::printf("=== §6: dynamic two-stage Jscan vs static-threshold "
               "[MoHa90] ===\n\n");
   Database db(DatabaseOptions{.pool_pages = 1024});
@@ -126,10 +134,7 @@ void Run() {
       {{"b", ValueType::kInt64}, DerivedInt(1, 500)},
       {{"c", ValueType::kInt64}, DerivedInt(1, 500)},
   };
-  auto corr = BuildTable(&db, ct, kRows, 7);
-  (*corr)->CreateIndex("corr_a", {"a"}).ok();
-  (*corr)->CreateIndex("corr_b", {"b"}).ok();
-  (*corr)->CreateIndex("corr_c", {"c"}).ok();
+  DYNOPT_ASSIGN_OR_RETURN(Table * corr, BuildIndexed(&db, ct, 7, "corr"));
 
   // Independent control: same shapes, no correlation.
   TableSpec it;
@@ -140,10 +145,7 @@ void Run() {
       {{"b", ValueType::kInt64}, UniformInt(0, 99999)},
       {{"c", ValueType::kInt64}, UniformInt(0, 99999)},
   };
-  auto indep = BuildTable(&db, it, kRows, 8);
-  (*indep)->CreateIndex("ind_a", {"a"}).ok();
-  (*indep)->CreateIndex("ind_b", {"b"}).ok();
-  (*indep)->CreateIndex("ind_c", {"c"}).ok();
+  DYNOPT_ASSIGN_OR_RETURN(Table * indep, BuildIndexed(&db, it, 8, "ind"));
 
   // a narrowly restricted; b and c with wide ranges that contain all the
   // a-matches (guaranteed on the correlated table by the +noise bound).
@@ -157,7 +159,6 @@ void Run() {
                             Operand::Literal(Value(x + wide)))});
   };
 
-  BenchReport report("jscan");
   std::printf("%-34s | %9s %9s | %7s | per-index outcomes | final lists\n",
               "scenario", "dyn cost", "static", "speedup");
   for (auto [wide, label, key] :
@@ -165,27 +166,29 @@ void Run() {
            {10000, "correlated, wide ranges 10%", "corr10"},
            {20000, "correlated, wide ranges 20%", "corr20"},
            {30000, "correlated, wide ranges 30%", "corr30"}}) {
-    RunScenario(label, key, *corr, &db, pred(40000, 300, wide), &report);
+    DYNOPT_RETURN_IF_ERROR(
+        RunScenario(label, key, corr, &db, pred(40000, 300, wide), report));
   }
   for (auto [wide, label, key] :
        std::vector<std::tuple<int64_t, const char*, const char*>>{
            {10000, "independent, wide ranges 10%", "indep10"},
            {30000, "independent, wide ranges 30%", "indep30"}}) {
-    RunScenario(label, key, *indep, &db, pred(40000, 300, wide), &report);
+    DYNOPT_RETURN_IF_ERROR(
+        RunScenario(label, key, indep, &db, pred(40000, 300, wide), report));
   }
-  report.AddMeter("meter", db.meter());
-  report.WriteFile();
+  report->AddMeter("meter", db.meter());
   std::printf(
       "\nExpected shape: on correlated data the dynamic variant aborts the\n"
       "non-shrinking wide scans within a few dozen entries while [MoHa90]\n"
       "runs them to completion; on independent data the wide scans do\n"
       "shrink the list, and the two variants behave alike.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("jscan");
+  return report.Finish(dynopt::Run(&report));
 }

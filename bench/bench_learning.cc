@@ -29,17 +29,16 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "catalog/database.h"
 #include "core/retrieval.h"
+#include "harness.h"
 #include "learning/selectivity_model.h"
-#include "obs/bench_report.h"
 #include "obs/dashboard.h"
 #include "obs/metrics.h"
 #include "workload/driver.h"
@@ -50,53 +49,27 @@ namespace {
 
 constexpr int64_t kRows = 20000;
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-std::multiset<uint64_t> Drain(DynamicRetrieval* engine, bool* ok) {
-  std::multiset<uint64_t> rids;
-  RowBatch batch;
-  for (;;) {
-    auto more = engine->NextBatch(&batch);
-    if (!more.ok()) {
-      *ok = false;
-      return rids;
-    }
-    if (!*more) break;
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      rids.insert(batch.rid(r).ToU64());
-    }
-  }
-  return rids;
-}
-
 // One sweep of the parametric class; returns per-query rows q-errors
 // (corrected prediction vs delivered rows).
-bool Sweep(DynamicRetrieval* engine, std::vector<double>* q_errors) {
+Status Sweep(Database* db, DynamicRetrieval* engine,
+             std::vector<double>* q_errors) {
   for (int64_t lo : {10, 25, 40, 55, 70}) {
     for (int64_t width : {10, 20, 30}) {
       ParamMap p{{"lo", Value(lo)},
                  {"hi", Value(lo + width)},
                  {"cap", Value(lo + 20)}};
-      if (!engine->Open(p).ok()) return false;
-      bool ok = true;
-      auto rids = Drain(engine, &ok);
-      if (!ok) return false;
+      DYNOPT_ASSIGN_OR_RETURN(Drained d, Drain(db, engine, p));
       if (q_errors != nullptr) {
-        q_errors->push_back(QError(engine->predicted_rows(),
-                                   static_cast<double>(rids.size())));
+        q_errors->push_back(
+            QError(engine->predicted_rows(), static_cast<double>(d.rows)));
       }
     }
   }
-  return true;
+  return Status::OK();
 }
 
-bool Run(int* exit_code) {
+Status Run(Report* report) {
   std::printf("=== learned selectivity: convergence, flips, persistence ===\n\n");
-  BenchReport report("learning");
 
   // ---- Part 1: convergence on a correlated class.
   // income = age + noise(0..40): the independence assumption misprices
@@ -110,16 +83,13 @@ bool Run(int* exit_code) {
       {{"city", ValueType::kString}, CategoricalString("city", 50)},
   };
   Database db(DatabaseOptions{.pool_pages = 4096});
-  auto table = BuildTable(&db, ts, kRows, 42);
-  if (!table.ok() || !(*table)->CreateIndex("by_age", {"age"}).ok()) {
-    std::printf("build failed\n");
-    return false;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(Table * table, BuildTable(&db, ts, kRows, 42));
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_age", {"age"}).status());
   std::printf("database: %lld rows, income derived from age (correlated)\n\n",
               static_cast<long long>(kRows));
 
   RetrievalSpec spec;
-  spec.table = *table;
+  spec.table = table;
   spec.restriction = Predicate::And(
       {Predicate::Between(1, Operand::HostVar("lo"), Operand::HostVar("hi")),
        Predicate::Compare(2, CompareOp::kLt, Operand::HostVar("cap"))});
@@ -130,57 +100,44 @@ bool Run(int* exit_code) {
   // Cold: reads enabled but the model is empty — pure analytic estimates.
   model->set_mode(LearningMode::kFrozen);
   std::vector<double> cold;
-  if (!Sweep(&engine, &cold)) {
-    std::printf("cold sweep failed\n");
-    return false;
-  }
+  DYNOPT_RETURN_IF_ERROR(Sweep(&db, &engine, &cold));
   // Learn: several epochs of the same parametric stream.
   model->set_mode(LearningMode::kLearn);
   for (int epoch = 0; epoch < 4; ++epoch) {
-    if (!Sweep(&engine, nullptr)) {
-      std::printf("learn epoch failed\n");
-      return false;
-    }
+    DYNOPT_RETURN_IF_ERROR(Sweep(&db, &engine, nullptr));
   }
   // Warm: frozen again — corrections applied, nothing absorbed.
   model->set_mode(LearningMode::kFrozen);
   std::vector<double> warm;
-  if (!Sweep(&engine, &warm)) {
-    std::printf("warm sweep failed\n");
-    return false;
-  }
-  double cold_median = Median(cold);
-  double warm_median = Median(warm);
+  DYNOPT_RETURN_IF_ERROR(Sweep(&db, &engine, &warm));
+  double cold_median = Quantile(cold, 0.5);
+  double warm_median = Quantile(warm, 0.5);
   double ratio = cold_median > 0 ? warm_median / cold_median : 1.0;
   std::printf("%14s %18s\n", "sweep", "median rows q-err");
   std::printf("%14s %18.2f\n", "cold", cold_median);
   std::printf("%14s %18.2f\n", "warm", warm_median);
-  std::printf("\nconvergence ratio: %.2f (issue gates <= 0.5)\n\n", ratio);
-  report.Add("convergence.cold_median_qerr", cold_median);
-  report.Add("convergence.warm_median_qerr", warm_median);
-  report.Add("convergence.ratio", ratio);
-  if (ratio > 0.5) {
-    std::printf("CONVERGENCE GATE FAILED: %.2f > 0.5\n", ratio);
-    *exit_code = 1;
-  }
-  report.Add("learning.classes", static_cast<double>(model->size()));
-  report.Add("learning.observations",
-             static_cast<double>(model->observations()));
+  report->Add("convergence.cold_median_qerr", cold_median);
+  report->Add("convergence.warm_median_qerr", warm_median);
+  report->Print("convergence.ratio", ratio,
+                "\nconvergence ratio: %.2f (gate <= 0.5)\n");
+  report->Gate(ratio <= 0.5, "convergence ratio %.2f > 0.5", ratio);
+  report->Add("learning.classes", static_cast<double>(model->size()));
+  report->Add("learning.observations",
+              static_cast<double>(model->observations()));
 
   // ---- Part 2: learned strategy cost flips the §7 settle.
   DatabaseOptions flip_dbo;
   flip_dbo.pool_pages = 4096;
   flip_dbo.cost_weights.record_eval = 5.0;  // CPU-heavy residual
   Database flip_db(flip_dbo);
-  auto flip_table = BuildFamilies(&flip_db, 8000, 42);
-  if (!flip_table.ok() ||
-      !(*flip_table)->CreateIndex("by_age_income", {"age", "income"}).ok() ||
-      !(*flip_table)->CreateIndex("by_income", {"income"}).ok()) {
-    std::printf("flip build failed\n");
-    return false;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(Table * flip_table,
+                          BuildFamilies(&flip_db, 8000, 42));
+  DYNOPT_RETURN_IF_ERROR(
+      flip_table->CreateIndex("by_age_income", {"age", "income"}).status());
+  DYNOPT_RETURN_IF_ERROR(
+      flip_table->CreateIndex("by_income", {"income"}).status());
   RetrievalSpec flip_spec;
-  flip_spec.table = *flip_table;
+  flip_spec.table = flip_table;
   flip_spec.restriction = Predicate::And(
       {Predicate::Between(1, Operand::Literal(Value(int64_t{2})),
                           Operand::Literal(Value(int64_t{97}))),
@@ -206,39 +163,33 @@ bool Run(int* exit_code) {
     return std::string(v.has_value() ? VerdictName(*v) : "none");
   };
 
-  bool ok = true;
-  if (!flip_engine.Open({}).ok()) return false;
-  auto flip_cold = Drain(&flip_engine, &ok);
+  DYNOPT_ASSIGN_OR_RETURN(Drained flip_cold,
+                          Drain(&flip_db, &flip_engine, {}));
   std::optional<Verdict> cold_verdict = verdict_of(flip_engine);
-  if (!flip_engine.Open({}).ok()) return false;
-  auto flip_warm = Drain(&flip_engine, &ok);
+  DYNOPT_ASSIGN_OR_RETURN(Drained flip_warm,
+                          Drain(&flip_db, &flip_engine, {}));
   std::optional<Verdict> warm_verdict = verdict_of(flip_engine);
-  if (!ok) {
-    std::printf("flip drains failed\n");
-    return false;
-  }
+  bool same_results = flip_cold.rows == flip_warm.rows &&
+                      flip_cold.rid_hash == flip_warm.rid_hash;
   int flips = (cold_verdict == Verdict::kSscanRetained &&
-               warm_verdict == Verdict::kJscanWon && flip_cold == flip_warm)
+               warm_verdict == Verdict::kJscanWon && same_results)
                   ? 1
                   : 0;
-  std::printf("flip: cold verdict %-16s warm verdict %-16s rows %zu\n",
+  std::printf("flip: cold verdict %-16s warm verdict %-16s rows %llu\n",
               name_of(cold_verdict).c_str(), name_of(warm_verdict).c_str(),
-              flip_warm.size());
+              static_cast<unsigned long long>(flip_warm.rows));
   uint64_t overrides =
       flip_db.metrics() != nullptr
           ? flip_db.metrics()->Value("learning.competition_overrides")
           : 0;
   std::printf("plan-choice flips: %d (issue gates >= 1), overrides: %llu\n\n",
               flips, static_cast<unsigned long long>(overrides));
-  report.Add("flip.flips", flips);
-  report.Add("flip.result_rows", static_cast<double>(flip_warm.size()));
-  report.Add("learning.overrides", static_cast<double>(overrides));
-  if (flips < 1) {
-    std::printf("FLIP GATE FAILED: cold=%s warm=%s equal_results=%d\n",
-                name_of(cold_verdict).c_str(), name_of(warm_verdict).c_str(),
-                flip_cold == flip_warm ? 1 : 0);
-    *exit_code = 1;
-  }
+  report->Add("flip.flips", flips);
+  report->Add("flip.result_rows", static_cast<double>(flip_warm.rows));
+  report->Add("learning.overrides", static_cast<double>(overrides));
+  report->Gate(flips >= 1, "no plan flip: cold=%s warm=%s equal_results=%d",
+               name_of(cold_verdict).c_str(), name_of(warm_verdict).c_str(),
+               same_results ? 1 : 0);
 
   // ---- Part 3: byte-identical persistence through the catalog.
   const std::string path = "BENCH_learning_scratch.db";
@@ -249,55 +200,42 @@ bool Run(int* exit_code) {
   popts.pool_pages = 512;
   std::string blob_before;
   {
-    auto pdb = Database::Create(popts);
-    if (!pdb.ok()) {
-      std::printf("persist create failed\n");
-      return false;
-    }
-    auto ptable = BuildFamilies(pdb->get(), 800, 42);
-    if (!ptable.ok() || !(*ptable)->CreateIndex("by_age", {"age"}).ok()) {
-      std::printf("persist build failed\n");
-      return false;
-    }
-    (*pdb)->learning()->set_mode(LearningMode::kLearn);
+    DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<Database> pdb,
+                            Database::Create(popts));
+    DYNOPT_ASSIGN_OR_RETURN(Table * ptable, BuildFamilies(pdb.get(), 800, 42));
+    DYNOPT_RETURN_IF_ERROR(ptable->CreateIndex("by_age", {"age"}).status());
+    pdb->learning()->set_mode(LearningMode::kLearn);
     RetrievalSpec pspec;
-    pspec.table = *ptable;
+    pspec.table = ptable;
     pspec.restriction = Predicate::Between(1, Operand::HostVar("lo"),
                                            Operand::HostVar("hi"));
     pspec.projection = {0, 1};
-    DynamicRetrieval pengine(pdb->get(), pspec);
+    DynamicRetrieval pengine(pdb.get(), pspec);
     for (int round = 0; round < 2; ++round) {
       for (int64_t lo : {10, 30, 50}) {
         ParamMap p{{"lo", Value(lo)}, {"hi", Value(lo + 10)}};
-        if (!pengine.Open(p).ok()) return false;
-        Drain(&pengine, &ok);
+        DYNOPT_RETURN_IF_ERROR(Drain(pdb.get(), &pengine, p).status());
       }
     }
-    blob_before = (*pdb)->learning()->Serialize();
-    if (!(*pdb)->Close().ok()) return false;
+    blob_before = pdb->learning()->Serialize();
+    DYNOPT_RETURN_IF_ERROR(pdb->Close());
   }
   int byte_identical = 0;
   {
-    auto pdb = Database::Open(popts);
-    if (!pdb.ok()) {
-      std::printf("persist reopen failed\n");
-      return false;
-    }
-    byte_identical =
-        (*pdb)->learning()->Serialize() == blob_before ? 1 : 0;
-    (*pdb)->Close().ok();
+    DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<Database> pdb,
+                            Database::Open(popts));
+    byte_identical = pdb->learning()->Serialize() == blob_before ? 1 : 0;
+    DYNOPT_RETURN_IF_ERROR(pdb->Close());
   }
   ::unlink(path.c_str());
   ::unlink((path + ".wal").c_str());
   std::printf("persistence: model blob %s across Close/Open (%zu bytes)\n\n",
               byte_identical ? "byte-identical" : "DIVERGED",
               blob_before.size());
-  report.Add("persist.byte_identical", byte_identical);
-  report.Add("persist.blob_bytes", static_cast<double>(blob_before.size()));
-  if (byte_identical != 1) {
-    std::printf("PERSISTENCE GATE FAILED\n");
-    *exit_code = 1;
-  }
+  report->Add("persist.byte_identical", byte_identical);
+  report->Add("persist.blob_bytes", static_cast<double>(blob_before.size()));
+  report->Gate(byte_identical == 1,
+               "the model blob diverged across Close/Open");
 
   // ---- Part 4: controlled vs learn — identical results, inert counters.
   SessionWorkloadOptions wopts;
@@ -307,29 +245,24 @@ bool Run(int* exit_code) {
   wopts.parametric = true;
   wopts.concurrent = false;
   Database cdb(DatabaseOptions{.pool_pages = 1024});
-  auto ct = BuildFamilies(&cdb, 4000, 42);
-  if (!ct.ok() || !(*ct)->CreateIndex("by_id", {"id"}).ok() ||
-      !(*ct)->CreateIndex("by_age", {"age"}).ok()) {
-    return false;
-  }
-  auto creport = RunSessionWorkload(&cdb, *ct, wopts);
   Database ldb(DatabaseOptions{.pool_pages = 1024});
-  auto lt = BuildFamilies(&ldb, 4000, 42);
-  if (!lt.ok() || !(*lt)->CreateIndex("by_id", {"id"}).ok() ||
-      !(*lt)->CreateIndex("by_age", {"age"}).ok()) {
-    return false;
+  Table* tables[2] = {nullptr, nullptr};
+  Database* dbs[2] = {&cdb, &ldb};
+  for (int i = 0; i < 2; ++i) {
+    DYNOPT_ASSIGN_OR_RETURN(tables[i], BuildFamilies(dbs[i], 4000, 42));
+    DYNOPT_RETURN_IF_ERROR(tables[i]->CreateIndex("by_id", {"id"}).status());
+    DYNOPT_RETURN_IF_ERROR(tables[i]->CreateIndex("by_age", {"age"}).status());
   }
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport creport,
+                          RunSessionWorkload(&cdb, tables[0], wopts));
   ldb.learning()->set_mode(LearningMode::kLearn);
-  auto lreport = RunSessionWorkload(&ldb, *lt, wopts);
-  if (!creport.ok() || !lreport.ok()) {
-    std::printf("safety workloads failed\n");
-    return false;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport lreport,
+                          RunSessionWorkload(&ldb, tables[1], wopts));
   int hashes_equal = 1;
-  for (size_t i = 0; i < creport->sessions.size(); ++i) {
-    if (creport->sessions[i].result_hash != lreport->sessions[i].result_hash ||
-        !creport->sessions[i].error.empty() ||
-        !lreport->sessions[i].error.empty()) {
+  for (size_t i = 0; i < creport.sessions.size(); ++i) {
+    if (creport.sessions[i].result_hash != lreport.sessions[i].result_hash ||
+        !creport.sessions[i].error.empty() ||
+        !lreport.sessions[i].error.empty()) {
       hashes_equal = 0;
     }
   }
@@ -343,13 +276,11 @@ bool Run(int* exit_code) {
               "learning activity: %llu\n\n",
               hashes_equal ? "equal" : "DIVERGED",
               static_cast<unsigned long long>(controlled_activity));
-  report.Add("safety.hashes_equal", hashes_equal);
-  report.Add("safety.controlled_activity",
-             static_cast<double>(controlled_activity));
-  if (hashes_equal != 1 || controlled_activity != 0) {
-    std::printf("SAFETY GATE FAILED\n");
-    *exit_code = 1;
-  }
+  report->Add("safety.hashes_equal", hashes_equal);
+  report->Add("safety.controlled_activity",
+              static_cast<double>(controlled_activity));
+  report->Gate(hashes_equal == 1 && controlled_activity == 0,
+               "controlled mode diverged from learn mode or was not inert");
 
   // ---- Dashboard: the learning section over the convergence DB.
   DashboardOptions dopts;
@@ -360,20 +291,18 @@ bool Run(int* exit_code) {
     std::printf("%s\n", RenderDashboard(*db.metrics(), dopts).c_str());
   }
 
-  report.WriteFile();
   std::printf(
       "\nThe estimation-feedback loop is closed: executions deposit what\n"
       "really happened, later executions of the class spend it — tighter\n"
       "estimates, and when the evidence is strong enough, a different\n"
       "winner in the §7 competition.\n");
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  int exit_code = 0;
-  if (!dynopt::Run(&exit_code)) return 2;
-  return exit_code;
+  dynopt::Report report("learning");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -1,11 +1,13 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark):
 // order-preserving codec, B+-tree insert/lookup/scan, buffer-pool hit and
 // miss paths, the §5 descent estimation, and §2 distribution operators.
+// After them runs the vectorization gate, which reports through the bench
+// harness into BENCH_micro.json.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "catalog/database.h"
 #include "core/retrieval.h"
 #include "expr/predicate.h"
+#include "harness.h"
 #include "index/btree.h"
 #include "stats/selectivity_dist.h"
 #include "storage/buffer_pool.h"
@@ -22,6 +25,21 @@
 
 namespace dynopt {
 namespace {
+
+/// Setup inside a benchmark cannot return its error: a failed step ends
+/// the run non-zero.
+void MustSucceed(const Status& st) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "bench_micro setup failed: %s\n", st.ToString().c_str());
+  std::exit(2);
+}
+
+/// Allocates a page and unpins it.
+PageId NewPageId(BufferPool* pool) {
+  auto page = pool->NewPage();
+  MustSucceed(page.status());
+  return page->id();
+}
 
 void BM_EncodeInt64(benchmark::State& state) {
   Rng rng(1);
@@ -39,8 +57,8 @@ void BM_DecodeInt64(benchmark::State& state) {
   EncodeInt64(123456789, &buf);
   for (auto _ : state) {
     std::string_view sv(buf);
-    int64_t v;
-    DecodeInt64(&sv, &v).ok();
+    int64_t v = 0;
+    MustSucceed(DecodeInt64(&sv, &v));
     benchmark::DoNotOptimize(v);
   }
 }
@@ -64,11 +82,13 @@ struct TreeEnv {
   Rng rng{7};
 
   explicit TreeEnv(int64_t n) {
-    tree = std::move(*BTree::Create(&pool));
+    auto created = BTree::Create(&pool);
+    MustSucceed(created.status());
+    tree = std::move(*created);
     for (int64_t i = 0; i < n; ++i) {
       std::string key;
       EncodeInt64(i, &key);
-      tree->Insert(key, Rid{static_cast<PageId>(i), 0}).ok();
+      MustSucceed(tree->Insert(key, Rid{static_cast<PageId>(i), 0}));
     }
   }
 };
@@ -76,7 +96,9 @@ struct TreeEnv {
 void BM_BTreeInsert(benchmark::State& state) {
   MemPageStore store;
   BufferPool pool(&store, 8192);
-  auto tree = std::move(*BTree::Create(&pool));
+  auto created = BTree::Create(&pool);
+  MustSucceed(created.status());
+  auto tree = std::move(*created);
   int64_t i = 0;
   for (auto _ : state) {
     std::string key;
@@ -92,7 +114,7 @@ void BM_BTreePointLookup(benchmark::State& state) {
     std::string key;
     EncodeInt64(env.rng.NextInt(0, state.range(0) - 1), &key);
     auto cursor = env.tree->NewCursor();
-    cursor.Seek(key).ok();
+    MustSucceed(cursor.Seek(key));
     RidBatch entry;
     bool bound_hit = false;
     benchmark::DoNotOptimize(cursor.NextBatch("", 1, &entry, &bound_hit));
@@ -106,7 +128,7 @@ void BM_BTreeRangeScan1000(benchmark::State& state) {
     std::string key;
     EncodeInt64(env.rng.NextInt(0, 99000), &key);
     auto cursor = env.tree->NewCursor();
-    cursor.Seek(key).ok();
+    MustSucceed(cursor.Seek(key));
     RidBatch entries;
     bool bound_hit = false;
     benchmark::DoNotOptimize(cursor.NextBatch("", 1000, &entries, &bound_hit));
@@ -138,7 +160,7 @@ BENCHMARK(BM_BTreeSampleRanked);
 void BM_BufferPoolHit(benchmark::State& state) {
   MemPageStore store;
   BufferPool pool(&store, 64);
-  PageId id = (*pool.NewPage()).id();
+  PageId id = NewPageId(&pool);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.Pin(id));
   }
@@ -149,7 +171,7 @@ void BM_BufferPoolMissEvict(benchmark::State& state) {
   MemPageStore store;
   BufferPool pool(&store, 4);
   std::vector<PageId> ids;
-  for (int i = 0; i < 16; ++i) ids.push_back((*pool.NewPage()).id());
+  for (int i = 0; i < 16; ++i) ids.push_back(NewPageId(&pool));
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.Pin(ids[i++ % ids.size()]));
@@ -164,7 +186,8 @@ BENCHMARK(BM_BufferPoolMissEvict);
 // exactly: heap cursor, full-record deserialize (strings and all), RowView
 // Eval, per-row projection. The batched path goes through DynamicRetrieval
 // and gets column-skipping deserializes, selection-vector filtering, and
-// per-batch metering. main() gates on >= 2x between the two.
+// per-batch metering. The vectorization gate requires >= 2x between the
+// two.
 
 struct TscanEnv {
   Database db;
@@ -179,13 +202,14 @@ struct TscanEnv {
                             {"age", ValueType::kInt64},
                             {"income", ValueType::kInt64},
                             {"city", ValueType::kString}}));
+    MustSucceed(t.status());
     table = *t;
     Rng rng(42);
     for (int64_t i = 0; i < rows; ++i) {
       int64_t age = rng.NextInt(0, 99);
       int64_t income = rng.NextInt(0, 200000);
       std::string city = "city" + std::to_string(rng.NextBounded(50));
-      table->Insert(Record{i, age, income, city}).ok();
+      MustSucceed(table->Insert(Record{i, age, income, city}).status());
     }
     spec.table = table;
     spec.restriction = Predicate::And(
@@ -202,7 +226,7 @@ TscanEnv* SharedTscanEnv() {
   return &env;
 }
 
-size_t TscanRowReference(TscanEnv* env) {
+Result<size_t> TscanRowReference(TscanEnv* env) {
   auto cursor = env->table->heap()->NewCursor();
   BufferPool* pool = env->db.pool();
   const Schema& schema = env->table->schema();
@@ -223,13 +247,14 @@ size_t TscanRowReference(TscanEnv* env) {
     // full-record deserialize, RowView Eval, survivors round-trip through
     // the engine's output queue.
     ScopedCostMeter scope(&accrued, pool->shared_meter());
-    auto more = cursor.Next(&bytes, &rid);
-    if (!more.ok() || !*more) break;
-    if (!DeserializeRecord(schema, bytes, &record).ok()) break;
+    DYNOPT_ASSIGN_OR_RETURN(bool more, cursor.Next(&bytes, &rid));
+    if (!more) break;
+    DYNOPT_RETURN_IF_ERROR(DeserializeRecord(schema, bytes, &record));
     RowView view(&record);
     pool->meter_ptr()->record_evals++;
-    auto keep = env->spec.restriction->Eval(view, env->params);
-    if (!keep.ok() || !*keep) continue;
+    DYNOPT_ASSIGN_OR_RETURN(bool keep,
+                            env->spec.restriction->Eval(view, env->params));
+    if (!keep) continue;
     std::vector<Value> out;
     out.reserve(env->spec.projection.size());
     for (uint32_t c : env->spec.projection) out.push_back(record[c]);
@@ -243,16 +268,16 @@ size_t TscanRowReference(TscanEnv* env) {
   return delivered;
 }
 
-size_t TscanBatched(TscanEnv* env, size_t batch_size) {
+Result<size_t> TscanBatched(TscanEnv* env, size_t batch_size) {
   RetrievalOptions opt;
   opt.batch_size = batch_size;
   DynamicRetrieval engine(&env->db, env->spec, opt);
-  if (!engine.Open(env->params).ok()) return 0;
+  DYNOPT_RETURN_IF_ERROR(engine.Open(env->params));
   RowBatch batch;
   size_t delivered = 0;
   for (;;) {
-    auto more = engine.NextBatch(&batch);
-    if (!more.ok() || !*more) break;
+    DYNOPT_ASSIGN_OR_RETURN(bool more, engine.NextBatch(&batch));
+    if (!more) break;
     benchmark::DoNotOptimize(batch);
     delivered += batch.num_rows();
   }
@@ -262,7 +287,11 @@ size_t TscanBatched(TscanEnv* env, size_t batch_size) {
 void BM_TscanRestrictionRowRef(benchmark::State& state) {
   TscanEnv* env = SharedTscanEnv();
   size_t delivered = 0;
-  for (auto _ : state) delivered = TscanRowReference(env);
+  for (auto _ : state) {
+    auto n = TscanRowReference(env);
+    MustSucceed(n.status());
+    delivered = *n;
+  }
   state.counters["delivered"] = static_cast<double>(delivered);
 }
 BENCHMARK(BM_TscanRestrictionRowRef)->Unit(benchmark::kMillisecond);
@@ -271,7 +300,9 @@ void BM_TscanRestrictionBatch(benchmark::State& state) {
   TscanEnv* env = SharedTscanEnv();
   size_t delivered = 0;
   for (auto _ : state) {
-    delivered = TscanBatched(env, static_cast<size_t>(state.range(0)));
+    auto n = TscanBatched(env, static_cast<size_t>(state.range(0)));
+    MustSucceed(n.status());
+    delivered = *n;
   }
   state.counters["delivered"] = static_cast<double>(delivered);
 }
@@ -291,61 +322,64 @@ BENCHMARK(BM_DistAndUnknown)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
+// Interleaved row/batch pairs the vectorization gate reads its median
+// over: enough that a few noisy pairs cannot move the median.
+constexpr int kGatePairs = 11;
+
 // Hard regression gate for the vectorized executor: the batched Tscan
-// restriction path must beat the row-at-a-time reference by at least 2x.
-// Returns non-zero (failing the bench run, and CI with it) when it does
-// not, or when the two paths disagree on delivered row counts.
-int RunTscanVectorizationGate() {
+// restriction path must beat the row-at-a-time reference by at least 2x,
+// read as the median per-pair speedup over interleaved pairs, and both
+// paths must deliver the same rows on every run.
+Status RunTscanVectorizationGate(Report* report) {
   TscanEnv* env = SharedTscanEnv();
-  auto best_of = [](auto&& fn) {
-    double best = 1e300;
-    for (int i = 0; i < 5; ++i) {
-      auto t0 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(fn());
-      auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
+  DYNOPT_ASSIGN_OR_RETURN(size_t row_n,
+                          TscanRowReference(env));  // warms the pool
+  DYNOPT_ASSIGN_OR_RETURN(size_t batch_n, TscanBatched(env, kDefaultBatchRows));
+  bool same_rows = row_n == batch_n;
+  auto timed = [&](auto run) -> Result<double> {
+    Stopwatch watch;
+    DYNOPT_ASSIGN_OR_RETURN(size_t n, run());
+    double seconds = watch.Seconds();
+    same_rows &= n == row_n;
+    return seconds;
   };
-  size_t row_n = TscanRowReference(env);  // warm the buffer pool
-  size_t batch_n = TscanBatched(env, kDefaultBatchRows);
-  double row_t = best_of([&] { return TscanRowReference(env); });
-  double batch_t = best_of([&] { return TscanBatched(env, kDefaultBatchRows); });
-  double speedup = row_t / batch_t;
-  std::fprintf(stderr,
-               "Tscan restriction: row=%.2fms batch=%.2fms speedup=%.2fx "
-               "(gate >= 2.0x; delivered %zu/%zu)\n",
-               row_t * 1e3, batch_t * 1e3, speedup, row_n, batch_n);
-  if (batch_n != row_n) {
-    std::fprintf(stderr,
-                 "FAIL: row and batch paths delivered different row counts\n");
-    return 1;
+  DYNOPT_ASSIGN_OR_RETURN(
+      Interleaved runs,
+      RunInterleaved(
+          kGatePairs,
+          [&] { return timed([&] { return TscanRowReference(env); }); },
+          [&] {
+            return timed([&] { return TscanBatched(env, kDefaultBatchRows); });
+          }));
+  std::vector<double> speedups;
+  for (int i = 0; i < kGatePairs; ++i) {
+    speedups.push_back(runs.a[i] / runs.b[i]);
   }
-  if (speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: vectorization speedup below the 2x gate\n");
-    return 1;
-  }
-  return 0;
+  std::printf("\nTscan restriction, median of %d interleaved pairs "
+              "(delivered %zu/%zu):\n",
+              kGatePairs, row_n, batch_n);
+  report->Print("row.median_ms", Quantile(runs.a, 0.5) * 1e3,
+                "  row   %.2f ms");
+  report->Print("batch.median_ms", Quantile(runs.b, 0.5) * 1e3,
+                "  batch %.2f ms");
+  double speedup = report->PrintMedian(
+      "speedup", speedups,
+      "vectorization speedup: median %.2fx, quartiles %.2fx / %.2fx "
+      "(gate >= 2x)");
+  report->Gate(same_rows,
+               "row and batch paths delivered different row counts");
+  report->Gate(speedup >= 2.0, "vectorization speedup %.2fx below the 2x gate",
+               speedup);
+  return Status::OK();
 }
 
 }  // namespace dynopt
 
-// Like BENCHMARK_MAIN(), but defaults the file reporter to
-// BENCH_micro.json; flags passed on the command line still win because
-// they are parsed after the injected defaults.
 int main(int argc, char** argv) {
-  std::string out = "--benchmark_out=BENCH_micro.json";
-  std::string fmt = "--benchmark_out_format=json";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  args.push_back(out.data());
-  args.push_back(fmt.data());
-  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return dynopt::RunTscanVectorizationGate();
+  dynopt::Report report("micro");
+  return report.Finish(dynopt::RunTscanVectorizationGate(&report));
 }

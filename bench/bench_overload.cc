@@ -12,7 +12,8 @@
 //
 // Phases:
 //   capacity   closed-loop concurrent run: measured qps + latency, which
-//              sizes the deadline and the overload arrival rate
+//              sizes the deadline and the overload arrival rate; as long
+//              as the overload run, so its p99 has 16 samples beyond it
 //   plateau    open-loop at 0.9x capacity through the governor: the
 //              pre-overload goodput baseline
 //   overload   the same streams at 2.0x capacity, governed vs ungoverned
@@ -20,24 +21,32 @@
 //   golden     an unloaded serial replay: every query the governed
 //              overloaded run completed must hash identically
 //
-// Gates (non-zero exit on failure):
-//   governed goodput retention >= 70% of the plateau
-//   ungoverned goodput retention < 40% (the motivation must reproduce)
-//   governed admitted p99 <= 2x deadline (the tail stays bounded)
-//   every shed is typed Overloaded (any other error fails the session)
-//   the brownout ladder steps down AND back up in the trace
-//   golden result hashes match wherever both runs completed a query
+// The whole scenario, database and governor included, runs kRepetitions
+// times. Gates (non-zero exit on failure):
+//   in every repetition:
+//     the plateau produces goodput
+//     every shed is typed Overloaded (any other error fails the session)
+//     the brownout ladder steps down AND back up in the trace
+//     golden result hashes match wherever both runs completed a query
+//   over the median across repetitions:
+//     governed goodput retention >= 70% of the plateau
+//     ungoverned goodput retention < 40% (the motivation must reproduce)
+//     governed admitted p99 <= 2x deadline (the tail stays bounded)
+//     the 2x overload sheds queries
 //
-// Reported to BENCH_overload.json.
+// Reported to BENCH_overload.json: each figure is its median across the
+// repetitions.
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "catalog/database.h"
 #include "governance/admission.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
@@ -46,9 +55,11 @@ namespace {
 
 constexpr int64_t kRows = 8000;
 constexpr size_t kSessions = 4;
-constexpr size_t kCapacityQueries = 80;
+constexpr size_t kPlateauQueries = 80;
 constexpr size_t kOverloadQueries = 400;
 constexpr uint32_t kDeviceLatencyMicros = 5;
+// Independent runs of the whole scenario the median gates read.
+constexpr int kRepetitions = 5;
 
 struct Setup {
   MemPageStore* inner = nullptr;
@@ -56,18 +67,16 @@ struct Setup {
   Table* table = nullptr;
 };
 
-Setup Build() {
+Result<Setup> Build() {
   Setup s;
   auto inner = std::make_unique<MemPageStore>();
   s.inner = inner.get();
   DatabaseOptions o;
   o.pool_pages = 256;  // small pool: load actually reaches the device
   s.db = std::make_unique<Database>(std::move(o), std::move(inner));
-  auto table = BuildFamilies(s.db.get(), kRows, 42);
-  if (!table.ok()) return s;
-  if (!(*table)->CreateIndex("by_id", {"id"}).ok()) return s;
-  if (!(*table)->CreateIndex("by_age", {"age"}).ok()) return s;
-  s.table = *table;
+  DYNOPT_ASSIGN_OR_RETURN(s.table, BuildFamilies(s.db.get(), kRows, 42));
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_id", {"id"}).status());
+  DYNOPT_RETURN_IF_ERROR(s.table->CreateIndex("by_age", {"age"}).status());
   s.inner->set_simulated_latency(kDeviceLatencyMicros, kDeviceLatencyMicros);
   return s;
 }
@@ -81,51 +90,41 @@ SessionWorkloadOptions BaseOptions(size_t queries) {
   return o;
 }
 
-bool SessionsClean(const SessionWorkloadReport& r, const char* label) {
-  bool clean = true;
+/// Fails with the first session's error: an untyped failure.
+Status SessionsClean(const SessionWorkloadReport& r, const char* label) {
   for (const SessionOutcome& s : r.sessions) {
     if (!s.error.empty()) {
-      std::printf("%s: session error (untyped failure): %s\n", label,
-                  s.error.c_str());
-      clean = false;
+      return Status::Internal(std::string(label) +
+                              ": session error (untyped failure): " + s.error);
     }
   }
-  return clean;
+  return Status::OK();
 }
 
-bool Run(int* exit_code) {
-  std::printf("=== admission control under 2x sustained overload ===\n\n");
-  Setup s = Build();
-  if (s.table == nullptr) {
-    std::printf("setup failed\n");
-    return false;
-  }
-  BenchReport report("overload");
-  std::printf("FAMILIES %lld rows, %zu sessions, simulated device %uus\n\n",
-              static_cast<long long>(kRows), kSessions, kDeviceLatencyMicros);
+/// Each figure's value in every repetition so far, by figure name.
+using Figures = std::map<std::string, std::vector<double>>;
 
-  // ---- capacity: closed-loop, no governor. Sizes everything downstream.
-  auto cap = RunSessionWorkload(s.db.get(), s.table, BaseOptions(kCapacityQueries));
-  if (!cap.ok() || !SessionsClean(*cap, "capacity")) {
-    std::printf("capacity run failed\n");
-    return false;
-  }
-  double capacity_qps = cap->queries_per_second;
+/// Runs the whole scenario once on a fresh database and governor, gates
+/// what every repetition must pass, and appends its figures to `f`.
+Status RunRepetition(int rep, Report* report, Figures* f) {
+  DYNOPT_ASSIGN_OR_RETURN(Setup s, Build());
+
+  // ---- capacity: closed-loop, no governor. Sizes everything downstream,
+  // so it runs as many queries as the overload phase: a shorter run's p99
+  // (4 x 80 queries) swung with one scheduler hiccup, and so did whether
+  // the ungoverned run collapsed.
+  DYNOPT_ASSIGN_OR_RETURN(
+      SessionWorkloadReport cap,
+      RunSessionWorkload(s.db.get(), s.table, BaseOptions(kOverloadQueries)));
+  DYNOPT_RETURN_IF_ERROR(SessionsClean(cap, "capacity"));
   // Deadline: generous against the measured tail (so the plateau is nearly
   // all goodput) but capped well below the overload phase's scheduled span —
   // sustained 2x load must accumulate lateness past it, or the metastable
   // failure cannot show inside the bench's window.
   uint64_t deadline_micros = std::clamp<uint64_t>(
-      static_cast<uint64_t>(cap->p99_latency_micros * 4), 5000, 20000);
-  std::printf("capacity %.0f qps, p50 %.0fus p99 %.0fus -> deadline %lluus\n",
-              capacity_qps, cap->p50_latency_micros, cap->p99_latency_micros,
-              static_cast<unsigned long long>(deadline_micros));
-  report.Add("capacity.qps", capacity_qps);
-  report.Add("capacity.p99_micros", cap->p99_latency_micros);
-  report.Add("capacity.deadline_micros", static_cast<double>(deadline_micros));
-
+      static_cast<uint64_t>(cap.p99_latency_micros * 4), 5000, 20000);
   auto interval_for = [&](double load_factor) {
-    double per_session_qps = capacity_qps * load_factor / kSessions;
+    double per_session_qps = cap.queries_per_second * load_factor / kSessions;
     return std::max<uint64_t>(
         static_cast<uint64_t>(1e6 / std::max(per_session_qps, 1.0)), 1);
   };
@@ -140,30 +139,18 @@ bool Run(int* exit_code) {
   AdmissionController governor(ao, s.db->metrics());
 
   // ---- plateau: 0.9x capacity through the governor.
-  SessionWorkloadOptions plateau_opts = BaseOptions(kCapacityQueries);
+  SessionWorkloadOptions plateau_opts = BaseOptions(kPlateauQueries);
   plateau_opts.open_loop = true;
   plateau_opts.arrival_interval_micros = interval_for(0.9);
   plateau_opts.governor = &governor;
   plateau_opts.goodput_deadline_micros = deadline_micros;
-  auto plateau = RunSessionWorkload(s.db.get(), s.table, plateau_opts);
-  if (!plateau.ok() || !SessionsClean(*plateau, "plateau")) {
-    std::printf("plateau run failed\n");
-    return false;
-  }
-  double plateau_goodput = plateau->goodput_qps;
-  std::printf("plateau (0.9x): %.0f goodput qps (%llu/%llu queries, "
-              "%llu shed)\n",
-              plateau_goodput,
-              static_cast<unsigned long long>(plateau->goodput_queries),
-              static_cast<unsigned long long>(
-                  kSessions * kCapacityQueries),
-              static_cast<unsigned long long>(plateau->shed_queries));
-  report.Add("plateau.goodput_qps", plateau_goodput);
-  if (plateau_goodput <= 0) {
-    std::printf("GATE FAILED: plateau produced no goodput\n");
-    *exit_code = 1;
-    return true;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(
+      SessionWorkloadReport plateau,
+      RunSessionWorkload(s.db.get(), s.table, plateau_opts));
+  DYNOPT_RETURN_IF_ERROR(SessionsClean(plateau, "plateau"));
+  report->Gate(plateau.goodput_qps > 0,
+               "repetition %d: plateau produced no goodput", rep);
+  double plateau_goodput = std::max(plateau.goodput_qps, 1e-9);
 
   // ---- overload: the same streams at 2x capacity, governed.
   SessionWorkloadOptions over_opts = BaseOptions(kOverloadQueries);
@@ -173,47 +160,20 @@ bool Run(int* exit_code) {
   over_opts.goodput_deadline_micros = deadline_micros;
   over_opts.record_query_hashes = true;
   over_opts.scrub = true;  // the scrubber must yield, not compete
-  auto governed = RunSessionWorkload(s.db.get(), s.table, over_opts);
-  bool typed_ok = governed.ok() && SessionsClean(*governed, "governed");
-  if (!governed.ok()) {
-    std::printf("governed overload run failed\n");
-    return false;
-  }
-  double governed_retention = governed->goodput_qps / plateau_goodput;
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport governed,
+                          RunSessionWorkload(s.db.get(), s.table, over_opts));
+  Status typed = SessionsClean(governed, "governed");
+  report->Gate(typed.ok(), "repetition %d: a shed or failure was not typed: %s",
+               rep, typed.ToString().c_str());
 
   // ---- overload, ungoverned control: same arrivals, no governor.
   SessionWorkloadOptions raw_opts = over_opts;
   raw_opts.governor = nullptr;
   raw_opts.record_query_hashes = false;
   raw_opts.scrub = false;
-  auto raw = RunSessionWorkload(s.db.get(), s.table, raw_opts);
-  if (!raw.ok() || !SessionsClean(*raw, "ungoverned")) {
-    std::printf("ungoverned overload run failed\n");
-    return false;
-  }
-  double raw_retention = raw->goodput_qps / plateau_goodput;
-
-  std::printf("\n%12s %14s %10s %10s %10s %12s\n", "overload 2x", "goodput_qps",
-              "retained", "shed", "p99_us", "scrub_defer");
-  std::printf("%12s %14.0f %9.0f%% %10llu %10.0f %12llu\n", "governed",
-              governed->goodput_qps, governed_retention * 100,
-              static_cast<unsigned long long>(governed->shed_queries),
-              governed->p99_latency_micros,
-              static_cast<unsigned long long>(governed->scrub_deferred));
-  std::printf("%12s %14.0f %9.0f%% %10llu %10.0f %12s\n", "ungoverned",
-              raw->goodput_qps, raw_retention * 100,
-              static_cast<unsigned long long>(raw->shed_queries),
-              raw->p99_latency_micros, "-");
-  report.Add("overload_governed.goodput_qps", governed->goodput_qps);
-  report.Add("overload_governed.retention", governed_retention);
-  report.Add("overload_governed.shed",
-             static_cast<double>(governed->shed_queries));
-  report.Add("overload_governed.p99_micros", governed->p99_latency_micros);
-  report.Add("overload_governed.scrub_deferred",
-             static_cast<double>(governed->scrub_deferred));
-  report.Add("overload_ungoverned.goodput_qps", raw->goodput_qps);
-  report.Add("overload_ungoverned.retention", raw_retention);
-  report.Add("overload_ungoverned.p99_micros", raw->p99_latency_micros);
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport raw,
+                          RunSessionWorkload(s.db.get(), s.table, raw_opts));
+  DYNOPT_RETURN_IF_ERROR(SessionsClean(raw, "ungoverned"));
 
   // ---- recovery: light load on the same governor steps the ladder up.
   SessionWorkloadOptions light_opts = BaseOptions(40);
@@ -221,39 +181,28 @@ bool Run(int* exit_code) {
   light_opts.arrival_interval_micros = interval_for(0.5);
   light_opts.governor = &governor;
   light_opts.goodput_deadline_micros = deadline_micros;
-  auto light = RunSessionWorkload(s.db.get(), s.table, light_opts);
-  if (!light.ok() || !SessionsClean(*light, "recovery")) {
-    std::printf("recovery run failed\n");
-    return false;
-  }
-  uint64_t steps_down = s.db->metrics()->Value("admission.brownout_steps_down");
-  uint64_t steps_up = s.db->metrics()->Value("admission.brownout_steps_up");
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport light,
+                          RunSessionWorkload(s.db.get(), s.table, light_opts));
+  DYNOPT_RETURN_IF_ERROR(SessionsClean(light, "recovery"));
   bool stepped_down =
       governor.trace().Contains(TraceEventKind::kBrownoutStep, "down");
   bool stepped_up =
       governor.trace().Contains(TraceEventKind::kBrownoutStep, "up");
-  std::printf("\nbrownout: %llu steps down, %llu steps up, final level %u\n",
-              static_cast<unsigned long long>(steps_down),
-              static_cast<unsigned long long>(steps_up),
-              static_cast<unsigned>(governor.level()));
-  report.Add("recovery.steps_down", static_cast<double>(steps_down));
-  report.Add("recovery.steps_up", static_cast<double>(steps_up));
-  report.Add("recovery.final_level",
-             static_cast<double>(static_cast<uint8_t>(governor.level())));
+  report->Gate(stepped_down && stepped_up,
+               "repetition %d: brownout ladder did not step %s", rep,
+               !stepped_down ? "down" : "back up");
 
   // ---- golden: unloaded serial replay of the overloaded streams.
   SessionWorkloadOptions gold_opts = BaseOptions(kOverloadQueries);
   gold_opts.concurrent = false;
   gold_opts.record_query_hashes = true;
-  auto gold = RunSessionWorkload(s.db.get(), s.table, gold_opts);
-  if (!gold.ok() || !SessionsClean(*gold, "golden")) {
-    std::printf("golden replay failed\n");
-    return false;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport gold,
+                          RunSessionWorkload(s.db.get(), s.table, gold_opts));
+  DYNOPT_RETURN_IF_ERROR(SessionsClean(gold, "golden"));
   uint64_t compared = 0, mismatched = 0;
   for (size_t i = 0; i < kSessions; ++i) {
-    const auto& got = governed->sessions[i].query_hashes;
-    const auto& want = gold->sessions[i].query_hashes;
+    const auto& got = governed.sessions[i].query_hashes;
+    const auto& want = gold.sessions[i].query_hashes;
     for (size_t q = 0; q < std::min(got.size(), want.size()); ++q) {
       if (got[q] == kShedQueryHash || got[q] == kFailedQueryHash) continue;
       if (want[q] == kShedQueryHash || want[q] == kFailedQueryHash) continue;
@@ -261,66 +210,86 @@ bool Run(int* exit_code) {
       if (got[q] != want[q]) mismatched++;
     }
   }
-  std::printf("golden: %llu admitted results compared, %llu mismatched\n",
+  report->Gate(compared > 0 && mismatched == 0,
+               "repetition %d: golden hashes (%llu compared, %llu mismatched)",
+               rep, static_cast<unsigned long long>(compared),
+               static_cast<unsigned long long>(mismatched));
+
+  double governed_retention = governed.goodput_qps / plateau_goodput;
+  double raw_retention = raw.goodput_qps / plateau_goodput;
+  std::printf("%3d %9.0f %8llu %9.0f | %7.0f%% %8.0f %6llu | %7.0f%% %8.0f | "
+              "%8llu %6llu\n",
+              rep, cap.queries_per_second,
+              static_cast<unsigned long long>(deadline_micros),
+              plateau.goodput_qps, governed_retention * 100,
+              governed.p99_latency_micros,
+              static_cast<unsigned long long>(governed.shed_queries),
+              raw_retention * 100, raw.p99_latency_micros,
               static_cast<unsigned long long>(compared),
               static_cast<unsigned long long>(mismatched));
-  report.Add("golden.compared", static_cast<double>(compared));
-  report.Add("golden.mismatched", static_cast<double>(mismatched));
+  auto add = [&](const char* key, double value) { (*f)[key].push_back(value); };
+  MetricsRegistry* m = s.db->metrics();
+  add("capacity.qps", cap.queries_per_second);
+  add("capacity.p99_micros", cap.p99_latency_micros);
+  add("capacity.deadline_micros", static_cast<double>(deadline_micros));
+  add("plateau.goodput_qps", plateau.goodput_qps);
+  add("overload_governed.goodput_qps", governed.goodput_qps);
+  add("overload_governed.retention", governed_retention);
+  add("overload_governed.shed", static_cast<double>(governed.shed_queries));
+  add("overload_governed.p99_micros", governed.p99_latency_micros);
+  add("overload_governed.p99_over_deadline",
+      governed.p99_latency_micros / static_cast<double>(deadline_micros));
+  add("overload_governed.scrub_deferred",
+      static_cast<double>(governed.scrub_deferred));
+  add("overload_ungoverned.goodput_qps", raw.goodput_qps);
+  add("overload_ungoverned.retention", raw_retention);
+  add("overload_ungoverned.p99_micros", raw.p99_latency_micros);
+  add("recovery.steps_down", m->Value("admission.brownout_steps_down"));
+  add("recovery.steps_up", m->Value("admission.brownout_steps_up"));
+  add("recovery.final_level", static_cast<uint8_t>(governor.level()));
+  add("golden.compared", static_cast<double>(compared));
+  add("golden.mismatched", static_cast<double>(mismatched));
+  return Status::OK();
+}
 
-  // ---- gates.
-  std::printf("\n");
-  if (governed_retention < 0.70) {
-    std::printf("GATE FAILED: governed retention %.0f%% < 70%%\n",
-                governed_retention * 100);
-    *exit_code = 1;
+Status Run(Report* report) {
+  std::printf("=== admission control under 2x sustained overload ===\n\n");
+  std::printf("FAMILIES %lld rows, %zu sessions, simulated device %uus, "
+              "%d repetitions\n\n",
+              static_cast<long long>(kRows), kSessions, kDeviceLatencyMicros,
+              kRepetitions);
+  std::printf("%3s %9s %8s %9s | %8s %8s %6s | %8s %8s | %8s %6s\n", "rep",
+              "cap_qps", "dl_us", "plateau", "gov_ret", "gov_p99", "shed",
+              "raw_ret", "raw_p99", "compared", "mism");
+  Figures f;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    DYNOPT_RETURN_IF_ERROR(RunRepetition(rep, report, &f));
   }
-  if (raw_retention >= 0.40) {
-    std::printf("GATE FAILED: ungoverned retention %.0f%% >= 40%% "
-                "(overload did not reproduce)\n",
-                raw_retention * 100);
-    *exit_code = 1;
-  }
-  if (governed->p99_latency_micros >
-      static_cast<double>(2 * deadline_micros)) {
-    std::printf("GATE FAILED: governed p99 %.0fus > 2x deadline %lluus\n",
-                governed->p99_latency_micros,
-                static_cast<unsigned long long>(2 * deadline_micros));
-    *exit_code = 1;
-  }
-  if (!typed_ok) {
-    std::printf("GATE FAILED: a shed or failure was not typed\n");
-    *exit_code = 1;
-  }
-  if (governed->shed_queries == 0) {
-    std::printf("GATE FAILED: 2x overload shed nothing\n");
-    *exit_code = 1;
-  }
-  if (!stepped_down || !stepped_up) {
-    std::printf("GATE FAILED: brownout ladder did not step %s\n",
-                !stepped_down ? "down" : "back up");
-    *exit_code = 1;
-  }
-  if (compared == 0 || mismatched != 0) {
-    std::printf("GATE FAILED: golden hashes (%llu compared, %llu mismatched)\n",
-                static_cast<unsigned long long>(compared),
-                static_cast<unsigned long long>(mismatched));
-    *exit_code = 1;
-  }
-  if (*exit_code == 0) std::printf("all overload gates passed\n");
+  for (const auto& [key, values] : f) report->Add(key, Quantile(values, 0.5));
 
-  if (!report.WriteFile()) {
-    std::printf("warning: could not write BENCH_overload.json\n");
-  } else {
-    std::printf("wrote BENCH_overload.json\n");
-  }
-  return true;
+  double governed = Quantile(f["overload_governed.retention"], 0.5);
+  double raw = Quantile(f["overload_ungoverned.retention"], 0.5);
+  double p99_ratio = Quantile(f["overload_governed.p99_over_deadline"], 0.5);
+  double shed = Quantile(f["overload_governed.shed"], 0.5);
+  std::printf("\nmedian of %d: governed retention %.0f%%, ungoverned "
+              "retention %.0f%%, governed p99 %.2fx deadline, %.0f shed\n",
+              kRepetitions, governed * 100, raw * 100, p99_ratio, shed);
+  report->Gate(governed >= 0.70, "median governed retention %.0f%% < 70%%",
+               governed * 100);
+  report->Gate(raw < 0.40,
+               "median ungoverned retention %.0f%% >= 40%% (overload did not "
+               "reproduce)",
+               raw * 100);
+  report->Gate(p99_ratio <= 2.0, "median governed p99 %.2fx > 2x deadline",
+               p99_ratio);
+  report->Gate(shed > 0, "2x overload shed nothing in the median repetition");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  int exit_code = 0;
-  if (!dynopt::Run(&exit_code)) return 2;
-  return exit_code;
+  dynopt::Report report("overload");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -1,10 +1,11 @@
 // Profiling observatory: overhead gate, live telemetry, profile exports.
 //
 // Part 1 — overhead gate. The standard concurrent FAMILIES workload runs
-// with span profiling + profile-store deposits off and on, interleaved
-// best-of-5 per mode. The issue gates the throughput overhead at <= 5%;
-// this binary exits non-zero past the gate, so scripts/bench.sh (and the
-// CI job) fail loudly instead of letting profiling cost creep in.
+// with span profiling + profile-store deposits off and on, in interleaved
+// off/on pairs. The gate reads the median per-pair throughput overhead and
+// requires it at or below 5%; a single pair swings by tens of percent on a
+// shared host, the median of the pairs does not. Every run must produce
+// the same result hashes. The binary exits non-zero past either gate.
 //
 // Part 2 — live telemetry. A longer governed workload runs with the
 // telemetry ticker sampling every 5 ms; the series lands in
@@ -17,23 +18,25 @@
 // workload's ProfileStore deposits.
 //
 // Reported to BENCH_profile.json:
-//   off.qps / on.qps               workload throughput per mode
-//   profile.overhead_pct           100 * (1 - on/off), gate <= 5
+//   off.qps / on.qps               median workload throughput per mode
+//   profile.overhead_pct           median of 100 * (1 - on/off) per pair,
+//                                  gate <= 5
+//   profile.overhead_pct_q1/_q3    the per-pair quartiles
 //   telemetry.snapshots            ticker samples in the measured run
 //   telemetry.final_qps            last interval's throughput
 //   profiles.classes               distinct query classes aggregated
 //   series.telemetry               the JSON time series itself
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "catalog/database.h"
 #include "catalog/table.h"
 #include "core/explain.h"
 #include "core/plan.h"
 #include "core/retrieval.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "obs/dashboard.h"
 #include "obs/profile_store.h"
 #include "obs/telemetry.h"
@@ -46,26 +49,27 @@ namespace {
 constexpr int64_t kRows = 20000;
 constexpr size_t kSessions = 4;
 constexpr size_t kQueries = 150;
-constexpr int kRounds = 5;
+// Interleaved off/on pairs the overhead gate reads its median over. Single
+// pairs on a shared host spread over +-10%; with 101 pairs the median's
+// own spread stays well inside the 5% bound.
+constexpr int kPairs = 101;
 
-bool Run(int* exit_code) {
+Status Run(Report* report) {
   std::printf("=== profiling observatory: overhead, telemetry, exports ===\n\n");
-  BenchReport report("profile");
 
   DatabaseOptions options;
   options.pool_pages = 4096;
   Database db(options);
-  auto table = BuildFamilies(&db, kRows, /*seed=*/42);
-  if (!table.ok() || !(*table)->CreateIndex("by_id", {"id"}).ok() ||
-      !(*table)->CreateIndex("by_age", {"age"}).ok() ||
-      !(*table)->CreateIndex("by_income", {"income"}).ok()) {
-    std::printf("build failed\n");
-    return false;
+  DYNOPT_ASSIGN_OR_RETURN(Table * table,
+                          BuildFamilies(&db, kRows, /*seed=*/42));
+  for (const char* col : {"id", "age", "income"}) {
+    DYNOPT_RETURN_IF_ERROR(
+        table->CreateIndex(std::string("by_") + col, {col}).status());
   }
   std::printf("database: %lld rows, %zu pages, 3 indexes\n\n",
               static_cast<long long>(kRows), db.page_count());
 
-  // ---- Part 1: profiling overhead, interleaved best-of-5 per mode.
+  // ---- Part 1: profiling overhead, median over interleaved off/on pairs.
   SessionWorkloadOptions off;
   off.sessions = kSessions;
   off.queries_per_session = kQueries;
@@ -75,42 +79,37 @@ bool Run(int* exit_code) {
   SessionWorkloadOptions on = off;
   on.retrieval.profile = true;
 
-  auto warm = RunSessionWorkload(&db, *table, off);  // warm the pool
-  if (!warm.ok()) {
-    std::printf("warmup failed\n");
-    return false;
-  }
-  double best_off = 0, best_on = 0;
-  uint64_t hash_off = 0, hash_on = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    auto o = RunSessionWorkload(&db, *table, off);
-    auto p = RunSessionWorkload(&db, *table, on);
-    if (!o.ok() || !p.ok()) {
-      std::printf("workload failed\n");
-      return false;
+  // The warmup fills the pool and fixes the hashes every run must match.
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport warm,
+                          RunSessionWorkload(&db, table, off));
+  bool hashes_match = true;
+  auto qps = [&](const SessionWorkloadOptions& mode) -> Result<double> {
+    DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport r,
+                            RunSessionWorkload(&db, table, mode));
+    for (size_t i = 0; i < r.sessions.size(); ++i) {
+      hashes_match &= r.sessions[i].result_hash == warm.sessions[i].result_hash;
     }
-    best_off = std::max(best_off, o->queries_per_second);
-    best_on = std::max(best_on, p->queries_per_second);
-    hash_off = o->sessions[0].result_hash;
-    hash_on = p->sessions[0].result_hash;
+    return r.queries_per_second;
+  };
+  DYNOPT_ASSIGN_OR_RETURN(
+      Interleaved runs,
+      RunInterleaved(
+          kPairs, [&] { return qps(off); }, [&] { return qps(on); }));
+  std::vector<double> overhead;
+  for (int i = 0; i < kPairs; ++i) {
+    overhead.push_back(100.0 * (1.0 - runs.b[i] / runs.a[i]));
   }
-  if (hash_off != hash_on) {
-    std::printf("result hashes diverge with profiling on!\n");
-    return false;
-  }
-  double overhead_pct = best_off > 0 ? 100.0 * (1.0 - best_on / best_off) : 0;
-  std::printf("%12s %12s\n", "mode", "qps");
-  std::printf("%12s %12.0f\n", "profile-off", best_off);
-  std::printf("%12s %12.0f\n", "profile-on", best_on);
-  std::printf("\nprofiling overhead: %.1f%% (issue gates <= 5%%)\n\n",
-              overhead_pct);
-  report.Add("off.qps", best_off);
-  report.Add("on.qps", best_on);
-  report.Add("profile.overhead_pct", overhead_pct);
-  if (overhead_pct > 5.0) {
-    std::printf("OVERHEAD GATE FAILED: %.1f%% > 5%%\n", overhead_pct);
-    *exit_code = 1;
-  }
+  std::printf("%12s %12s   (median of %d interleaved pairs)\n", "mode", "qps",
+              kPairs);
+  report->Print("off.qps", Quantile(runs.a, 0.5), " profile-off %12.0f");
+  report->Print("on.qps", Quantile(runs.b, 0.5), "  profile-on %12.0f");
+  double overhead_pct = report->PrintMedian(
+      "profile.overhead_pct", overhead,
+      "\nprofiling overhead: median %.1f%% per pair, quartiles %.1f%% / "
+      "%.1f%% (gate <= 5%%)\n");
+  report->Gate(hashes_match, "a run's result hashes differ from the warm-up's");
+  report->Gate(overhead_pct <= 5.0, "profiling overhead %.1f%% > 5%%",
+               overhead_pct);
 
   // ---- Part 2: live telemetry over a governed workload.
   SessionWorkloadOptions tw = on;
@@ -118,25 +117,21 @@ bool Run(int* exit_code) {
   tw.governed = true;
   tw.telemetry = true;
   tw.telemetry_interval_micros = 5000;
-  auto tr = RunSessionWorkload(&db, *table, tw);
-  if (!tr.ok()) {
-    std::printf("telemetry workload failed\n");
-    return false;
-  }
-  std::printf("%s\n", RenderWorkloadTop(tr->telemetry, "FAMILIES workload")
+  DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport tr,
+                          RunSessionWorkload(&db, table, tw));
+  std::printf("%s\n", RenderWorkloadTop(tr.telemetry, "FAMILIES workload")
                           .c_str());
-  report.Add("telemetry.snapshots",
-             static_cast<double>(tr->telemetry.size()));
-  report.Add("telemetry.final_qps",
-             tr->telemetry.empty() ? 0 : tr->telemetry.back().interval_qps);
-  report.Add("workload.qps", tr->queries_per_second);
-  report.Add("workload.p50_us", tr->p50_latency_micros);
-  report.Add("workload.p99_us", tr->p99_latency_micros);
-  report.AddJson("telemetry", TelemetryToJson(tr->telemetry));
+  report->Add("telemetry.snapshots", static_cast<double>(tr.telemetry.size()));
+  report->Add("telemetry.final_qps",
+              tr.telemetry.empty() ? 0 : tr.telemetry.back().interval_qps);
+  report->Add("workload.qps", tr.queries_per_second);
+  report->Add("workload.p50_us", tr.p50_latency_micros);
+  report->Add("workload.p99_us", tr.p99_latency_micros);
+  report->AddJson("telemetry", TelemetryToJson(tr.telemetry));
 
   // ---- Part 3: EXPLAIN ANALYZE for one competition query + dashboard.
   RetrievalSpec spec;
-  spec.table = *table;
+  spec.table = table;
   spec.restriction = Predicate::And(
       {Predicate::Between(1, Operand::Literal(Value(int64_t{20})),
                           Operand::Literal(Value(int64_t{60}))),
@@ -145,19 +140,11 @@ bool Run(int* exit_code) {
   spec.projection = {0, 1, 2};
   spec.goal = OptimizationGoal::kFastFirst;  // force the §6 race
   DynamicRetrieval engine(&db, spec);
-  if (!engine.Open({}).ok()) {
-    std::printf("competition query failed to open\n");
-    return false;
-  }
-  RowBatch batch;
-  for (;;) {
-    auto more = engine.NextBatch(&batch);
-    if (!more.ok() || !*more) break;
-  }
+  DYNOPT_RETURN_IF_ERROR(Drain(&db, &engine, {}).status());
   std::printf("%s\n", ExplainAnalyze(engine, db.cost_weights()).c_str());
 
   size_t classes = db.profiles() != nullptr ? db.profiles()->size() : 0;
-  report.Add("profiles.classes", static_cast<double>(classes));
+  report->Add("profiles.classes", static_cast<double>(classes));
   DashboardOptions dopts;
   dopts.title = "profiling observatory";
   dopts.profiles = db.profiles();
@@ -165,19 +152,17 @@ bool Run(int* exit_code) {
     std::printf("%s\n", RenderDashboard(*db.metrics(), dopts).c_str());
   }
 
-  report.WriteFile();
   std::printf(
       "\nProfiling is priced at the scheduler-quantum granularity (two\n"
       "clock reads per Pump), so the span tree rides along under the 5%%\n"
       "gate; the class store turns those spans into workload memory.\n");
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  int exit_code = 0;
-  if (!dynopt::Run(&exit_code)) return 2;
-  return exit_code;
+  dynopt::Report report("profile");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -19,7 +19,6 @@
 //   recover_rows_N.{wal_mb, pages, wall_ms}
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -27,7 +26,7 @@
 
 #include "catalog/database.h"
 #include "durability/wal.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "obs/metrics.h"
 #include "util/ascii_chart.h"
 #include "workload/workload.h"
@@ -39,19 +38,12 @@ constexpr size_t kSessions = 4;
 constexpr size_t kCommitsPerSession = 120;
 constexpr uint32_t kFsyncMicros = 2000;  // simulated device-flush latency
 
-double Seconds(std::chrono::steady_clock::time_point a,
-               std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 struct CommitRun {
   double commits_per_second = 0;
   uint64_t fsyncs = 0;
-  bool ok = false;
 };
 
-CommitRun RunCommitTraffic(bool group_commit) {
-  CommitRun out;
+Result<CommitRun> RunCommitTraffic(bool group_commit) {
   const std::string path =
       std::string("bench_recovery_") + (group_commit ? "group" : "percommit") +
       ".wal";
@@ -59,15 +51,11 @@ CommitRun RunCommitTraffic(bool group_commit) {
   WalOptions options;
   options.group_commit = group_commit;
   options.simulated_fsync_micros = kFsyncMicros;
-  auto wal = Wal::Open(path, options);
-  if (!wal.ok()) {
-    std::printf("wal open failed: %s\n", wal.status().ToString().c_str());
-    return out;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(auto wal, Wal::Open(path, options));
   MetricsRegistry metrics;
-  (*wal)->AttachMetrics(&metrics);
+  wal->AttachMetrics(&metrics);
 
-  auto start = std::chrono::steady_clock::now();
+  Stopwatch watch;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (size_t s = 0; s < kSessions; ++s) {
@@ -75,7 +63,7 @@ CommitRun RunCommitTraffic(bool group_commit) {
       for (size_t i = 0; i < kCommitsPerSession; ++i) {
         std::string note = "txn." + std::to_string(s) + "." +
                            std::to_string(i);
-        if (!(*wal)->CommitNote(note).ok()) {
+        if (!wal->CommitNote(note).ok()) {
           failures.fetch_add(1);
           return;
         }
@@ -83,34 +71,30 @@ CommitRun RunCommitTraffic(bool group_commit) {
     });
   }
   for (auto& t : threads) t.join();
-  double wall = Seconds(start, std::chrono::steady_clock::now());
+  double wall = watch.Seconds();
 
   if (failures.load() != 0) {
-    std::printf("commit traffic failed (%d sessions errored)\n",
-                failures.load());
-    return out;
+    return Status::Internal("commit traffic failed (" +
+                            std::to_string(failures.load()) +
+                            " sessions errored)");
   }
   const double commits =
       static_cast<double>(kSessions * kCommitsPerSession);
+  CommitRun out;
   out.commits_per_second = wall > 0 ? commits / wall : 0;
   out.fsyncs = metrics.counter("wal.fsyncs")->value;
-  out.ok = true;
   ::remove(path.c_str());
   return out;
 }
 
 struct RecoveryPoint {
-  int64_t rows = 0;
   double wal_mb = 0;
   uint64_t pages = 0;
   uint64_t commits = 0;
   double wall_ms = 0;
-  bool ok = false;
 };
 
-RecoveryPoint BuildAndRecover(int64_t rows) {
-  RecoveryPoint out;
-  out.rows = rows;
+Result<RecoveryPoint> BuildAndRecover(int64_t rows) {
   const std::string path = "bench_recovery_curve.db";
   ::remove(path.c_str());
   ::remove((path + ".wal").c_str());
@@ -118,46 +102,41 @@ RecoveryPoint BuildAndRecover(int64_t rows) {
     DatabaseOptions options;
     options.path = path;
     options.pool_pages = 4096;  // no-steal: the build must fit in the pool
-    auto db = Database::Create(options);
-    if (!db.ok()) return out;
-    auto table = BuildFamilies(db->get(), rows, /*seed=*/42);
-    if (!table.ok()) return out;
-    if (!(*table)->CreateIndex("by_id", {"id"}).ok()) return out;
-    if (!(*table)->CreateIndex("by_age", {"age"}).ok()) return out;
-    if (!(*db)->Commit().ok()) return out;
+    DYNOPT_ASSIGN_OR_RETURN(auto db, Database::Create(options));
+    DYNOPT_ASSIGN_OR_RETURN(Table * table,
+                            BuildFamilies(db.get(), rows, /*seed=*/42));
+    DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_id", {"id"}).status());
+    DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_age", {"age"}).status());
+    DYNOPT_RETURN_IF_ERROR(db->Commit());
     // Dropped without Close(): the WAL stays full and Open must redo it.
   }
   RecoveryStats recovery;
   DatabaseOptions options;
   options.path = path;
   options.pool_pages = 4096;
-  auto start = std::chrono::steady_clock::now();
-  auto db = Database::Open(options, &recovery);
-  double wall = Seconds(start, std::chrono::steady_clock::now());
-  if (!db.ok()) {
-    std::printf("reopen failed: %s\n", db.status().ToString().c_str());
-    return out;
-  }
+  Stopwatch watch;
+  DYNOPT_ASSIGN_OR_RETURN(auto db, Database::Open(options, &recovery));
+  RecoveryPoint out;
+  out.wall_ms = watch.Seconds() * 1e3;
   out.wal_mb = static_cast<double>(recovery.wal_bytes) / (1024.0 * 1024.0);
   out.pages = recovery.pages_applied;
   out.commits = recovery.wal_commits;
-  out.wall_ms = wall * 1e3;
-  out.ok = true;
+  db.reset();
   ::remove(path.c_str());
   ::remove((path + ".wal").c_str());
   return out;
 }
 
-void Run() {
+Status Run(Report* report) {
   std::printf("=== durability: group commit and redo recovery ===\n\n");
-  BenchReport report("recovery");
 
   std::printf("commit traffic: %zu sessions x %zu commits, simulated "
               "fsync %u us\n\n",
               kSessions, kCommitsPerSession, kFsyncMicros);
-  CommitRun per_commit = RunCommitTraffic(/*group_commit=*/false);
-  CommitRun group = RunCommitTraffic(/*group_commit=*/true);
-  if (!per_commit.ok || !group.ok) return;
+  DYNOPT_ASSIGN_OR_RETURN(CommitRun per_commit,
+                          RunCommitTraffic(/*group_commit=*/false));
+  DYNOPT_ASSIGN_OR_RETURN(CommitRun group,
+                          RunCommitTraffic(/*group_commit=*/true));
   double multiple = per_commit.commits_per_second > 0
                         ? group.commits_per_second /
                               per_commit.commits_per_second
@@ -169,53 +148,41 @@ void Run() {
   std::printf("%12s %12.1f %10llu\n", "group",
               group.commits_per_second,
               static_cast<unsigned long long>(group.fsyncs));
-  std::printf("\ngroup-commit multiple: %.2fx (issue gates >= 2x)\n\n",
-              multiple);
-  report.Add("per_commit.cps", per_commit.commits_per_second);
-  report.Add("per_commit.fsyncs", static_cast<double>(per_commit.fsyncs));
-  report.Add("group.cps", group.commits_per_second);
-  report.Add("group.fsyncs", static_cast<double>(group.fsyncs));
-  report.Add("group.multiple", multiple);
+  report->Add("per_commit.cps", per_commit.commits_per_second);
+  report->Add("per_commit.fsyncs", static_cast<double>(per_commit.fsyncs));
+  report->Add("group.cps", group.commits_per_second);
+  report->Add("group.fsyncs", static_cast<double>(group.fsyncs));
+  report->Print("group.multiple", multiple,
+                "\ngroup-commit multiple: %.2fx (target >= 2x)\n");
 
   std::printf("recovery time vs WAL length (no checkpoint before reopen):\n");
   std::printf("%8s %10s %8s %8s %10s\n", "rows", "wal_MB", "pages",
               "commits", "recover_ms");
   std::vector<double> curve;
   for (int64_t rows : {1000, 4000, 16000, 64000}) {
-    RecoveryPoint p = BuildAndRecover(rows);
-    if (!p.ok) {
-      std::printf("curve point %lld failed\n",
-                  static_cast<long long>(rows));
-      return;
-    }
+    DYNOPT_ASSIGN_OR_RETURN(RecoveryPoint p, BuildAndRecover(rows));
     std::printf("%8lld %10.2f %8llu %8llu %10.2f\n",
-                static_cast<long long>(p.rows), p.wal_mb,
+                static_cast<long long>(rows), p.wal_mb,
                 static_cast<unsigned long long>(p.pages),
                 static_cast<unsigned long long>(p.commits), p.wall_ms);
     curve.push_back(p.wall_ms);
-    char key[64];
-    std::snprintf(key, sizeof key, "recover_rows_%lld.wal_mb",
-                  static_cast<long long>(rows));
-    report.Add(key, p.wal_mb);
-    std::snprintf(key, sizeof key, "recover_rows_%lld.pages",
-                  static_cast<long long>(rows));
-    report.Add(key, static_cast<double>(p.pages));
-    std::snprintf(key, sizeof key, "recover_rows_%lld.wall_ms",
-                  static_cast<long long>(rows));
-    report.Add(key, p.wall_ms);
+    std::string key = "recover_rows_" + std::to_string(rows);
+    report->Add(key + ".wal_mb", p.wal_mb);
+    report->Add(key + ".pages", static_cast<double>(p.pages));
+    report->Add(key + ".wall_ms", p.wall_ms);
   }
   std::printf("\nrecovery-time curve (ms): %s\n", Sparkline(curve).c_str());
-  report.WriteFile();
   std::printf(
       "\nRecovery cost tracks the redo set — page images between the last\n"
       "checkpoint and the crash — not database size: a checkpointed close\n"
       "reopens in constant time regardless of how big the file grew.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return 0;
+  dynopt::Report report("recovery");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "catalog/database.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "obs/json.h"
 #include "replication/log_shipper.h"
 #include "replication/standby.h"
@@ -46,13 +46,7 @@ constexpr int64_t kBaseRows = 3000;
 constexpr int kCommitRounds = 20;
 constexpr int64_t kRowsPerCommit = 100;
 
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-int Run() {
-  BenchReport report("replication");
+Status Run(Report* report) {
   const std::string path = "bench_replication.db";
   const std::string dir = "bench_replication.archive";
   const std::string standby_path = "bench_replication.standby";
@@ -66,33 +60,25 @@ int Run() {
   dbo.path = path;
   dbo.archive_dir = dir;
   dbo.archive_segment_bytes = 256 * 1024;
-  auto db = Database::Create(std::move(dbo));
-  if (!db.ok()) {
-    std::printf("create failed: %s\n", db.status().ToString().c_str());
-    return 1;
-  }
-  auto table = BuildFamilies(db->get(), kBaseRows, 42);
-  if (!table.ok() || !(*table)->CreateIndex("by_id", {"id"}).ok() ||
-      !(*table)->CreateIndex("by_age", {"age"}).ok() ||
-      !(*db)->Commit().ok()) {
-    std::printf("build failed\n");
-    return 1;
-  }
+  DYNOPT_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                          Database::Create(std::move(dbo)));
+  DYNOPT_ASSIGN_OR_RETURN(Table * table,
+                          BuildFamilies(db.get(), kBaseRows, 42));
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_id", {"id"}).status());
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_age", {"age"}).status());
+  DYNOPT_RETURN_IF_ERROR(db->Commit());
 
   WalArchiveReader reader(dir);
-  uint64_t lsn_before = *reader.DurableEndLsn();
-  auto commit_t0 = std::chrono::steady_clock::now();
+  DYNOPT_ASSIGN_OR_RETURN(uint64_t lsn_before, reader.DurableEndLsn());
+  Stopwatch commit_watch;
   int64_t rows = kBaseRows;
   for (int round = 0; round < kCommitRounds; ++round) {
-    if (!InsertScenarioRows(*table, rows, kRowsPerCommit).ok() ||
-        !(*db)->Commit().ok()) {
-      std::printf("commit round %d failed\n", round);
-      return 1;
-    }
+    DYNOPT_RETURN_IF_ERROR(InsertScenarioRows(table, rows, kRowsPerCommit));
+    DYNOPT_RETURN_IF_ERROR(db->Commit());
     rows += kRowsPerCommit;
   }
-  double commit_secs = SecondsSince(commit_t0);
-  uint64_t lsn_after = *reader.DurableEndLsn();
+  double commit_secs = commit_watch.Seconds();
+  DYNOPT_ASSIGN_OR_RETURN(uint64_t lsn_after, reader.DurableEndLsn());
   double commit_rate =
       static_cast<double>(lsn_after - lsn_before) / commit_secs;
   std::printf("primary: %d commits, %llu records archived in %.3fs "
@@ -100,39 +86,32 @@ int Run() {
               kCommitRounds,
               static_cast<unsigned long long>(lsn_after - lsn_before),
               commit_secs, commit_rate);
-  report.Add("primary_commit_records_per_sec", commit_rate);
-  report.Add("primary_commit_rounds_per_sec", kCommitRounds / commit_secs);
+  report->Add("primary_commit_records_per_sec", commit_rate);
+  report->Add("primary_commit_rounds_per_sec", kCommitRounds / commit_secs);
 
   // -- apply: a cold standby replays the entire archive.
   StandbyOptions so;
   so.path = standby_path;
   so.pool_pages = 2048;
-  auto standby = StandbyDatabase::Open(std::move(so), dir);
-  if (!standby.ok()) {
-    std::printf("standby open failed: %s\n",
-                standby.status().ToString().c_str());
-    return 1;
-  }
-  auto apply_t0 = std::chrono::steady_clock::now();
-  auto applied = (*standby)->CatchUp();
-  double apply_secs = SecondsSince(apply_t0);
-  if (!applied.ok()) {
-    std::printf("catch-up failed: %s\n", applied.status().ToString().c_str());
-    return 1;
-  }
-  double apply_rate = static_cast<double>(*applied) / apply_secs;
+  DYNOPT_ASSIGN_OR_RETURN(auto standby,
+                          StandbyDatabase::Open(std::move(so), dir));
+  Stopwatch apply_watch;
+  DYNOPT_ASSIGN_OR_RETURN(uint64_t applied, standby->CatchUp());
+  double apply_secs = apply_watch.Seconds();
+  double apply_rate = static_cast<double>(applied) / apply_secs;
   std::printf("standby: applied through lsn %llu in %.3fs (%.0f records/s)\n",
-              static_cast<unsigned long long>(*applied), apply_secs,
+              static_cast<unsigned long long>(applied), apply_secs,
               apply_rate);
-  report.Add("standby_apply_records_per_sec", apply_rate);
+  report->Add("standby_apply_records_per_sec", apply_rate);
 
   // The cold replay covers the whole history (lsn 1..applied), commits
   // included, so the two rates are in the same unit: WAL records/s.
   double ratio = apply_rate / commit_rate;
-  report.Add("apply_to_commit_ratio", ratio);
+  report->Print("apply_to_commit_ratio", ratio,
+                "apply/commit ratio %.2fx (gate >= 0.5)");
 
   // -- lag: commit at increasing load with a live shipper pumping.
-  LogShipper shipper(dir, standby->get(), LogShipperOptions());
+  LogShipper shipper(dir, standby.get(), LogShipperOptions());
   JsonWriter curve;
   curve.BeginArray();
   for (int64_t load : {50, 150, 300}) {
@@ -141,33 +120,24 @@ int Run() {
     std::thread pump([&] {
       while (!done.load(std::memory_order_acquire)) {
         if (!shipper.Pump().ok()) break;
-        uint64_t lag =
-            (*standby)->metrics()->Value("replication.lag_bytes");
+        uint64_t lag = standby->metrics()->Value("replication.lag_bytes");
         if (lag > peak_lag) peak_lag = lag;
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     });
-    auto t0 = std::chrono::steady_clock::now();
-    for (int round = 0; round < 6; ++round) {
-      if (!InsertScenarioRows(*table, rows, load).ok() ||
-          !(*db)->Commit().ok()) {
-        std::printf("lag phase commit failed\n");
-        done.store(true, std::memory_order_release);
-        pump.join();
-        return 1;
-      }
+    Stopwatch watch;
+    Status committed;
+    for (int round = 0; round < 6 && committed.ok(); ++round) {
+      committed = InsertScenarioRows(table, rows, load);
+      if (committed.ok()) committed = db->Commit();
       rows += load;
     }
-    double secs = SecondsSince(t0);
+    double secs = watch.Seconds();
     done.store(true, std::memory_order_release);
     pump.join();
-    auto caught = shipper.PumpUntilCaughtUp();
-    if (!caught.ok()) {
-      std::printf("lag phase catch-up failed: %s\n",
-                  caught.status().ToString().c_str());
-      return 1;
-    }
-    uint64_t final_lag = (*standby)->metrics()->Value("replication.lag_bytes");
+    DYNOPT_RETURN_IF_ERROR(committed);
+    DYNOPT_RETURN_IF_ERROR(shipper.PumpUntilCaughtUp().status());
+    uint64_t final_lag = standby->metrics()->Value("replication.lag_bytes");
     std::printf("lag: load %lld rows/commit -> peak %llu bytes, "
                 "drained to %llu (%.3fs)\n",
                 static_cast<long long>(load),
@@ -181,9 +151,9 @@ int Run() {
     curve.EndObject();
   }
   curve.EndArray();
-  report.AddJson("lag_vs_load", curve.str());
-  standby->reset();
-  db->reset();
+  report->AddJson("lag_vs_load", curve.str());
+  standby.reset();
+  db.reset();
 
   // -- failover: full scenario at a post-ack point; the RTO is the
   //    promote-to-first-answer time.
@@ -196,10 +166,9 @@ int Run() {
   fo.pool_pages = 1024;
   auto failover = RunCrashScenario(CrashPoint::kCheckpointBeforeSuperblock,
                                    RecoveryPath::kFailover, fo);
-  if (!failover.ok()) {
-    std::printf("GATE FAIL: failover scenario: %s\n",
-                failover.status().ToString().c_str());
-    return 1;
+  if (!report->Gate(failover.ok(), "failover scenario: %s",
+                    failover.status().ToString().c_str())) {
+    return Status::OK();
   }
   std::printf("failover: RTO %.1f ms (timeline %llu, applied lsn %llu, "
               "stale primary fenced: %s)\n",
@@ -207,24 +176,21 @@ int Run() {
               static_cast<unsigned long long>(failover->new_timeline),
               static_cast<unsigned long long>(failover->applied_lsn),
               failover->stale_primary_fenced ? "yes" : "no");
-  report.Add("failover_rto_micros",
-             static_cast<double>(failover->failover_micros));
-  report.Add("failover_applied_lsn",
-             static_cast<double>(failover->applied_lsn));
-  report.WriteFile();
-
-  if (ratio < 0.5) {
-    std::printf("GATE FAIL: standby apply rate %.0f records/s is %.2fx the "
-                "primary commit rate %.0f records/s (need >= 0.5x)\n",
-                apply_rate, ratio, commit_rate);
-    return 1;
-  }
-  std::printf("gates passed: apply/commit ratio %.2fx (>= 0.5), "
-              "failover scenario green\n", ratio);
-  return 0;
+  report->Add("failover_rto_micros",
+              static_cast<double>(failover->failover_micros));
+  report->Add("failover_applied_lsn",
+              static_cast<double>(failover->applied_lsn));
+  report->Gate(ratio >= 0.5,
+               "standby apply rate %.0f records/s is %.2fx the primary "
+               "commit rate %.0f records/s (need >= 0.5x)",
+               apply_rate, ratio, commit_rate);
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
-int main() { return dynopt::Run(); }
+int main() {
+  dynopt::Report report("replication");
+  return report.Finish(dynopt::Run(&report));
+}

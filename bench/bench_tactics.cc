@@ -23,7 +23,7 @@
 #include "catalog/database.h"
 #include "core/retrieval.h"
 #include "core/static_optimizer.h"
-#include "obs/bench_report.h"
+#include "harness.h"
 #include "workload/oracle.h"
 #include "workload/workload.h"
 
@@ -32,64 +32,34 @@ namespace {
 
 constexpr int64_t kRows = 60000;
 
-/// Set when a drained run's row count differs from the naive oracle; the
-/// bench then exits non-zero.
-bool g_row_mismatch = false;
-
-/// Checks a drained run's row count against the naive oracle, a
-/// row-at-a-time Tscan + filter over the same table.
-void CheckDrain(const RetrievalSpec& spec, const ParamMap& p,
-                const std::string& label, uint64_t rows) {
-  auto oracle = NaiveRetrieve(spec, p);
-  uint64_t naive = oracle.ok() ? oracle->size() : 0;
-  if (rows == naive) return;
-  std::printf("  ROW MISMATCH: %s drained %llu rows, naive Tscan + filter "
-              "%llu\n",
-              label.c_str(), static_cast<unsigned long long>(rows),
-              static_cast<unsigned long long>(naive));
-  g_row_mismatch = true;
-}
-
-/// Runs `engine` until `k` rows (0 = drain, checked against the naive
-/// oracle); returns metered cost.
-double RunEngine(Database* db, DynamicRetrieval* engine,
-                 const RetrievalSpec& spec, const ParamMap& p, uint64_t k,
-                 uint64_t* rows_out = nullptr) {
-  db->pool()->EvictAll().ok();
-  CostMeter before = db->meter();
-  engine->Open(p).ok();
-  RowBatch batch;
-  uint64_t n = 0;
-  while (k == 0 || n < k) {
-    auto more = engine->NextBatch(&batch, k == 0 ? kDefaultBatchRows : k - n);
-    if (!more.ok() || !*more) break;
-    n += batch.num_rows();
-  }
-  double cost = (db->meter() - before).Cost(db->cost_weights());
+/// Drains `engine` from a cold cache until `k` rows (0 = to the end, then
+/// checked against the naive oracle); returns the metered cost.
+Result<double> RunEngine(Database* db, DynamicRetrieval* engine,
+                         const RetrievalSpec& spec, const ParamMap& p,
+                         uint64_t k, Report* report,
+                         uint64_t* rows_out = nullptr) {
+  DYNOPT_RETURN_IF_ERROR(db->pool()->EvictAll());
+  DYNOPT_ASSIGN_OR_RETURN(Drained d, Drain(db, engine, p, k));
   if (k == 0) {
-    CheckDrain(spec, p,
-               "dynamic " + std::string(TacticName(engine->tactic())), n);
+    DYNOPT_RETURN_IF_ERROR(CheckRowCounts(
+        report, spec, p,
+        "dynamic " + std::string(TacticName(engine->tactic())), {d.rows}));
   }
-  if (rows_out != nullptr) *rows_out = n;
-  return cost;
+  if (rows_out != nullptr) *rows_out = d.rows;
+  return d.meter.Cost(db->cost_weights());
 }
 
-double RunFrozen(Database* db, const RetrievalSpec& spec,
-                 StaticPlanChoice choice, const ParamMap& p, uint64_t k) {
-  db->pool()->EvictAll().ok();
-  CostMeter before = db->meter();
+Result<double> RunFrozen(Database* db, const RetrievalSpec& spec,
+                         StaticPlanChoice choice, const ParamMap& p,
+                         uint64_t k, Report* report) {
+  DYNOPT_RETURN_IF_ERROR(db->pool()->EvictAll());
   StaticRetrieval exec(db, spec, std::move(choice));
-  exec.Open(p).ok();
-  RowBatch batch;
-  uint64_t n = 0;
-  while (k == 0 || n < k) {
-    auto more = exec.NextBatch(&batch);
-    if (!more.ok() || !*more) break;
-    n += batch.num_rows();
+  DYNOPT_ASSIGN_OR_RETURN(Drained d, Drain(db, &exec, p, k));
+  if (k == 0) {
+    DYNOPT_RETURN_IF_ERROR(CheckRowCounts(
+        report, spec, p, "frozen " + exec.choice().ToString(), {d.rows}));
   }
-  double cost = (db->meter() - before).Cost(db->cost_weights());
-  if (k == 0) CheckDrain(spec, p, "frozen " + exec.choice().ToString(), n);
-  return cost;
+  return d.meter.Cost(db->cost_weights());
 }
 
 StaticPlanChoice Frozen(StaticPlanChoice::Kind kind,
@@ -100,7 +70,7 @@ StaticPlanChoice Frozen(StaticPlanChoice::Kind kind,
   return c;
 }
 
-void GoalSection(Database* db, Table* table, BenchReport* report) {
+Status GoalSection(Database* db, Table* table, Report* report) {
   std::printf("--- §4 goal setting: EXISTS-style first-row delivery, "
               "income in [0:4000] (2%%) AND age <= 90 ---\n");
   RetrievalSpec spec;
@@ -118,10 +88,14 @@ void GoalSection(Database* db, Table* table, BenchReport* report) {
   spec.goal = OptimizationGoal::kTotalTime;
   DynamicRetrieval tt(db, spec);
 
-  double ff_first = RunEngine(db, &ff, spec, p, 1);
-  double tt_first = RunEngine(db, &tt, spec, p, 1);
-  double ff_all = RunEngine(db, &ff, spec, p, 0);
-  double tt_all = RunEngine(db, &tt, spec, p, 0);
+  DYNOPT_ASSIGN_OR_RETURN(double ff_first,
+                          RunEngine(db, &ff, spec, p, 1, report));
+  DYNOPT_ASSIGN_OR_RETURN(double tt_first,
+                          RunEngine(db, &tt, spec, p, 1, report));
+  DYNOPT_ASSIGN_OR_RETURN(double ff_all,
+                          RunEngine(db, &ff, spec, p, 0, report));
+  DYNOPT_ASSIGN_OR_RETURN(double tt_all,
+                          RunEngine(db, &tt, spec, p, 0, report));
   std::printf("%24s %14s %14s\n", "goal", "first-row cost", "full cost");
   std::printf("%24s %14.0f %14.0f\n", "fast-first", ff_first, ff_all);
   std::printf("%24s %14.0f %14.0f\n", "total-time", tt_first, tt_all);
@@ -135,9 +109,10 @@ void GoalSection(Database* db, Table* table, BenchReport* report) {
   report->Add("goal.fast_first.full_cost", ff_all);
   report->Add("goal.total_time.full_cost", tt_all);
   report->Add("goal.first_row_speedup", tt_first / std::max(ff_first, 1.0));
+  return Status::OK();
 }
 
-void BackgroundOnlySection(Database* db, Table* table, BenchReport* report) {
+Status BackgroundOnlySection(Database* db, Table* table, Report* report) {
   std::printf("--- Background-Only vs classical alternatives: income in "
               "[0:4000] (2%%) AND age in [0:30] (31%%) ---\n");
   RetrievalSpec spec;
@@ -150,19 +125,25 @@ void BackgroundOnlySection(Database* db, Table* table, BenchReport* report) {
   spec.projection = {0, 1, 2, 3};
   ParamMap p;
 
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_income,
+                          table->GetIndex("by_income"));
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_age, table->GetIndex("by_age"));
   DynamicRetrieval engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &engine, spec, p, 0, &rows);
-  double f_income = RunFrozen(
-      db, spec, Frozen(StaticPlanChoice::Kind::kFscan,
-                       *table->GetIndex("by_income")),
-      p, 0);
-  double f_age = RunFrozen(db, spec,
-                           Frozen(StaticPlanChoice::Kind::kFscan,
-                                  *table->GetIndex("by_age")),
-                           p, 0);
-  double tscan = RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kTscan),
-                           p, 0);
+  DYNOPT_ASSIGN_OR_RETURN(double dyn,
+                          RunEngine(db, &engine, spec, p, 0, report, &rows));
+  DYNOPT_ASSIGN_OR_RETURN(
+      double f_income,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kFscan, by_income),
+                p, 0, report));
+  DYNOPT_ASSIGN_OR_RETURN(
+      double f_age,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kFscan, by_age), p,
+                0, report));
+  DYNOPT_ASSIGN_OR_RETURN(
+      double tscan,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kTscan), p, 0,
+                report));
   std::printf("  result rows: %llu  (tactic: %s)\n",
               static_cast<unsigned long long>(rows),
               std::string(TacticName(engine.tactic())).c_str());
@@ -179,9 +160,10 @@ void BackgroundOnlySection(Database* db, Table* table, BenchReport* report) {
               std::min({f_income, f_age, tscan}));
   report->Add("bgr_only.speedup_vs_best",
               std::min({f_income, f_age, tscan}) / std::max(dyn, 1.0));
+  return Status::OK();
 }
 
-void FastFirstSection(Database* db, Table* table, BenchReport* report) {
+Status FastFirstSection(Database* db, Table* table, Report* report) {
   std::printf("--- Fast-First vs pure strategies: income in [0:4000] AND "
               "age in [0:30], stop after 10 vs drain ---\n");
   RetrievalSpec spec;
@@ -195,6 +177,8 @@ void FastFirstSection(Database* db, Table* table, BenchReport* report) {
   spec.goal = OptimizationGoal::kFastFirst;
   ParamMap p;
 
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_income,
+                          table->GetIndex("by_income"));
   DynamicRetrieval ff(db, spec);
   RetrievalSpec tt_spec = spec;
   tt_spec.goal = OptimizationGoal::kTotalTime;
@@ -203,22 +187,22 @@ void FastFirstSection(Database* db, Table* table, BenchReport* report) {
   std::printf("%28s %14s %14s\n", "strategy", "first-10 cost", "drain cost");
   for (auto [label, key, run] :
        std::vector<std::tuple<const char*, const char*,
-                              std::function<double(uint64_t)>>>{
+                              std::function<Result<double>(uint64_t)>>>{
            {"fast-first tactic", "fast_first.tactic",
-            [&](uint64_t k) { return RunEngine(db, &ff, spec, p, k); }},
+            [&](uint64_t k) { return RunEngine(db, &ff, spec, p, k, report); }},
            {"pure Jscan (total-time)", "fast_first.pure_jscan",
             [&](uint64_t k) {
-              return RunEngine(db, &jscan_only, tt_spec, p, k);
+              return RunEngine(db, &jscan_only, tt_spec, p, k, report);
             }},
            {"pure Fscan(by_income)", "fast_first.pure_fscan",
             [&](uint64_t k) {
-              return RunFrozen(db, spec,
-                               Frozen(StaticPlanChoice::Kind::kFscan,
-                                      *table->GetIndex("by_income")),
-                               p, k);
+              return RunFrozen(
+                  db, spec, Frozen(StaticPlanChoice::Kind::kFscan, by_income),
+                  p, k, report);
             }},
        }) {
-    double first10 = run(10), drain = run(0);
+    DYNOPT_ASSIGN_OR_RETURN(double first10, run(10));
+    DYNOPT_ASSIGN_OR_RETURN(double drain, run(0));
     std::printf("%28s %14.0f %14.0f\n", label, first10, drain);
     std::string k(key);
     report->Add(k + ".first10_cost", first10);
@@ -226,9 +210,10 @@ void FastFirstSection(Database* db, Table* table, BenchReport* report) {
   }
   std::printf("  Expected: fast-first near-Fscan on the early stop, "
               "near-Jscan on the drain — the best of both worlds.\n\n");
+  return Status::OK();
 }
 
-void SortedSection(Database* db, Table* table, BenchReport* report) {
+Status SortedSection(Database* db, Table* table, Report* report) {
   std::printf("--- Sorted tactic: ORDER BY age, restriction income in "
               "[0:2000] (1%%) ---\n");
   RetrievalSpec spec;
@@ -241,15 +226,17 @@ void SortedSection(Database* db, Table* table, BenchReport* report) {
   spec.goal = OptimizationGoal::kFastFirst;
   ParamMap p;
 
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_age, table->GetIndex("by_age"));
   DynamicRetrieval sorted_engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &sorted_engine, spec, p, 0, &rows);
+  DYNOPT_ASSIGN_OR_RETURN(
+      double dyn, RunEngine(db, &sorted_engine, spec, p, 0, report, &rows));
   // Naive ordered alternative: plain Fscan over by_age (delivers order,
   // fetches everything in the age range = the whole table).
-  double plain = RunFrozen(db, spec,
-                           Frozen(StaticPlanChoice::Kind::kFscan,
-                                  *table->GetIndex("by_age")),
-                           p, 0);
+  DYNOPT_ASSIGN_OR_RETURN(
+      double plain,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kFscan, by_age), p,
+                0, report));
   std::printf("  result rows: %llu (tactic %s)\n",
               static_cast<unsigned long long>(rows),
               std::string(TacticName(sorted_engine.tactic())).c_str());
@@ -262,9 +249,10 @@ void SortedSection(Database* db, Table* table, BenchReport* report) {
   report->Add("sorted.filtered_cost", dyn);
   report->Add("sorted.plain_fscan_cost", plain);
   report->Add("sorted.filter_speedup", plain / std::max(dyn, 1.0));
+  return Status::OK();
 }
 
-void IndexOnlySection(Database* db, BenchReport* report) {
+Status IndexOnlySection(Database* db, Report* report) {
   std::printf("--- Index-Only tactic: covering (age,income) index races "
               "Jscan over by_income2 ---\n");
   TableSpec ts;
@@ -276,13 +264,15 @@ void IndexOnlySection(Database* db, BenchReport* report) {
       {{"payload", ValueType::kString},
        CategoricalString(std::string(290, 'p'), 100)},
   };
-  auto table2 = BuildTable(db, ts, kRows, 99);
-  if (!table2.ok()) return;
-  (*table2)->CreateIndex("cover_age_income", {"age", "income"}).ok();
-  (*table2)->CreateIndex("by_income2", {"income"}).ok();
+  DYNOPT_ASSIGN_OR_RETURN(Table * table2, BuildTable(db, ts, kRows, 99));
+  DYNOPT_ASSIGN_OR_RETURN(
+      SecondaryIndex * cover,
+      table2->CreateIndex("cover_age_income", {"age", "income"}));
+  DYNOPT_ASSIGN_OR_RETURN(SecondaryIndex * by_income2,
+                          table2->CreateIndex("by_income2", {"income"}));
 
   RetrievalSpec spec;
-  spec.table = *table2;
+  spec.table = table2;
   spec.restriction = Predicate::And(
       {Predicate::Between(1, Operand::Literal(Value(int64_t{0})),
                           Operand::Literal(Value(int64_t{40}))),
@@ -293,15 +283,16 @@ void IndexOnlySection(Database* db, BenchReport* report) {
 
   DynamicRetrieval engine(db, spec);
   uint64_t rows = 0;
-  double dyn = RunEngine(db, &engine, spec, p, 0, &rows);
-  double sscan = RunFrozen(db, spec,
-                           Frozen(StaticPlanChoice::Kind::kSscan,
-                                  *(*table2)->GetIndex("cover_age_income")),
-                           p, 0);
-  double fscan = RunFrozen(db, spec,
-                           Frozen(StaticPlanChoice::Kind::kFscan,
-                                  *(*table2)->GetIndex("by_income2")),
-                           p, 0);
+  DYNOPT_ASSIGN_OR_RETURN(double dyn,
+                          RunEngine(db, &engine, spec, p, 0, report, &rows));
+  DYNOPT_ASSIGN_OR_RETURN(
+      double sscan,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kSscan, cover), p, 0,
+                report));
+  DYNOPT_ASSIGN_OR_RETURN(
+      double fscan,
+      RunFrozen(db, spec, Frozen(StaticPlanChoice::Kind::kFscan, by_income2),
+                p, 0, report));
   std::printf("  result rows: %llu (tactic %s)\n",
               static_cast<unsigned long long>(rows),
               std::string(TacticName(engine.tactic())).c_str());
@@ -317,9 +308,10 @@ void IndexOnlySection(Database* db, BenchReport* report) {
   report->Add("index_only.pure_fscan_cost", fscan);
   report->Add("index_only.race_vs_min",
               dyn / std::max(std::min(sscan, fscan), 1.0));
+  return Status::OK();
 }
 
-void Run() {
+Status Run(Report* report) {
   std::printf("=== §7 retrieval tactics vs naive alternatives (%lld rows) "
               "===\n\n",
               static_cast<long long>(kRows));
@@ -335,25 +327,23 @@ void Run() {
       {{"payload", ValueType::kString},
        CategoricalString(std::string(290, 'p'), 100)},
   };
-  auto table = BuildTable(&db, ts, kRows, 42);
-  if (!table.ok()) return;
-  (*table)->CreateIndex("by_age", {"age"}).ok();
-  (*table)->CreateIndex("by_income", {"income"}).ok();
+  DYNOPT_ASSIGN_OR_RETURN(Table * table, BuildTable(&db, ts, kRows, 42));
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_age", {"age"}).status());
+  DYNOPT_RETURN_IF_ERROR(table->CreateIndex("by_income", {"income"}).status());
 
-  BenchReport report("tactics");
-  GoalSection(&db, *table, &report);
-  BackgroundOnlySection(&db, *table, &report);
-  FastFirstSection(&db, *table, &report);
-  SortedSection(&db, *table, &report);
-  IndexOnlySection(&db, &report);
-  report.AddMeter("meter", db.meter());
-  report.WriteFile();
+  DYNOPT_RETURN_IF_ERROR(GoalSection(&db, table, report));
+  DYNOPT_RETURN_IF_ERROR(BackgroundOnlySection(&db, table, report));
+  DYNOPT_RETURN_IF_ERROR(FastFirstSection(&db, table, report));
+  DYNOPT_RETURN_IF_ERROR(SortedSection(&db, table, report));
+  DYNOPT_RETURN_IF_ERROR(IndexOnlySection(&db, report));
+  report->AddMeter("meter", db.meter());
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace dynopt
 
 int main() {
-  dynopt::Run();
-  return dynopt::g_row_mismatch ? 1 : 0;
+  dynopt::Report report("tactics");
+  return report.Finish(dynopt::Run(&report));
 }

@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
 # Builds and runs every benchmark, collecting the BENCH_<name>.json
 # reports each one writes to its working directory into a single place.
+# Every bench reports through the shared harness (bench/harness.h), so
+# every report has the same {"bench", "figures", "series"} schema.
 #
-# Six binaries double as regression gates and exit non-zero (failing
-# this script) when breached: bench_profile (profiling overhead <= 5%),
-# bench_micro (batched Tscan restriction >= 2x over row-at-a-time),
-# bench_learning (warm median q-error <= 0.5x cold, >= 1 plan flip,
-# byte-identical persistence, inert controlled mode), bench_overload
-# (governed goodput retention at 2x load, bounded admitted p99, typed
-# sheds, golden hashes), and bench_replication (standby apply rate
-# >= 0.5x the primary commit rate, plus the failover scenario with its
-# measured RTO), and bench_tactics (every drained row count matches a
-# naive Tscan + filter over the same table).
+# A bench exits non-zero (failing this script) when its body fails or a
+# gate does not hold. Wall-clock gates read medians over interleaved
+# pairs or repeated runs: bench_profile (median profiling overhead over
+# 101 off/on pairs <= 5%), bench_micro (median batched-over-row Tscan
+# speedup over 11 pairs >= 2x), bench_overload (5 repetitions of the 2x
+# overload scenario: typed sheds, golden hashes and the brownout ladder
+# in each, median governed retention >= 70% and ungoverned < 40%) and
+# bench_replication (standby apply rate >= 0.5x the primary commit rate,
+# plus the failover scenario with its measured RTO). bench_learning
+# gates convergence (warm median q-error <= 0.5x cold), >= 1 plan flip,
+# byte-identical persistence and an inert controlled mode. bench_tactics,
+# bench_host_variable, bench_or_coverage and bench_cache check every
+# drained row count against a naive Tscan + filter over the same table.
 #
 # Usage: scripts/bench.sh [output-dir] [jobs]
 #   output-dir   where benchmarks run and reports land (default:

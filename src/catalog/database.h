@@ -71,7 +71,7 @@ struct DatabaseOptions {
   /// shards mean less lock contention between concurrent sessions; one
   /// shard reproduces the classic global-LRU pool exactly.
   size_t pool_shards = 0;
-  CostWeights cost_weights;
+  CostWeights cost_weights{};
   /// Attach the metrics registry and the query-class profile store to this
   /// database's components. Off, every instrumentation site in the engine
   /// reduces to one null-pointer branch.
@@ -80,7 +80,7 @@ struct DatabaseOptions {
   // File-backed databases only (Database::Create / Database::Open); the
   // in-memory constructor ignores these.
   /// Database file path; the WAL lives beside it at `path + ".wal"`.
-  std::string path;
+  std::string path{};
   /// One fsync per commit group (true) vs per commit (false) — see wal.h.
   bool group_commit = true;
   /// Simulated device-flush latency per WAL fsync (see WalOptions).
@@ -97,7 +97,7 @@ struct DatabaseOptions {
   /// is acknowledged, and Open() refuses a superblock whose timeline the
   /// archive has fenced off (typed Fenced — this file is a stale primary
   /// or a detached PITR clone).
-  std::string archive_dir;
+  std::string archive_dir{};
   /// Archive segment-roll threshold; see WalArchiveOptions.
   uint64_t archive_segment_bytes = 256 * 1024;
 };

@@ -43,11 +43,11 @@ std::string ExplainExecution(const DynamicRetrieval& engine,
     os << "joint scan:\n";
     os << "  guaranteed best cost: " << jscan.guaranteed_best_cost()
        << " (tscan estimate " << jscan.tscan_cost_estimate() << ")\n";
-    for (const auto& o : jscan.outcomes()) {
-      os << "  " << o.index_name << ": " << Jscan::OutcomeKindName(o.kind)
-         << ", "
-         << o.entries_scanned << " entries scanned, " << o.kept
-         << " rids kept\n";
+    for (const TraceEvent& e : engine.events().events()) {
+      if (e.kind != TraceEventKind::kJscanIndexOutcome) continue;
+      os << "  " << e.subject << ": " << e.detail << ", "
+         << static_cast<uint64_t>(e.a) << " entries scanned, "
+         << static_cast<uint64_t>(e.b) << " rids kept\n";
     }
     if (jscan.reordered()) {
       os << "  adjacent race flipped the scan order\n";
@@ -102,12 +102,13 @@ std::string ExplainExecutionJson(const DynamicRetrieval& engine,
     w.KV("tscan_cost_estimate", jscan.tscan_cost_estimate());
     w.KV("reordered", jscan.reordered());
     w.Key("outcomes").BeginArray();
-    for (const auto& o : jscan.outcomes()) {
+    for (const TraceEvent& e : engine.events().events()) {
+      if (e.kind != TraceEventKind::kJscanIndexOutcome) continue;
       w.BeginObject();
-      w.KV("index", o.index_name);
-      w.KV("outcome", Jscan::OutcomeKindName(o.kind));
-      w.KV("entries_scanned", o.entries_scanned);
-      w.KV("rids_kept", o.kept);
+      w.KV("index", e.subject);
+      w.KV("outcome", e.detail);
+      w.KV("entries_scanned", static_cast<uint64_t>(e.a));
+      w.KV("rids_kept", static_cast<uint64_t>(e.b));
       w.EndObject();
     }
     w.EndArray();

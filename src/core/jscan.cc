@@ -46,13 +46,14 @@ Jscan::Jscan(Database* db, const RetrievalSpec& spec, const ParamMap& params,
   exhausted_ = candidates_.empty();
 }
 
-void Jscan::EmitOutcome(const IndexOutcome& outcome) {
-  Bump(m_entries_scanned_, outcome.entries_scanned);
-  Bump(m_rids_kept_, outcome.kept);
-  switch (outcome.kind) {
+void Jscan::EmitOutcome(const std::string& index_name, IndexOutcomeKind kind,
+                        uint64_t entries_scanned, uint64_t kept) {
+  Bump(m_entries_scanned_, entries_scanned);
+  Bump(m_rids_kept_, kept);
+  switch (kind) {
     case IndexOutcomeKind::kCompleted:
       Bump(m_scans_completed_);
-      Observe(m_rid_list_size_, static_cast<double>(outcome.kept));
+      Observe(m_rid_list_size_, static_cast<double>(kept));
       break;
     case IndexOutcomeKind::kDiscarded:
       Bump(m_scans_discarded_);
@@ -62,10 +63,10 @@ void Jscan::EmitOutcome(const IndexOutcome& outcome) {
       break;
   }
   if (trace_ != nullptr) {
-    trace_->Emit(TraceEventKind::kJscanIndexOutcome, outcome.index_name,
-                 std::string(OutcomeKindName(outcome.kind)),
-                 static_cast<double>(outcome.entries_scanned),
-                 static_cast<double>(outcome.kept));
+    trace_->Emit(TraceEventKind::kJscanIndexOutcome, index_name,
+                 std::string(OutcomeKindName(kind)),
+                 static_cast<double>(entries_scanned),
+                 static_cast<double>(kept));
   }
 }
 
@@ -109,9 +110,7 @@ Status Jscan::Advance() {
   while (primary_ == nullptr && next_candidate_ < candidates_.size()) {
     const IndexClassification* cand = candidates_[next_candidate_++];
     if (ShouldSkip(*cand)) {
-      outcomes_.push_back(
-          IndexOutcome{cand->index->name(), IndexOutcomeKind::kSkipped, 0, 0});
-      EmitOutcome(outcomes_.back());
+      EmitOutcome(cand->index->name(), IndexOutcomeKind::kSkipped, 0, 0);
       continue;
     }
     primary_ = StartScan(cand);
@@ -213,11 +212,6 @@ bool Jscan::ShouldDiscard(const ActiveScan& scan) const {
   return spent > options_.scan_cost_limit_fraction * gbc_;
 }
 
-void Jscan::RecordOutcome(const ActiveScan& scan, IndexOutcomeKind kind) {
-  outcomes_.push_back(IndexOutcome{scan.cand->index->name(), kind,
-                                   scan.entries_scanned, scan.kept});
-}
-
 Status Jscan::RefilterPartial(ActiveScan* scan) {
   // The loser of an adjacent race keeps its partial list by refiltering the
   // in-memory RIDs through the newly completed filter — cheap, and the
@@ -236,8 +230,6 @@ Status Jscan::RefilterPartial(ActiveScan* scan) {
 
 Status Jscan::CompleteScan(std::unique_ptr<ActiveScan> scan) {
   DYNOPT_RETURN_IF_ERROR(scan->list->Seal());
-  RecordOutcome(*scan, IndexOutcomeKind::kCompleted);
-  completed_names_.push_back(scan->cand->index->name());
 
   // The complete list's page spread is now *known*, not estimated.
   double final_cost = FetchCostFromPages(
@@ -247,18 +239,18 @@ Status Jscan::CompleteScan(std::unique_ptr<ActiveScan> scan) {
   if (options_.dynamic_thresholds) {
     gbc_ = std::min(gbc_, final_cost);
   }
-  if (improves) {
-    // Later lists are intersections of earlier ones, so they always
-    // replace; a *first* list only survives if it beats Tscan.
-    completed_list_ = std::move(scan->list);
-    borrow_generation_++;
-  } else {
+  if (!improves) {
     // The completed list cannot beat a table scan; drop it so the verdict
     // can be Tscan if nothing better comes.
-    outcomes_.back().kind = IndexOutcomeKind::kDiscarded;
-    completed_names_.pop_back();
+    EmitOutcome(*scan, IndexOutcomeKind::kDiscarded);
+    return Status::OK();
   }
-  EmitOutcome(outcomes_.back());
+  // Later lists are intersections of earlier ones, so they always replace;
+  // a *first* list only survives if it beats Tscan.
+  EmitOutcome(*scan, IndexOutcomeKind::kCompleted);
+  completed_list_ = std::move(scan->list);
+  completed_names_.push_back(scan->cand->index->name());
+  borrow_generation_++;
   return Status::OK();
 }
 
@@ -270,8 +262,7 @@ Status Jscan::DisqualifyScan(bool stepping_secondary, const Status& cause) {
                  "io_fault: " + cause.message());
   }
   Bump(m_strategy_fallbacks_);
-  RecordOutcome(*scan, IndexOutcomeKind::kDiscarded);
-  EmitOutcome(outcomes_.back());
+  EmitOutcome(*scan, IndexOutcomeKind::kDiscarded);
   if (stepping_secondary) {
     // Unlike a competition requeue, the candidate does NOT re-enter the
     // queue: its index is unreadable and would only fault again.
@@ -361,8 +352,7 @@ Result<bool> Jscan::StepOnce(size_t max_units) {
       next_candidate_--;  // un-consume the secondary's candidate
       secondary_.reset();
     } else {
-      RecordOutcome(*primary_, IndexOutcomeKind::kDiscarded);
-      EmitOutcome(outcomes_.back());
+      EmitOutcome(*primary_, IndexOutcomeKind::kDiscarded);
       primary_.reset();
       if (secondary_ != nullptr) {
         primary_ = std::move(secondary_);

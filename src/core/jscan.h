@@ -70,21 +70,15 @@ class Jscan final : public ScanStepper {
 
   enum class Phase : uint8_t { kScanning, kComplete, kTscanRecommended };
 
+  /// A per-index verdict. Each is recorded once, as a kJscanIndexOutcome
+  /// event (set_trace) whose detail is OutcomeKindName(kind).
   enum class IndexOutcomeKind : uint8_t {
     kCompleted,  // delivered a RID list / filter
     kDiscarded,  // terminated mid-scan by competition
     kSkipped,    // never started (estimate alone disqualified it)
   };
 
-  struct IndexOutcome {
-    std::string index_name;
-    IndexOutcomeKind kind;
-    uint64_t entries_scanned = 0;
-    uint64_t kept = 0;
-  };
-
-  /// Stable slug for an outcome kind ("completed"/"discarded"/"skipped"),
-  /// shared by the explain renderer and the query profile.
+  /// Stable slug for an outcome kind ("completed"/"discarded"/"skipped").
   static std::string_view OutcomeKindName(IndexOutcomeKind kind);
 
   /// `candidates` must outlive the Jscan; they come from the initial
@@ -117,7 +111,6 @@ class Jscan final : public ScanStepper {
   double guaranteed_best_cost() const { return gbc_; }
   double tscan_cost_estimate() const { return tscan_cost_; }
 
-  const std::vector<IndexOutcome>& outcomes() const { return outcomes_; }
   /// True when the adjacent race flipped the scan order at least once.
   bool reordered() const { return reordered_; }
 
@@ -129,7 +122,9 @@ class Jscan final : public ScanStepper {
 
   /// Emits a kJscanIndexOutcome event into `log` for every per-index
   /// verdict (after the verdict is final; a completed first list demoted
-  /// for not beating Tscan reports as discarded). Null disables.
+  /// for not beating Tscan reports as discarded): subject = index name,
+  /// detail = OutcomeKindName, a = entries scanned, b = RIDs kept. The
+  /// log is the Jscan's only record of its outcomes. Null disables.
   void set_trace(TraceLog* log) { trace_ = log; }
 
   /// When true, an I/O fault (EIO/corruption) inside an index scan
@@ -182,9 +177,13 @@ class Jscan final : public ScanStepper {
   bool ShouldSkip(const IndexClassification& cand) const;
   /// Seals `scan`'s list and installs it as the completed list/filter.
   Status CompleteScan(std::unique_ptr<ActiveScan> scan);
-  void RecordOutcome(const ActiveScan& scan, IndexOutcomeKind kind);
   /// Publishes a finalized outcome to the trace log and registry counters.
-  void EmitOutcome(const IndexOutcome& outcome);
+  void EmitOutcome(const std::string& index_name, IndexOutcomeKind kind,
+                   uint64_t entries_scanned, uint64_t kept);
+  void EmitOutcome(const ActiveScan& scan, IndexOutcomeKind kind) {
+    EmitOutcome(scan.cand->index->name(), kind, scan.entries_scanned,
+                scan.kept);
+  }
   /// Rebuilds `scan`'s in-memory partial list through the new filter.
   Status RefilterPartial(ActiveScan* scan);
   /// Retires the faulted scan (primary or secondary) as disqualified and
@@ -204,7 +203,6 @@ class Jscan final : public ScanStepper {
   double tscan_cost_ = 0;
   double gbc_ = 0;
 
-  std::vector<IndexOutcome> outcomes_;
   std::vector<std::string> completed_names_;
   bool reordered_ = false;
 

@@ -129,12 +129,12 @@ struct TreeWalk {
   // Live heap RIDs (packed) for the forward cross-reference; null for a
   // bare tree, whose keys carry no RID suffix.
   const std::unordered_set<uint64_t>* live;
-  std::unordered_set<uint64_t> seen_rids;
-  std::unordered_set<PageId> visited;
+  std::unordered_set<uint64_t> seen_rids{};
+  std::unordered_set<PageId> visited{};
   uint64_t slots = 0;  // entries summed over every node
   // (leaf page, its next_leaf) in recursive key order — checked against
   // the sibling chain after the walk.
-  std::vector<std::pair<PageId, PageId>> leaves;
+  std::vector<std::pair<PageId, PageId>> leaves{};
 
   /// Verifies the subtree rooted at `id` and returns its leaf-entry count,
   /// or nullopt when damage below made the count meaningless. `lo` is the

@@ -38,7 +38,8 @@ enum class TraceEventKind : uint8_t {
   kTacticChosen,       // subject = tactic name
   kStageTransition,    // subject = entered stage ("race", "final", "done", ...)
   kCompetitionVerdict, // a run-time decision; subject = verdict tag
-  kJscanIndexOutcome,  // subject = index name; a = entries scanned, b = kept
+  kJscanIndexOutcome,  // subject = index name; detail = outcome kind;
+                       // a = entries scanned, b = kept
   kStrategyDisqualified,  // subject = strategy; detail = reason (io_fault...)
   kScrubPass,          // subject = "pass"; a = pages scanned, b = corrupt
   kPageRepaired,       // subject = page id; a = page id

@@ -21,8 +21,10 @@ struct LiveCounters {
   RelaxedCounter queries;
   RelaxedCounter rows;
   std::atomic<uint64_t> active{0};
-  /// Completed-query latency tallies over the shared grid (same bucket
-  /// assignment as Histogram::Observe: first bound >= value).
+  /// Successful-query wall latencies (micros, from scheduled arrival) over
+  /// the shared grid (same bucket assignment as Histogram::Observe: first
+  /// bound >= value). The workload's one latency record: the report's
+  /// percentiles and the ticker's read it.
   std::vector<RelaxedCounter> latency_buckets;
 
   LiveCounters() : latency_buckets(LatencyBucketBounds().size() + 1) {}
@@ -36,12 +38,6 @@ struct LiveCounters {
   }
 };
 
-/// Bounded uniform sample of successful-query latencies. Capacity is
-/// fixed so a million-query session costs the same memory as a thousand-
-/// query one; the replacement draws come from a side rng, never from the
-/// stream rng, so collecting latencies cannot perturb the query stream.
-constexpr size_t kLatencyReservoirCap = 2048;
-
 // Log2 range-width buckets the parametric stream sweeps.
 constexpr size_t kParametricBuckets = 4;
 
@@ -54,8 +50,7 @@ class Session {
       : db_(db),
         opts_(opts),
         live_(live),
-        rng_(opts.seed * 1000003 + index * 7919 + 1),
-        reservoir_rng_(opts.seed * 9176 + index * 131 + 7) {
+        rng_(opts.seed * 1000003 + index * 7919 + 1) {
     RetrievalSpec range_spec;
     range_spec.table = table;
     range_spec.restriction = Predicate::And(
@@ -78,9 +73,7 @@ class Session {
 
   SessionOutcome Run(std::chrono::steady_clock::time_point go) {
     SessionOutcome out;
-    if (live_ != nullptr) {
-      live_->active.fetch_add(1, std::memory_order_relaxed);
-    }
+    live_->active.fetch_add(1, std::memory_order_relaxed);
     RowBatch batch;
     for (size_t q = 0; q < opts_.queries_per_session; ++q) {
       DynamicRetrieval* engine;
@@ -199,49 +192,30 @@ class Session {
         break;
       }
       if (engine->degraded()) out.degraded_queries++;
-      ObserveReservoir(&out, micros);
-      if (live_ != nullptr) live_->ObserveLatency(micros);
+      live_->ObserveLatency(micros);
       out.queries++;
       out.rows += rows;
       if (opts_.goodput_deadline_micros == 0 ||
           micros <= static_cast<double>(opts_.goodput_deadline_micros)) {
         out.goodput_queries++;
       }
-      if (live_ != nullptr) {
-        live_->queries++;
-        live_->rows.Add(rows);
-      }
+      live_->queries++;
+      live_->rows.Add(rows);
       // Chain in query order so stream position matters.
       out.result_hash = Mix64(out.result_hash ^ fold ^ (rows + 1));
       if (opts_.record_query_hashes) {
         out.query_hashes.push_back(Mix64(fold ^ (rows + 1)));
       }
     }
-    if (live_ != nullptr) {
-      live_->active.fetch_sub(1, std::memory_order_relaxed);
-    }
+    live_->active.fetch_sub(1, std::memory_order_relaxed);
     return out;
   }
 
  private:
-  /// Uniform bounded sample (classic reservoir): below the cap every
-  /// latency is kept; past it, sample n replaces a random slot with
-  /// probability cap/n.
-  void ObserveReservoir(SessionOutcome* out, double micros) {
-    out->latency_samples_seen++;
-    if (out->latencies_micros.size() < kLatencyReservoirCap) {
-      out->latencies_micros.push_back(micros);
-      return;
-    }
-    uint64_t j = reservoir_rng_.NextBounded(out->latency_samples_seen);
-    if (j < kLatencyReservoirCap) out->latencies_micros[j] = micros;
-  }
-
   Database* db_;
   const SessionWorkloadOptions& opts_;
-  LiveCounters* live_;  // shared with the ticker; null without telemetry
+  LiveCounters* live_;  // shared by every session and the ticker
   Rng rng_;
-  Rng reservoir_rng_;
   std::unique_ptr<DynamicRetrieval> range_engine_;
   std::unique_ptr<DynamicRetrieval> point_engine_;
   int64_t row_count_ = 0;
@@ -266,8 +240,8 @@ Result<SessionWorkloadReport> RunSessionWorkload(
   std::vector<std::unique_ptr<Session>> sessions;
   sessions.reserve(options.sessions);
   for (size_t i = 0; i < options.sessions; ++i) {
-    sessions.push_back(std::make_unique<Session>(
-        db, table, options, i, options.telemetry ? &live : nullptr));
+    sessions.push_back(
+        std::make_unique<Session>(db, table, options, i, &live));
   }
 
   SessionWorkloadReport report;
@@ -434,7 +408,6 @@ Result<SessionWorkloadReport> RunSessionWorkload(
     capture();  // close the series after every writer has stopped
   }
 
-  std::vector<double> latencies;
   for (const SessionOutcome& s : report.sessions) {
     report.total_queries += s.queries;
     report.total_rows += s.rows;
@@ -443,17 +416,16 @@ Result<SessionWorkloadReport> RunSessionWorkload(
     report.degraded_queries += s.degraded_queries;
     report.shed_queries += s.shed_queries;
     report.goodput_queries += s.goodput_queries;
-    latencies.insert(latencies.end(), s.latencies_micros.begin(),
-                     s.latencies_micros.end());
   }
-  if (!latencies.empty()) {
-    // Shared percentile path (obs/metrics): same grid as the telemetry
-    // ticker and the benches, so the figures line up across reports.
-    report.p50_latency_micros =
-        EstimatePercentile(latencies, LatencyBucketBounds(), 0.50);
-    report.p99_latency_micros =
-        EstimatePercentile(latencies, LatencyBucketBounds(), 0.99);
+  // Every session has joined: the grid holds every successful query.
+  std::vector<uint64_t> latency_counts;
+  for (const RelaxedCounter& c : live.latency_buckets) {
+    latency_counts.push_back(c.load());
   }
+  report.p50_latency_micros =
+      PercentileFromBuckets(LatencyBucketBounds(), latency_counts, 0.50);
+  report.p99_latency_micros =
+      PercentileFromBuckets(LatencyBucketBounds(), latency_counts, 0.99);
   report.queries_per_second =
       report.wall_seconds > 0
           ? static_cast<double>(report.total_queries) / report.wall_seconds

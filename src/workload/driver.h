@@ -127,12 +127,6 @@ struct SessionOutcome {
   /// Successful queries inside the goodput allowance (== queries when
   /// options.goodput_deadline_micros is 0).
   uint64_t goodput_queries = 0;
-  /// Bounded reservoir of successful-query wall latencies (micros),
-  /// measured from scheduled arrival; always collected. The reservoir
-  /// keeps a uniform sample once latency_samples_seen exceeds its cap,
-  /// drawn from a side rng so the query stream itself is untouched.
-  std::vector<double> latencies_micros;
-  uint64_t latency_samples_seen = 0;
   /// Stream-order per-query result hashes (options.record_query_hashes):
   /// a completed query contributes a deterministic fold of its result
   /// set, a shed query kShedQueryHash, any other failure kFailedQueryHash.

@@ -508,7 +508,9 @@ TEST(BatchPlanGoldenTest, OneRowPullsStopAfterOneStepperBatch) {
       std::vector<std::vector<Value>> rows;
       ASSERT_TRUE(*(*op)->NextBatch(&rows, 1));
       ASSERT_EQ(rows.size(), 1u);
-      if (exists) EXPECT_EQ(rows[0][0].AsInt64(), 1);
+      if (exists) {
+        EXPECT_EQ(rows[0][0].AsInt64(), 1);
+      }
       EXPECT_EQ(m->Value("exec.batches") - batches, 1u)
           << (exists ? "EXISTS" : "LIMIT 1") << " batch_size=" << bs;
       EXPECT_LE(m->Value("exec.rows_screened") - screened, bs)

@@ -376,6 +376,8 @@ TEST(JscanTest, IntersectsTwoIndexes) {
                           Operand::Literal(Value(int64_t{4000})))});
   JscanFixture jf(30000, pred, {"age", "income"});
   Jscan jscan(&jf.f.db, jf.spec, jf.params, jf.Candidates(), Jscan::Options());
+  TraceLog log;
+  jscan.set_trace(&log);
   ASSERT_TRUE(jscan.RunToCompletion().ok());
   ASSERT_EQ(jscan.phase(), Jscan::Phase::kComplete);
 
@@ -395,8 +397,11 @@ TEST(JscanTest, IntersectsTwoIndexes) {
   EXPECT_LT(final_set.size(), 100u);
   // Both indexes contributed a completed list.
   int completed = 0;
-  for (const auto& o : jscan.outcomes()) {
-    if (o.kind == Jscan::IndexOutcomeKind::kCompleted) completed++;
+  for (const TraceEvent& e : log.events()) {
+    if (e.kind == TraceEventKind::kJscanIndexOutcome &&
+        e.detail == "completed") {
+      completed++;
+    }
   }
   EXPECT_EQ(completed, 2);
 }
@@ -410,15 +415,17 @@ TEST(JscanTest, UnproductiveWideIndexGetsSkippedOrDiscarded) {
                           Operand::Literal(Value(int64_t{1000})))});
   JscanFixture jf(8000, pred, {"age", "income"});
   Jscan jscan(&jf.f.db, jf.spec, jf.params, jf.Candidates(), Jscan::Options());
+  TraceLog log;
+  jscan.set_trace(&log);
   ASSERT_TRUE(jscan.RunToCompletion().ok());
   ASSERT_EQ(jscan.phase(), Jscan::Phase::kComplete);
   bool age_unproductive = false;
-  for (const auto& o : jscan.outcomes()) {
-    if (o.index_name == "idx0" &&
-        o.kind != Jscan::IndexOutcomeKind::kCompleted) {
+  for (const TraceEvent& e : log.events()) {
+    if (e.kind == TraceEventKind::kJscanIndexOutcome && e.subject == "idx0" &&
+        e.detail != "completed") {
       age_unproductive = true;
       // If it was started at all, it must have stopped early.
-      EXPECT_LT(o.entries_scanned, 7000u);
+      EXPECT_LT(e.a, 7000.0);
     }
   }
   EXPECT_TRUE(age_unproductive);
@@ -444,10 +451,14 @@ TEST(JscanTest, StaticThresholdBaselineNeverAborts) {
   Jscan::Options opt;
   opt.dynamic_thresholds = false;
   Jscan jscan(&jf.f.db, jf.spec, jf.params, jf.Candidates(), opt);
+  TraceLog log;
+  jscan.set_trace(&log);
   ASSERT_TRUE(jscan.RunToCompletion().ok());
-  for (const auto& o : jscan.outcomes()) {
-    EXPECT_NE(o.kind, Jscan::IndexOutcomeKind::kDiscarded)
-        << o.index_name << " was aborted mid-scan in static mode";
+  ASSERT_GT(log.CountKind(TraceEventKind::kJscanIndexOutcome), 0u);
+  for (const TraceEvent& e : log.events()) {
+    if (e.kind != TraceEventKind::kJscanIndexOutcome) continue;
+    EXPECT_NE(e.detail, "discarded")
+        << e.subject << " was aborted mid-scan in static mode";
   }
 }
 
@@ -1072,20 +1083,24 @@ TEST(JscanTest, SpilledCompletedListFiltersTheNextScan) {
   const TraceEvent* v =
       FindVerdict(engine, Verdict::kJscanComplete);
   ASSERT_NE(v, nullptr) << engine.events().ToJson();
-  ASSERT_NE(engine.jscan(), nullptr);
-  const auto& outcomes = engine.jscan()->outcomes();
+  std::vector<const TraceEvent*> outcomes;
+  for (const TraceEvent& e : engine.events().events()) {
+    if (e.kind == TraceEventKind::kJscanIndexOutcome) outcomes.push_back(&e);
+  }
   ASSERT_EQ(outcomes.size(), 2u);
   // The first list outgrew memory and was sealed spilled.
-  EXPECT_EQ(outcomes[0].index_name, "by_income");
-  EXPECT_EQ(outcomes[0].kind, Jscan::IndexOutcomeKind::kCompleted);
-  EXPECT_GT(outcomes[0].kept, opt.jscan.rid_list.memory_capacity);
+  EXPECT_EQ(outcomes[0]->subject, "by_income");
+  EXPECT_EQ(outcomes[0]->detail, "completed");
+  EXPECT_GT(outcomes[0]->b,
+            static_cast<double>(opt.jscan.rid_list.memory_capacity));
   // Its lossy bitmap filtered the whole age scan: nothing was dropped that
   // the result needs, and most entries never reached the second list.
-  EXPECT_EQ(outcomes[1].index_name, "by_age");
-  EXPECT_EQ(outcomes[1].kind, Jscan::IndexOutcomeKind::kCompleted);
-  EXPECT_GE(outcomes[1].kept, rids.size());
-  EXPECT_LT(outcomes[1].kept, outcomes[1].entries_scanned / 4);
-  EXPECT_EQ(v->a, static_cast<double>(outcomes[1].kept));  // final list
+  EXPECT_EQ(outcomes[1]->subject, "by_age");
+  EXPECT_EQ(outcomes[1]->detail, "completed");
+  EXPECT_GE(outcomes[1]->b, static_cast<double>(rids.size()));
+  EXPECT_LT(static_cast<uint64_t>(outcomes[1]->b),
+            static_cast<uint64_t>(outcomes[1]->a) / 4);
+  EXPECT_EQ(v->a, outcomes[1]->b);  // final list
 }
 
 // ------------------------------------------- §7 extension: OR coverage

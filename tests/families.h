@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "catalog/database.h"
 #include "core/retrieval.h"
+#include "obs/metrics.h"
 #include "storage/page_store.h"
 #include "workload/oracle.h"
 #include "workload/workload.h"
@@ -139,6 +141,34 @@ inline const TraceEvent* FindVerdict(const DynamicRetrieval& e, Verdict v) {
 
 inline bool SawVerdict(const DynamicRetrieval& e, Verdict v) {
   return FindVerdict(e, v) != nullptr;
+}
+
+/// Checks `e`'s kJscanIndexOutcome events against `db`'s jscan.* counters,
+/// which no other execution moved: one event per counted outcome, and the
+/// entries scanned (a) and RIDs kept (b) sum to the counters.
+inline void ExpectJscanEventsMatchCounters(const DynamicRetrieval& e,
+                                           Database* db) {
+  std::map<std::string, uint64_t, std::less<>> outcomes;
+  uint64_t events = 0;
+  double entries = 0, kept = 0;
+  for (const TraceEvent& ev : e.events().events()) {
+    if (ev.kind != TraceEventKind::kJscanIndexOutcome) continue;
+    outcomes[ev.detail]++;
+    events++;
+    entries += ev.a;
+    kept += ev.b;
+  }
+  ASSERT_GT(events, 0u) << e.events().ToJson();
+  MetricsRegistry* m = db->metrics();
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(outcomes["completed"], m->Value("jscan.scans_completed"));
+  EXPECT_EQ(outcomes["discarded"], m->Value("jscan.scans_discarded"));
+  EXPECT_EQ(outcomes["skipped"], m->Value("jscan.scans_skipped"));
+  EXPECT_EQ(events, m->Value("jscan.scans_completed") +
+                        m->Value("jscan.scans_discarded") +
+                        m->Value("jscan.scans_skipped"));
+  EXPECT_EQ(entries, static_cast<double>(m->Value("jscan.entries_scanned")));
+  EXPECT_EQ(kept, static_cast<double>(m->Value("jscan.rids_kept")));
 }
 
 /// The first span named `name` in `node`'s subtree, depth first.

@@ -198,15 +198,7 @@ TEST(TypedTraceTest, BackgroundOnlyEmitsJscanOutcomesAndStages) {
   EXPECT_EQ(stages.back(), "done");
 
   // Each per-index Jscan verdict shows up as one typed outcome event.
-  auto outcomes = engine.events().Subjects(TraceEventKind::kJscanIndexOutcome);
-  ASSERT_EQ(outcomes.size(), engine.jscan()->outcomes().size());
-  for (const auto& o : engine.jscan()->outcomes()) {
-    const TraceEvent* e =
-        engine.events().Find(TraceEventKind::kJscanIndexOutcome, o.index_name);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->a, static_cast<double>(o.entries_scanned));
-    EXPECT_EQ(e->b, static_cast<double>(o.kept));
-  }
+  ExpectJscanEventsMatchCounters(engine, &f.db);
 }
 
 TEST(TypedTraceTest, RaceEmitsCompetitionVerdict) {

@@ -92,20 +92,7 @@ TEST(ProfileTest, CompetitionQueryProfilesBothCompetitorsAndVerdict) {
 
   // So are the Jscan's per-index outcomes: one event per index it
   // completed, discarded or skipped, with its entries and kept RIDs.
-  ASSERT_NE(engine.jscan(), nullptr);
-  const std::vector<Jscan::IndexOutcome>& outcomes = engine.jscan()->outcomes();
-  std::vector<const TraceEvent*> events;
-  for (const TraceEvent& e : engine.events().events()) {
-    if (e.kind == TraceEventKind::kJscanIndexOutcome) events.push_back(&e);
-  }
-  ASSERT_FALSE(outcomes.empty());
-  ASSERT_EQ(events.size(), outcomes.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_EQ(events[i]->subject, outcomes[i].index_name);
-    EXPECT_EQ(events[i]->detail, Jscan::OutcomeKindName(outcomes[i].kind));
-    EXPECT_EQ(events[i]->a, static_cast<double>(outcomes[i].entries_scanned));
-    EXPECT_EQ(events[i]->b, static_cast<double>(outcomes[i].kept));
-  }
+  ExpectJscanEventsMatchCounters(engine, &f.db);
 }
 
 TEST(ProfileTest, ProfilingOffCostsNoSpansAndChangesNothing) {
