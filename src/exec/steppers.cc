@@ -84,16 +84,16 @@ Result<bool> TscanStepper::StepOnce(size_t max_units) {
   batch_.Clear();
   size_t cap_reserved = batch_.allocated_rows();
   const Schema& schema = spec_.table->schema();
-  // Harvest: deserialize needed columns straight off the pinned pages.
+  // Harvest: decode the needed columns straight off each pinned page, one
+  // page's run of records per call, until the step has max_units records.
   while (batch_.num_rows() < max_units) {
-    std::string_view bytes;
-    Rid rid;
-    DYNOPT_ASSIGN_OR_RETURN(bool more, cursor_.NextView(&bytes, &rid));
-    if (!more) break;
-    records_scanned_++;
-    DYNOPT_RETURN_IF_ERROR(
-        DeserializeRecordColumns(schema, bytes, batch_.dests()));
-    batch_.AddRow(rid);
+    DYNOPT_ASSIGN_OR_RETURN(
+        size_t n, cursor_.NextPage(max_units - batch_.num_rows(), &views_,
+                                   &view_rids_));
+    if (n == 0) break;
+    records_scanned_ += n;
+    DYNOPT_RETURN_IF_ERROR(DecodeRecords(schema, views_, batch_.dests()));
+    batch_.AddRows(view_rids_.data(), n);
   }
   if (batch_.allocated_rows() != cap_reserved) Bump(exec_.reallocs);
   size_t n = batch_.num_rows();
@@ -156,7 +156,7 @@ Result<bool> FscanStepper::StepOnce(size_t max_units) {
       DYNOPT_ASSIGN_OR_RETURN(std::string_view bytes,
                               reader.Read(entries_.rid(i)));
       DYNOPT_RETURN_IF_ERROR(
-          DeserializeRecordColumns(schema, bytes, batch_.dests()));
+          DecodeRecords(schema, {&bytes, 1}, batch_.dests()));
       batch_.AddRow(entries_.rid(i));
     }
   }
@@ -214,7 +214,7 @@ Result<bool> FetchStepper::StepOnce(size_t max_units) {
       return bytes.status();
     }
     DYNOPT_RETURN_IF_ERROR(
-        DeserializeRecordColumns(schema, *bytes, batch_.dests()));
+        DecodeRecords(schema, {&*bytes, 1}, batch_.dests()));
     batch_.AddRow(rid);
   }
   size_t n = batch_.num_rows();

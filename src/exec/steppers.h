@@ -136,9 +136,9 @@ class ScanStepper {
 };
 
 /// Full table scan: the classical sequential retrieval, batched: each
-/// Step deserializes up to `max_units` records column-wise straight off
-/// the pinned heap pages, then filters them with one vectorized
-/// restriction pass.
+/// Step decodes up to `max_units` records column-wise straight off the
+/// pinned heap pages, one page's run per decoder call, then filters them
+/// with one vectorized restriction pass.
 class TscanStepper final : public ScanStepper {
  public:
   TscanStepper(BufferPool* pool, const RetrievalSpec& spec,
@@ -151,6 +151,9 @@ class TscanStepper final : public ScanStepper {
 
   HeapFile::Cursor cursor_;
   uint64_t records_scanned_ = 0;
+  // The current page run (HeapFile::Cursor::NextPage), reused across steps.
+  std::vector<std::string_view> views_;
+  std::vector<Rid> view_rids_;
 };
 
 /// Fetch-needed index scan with immediate record fetches: the classical

@@ -129,6 +129,25 @@ void ColumnVector::AppendString(std::string_view v) {
   Append(Value(std::string(v)));
 }
 
+Status ColumnVector::Extend(ValueType type, size_t n) {
+  Mode want = type == ValueType::kInt64    ? Mode::kInt64
+               : type == ValueType::kDouble ? Mode::kDouble
+                                            : Mode::kString;
+  if (mode_ == Mode::kEmpty) mode_ = want;
+  if (mode_ != want) {
+    return Status::InvalidArgument("column vector holds another type");
+  }
+  if (want == Mode::kInt64) {
+    i64_.resize(size_ + n);
+  } else if (want == Mode::kDouble) {
+    f64_.resize(size_ + n);
+  } else if (str_.size() < size_ + n) {
+    str_.resize(size_ + n);
+  }
+  size_ += n;
+  return Status::OK();
+}
+
 void ColumnVector::Append(const Value& v) {
   switch (mode_) {
     case Mode::kEmpty:
@@ -302,42 +321,59 @@ Status DeserializeRecord(const Schema& schema, std::string_view data,
   return Status::OK();
 }
 
-Status DeserializeRecordColumns(const Schema& schema, std::string_view data,
-                                ColumnVector* const* dests) {
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    ColumnVector* dest = dests[i];
-    switch (schema.column(i).type) {
-      case ValueType::kInt64: {
-        if (data.size() < 8) return Status::Corruption("record truncated");
-        if (dest != nullptr) {
-          int64_t v;
-          std::memcpy(&v, data.data(), 8);
-          dest->AppendInt64(v);
-        }
-        data.remove_prefix(8);
-        break;
-      }
-      case ValueType::kDouble: {
-        if (data.size() < 8) return Status::Corruption("record truncated");
-        if (dest != nullptr) {
-          double v;
-          std::memcpy(&v, data.data(), 8);
-          dest->AppendDouble(v);
-        }
-        data.remove_prefix(8);
-        break;
-      }
-      case ValueType::kString: {
-        uint32_t len;
-        DYNOPT_RETURN_IF_ERROR(ReadU32(&data, &len));
-        if (data.size() < len) return Status::Corruption("record truncated");
-        if (dest != nullptr) dest->AppendString(data.substr(0, len));
-        data.remove_prefix(len);
-        break;
-      }
+Status DecodeRecords(const Schema& schema,
+                     std::span<const std::string_view> records,
+                     ColumnVector* const* dests) {
+  const size_t n = records.size();
+  const size_t columns = schema.num_columns();
+  for (size_t c = 0; c < columns; ++c) {
+    if (dests[c] != nullptr) {
+      DYNOPT_RETURN_IF_ERROR(dests[c]->Extend(schema.column(c).type, n));
     }
   }
-  if (!data.empty()) return Status::Corruption("trailing bytes in record");
+  for (size_t r = 0; r < n; ++r) {
+    std::string_view data = records[r];
+    for (size_t c = 0; c < columns; ++c) {
+      ColumnVector* dest = dests[c];
+      // Record r's slot in an active column (each grew by n above).
+      size_t at = dest == nullptr ? 0 : dest->size() - n + r;
+      switch (schema.column(c).type) {
+        case ValueType::kInt64: {
+          if (data.size() < 8) return Status::Corruption("record truncated");
+          if (dest != nullptr) {
+            int64_t v;
+            std::memcpy(&v, data.data(), 8);
+            dest->mutable_i64_data()[at] = v;
+          }
+          data.remove_prefix(8);
+          break;
+        }
+        case ValueType::kDouble: {
+          if (data.size() < 8) return Status::Corruption("record truncated");
+          if (dest != nullptr) {
+            double v;
+            std::memcpy(&v, data.data(), 8);
+            dest->mutable_f64_data()[at] = v;
+          }
+          data.remove_prefix(8);
+          break;
+        }
+        case ValueType::kString: {
+          uint32_t len;
+          if (data.size() < 4) return Status::Corruption("record truncated");
+          std::memcpy(&len, data.data(), 4);
+          data.remove_prefix(4);
+          if (data.size() < len) return Status::Corruption("record truncated");
+          if (dest != nullptr) {
+            dest->mutable_str_data()[at].assign(data.data(), len);
+          }
+          data.remove_prefix(len);
+          break;
+        }
+      }
+    }
+    if (!data.empty()) return Status::Corruption("trailing bytes in record");
+  }
   return Status::OK();
 }
 

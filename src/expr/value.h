@@ -8,7 +8,9 @@
 #define DYNOPT_EXPR_VALUE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -112,6 +114,11 @@ class ColumnVector {
   void AppendDouble(double v);
   void AppendString(std::string_view v);
   void Append(const Value& v);
+  /// Grows the vector by `n` elements of `type` for the caller to fill
+  /// through the mutable typed data: one resize for the lot, and string
+  /// slots keep their recycled allocations. InvalidArgument when the
+  /// vector already holds another type.
+  Status Extend(ValueType type, size_t n);
   /// Gathers elements `rows[0..n)` of `src` onto the end: a typed copy when
   /// both vectors hold one type, per-Value appends (and demotion) otherwise.
   void AppendFrom(const ColumnVector& src, const uint32_t* rows, size_t n);
@@ -120,6 +127,9 @@ class ColumnVector {
   const int64_t* i64_data() const { return i64_.data(); }
   const double* f64_data() const { return f64_.data(); }
   const std::string& StringAt(size_t i) const { return str_[i]; }
+  int64_t* mutable_i64_data() { return i64_.data(); }
+  double* mutable_f64_data() { return f64_.data(); }
+  std::string* mutable_str_data() { return str_.data(); }
 
   /// Element `i` as a Value (copies; use the typed accessors in hot loops).
   Value ValueAt(size_t i) const;
@@ -147,17 +157,20 @@ inline bool TotalValueLess(const Value& a, const Value& b) {
 Status SerializeRecord(const Schema& schema, const Record& record,
                        std::string* out);
 
-/// Parses bytes produced by SerializeRecord.
+/// Parses bytes produced by SerializeRecord: the row-at-a-time path.
 Status DeserializeRecord(const Schema& schema, std::string_view data,
                          Record* out);
 
-/// Column-skipping deserialization for batched scans: appends column `i`
-/// of the record to `dests[i]`, where a null entry skips that column
-/// without materializing it (the encoding is skippable: numerics are fixed
-/// 8 bytes, strings carry a length prefix). `dests` must hold
-/// `schema.num_columns()` entries.
-Status DeserializeRecordColumns(const Schema& schema, std::string_view data,
-                                ColumnVector* const* dests);
+/// The batched scans' decoder: appends column `i` of every record in
+/// `records` to `dests[i]`, where a null entry skips that column without
+/// materializing it (the encoding is skippable: numerics are fixed 8
+/// bytes, strings carry a length prefix). Each active column grows once
+/// per call (ColumnVector::Extend). `dests` must hold
+/// `schema.num_columns()` entries. Corruption when a record is truncated
+/// or carries trailing bytes; the columns' contents are then unspecified.
+Status DecodeRecords(const Schema& schema,
+                     std::span<const std::string_view> records,
+                     ColumnVector* const* dests);
 
 }  // namespace dynopt
 

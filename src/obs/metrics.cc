@@ -52,17 +52,6 @@ double PercentileFromBuckets(const std::vector<double>& bounds,
   return bounds.empty() ? 0 : bounds.back();
 }
 
-double EstimatePercentile(const std::vector<double>& samples,
-                          const std::vector<double>& bounds, double q) {
-  std::vector<uint64_t> counts(bounds.size() + 1, 0);
-  for (double v : samples) {
-    size_t i =
-        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin();
-    counts[i]++;
-  }
-  return PercentileFromBuckets(bounds, counts, q);
-}
-
 namespace {
 
 std::vector<double> GeometricBounds125(double lo, double hi) {

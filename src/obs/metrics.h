@@ -117,11 +117,6 @@ class MetricsRegistry {
 double PercentileFromBuckets(const std::vector<double>& bounds,
                              const std::vector<uint64_t>& counts, double q);
 
-/// Observes `samples` over `bounds` and estimates `q` — the shared
-/// percentile path for ad-hoc sample vectors (replaces per-call sorting).
-double EstimatePercentile(const std::vector<double>& samples,
-                          const std::vector<double>& bounds, double q);
-
 /// Shared latency grid: 1-2-5 geometric bounds in microseconds, 1us..5e8us.
 /// Every latency percentile in the system estimates from this grid, so
 /// figures stay comparable across the driver, telemetry, and benches.

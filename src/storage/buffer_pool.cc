@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -63,6 +64,7 @@ PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
   if (this != &o) {
     Release();
     pool_ = o.pool_;
+    data_ = o.data_;
     shard_ = o.shard_;
     frame_ = o.frame_;
     id_ = o.id_;
@@ -71,20 +73,9 @@ PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
   return *this;
 }
 
-const uint8_t* PageGuard::data() const {
-  assert(valid());
-  return pool_->shards_[shard_]->frames[frame_].data.data();
-}
-
-uint8_t* PageGuard::mutable_data() {
-  assert(valid());
-  MarkDirty();
-  return pool_->shards_[shard_]->frames[frame_].data.data();
-}
-
 void PageGuard::MarkDirty() {
   assert(valid());
-  BufferPool::Frame& f = pool_->shards_[shard_]->frames[frame_];
+  BufferPool::FrameMeta& f = pool_->shards_[shard_]->meta[frame_];
   f.dirty.store(true, std::memory_order_relaxed);
   f.dirty_epoch.store(pool_->mutation_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
@@ -95,6 +86,105 @@ void PageGuard::Release() {
     pool_->Unpin(shard_, frame_);
     pool_ = nullptr;
   }
+}
+
+BufferPool::PageTable::PageTable(size_t frames) {
+  size_t slots = std::bit_ceil(2 * frames);
+  slots_ = std::make_unique<Slot[]>(slots);
+  mask_ = slots - 1;
+}
+
+size_t BufferPool::PageTable::Home(PageId id) const {
+  return static_cast<size_t>(Mix64(id)) & mask_;
+}
+
+size_t BufferPool::PageTable::Probe(PageId id) const {
+  size_t i = Home(id);
+  while (slots_[i].frame != kNoFrame && slots_[i].id != id) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
+uint32_t BufferPool::PageTable::Find(PageId id) const {
+  return slots_[Probe(id)].frame;
+}
+
+void BufferPool::PageTable::Insert(PageId id, uint32_t frame) {
+  size_t i = Probe(id);
+  assert(slots_[i].frame == kNoFrame);
+  slots_[i] = Slot{id, frame};
+  size_++;
+}
+
+void BufferPool::PageTable::Erase(PageId id) {
+  size_t hole = Probe(id);
+  assert(slots_[hole].frame != kNoFrame);
+  // Backward shift: pull each later entry of the run into the hole when
+  // the hole lies between its home and its slot, so every probe still
+  // reaches its entry before an empty slot.
+  for (size_t j = (hole + 1) & mask_; slots_[j].frame != kNoFrame;
+       j = (j + 1) & mask_) {
+    if (((j - Home(slots_[j].id)) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  size_--;
+}
+
+Status BufferPool::PageTable::Check() const {
+  size_t occupied = 0;
+  for (size_t i = 0; i <= mask_; ++i) {
+    if (slots_[i].frame == kNoFrame) continue;
+    occupied++;
+    if (Probe(slots_[i].id) != i) {
+      return Status::Internal("page-table entry unreachable from its home");
+    }
+  }
+  if (occupied != size_) {
+    return Status::Internal("page-table size != occupied slots");
+  }
+  return Status::OK();
+}
+
+BufferPool::Shard::Shard(uint32_t frames)
+    : frame_count(frames),
+      meta(std::make_unique<FrameMeta[]>(frames)),
+      images(std::make_unique<PageData[]>(frames)),
+      table(frames) {
+  free_frames.reserve(frames);
+  for (uint32_t f = 0; f < frames; ++f) free_frames.push_back(frames - 1 - f);
+}
+
+void BufferPool::Shard::LruPushFront(uint32_t frame) {
+  FrameMeta& f = meta[frame];
+  f.lru_prev = kNoFrame;
+  f.lru_next = lru_head;
+  if (lru_head != kNoFrame) {
+    meta[lru_head].lru_prev = frame;
+  } else {
+    lru_tail = frame;
+  }
+  lru_head = frame;
+  lru_size++;
+}
+
+void BufferPool::Shard::LruUnlink(uint32_t frame) {
+  FrameMeta& f = meta[frame];
+  if (f.lru_prev != kNoFrame) {
+    meta[f.lru_prev].lru_next = f.lru_next;
+  } else {
+    lru_head = f.lru_next;
+  }
+  if (f.lru_next != kNoFrame) {
+    meta[f.lru_next].lru_prev = f.lru_prev;
+  } else {
+    lru_tail = f.lru_prev;
+  }
+  f.lru_prev = f.lru_next = kNoFrame;
+  lru_size--;
 }
 
 BufferPool::BufferPool(PageStore* store, size_t capacity, CostMeter* meter,
@@ -112,14 +202,8 @@ BufferPool::BufferPool(PageStore* store, size_t capacity, CostMeter* meter,
   size_t base = capacity_ / n;
   size_t extra = capacity_ % n;  // first `extra` shards get one more frame
   for (size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->frame_count = static_cast<uint32_t>(base + (i < extra ? 1 : 0));
-    shard->frames = std::make_unique<Frame[]>(shard->frame_count);
-    shard->free_frames.reserve(shard->frame_count);
-    for (uint32_t f = 0; f < shard->frame_count; ++f) {
-      shard->free_frames.push_back(shard->frame_count - 1 - f);
-    }
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(
+        static_cast<uint32_t>(base + (i < extra ? 1 : 0))));
   }
 }
 
@@ -140,9 +224,9 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
   Shard& s = *shards_[si];
   std::unique_lock<std::mutex> lock(s.mu);
   for (;;) {
-    auto it = s.table.find(id);
-    if (it == s.table.end()) break;
-    Frame& f = s.frames[it->second];
+    uint32_t frame = s.table.Find(id);
+    if (frame == kNoFrame) break;
+    FrameMeta& f = s.meta[frame];
     if (f.loading) {
       // Another thread is faulting this page in (lock released across its
       // device read and retry backoff). Wait for the outcome, then re-check:
@@ -153,16 +237,15 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
     }
     s.stats.hits++;
     Bump(hit_count_);
-    if (f.pins == 0) {
-      s.lru.erase(f.lru_pos);
-    }
+    if (f.pins == 0) s.LruUnlink(frame);
     f.pins++;
-    return PageGuard(this, si, it->second, id);
+    return PageGuard(this, si, frame, id, s.images[frame].data());
   }
   s.stats.misses++;
   Bump(miss_count_);
   DYNOPT_ASSIGN_OR_RETURN(uint32_t frame, GrabFrame(s));
-  Frame& f = s.frames[frame];
+  FrameMeta& f = s.meta[frame];
+  PageData* image = &s.images[frame];
   // Publish a pinned "loading" placeholder, then drop the shard lock across
   // the device read: retry backoff for one faulty page must not stall
   // unrelated pages that merely share a shard. Pins of this same page wait
@@ -172,13 +255,13 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
   f.dirty.store(false, std::memory_order_relaxed);
   f.in_use = true;
   f.loading = true;
-  s.table[id] = frame;
+  s.table.Insert(id, frame);
   lock.unlock();
   Status read;
   uint32_t attempts = 0;
   QueryContext* query = CurrentQueryContext();
   for (;;) {
-    read = store_->Read(id, &f.data);
+    read = store_->Read(id, image);
     ++attempts;
     // Only transient-looking faults (IOError) are worth retrying;
     // Corruption is deterministic and InvalidArgument is a caller bug.
@@ -216,7 +299,7 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
     // The store's copy is provably damaged (checksum / frame mismatch).
     // Give the repairer one shot at reconstructing the image — still with
     // no shard lock held, so WAL scans and healing writes are legal here.
-    Status repaired = repairer_->Repair(id, read, &f.data);
+    Status repaired = repairer_->Repair(id, read, image);
     if (repaired.ok()) {
       Bump(repair_count_);
       read = Status::OK();
@@ -229,7 +312,7 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
   if (!read.ok()) {
     // Roll the placeholder back; waiters wake, miss, and try the read
     // themselves.
-    s.table.erase(id);
+    s.table.Erase(id);
     f.pins = 0;
     f.in_use = false;
     f.id = kInvalidPageId;
@@ -244,7 +327,7 @@ Result<PageGuard> BufferPool::Pin(PageId id) {
   }
   meter_ptr()->physical_reads++;
   s.cv.notify_all();
-  return PageGuard(this, si, frame, id);
+  return PageGuard(this, si, frame, id, image->data());
 }
 
 Result<PageGuard> BufferPool::NewPage() {
@@ -258,17 +341,17 @@ Result<PageGuard> BufferPool::NewPage() {
   Shard& s = *shards_[si];
   std::lock_guard<std::mutex> lock(s.mu);
   DYNOPT_ASSIGN_OR_RETURN(uint32_t frame, GrabFrame(s));
-  Frame& f = s.frames[frame];
-  f.data.fill(0);
+  FrameMeta& f = s.meta[frame];
+  s.images[frame].fill(0);
   f.id = id;
   f.pins = 1;
   f.dirty.store(true, std::memory_order_relaxed);
   f.dirty_epoch.store(mutation_epoch_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   f.in_use = true;
-  s.table[id] = frame;
+  s.table.Insert(id, frame);
   meter_ptr()->logical_reads++;
-  return PageGuard(this, si, frame, id);
+  return PageGuard(this, si, frame, id, s.images[frame].data());
 }
 
 Result<size_t> BufferPool::FlushAll() {
@@ -277,14 +360,14 @@ Result<size_t> BufferPool::FlushAll() {
     Shard& s = *shard;
     std::lock_guard<std::mutex> lock(s.mu);
     for (uint32_t i = 0; i < s.frame_count; ++i) {
-      Frame& f = s.frames[i];
+      FrameMeta& f = s.meta[i];
       if (f.in_use && f.dirty.load(std::memory_order_relaxed) &&
           CanWriteBack(f)) {
         if (f.pins > 0) {
           pinned_committed++;
           continue;
         }
-        DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, f.data));
+        DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, s.images[i]));
         meter_ptr()->physical_writes++;
         s.stats.writebacks++;
         Bump(writeback_count_);
@@ -318,19 +401,15 @@ Status BufferPool::EvictAll() {
   for (auto& shard : shards_) {
     Shard& s = *shard;
     std::lock_guard<std::mutex> lock(s.mu);
-    // Collect victims first: frames holding uncommitted dirty pages are
+    // Most recent first; frames holding uncommitted dirty pages are
     // skipped (they may not reach the store before the WAL covers them).
-    std::vector<uint32_t> victims;
-    victims.reserve(s.lru.size());
-    for (uint32_t frame : s.lru) {
-      const Frame& f = s.frames[frame];
-      if (f.dirty.load(std::memory_order_relaxed) && !CanWriteBack(f)) {
-        continue;
+    for (uint32_t frame = s.lru_head; frame != kNoFrame;) {
+      const FrameMeta& f = s.meta[frame];
+      uint32_t next = f.lru_next;
+      if (!f.dirty.load(std::memory_order_relaxed) || CanWriteBack(f)) {
+        DYNOPT_RETURN_IF_ERROR(EvictFrame(s, frame));
       }
-      victims.push_back(frame);
-    }
-    for (uint32_t frame : victims) {
-      DYNOPT_RETURN_IF_ERROR(EvictFrame(s, frame));
+      frame = next;
     }
   }
   return Status::OK();
@@ -345,10 +424,10 @@ uint64_t BufferPool::SnapshotDirtyPages(
     Shard& s = *shard;
     std::lock_guard<std::mutex> lock(s.mu);
     for (uint32_t i = 0; i < s.frame_count; ++i) {
-      Frame& f = s.frames[i];
+      const FrameMeta& f = s.meta[i];
       if (f.in_use && f.dirty.load(std::memory_order_relaxed) &&
           f.dirty_epoch.load(std::memory_order_relaxed) <= epoch) {
-        out->emplace_back(f.id, f.data);
+        out->emplace_back(f.id, s.images[i]);
       }
     }
   }
@@ -373,22 +452,18 @@ Result<size_t> BufferPool::ScrambleCache(Rng& rng, double fraction) {
     // from the cold end, exactly where real LRU pressure from unrelated
     // activity lands. Frames whose dirty image is not yet WAL-covered are
     // passed over (they cannot legally reach the store).
-    double want = fraction * static_cast<double>(s.lru.size());
+    double want = fraction * static_cast<double>(s.lru_size);
     size_t quota = static_cast<size_t>(want);
     if (rng.NextDouble() < want - static_cast<double>(quota)) quota++;
-    std::vector<uint32_t> victims;
-    victims.reserve(quota);
-    for (auto it = s.lru.rbegin(); it != s.lru.rend() && victims.size() < quota;
-         ++it) {
-      const Frame& f = s.frames[*it];
-      if (f.dirty.load(std::memory_order_relaxed) && !CanWriteBack(f)) {
-        continue;
+    for (uint32_t frame = s.lru_tail; frame != kNoFrame && quota > 0;) {
+      const FrameMeta& f = s.meta[frame];
+      uint32_t prev = f.lru_prev;
+      if (!f.dirty.load(std::memory_order_relaxed) || CanWriteBack(f)) {
+        DYNOPT_RETURN_IF_ERROR(EvictFrame(s, frame));
+        evicted++;
+        quota--;
       }
-      victims.push_back(*it);
-    }
-    for (uint32_t frame : victims) {
-      DYNOPT_RETURN_IF_ERROR(EvictFrame(s, frame));
-      evicted++;
+      frame = prev;
     }
   }
   return evicted;
@@ -400,7 +475,7 @@ size_t BufferPool::PinnedPages() const {
     const Shard& s = *shard;
     std::lock_guard<std::mutex> lock(s.mu);
     for (uint32_t i = 0; i < s.frame_count; ++i) {
-      if (s.frames[i].in_use && s.frames[i].pins > 0) pinned++;
+      if (s.meta[i].in_use && s.meta[i].pins > 0) pinned++;
     }
   }
   return pinned;
@@ -437,13 +512,15 @@ Status BufferPool::CheckInvariants() const {
   for (size_t si = 0; si < shards_.size(); ++si) {
     const Shard& s = *shards_[si];
     std::lock_guard<std::mutex> lock(s.mu);
+    DYNOPT_RETURN_IF_ERROR(s.table.Check());
     size_t in_use = 0;
+    size_t unpinned = 0;
     for (uint32_t i = 0; i < s.frame_count; ++i) {
-      const Frame& f = s.frames[i];
+      const FrameMeta& f = s.meta[i];
       if (!f.in_use) continue;
       in_use++;
-      auto it = s.table.find(f.id);
-      if (it == s.table.end() || it->second != i) {
+      if (f.pins == 0) unpinned++;
+      if (s.table.Find(f.id) != i) {
         return Status::Internal("frame id not mapped back to its frame");
       }
       if (ShardOf(f.id) != si) {
@@ -456,18 +533,34 @@ Status BufferPool::CheckInvariants() const {
     if (in_use + s.free_frames.size() != s.frame_count) {
       return Status::Internal("free list does not cover unused frames");
     }
-    size_t unpinned = 0;
-    for (uint32_t i = 0; i < s.frame_count; ++i) {
-      if (s.frames[i].in_use && s.frames[i].pins == 0) unpinned++;
+    for (uint32_t frame : s.free_frames) {
+      if (frame >= s.frame_count || s.meta[frame].in_use) {
+        return Status::Internal("free list holds an in-use frame");
+      }
     }
-    if (unpinned != s.lru.size()) {
+    if (unpinned != s.lru_size) {
       return Status::Internal("LRU size != unpinned in-use frame count");
     }
-    for (uint32_t frame : s.lru) {
-      if (frame >= s.frame_count || !s.frames[frame].in_use ||
-          s.frames[frame].pins != 0) {
+    // Walk head to tail: each link must point back, and the walk must end
+    // at the tail after exactly lru_size frames.
+    size_t walked = 0;
+    uint32_t prev = kNoFrame;
+    for (uint32_t frame = s.lru_head; frame != kNoFrame;
+         frame = s.meta[frame].lru_next) {
+      if (frame >= s.frame_count || walked++ == s.lru_size) {
+        return Status::Internal("LRU links leave the list");
+      }
+      const FrameMeta& f = s.meta[frame];
+      if (!f.in_use || f.pins != 0) {
         return Status::Internal("LRU entry is not an unpinned in-use frame");
       }
+      if (f.lru_prev != prev) {
+        return Status::Internal("LRU prev link does not match its walk");
+      }
+      prev = frame;
+    }
+    if (walked != s.lru_size || prev != s.lru_tail) {
+      return Status::Internal("LRU walk does not end at its tail");
     }
   }
   return Status::OK();
@@ -476,17 +569,13 @@ Status BufferPool::CheckInvariants() const {
 void BufferPool::Unpin(uint32_t shard, uint32_t frame) {
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
-  Frame& f = s.frames[frame];
+  FrameMeta& f = s.meta[frame];
   assert(f.pins > 0);
-  f.pins--;
-  if (f.pins == 0) {
-    s.lru.push_front(frame);
-    f.lru_pos = s.lru.begin();
-  }
+  if (--f.pins == 0) s.LruPushFront(frame);
 }
 
 Status BufferPool::EvictFrame(Shard& s, uint32_t frame) {
-  Frame& f = s.frames[frame];
+  FrameMeta& f = s.meta[frame];
   assert(f.in_use && f.pins == 0);
   if (f.dirty.load(std::memory_order_relaxed) && !CanWriteBack(f)) {
     return Status::ResourceExhausted(
@@ -495,14 +584,14 @@ Status BufferPool::EvictFrame(Shard& s, uint32_t frame) {
   s.stats.evictions++;
   Bump(eviction_count_);
   if (f.dirty.load(std::memory_order_relaxed)) {
-    DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, f.data));
+    DYNOPT_RETURN_IF_ERROR(store_->Write(f.id, s.images[frame]));
     meter_ptr()->physical_writes++;
     s.stats.writebacks++;
     Bump(writeback_count_);
     f.dirty.store(false, std::memory_order_relaxed);
   }
-  s.table.erase(f.id);
-  s.lru.erase(f.lru_pos);
+  s.table.Erase(f.id);
+  s.LruUnlink(frame);
   f.in_use = false;
   f.id = kInvalidPageId;
   s.free_frames.push_back(frame);
@@ -515,21 +604,21 @@ Result<uint32_t> BufferPool::GrabFrame(Shard& s) {
     s.free_frames.pop_back();
     return frame;
   }
-  if (s.lru.empty()) {
+  if (s.lru_size == 0) {
     return Status::ResourceExhausted(
         "all buffer-pool frames in this shard are pinned");
   }
   // Coldest victim whose write-back the WAL ordering permits. When every
   // unpinned frame holds uncommitted dirty pages the caller must commit
   // (making them flushable) before the pool can make room.
-  for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-    const Frame& f = s.frames[*it];
+  for (uint32_t frame = s.lru_tail; frame != kNoFrame;
+       frame = s.meta[frame].lru_prev) {
+    const FrameMeta& f = s.meta[frame];
     if (f.dirty.load(std::memory_order_relaxed) && !CanWriteBack(f)) {
       continue;
     }
-    DYNOPT_RETURN_IF_ERROR(EvictFrame(s, *it));
-    uint32_t frame = s.free_frames.back();
-    s.free_frames.pop_back();
+    DYNOPT_RETURN_IF_ERROR(EvictFrame(s, frame));
+    s.free_frames.pop_back();  // EvictFrame freed `frame` last
     return frame;
   }
   return Status::ResourceExhausted(

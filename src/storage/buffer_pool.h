@@ -8,10 +8,10 @@
 // first-class, measurable phenomenon.
 //
 // Concurrency model: the frame pool is partitioned into a power-of-two
-// number of shards by PageId hash. Each shard owns its mutex, frames, hash
-// table, LRU list, and free list, so pins of unrelated pages never touch
-// the same lock, and a fault's physical read (performed while holding only
-// its shard's lock) never blocks traffic to other shards. Cost-meter and
+// number of shards by PageId hash. Each shard owns its mutex, frames, page
+// table, LRU links, and free list, so pins of unrelated pages never touch
+// the same lock, and a fault's physical read (performed with its shard's
+// lock released) never blocks traffic to other shards. Cost-meter and
 // metrics charges are relaxed atomics. With multiple sessions running,
 // cache interference stops being simulated (ScrambleCache) and becomes an
 // emergent property of the shared pool — the paper's "asynchronous
@@ -22,17 +22,22 @@
 // hit/miss/eviction sequence is fully reproducible. Pools too small to
 // benefit (fewer than 128 frames) default to one shard, which is
 // bit-for-bit the classic single-LRU behavior.
+//
+// Nothing is allocated after construction: a shard's frame bookkeeping is
+// a dense array apart from its page images, the LRU is a doubly linked
+// list threaded through that array by frame index, and the page table is
+// an open-addressing array sized once for the shard's frames. A pin, an
+// unpin, a miss and an eviction only rewrite entries in place.
 
 #ifndef DYNOPT_STORAGE_BUFFER_POOL_H_
 #define DYNOPT_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "governance/query_context.h"
@@ -72,8 +77,9 @@ class PageRepairer {
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(BufferPool* pool, uint32_t shard, uint32_t frame, PageId id)
-      : pool_(pool), shard_(shard), frame_(frame), id_(id) {}
+  PageGuard(BufferPool* pool, uint32_t shard, uint32_t frame, PageId id,
+            uint8_t* data)
+      : pool_(pool), data_(data), shard_(shard), frame_(frame), id_(id) {}
   PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
   PageGuard& operator=(PageGuard&& o) noexcept;
   PageGuard(const PageGuard&) = delete;
@@ -82,8 +88,14 @@ class PageGuard {
 
   bool valid() const { return pool_ != nullptr; }
   PageId id() const { return id_; }
-  const uint8_t* data() const;
-  uint8_t* mutable_data();  // implies MarkDirty()
+  const uint8_t* data() const {
+    assert(valid());
+    return data_;
+  }
+  uint8_t* mutable_data() {  // implies MarkDirty()
+    MarkDirty();
+    return data_;
+  }
   void MarkDirty();
 
   /// Drops the pin early.
@@ -91,6 +103,7 @@ class PageGuard {
 
  private:
   BufferPool* pool_ = nullptr;
+  uint8_t* data_ = nullptr;  // the frame's page image
   uint32_t shard_ = 0;
   uint32_t frame_ = 0;
   PageId id_ = kInvalidPageId;
@@ -259,40 +272,88 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  struct Frame {
-    PageData data;
+  /// Ends an LRU list and marks an empty page-table slot.
+  static constexpr uint32_t kNoFrame = 0xffffffffu;
+
+  /// A frame's bookkeeping. The images live in an array of their own, so
+  /// a pin touches this small record and not the 8 KiB page beside it.
+  struct FrameMeta {
+    // Mutation epoch of the latest MarkDirty; a dirty frame may be written
+    // back only once flushable_epoch_ has caught up to it (WAL-before-data).
+    std::atomic<uint64_t> dirty_epoch{0};
     PageId id = kInvalidPageId;
     uint32_t pins = 0;
+    // LRU neighbours (kNoFrame ends the list); valid iff pins == 0 &&
+    // in_use. prev is toward the most recent end.
+    uint32_t lru_prev = kNoFrame;
+    uint32_t lru_next = kNoFrame;
     // Atomic so concurrent guard holders may MarkDirty() without the shard
     // lock; ordering rides on the shard mutex (set while pinned, read by
     // flush/eviction only after the pin is released).
     std::atomic<bool> dirty{false};
-    // Mutation epoch of the latest MarkDirty; a dirty frame may be written
-    // back only once flushable_epoch_ has caught up to it (WAL-before-data).
-    std::atomic<uint64_t> dirty_epoch{0};
     bool in_use = false;
     // True while the owning Pin() reads the page from the store with the
     // shard lock released; the frame is pinned (never evicted) and other
     // pins of the same page wait on the shard condvar. Guarded by s.mu.
     bool loading = false;
-    std::list<uint32_t>::iterator lru_pos;  // valid iff pins == 0 && in_use
+  };
+
+  /// PageId -> frame index: linear probing over a power-of-two array of
+  /// at least twice the shard's frames, so a probe always ends at an empty
+  /// slot. Erase shifts the displaced entries back instead of leaving
+  /// tombstones; the table never rehashes or allocates after construction.
+  class PageTable {
+   public:
+    explicit PageTable(size_t frames);
+    /// The frame caching `id`, or kNoFrame.
+    uint32_t Find(PageId id) const;
+    /// `id` must be absent.
+    void Insert(PageId id, uint32_t frame);
+    /// `id` must be present.
+    void Erase(PageId id);
+    size_t size() const { return size_; }
+    /// Counts the occupied slots and checks each is found from its home
+    /// slot; test support.
+    Status Check() const;
+
+   private:
+    struct Slot {
+      PageId id = kInvalidPageId;
+      uint32_t frame = kNoFrame;  // kNoFrame = empty
+    };
+    size_t Home(PageId id) const;
+    /// The slot holding `id`, or the empty slot that ends its probe.
+    size_t Probe(PageId id) const;
+
+    std::unique_ptr<Slot[]> slots_;
+    size_t mask_ = 0;
+    size_t size_ = 0;
   };
 
   struct Shard {
+    explicit Shard(uint32_t frames);
+    /// Links unpinned `frame` in as the most recent.
+    void LruPushFront(uint32_t frame);
+    void LruUnlink(uint32_t frame);
+
     mutable std::mutex mu;
     std::condition_variable cv;  // signaled when a loading frame settles
-    std::unique_ptr<Frame[]> frames;  // fixed at construction
     uint32_t frame_count = 0;
-    std::vector<uint32_t> free_frames;
-    std::unordered_map<PageId, uint32_t> table;
-    std::list<uint32_t> lru;  // front = most recent; only unpinned frames
+    std::unique_ptr<FrameMeta[]> meta;   // fixed at construction
+    std::unique_ptr<PageData[]> images;  // parallel to meta
+    std::vector<uint32_t> free_frames;   // capacity frame_count
+    PageTable table;
+    // Only unpinned in-use frames; head = most recent, tail = coldest.
+    uint32_t lru_head = kNoFrame;
+    uint32_t lru_tail = kNoFrame;
+    size_t lru_size = 0;
     ShardStats stats;
   };
 
   void Unpin(uint32_t shard, uint32_t frame);
   /// True when `f` (if dirty) may be written back to the store under the
   /// WAL-before-data rule. Always true when wal_ordering_ is off.
-  bool CanWriteBack(const Frame& f) const {
+  bool CanWriteBack(const FrameMeta& f) const {
     return !wal_ordering_ ||
            f.dirty_epoch.load(std::memory_order_relaxed) <=
                flushable_epoch_.load(std::memory_order_relaxed);

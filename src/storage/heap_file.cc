@@ -49,10 +49,14 @@ Result<size_t> FreeSpace(const uint8_t* p, PageId id) {
   return slots_end - free_off;
 }
 
+bool RecordInBounds(uint16_t off, uint16_t len) {
+  return static_cast<size_t>(off) + len <= kPageSize && off >= kHeaderSize;
+}
+
 // Validates that a slot's record lies inside the page body.
 Status CheckRecordBounds(PageId id, uint16_t slot, uint16_t off,
                          uint16_t len) {
-  if (static_cast<size_t>(off) + len > kPageSize || off < kHeaderSize) {
+  if (!RecordInBounds(off, len)) {
     return Status::Corruption("heap page " + std::to_string(id) + " slot " +
                               std::to_string(slot) +
                               ": record extends past page bounds (off " +
@@ -172,13 +176,6 @@ Status HeapFile::Delete(const Rid& rid) {
 }
 
 Result<bool> HeapFile::Cursor::Next(std::string* record, Rid* rid) {
-  std::string_view view;
-  DYNOPT_ASSIGN_OR_RETURN(bool more, NextView(&view, rid));
-  if (more) record->assign(view);
-  return more;
-}
-
-Result<bool> HeapFile::Cursor::NextView(std::string_view* record, Rid* rid) {
   while (page_index_ < file_->pages_.size()) {
     PageId pid = file_->pages_[page_index_];
     if (!guard_.valid() || guard_.id() != pid) {
@@ -192,7 +189,7 @@ Result<bool> HeapFile::Cursor::NextView(std::string_view* record, Rid* rid) {
       if (len == kTombstoneLen) continue;
       uint16_t off = SlotOffset(p, slot);
       DYNOPT_RETURN_IF_ERROR(CheckRecordBounds(pid, slot, off, len));
-      *record = std::string_view(reinterpret_cast<const char*>(p) + off, len);
+      record->assign(reinterpret_cast<const char*>(p) + off, len);
       rid->page = pid;
       rid->slot = slot;
       return true;
@@ -202,6 +199,38 @@ Result<bool> HeapFile::Cursor::NextView(std::string_view* record, Rid* rid) {
   }
   guard_.Release();
   return false;
+}
+
+Result<size_t> HeapFile::Cursor::NextPage(
+    size_t max, std::vector<std::string_view>* records,
+    std::vector<Rid>* rids) {
+  records->clear();
+  rids->clear();
+  if (max == 0) return size_t{0};
+  while (page_index_ < file_->pages_.size()) {
+    PageId pid = file_->pages_[page_index_];
+    if (!guard_.valid() || guard_.id() != pid) {
+      DYNOPT_ASSIGN_OR_RETURN(guard_, file_->pool_->Pin(pid));
+    }
+    const uint8_t* p = guard_.data();
+    uint16_t count = SlotCount(p);
+    while (next_slot_ < count && records->size() < max) {
+      uint16_t slot = next_slot_++;
+      uint16_t len = SlotLen(p, slot);
+      if (len == kTombstoneLen) continue;
+      uint16_t off = SlotOffset(p, slot);
+      if (!RecordInBounds(off, len)) {
+        return CheckRecordBounds(pid, slot, off, len);
+      }
+      records->emplace_back(reinterpret_cast<const char*>(p) + off, len);
+      rids->push_back(Rid{pid, slot});
+    }
+    if (!records->empty()) return records->size();
+    page_index_++;
+    next_slot_ = 0;
+  }
+  guard_.Release();
+  return size_t{0};
 }
 
 Result<std::string_view> HeapFile::BatchReader::Read(const Rid& rid) {

@@ -55,19 +55,26 @@ class HeapFile {
   /// Forward cursor over live records in physical order. Holds a pin on
   /// the current page, so iterating records within one page is CPU-only
   /// and buffer charges accrue once per page (sequential-scan economics).
+  /// Both walks pin the next page only when a record past the current
+  /// one's is asked for.
   class Cursor {
    public:
     explicit Cursor(HeapFile* file) : file_(file) {}
     Cursor(Cursor&&) = default;
     Cursor& operator=(Cursor&&) = default;
 
-    /// Advances to the next live record. Returns false at end of file.
+    /// Advances to the next live record, copying it. Returns false at end
+    /// of file. The row-at-a-time walk (the naive oracle's).
     Result<bool> Next(std::string* record, Rid* rid);
 
-    /// Like Next but yields a view into the pinned page instead of
-    /// copying — the batched Tscan deserializes straight from the page.
-    /// The view is invalidated by the next cursor call or Reset().
-    Result<bool> NextView(std::string_view* record, Rid* rid);
+    /// The batched Tscan's walk: the next live records, at most `max`, all
+    /// from the one page the cursor stands on or, when that page has none
+    /// left, from the next page that has any. They replace the contents of
+    /// `*records` (views into the pinned page, invalidated by the next
+    /// cursor call or Reset()) and `*rids`. Returns how many; 0 at end of
+    /// file (or when `max` is 0).
+    Result<size_t> NextPage(size_t max, std::vector<std::string_view>* records,
+                            std::vector<Rid>* rids);
 
     /// Restarts from the beginning.
     void Reset() {

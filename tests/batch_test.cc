@@ -19,6 +19,7 @@
 #include "catalog/database.h"
 #include "core/plan.h"
 #include "core/retrieval.h"
+#include "exec/steppers.h"
 #include "expr/predicate.h"
 #include "expr/value.h"
 #include "families.h"
@@ -66,6 +67,86 @@ TEST(BatchGoldenTest, TscanResultsIdenticalAcrossBatchSizes) {
       EXPECT_EQ(RowSet(DrainRows(&engine)), golden)
           << pred->ShapeString() << " batch_size=" << bs;
     }
+  }
+}
+
+// The Tscan decodes a page's run of records per call. At batch sizes on
+// either side of a page's record count, each step still covers exactly
+// max_units live records (fewer only at the heap's end), and the steps
+// deliver the oracle's rows in heap order, over pages whose first or last
+// slots (or all of them) are tombstones.
+TEST(BatchGoldenTest, TscanPageRunsMatchTheOracleAroundPageEdges) {
+  Database db;
+  // 98-byte payloads: about 57 records to a page.
+  auto t = BuildFamilies(&db, 3000, 42, 98);
+  ASSERT_TRUE(t.ok()) << t.status();
+  Table* table = *t;
+  std::map<PageId, std::vector<Rid>> by_page;
+  {
+    HeapFile::Cursor cursor = table->heap()->NewCursor();
+    std::string rec;
+    Rid rid;
+    for (;;) {
+      auto more = cursor.Next(&rec, &rid);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      by_page[rid.page].push_back(rid);
+    }
+  }
+  ASSERT_GT(by_page.size(), 40u);
+  size_t page_index = 0;
+  for (const auto& [page, rids] : by_page) {
+    switch (page_index++ % 4) {
+      case 0:  // first slot
+        ASSERT_TRUE(table->Delete(rids.front()).ok());
+        break;
+      case 1:  // last slot
+        ASSERT_TRUE(table->Delete(rids.back()).ok());
+        break;
+      case 2:  // both ends
+        ASSERT_TRUE(table->Delete(rids.front()).ok());
+        ASSERT_TRUE(table->Delete(rids.back()).ok());
+        break;
+      default:  // untouched, but for one page left with no live record
+        if (page_index == 8) {
+          for (const Rid& rid : rids) ASSERT_TRUE(table->Delete(rid).ok());
+        }
+        break;
+    }
+  }
+  const size_t live = table->record_count();
+  RetrievalSpec spec;
+  spec.table = table;
+  spec.restriction = Predicate::Compare(1, CompareOp::kGe,
+                                        Operand::Literal(Value(int64_t{30})));
+  spec.projection = {0, 1, 3};
+  ParamMap params;
+  std::vector<std::string> golden;
+  for (const ResultRow& row : NaiveRows(spec, params)) {
+    golden.push_back(RowKey(row.values, row.rid));
+  }
+  for (size_t bs : {size_t{1}, size_t{56}, size_t{57}, size_t{58},
+                    size_t{1024}}) {
+    TscanStepper scan(db.pool(), spec, params);
+    std::vector<std::string> got;
+    size_t scanned = 0;
+    for (;;) {
+      auto more = scan.Step(bs);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      const RowBatch& b = scan.output();
+      ASSERT_EQ(b.num_rows(), std::min(bs, live - scanned))
+          << "batch_size=" << bs << " after " << scanned << " records";
+      scanned += b.num_rows();
+      for (uint32_t r : b.sel()) {
+        std::vector<Value> values;
+        for (uint32_t c : spec.projection) values.push_back(b.col(c).ValueAt(r));
+        got.push_back(RowKey(values, b.rid(r)));
+      }
+    }
+    EXPECT_EQ(scanned, live) << "batch_size=" << bs;
+    EXPECT_EQ(scan.records_scanned(), live) << "batch_size=" << bs;
+    EXPECT_EQ(got, golden) << "batch_size=" << bs;
   }
 }
 

@@ -313,25 +313,6 @@ TEST(MetricsTest, PercentileFromBucketsInterpolatesWithinBuckets) {
             PercentileFromBuckets(bounds, mixed, 0.99));
 }
 
-TEST(MetricsTest, EstimatePercentileUsesTheSharedGrid) {
-  std::vector<double> samples = {100, 200, 300, 400, 50000};
-  const auto& grid = LatencyBucketBounds();
-  double p50 = EstimatePercentile(samples, grid, 0.50);
-  double p99 = EstimatePercentile(samples, grid, 0.99);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_GE(p99, p50);
-  // The bucketed estimate lands within the owning bucket of the true
-  // median (200): between the surrounding 1-2-5 grid bounds.
-  EXPECT_GE(p50, 100.0);
-  EXPECT_LE(p50, 500.0);
-  EXPECT_DOUBLE_EQ(EstimatePercentile({}, grid, 0.5), 0.0);
-  // Histogram::Percentile rides the same path.
-  MetricsRegistry r;
-  Histogram* h = r.histogram("lat", grid);
-  for (double s : samples) h->Observe(s);
-  EXPECT_DOUBLE_EQ(h->Percentile(0.50), p50);
-}
-
 TEST(MetricsTest, CostMeterSnapshotLandsInRegistry) {
   Families f(1000);
   DynamicRetrieval engine(&f.db, f.Spec(AgeBetween(0, 99), {0}));

@@ -1,6 +1,9 @@
+#include <algorithm>
+#include <list>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,6 +216,175 @@ TEST(BufferPoolTest, PinGuardMoveTransfersOwnership) {
   EXPECT_FALSE(moved.valid());
 }
 
+// A store that logs every page read and write: with every cached page
+// dirty, each eviction writes its victim back, so the write log names the
+// victims in the order the pool chose them.
+class RecordingStore : public MemPageStore {
+ public:
+  Status Read(PageId id, PageData* dst) const override {
+    log_.emplace_back('R', id);
+    return MemPageStore::Read(id, dst);
+  }
+  Status Write(PageId id, const PageData& src) override {
+    log_.emplace_back('W', id);
+    return MemPageStore::Write(id, src);
+  }
+  /// The reads and writes since the last call.
+  std::vector<std::pair<char, PageId>> Take() {
+    return std::exchange(log_, {});
+  }
+
+ private:
+  mutable std::vector<std::pair<char, PageId>> log_;
+};
+
+// The reference the pool must match: per shard, a std::list LRU of the
+// unpinned cached pages (front = most recent) and a count of free frames.
+struct PoolModel {
+  struct Shard {
+    size_t free = 0;
+    std::list<PageId> lru;
+  };
+  std::vector<Shard> shards;
+  std::map<PageId, uint32_t> pins;  // cached page -> pin count
+  std::vector<std::pair<char, PageId>> expect;
+
+  PoolModel(size_t capacity, size_t shard_count) : shards(shard_count) {
+    for (size_t i = 0; i < shard_count; ++i) {
+      shards[i].free =
+          capacity / shard_count + (i < capacity % shard_count ? 1 : 0);
+    }
+  }
+
+  void Evict(Shard& s, std::list<PageId>::iterator it) {
+    expect.emplace_back('W', *it);
+    pins.erase(*it);
+    s.lru.erase(it);
+    s.free++;
+  }
+
+  /// Takes a frame for a page of shard `s`; false when every frame is
+  /// pinned.
+  bool Grab(Shard& s) {
+    if (s.free == 0) {
+      if (s.lru.empty()) return false;
+      Evict(s, std::prev(s.lru.end()));
+    }
+    s.free--;
+    return true;
+  }
+
+  bool Pin(Shard& s, PageId id) {
+    auto it = pins.find(id);
+    if (it != pins.end()) {
+      if (it->second++ == 0) s.lru.remove(id);
+      return true;
+    }
+    if (!Grab(s)) return false;
+    expect.emplace_back('R', id);
+    pins[id] = 1;
+    return true;
+  }
+
+  void Unpin(Shard& s, PageId id) {
+    if (--pins[id] == 0) s.lru.push_front(id);
+  }
+};
+
+class BufferPoolModelTest : public ::testing::TestWithParam<size_t> {};
+
+// A seeded run of pins, unpins, NewPage, EvictAll and ScrambleCache: the
+// pool must read and write back exactly the pages the list model predicts,
+// in its order, and keep its invariants after every operation.
+TEST_P(BufferPoolModelTest, VictimsMatchAListModel) {
+  const size_t shard_count = GetParam();
+  const size_t capacity = 8 * shard_count;
+  RecordingStore store;
+  BufferPool pool(&store, capacity, nullptr, shard_count);
+  ASSERT_EQ(pool.shard_count(), shard_count);
+  PoolModel model(capacity, shard_count);
+  std::vector<PageId> pages;
+  std::vector<PageGuard> held;
+  Rng rng(0x5eed + shard_count);
+  auto shard_of = [&](PageId id) -> PoolModel::Shard& {
+    return model.shards[pool.ShardOf(id)];
+  };
+  for (int op = 0; op < 4000; ++op) {
+    double dice = rng.NextDouble();
+    // Pins and unpins are equally likely, so the pinned count wanders
+    // between none and more than the pool has frames.
+    bool pin = dice < 0.5 ? held.size() < capacity + 4 : held.empty();
+    std::string what;
+    if (pages.empty() || dice < 0.05) {
+      what = "NewPage";
+      auto page = pool.NewPage();
+      if (page.ok()) {
+        PageId id = page->id();
+        pages.push_back(id);
+        ASSERT_TRUE(model.Grab(shard_of(id))) << "op " << op;
+        model.pins[id] = 1;
+        held.push_back(std::move(*page));
+      } else {
+        ASSERT_TRUE(page.status().IsResourceExhausted()) << page.status();
+        // The model would have found no frame either.
+        ASSERT_TRUE(shard_of(store.page_count() - 1).free == 0 &&
+                    shard_of(store.page_count() - 1).lru.empty())
+            << "op " << op;
+      }
+    } else if (dice < 0.94 && pin) {
+      PageId id = pages[rng.NextBounded(pages.size())];
+      what = "Pin " + std::to_string(id);
+      auto page = pool.Pin(id);
+      bool fits = model.Pin(shard_of(id), id);
+      ASSERT_EQ(page.ok(), fits) << what << ": " << page.status();
+      if (page.ok()) {
+        page->MarkDirty();  // so its eviction shows in the write log
+        held.push_back(std::move(*page));
+      }
+    } else if (dice < 0.94) {
+      size_t i = rng.NextBounded(held.size());
+      PageId id = held[i].id();
+      what = "Unpin " + std::to_string(id);
+      held[i].Release();
+      held.erase(held.begin() + static_cast<ptrdiff_t>(i));
+      model.Unpin(shard_of(id), id);
+    } else if (dice < 0.97) {
+      what = "EvictAll";
+      ASSERT_TRUE(pool.EvictAll().ok());
+      for (PoolModel::Shard& s : model.shards) {
+        while (!s.lru.empty()) model.Evict(s, s.lru.begin());
+      }
+    } else {
+      double fraction = rng.NextDouble();
+      what = "ScrambleCache " + std::to_string(fraction);
+      Rng draws = rng;  // the pool draws once per shard, in shard order
+      auto evicted = pool.ScrambleCache(rng, fraction);
+      ASSERT_TRUE(evicted.ok());
+      size_t expected = 0;
+      for (PoolModel::Shard& s : model.shards) {
+        double want = fraction * static_cast<double>(s.lru.size());
+        size_t quota = static_cast<size_t>(want);
+        if (draws.NextDouble() < want - static_cast<double>(quota)) quota++;
+        for (; quota > 0; --quota, ++expected) {
+          model.Evict(s, std::prev(s.lru.end()));
+        }
+      }
+      EXPECT_EQ(*evicted, expected) << what;
+    }
+    ASSERT_EQ(store.Take(), model.expect) << "op " << op << ": " << what;
+    model.expect.clear();
+    ASSERT_TRUE(pool.CheckInvariants().ok()) << "op " << op << ": " << what;
+    ASSERT_EQ(pool.cached_pages(), model.pins.size()) << "op " << op;
+    ASSERT_EQ(pool.PinnedPages(),
+              static_cast<size_t>(std::count_if(
+                  model.pins.begin(), model.pins.end(),
+                  [](const auto& p) { return p.second > 0; })))
+        << "op " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, BufferPoolModelTest, ::testing::Values(1, 2));
+
 // -------------------------------------------------------------- HeapFile
 
 TEST(HeapFileTest, InsertFetchRoundTrip) {
@@ -356,6 +528,62 @@ TEST_P(HeapFileRandomTest, MatchesOracleUnderRandomOps) {
     seen++;
   }
   EXPECT_EQ(seen, oracle.size());
+}
+
+// The Tscan's page-run walk yields the record walk's records in its order,
+// each run from one page and at most the asked-for count, across random
+// inserts and deletes.
+TEST_P(HeapFileRandomTest, PageRunsMatchTheRecordWalk) {
+  MemPageStore store;
+  BufferPool pool(&store, 32);
+  auto file = HeapFile::Create(&pool);
+  ASSERT_TRUE(file.ok());
+  Rng rng(GetParam());
+  std::vector<Rid> live;
+  for (int op = 0; op < 3000; ++op) {
+    if (live.empty() || rng.NextDouble() < 0.7) {
+      auto rid = (*file)->Insert(std::string(rng.NextBounded(300) + 1, 'r') +
+                                 std::to_string(op));
+      ASSERT_TRUE(rid.ok());
+      live.push_back(*rid);
+    } else {
+      size_t i = rng.NextBounded(live.size());
+      ASSERT_TRUE((*file)->Delete(live[i]).ok());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(i));
+    }
+  }
+  std::vector<std::pair<Rid, std::string>> walked;
+  auto cursor = (*file)->NewCursor();
+  std::string rec;
+  Rid rid;
+  for (;;) {
+    auto more = cursor.Next(&rec, &rid);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    walked.emplace_back(rid, rec);
+  }
+  ASSERT_EQ(walked.size(), live.size());
+  auto runs = (*file)->NewCursor();
+  std::vector<std::string_view> views;
+  std::vector<Rid> rids;
+  size_t at = 0;
+  for (;;) {
+    size_t max = rng.NextBounded(80) + 1;
+    auto n = runs.NextPage(max, &views, &rids);
+    ASSERT_TRUE(n.ok());
+    if (*n == 0) break;
+    ASSERT_LE(*n, max);
+    ASSERT_EQ(views.size(), *n);
+    ASSERT_EQ(rids.size(), *n);
+    for (size_t i = 0; i < *n; ++i, ++at) {
+      ASSERT_LT(at, walked.size());
+      EXPECT_EQ(rids[i].page, rids[0].page) << "a run spans one page";
+      EXPECT_EQ(rids[i], walked[at].first);
+      EXPECT_EQ(views[i], walked[at].second);
+    }
+  }
+  EXPECT_EQ(at, walked.size());
+  EXPECT_EQ(pool.PinnedPages(), 0u) << "the walk's end drops its pin";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeapFileRandomTest,
